@@ -83,7 +83,7 @@ func (b *lineBuffer) dump() string {
 // startDaemon launches the daemon and waits for its listen line.
 func startDaemon(t *testing.T, bin, walDir string, extra ...string) *daemonProc {
 	t.Helper()
-	args := append([]string{
+	return startProc(t, bin, append([]string{
 		"daemon",
 		"-wal", walDir,
 		"-addr", "127.0.0.1:0",
@@ -94,7 +94,13 @@ func startDaemon(t *testing.T, bin, walDir string, extra ...string) *daemonProc 
 		"-eps-cap", "0.5",
 		"-compact-every", "5",
 		"-ledger-shards", "3",
-	}, extra...)
+	}, extra...)...)
+}
+
+// startProc launches sagectl in a mode that runs the daemon loop
+// (daemon, serve) and waits for its listen line.
+func startProc(t *testing.T, bin string, args ...string) *daemonProc {
+	t.Helper()
 	cmd := exec.Command(bin, args...)
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {

@@ -1,37 +1,47 @@
-// Command sagectl demonstrates Sage's control plane end to end: it
-// builds a synthetic taxi stream, runs DP pipelines against it under a
-// global (εg, δg) policy, and either prints the per-block privacy
-// ledger (what an operator would inspect in production) or publishes
-// the accepted models into the wide-access store and serves them over
-// HTTP — the full Fig. 1 loop from growing database to serving
-// infrastructure.
+// Command sagectl operates Sage's control plane end to end over a
+// synthetic taxi stream: it prints the per-block privacy ledger a batch
+// of DP pipelines leaves behind (what an operator would inspect in
+// production), or runs the platform itself — the Fig. 1 loop from
+// growing database to serving infrastructure — and the tiers around it.
 //
 // Usage:
 //
 //	sagectl [ledger] [-epsg 1.0] [-delta 1e-6] [-days 30] [-pipelines 3] [-user-blocks]
-//	sagectl serve [-addr :8080] [-feature-eps 0.1] [-push http://r1:8081,http://r2:8081] [-push-token T] [ledger flags]
-//	sagectl replica [-addr :8081] [-push-token T]
 //	sagectl daemon [-wal ./sage-wal] [-addr :8080] [-tick 1s] [-ledger-shards N] [-retention N] [-push ...] [-push-token T]
-//	sagectl wal [-wal ./sage-wal] [-v]
+//	sagectl serve [-addr :8080] [-days 30] [-pipelines 3] [-epsg 1.0] [-delta 1e-6] [-feature-eps 0.2] [-push http://r1:8081,http://r2:8081] [-push-token T]
+//	sagectl replica [-addr :8081] [-push-token T]
 //	sagectl gateway [-addr :8090] [-backends http://r1:8081,http://r2:8081] [-from http://daemon:8080] [-attempt-timeout 10s]
+//	sagectl wal [-wal ./sage-wal] [-v]
 //	sagectl trace -from http://host:port [-id <32-hex trace id>]
 //
-// In serve mode, accepted pipelines are published as bundles — model,
-// the DP per-hour speed table (Listing 1's aggregate feature), and
-// provenance — and the store's HTTP API comes up on -addr:
+// Daemon mode is the platform as the paper operates it: a continuous
+// loop (internal/daemon) that ingests stream blocks, trains when budget
+// allows, publishes accepted pipelines as bundles — model, the DP
+// per-hour speed table (Listing 1's aggregate feature), and provenance
+// — pushes them to replicas, and retires blocks by retention, with
+// every ledger and store mutation write-ahead-logged under -wal. With
+// -ledger-shards N the privacy ledger is striped across N WAL segments
+// so concurrent charges commit in parallel (the layout is fixed when
+// the directory is created; reopening always uses what is on disk).
+// Kill it at any instant and relaunch with the same -wal directory: it
+// resumes at the same block/version watermarks, and the replica tier
+// self-heals. SIGTERM/SIGINT drain gracefully (finish the iteration,
+// final replica sync, compact, close). Its HTTP API on -addr:
 //
 //	GET  /models                           list released models
 //	GET  /models/{name}/provenance         blocks, budget, decision (audit)
 //	POST /predict?model=<name>             single prediction
 //	POST /predict/batch?model=<name>       batched predictions
 //	GET  /features?model=<name>&key=hour_speed[&index=H]   serving-time join
-//	GET  /metrics                          Prometheus text exposition
+//	GET  /daemon/status                    ledger, store, and replica watermarks
 //
-// Every sagectl server — serve, replica, daemon, gateway — exposes GET
-// /metrics in the Prometheus text format (internal/metrics): request
-// latency histograms, push/shed/breaker counters, ledger ε gauges, and
-// WAL fsync-stall histograms, named per the sage_<tier>_<name>_<unit>
-// convention documented in internal/metrics.
+// Serve mode is that same daemon under a demo preset, not a second
+// loop: a throwaway WAL directory (no fsync, deleted on exit), one
+// day-block of 8000 rides per tick as fast as the loop turns, SLA
+// targets a few day-blocks of this stream can meet, and -days ticks in
+// all — after which the process keeps serving what was published until
+// SIGTERM. Every line it prints and every endpoint it serves is the
+// daemon's.
 //
 // With -push, every accepted bundle is additionally pushed to the given
 // replica endpoints (versioned idempotent push with retry/backoff, gap
@@ -39,7 +49,7 @@
 // internal/replica). Replicas are started with `sagectl replica`: they
 // serve the identical read API plus
 //
-//	POST /push              receive one encoded bundle (publisher-only)
+//	POST /push              receive one release's canonical bytes (publisher-only)
 //	GET  /replica/status    applied-version watermarks per model
 //
 // Gateway mode (internal/gateway) fronts a replica fleet with one
@@ -49,27 +59,17 @@
 // under overload. Replica membership comes from -backends, from a
 // running daemon's /daemon/status (-from), or both.
 //
-// Daemon mode is the platform as the paper operates it: a continuous
-// loop (internal/daemon) that ingests stream blocks, trains when budget
-// allows, publishes, pushes to replicas, and retires blocks by
-// retention — with every ledger and store mutation write-ahead-logged
-// under -wal. With -ledger-shards N the privacy ledger is striped
-// across N WAL segments so concurrent charges commit in parallel (the
-// layout is fixed when the directory is created; reopening always uses
-// what is on disk). Kill it at any instant and relaunch with the same
-// -wal directory: it resumes at the same block/version watermarks, and
-// the replica tier self-heals. SIGTERM/SIGINT drain gracefully (finish the
-// iteration, final replica sync, compact, close). Besides the serving
-// API, daemon mode exposes GET /daemon/status (ledger, store, and
-// replica watermarks as JSON).
-//
 // The wal subcommand inspects a durable directory offline (daemon
 // stopped): it lists every log file — ledger segments in shard order,
 // then the store log — with record counts, byte sizes, and torn-tail
 // status; -v additionally prints each record's offset, length, type,
 // and CRC verdict. It never writes.
 //
-// Every server mode additionally takes -debug, which turns on the
+// Every server — daemon, serve, replica, gateway — is assembled by
+// internal/httpkit, so each exposes GET /metrics in the Prometheus text
+// format (internal/metrics: request latency histograms, push/shed/
+// breaker counters, ledger ε gauges, and WAL fsync-stall histograms,
+// named sage_<tier>_<name>_<unit>) and takes -debug, which turns on the
 // observability surface (internal/trace): requests get W3C traceparent
 // spans with tail-sampled capture of slow/error/failover traces, GET
 // /debug/trace exports them (plus latency-histogram exemplars) as
@@ -91,7 +91,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -107,12 +106,11 @@ import (
 	"repro/internal/data"
 	"repro/internal/durable"
 	"repro/internal/gateway"
-	"repro/internal/metrics"
+	"repro/internal/httpkit"
 	"repro/internal/pipeline"
 	"repro/internal/privacy"
 	"repro/internal/replica"
 	"repro/internal/rng"
-	"repro/internal/store"
 	"repro/internal/taxi"
 	"repro/internal/trace"
 	"repro/internal/validation"
@@ -146,6 +144,9 @@ type options struct {
 	epsCap       float64
 	noSync       bool
 	drain        time.Duration
+	// keepServing is set by the serve preset, never by a flag: once the
+	// loop has run its -max-ticks the listener stays up until a signal.
+	keepServing bool
 	// debug enables the observability surface on any server mode:
 	// request tracing (GET /debug/trace) and the net/http/pprof
 	// endpoints (GET /debug/pprof/...).
@@ -181,21 +182,25 @@ func main() {
 	fs.Float64Var(&opt.delta, "delta", 1e-6, "global per-block δ ceiling")
 	fs.IntVar(&opt.days, "days", 30, "days of stream to generate")
 	fs.IntVar(&opt.nPipelines, "pipelines", 3, "number of pipelines to run")
-	fs.BoolVar(&opt.userBlocks, "user-blocks", false, "partition blocks by user ID (user-level privacy, §4.4) instead of by day")
+	if mode != "serve" {
+		// The daemon's stream is time-partitioned.
+		fs.BoolVar(&opt.userBlocks, "user-blocks", false, "partition blocks by user ID (user-level privacy, §4.4) instead of by day")
+	}
 	switch mode {
-	case "serve":
-		fs.StringVar(&opt.addr, "addr", ":8080", "HTTP listen address for the serving API")
-		fs.BoolVar(&opt.debug, "debug", false, "serve GET /debug/trace and the /debug/pprof endpoints")
-		fs.Float64Var(&opt.featureEps, "feature-eps", 0.2, "ε spent releasing the per-hour speed aggregate (Listing 1)")
-		fs.StringVar(&opt.push, "push", "", "comma-separated replica base URLs to push accepted bundles to")
-		fs.StringVar(&opt.pushToken, "push-token", "", "bearer token sent with every push (replicas started with the same -push-token)")
 	case "replica":
 		fs.StringVar(&opt.addr, "addr", ":8081", "HTTP listen address for this replica")
 		fs.BoolVar(&opt.debug, "debug", false, "serve GET /debug/trace and the /debug/pprof endpoints")
 		fs.StringVar(&opt.pushToken, "push-token", "", "require this bearer token on POST /push (empty = open)")
-	case "daemon":
+	case "serve", "daemon":
 		fs.StringVar(&opt.addr, "addr", ":8080", "HTTP listen address (serving API + /daemon/status)")
 		fs.BoolVar(&opt.debug, "debug", false, "serve GET /debug/trace and the /debug/pprof endpoints")
+		fs.StringVar(&opt.push, "push", "", "comma-separated replica base URLs to push accepted bundles to")
+		fs.StringVar(&opt.pushToken, "push-token", "", "bearer token sent with every push (replicas started with the same -push-token)")
+		if mode == "serve" {
+			// The preset (runServePreset) decides the rest.
+			fs.Float64Var(&opt.featureEps, "feature-eps", 0.2, "ε charged per block for the hour_speed aggregate release (Listing 1)")
+			break
+		}
 		fs.StringVar(&opt.walDir, "wal", "./sage-wal", "write-ahead-log directory (all durable state; reuse it to resume)")
 		fs.DurationVar(&opt.tick, "tick", time.Second, "loop period: one stream block + one training attempt per tick")
 		fs.IntVar(&opt.rowsPerBlock, "rows-per-block", 4000, "synthetic stream rate (rides per block)")
@@ -209,8 +214,6 @@ func main() {
 		fs.Uint64Var(&opt.seed, "seed", 17, "stream/training seed (per-block data derives from it, so restarts regenerate identical blocks)")
 		fs.Float64Var(&opt.eps0, "eps0", 0, "adaptive search starting ε (default εg/8)")
 		fs.Float64Var(&opt.epsCap, "eps-cap", 0, "adaptive search per-attempt ε cap (default εg/2)")
-		fs.StringVar(&opt.push, "push", "", "comma-separated replica base URLs to push accepted bundles to")
-		fs.StringVar(&opt.pushToken, "push-token", "", "bearer token sent with every push")
 		fs.BoolVar(&opt.noSync, "no-sync", false, "disable per-append fsync (tests only: crash durability drops to what the OS flushed)")
 		fs.DurationVar(&opt.drain, "drain", 30*time.Second, "bound on the final replica sync during graceful shutdown (0 = unbounded)")
 	case "trace":
@@ -232,49 +235,32 @@ func main() {
 	}
 	_ = fs.Parse(args)
 
-	// Replicas and gateways never train: they have no budget, no stream,
-	// no pipelines — replicas serve what the publisher pushes into them,
-	// gateways route over replicas.
+	var err error
 	switch mode {
 	case "wal":
-		if err := runWalInspect(opt); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
+		err = runWalInspect(opt)
 	case "trace":
-		if err := runTrace(opt); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
+		err = runTrace(opt)
 	case "replica":
-		if err := runReplica(opt); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
+		err = runReplica(opt)
 	case "gateway":
-		if err := runGateway(opt); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	budget, err := privacy.NewBudget(opt.epsG, opt.delta)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-
-	switch mode {
-	case "serve":
-		err = runServe(opt, budget)
-	case "daemon":
-		err = runDaemon(opt, budget)
+		err = runGateway(opt)
 	default:
-		err = runLedger(opt, budget)
+		// Only these train: replicas serve what a publisher pushes into
+		// them, gateways route over replicas — no budget, no stream.
+		budget, berr := privacy.NewBudget(opt.epsG, opt.delta)
+		if berr != nil {
+			fmt.Fprintln(os.Stderr, berr)
+			os.Exit(2)
+		}
+		switch mode {
+		case "serve":
+			err = runServePreset(opt, budget)
+		case "daemon":
+			err = runDaemon(opt, budget)
+		default:
+			err = runLedger(opt, budget)
+		}
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -297,6 +283,30 @@ func parseTargets(s string) ([]float64, error) {
 		out = append(out, v)
 	}
 	return out, nil
+}
+
+// runServePreset is `sagectl serve`: runDaemon with the flags a demo
+// does not want to choose filled in. The WAL directory is a throwaway
+// (the daemon has no memory-only mode to special-case; it journals to a
+// directory nobody will reopen, without fsync), the stream runs one
+// 8000-ride day per millisecond tick for -days ticks, and the SLA
+// targets are ones a six-day window of this stream validates, so a
+// short demo has releases to serve.
+func runServePreset(opt options, budget privacy.Budget) error {
+	if opt.days < 1 {
+		return fmt.Errorf("sagectl serve: -days must be at least 1")
+	}
+	dir, err := os.MkdirTemp("", "sagectl-serve-")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(dir)
+	opt.walDir, opt.noSync = dir, true
+	opt.tick, opt.maxTicks = time.Millisecond, opt.days
+	opt.rowsPerBlock, opt.sla = 8000, "0.04,0.042,0.041"
+	opt.drain = 30 * time.Second
+	opt.keepServing = true
+	return runDaemon(opt, budget)
 }
 
 // runDaemon runs the continuous platform loop until SIGTERM/SIGINT
@@ -351,12 +361,18 @@ func runDaemon(opt options, budget privacy.Budget) error {
 	}
 	// The e2e harness parses this line to find the bound port.
 	fmt.Printf("daemon: serving on %s (wal %s)\n", lis.Addr(), opt.walDir)
-	srv := newHTTPServer("", withDebug(d.Handler(), opt.debug))
+	srv := httpkit.NewServer("", d.Handler())
 	go func() { _ = srv.Serve(lis) }()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	runErr := d.Run(ctx)
+	if opt.keepServing && runErr == nil {
+		st := d.Status()
+		fmt.Printf("daemon: serving %d release(s) of %d model(s) on %s until SIGTERM (ledger loss ε=%.4g)\n",
+			st.Published, len(st.StoreVersions), lis.Addr(), st.StreamLossEps)
+		<-ctx.Done()
+	}
 
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -513,23 +529,6 @@ func printSpanTree(sp trace.SpanJSON, children map[string][]trace.SpanJSON, dept
 	}
 }
 
-// newHTTPServer wraps a handler in an http.Server hardened against slow
-// or stuck clients: a connection that trickles its headers, never sends
-// its body, or never reads its response is bounded instead of pinning a
-// goroutine and its buffers forever. Every sagectl listener goes
-// through here (the gateway additionally bounds each *upstream* attempt
-// with its own deadline).
-func newHTTPServer(addr string, h http.Handler) *http.Server {
-	return &http.Server{
-		Addr:              addr,
-		Handler:           h,
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       time.Minute,
-		WriteTimeout:      2 * time.Minute,
-		IdleTimeout:       2 * time.Minute,
-	}
-}
-
 // newTracer builds a per-tier tracer, or nil when -debug is off. A nil
 // tracer is the compiled-in-but-disabled state: every method is a
 // nil-check no-op and Middleware returns its handler unchanged, so the
@@ -539,24 +538,6 @@ func newTracer(debug bool, service string) *trace.Tracer {
 		return nil
 	}
 	return trace.New(trace.Config{Service: service})
-}
-
-// withDebug mounts the net/http/pprof endpoints in front of a server's
-// handler when -debug is set. Explicit routes (not the blank import)
-// because every sagectl listener runs its own mux, never
-// http.DefaultServeMux.
-func withDebug(h http.Handler, debug bool) http.Handler {
-	if !debug {
-		return h
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/", h)
-	return mux
 }
 
 // runGateway fronts a replica fleet with the fault-tolerant routing
@@ -607,7 +588,7 @@ func runGateway(opt options) error {
 	fmt.Printf("gateway on %s over %d replica(s): %s\n", opt.addr, len(uniq), strings.Join(uniq, ", "))
 	fmt.Printf("  curl %s/gateway/status\n", base)
 	fmt.Printf("  curl %s/models\n", base)
-	return newHTTPServer(opt.addr, withDebug(g.Handler(), opt.debug)).ListenAndServe()
+	return httpkit.NewServer(opt.addr, g.Handler()).ListenAndServe()
 }
 
 // fetchMembership reads the replica endpoints a daemon is pushing to.
@@ -649,59 +630,17 @@ func splitEndpoints(s string) []string {
 
 // ledgerTargets are deliberately aggressive MSE targets: the ledger
 // demo wants to show retries draining block budgets and DP retention
-// kicking in. serveTargets are the SLAs this stream's pipelines can
-// actually validate, so serve mode has accepted bundles to publish.
-var (
-	ledgerTargets = []float64{0.0095, 0.0088, 0.0082, 0.0078, 0.0075}
-	serveTargets  = []float64{0.013, 0.015, 0.014, 0.016, 0.0135}
-)
+// kicking in.
+var ledgerTargets = []float64{0.0095, 0.0088, 0.0082, 0.0078, 0.0075}
 
-// demoPipeline builds the i-th taxi regression pipeline of the demo.
-func demoPipeline(i int, targets []float64) *pipeline.Pipeline {
-	return &pipeline.Pipeline{
-		Name:    fmt.Sprintf("taxi-lr-%d", i),
-		Trainer: pipeline.AdaSSPTrainer{Rho: 0.1, FeatureBound: 2.5, LabelBound: 1},
-		Validator: pipeline.MSEValidator{
-			Target: targets[i%len(targets)], B: 1,
-			ERMTrainer: pipeline.RidgeTrainer{Lambda: 1e-4},
-		},
-		Mode: validation.ModeSage,
-	}
-}
-
-// newControlPlane builds the demo's database and access control.
-func newControlPlane(opt options, budget privacy.Budget) (*data.GrowingDatabase, *core.AccessControl) {
+// runLedger is the original sagectl demo: pipelines + ledger dump.
+func runLedger(opt options, budget privacy.Budget) error {
 	var part data.Partitioner = data.TimePartitioner{Window: 24}
 	if opt.userBlocks {
 		part = data.UserPartitioner{}
 	}
 	db := data.NewGrowingDatabase(part)
 	ac := core.NewAccessControl(core.Policy{Global: budget})
-	return db, ac
-}
-
-// ledgerState renders a block report's state column.
-func ledgerState(rep core.BlockReport) string {
-	if !rep.Retired {
-		return "active"
-	}
-	return fmt.Sprintf("RETIRED (%s)", rep.Reason)
-}
-
-// printLedger dumps the per-block accounting table.
-func printLedger(ac *core.AccessControl, db *data.GrowingDatabase, budget privacy.Budget) {
-	fmt.Println("\nblock ledger:")
-	fmt.Printf("%-8s %-28s %-28s %-8s %s\n", "block", "loss", "remaining", "queries", "state")
-	for _, rep := range ac.Report(db.Blocks()) {
-		fmt.Printf("%-8d %-28v %-28v %-8d %s\n", rep.ID, rep.Loss, rep.Remain, rep.Queries, ledgerState(rep))
-	}
-	fmt.Printf("\nstream-wide privacy loss (max over blocks): %v — guarantee %v holds\n",
-		ac.StreamLoss(), budget)
-}
-
-// runLedger is the original sagectl demo: pipelines + ledger dump.
-func runLedger(opt options, budget privacy.Budget) error {
-	db, ac := newControlPlane(opt, budget)
 	ac.SetRetireCallback(func(id data.BlockID) {
 		fmt.Printf("! block %d retired — DP-informed retention deletes its raw data\n", id)
 	})
@@ -717,7 +656,15 @@ func runLedger(opt options, budget privacy.Budget) error {
 
 	r := rng.New(3)
 	for i := 0; i < opt.nPipelines; i++ {
-		pipe := demoPipeline(i, ledgerTargets)
+		pipe := &pipeline.Pipeline{
+			Name:    fmt.Sprintf("taxi-lr-%d", i),
+			Trainer: pipeline.AdaSSPTrainer{Rho: 0.1, FeatureBound: 2.5, LabelBound: 1},
+			Validator: pipeline.MSEValidator{
+				Target: ledgerTargets[i%len(ledgerTargets)], B: 1,
+				ERMTrainer: pipeline.RidgeTrainer{Lambda: 1e-4},
+			},
+			Mode: validation.ModeSage,
+		}
 		st := &adaptive.StreamTrainer{
 			AC: ac, DB: db, Pipe: pipe,
 			Epsilon0: budget.Epsilon / 8, EpsilonCap: budget.Epsilon,
@@ -732,7 +679,17 @@ func runLedger(opt options, budget privacy.Budget) error {
 			i, pipe.Name, res.Decision, res.Iterations, res.Samples, res.TotalSpent)
 	}
 
-	printLedger(ac, db, budget)
+	fmt.Println("\nblock ledger:")
+	fmt.Printf("%-8s %-28s %-28s %-8s %s\n", "block", "loss", "remaining", "queries", "state")
+	for _, rep := range ac.Report(db.Blocks()) {
+		state := "active"
+		if rep.Retired {
+			state = fmt.Sprintf("RETIRED (%s)", rep.Reason)
+		}
+		fmt.Printf("%-8d %-28v %-28v %-8d %s\n", rep.ID, rep.Loss, rep.Remain, rep.Queries, state)
+	}
+	fmt.Printf("\nstream-wide privacy loss (max over blocks): %v — guarantee %v holds\n",
+		ac.StreamLoss(), budget)
 	return nil
 }
 
@@ -752,161 +709,6 @@ func runReplica(opt options) error {
 		fmt.Println("  (POST /push requires the shared bearer token)")
 		sopts = append(sopts, replica.WithAuthToken(opt.pushToken))
 	}
-	if t := newTracer(opt.debug, "replica"); t != nil {
-		sopts = append(sopts, replica.WithTracer(t))
-	}
-	return newHTTPServer(opt.addr, withDebug(replica.NewServer(sopts...).Handler(), opt.debug)).ListenAndServe()
-}
-
-// runServe publishes accepted pipelines into the model & feature store
-// and serves them: the complete Fig. 1 loop.
-func runServe(opt options, budget privacy.Budget) error {
-	db, ac := newControlPlane(opt, budget)
-	ac.SetRetireCallback(func(id data.BlockID) {
-		fmt.Printf("! block %d retired — DP-informed retention deletes its raw data\n", id)
-	})
-
-	// Preprocessing (Listing 1): generate the raw stream, compute the DP
-	// per-hour speed aggregate, and featurize with it.
-	gen := taxi.NewGenerator(taxi.Config{}, 17)
-	rides := gen.Generate(opt.days*8000, 0, int64(opt.days)*24)
-	clean, _ := taxi.Clean(rides)
-	var speeds []float64
-	if opt.featureEps > 0 {
-		speeds = taxi.SpeedByHour(clean, opt.featureEps, rng.New(19))
-	} else {
-		speeds = taxi.SpeedByHour(clean, 0, nil)
-	}
-	for _, ex := range taxi.Featurize(clean, speeds).Examples {
-		for _, id := range db.Insert(ex) {
-			ac.RegisterBlock(id)
-		}
-	}
-	fmt.Printf("stream: %d samples in %d blocks (partitioner %s), policy %v\n",
-		db.Size(), db.NumBlocks(), db.Partitioner().Name(), budget)
-
-	// The aggregate is itself a release: account its ε against every
-	// block it read before anything else trains.
-	if opt.featureEps > 0 {
-		featureBudget := privacy.Budget{Epsilon: opt.featureEps}
-		if err := ac.Request(db.Blocks(), featureBudget); err != nil {
-			return fmt.Errorf("sagectl: charging feature release: %w", err)
-		}
-		fmt.Printf("released hour_speed aggregate (24 groups) for %v across %d blocks\n\n",
-			featureBudget, db.NumBlocks())
-	} else {
-		fmt.Printf("released hour_speed aggregate without DP (-feature-eps 0)\n\n")
-	}
-
-	st := store.New()
-	// With -push, accepted bundles also fan out to the replica tier as
-	// they publish (versioned idempotent push; stragglers and late
-	// joiners are reconciled by the final Sync).
-	var pub *replica.Publisher
-	if opt.push != "" {
-		endpoints := splitEndpoints(opt.push)
-		popts := []replica.Option{replica.WithSelfHealing()}
-		if opt.pushToken != "" {
-			popts = append(popts, replica.WithAuth(opt.pushToken))
-		}
-		pub = replica.NewPublisher(st, endpoints, popts...)
-		fmt.Printf("pushing accepted bundles to %d replica(s): %s\n", len(endpoints), strings.Join(endpoints, ", "))
-	}
-	r := rng.New(3)
-	published := 0
-	for i := 0; i < opt.nPipelines; i++ {
-		pipe := demoPipeline(i, serveTargets)
-		// A 10-block window (~80K samples at the demo rate) is what the
-		// paper-scale targets need to validate; smaller windows retry
-		// their way through the whole stream's budget without accepting.
-		trainer := &adaptive.StreamTrainer{
-			AC: ac, DB: db, Pipe: pipe,
-			Epsilon0: budget.Epsilon / 8, EpsilonCap: budget.Epsilon,
-			Delta: opt.delta / 100, MinWindow: min(10, db.NumBlocks()),
-		}
-		res, err := trainer.Run(r)
-		if err != nil {
-			fmt.Printf("pipeline %d (%s): blocked — %v\n", i, pipe.Name, err)
-			continue
-		}
-		fmt.Printf("pipeline %d (%s): %v in %d iterations, %d samples, spent %v\n",
-			i, pipe.Name, res.Decision, res.Iterations, res.Samples, res.TotalSpent)
-		if res.Decision != validation.Accept {
-			continue
-		}
-		spec, err := store.Serialize(res.Model)
-		if err != nil {
-			fmt.Printf("pipeline %d (%s): cannot serialize model: %v\n", i, pipe.Name, err)
-			continue
-		}
-		bundle := store.Bundle{
-			Name:  pipe.Name,
-			Model: spec,
-			// The bundle ships its serving-time join table (§2.1): the
-			// same released aggregate preprocessing trained against.
-			Features: map[string][]float64{"hour_speed": speeds},
-			Provenance: store.Provenance{
-				Pipeline: pipe.Name,
-				Spent:    res.TotalSpent,
-				Blocks:   res.Blocks,
-				Decision: res.Decision.String(),
-				Quality:  res.Quality,
-			},
-		}
-		var version int
-		if pub != nil {
-			var pushErr error
-			version, pushErr = pub.Publish(bundle)
-			if pushErr != nil {
-				// The release is durable locally; replicas reconverge on
-				// the Sync below or the next run.
-				fmt.Printf("  ! push %s@v%d: %v\n", pipe.Name, version, pushErr)
-			}
-		} else {
-			version = st.Publish(bundle)
-		}
-		published++
-		fmt.Printf("  → published %s@v%d (%d blocks, quality %.4g)\n",
-			pipe.Name, version, len(res.Blocks), res.Quality)
-	}
-
-	printLedger(ac, db, budget)
-	if published == 0 {
-		return fmt.Errorf("sagectl: no pipeline was accepted; nothing to serve")
-	}
-	if pub != nil {
-		if err := pub.Sync(); err != nil {
-			fmt.Printf("! replica sync: %v\n", err)
-		}
-		for _, ep := range pub.Endpoints() {
-			for _, name := range st.List() {
-				fmt.Printf("replica %s: %s at v%d\n", ep, name, pub.Watermark(ep, name))
-			}
-		}
-	}
-
-	// A bare ":8080" listen address needs a host for the curl hints.
-	base := opt.addr
-	if strings.HasPrefix(base, ":") {
-		base = "localhost" + base
-	}
-	fmt.Printf("\nserving %d model(s) on %s — try:\n", published, opt.addr)
-	fmt.Printf("  curl %s/models\n", base)
-	fmt.Printf("  curl %s/models/taxi-lr-0/provenance\n", base)
-	fmt.Printf("  curl %s/features'?model=taxi-lr-0&key=hour_speed&index=8'\n", base)
-	fmt.Printf("  curl -X POST %s/predict/batch'?model=taxi-lr-0' -d '{\"rows\":[[...48 features...]]}'\n", base)
-	srv := store.NewServer(st)
-	reg := metrics.New()
-	srv.Instrument(reg)
-	tracer := newTracer(opt.debug, "store")
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = reg.TextExpose(w)
-	})
-	if tracer != nil {
-		mux.Handle("GET /debug/trace", tracer.DebugHandler(func() any { return reg.Exemplars() }))
-	}
-	mux.Handle("/", srv.Handler())
-	return newHTTPServer(opt.addr, withDebug(tracer.Middleware(mux), opt.debug)).ListenAndServe()
+	sopts = append(sopts, replica.WithTracer(newTracer(opt.debug, "replica")))
+	return httpkit.NewServer(opt.addr, replica.NewServer(sopts...).Handler()).ListenAndServe()
 }

@@ -80,7 +80,8 @@
 // concurrent connections predict in parallel instead of serializing
 // behind one lock — models that cannot clone fall back to a
 // per-instance lock taken once per batch. `sagectl serve` runs the
-// whole loop — stream → DP aggregate → pipelines → publish → serve;
+// whole loop — stream → DP aggregate → pipelines → publish → serve —
+// as a demo preset over the daemon below, not a loop of its own;
 // BENCH_serving.json records HTTP-level throughput (~79K rows/s
 // batched at 256 rows vs ~25K rows/s singleton on taxi
 // dimensionality).
@@ -102,26 +103,33 @@
 // internal/replica completes Fig. 1's last arrow — accepted models
 // "bundled with feature transformation operators and pushed into
 // serving" — as a replicated tier. A trainer-side Publisher owns the
-// authoritative store and pushes gob-encoded bundles to N replica
-// Servers over HTTP; each replica applies them into a local store and
-// serves the identical read API through the *same* store.Server
-// handlers (shared code, so primary and replicas cannot drift — the
-// e2e test asserts byte-identical responses across all of them).
+// authoritative store and pushes each release's canonical bytes to N
+// replica Servers over HTTP; each replica applies them into a local
+// store and serves the identical read API through the *same*
+// store.Server handlers (shared code, so primary and replicas cannot
+// drift — the e2e test asserts byte-identical responses across all of
+// them).
+//
+// A release has exactly one serialization: store.Bundle.CanonicalBytes
+// (internal/core's audit encoding — fixed field order, sorted feature
+// keys, IEEE-754 bit patterns). The push body is byte for byte the
+// store's WAL record and the digest's preimage, and
+// store.DecodeCanonicalBundle, the one decoder (fuzzed), accepts
+// nothing that would re-encode differently.
 //
 // The push protocol is versioned and idempotent. Versions are assigned
 // once by the publisher's store and travel inside the bundle; a replica
 // accepts version watermark+1 (atomically, under its store's write
 // lock, so a racing /predict sees old or new but never half), acks
-// duplicates after verifying the release's canonical digest
-// (internal/core's audit serialization — gob can't serve here because
-// it encodes maps in iteration order), and answers out-of-order pushes
-// with a 409 carrying its applied-version watermark, from which the
-// publisher backfills in order. Late joiners are just the degenerate
-// case: watermark 0, backfill everything (Publisher.Sync). Transport
-// errors retry with exponential backoff; divergent releases (same
-// version, different digest) are permanent errors and never retried —
-// a release can be repeated, never replaced. `sagectl replica` runs a
-// replica; `sagectl serve -push <urls>` publishes through the tier.
+// duplicates after verifying the release's digest, and answers
+// out-of-order pushes with a 409 carrying its applied-version
+// watermark, from which the publisher backfills in order. Late joiners
+// are just the degenerate case: watermark 0, backfill everything
+// (Publisher.Sync). Transport errors retry with exponential backoff;
+// divergent releases (same version, different digest) are permanent
+// errors and never retried — a release can be repeated, never replaced.
+// `sagectl replica` runs a replica; `sagectl serve -push <urls>` (or
+// `sagectl daemon -push`) publishes through the tier.
 // BENCH_replica.json records push latency and per-replica throughput.
 //
 // The push path is hardened for deployment across trust boundaries:

@@ -5,11 +5,11 @@ package core
 // the validator's verdict, and the DP quality estimate — is the audit
 // record that reconciles a published model against the stream's privacy
 // ledger. When bundles are pushed to serving replicas, every copy must
-// carry provably the same record, so the push protocol identifies a
-// release by a digest over a *canonical* byte serialization defined
-// here. Gob (the shipment encoding) is unsuitable for this: it encodes
-// maps in iteration order, so two encodings of the same bundle differ
-// byte-for-byte. The canonical form is deterministic by construction:
+// carry provably the same record, so a release is identified by a
+// digest over a *canonical* byte serialization defined here, and that
+// serialization is also the only one: the bytes the store journals and
+// the publisher pushes are the digest's preimage. The form is
+// deterministic by construction (maps never decide byte order):
 // length-prefixed strings, IEEE-754 bit patterns for floats, and
 // fixed-width big-endian integers, in a fixed field order.
 
@@ -75,9 +75,10 @@ func AppendBlockIDs(dst []byte, blocks []data.BlockID) []byte {
 // produce. It is sticky-error: the first short read or length overflow
 // poisons the cursor, subsequent reads return zero values, and Err
 // reports what went wrong — callers decode a whole record and check
-// once. The write-ahead log's recovery path is the main consumer: WAL
-// payloads are canonical bytes, so the same encoding that digests a
-// release also replays it.
+// once. The write-ahead log's recovery path and the replica's push
+// handler are the consumers: WAL payloads and push bodies are canonical
+// bytes, so the same encoding that digests a release also replays and
+// ships it.
 type Cursor struct {
 	buf []byte
 	err error

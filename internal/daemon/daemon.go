@@ -63,6 +63,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/durable"
+	"repro/internal/httpkit"
 	"repro/internal/metrics"
 	"repro/internal/pipeline"
 	"repro/internal/privacy"
@@ -155,8 +156,8 @@ type Config struct {
 	// Tracer records loop traces: every tick is a root span with one
 	// child span per phase (ingest/train/retention/compaction), the WAL
 	// hangs its cohort spans under the same tracer, and the HTTP surface
-	// continues incoming traceparents and serves GET /debug/trace. Nil
-	// disables tracing.
+	// continues incoming traceparents and serves GET /debug/trace and
+	// /debug/pprof/. Nil disables tracing.
 	Tracer *trace.Tracer
 }
 
@@ -815,26 +816,16 @@ func (d *Daemon) Platform() *durable.Platform { return d.plat }
 func (d *Daemon) Metrics() *metrics.Registry { return d.reg }
 
 // Handler returns the daemon's HTTP surface: the full single-node
-// serving API (shared store.Server handlers, so daemon, serve mode, and
-// replicas cannot drift) plus GET /daemon/status and GET /metrics.
+// serving API (shared store.Server handlers, so daemon and replicas
+// cannot drift) plus GET /daemon/status, behind the shared operational
+// surface (httpkit: GET /metrics, /debug/*).
 func (d *Daemon) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /daemon/status", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, d.Status())
+		w.Header().Set("Content-Type", "application/json")
+		_ = json.NewEncoder(w).Encode(d.Status())
 	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = d.reg.TextExpose(w)
-	})
-	if d.cfg.Tracer != nil {
-		mux.Handle("GET /debug/trace", d.cfg.Tracer.DebugHandler(func() any { return d.reg.Exemplars() }))
-	}
 	mux.Handle("/", d.srv.Handler())
-	// Middleware on a nil tracer returns mux unchanged.
-	return d.cfg.Tracer.Middleware(mux)
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
+	// Middleware on a nil tracer returns its handler unchanged.
+	return d.cfg.Tracer.Middleware(httpkit.Handler(d.reg, d.cfg.Tracer, mux))
 }

@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/httpkit"
 	"repro/internal/metrics"
 	"repro/internal/replica"
 	"repro/internal/trace"
@@ -334,8 +335,16 @@ func (g *Gateway) markDown(b *backend, err error) {
 // fed by request truth, decide. A fleet is never 503'd into silence by
 // its own health checker.
 func (g *Gateway) pick(exclude map[*backend]bool) *backend {
+	// A candidate's load is read once: requests on other goroutines move
+	// the counters while this one sorts and counts ties, and the tie
+	// count is only ≥ 1 if both steps see the same numbers.
+	type candidate struct {
+		b    *backend
+		load int64
+	}
+	candidates := make([]candidate, 0, len(g.backends))
 	for _, relaxed := range []bool{false, true} {
-		var candidates []*backend
+		candidates = candidates[:0]
 		for _, b := range g.backends {
 			if exclude[b] {
 				continue
@@ -343,23 +352,22 @@ func (g *Gateway) pick(exclude map[*backend]bool) *backend {
 			if !relaxed && (b.down.Load() || b.draining.Load()) {
 				continue
 			}
-			candidates = append(candidates, b)
+			candidates = append(candidates, candidate{b, b.inflight.Load()})
 		}
 		if len(candidates) == 0 {
 			continue
 		}
 		// Least-loaded first; stable ties resolved round-robin.
 		sort.SliceStable(candidates, func(i, j int) bool {
-			return candidates[i].inflight.Load() < candidates[j].inflight.Load()
+			return candidates[i].load < candidates[j].load
 		})
-		minLoad := candidates[0].inflight.Load()
-		ties := 0
-		for ties < len(candidates) && candidates[ties].inflight.Load() == minLoad {
+		ties := 1
+		for ties < len(candidates) && candidates[ties].load == candidates[0].load {
 			ties++
 		}
 		offset := int(g.rr.Add(1) % uint64(ties))
-		for i := 0; i < len(candidates); i++ {
-			b := candidates[(offset+i)%len(candidates)]
+		for i := range candidates {
+			b := candidates[(offset+i)%len(candidates)].b
 			if b.breaker.Allow() {
 				return b
 			}
@@ -369,22 +377,20 @@ func (g *Gateway) pick(exclude map[*backend]bool) *backend {
 }
 
 // Handler returns the gateway's HTTP surface: the proxied serving API
-// plus GET /gateway/status.
-func (g *Gateway) Handler() http.Handler { return g }
+// plus GET /gateway/status, behind the shared operational surface
+// (httpkit) — GET /metrics and, with a tracer, /debug/* are the
+// gateway's own, never a proxied backend's.
+func (g *Gateway) Handler() http.Handler {
+	return httpkit.Handler(g.reg, g.cfg.Tracer, http.HandlerFunc(g.serve))
+}
 
-// ServeHTTP implements the proxy: classify → admit (or shed) → pick a
+// serve implements the proxy: classify → admit (or shed) → pick a
 // backend → forward with a per-attempt deadline → on failure, fail over
 // once to a different backend.
-func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+func (g *Gateway) serve(w http.ResponseWriter, r *http.Request) {
 	switch r.URL.Path {
 	case "/gateway/status":
 		writeJSON(w, http.StatusOK, g.Status())
-		return
-	case "/metrics":
-		// Served locally: the gateway's own registry, not a proxied
-		// backend scrape.
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = g.reg.TextExpose(w)
 		return
 	case "/push":
 		// Mutations go publisher → replica directly; a load-balanced
@@ -393,13 +399,6 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			"error": "push is a publisher-to-replica operation; the gateway only routes reads",
 		})
 		return
-	case "/debug/trace":
-		// Served locally when tracing is on; with a nil tracer the path
-		// falls through to the proxy like any other request.
-		if g.cfg.Tracer != nil {
-			g.cfg.Tracer.DebugHandler(func() any { return g.reg.Exemplars() }).ServeHTTP(w, r)
-			return
-		}
 	}
 
 	class := Classify(r)

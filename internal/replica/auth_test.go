@@ -122,10 +122,7 @@ func TestGzipPushReducesWireBytes(t *testing.T) {
 	b := wideBundle(0)
 	src.Publish(b)
 	stored, _ := src.Get("wide", 1)
-	raw, err := stored.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := stored.CanonicalBytes()
 
 	pub := NewPublisher(src, []string{counting.URL})
 	if err := pub.Push("wide", 1); err != nil {
@@ -233,11 +230,7 @@ func mustEncode(t *testing.T, p *Publisher, src *store.Store, name string, versi
 	if !ok {
 		t.Fatalf("%s@v%d not in store", name, version)
 	}
-	body, err := p.encodePush(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return body
+	return p.encodePush(b)
 }
 
 // TestSelfHealingConcurrentPushes: racing pushes to a pending endpoint

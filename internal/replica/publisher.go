@@ -204,27 +204,26 @@ func sleepBackoff(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// pushBody is one encoded bundle ready for the wire: the gob bytes and,
-// when compression is on and pays for itself, their gzip form.
-type pushBody struct{ raw, gz []byte }
+// pushBody is one release ready for the wire: its canonical bytes, or
+// their gzip form when compression is on and pays for itself.
+type pushBody struct {
+	payload []byte
+	gzipped bool
+}
 
-// encodePush encodes a bundle and (by default, for bodies of gzipMin
-// bytes and up) compresses it. The compressed form is only kept when it
+// encodePush serializes a bundle and (by default, for bodies of gzipMin
+// bytes and up) compresses it. The compressed form is only used when it
 // is actually smaller, so incompressible bundles ship identity-encoded.
-func (p *Publisher) encodePush(b *store.Bundle) (pushBody, error) {
-	raw, err := b.Encode()
-	if err != nil {
-		return pushBody{}, err
-	}
-	body := pushBody{raw: raw}
+func (p *Publisher) encodePush(b *store.Bundle) pushBody {
+	raw := b.CanonicalBytes()
 	if p.gzipMin >= 0 && len(raw) >= p.gzipMin {
 		var buf bytes.Buffer
 		zw := gzip.NewWriter(&buf)
 		if _, err := zw.Write(raw); err == nil && zw.Close() == nil && buf.Len() < len(raw) {
-			body.gz = buf.Bytes()
+			return pushBody{payload: buf.Bytes(), gzipped: true}
 		}
 	}
-	return body, nil
+	return pushBody{payload: raw}
 }
 
 // Push ships name@version from the source store to every replica,
@@ -243,10 +242,7 @@ func (p *Publisher) PushContext(ctx context.Context, name string, version int) e
 	if !ok {
 		return fmt.Errorf("replica: push %s@v%d: not in source store", name, version)
 	}
-	body, err := p.encodePush(bundle)
-	if err != nil {
-		return err
-	}
+	body := p.encodePush(bundle)
 	endpoints := p.Endpoints()
 	errs := make([]error, len(endpoints))
 	var wg sync.WaitGroup
@@ -370,11 +366,7 @@ func (p *Publisher) syncEndpoint(ctx context.Context, ep string, names []string,
 			if !ok {
 				continue
 			}
-			body, err := p.encodePush(bundle)
-			if err != nil {
-				return err
-			}
-			if err := p.pushTo(ctx, ep, name, v, body); err != nil {
+			if err := p.pushTo(ctx, ep, name, v, p.encodePush(bundle)); err != nil {
 				return err
 			}
 		}
@@ -406,7 +398,7 @@ func (p *Publisher) fetchStatus(ctx context.Context, endpoint string) (map[strin
 	return st.Watermarks, nil
 }
 
-// pushTo delivers one encoded bundle to one replica, retrying transport
+// pushTo delivers one release to one replica, retrying transport
 // errors with exponential backoff (full jitter, see sleepBackoff) and
 // healing version gaps by backfilling from the replica's reported
 // watermark. Cancelling the context aborts the in-flight request and
@@ -467,11 +459,7 @@ func (p *Publisher) backfill(ctx context.Context, endpoint, name string, waterma
 		if !ok {
 			return fmt.Errorf("replica: backfill %s@v%d: not in source store", name, v)
 		}
-		body, err := p.encodePush(bundle)
-		if err != nil {
-			return err
-		}
-		st, gap, err := p.pushOnce(ctx, endpoint, body)
+		st, gap, err := p.pushOnce(ctx, endpoint, p.encodePush(bundle))
 		if err != nil {
 			return fmt.Errorf("replica: backfill %s@v%d to %s: %w", name, v, endpoint, err)
 		}
@@ -497,18 +485,13 @@ func isPermanent(err error) bool {
 // pushOnce performs a single POST /push. It returns the decoded status
 // on success, the gap report on a version-gap 409, or an error.
 func (p *Publisher) pushOnce(ctx context.Context, endpoint string, body pushBody) (PushStatus, *gapResponse, error) {
-	payload := body.raw
-	encoding := ""
-	if body.gz != nil {
-		payload, encoding = body.gz, "gzip"
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, endpoint+"/push", bytes.NewReader(payload))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, endpoint+"/push", bytes.NewReader(body.payload))
 	if err != nil {
 		return PushStatus{}, nil, err
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
-	if encoding != "" {
-		req.Header.Set("Content-Encoding", encoding)
+	if body.gzipped {
+		req.Header.Set("Content-Encoding", "gzip")
 	}
 	if p.authToken != "" {
 		req.Header.Set("Authorization", "Bearer "+p.authToken)

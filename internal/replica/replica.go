@@ -1,8 +1,8 @@
 // Package replica implements Sage's replicated serving tier: the last
 // hop of Fig. 1, where accepted models — "bundled with [their] feature
 // transformation operators" — are *pushed into serving*. One
-// trainer-side Publisher owns the authoritative store and pushes
-// encoded bundles to N replica Servers; each replica atomically applies
+// trainer-side Publisher owns the authoritative store and pushes its
+// releases to N replica Servers; each replica atomically applies
 // them into a local read-only store and answers the same HTTP API as
 // the single-node server (shared handler code, so the two can never
 // drift).
@@ -10,17 +10,19 @@
 // # Push protocol
 //
 // Versions are assigned once, by the publisher's store, and carried
-// inside the bundle. A push is POST /push with the gob-encoded bundle
-// as the body; the replica's reply reports its *applied-version
-// watermark* for that model name — watermark = n always means versions
-// 1..n are applied, because the replica refuses gaps. The protocol is
-// idempotent and self-healing:
+// inside the bundle. A push is POST /push with the bundle's canonical
+// bytes (store.Bundle.CanonicalBytes) as the body — the same bytes the
+// publisher's store journaled for the release and the preimage of its
+// digest; a release has no other serialization. The replica's reply
+// reports its *applied-version watermark* for that model name —
+// watermark = n always means versions 1..n are applied, because the
+// replica refuses gaps. The protocol is idempotent and self-healing:
 //
 //   - version == watermark+1 → applied, watermark advances.
 //   - version <= watermark → duplicate. The replica verifies the
-//     canonical digest (internal/core's audit serialization) against
-//     the applied release and acks without reapplying; a digest
-//     mismatch is a 409 — a release can never be silently replaced.
+//     digest of the pushed bytes against the applied release and acks
+//     without reapplying; a digest mismatch is a 409 — a release can
+//     never be silently replaced.
 //   - version > watermark+1 → 409 with the watermark, and the
 //     publisher backfills the missing versions in order. This is also
 //     how a replica that joins late catches up: its watermark is 0, so
@@ -52,6 +54,7 @@ import (
 	"net/http"
 	"time"
 
+	"repro/internal/httpkit"
 	"repro/internal/metrics"
 	"repro/internal/store"
 	"repro/internal/trace"
@@ -128,7 +131,7 @@ type Server struct {
 	pushSec          *metrics.Histogram
 	// tracer, when non-nil, wraps the whole handler in a server span
 	// (continuing any incoming traceparent — the gateway's attempt span)
-	// and serves GET /debug/trace.
+	// and turns on the /debug surface.
 	tracer *trace.Tracer
 }
 
@@ -145,8 +148,8 @@ func WithAuthToken(tok string) ServerOption {
 
 // WithTracer enables request tracing: every request runs under a
 // server span continuing any incoming traceparent, and the handler
-// serves GET /debug/trace. A nil tracer (the default) leaves the
-// serving path untraced and unchanged.
+// serves GET /debug/trace and /debug/pprof/. A nil tracer (the default)
+// leaves the serving path untraced and unchanged.
 func WithTracer(t *trace.Tracer) ServerOption {
 	return func(s *Server) { s.tracer = t }
 }
@@ -199,29 +202,21 @@ func (s *Server) Metrics() *metrics.Registry { return s.reg }
 func (s *Server) Store() *store.Store { return s.store }
 
 // Handler returns the replica's HTTP handler: the full single-node
-// serving API plus POST /push, GET /replica/status, and GET /metrics.
+// serving API plus POST /push and GET /replica/status, behind the
+// shared operational surface (httpkit: GET /metrics, /debug/*).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /push", s.handlePush)
 	mux.HandleFunc("GET /replica/status", s.handleStatus)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	if s.tracer != nil {
-		mux.Handle("GET /debug/trace", s.tracer.DebugHandler(func() any { return s.reg.Exemplars() }))
-	}
 	serving := s.srv.Handler()
 	mux.Handle("/", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		s.inflight.Add(1)
 		defer s.inflight.Add(-1)
 		serving.ServeHTTP(w, r)
 	}))
-	// Middleware on a nil tracer returns mux unchanged, so the untraced
-	// replica serves the exact handler it always has.
-	return s.tracer.Middleware(mux)
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = s.reg.TextExpose(w)
+	// Middleware on a nil tracer returns its handler unchanged, so the
+	// untraced replica serves the exact handler it always has.
+	return s.tracer.Middleware(httpkit.Handler(s.reg, s.tracer, mux))
 }
 
 // authorized checks the shared-secret bearer token in constant time.
@@ -268,7 +263,7 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bundle exceeds size limit after decompression"})
 		return
 	}
-	b, err := store.DecodeBundle(raw)
+	b, err := store.DecodeCanonicalBundle(raw)
 	if err != nil {
 		s.pushBadBody.Inc()
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})

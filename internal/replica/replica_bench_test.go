@@ -36,8 +36,8 @@ func benchBundle(version int) store.Bundle {
 	return b
 }
 
-// BenchmarkBundlePush measures push latency end to end: gob encode,
-// HTTP POST, replica-side decode, digest-checked apply (every odd
+// BenchmarkBundlePush measures push latency end to end: canonical
+// encode, HTTP POST, replica-side decode, digest-checked apply (every odd
 // iteration re-pushes the same version, so both the apply and the
 // idempotent-duplicate paths are on the clock, as they are in a real
 // anti-entropy sweep).
@@ -224,10 +224,7 @@ func BenchmarkBundlePushWide(b *testing.B) {
 			b.StopTimer()
 			b.ReportMetric(float64(wireBytes), "wire_bytes/op")
 			bundle, _ := src.Get("wide", 1)
-			raw, err := bundle.Encode()
-			if err != nil {
-				b.Fatal(err)
-			}
+			raw := bundle.CanonicalBytes()
 			if mode.name == "gzip" && wireBytes > int64(len(raw))/2 {
 				b.Fatalf("gzip wire bytes %d not < half of encoded %d — compression regressed", wireBytes, len(raw))
 			}

@@ -185,9 +185,9 @@ func TestPreEncodedResponsesInvalidateOnPublish(t *testing.T) {
 
 // TestBundleRoundTripPredictsIdentically pins what the replica push
 // path depends on: a decoded bundle's instantiated model is the model —
-// bit-identical predictions, for every serializable kind. (The wire
-// encoding is gob over float64s, which is exact; this test keeps anyone
-// from changing it to a lossy one.)
+// bit-identical predictions, for every serializable kind. (The
+// canonical encoding carries IEEE-754 bit patterns, which is exact; this
+// test keeps anyone from changing it to a lossy one.)
 func TestBundleRoundTripPredictsIdentically(t *testing.T) {
 	r := rng.New(7)
 	rows := make([][]float64, 32)
@@ -218,11 +218,7 @@ func TestBundleRoundTripPredictsIdentically(t *testing.T) {
 			}
 			bundle := Bundle{Name: name, Version: 1, Model: spec,
 				Features: map[string][]float64{"hour_speed": {30, 29, 28}}}
-			raw, err := bundle.Encode()
-			if err != nil {
-				t.Fatal(err)
-			}
-			back, err := DecodeBundle(raw)
+			back, err := DecodeCanonicalBundle(bundle.CanonicalBytes())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -253,11 +249,7 @@ func TestBundleRoundTripMLPScratchLock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := (&Bundle{Name: "nn", Version: 1, Model: spec}).Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeBundle(raw)
+	back, err := DecodeCanonicalBundle((&Bundle{Name: "nn", Version: 1, Model: spec}).CanonicalBytes())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,10 +12,9 @@
 package store
 
 import (
-	"bytes"
 	"crypto/sha256"
-	"encoding/gob"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -103,7 +102,11 @@ func (s ModelSpec) InputDim() int {
 	}
 }
 
-// Instantiate reconstructs a usable model from the spec.
+// Instantiate reconstructs a usable model from the spec. A spec whose
+// dimensions do not account for exactly its parameters is an error, and
+// is found before anything is sized from those dimensions: specs arrive
+// over the network (replica push), and a model must never be allocated
+// from numbers its payload cannot back.
 func (s ModelSpec) Instantiate() (ml.Model, error) {
 	switch s.Kind {
 	case "linear":
@@ -113,34 +116,61 @@ func (s ModelSpec) Instantiate() (ml.Model, error) {
 		}, nil
 	case "constant":
 		return ml.ConstantModel{Value: s.Bias}, nil
-	case "logistic":
-		m := ml.NewLogisticRegression(s.Dim)
-		if len(s.Params) != len(m.Params()) {
-			return nil, fmt.Errorf("store: logistic params length %d, want %d", len(s.Params), len(m.Params()))
+	case "logistic", "linear-sgd":
+		if err := s.checkParams(nil); err != nil {
+			return nil, err
 		}
-		copy(m.Params(), s.Params)
-		return m, nil
-	case "linear-sgd":
+		if s.Kind == "logistic" {
+			m := ml.NewLogisticRegression(s.Dim)
+			copy(m.Params(), s.Params)
+			return m, nil
+		}
 		m := ml.NewSGDLinearRegression(s.Dim)
-		if len(s.Params) != len(m.Params()) {
-			return nil, fmt.Errorf("store: linear-sgd params length %d, want %d", len(s.Params), len(m.Params()))
-		}
 		copy(m.Params(), s.Params)
 		return m, nil
 	case "mlp-reg", "mlp-clf":
+		if s.Dim < 1 {
+			return nil, fmt.Errorf("store: %s input dimension %d", s.Kind, s.Dim)
+		}
+		if err := s.checkParams(s.Hidden); err != nil {
+			return nil, err
+		}
 		kind := ml.Regression
 		if s.Kind == "mlp-clf" {
 			kind = ml.BinaryClassification
 		}
 		m := ml.NewMLP(kind, s.Dim, s.Hidden, rng.New(0))
-		if len(s.Params) != len(m.Params()) {
-			return nil, fmt.Errorf("store: MLP params length %d, want %d", len(s.Params), len(m.Params()))
-		}
 		copy(m.Params(), s.Params)
 		return m, nil
 	default:
 		return nil, fmt.Errorf("store: unknown model kind %q", s.Kind)
 	}
+}
+
+// checkParams verifies that len(Params) is what a dense network of
+// widths Dim → hidden... → 1 holds: per layer, a weight matrix and a
+// bias vector (no hidden layers is the linear/logistic layout, Dim+1).
+// It divides rather than multiplies, so absurd widths cannot overflow
+// their way to a match.
+func (s ModelSpec) checkParams(hidden []int) error {
+	left, in := len(s.Params), s.Dim
+	for l := 0; l <= len(hidden); l++ {
+		out := 1
+		if l < len(hidden) {
+			out = hidden[l]
+		}
+		// The layer holds out*(in+1) parameters.
+		if in < 0 || out < 1 || in >= left/out {
+			left = -1
+			break
+		}
+		left -= out * (in + 1)
+		in = out
+	}
+	if left != 0 {
+		return fmt.Errorf("store: %s of widths %d→%v→1 does not match its %d params", s.Kind, s.Dim, hidden, len(s.Params))
+	}
+	return nil
 }
 
 // Bundle is one released model+features artifact (§2.1: the model is
@@ -156,34 +186,16 @@ type Bundle struct {
 	Provenance Provenance
 }
 
-// Encode serializes the bundle (gob) for shipment to serving replicas
-// or end-user devices.
-func (b *Bundle) Encode() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(b); err != nil {
-		return nil, fmt.Errorf("store: encode bundle %s: %w", b.Name, err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeBundle deserializes a bundle.
-func DecodeBundle(raw []byte) (*Bundle, error) {
-	var b Bundle
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&b); err != nil {
-		return nil, fmt.Errorf("store: decode bundle: %w", err)
-	}
-	return &b, nil
-}
-
 // CanonicalBytes returns the bundle's canonical serialization
 // (internal/core's audit encoding: fixed field order, sorted feature
-// keys, IEEE-754 bit patterns). Two bundles are the same release iff
-// their canonical bytes are equal, and the serialization is invertible
-// (DecodeCanonicalBundle), so the same bytes serve three roles: the
-// content digest replica push verifies, the payload the write-ahead log
-// journals for each publish (the WAL record's checksum therefore covers
-// exactly the bytes the push digest covers), and the record replay
-// decodes during crash recovery.
+// keys, IEEE-754 bit patterns) — the one format a release has. Two
+// bundles are the same release iff their canonical bytes are equal, and
+// the serialization is invertible (DecodeCanonicalBundle), so the same
+// bytes are the body of a replica push, the preimage of the digest that
+// push verifies, the payload the write-ahead log journals for each
+// publish (the WAL record's checksum therefore covers exactly the bytes
+// the digest covers), and the record replay decodes during crash
+// recovery.
 func (b *Bundle) CanonicalBytes() []byte {
 	buf := core.AppendString(nil, b.Name)
 	buf = core.AppendUint(buf, uint64(b.Version))
@@ -206,18 +218,32 @@ func (b *Bundle) CanonicalBytes() []byte {
 	return core.AppendProvenance(buf, p.Pipeline, p.Spent, p.Blocks, p.Decision, p.Quality)
 }
 
-// DecodeCanonicalBundle inverts CanonicalBytes. The write-ahead log's
-// recovery path uses it to reconstruct released bundles from journal
-// records.
+// DecodeCanonicalBundle inverts CanonicalBytes. Its input is a journal
+// record during recovery and a network body on a replica, so it accepts
+// exactly what CanonicalBytes can emit for a real release: integers a
+// Go int holds on every platform, feature keys strictly ascending, no
+// trailing bytes. Whatever it accepts therefore re-encodes to the same
+// bytes, and a pushed body is its own digest preimage.
 func DecodeCanonicalBundle(raw []byte) (*Bundle, error) {
 	c := core.NewCursor(raw)
+	// count reads a version, dimension or layer width. No release has
+	// one past 2^31; an unchecked conversion would turn a pushed 2^63
+	// into a negative int and panic the first make() sized from it.
+	var rangeErr error
+	count := func(what string) int {
+		v := c.Uint()
+		if v > math.MaxInt32 && rangeErr == nil {
+			rangeErr = fmt.Errorf("store: canonical bundle: %s %d out of range", what, v)
+		}
+		return int(v)
+	}
 	var b Bundle
 	b.Name = c.String()
-	b.Version = int(c.Uint())
+	b.Version = count("version")
 	b.Model.Kind = c.String()
 	b.Model.Weights = c.Floats()
 	b.Model.Bias = c.Float()
-	b.Model.Dim = int(c.Uint())
+	b.Model.Dim = count("model dimension")
 	nHidden := c.Uint()
 	if c.Err() == nil && nHidden > 0 {
 		// Bound before allocating (divide — int(nHidden)*8 on a damaged
@@ -227,7 +253,7 @@ func DecodeCanonicalBundle(raw []byte) (*Bundle, error) {
 		}
 		b.Model.Hidden = make([]int, nHidden)
 		for i := range b.Model.Hidden {
-			b.Model.Hidden[i] = int(c.Uint())
+			b.Model.Hidden[i] = count("hidden layer width")
 		}
 	}
 	b.Model.Params = c.Floats()
@@ -240,9 +266,13 @@ func DecodeCanonicalBundle(raw []byte) (*Bundle, error) {
 			return nil, fmt.Errorf("store: canonical bundle: feature count %d exceeds payload", nFeatures)
 		}
 		b.Features = make(map[string][]float64, nFeatures)
+		prev := ""
 		for i := uint64(0); i < nFeatures && c.Err() == nil; i++ {
 			k := c.String()
-			b.Features[k] = c.Floats()
+			if i > 0 && k <= prev {
+				return nil, fmt.Errorf("store: canonical bundle: feature key %q not in ascending order", k)
+			}
+			b.Features[k], prev = c.Floats(), k
 		}
 	}
 	b.Provenance.Pipeline = c.String()
@@ -254,6 +284,9 @@ func DecodeCanonicalBundle(raw []byte) (*Bundle, error) {
 	if err := c.Err(); err != nil {
 		return nil, fmt.Errorf("store: canonical bundle: %w", err)
 	}
+	if rangeErr != nil {
+		return nil, rangeErr
+	}
 	if c.Remaining() != 0 {
 		return nil, fmt.Errorf("store: canonical bundle: %d trailing bytes", c.Remaining())
 	}
@@ -261,14 +294,11 @@ func DecodeCanonicalBundle(raw []byte) (*Bundle, error) {
 }
 
 // Digest returns a content digest over the bundle's canonical
-// serialization. The gob wire encoding cannot serve this role — it
-// walks the feature map in iteration order, so re-encoding the same
-// bundle yields different bytes. Replica push uses the digest for
-// idempotency: a re-push of an already-applied (name, version) is
-// accepted iff the digests match, so a divergent bundle can never
-// silently overwrite a release. Because the WAL journals exactly
-// CanonicalBytes, a journaled release's digest is the digest replicas
-// verified.
+// serialization. Replica push uses it for idempotency: a re-push of an
+// already-applied (name, version) is accepted iff the digests match, so
+// a divergent bundle can never silently overwrite a release. Because
+// the WAL journals and the publisher pushes exactly CanonicalBytes, a
+// journaled release's digest is the digest replicas verified.
 func (b *Bundle) Digest() [sha256.Size]byte {
 	return sha256.Sum256(b.CanonicalBytes())
 }

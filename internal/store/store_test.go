@@ -81,11 +81,7 @@ func TestBundleEncodeDecode(t *testing.T) {
 			Quality:  0.004,
 		},
 	}
-	raw, err := b.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeBundle(raw)
+	back, err := DecodeCanonicalBundle(b.CanonicalBytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +91,7 @@ func TestBundleEncodeDecode(t *testing.T) {
 	if len(back.Features["hour_speed"]) != 3 {
 		t.Error("features lost")
 	}
-	if _, err := DecodeBundle([]byte("garbage")); err == nil {
+	if _, err := DecodeCanonicalBundle([]byte("garbage")); err == nil {
 		t.Error("garbage should fail to decode")
 	}
 }
