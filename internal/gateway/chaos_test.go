@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -463,6 +464,21 @@ func TestGatewayAdmissionShedsUnderSaturation(t *testing.T) {
 // hot read path: a full proxied GET (admission + routing + forward +
 // buffer + verify) against a healthy single-backend fleet.
 func BenchmarkGatewayProxyOverhead(b *testing.B) {
+	benchProxy(b, http.MethodGet, "/models", "")
+}
+
+// BenchmarkGatewayProxyOverheadPost64K is the same hop carrying a batch
+// request of 64 KiB, the size at which how the gateway buffers the body
+// for replay shows in B/op (io.ReadAll's doubling held about five times
+// the body; a Content-Length-sized read holds it once).
+func BenchmarkGatewayProxyOverheadPost64K(b *testing.B) {
+	const row = "[0.1234567890123,0.9876543210987],"
+	body := `{"rows":[` + strings.Repeat(row, 64<<10/len(row)) + `[1,2]]}`
+	b.SetBytes(int64(len(body)))
+	benchProxy(b, http.MethodPost, "/predict/batch?model=m", body)
+}
+
+func benchProxy(b *testing.B, method, path, body string) {
 	f := newFleet(b, 1, 1)
 	g := f.gw(b)
 	gsrv := httptest.NewServer(g.Handler())
@@ -472,7 +488,7 @@ func BenchmarkGatewayProxyOverhead(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		code, _, err := doReq(b, client, http.MethodGet, gsrv.URL+"/models", "")
+		code, _, err := doReq(b, client, method, gsrv.URL+path, body)
 		if err != nil || code != http.StatusOK {
 			b.Fatalf("proxied request failed: %d %v", code, err)
 		}

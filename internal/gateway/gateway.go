@@ -425,9 +425,9 @@ func (g *Gateway) serve(w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	var body []byte
-	if r.Body != nil {
+	if r.Body != nil && r.ContentLength != 0 { // -1: unknown until read
 		var err error
-		body, err = io.ReadAll(io.LimitReader(r.Body, maxRequestBytes+1))
+		body, err = readCapped(r.Body, r.ContentLength, maxRequestBytes)
 		if err != nil {
 			root.SetStatus(http.StatusBadRequest)
 			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "reading request body: " + err.Error()})
@@ -558,7 +558,7 @@ func (g *Gateway) forward(r *http.Request, b *backend, body []byte, att *trace.S
 		return proxyResult{}, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes+1))
+	data, err := readCapped(resp.Body, resp.ContentLength, maxResponseBytes)
 	if err != nil {
 		return proxyResult{}, fmt.Errorf("reading upstream body: %w", err)
 	}
@@ -569,6 +569,18 @@ func (g *Gateway) forward(r *http.Request, b *backend, body []byte, att *trace.S
 		return proxyResult{}, fmt.Errorf("partial upstream body: %d of %d bytes", len(data), resp.ContentLength)
 	}
 	return proxyResult{status: resp.StatusCode, header: resp.Header, body: data}, nil
+}
+
+// readCapped buffers a body of the declared length (-1: unknown) up to
+// limit+1 bytes, so the caller can tell a body over the limit from one
+// at it. The buffer is sized from length, one allocation, where
+// io.ReadAll's 512-byte start re-grows and copies a batch body about
+// ten times; a length that lies costs at most the limit.
+func readCapped(r io.Reader, length, limit int64) ([]byte, error) {
+	var buf bytes.Buffer
+	buf.Grow(int(min(max(length, 0), limit)) + bytes.MinRead)
+	_, err := buf.ReadFrom(io.LimitReader(r, limit+1))
+	return buf.Bytes(), err
 }
 
 // hopHeaders are connection-scoped and must not be forwarded either way.

@@ -20,6 +20,14 @@ import (
 // long.
 const maxBatchRows = 10_000
 
+// maxPooledScratchBytes bounds what one batchScratch may carry back into
+// batchPool. Under steady traffic the pool keeps a scratch per P, so
+// without a bound a single maximal request (maxBatchRows rows at taxi
+// width, or a maxBatchBodyBytes body) would pin its buffers there; above
+// the bound the scratch is dropped and the next request starts from an
+// empty one. A 256-row batch at taxi width holds under a tenth of this.
+const maxPooledScratchBytes = 4 << 20
+
 // Request-body byte limits, enforced with http.MaxBytesReader *before*
 // JSON decode: the row-count check alone runs only after the whole body
 // has been materialized, which would let one request allocate
@@ -339,7 +347,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	var req predictRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxPredictBodyBytes)).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
+		bodyError(w, err)
 		return
 	}
 	// Validate the feature vector against the bundle before Predict: a
@@ -361,89 +369,38 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// batchRequest is the body of POST /predict/batch.
-type batchRequest struct {
-	Rows [][]float64 `json:"rows"`
-}
-
 // batchScratch is the pooled per-request working set of the batch path:
-// decoded row buffers, the valid/position split, the prediction outputs
-// (the response's pointers alias out directly), and the response encode
-// buffer. One warm /predict/batch request touches none of these
-// allocations — everything is reused from the pool, sized by the
-// largest batch the connection has seen.
+// the request body, the decoded row buffers, the valid/position split,
+// the prediction outputs and the response encode buffer. One warm
+// /predict/batch request touches none of these allocations — everything
+// is reused from the pool, sized by the largest batch the scratch has
+// seen.
 type batchScratch struct {
+	body      bytes.Buffer
 	rows      [][]float64
 	valid     [][]float64
 	positions []int
 	out       []float64
-	preds     []*float64
-	buf       bytes.Buffer
+	enc       []byte
 }
 
 var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
-// errTooManyRows aborts the streaming decode as soon as the row limit
-// is crossed, without materializing the rest of the body.
-var errTooManyRows = fmt.Errorf("batch exceeds the %d-row limit", maxBatchRows)
-
-// decodeBatchRows streams the request body's rows array through dec,
-// reusing the scratch row buffers from previous requests. Unlike a
-// one-shot unmarshal of batchRequest, this never holds more than one
-// row of undecoded JSON beyond the rows themselves, and it stops
-// reading the moment the row limit is exceeded — combined with the
-// http.MaxBytesReader wrapping, a hostile large body costs at most
-// maxBatchBodyBytes of reading and maxBatchRows of decoding.
-func decodeBatchRows(dec *json.Decoder, scratch [][]float64) ([][]float64, error) {
-	tok, err := dec.Token()
-	if err != nil {
-		return scratch, err
+// release returns sc to batchPool unless its buffers have grown past
+// maxPooledScratchBytes, in which case it is left to the collector; it
+// reports which. The handler's last use of sc must precede it.
+func (sc *batchScratch) release() bool {
+	// 64 bytes a row covers its headers in rows and valid, its position
+	// and its output.
+	held := sc.body.Cap() + cap(sc.enc) + 64*cap(sc.rows)
+	for _, row := range sc.rows {
+		held += 8 * cap(row)
 	}
-	if d, ok := tok.(json.Delim); !ok || d != '{' {
-		return scratch, errors.New("request body must be a JSON object")
+	if held > maxPooledScratchBytes {
+		return false
 	}
-	rows := scratch[:0]
-	for dec.More() {
-		keyTok, err := dec.Token()
-		if err != nil {
-			return rows, err
-		}
-		if key, _ := keyTok.(string); key != "rows" {
-			// Skip unknown fields for forward compatibility.
-			var skip json.RawMessage
-			if err := dec.Decode(&skip); err != nil {
-				return rows, err
-			}
-			continue
-		}
-		tok, err := dec.Token()
-		if err != nil {
-			return rows, err
-		}
-		if d, ok := tok.(json.Delim); !ok || d != '[' {
-			return rows, errors.New(`"rows" must be an array of feature vectors`)
-		}
-		for dec.More() {
-			if len(rows) >= maxBatchRows {
-				return rows, errTooManyRows
-			}
-			var row []float64
-			if len(rows) < len(scratch) {
-				row = scratch[len(rows)][:0] // reuse the pooled backing array
-			}
-			if err := dec.Decode(&row); err != nil {
-				return rows, err
-			}
-			rows = append(rows, row)
-		}
-		if _, err := dec.Token(); err != nil { // closing ]
-			return rows, err
-		}
-	}
-	if _, err := dec.Token(); err != nil { // closing }
-		return rows, err
-	}
-	return rows, nil
+	batchPool.Put(sc)
+	return true
 }
 
 // grow returns s resized to n entries, reusing its backing array when
@@ -455,19 +412,12 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// rowError reports one invalid row by its position in the request.
+// rowError reports one invalid row by its position in the request; the
+// reply carries null at that position in predictions and the rowError in
+// errors.
 type rowError struct {
 	Row   int    `json:"row"`
 	Error string `json:"error"`
-}
-
-// batchResponse is the reply: predictions are positional with one entry
-// per request row; invalid rows carry null there and an entry in errors.
-type batchResponse struct {
-	Model       string     `json:"model"`
-	Version     int        `json:"version"`
-	Predictions []*float64 `json:"predictions"`
-	Errors      []rowError `json:"errors,omitempty"`
 }
 
 // handlePredictBatch runs N rows through one cached model instantiation:
@@ -484,18 +434,22 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// All per-request buffers come from the pool and go back when the
-	// handler returns — by then the response (whose prediction pointers
-	// alias sc.out) has been fully encoded into sc.buf and written.
+	// handler returns — by then the response has been fully encoded into
+	// sc.enc and written.
 	sc := batchPool.Get().(*batchScratch)
-	defer batchPool.Put(sc)
+	defer sc.release()
 
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBodyBytes))
-	rows, err := decodeBatchRows(dec, sc.rows)
+	sc.body.Reset()
+	if _, err := sc.body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBatchBodyBytes)); err != nil {
+		bodyError(w, err)
+		return
+	}
+	rows, err := decodeBatchRows(sc.body.Bytes(), sc.rows)
 	if len(rows) > len(sc.rows) {
 		sc.rows = rows // keep grown row buffers for the next request
 	}
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
+		bodyError(w, err)
 		return
 	}
 	if len(rows) == 0 {
@@ -509,22 +463,15 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	sc.preds = grow(sc.preds, len(rows))
-	for i := range sc.preds {
-		sc.preds[i] = nil
-	}
-	resp := batchResponse{
-		Model: bundle.Name, Version: bundle.Version,
-		Predictions: sc.preds,
-	}
 	// Split valid from malformed rows, keeping each valid row's original
 	// position so predictions land back where the caller expects them.
 	want := bundle.Model.InputDim()
+	var rowErrs []rowError
 	sc.valid = sc.valid[:0]
 	sc.positions = sc.positions[:0]
 	for i, row := range rows {
 		if want > 0 && len(row) != want {
-			resp.Errors = append(resp.Errors, rowError{
+			rowErrs = append(rowErrs, rowError{
 				Row:   i,
 				Error: fmt.Sprintf("model %q expects %d features, got %d", bundle.Name, want, len(row)),
 			})
@@ -536,18 +483,15 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 	if len(sc.valid) > 0 {
 		sc.out = grow(sc.out, len(sc.valid))
 		model.predictBatch(sc.valid, sc.out)
-		for j, i := range sc.positions {
-			resp.Predictions[i] = &sc.out[j]
-		}
 	}
-	sc.buf.Reset()
-	if err := json.NewEncoder(&sc.buf).Encode(resp); err != nil {
+	sc.enc, err = appendBatchResponse(sc.enc[:0], bundle.Name, bundle.Version, len(rows), sc.positions, sc.out, rowErrs)
+	if err != nil {
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(sc.buf.Bytes())
+	_, _ = w.Write(sc.enc)
 }
 
 // featuresResponse is the reply to GET /features. Exactly one of Keys,
@@ -666,6 +610,18 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
+}
+
+// bodyError answers a request body that could not be read or decoded:
+// 413 when it ran into the endpoint's byte cap, 400 otherwise.
+func bodyError(w http.ResponseWriter, err error) {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		httpError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("request body exceeds the %d-byte limit", tooBig.Limit))
+		return
+	}
+	httpError(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
 }
 
 func httpError(w http.ResponseWriter, code int, msg string) {

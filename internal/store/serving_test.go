@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -176,6 +177,12 @@ func TestPredictBatchRequestValidation(t *testing.T) {
 		{"empty rows", "/predict/batch?model=m", `{"rows":[]}`, http.StatusBadRequest},
 		{"rows absent", "/predict/batch?model=m", `{}`, http.StatusBadRequest},
 		{"oversized batch", "/predict/batch?model=m", string(big), http.StatusBadRequest},
+		// Past the byte cap is 413 — the body may well be valid JSON, the
+		// server just refuses to read that much of it.
+		{"oversize batch body", "/predict/batch?model=m",
+			`{"rows":[[1]],"pad":"` + strings.Repeat("x", maxBatchBodyBytes) + `"}`, http.StatusRequestEntityTooLarge},
+		{"oversize predict body", "/predict?model=m",
+			`{"features":[1],"pad":"` + strings.Repeat("x", maxPredictBodyBytes) + `"}`, http.StatusRequestEntityTooLarge},
 	} {
 		var body map[string]any
 		if code := postJSON(t, srv.URL+tc.url, tc.payload, &body); code != tc.wantCode {
