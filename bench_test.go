@@ -1,10 +1,10 @@
 package sage_test
 
-// One benchmark per table/figure of the paper's evaluation (§5), at
-// reduced scale so `go test -bench=.` completes on a laptop, plus
-// ablation benches for the design choices DESIGN.md calls out and
-// micro-benchmarks for the hot substrate paths. cmd/sage-experiments
-// runs the same experiments at full scale.
+// The CI-gated figure bench (Fig. 7, BENCH_optimized.json), ablation
+// benches for the design choices DESIGN.md calls out and
+// micro-benchmarks for the hot substrate paths. The paper's other
+// tables and figures are timed, with output-hash checks, by bench/'s
+// exp-sweep workload; cmd/sage-experiments runs them at full scale.
 
 import (
 	"io"
@@ -21,51 +21,6 @@ import (
 	"repro/internal/workload"
 )
 
-// --- Table 2: validator violation rates -------------------------------
-
-func BenchmarkTab2ViolationRates(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Tab2(experiments.Tab2Options{
-			Runs:    4,
-			Stream:  80000,
-			Holdout: 20000,
-			Etas:    []float64{0.05},
-			Modes:   []validation.Mode{validation.ModeNoSLA, validation.ModeSage},
-			Seed:    uint64(100 + i),
-		})
-		experiments.PrintTab2(io.Discard, rows)
-	}
-}
-
-// --- Fig. 5: DP impact on model quality -------------------------------
-
-func BenchmarkFig5LearningCurves(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pts := experiments.Fig5(experiments.Fig5Options{
-			Sizes:   []int{10000, 40000},
-			Holdout: 20000,
-			Models:  []string{"Taxi-LR"},
-			Seed:    uint64(200 + i),
-		})
-		experiments.PrintFig5(io.Discard, pts)
-	}
-}
-
-// --- Fig. 6: SLAed validation sample complexity ------------------------
-
-func BenchmarkFig6SampleComplexity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pts := experiments.Fig6(experiments.Fig6Options{
-			MaxStream:        150000,
-			Models:           []string{"Taxi-LR"},
-			TargetsPerConfig: 1,
-			Modes:            []validation.Mode{validation.ModeNoSLA, validation.ModeSage},
-			Seed:             uint64(300 + i),
-		})
-		experiments.PrintFig6(io.Discard, pts)
-	}
-}
-
 // --- Fig. 7: block vs query composition --------------------------------
 
 func BenchmarkFig7BlockVsQuery(b *testing.B) {
@@ -80,20 +35,6 @@ func BenchmarkFig7BlockVsQuery(b *testing.B) {
 			Seed:         uint64(400 + i),
 		}
 		experiments.PrintFig7(io.Discard, experiments.Fig7Quality(o), experiments.Fig7Accept(o))
-	}
-}
-
-// --- Fig. 8: workload release times ------------------------------------
-
-func BenchmarkFig8ReleaseTime(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.Fig8(experiments.Fig8Options{
-			TaxiRates:   []float64{0.2, 0.6},
-			CriteoRates: []float64{0.3},
-			Hours:       500,
-			Seed:        uint64(500 + i),
-		})
-		experiments.PrintFig8(io.Discard, res)
 	}
 }
 

@@ -1,30 +1,31 @@
 // Command benchcheck is the CI bench-regression gate: it parses raw
-// `go test -bench` output and compares each benchmark's ns/op against
-// the committed baseline JSONs (BENCH_serving.json, BENCH_optimized.json,
-// BENCH_replica.json), failing when any benchmark is slower than the
-// allowed ratio. The tolerance is deliberately loose (default 3×):
-// shared CI runners are noisy, and the gate exists to catch "someone
-// quadratically regressed the batch path", not 20% jitter.
+// `go test -bench` output and compares each row of the committed
+// BENCH_*.json baselines against it, failing when any benchmark is
+// slower than the allowed ratio. The tolerance is deliberately loose
+// (default 3×): shared CI runners are noisy, and the gate exists to
+// catch "someone quadratically regressed the batch path", not 20%
+// jitter — claims are judged by bench/, this is the tripwire.
 //
 // Usage:
 //
-//	go test -run '^$' -bench 'ServePredictBatch|Fig7' -benchtime 3x ./... | tee bench.txt
-//	go run ./cmd/benchcheck -bench bench.txt -max-ratio 3 BENCH_serving.json BENCH_optimized.json
+//	go test -run '^$' -bench 'ServePredict' -benchtime 100x ./internal/store/ | tee bench.txt
+//	go run ./cmd/benchcheck -bench bench.txt -max-ratio 3 BENCH_serving.json
 //
-// Benchmarks present in the bench output but absent from every baseline
-// (or vice versa) are reported and skipped; only intersecting names
-// gate. Exit status: 0 ok, 1 regression, 2 usage/parse error.
+// Every baseline has the one schema parseBaseline documents, and every
+// row of every baseline passed must have a result in the bench output:
+// the gate fails closed on a file of another shape, on a row missing a
+// mandatory field, and on a row nothing was measured against; results
+// no row names are ignored. Exit status: 0 ok, 1 regression, 2 usage,
+// parse or missing-row error.
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -34,25 +35,18 @@ import (
 //	BenchmarkServePredictBatch/linear/rows=256-8   362   3200506 ns/op   74.10 MB/s
 //
 // The -8 GOMAXPROCS suffix is optional (absent on 1-core runners).
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+(?:e[+-]?\d+)?) ns/op`)
+var benchLine = regexp.MustCompile(`(?m)^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+(?:e[+-]?\d+)?) ns/op`)
 
 // parseBenchOutput returns benchmark name (sans "Benchmark" prefix and
 // cpu suffix) → ns/op. Repeated names (e.g. -count>1) keep the minimum:
 // the best observed run is the fairest statement of current cost.
 func parseBenchOutput(path string) (map[string]float64, error) {
-	f, err := os.Open(path)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
 	out := make(map[string]float64)
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	for sc.Scan() {
-		m := benchLine.FindStringSubmatch(sc.Text())
-		if m == nil {
-			continue
-		}
+	for _, m := range benchLine.FindAllStringSubmatch(string(raw), -1) {
 		name := strings.TrimPrefix(m[1], "Benchmark")
 		ns, err := strconv.ParseFloat(m[2], 64)
 		if err != nil {
@@ -62,89 +56,93 @@ func parseBenchOutput(path string) (map[string]float64, error) {
 			out[name] = ns
 		}
 	}
-	return out, sc.Err()
-}
-
-// parseBaseline extracts benchmark → ns_per_op from one committed
-// BENCH_*.json. The repo's baselines have grown two shapes — an object
-// keyed by benchmark name ({"benchmarks": {"BenchmarkX": {"ns_per_op": n}}})
-// and a result list ({"results": [{"benchmark": "X", "ns_per_op": n}]}) —
-// so the walk is structural: any JSON object carrying a numeric
-// "ns_per_op" contributes, named by its "benchmark" field or its key.
-func parseBaseline(path string) (map[string]float64, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var doc any
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	out := make(map[string]float64)
-	walk(doc, "", out)
 	return out, nil
 }
 
-func walk(node any, key string, out map[string]float64) {
-	switch v := node.(type) {
-	case map[string]any:
-		ns, hasNs := v["ns_per_op"].(float64)
-		if hasNs {
-			name := key
-			if bn, ok := v["benchmark"].(string); ok {
-				name = bn
-			}
-			if name != "" {
-				out[strings.TrimPrefix(name, "Benchmark")] = ns
-			}
-			return
-		}
-		for k, child := range v {
-			walk(child, k, out)
-		}
-	case []any:
-		for _, child := range v {
-			walk(child, "", out)
-		}
-	}
+// baselineRow is one gated measurement of a committed BENCH_*.json. The
+// five JSON fields are mandatory; whatever else a row carries
+// (allocs_per_op, rows_per_s, a note) is the row's own business.
+type baselineRow struct {
+	Benchmark  string  `json:"benchmark"` // as go test prints it, sans "Benchmark" and the -N suffix
+	NsPerOp    float64 `json:"ns_per_op"`
+	Command    string  `json:"command"` // reproduces the row
+	GoMaxProcs int     `json:"gomaxprocs"`
+	Date       string  `json:"date"`
+	file       string  // the baseline the row came from, for the report
 }
 
-// check compares current results against the merged baselines, writing
-// the per-benchmark table to w. It returns the exit status main should
-// use: 0 ok, 1 regression, 2 when nothing intersected (name drift must
-// fail closed — a gate that silently compares nothing gates nothing).
-func check(w io.Writer, current, baseline map[string]float64, baselineOf map[string]string, maxRatio float64) int {
-	names := make([]string, 0, len(current))
-	for name := range current {
-		names = append(names, name)
+// parseBaseline reads one committed BENCH_*.json. There is one schema,
+//
+//	{"description": "…", "results": [{"benchmark", "ns_per_op", "command", "gomaxprocs", "date", …}]}
+//
+// and anything else — another top-level key, no rows, a row without one
+// of the mandatory fields — is an error: a baseline the gate cannot read
+// in full is a baseline it silently does not enforce.
+func parseBaseline(path string) ([]baselineRow, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
 	}
-	sort.Strings(names)
-	regressed, compared := 0, 0
-	for _, name := range names {
-		base, ok := baseline[name]
-		if !ok || base <= 0 {
-			fmt.Fprintf(w, "%-10s %-48s no baseline\n", "SKIP", name)
+	defer f.Close()
+	var file struct {
+		Description string            `json:"description"`
+		Results     []json.RawMessage `json:"results"`
+	}
+	dec := json.NewDecoder(f)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&file); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	if file.Description == "" || len(file.Results) == 0 {
+		return nil, fmt.Errorf("%s: want a description and at least one result", path)
+	}
+	rows := make([]baselineRow, len(file.Results))
+	for i, r := range file.Results {
+		row := &rows[i]
+		if err := json.Unmarshal(r, row); err != nil {
+			return nil, fmt.Errorf("%s: results[%d]: %w", path, i, err)
+		}
+		if row.Benchmark == "" || row.NsPerOp <= 0 || row.Command == "" || row.GoMaxProcs <= 0 || row.Date == "" {
+			return nil, fmt.Errorf("%s: results[%d] (%q) lacks one of benchmark, ns_per_op, command, gomaxprocs, date", path, i, row.Benchmark)
+		}
+		row.file = path
+	}
+	return rows, nil
+}
+
+// check compares every baseline row against the current results,
+// writing the per-benchmark table to w. It returns the exit status main
+// should use: 0 ok, 1 regression, 2 when a baseline row has no current
+// result — the benchmark was renamed, deleted or dropped from the
+// `-bench` regex, and a row that is compared against nothing gates
+// nothing.
+func check(w io.Writer, current map[string]float64, baseline []baselineRow, maxRatio float64) int {
+	regressed, missing := 0, 0
+	for _, row := range baseline {
+		cur, ok := current[row.Benchmark]
+		if !ok {
+			missing++
+			fmt.Fprintf(w, "%-10s %-48s in %s but not in the bench output\n", "MISSING", row.Benchmark, row.file)
 			continue
 		}
-		compared++
-		ratio := current[name] / base
+		ratio := cur / row.NsPerOp
 		status := "ok"
 		if ratio > maxRatio {
 			status = "REGRESSION"
 			regressed++
 		}
 		fmt.Fprintf(w, "%-10s %-48s %12.0f ns/op vs %12.0f baseline (%s)  ratio %.2f\n",
-			status, name, current[name], base, baselineOf[name], ratio)
+			status, row.Benchmark, cur, row.NsPerOp, row.file, ratio)
 	}
 	switch {
-	case compared == 0:
-		fmt.Fprintln(w, "benchcheck: no benchmark intersected a baseline — name drift? failing closed")
+	case missing > 0:
+		fmt.Fprintf(w, "benchcheck: %d of %d baseline row(s) have no current result — name drift? failing closed\n", missing, len(baseline))
 		return 2
 	case regressed > 0:
-		fmt.Fprintf(w, "benchcheck: %d of %d benchmark(s) regressed beyond %.1fx\n", regressed, compared, maxRatio)
+		fmt.Fprintf(w, "benchcheck: %d of %d benchmark(s) regressed beyond %.1fx\n", regressed, len(baseline), maxRatio)
 		return 1
 	default:
-		fmt.Fprintf(w, "benchcheck: %d benchmark(s) within %.1fx of baseline\n", compared, maxRatio)
+		fmt.Fprintf(w, "benchcheck: %d benchmark(s) within %.1fx of baseline\n", len(baseline), maxRatio)
 		return 0
 	}
 }
@@ -163,22 +161,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchcheck:", err)
 		os.Exit(2)
 	}
-	if len(current) == 0 {
-		fmt.Fprintf(os.Stderr, "benchcheck: no benchmark results in %s\n", *benchPath)
-		os.Exit(2)
-	}
-	baseline := make(map[string]float64)
-	baselineOf := make(map[string]string)
+	var baseline []baselineRow
 	for _, path := range flag.Args() {
-		b, err := parseBaseline(path)
+		rows, err := parseBaseline(path)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchcheck:", err)
 			os.Exit(2)
 		}
-		for name, ns := range b {
-			baseline[name] = ns
-			baselineOf[name] = path
-		}
+		baseline = append(baseline, rows...)
 	}
-	os.Exit(check(os.Stdout, current, baseline, baselineOf, *maxRatio))
+	os.Exit(check(os.Stdout, current, baseline, *maxRatio))
 }

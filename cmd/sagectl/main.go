@@ -359,13 +359,14 @@ func runDaemon(opt options, budget privacy.Budget) error {
 		d.Close()
 		return err
 	}
-	// The e2e harness parses this line to find the bound port.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	// The e2e harness parses this line to find the bound port, and may
+	// SIGTERM any time after: the handler above is installed first.
 	fmt.Printf("daemon: serving on %s (wal %s)\n", lis.Addr(), opt.walDir)
 	srv := httpkit.NewServer("", d.Handler())
 	go func() { _ = srv.Serve(lis) }()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	runErr := d.Run(ctx)
 	if opt.keepServing && runErr == nil {
 		st := d.Status()

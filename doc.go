@@ -82,9 +82,9 @@
 // per-instance lock taken once per batch. `sagectl serve` runs the
 // whole loop — stream → DP aggregate → pipelines → publish → serve —
 // as a demo preset over the daemon below, not a loop of its own;
-// BENCH_serving.json records HTTP-level throughput (~79K rows/s
-// batched at 256 rows vs ~25K rows/s singleton on taxi
-// dimensionality).
+// BENCH_serving.json records HTTP-level throughput (~211K rows/s
+// batched at 256 rows vs ~18K rows/s singleton on taxi
+// dimensionality, two shared vCPUs).
 //
 // Underneath every handler sits a connection-level fast path. The
 // immutable read endpoints (model list, provenance, whole feature
@@ -216,7 +216,7 @@
 // cut shard to never under-count acknowledged spend. The contended
 // write path is gated by BenchmarkLedgerParallelCharge
 // (BENCH_ledger.json): 8 shards + group commit + SyncGroup measure
-// ~4-5x over the single-mutex/single-fd baseline on one disk.
+// ~3.5-5.5x over the single-mutex/single-fd baseline on one disk.
 //
 // # Continuous operation: sagectl daemon
 //
@@ -238,7 +238,7 @@
 // converging through publisher self-healing alone. GET /daemon/status
 // exposes the ledger, store, and replica watermarks; the serving API is
 // mounted on the same handler. BENCH_wal.json records the journaling
-// overhead (sub-microsecond appends without fsync).
+// overhead (about a microsecond per append before the flush).
 //
 // The substrate's hot kernels are tuned for the sweeps' scale: Gram
 // accumulation exploits outer-product symmetry (upper triangle +
@@ -247,12 +247,12 @@
 // buffers, DP-SGD realizes Poisson sampling with geometric skips
 // (O(q·n) draws per step instead of n) and pools its gradient scratch,
 // and the SLAed validators stream over losses without copying.
-// BENCH_baseline.json and BENCH_optimized.json record the measured
-// before/after of `go test -bench=. -benchmem`.
+// BENCH_optimized.json gates the Fig. 7 pass and the DP-SGD
+// calibration cache; the kernels' before/after table is in CHANGES.md.
 //
 // See README.md for a tour, DESIGN.md for the system inventory, and
-// EXPERIMENTS.md for paper-vs-measured results. The benchmarks in
-// bench_test.go regenerate every table and figure of the paper's
-// evaluation at reduced scale; cmd/sage-experiments runs them at full
-// scale.
+// EXPERIMENTS.md for paper-vs-measured results. bench/'s exp-sweep
+// workload and cmd/sage-experiments regenerate the paper's tables and
+// figures at reduced and at full scale; bench_test.go keeps the gated
+// Fig. 7 bench, the ablations and the kernel micro-benchmarks.
 package sage

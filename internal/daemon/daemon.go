@@ -50,7 +50,6 @@ package daemon
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -822,10 +821,8 @@ func (d *Daemon) Metrics() *metrics.Registry { return d.reg }
 func (d *Daemon) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /daemon/status", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(d.Status())
+		httpkit.WriteJSON(w, http.StatusOK, d.Status())
 	})
 	mux.Handle("/", d.srv.Handler())
-	// Middleware on a nil tracer returns its handler unchanged.
-	return d.cfg.Tracer.Middleware(httpkit.Handler(d.reg, d.cfg.Tracer, mux))
+	return httpkit.Handler(d.reg, d.cfg.Tracer, mux)
 }

@@ -390,34 +390,30 @@ func (g *Gateway) Handler() http.Handler {
 func (g *Gateway) serve(w http.ResponseWriter, r *http.Request) {
 	switch r.URL.Path {
 	case "/gateway/status":
-		writeJSON(w, http.StatusOK, g.Status())
+		httpkit.WriteJSON(w, http.StatusOK, g.Status())
 		return
 	case "/push":
 		// Mutations go publisher → replica directly; a load-balanced
 		// push would desynchronize the fleet.
-		writeJSON(w, http.StatusForbidden, map[string]string{
+		httpkit.WriteJSON(w, http.StatusForbidden, map[string]string{
 			"error": "push is a publisher-to-replica operation; the gateway only routes reads",
 		})
 		return
 	}
 
 	class := Classify(r)
-	root := g.startSpan(r, class)
-	// The exemplar trace id is resolved here, before the deferred End
-	// scrubs and pools the span (defers run LIFO: End fires first).
+	// The server span is httpkit's (nil when tracing is off); the gateway
+	// adds what only it knows: route class, its outcomes, attempt children.
+	root := trace.FromContext(r.Context())
+	root.SetAttr("class", class.String())
 	defer g.reqSec[class].ObserveSinceExemplar(time.Now(), root.TraceIDString())
-	defer root.End()
-	if root != nil {
-		r = r.WithContext(trace.ContextWith(r.Context(), root))
-	}
 	release, ok := g.adm.admit(class)
 	if !ok {
 		// Shed fast: an immediate, honest "try later" beats a queued
 		// request that times out after pinning resources.
-		root.SetStatus(http.StatusServiceUnavailable)
 		root.SetOutcome("shed")
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{
+		httpkit.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{
 			"error": "gateway overloaded: " + class.String() + " request shed",
 		})
 		return
@@ -429,13 +425,11 @@ func (g *Gateway) serve(w http.ResponseWriter, r *http.Request) {
 		var err error
 		body, err = readCapped(r.Body, r.ContentLength, maxRequestBytes)
 		if err != nil {
-			root.SetStatus(http.StatusBadRequest)
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "reading request body: " + err.Error()})
+			httpkit.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "reading request body: " + err.Error()})
 			return
 		}
 		if len(body) > maxRequestBytes {
-			root.SetStatus(http.StatusRequestEntityTooLarge)
-			writeJSON(w, http.StatusRequestEntityTooLarge, map[string]string{"error": "request body exceeds gateway limit"})
+			httpkit.WriteJSON(w, http.StatusRequestEntityTooLarge, map[string]string{"error": "request body exceeds gateway limit"})
 			return
 		}
 	}
@@ -476,8 +470,7 @@ func (g *Gateway) serve(w http.ResponseWriter, r *http.Request) {
 				continue
 			}
 			// Both attempts 5xx'd: relay the last reply rather than
-			// masking it.
-			root.SetOutcome("error")
+			// masking it (the server span marks a relayed 5xx "error").
 		} else {
 			att.End()
 			b.breaker.Record(true)
@@ -487,7 +480,6 @@ func (g *Gateway) serve(w http.ResponseWriter, r *http.Request) {
 				root.SetOutcome("failover")
 			}
 		}
-		root.SetStatus(res.status)
 		copyHeader(w.Header(), res.header)
 		w.Header().Set("Content-Length", fmt.Sprint(len(res.body)))
 		w.WriteHeader(res.status)
@@ -496,32 +488,13 @@ func (g *Gateway) serve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	g.unroutable.Inc()
-	root.SetStatus(http.StatusServiceUnavailable)
 	root.SetOutcome("unroutable")
 	msg := "no healthy replica available"
 	if lastErr != nil {
 		msg += ": " + lastErr.Error()
 	}
 	w.Header().Set("Retry-After", "1")
-	writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": msg})
-}
-
-// startSpan opens the request's root span: an incoming traceparent is
-// continued (the gateway joins the caller's trace), otherwise a fresh
-// trace starts. Nil when tracing is disabled.
-func (g *Gateway) startSpan(r *http.Request, class Class) *trace.Span {
-	t := g.cfg.Tracer
-	if t == nil {
-		return nil
-	}
-	var s *trace.Span
-	if traceID, parent, ok := trace.ParseTraceparent(r.Header.Get(trace.Header)); ok {
-		s = t.StartRemote(r.Method+" "+r.URL.Path, traceID, parent)
-	} else {
-		s = t.StartRoot(r.Method + " " + r.URL.Path)
-	}
-	s.SetAttr("class", class.String())
-	return s
+	httpkit.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"error": msg})
 }
 
 // proxyResult is one complete, verified upstream response.
@@ -665,10 +638,4 @@ func (g *Gateway) Status() Status {
 		})
 	}
 	return st
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
 }

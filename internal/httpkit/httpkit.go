@@ -1,12 +1,14 @@
 // Package httpkit is the one place a Sage HTTP tier gets its operational
 // surface from: the Prometheus scrape endpoint, the trace export, the
-// profiling endpoints, and a listener hardened against stuck clients.
+// profiling endpoints, the server span around the tier's own routes, the
+// JSON reply writer, and a listener hardened against stuck clients.
 // The daemon, replica and gateway handlers and every sagectl listener
 // are assembled through it, so a new tier cannot ship without one of
 // the pieces or with its own variant of one.
 package httpkit
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/pprof"
 	"strings"
@@ -26,8 +28,11 @@ import (
 // without one those paths reach next like any other. It is a path switch,
 // not a ServeMux: a request for the tier's own API pays two string
 // comparisons and no allocation on its way to next.
+//
+// With a tracer, next — and only next: a scrape is not a request — runs
+// under the server span of tracer.Middleware (trace.FromContext).
 func Handler(reg *metrics.Registry, tracer *trace.Tracer, next http.Handler) http.Handler {
-	k := &kit{reg: reg, next: next}
+	k := &kit{reg: reg, next: tracer.Middleware(next)}
 	if tracer != nil {
 		k.traces = tracer.DebugHandler(func() any { return reg.Exemplars() })
 	}
@@ -67,6 +72,14 @@ func (k *kit) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	default:
 		k.next.ServeHTTP(w, r)
 	}
+}
+
+// WriteJSON answers with status code and v as the JSON body — the one
+// reply writer behind every tier's status, error and result documents.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	_ = json.NewEncoder(w).Encode(v) // past the status line an error can only cut the body short
 }
 
 // NewServer wraps a handler in an http.Server hardened against slow or

@@ -1,6 +1,8 @@
 package httpkit_test
 
 import (
+	"encoding/json"
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io"
@@ -107,38 +109,80 @@ func TestEveryTierServesTheSharedSurface(t *testing.T) {
 	}
 }
 
+// TestEveryTierTracesItsOwnRoutesOnly: the server span is the kit's, so
+// with a tracer every tier continues an incoming traceparent on its own
+// routes — one span, in the caller's trace — and a scrape of the shared
+// surface is not a request: it leaves no span behind.
+func TestEveryTierTracesItsOwnRoutesOnly(t *testing.T) {
+	own := map[string]string{"daemon": "/daemon/status", "replica": "/replica/status", "gateway": "/gateway/status"}
+	for name, build := range tiers {
+		t.Run(name, func(t *testing.T) {
+			tracer := trace.New(trace.Config{Service: name})
+			h := build(t, tracer)
+			for _, path := range []string{"/metrics", "/debug/trace", "/debug/pprof/cmdline"} {
+				get(h, http.MethodGet, path)
+			}
+			if snap := tracer.Snapshot(); len(snap.Recent) != 0 {
+				t.Fatalf("scraping the shared surface left spans: %+v", snap.Recent)
+			}
+
+			const traceID = "0af7651916cd43dd8448eb211c80319c"
+			req := httptest.NewRequest(http.MethodGet, own[name], nil)
+			req.Header.Set(trace.Header, "00-"+traceID+"-b7ad6b7169203331-01")
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("GET %s: %d", own[name], rec.Code)
+			}
+			_, body := get(h, http.MethodGet, "/debug/trace?trace="+traceID)
+			var snap trace.Snapshot
+			if err := json.Unmarshal([]byte(body), &snap); err != nil {
+				t.Fatal(err)
+			}
+			if len(snap.Recent) != 1 || snap.Recent[0].Name != "GET "+own[name] ||
+				snap.Recent[0].ParentID != "b7ad6b7169203331" || snap.Recent[0].Status != http.StatusOK {
+				t.Fatalf("GET %s with a traceparent: want one server span continuing it, got %+v", own[name], snap.Recent)
+			}
+		})
+	}
+}
+
 // TestTierDeclarationsAreComplete is the other half of the bijection:
-// the packages under internal/ that import httpkit (a tier has to, to
-// get /metrics at all) are exactly the declared tiers — a new tier
+// the packages under internal/ that call httpkit.Handler (a tier has to,
+// to get /metrics at all) are exactly the declared tiers — a new tier
 // without a declaration fails here, as does a declaration whose tier is
-// gone.
+// gone. Keyed on the call, not the import: internal/store imports
+// httpkit for WriteJSON and is mounted by tiers, not one itself.
 func TestTierDeclarationsAreComplete(t *testing.T) {
 	files, err := filepath.Glob("../*/*.go")
 	if err != nil {
 		t.Fatal(err)
 	}
-	importers := map[string]bool{}
+	callers := map[string]bool{}
 	for _, file := range files {
 		if strings.HasSuffix(file, "_test.go") {
 			continue
 		}
-		f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.ImportsOnly)
+		f, err := parser.ParseFile(token.NewFileSet(), file, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, imp := range f.Imports {
-			if imp.Path.Value == `"repro/internal/httpkit"` {
-				importers[filepath.Base(filepath.Dir(file))] = true
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "Handler" {
+				if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "httpkit" {
+					callers[filepath.Base(filepath.Dir(file))] = true
+				}
 			}
-		}
+			return true
+		})
 	}
-	for pkg := range importers {
+	for pkg := range callers {
 		if tiers[pkg] == nil {
 			t.Errorf("internal/%s builds its handler with httpkit but has no declaration in tiers", pkg)
 		}
 	}
 	for name := range tiers {
-		if !importers[name] {
+		if !callers[name] {
 			t.Errorf("tier %q is declared but internal/%s does not use httpkit", name, name)
 		}
 	}

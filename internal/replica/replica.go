@@ -129,9 +129,9 @@ type Server struct {
 	pushUnauthorized *metrics.Counter
 	pushBadBody      *metrics.Counter
 	pushSec          *metrics.Histogram
-	// tracer, when non-nil, wraps the whole handler in a server span
-	// (continuing any incoming traceparent — the gateway's attempt span)
-	// and turns on the /debug surface.
+	// tracer, when non-nil, runs every request under httpkit's server
+	// span (continuing any incoming traceparent — the gateway's attempt
+	// span) and turns on the /debug surface.
 	tracer *trace.Tracer
 }
 
@@ -214,9 +214,7 @@ func (s *Server) Handler() http.Handler {
 		defer s.inflight.Add(-1)
 		serving.ServeHTTP(w, r)
 	}))
-	// Middleware on a nil tracer returns its handler unchanged, so the
-	// untraced replica serves the exact handler it always has.
-	return s.tracer.Middleware(httpkit.Handler(s.reg, s.tracer, mux))
+	return httpkit.Handler(s.reg, s.tracer, mux)
 }
 
 // authorized checks the shared-secret bearer token in constant time.
@@ -234,7 +232,7 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 	if !s.authorized(r) {
 		s.pushUnauthorized.Inc()
 		w.Header().Set("WWW-Authenticate", `Bearer realm="sage-replica"`)
-		writeJSON(w, http.StatusUnauthorized, map[string]string{"error": "push requires a valid bearer token"})
+		httpkit.WriteJSON(w, http.StatusUnauthorized, map[string]string{"error": "push requires a valid bearer token"})
 		return
 	}
 	// The byte cap applies to the *decoded* bundle: MaxBytesReader
@@ -246,7 +244,7 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 		gz, err := gzip.NewReader(body)
 		if err != nil {
 			s.pushBadBody.Inc()
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad gzip body: " + err.Error()})
+			httpkit.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "bad gzip body: " + err.Error()})
 			return
 		}
 		defer gz.Close()
@@ -255,32 +253,32 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 	raw, err := io.ReadAll(body)
 	if err != nil {
 		s.pushBadBody.Inc()
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "reading bundle: " + err.Error()})
+		httpkit.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "reading bundle: " + err.Error()})
 		return
 	}
 	if int64(len(raw)) > maxPushBodyBytes {
 		s.pushBadBody.Inc()
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bundle exceeds size limit after decompression"})
+		httpkit.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "bundle exceeds size limit after decompression"})
 		return
 	}
 	b, err := store.DecodeCanonicalBundle(raw)
 	if err != nil {
 		s.pushBadBody.Inc()
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		httpkit.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
 	}
 	applied, err := s.store.Apply(*b)
 	if err != nil {
 		if gap, ok := err.(*store.VersionGapError); ok {
 			s.pushGap.Inc()
-			writeJSON(w, http.StatusConflict, gapResponse{
+			httpkit.WriteJSON(w, http.StatusConflict, gapResponse{
 				Error: gap.Error(), Name: gap.Name, Watermark: gap.Watermark,
 			})
 			return
 		}
 		// Digest mismatch (divergent release) or unversioned bundle.
 		s.pushRejected.Inc()
-		writeJSON(w, http.StatusConflict, map[string]string{"error": err.Error()})
+		httpkit.WriteJSON(w, http.StatusConflict, map[string]string{"error": err.Error()})
 		return
 	}
 	if applied {
@@ -288,7 +286,7 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 	} else {
 		s.pushDuplicate.Inc()
 	}
-	writeJSON(w, http.StatusOK, PushStatus{
+	httpkit.WriteJSON(w, http.StatusOK, PushStatus{
 		Name: b.Name, Version: b.Version,
 		Applied:   applied,
 		Watermark: s.store.VersionCount(b.Name),
@@ -297,18 +295,12 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	wms := s.store.Watermarks()
-	writeJSON(w, http.StatusOK, Status{
+	httpkit.WriteJSON(w, http.StatusOK, Status{
 		Watermarks: wms,
 		Generation: s.store.Generation(),
 		Models:     len(wms),
 		Inflight:   s.inflight.Value(),
 	})
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
 }
 
 // decodeStatus parses a push reply.

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"unicode/utf8"
 )
 
 // The /predict/batch wire codec. Requests and responses are the JSON
@@ -293,14 +292,14 @@ func (s *batchScanner) number() (float64, error) {
 }
 
 // appendBatchResponse appends the /predict/batch reply to dst, byte for
-// byte what json.Encoder writes for it (HTML-escaped strings, ES6-style
-// floats, a trailing newline). out[j] is the prediction for request row
-// positions[j] (ascending); rows at no position are null and have their
-// entry in errs, which is omitted when empty. A non-finite prediction is
-// an error, as it is for encoding/json.
+// byte what json.Encoder writes for it (ES6-style floats, a trailing
+// newline). out[j] is the prediction for request row positions[j]
+// (ascending); rows at no position are null and have their entry in
+// errs, which is omitted when empty. A non-finite prediction is an
+// error, as it is for encoding/json.
 func appendBatchResponse(dst []byte, model string, version, n int, positions []int, out []float64, errs []rowError) ([]byte, error) {
 	dst = append(dst, `{"model":`...)
-	dst = appendJSONString(dst, model)
+	dst = appendJSON(dst, model)
 	dst = append(dst, `,"version":`...)
 	dst = strconv.AppendInt(dst, int64(version), 10)
 	dst = append(dst, `,"predictions":[`...)
@@ -320,20 +319,8 @@ func appendBatchResponse(dst []byte, model string, version, n int, positions []i
 		dst = appendJSONFloat(dst, f)
 	}
 	dst = append(dst, ']')
-	for k, e := range errs {
-		if k == 0 {
-			dst = append(dst, `,"errors":[`...)
-		} else {
-			dst = append(dst, ',')
-		}
-		dst = append(dst, `{"row":`...)
-		dst = strconv.AppendInt(dst, int64(e.Row), 10)
-		dst = append(dst, `,"error":`...)
-		dst = appendJSONString(dst, e.Error)
-		dst = append(dst, '}')
-	}
 	if len(errs) > 0 {
-		dst = append(dst, ']')
+		dst = appendJSON(append(dst, `,"errors":`...), errs)
 	}
 	return append(dst, '}', '\n'), nil
 }
@@ -354,25 +341,11 @@ func appendJSONFloat(dst []byte, f float64) []byte {
 	return dst
 }
 
-// appendJSONString quotes s as encoding/json does with HTML escaping on:
-// <, > and & as \u00XX, U+2028/9 escaped, invalid UTF-8 as \ufffd.
-func appendJSONString(dst []byte, s string) []byte {
-	dst = append(dst, '"')
-	for i := 0; i < len(s); {
-		r, size := utf8.DecodeRuneInString(s[i:])
-		switch {
-		case r == utf8.RuneError && size == 1:
-			dst = append(dst, `\ufffd`...)
-		case r == '"' || r == '\\':
-			dst = append(dst, '\\', byte(r))
-		case r >= 0x20 && r != '<' && r != '>' && r != '&' && r != '\u2028' && r != '\u2029':
-			dst = append(dst, s[i:i+size]...)
-		case r == '\b' || r == '\f' || r == '\n' || r == '\r' || r == '\t':
-			dst = append(dst, '\\', "btn?fr"[r-'\b'])
-		default:
-			dst = fmt.Appendf(dst, `\u%04x`, r)
-		}
-		i += size
-	}
-	return append(dst, '"')
+// appendJSON appends v as encoding/json marshals it, HTML escaping on
+// as json.Encoder has it. The reply's strings — the model name, the row
+// errors — are its cold part and go through here rather than through a
+// second implementation of the escaping rules.
+func appendJSON(dst []byte, v any) []byte {
+	raw, _ := json.Marshal(v) // a string or []rowError cannot fail to marshal
+	return append(dst, raw...)
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/data"
+	"repro/internal/httpkit"
 	"repro/internal/metrics"
 	"repro/internal/ml"
 )
@@ -338,6 +339,12 @@ type predictResponse struct {
 	Prediction float64 `json:"prediction"`
 }
 
+// handlePredict keeps encoding/json for its one row on purpose: struct
+// decoding matches "features" case-insensitively and takes the last of
+// repeated keys, the batch scanner matches "rows" exactly and appends —
+// routing one through the other changes the language /predict accepts.
+// Nor is there an end-to-end prize: a single-row request is 80 %
+// loopback and net/http (bench/ serve-mixed p50), not decode.
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	defer s.met.predictSec.ObserveSince(time.Now())
 	q := r.URL.Query()
@@ -363,7 +370,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, predictResponse{
+	httpkit.WriteJSON(w, http.StatusOK, predictResponse{
 		Model: bundle.Name, Version: bundle.Version,
 		Prediction: model.predict(req.Features),
 	})
@@ -530,7 +537,7 @@ func (s *Server) handleFeatures(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		resp.Keys = bundle.FeatureKeys()
-		writeJSON(w, http.StatusOK, resp)
+		httpkit.WriteJSON(w, http.StatusOK, resp)
 		return
 	}
 	table, ok := bundle.Features[key]
@@ -564,7 +571,7 @@ func (s *Server) handleFeatures(w http.ResponseWriter, r *http.Request) {
 	}
 	resp.Index = &idx
 	resp.Value = &table[idx]
-	writeJSON(w, http.StatusOK, resp)
+	httpkit.WriteJSON(w, http.StatusOK, resp)
 }
 
 // model returns the cached instantiation of a bundle, evicting the
@@ -606,12 +613,6 @@ func (s *Server) model(b *Bundle) (*cachedModel, error) {
 	return cm, nil
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
 // bodyError answers a request body that could not be read or decoded:
 // 413 when it ran into the endpoint's byte cap, 400 otherwise.
 func bodyError(w http.ResponseWriter, err error) {
@@ -625,5 +626,5 @@ func bodyError(w http.ResponseWriter, err error) {
 }
 
 func httpError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
+	httpkit.WriteJSON(w, code, map[string]string{"error": msg})
 }

@@ -14,12 +14,14 @@
 //
 // (version 00, sampled flag always 01 — a tier that traces at all
 // records every span; retention, not sampling-at-source, bounds cost).
-// The gateway opens the root span (or continues a caller-supplied
-// traceparent) and stamps each routing *attempt* with its own child
-// span id before forwarding, so a failed-over request arrives at the
-// second replica under the same trace id but a different parent span —
-// two attempt spans under one trace. Replicas, the store server, and
-// the daemon continue any incoming traceparent via Middleware. Parse
+// Every tier's server span is Middleware's, applied in one place —
+// httpkit.Handler wraps the tier's own routes in it (not /metrics or
+// /debug/*: a scrape is not a request) — and it opens a root or
+// continues a caller-supplied traceparent. The gateway adds its route
+// class and outcomes to that span and stamps each routing *attempt*
+// with its own child span id before forwarding, so a failed-over
+// request arrives at the second replica under the same trace id but a
+// different parent span — two attempt spans under one trace. Parse
 // rejects malformed headers (wrong shape, non-hex, all-zero ids) and
 // the receiver then starts a fresh trace rather than propagating
 // garbage ids.

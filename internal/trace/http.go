@@ -16,18 +16,6 @@ const Header = "traceparent"
 // headerLen is len("00-") + 32 + len("-") + 16 + len("-01").
 const headerLen = 55
 
-// FormatTraceparent renders the header value for one trace/span pair:
-// version 00, sampled flag 01.
-func FormatTraceparent(traceID TraceID, spanID SpanID) string {
-	buf := make([]byte, headerLen)
-	copy(buf, "00-")
-	hex.Encode(buf[3:35], traceID[:])
-	buf[35] = '-'
-	hex.Encode(buf[36:52], spanID[:])
-	copy(buf[52:], "-01")
-	return string(buf)
-}
-
 // ParseTraceparent parses a traceparent header value. It accepts any
 // known-shape version-00 header with nonzero ids and any flags byte;
 // everything else reports ok=false and the receiver starts fresh.
@@ -55,12 +43,19 @@ func isHex(c byte) bool {
 	return c >= '0' && c <= '9' || c >= 'a' && c <= 'f' || c >= 'A' && c <= 'F'
 }
 
-// Traceparent renders the header value naming s as parent ("" on nil).
+// Traceparent renders the header value naming s as parent ("" on nil):
+// version 00, sampled flag 01.
 func (s *Span) Traceparent() string {
 	if s == nil {
 		return ""
 	}
-	return FormatTraceparent(s.rec.traceID, s.rec.spanID)
+	buf := make([]byte, headerLen)
+	copy(buf, "00-")
+	hex.Encode(buf[3:35], s.rec.traceID[:])
+	buf[35] = '-'
+	hex.Encode(buf[36:52], s.rec.spanID[:])
+	copy(buf[52:], "-01")
+	return string(buf)
 }
 
 // Inject stamps s as the parent of the outgoing request carrying h,
@@ -97,23 +92,14 @@ func CtxTraceID(ctx context.Context) string {
 	return FromContext(ctx).TraceIDString()
 }
 
-// StartSpan begins a child of the span carried by ctx and returns it
-// with a derived context. With no span in ctx it returns (nil, ctx):
-// tracing stays disabled through the call site with zero cost.
-func StartSpan(ctx context.Context, name string) (*Span, context.Context) {
-	s := FromContext(ctx).StartChild(name)
-	if s == nil {
-		return nil, ctx
-	}
-	return s, ContextWith(ctx, s)
-}
-
 // Middleware wraps next so every request runs under a server span:
 // an incoming traceparent is continued (same trace, remote parent),
 // otherwise a fresh trace starts. The span rides the request context
-// and records the response status at End. On a nil tracer the handler
-// is returned unchanged — the disabled serving path is byte-for-byte
-// the untraced one, which is what keeps the pinned alloc budgets true.
+// and records the response status at End; a 5xx the handler did not
+// classify itself (SetOutcome "shed", "unroutable") is an "error". On a
+// nil tracer the handler is returned unchanged — the disabled serving
+// path is byte-for-byte the untraced one, which is what keeps the
+// pinned alloc budgets true.
 func (t *Tracer) Middleware(next http.Handler) http.Handler {
 	if t == nil {
 		return next
@@ -128,7 +114,7 @@ func (t *Tracer) Middleware(next http.Handler) http.Handler {
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		next.ServeHTTP(sw, r.WithContext(ContextWith(r.Context(), s)))
 		s.SetStatus(sw.code)
-		if sw.code >= http.StatusInternalServerError {
+		if sw.code >= http.StatusInternalServerError && s.rec.outcome == "" {
 			s.SetOutcome("error")
 		}
 		s.End()

@@ -260,16 +260,31 @@ func TestMiddlewareContinuesIncomingTrace(t *testing.T) {
 	}
 }
 
+// A 5xx the handler did not classify is captured as "error"; one it did
+// (the gateway's shed and unroutable 503s) keeps the handler's word.
 func TestMiddlewareCapturesServerError(t *testing.T) {
-	tr := New(Config{Service: "replica", SlowThreshold: time.Hour})
-	h := tr.Middleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "boom", http.StatusInternalServerError)
-	}))
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/models", nil))
-	snap := tr.Snapshot()
-	if len(snap.Captured) != 1 || snap.Captured[0].Status != 500 || snap.Captured[0].Outcome != "error" {
-		t.Fatalf("5xx response not captured as an error trace: %+v", snap.Captured)
+	for _, tc := range []struct {
+		code         int
+		handlerSets  string
+		wantCaptured string
+	}{
+		{http.StatusInternalServerError, "", "error"},
+		{http.StatusServiceUnavailable, "shed", "shed"},
+	} {
+		tr := New(Config{Service: "replica", SlowThreshold: time.Hour})
+		h := tr.Middleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if tc.handlerSets != "" {
+				FromContext(r.Context()).SetOutcome(tc.handlerSets)
+			}
+			http.Error(w, "boom", tc.code)
+		}))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/models", nil))
+		snap := tr.Snapshot()
+		if len(snap.Captured) != 1 || snap.Captured[0].Status != tc.code || snap.Captured[0].Outcome != tc.wantCaptured {
+			t.Fatalf("%d response with handler outcome %q: want it captured as %q, got %+v",
+				tc.code, tc.handlerSets, tc.wantCaptured, snap.Captured)
+		}
 	}
 }
 

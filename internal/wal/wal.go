@@ -53,10 +53,10 @@
 // staging order and the torn-tail prefix argument above is unchanged.
 // Journal-before-ack is preserved exactly: Wait returns nil only after
 // the frame's batch is written and synced. Under contention the sync
-// cost amortizes across the batch (~146µs per fdatasync on the bench
-// hardware vs ~0.8µs per unsynced append, see BENCH_wal.json /
-// BENCH_ledger.json); an uncontended append degenerates to a batch of
-// one and pays what it always paid.
+// cost amortizes across the batch (150-220µs per fdatasync on the bench
+// hardware vs about 1µs per unsynced append; BENCH_wal.json gates the
+// append, BENCH_ledger.json the contended whole); an uncontended append
+// degenerates to a batch of one and pays what it always paid.
 //
 // # Compaction
 //
@@ -192,20 +192,6 @@ type Log struct {
 	// lastBatch is the most recently created batch (guarded by batchMu),
 	// used to chain a new batch to an in-flight predecessor.
 	lastBatch *commitBatch
-	// Cumulative group-commit telemetry (guarded by mu): how many
-	// batches were committed and how many frames they carried. The
-	// ratio is the effective fsync amortization factor.
-	commitBatches int64
-	commitFrames  int64
-}
-
-// GroupCommitStats reports how many batches have been committed and how
-// many frames they carried in total. frames/batches is the average
-// batch depth — the factor by which group commit amortized fsyncs.
-func (l *Log) GroupCommitStats() (batches, frames int64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.commitBatches, l.commitFrames
 }
 
 // instruments is the optional per-log metric set. The handles are
@@ -617,10 +603,6 @@ func (l *Log) commitStagingLocked() {
 	}
 	l.mu.Lock()
 	b.err = l.writeLocked(b.buf, b.n)
-	if b.err == nil {
-		l.commitBatches++
-		l.commitFrames += int64(b.n)
-	}
 	l.mu.Unlock()
 	close(b.done)
 	// Drop chain pointers so committed batches can be collected.
