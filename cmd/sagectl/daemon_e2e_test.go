@@ -48,6 +48,16 @@ type daemonProc struct {
 	cmd  *exec.Cmd
 	addr string
 	out  *lineBuffer
+	// eof is closed once every line the child wrote has been captured.
+	eof chan struct{}
+}
+
+// wait waits for the child to exit. os/exec's Wait closes the stdout
+// pipe, so calling it while the capture goroutine is still reading can
+// drop the child's last lines: wait for the reader to hit EOF first.
+func (p *daemonProc) wait() error {
+	<-p.eof
+	return p.cmd.Wait()
 }
 
 // lineBuffer captures child output while letting the test wait for
@@ -110,9 +120,10 @@ func startProc(t *testing.T, bin string, args ...string) *daemonProc {
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	p := &daemonProc{cmd: cmd, out: &lineBuffer{}}
+	p := &daemonProc{cmd: cmd, out: &lineBuffer{}, eof: make(chan struct{})}
 	addrCh := make(chan string, 1)
 	go func() {
+		defer close(p.eof)
 		sc := bufio.NewScanner(stdout)
 		for sc.Scan() {
 			line := sc.Text()
@@ -304,7 +315,7 @@ func TestDaemonKillRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
-	go func() { done <- d2.cmd.Wait() }()
+	go func() { done <- d2.wait() }()
 	select {
 	case err := <-done:
 		if err != nil {

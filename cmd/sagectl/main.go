@@ -180,13 +180,15 @@ func main() {
 	var opt options
 	fs.Float64Var(&opt.epsG, "epsg", 1.0, "global per-block ε ceiling")
 	fs.Float64Var(&opt.delta, "delta", 1e-6, "global per-block δ ceiling")
-	fs.IntVar(&opt.days, "days", 30, "days of stream to generate")
 	fs.IntVar(&opt.nPipelines, "pipelines", 3, "number of pipelines to run")
-	if mode != "serve" {
-		// The daemon's stream is time-partitioned.
-		fs.BoolVar(&opt.userBlocks, "user-blocks", false, "partition blocks by user ID (user-level privacy, §4.4) instead of by day")
+	if mode == "ledger" || mode == "serve" {
+		// The daemon runs until stopped, not for a number of days.
+		fs.IntVar(&opt.days, "days", 30, "days of stream to generate")
 	}
 	switch mode {
+	case "ledger":
+		// The daemon's stream is time-partitioned.
+		fs.BoolVar(&opt.userBlocks, "user-blocks", false, "partition blocks by user ID (user-level privacy, §4.4) instead of by day")
 	case "replica":
 		fs.StringVar(&opt.addr, "addr", ":8081", "HTTP listen address for this replica")
 		fs.BoolVar(&opt.debug, "debug", false, "serve GET /debug/trace and the /debug/pprof endpoints")

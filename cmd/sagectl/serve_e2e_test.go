@@ -80,7 +80,7 @@ func TestServeE2E(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
-	go func() { done <- p.cmd.Wait() }()
+	go func() { done <- p.wait() }()
 	select {
 	case err := <-done:
 		if err != nil {

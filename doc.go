@@ -159,10 +159,11 @@
 // intact record boundary, and atomic snapshot+truncate compaction
 // (write temp, sync, rename) keeps recovery time bounded. durable.Open
 // threads one log under each stateful layer: core.AccessControl
-// journals register/request/refund/retire records and store.Store
-// journals every release's canonical bytes — the same bytes the replica
-// push digest covers, so the WAL certifies exactly what replicas
-// verified.
+// journals one register/request/refund/retire record per mutation per
+// shard (a register record carries the block's admission charge) and
+// replays them through its own Apply; store.Store journals every
+// release's canonical bytes — the same bytes the replica push digest
+// covers, so the WAL certifies exactly what replicas verified.
 //
 // The crash-consistency rule is journal-before-acknowledge: a request's
 // spend record reaches the log after admission checks pass but before
@@ -181,13 +182,14 @@
 // block map into N shards keyed by core.ShardOf (a Fibonacci hash of
 // the block id — a stable on-disk contract, since it decides which WAL
 // segment a block's records live in). Each shard has its own mutex and
-// journal; the ceiling lives in shared atomic watermarks, reserved
-// all-or-nothing before any shard lock is taken and rolled back on
-// refusal, so no interleaving of concurrent charges can race past εg.
-// Multi-shard operations lock shards in index order and journal one
-// sub-record per touched shard; awaiting all segment flushes
-// concurrently means a cross-shard op pays the slowest flush, not the
-// sum.
+// journal, and the ceiling is enforced per block under that lock: an
+// operation holds every involved shard across check, journal and
+// deduct, so no interleaving of concurrent charges can race past εg
+// (the shared atomic watermarks are raised after a spend and read only
+// by tests; nothing is reserved against them). Multi-shard operations
+// lock shards in index order and journal one sub-record per touched
+// shard; awaiting all segment flushes concurrently means a cross-shard
+// op pays the slowest flush, not the sum.
 //
 // Durability amortizes two ways. Per segment, wal.Log group-commits:
 // concurrent appenders stage frames into a batch chain, exactly one
@@ -222,20 +224,24 @@
 //
 // internal/daemon runs the full Fig. 1 loop forever on top of the
 // durable core — the platform as the paper operates it, over an
-// indefinitely growing database. Each tick: ingest the next
-// time-window block (synthetic taxi rides generated per-block from a
-// mixed seed, so restarts regenerate identical data), register it and
-// charge its share of the DP hour_speed release, run one
+// indefinitely growing database. Each tick runs four phases from one
+// table: ingest the next time-window block (synthetic taxi rides
+// generated per-block from a mixed seed, so restarts regenerate
+// identical data) and admit it to the ledger charged with its share of
+// the DP hour_speed release, as one journal record; run one
 // privacy-adaptive training attempt (round-robin across pipelines;
 // blocked pipelines wait for fresh blocks, per §3.2's "Sage never runs
-// out of budget as long as the database grows"), publish and push
-// accepted bundles to the replica tier, retire blocks that fall out of
-// the retention window (raw data deleted via the retention hook), and
-// periodically compact the WALs. SIGTERM drains gracefully; SIGKILL is
-// the tested path: the kill/relaunch e2e in cmd/sagectl kills the real
-// binary mid-loop and requires identical ledger remaining-budget, store
-// versions, and replica watermarks after relaunch, with replicas
-// converging through publisher self-healing alone. GET /daemon/status
+// out of budget as long as the database grows"), publishing and
+// pushing an accepted bundle to the replica tier; retire blocks that
+// fall out of the retention window (raw data deleted via the retention
+// hook); and periodically compact the WALs. SIGTERM drains gracefully;
+// SIGKILL is the tested path, and recovery repairs nothing: an
+// in-process matrix abandons the daemon at every phase boundary, the
+// kill/relaunch e2e in cmd/sagectl kills the real binary mid-loop, and
+// both require the restarted daemon to report exactly what the logs
+// hold — ledger remaining-budget, store versions, and replica
+// watermarks, with replicas converging through publisher self-healing
+// alone. GET /daemon/status
 // exposes the ledger, store, and replica watermarks; the serving API is
 // mounted on the same handler. BENCH_wal.json records the journaling
 // overhead (about a microsecond per append before the flush).

@@ -309,32 +309,85 @@ func awaitAll(waits []func() error) error {
 }
 
 // RegisterBlock makes a new block known to the access control with a
-// fresh (zero) privacy loss. Registering an existing block is a no-op
-// returning false (and is not journaled). With a journal installed, a
-// journal failure panics: RegisterBlock has no error return, and a
-// ledger that cannot journal must stop rather than diverge from its
-// log.
+// fresh (zero) privacy loss: AdmitBlock with nothing to charge.
+// Registering an existing block is a no-op returning false (and is not
+// journaled). With a journal installed, a journal failure panics:
+// RegisterBlock has no error return, and a ledger that cannot journal
+// must stop rather than diverge from its log.
+func (ac *AccessControl) RegisterBlock(id data.BlockID) bool {
+	admitted, err := ac.AdmitBlock(id, privacy.Zero)
+	if err != nil {
+		panic(err)
+	}
+	return admitted
+}
+
+// AdmitBlock registers a new block and deducts charge from it — the
+// budget of what is released about the block as it arrives (the
+// daemon's per-block share of Listing 1's aggregate) — as one mutation
+// and one journal record, a LedgerRegister whose Budget is the charge:
+// at no instant, in memory or in the log, does the block exist without
+// its admission charge, so recovery has nothing to repair. An existing
+// block is a no-op returning false (not journaled, not charged); a
+// charge above the ceiling fails with ErrBlockExhausted, admitting
+// nothing. A failed durability wait is handled as in Request.
 //
 //sage:journaled
-func (ac *AccessControl) RegisterBlock(id data.BlockID) bool {
+func (ac *AccessControl) AdmitBlock(id data.BlockID, charge privacy.Budget) (bool, error) {
+	if err := charge.Validate(); err != nil {
+		return false, err
+	}
 	k := ac.ShardOf(id)
 	sh := ac.shards[k]
+	cb := ac.retireCallback()
 	sh.mu.Lock()
 	if _, ok := sh.blocks[id]; ok {
 		sh.mu.Unlock()
-		return false
+		return false, nil
 	}
-	wait, err := ac.stageLocked(k, LedgerRecord{Op: LedgerRegister, Blocks: []data.BlockID{id}})
+	st := &blockState{acct: privacy.NewAccountant(ac.policy.Arithmetic)}
+	// A zero charge is not a query: nothing to afford, and the block's
+	// spend history stays empty.
+	charged := !charge.IsZero()
+	if charged && st.acct.WouldExceed(charge, ac.policy.Global) {
+		sh.mu.Unlock()
+		return false, ErrBlockExhausted{ID: id, Requested: charge, Remaining: ac.policy.Global}
+	}
+	wait, err := ac.stageLocked(k, LedgerRecord{Op: LedgerRegister, Blocks: []data.BlockID{id}, Budget: charge})
 	if err != nil {
 		sh.mu.Unlock()
-		panic(err)
+		return false, err
 	}
-	sh.blocks[id] = &blockState{acct: privacy.NewAccountant(ac.policy.Arithmetic)}
+	sh.blocks[id] = st
+	retired := charged && ac.spendLocked(st, charge, cb != nil)
 	sh.mu.Unlock()
 	if wait != nil {
 		if err := wait(); err != nil {
-			panic(fmt.Errorf("core: journal %s: %w", LedgerRegister, err))
+			return false, err
 		}
+	}
+	if retired && cb != nil {
+		cb(id)
+	}
+	return true, nil
+}
+
+// spendLocked deducts b from a block that can afford it and reports
+// whether that retired the block. With a retention hook installed
+// (hooked) the caller runs it once the spend is durable, deleting the
+// block's raw data, so the retirement is irreversible even if budget is
+// refunded later. Caller holds the block's shard lock.
+func (ac *AccessControl) spendLocked(st *blockState, b privacy.Budget, hooked bool) bool {
+	st.acct.Spend(b)
+	ac.noteLoss(st.acct.Loss())
+	if !ac.shouldRetire(st) {
+		return false
+	}
+	st.retired = true
+	st.reason = RetireBudgetExhausted
+	if hooked {
+		st.sticky = true
+		st.reason = RetireDataDeleted
 	}
 	return true
 }
@@ -434,6 +487,46 @@ func (ac *AccessControl) Request(ids []data.BlockID, b privacy.Budget) error {
 	if len(ids) == 0 {
 		return fmt.Errorf("core: request names no blocks")
 	}
+	cb := ac.retireCallback()
+	var retiredNow []data.BlockID
+	err := ac.stageAndApply(LedgerRequest, ids, b,
+		func(id data.BlockID, st *blockState) error {
+			if st.retired || st.acct.WouldExceed(b, ac.policy.Global) {
+				return ErrBlockExhausted{
+					ID:        id,
+					Requested: b,
+					Remaining: ac.policy.Global.Sub(st.acct.Loss()),
+				}
+			}
+			return nil
+		},
+		func(id data.BlockID, st *blockState) {
+			if ac.spendLocked(st, b, cb != nil) {
+				retiredNow = append(retiredNow, id)
+			}
+		})
+	// A wait failure means the spend may not be on disk: the caller is
+	// not acknowledged (error return) and retirement side effects are
+	// withheld; the in-memory deduction stands, which is conservative.
+	if err == nil && cb != nil {
+		for _, id := range retiredNow {
+			cb(id)
+		}
+	}
+	return err
+}
+
+// stageAndApply is the write skeleton Request and Refund share: validate
+// b (zero is a no-op), coalesce duplicate ids, lock the involved shards
+// in ascending order, check every block (an unknown id is
+// ErrUnknownBlock; a non-nil check adds the operation's own admission
+// rule), stage one op sub-record per shard, apply to every block,
+// unlock, and only then wait for durability. Nothing is staged unless
+// every check passed, nothing applied unless every sub-record staged.
+//
+//sage:journaled
+func (ac *AccessControl) stageAndApply(op LedgerOp, ids []data.BlockID, b privacy.Budget,
+	check func(data.BlockID, *blockState) error, apply func(data.BlockID, *blockState)) error {
 	if err := b.Validate(); err != nil {
 		return err
 	}
@@ -442,12 +535,9 @@ func (ac *AccessControl) Request(ids []data.BlockID, b privacy.Budget) error {
 	}
 	ids = uniqueIDs(ids)
 	groups := ac.groupByShard(ids)
-	cb := ac.retireCallback()
-	var retiredNow []data.BlockID
 	var waits []func() error
 	ac.lockGroups(groups)
 	err := func() error {
-		// Phase 1: check every block, across every involved shard.
 		for _, g := range groups {
 			sh := ac.shards[g.shard]
 			for _, id := range g.ids {
@@ -455,25 +545,27 @@ func (ac *AccessControl) Request(ids []data.BlockID, b privacy.Budget) error {
 				if !ok {
 					return ErrUnknownBlock{ID: id}
 				}
-				if st.retired || st.acct.WouldExceed(b, ac.policy.Global) {
-					return ErrBlockExhausted{
-						ID:        id,
-						Requested: b,
-						Remaining: ac.policy.Global.Sub(st.acct.Loss()),
+				if check != nil {
+					if err := check(id, st); err != nil {
+						return err
 					}
 				}
 			}
 		}
-		// Journal point: the request is admissible. One sub-record per
-		// involved shard is staged in its shard's journal *before* any
-		// deduction is applied or the caller acknowledged, so a crash
-		// from here on can only leave the recovered ledger with (part
-		// of) this spend applied-but-unacknowledged — conservative,
-		// never the reverse. A staging failure aborts with no budget
-		// deducted; already-staged sub-records then recover as unacked
-		// over-counted spend, which is the allowed direction.
+		// Journal point: the operation is admissible. One sub-record per
+		// involved shard is staged *before* any block changes or the
+		// caller is acknowledged, so a crash from here on can only leave
+		// the recovered ledger with (part of) a journaled-but-
+		// unacknowledged operation. For a request that is over-counted
+		// spend — conservative, never the reverse. For a refund it
+		// under-counts only relative to the *reserved* budget, never the
+		// consumed one: the matching request is already in the same
+		// shard's log (journal order within a shard is lock order), and a
+		// refund never exceeds that reservation's unconsumed remainder. A
+		// staging failure aborts with nothing applied; sub-records already
+		// staged recover as unacknowledged, the allowed direction.
 		for _, g := range groups {
-			w, err := ac.stageLocked(g.shard, LedgerRecord{Op: LedgerRequest, Blocks: g.ids, Budget: b})
+			w, err := ac.stageLocked(g.shard, LedgerRecord{Op: op, Blocks: g.ids, Budget: b})
 			if err != nil {
 				return err
 			}
@@ -481,43 +573,20 @@ func (ac *AccessControl) Request(ids []data.BlockID, b privacy.Budget) error {
 				waits = append(waits, w)
 			}
 		}
-		// Phase 2: deduct everywhere.
 		for _, g := range groups {
 			sh := ac.shards[g.shard]
 			for _, id := range g.ids {
-				st := sh.blocks[id]
-				st.acct.Spend(b)
-				ac.noteLoss(st.acct.Loss())
-				if ac.shouldRetire(st) {
-					st.retired = true
-					st.reason = RetireBudgetExhausted
-					// With a retention hook registered, the callback below
-					// deletes the block's raw data: the retirement becomes
-					// irreversible even if budget is refunded later.
-					if cb != nil {
-						st.sticky = true
-						st.reason = RetireDataDeleted
-					}
-					retiredNow = append(retiredNow, id)
-				}
+				apply(id, sh.blocks[id])
 			}
 		}
 		return nil
 	}()
 	ac.unlockGroups(groups)
-	// Durability wait happens outside the shard locks: that is what lets
-	// concurrent requests on the same shard stage into the same group-
-	// commit batch instead of serializing one fdatasync each. A wait
-	// failure means the spend may not be on disk — the caller is not
-	// acknowledged (error return) and retirement side effects are
-	// withheld; the in-memory deduction stands, which is conservative.
+	// The durability wait happens outside the shard locks: that is what
+	// lets concurrent operations on one shard stage into the same group-
+	// commit batch instead of serializing one fdatasync each.
 	if werr := awaitAll(waits); err == nil {
 		err = werr
-	}
-	if err == nil && cb != nil {
-		for _, id := range retiredNow {
-			cb(id)
-		}
 	}
 	return err
 }
@@ -545,60 +614,13 @@ func (ac *AccessControl) shouldRetire(st *blockState) bool {
 //
 //sage:journaled
 func (ac *AccessControl) Refund(ids []data.BlockID, b privacy.Budget) error {
-	if err := b.Validate(); err != nil {
-		return err
-	}
-	if b.IsZero() {
-		return nil
-	}
-	ids = uniqueIDs(ids)
-	groups := ac.groupByShard(ids)
-	var waits []func() error
-	ac.lockGroups(groups)
-	err := func() error {
-		// Phase 1: validate every block before touching any of them.
-		for _, g := range groups {
-			sh := ac.shards[g.shard]
-			for _, id := range g.ids {
-				if _, ok := sh.blocks[id]; !ok {
-					return ErrUnknownBlock{ID: id}
-				}
-			}
+	return ac.stageAndApply(LedgerRefund, ids, b, nil, func(_ data.BlockID, st *blockState) {
+		st.acct.Refund(b)
+		if !st.sticky && !ac.shouldRetire(st) {
+			st.retired = false
+			st.reason = RetireNone
 		}
-		// Journal before applying: a refund that reaches the log without
-		// its acknowledgement only under-counts relative to the *reserved*
-		// budget, never the consumed one — the matching Request is already
-		// in the same shard's log (sub-records are split by shard, and
-		// journal order within a shard is lock order), and a refund never
-		// exceeds that reservation's unconsumed remainder.
-		for _, g := range groups {
-			w, err := ac.stageLocked(g.shard, LedgerRecord{Op: LedgerRefund, Blocks: g.ids, Budget: b})
-			if err != nil {
-				return err
-			}
-			if w != nil {
-				waits = append(waits, w)
-			}
-		}
-		// Phase 2: refund everywhere.
-		for _, g := range groups {
-			sh := ac.shards[g.shard]
-			for _, id := range g.ids {
-				st := sh.blocks[id]
-				st.acct.Refund(b)
-				if !st.sticky && !ac.shouldRetire(st) {
-					st.retired = false
-					st.reason = RetireNone
-				}
-			}
-		}
-		return nil
-	}()
-	ac.unlockGroups(groups)
-	if werr := awaitAll(waits); err == nil {
-		err = werr
-	}
-	return err
+	})
 }
 
 // Retire forcibly retires a block regardless of remaining budget. Forced

@@ -9,9 +9,11 @@ package core
 // re-grant budget that was already consumed.
 //
 // The journal closes that hole with one rule: every mutation is
-// journaled *before it is acknowledged*. Request journals after its
-// admission checks pass and before any budget is deducted or the caller
-// unblocked; Refund, RegisterBlock, and Retire journal before mutating.
+// journaled *before it is acknowledged*. Request and AdmitBlock journal
+// after their admission checks pass and before any budget is deducted
+// or the caller unblocked; Refund and Retire journal before mutating;
+// each is one record per shard, so no crash point separates admitting
+// a block from charging it on arrival.
 // A crash can therefore leave the journal strictly *ahead* of what
 // callers observed, never behind: replaying it may re-apply a spend
 // whose acknowledgement never arrived (conservative — budget is wasted,
@@ -25,8 +27,8 @@ package core
 // func with a LedgerRecord and treats a non-nil error as "this mutation
 // cannot be made durable" — the operation fails and state is untouched.
 // internal/durable binds the func to a wal.Log and replays records on
-// open by calling the same public methods, with the journal unset, so
-// recovery exercises exactly the code paths that produced the records.
+// open through Apply — the same public methods, with the journal unset
+// — so recovery exercises exactly the code paths that produced them.
 
 import (
 	"fmt"
@@ -40,8 +42,9 @@ import (
 type LedgerOp byte
 
 const (
-	// LedgerRegister records RegisterBlock (Blocks has one entry,
-	// Budget is zero).
+	// LedgerRegister records AdmitBlock: Blocks has one entry, Budget is
+	// its admission charge (zero from RegisterBlock, and in older logs,
+	// where the charge followed as a LedgerRequest).
 	LedgerRegister LedgerOp = 1
 	// LedgerRequest records a granted Request: Budget deducted from
 	// every block in Blocks (already deduplicated).
@@ -106,6 +109,36 @@ func DecodeLedgerRecord(raw []byte) (LedgerRecord, error) {
 		return LedgerRecord{}, fmt.Errorf("core: ledger record: unknown op %d", byte(rec.Op))
 	}
 	return rec, nil
+}
+
+// Apply re-executes one journaled mutation through the public mutators —
+// recovery's replay step, run before a journal is installed. The journal
+// only holds operations that succeeded and the ledger is deterministic,
+// so an error means the log does not match the policy it is opened
+// under (or is corrupt mid-log).
+func (ac *AccessControl) Apply(rec LedgerRecord) error {
+	switch rec.Op {
+	case LedgerRegister:
+		for _, id := range rec.Blocks {
+			if _, err := ac.AdmitBlock(id, rec.Budget); err != nil {
+				return err
+			}
+		}
+		return nil
+	case LedgerRequest:
+		return ac.Request(rec.Blocks, rec.Budget)
+	case LedgerRefund:
+		return ac.Refund(rec.Blocks, rec.Budget)
+	case LedgerRetire:
+		for _, id := range rec.Blocks {
+			if err := ac.Retire(id); err != nil {
+				return err
+			}
+		}
+		return nil
+	default:
+		return fmt.Errorf("core: unknown ledger op %d", byte(rec.Op))
+	}
 }
 
 // JournalStageFunc is the sharded, staged journal interface. The ledger

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
 	"testing"
@@ -350,5 +351,85 @@ func TestCursorRoundTrip(t *testing.T) {
 	c2 := NewCursor(huge)
 	if c2.Floats(); c2.Err() == nil {
 		t.Fatal("overlong float slice accepted")
+	}
+}
+
+// TestAdmitBlockIsOneMutation pins AdmitBlock's contract: register and
+// charge are one journal record and one state change, or nothing at all.
+func TestAdmitBlockIsOneMutation(t *testing.T) {
+	ac := NewAccessControl(Policy{Global: privacy.MustBudget(1.0, 1e-6)})
+	var retired []data.BlockID
+	ac.SetRetireCallback(func(id data.BlockID) { retired = append(retired, id) })
+	records := collectJournal(ac)
+	charge := privacy.MustBudget(0.25, 1e-8)
+
+	if ok, err := ac.AdmitBlock(1, charge); !ok || err != nil {
+		t.Fatalf("admit: %v, %v", ok, err)
+	}
+	want := []LedgerRecord{{Op: LedgerRegister, Blocks: []data.BlockID{1}, Budget: charge}}
+	if !reflect.DeepEqual(*records, want) {
+		t.Fatalf("journal:\n got %+v\nwant %+v", *records, want)
+	}
+	if rep := ac.Report([]data.BlockID{1}); len(rep) != 1 || rep[0].Loss != charge || rep[0].Queries != 1 {
+		t.Fatalf("admitted block: %+v", rep)
+	}
+	if ac.StreamLossWatermark() != charge {
+		t.Fatalf("watermark %v after one admission of %v", ac.StreamLossWatermark(), charge)
+	}
+
+	// Existing block: no-op, nothing journaled, nothing charged.
+	if ok, err := ac.AdmitBlock(1, charge); ok || err != nil {
+		t.Fatalf("re-admit: %v, %v", ok, err)
+	}
+	// A charge the ceiling cannot cover, or an invalid one: no block.
+	var exhausted ErrBlockExhausted
+	if ok, err := ac.AdmitBlock(2, privacy.MustBudget(1.5, 0)); ok || !errors.As(err, &exhausted) {
+		t.Fatalf("admit above the ceiling: %v, %v", ok, err)
+	}
+	if ok, err := ac.AdmitBlock(2, privacy.Budget{Epsilon: -1}); ok || err == nil {
+		t.Fatalf("admit with a negative charge: %v, %v", ok, err)
+	}
+	if len(*records) != 1 || ac.NumBlocks() != 1 || ac.BlockLoss(1) != charge {
+		t.Fatalf("refused admissions left a trace: %d records, %d blocks, loss %v", len(*records), ac.NumBlocks(), ac.BlockLoss(1))
+	}
+
+	// A zero charge is RegisterBlock: an empty history, not a zero spend.
+	if ok, err := ac.AdmitBlock(3, privacy.Zero); !ok || err != nil {
+		t.Fatalf("admit at zero charge: %v, %v", ok, err)
+	}
+	if rep := ac.Report([]data.BlockID{3}); rep[0].Queries != 0 || !rep[0].Loss.IsZero() {
+		t.Fatalf("zero-charge admission recorded a query: %+v", rep[0])
+	}
+
+	// A charge that exhausts the block retires it through the retention
+	// hook, exactly as the equivalent Request would.
+	if ok, err := ac.AdmitBlock(4, privacy.MustBudget(1.0, 0)); !ok || err != nil {
+		t.Fatalf("admit at the ceiling: %v, %v", ok, err)
+	}
+	if rep := ac.Report([]data.BlockID{4}); !reflect.DeepEqual(retired, []data.BlockID{4}) || rep[0].Reason != RetireDataDeleted {
+		t.Fatalf("admission at the ceiling: hook saw %v, block %+v", retired, rep[0])
+	}
+
+	// A failing journal vetoes the whole admission — RegisterBlock, which
+	// has no error to return, panics instead (TestJournalBeforeAcknowledge).
+	boom := errors.New("disk gone")
+	ac.SetJournal(func(LedgerRecord) error { return boom })
+	if ok, err := ac.AdmitBlock(5, charge); ok || !errors.Is(err, boom) {
+		t.Fatalf("admit with failing journal: %v, %v", ok, err)
+	}
+	if ac.NumBlocks() != 3 {
+		t.Fatalf("failed admission still added a block: %d", ac.NumBlocks())
+	}
+
+	// Replaying the journal through Apply rebuilds the same ledger.
+	replayed := NewAccessControl(ac.Policy())
+	replayed.SetRetireCallback(func(data.BlockID) {})
+	for i, rec := range *records {
+		if err := replayed.Apply(rec); err != nil {
+			t.Fatalf("replaying record %d (%v): %v", i, rec.Op, err)
+		}
+	}
+	if !bytes.Equal(replayed.Snapshot(), ac.Snapshot()) {
+		t.Fatalf("replay differs:\n got %+v\nwant %+v", replayed.Report(replayed.Blocks()), ac.Report(ac.Blocks()))
 	}
 }

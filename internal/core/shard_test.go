@@ -403,3 +403,62 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 		t.Fatal("cross-shard-count restore diverged")
 	}
 }
+
+// TestConcurrentAdmissionAdmitsOnce races AdmitBlock against itself and
+// against requests on the same ids: each block must be admitted by
+// exactly one caller, journaled as exactly one register record carrying
+// the charge, never seen by a request without that charge already
+// spent, and never pushed past the ceiling. Run with -race in CI.
+func TestConcurrentAdmissionAdmitsOnce(t *testing.T) {
+	global := privacy.MustBudget(1.0, 1e-6)
+	ac := NewShardedAccessControl(Policy{Global: global}, 4)
+	var (
+		mu        sync.Mutex
+		registers = map[data.BlockID]int{}
+	)
+	ac.SetShardJournal(func(_ int, rec LedgerRecord) (func() error, error) {
+		if rec.Op == LedgerRegister {
+			mu.Lock()
+			registers[rec.Blocks[0]]++
+			mu.Unlock()
+		}
+		return nil, nil
+	})
+	const nBlocks = 200
+	charge := privacy.Budget{Epsilon: 0.25}
+	admitted := make([]int, 4)
+	var wg sync.WaitGroup
+	for w := range admitted {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for id := data.BlockID(0); id < nBlocks; id++ {
+				ok, err := ac.AdmitBlock(id, charge)
+				if err != nil {
+					t.Errorf("admit %d: %v", id, err)
+				}
+				if ok {
+					admitted[w]++
+				}
+				// A block a request can see has paid its admission.
+				if err := ac.Request([]data.BlockID{id}, privacy.Budget{Epsilon: 0.125}); err == nil {
+					if loss := ac.BlockLoss(id); loss.Epsilon < charge.Epsilon+0.125 {
+						t.Errorf("block %d granted a request at loss %v, below charge + request", id, loss)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if total := admitted[0] + admitted[1] + admitted[2] + admitted[3]; total != nBlocks {
+		t.Fatalf("%d successful admissions of %d blocks", total, nBlocks)
+	}
+	for id := data.BlockID(0); id < nBlocks; id++ {
+		if registers[id] != 1 {
+			t.Fatalf("block %d journaled %d register records", id, registers[id])
+		}
+	}
+	if wm := ac.StreamLossWatermark(); !global.Covers(wm) {
+		t.Fatalf("watermark %v exceeds ceiling %v", wm, global)
+	}
+}

@@ -12,9 +12,10 @@
 //
 //  1. ingests the next time-window block from the stream (synthetic
 //     taxi rides, generated per-block from a seed mixed with the block
-//     ID, so a restarted daemon regenerates identical data), registers
-//     it with the ledger, and charges the block for its share of the
-//     DP hour_speed aggregate release (Listing 1);
+//     ID, so a restarted daemon regenerates identical data) and admits
+//     it to the ledger already charged for its share of the DP
+//     hour_speed aggregate release (Listing 1) — one ledger mutation,
+//     one journal record (core.AccessControl.AdmitBlock);
 //  2. attempts one privacy-adaptive training run (round-robin over the
 //     configured pipelines) through adaptive.StreamTrainer — the §3.3
 //     retry loop under block composition. A pipeline blocked on budget
@@ -28,6 +29,10 @@
 //  5. periodically compacts both write-ahead logs (snapshot+truncate)
 //     so recovery time stays bounded.
 //
+// Steps 2 and 3 are one phase (train): step loops over the phase table
+// in phases.go, which also owns the names spans and metrics carry;
+// status.go holds the introspection surface.
+//
 // # Crash recovery
 //
 // All durable state lives in the WAL directory. On start the daemon
@@ -37,8 +42,12 @@
 // the retention policy's whole point), and reconstructs the replica
 // publisher, which self-heals: each replica's reported watermarks are
 // fetched and missing releases backfilled, so a push that died mid-
-// flight converges without operator action. The kill/relaunch e2e test
-// in cmd/sagectl pins all of this: ledger remaining-budget, store
+// flight converges without operator action. Recovery repairs nothing:
+// every ledger mutation the loop makes is one journal record, so New
+// reports exactly what a bare durable.Open of the directory holds,
+// wherever the process died. The kill-point matrix in this package pins
+// that at every phase boundary, and the kill/relaunch e2e test in
+// cmd/sagectl on the real binary: ledger remaining-budget, store
 // versions, and replica watermarks are identical across a SIGKILL.
 //
 // Ordering makes the two logs' independent failure modes safe: budget
@@ -50,29 +59,24 @@ package daemon
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"math"
-	"net/http"
 	"strconv"
 	"sync"
 	"time"
 
-	"repro/internal/adaptive"
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/durable"
-	"repro/internal/httpkit"
 	"repro/internal/metrics"
-	"repro/internal/pipeline"
 	"repro/internal/privacy"
 	"repro/internal/replica"
-	"repro/internal/rng"
 	"repro/internal/store"
-	"repro/internal/taxi"
 	"repro/internal/trace"
-	"repro/internal/validation"
 )
+
+// blockHours is the width of one stream block in stream hours: daily
+// blocks, event-level privacy.
+const blockHours = 24
 
 // Config configures a daemon.
 type Config struct {
@@ -89,9 +93,6 @@ type Config struct {
 	// RowsPerBlock is the synthetic stream rate (default 4000 rides per
 	// block).
 	RowsPerBlock int
-	// Window is the block width in stream hours (default 24 — daily
-	// blocks, event-level privacy).
-	Window int64
 	// Pipelines is how many model pipelines share the stream (default 3).
 	Pipelines int
 	// SLATargets are the per-pipeline validator MSE targets, cycled;
@@ -167,9 +168,6 @@ func (c *Config) applyDefaults() {
 	if c.RowsPerBlock <= 0 {
 		c.RowsPerBlock = 4000
 	}
-	if c.Window <= 0 {
-		c.Window = 24
-	}
 	if c.Pipelines <= 0 {
 		c.Pipelines = 3
 	}
@@ -202,33 +200,6 @@ func (c *Config) applyDefaults() {
 	}
 }
 
-// tickPhase indexes the loop's instrumented phases; the order matches
-// the numbered sections of step.
-type tickPhase int
-
-const (
-	phaseIngest tickPhase = iota
-	phaseTrain
-	phaseRetention
-	phaseCompaction
-	numPhases
-)
-
-func (p tickPhase) String() string {
-	switch p {
-	case phaseIngest:
-		return "ingest"
-	case phaseTrain:
-		return "train"
-	case phaseRetention:
-		return "retention"
-	case phaseCompaction:
-		return "compaction"
-	default:
-		return "unknown"
-	}
-}
-
 // Daemon is one continuously-operating Sage platform instance.
 type Daemon struct {
 	cfg  Config
@@ -242,7 +213,7 @@ type Daemon struct {
 	// sees the whole node. Ledger ε and loop-counter series are gauge
 	// funcs over the authoritative state — no parallel bookkeeping.
 	reg      *metrics.Registry
-	phaseSec [numPhases]*metrics.Histogram
+	phaseSec []*metrics.Histogram // indexed like phases
 
 	mu          sync.Mutex
 	ticks       int
@@ -251,14 +222,13 @@ type Daemon struct {
 	accepted    int
 	blocked     int
 	rejected    int
-	retired     int
 	compactions int
 	// lastSpeeds is the hour_speed table of the newest ingested block —
 	// the serving-time join table accepted bundles ship (only the loop
 	// goroutine touches it).
 	lastSpeeds []float64
 	// nextPipe is the fair round-robin turn pointer (loop goroutine
-	// only; advances when a pipeline actually trains, see step).
+	// only; advances when a pipeline actually trains, see train).
 	nextPipe int
 
 	closeOnce sync.Once
@@ -277,9 +247,12 @@ func New(cfg Config) (*Daemon, durable.Stats, error) {
 	if cfg.Global.Epsilon <= 0 {
 		return nil, durable.Stats{}, fmt.Errorf("daemon: global ε must be > 0")
 	}
+	if !cfg.Global.Covers(privacy.Budget{Epsilon: cfg.FeatureEps}) {
+		return nil, durable.Stats{}, fmt.Errorf("daemon: feature ε %v exceeds the global ceiling %v: no block could be admitted", cfg.FeatureEps, cfg.Global)
+	}
 
 	d := &Daemon{cfg: cfg, reg: metrics.New()}
-	d.db = data.NewGrowingDatabase(data.TimePartitioner{Window: cfg.Window})
+	d.db = data.NewGrowingDatabase(data.TimePartitioner{Window: blockHours})
 	plat, stats, err := durable.Open(cfg.Dir, core.Policy{Global: cfg.Global}, durable.Options{
 		NoSync:       cfg.NoSync,
 		LedgerShards: cfg.LedgerShards,
@@ -290,12 +263,7 @@ func New(cfg Config) (*Daemon, durable.Stats, error) {
 		// deleted. Registered before replay so recovery reproduces
 		// retirement stickiness; during replay the database is still
 		// empty and the delete is a no-op.
-		OnRetire: func(id data.BlockID) {
-			d.db.Delete(id)
-			d.mu.Lock()
-			d.retired++
-			d.mu.Unlock()
-		},
+		OnRetire: func(id data.BlockID) { d.db.Delete(id) },
 	})
 	if err != nil {
 		return nil, stats, err
@@ -309,36 +277,12 @@ func New(cfg Config) (*Daemon, durable.Stats, error) {
 	// blocks stay deleted; every live block's raw data is regenerated
 	// bit-identically from the per-block seed.
 	recovered := plat.AC.Blocks()
-	retiredNow := 0
 	for _, id := range recovered {
-		if id >= d.nextBlock {
-			d.nextBlock = id + 1
-		}
-		if plat.AC.Retired(id) {
-			retiredNow++
-			continue
-		}
-		speeds := d.ingestBlock(id)
-		d.lastSpeeds = speeds
-		// A crash between registering a block and charging its feature
-		// release leaves the charge missing; zero loss is the marker
-		// (every charged block's loss stays ≥ FeatureEps — refunds
-		// never dip below it). Re-charge so the aggregate's ε is never
-		// forgotten.
-		if cfg.FeatureEps > 0 && plat.AC.BlockLoss(id).IsZero() {
-			if err := plat.AC.Request([]data.BlockID{id}, privacy.Budget{Epsilon: cfg.FeatureEps}); err != nil {
-				plat.Close()
-				return nil, stats, fmt.Errorf("daemon: re-charging feature release for block %d: %w", id, err)
-			}
+		d.nextBlock = id + 1
+		if !plat.AC.Retired(id) {
+			d.lastSpeeds = d.ingestBlock(id)
 		}
 	}
-	// The retire hook fired during replay for journaled retirements but
-	// not for snapshot-restored ones; pin the counter to the ledger's
-	// actual retired-block count so GET /daemon/status reports the same
-	// number regardless of when the last compaction ran.
-	d.mu.Lock()
-	d.retired = retiredNow
-	d.mu.Unlock()
 	if len(recovered) > 0 {
 		cfg.Logf("daemon: recovered %d blocks (next %d), %d releases, ledger loss %v",
 			len(recovered), d.nextBlock, countVersions(plat.Store), plat.AC.StreamLoss())
@@ -372,90 +316,6 @@ func New(cfg Config) (*Daemon, durable.Stats, error) {
 		}
 	}
 	return d, stats, nil
-}
-
-// instrument registers the daemon-tier metric families. Ledger ε and
-// loop counters are gauge funcs over the authoritative state (the
-// ledger itself, the mu-guarded loop counters), so /metrics and
-// /daemon/status can never disagree.
-func (d *Daemon) instrument() {
-	for p := tickPhase(0); p < numPhases; p++ {
-		d.phaseSec[p] = d.reg.Histogram("sage_daemon_tick_phase_seconds",
-			"Duration of one loop-tick phase.", metrics.LatencyBuckets(),
-			metrics.Label{Name: "phase", Value: p.String()})
-	}
-	// Stream-wide privacy loss is the max cumulative loss over blocks
-	// (Theorem 4.2), so spent/remaining report against the per-block
-	// ceiling εg — remaining hits zero exactly when some block is
-	// exhausted, which is when training starts to block.
-	d.reg.GaugeFunc("sage_daemon_ledger_eps_spent",
-		"Stream-wide privacy loss ε (max cumulative loss over blocks).",
-		func() float64 { return d.plat.AC.StreamLoss().Epsilon })
-	d.reg.GaugeFunc("sage_daemon_ledger_eps_remaining",
-		"Headroom to the global per-block ceiling εg.",
-		func() float64 { return math.Max(0, d.cfg.Global.Epsilon-d.plat.AC.StreamLoss().Epsilon) })
-	for k := 0; k < d.plat.LedgerShards(); k++ {
-		shard := metrics.Label{Name: "shard", Value: strconv.Itoa(k)}
-		spent := func() float64 {
-			loss := 0.0
-			for _, id := range d.plat.AC.ShardBlocks(k) {
-				loss = math.Max(loss, d.plat.AC.BlockLoss(id).Epsilon)
-			}
-			return loss
-		}
-		d.reg.GaugeFunc("sage_daemon_ledger_shard_eps_spent",
-			"Max cumulative privacy loss ε over this ledger shard's blocks.",
-			spent, shard)
-		d.reg.GaugeFunc("sage_daemon_ledger_shard_eps_remaining",
-			"This shard's headroom to the global per-block ceiling εg.",
-			func() float64 { return math.Max(0, d.cfg.Global.Epsilon-spent()) }, shard)
-	}
-	d.reg.GaugeFunc("sage_daemon_ledger_blocks",
-		"Blocks registered with the ledger (including retired ones).",
-		func() float64 { return float64(len(d.plat.AC.Blocks())) })
-	d.reg.GaugeFunc("sage_daemon_store_versions",
-		"Published model versions across all names (applied-version sum).",
-		func() float64 { return float64(countVersions(d.plat.Store)) })
-	counter := func(name, help string, field *int) {
-		d.reg.GaugeFunc(name, help, func() float64 {
-			d.mu.Lock()
-			defer d.mu.Unlock()
-			return float64(*field)
-		})
-	}
-	counter("sage_daemon_ticks", "Loop iterations started.", &d.ticks)
-	counter("sage_daemon_published_versions", "Bundles published into the store.", &d.published)
-	counter("sage_daemon_accepted_runs", "Training runs whose model was ACCEPTed.", &d.accepted)
-	counter("sage_daemon_rejected_runs", "Training runs whose model was REJECTed.", &d.rejected)
-	counter("sage_daemon_blocked_ticks", "Ticks where no pipeline could afford to train.", &d.blocked)
-	counter("sage_daemon_retired_blocks", "Blocks retired by the DP-retention policy.", &d.retired)
-	counter("sage_daemon_compactions", "WAL compaction passes that ran.", &d.compactions)
-}
-
-func countVersions(st *store.Store) int {
-	n := 0
-	for _, c := range st.Watermarks() {
-		n += c
-	}
-	return n
-}
-
-// ingestBlock (re)generates block id's rides, featurizes them with the
-// block's (DP) hour_speed table, and inserts them into the database.
-// Everything derives from (Seed, id), so recovery regenerates identical
-// bytes. Returns the block's speed table.
-func (d *Daemon) ingestBlock(id data.BlockID) []float64 {
-	gen := taxi.NewGenerator(taxi.Config{}, rng.MixSeed(d.cfg.Seed, uint64(id)))
-	rides := gen.Generate(d.cfg.RowsPerBlock, int64(id)*d.cfg.Window, d.cfg.Window)
-	clean, _ := taxi.Clean(rides)
-	var speeds []float64
-	if d.cfg.FeatureEps > 0 {
-		speeds = taxi.SpeedByHour(clean, d.cfg.FeatureEps, rng.New(rng.MixSeed(d.cfg.Seed, uint64(id), 7)))
-	} else {
-		speeds = taxi.SpeedByHour(clean, 0, nil)
-	}
-	d.db.Insert(taxi.Featurize(clean, speeds).Examples...)
-	return speeds
 }
 
 // Run executes the loop until the context is cancelled (graceful drain:
@@ -510,319 +370,39 @@ func (d *Daemon) Close() error {
 	return d.closeErr
 }
 
-// step is one loop iteration. Only journal failures (the platform can
-// no longer make mutations durable) abort the daemon; everything else —
-// blocked pipelines, unreachable replicas — is continuous-operation
-// business as usual.
+// step is one loop iteration: the phases of phases.go, in order. One
+// tick is one trace — a root span with a child span per phase — and one
+// observation per phase duration series. Only journal failures (the
+// platform can no longer make mutations durable) abort the daemon;
+// everything else — blocked pipelines, unreachable replicas — is
+// continuous-operation business as usual. A failed phase marks its span
+// and the root, so the deferred root.End tail-captures the trace.
 func (d *Daemon) step() error {
 	d.mu.Lock()
-	tick := d.ticks
+	t := tick{n: d.ticks, block: d.nextBlock}
 	d.ticks++
-	block := d.nextBlock
 	d.nextBlock++
 	d.mu.Unlock()
 
-	// One tick is one trace: a root span with a child span per phase.
+	root := d.cfg.Tracer.StartRoot("daemon.tick")
+	root.SetAttr("tick", strconv.Itoa(t.n))
 	// The exemplar trace id is resolved up front because the deferred
 	// End scrubs and pools the span before the last phase observes.
-	root := d.cfg.Tracer.StartRoot("daemon.tick")
-	root.SetAttr("tick", strconv.Itoa(tick))
 	rootID := root.TraceIDString()
-	// fail ends the in-flight phase span and marks the trace; the
-	// deferred root.End then tail-captures it (outcome != "").
-	fail := func(sp *trace.Span, err error) error {
-		sp.SetOutcome("error")
-		sp.End()
-		root.SetOutcome("error")
-		return err
-	}
 	defer root.End()
-
-	// 1. Ingest this tick's block and account its feature release.
-	phaseStart := time.Now()
-	sp := root.StartChild("daemon.ingest")
-	speeds := d.ingestBlock(block)
-	d.lastSpeeds = speeds
-	if d.plat.AC.RegisterBlock(block) && d.cfg.FeatureEps > 0 {
-		if err := d.plat.AC.Request([]data.BlockID{block}, privacy.Budget{Epsilon: d.cfg.FeatureEps}); err != nil {
-			return fail(sp, fmt.Errorf("daemon: charging feature release for block %d: %w", block, err))
-		}
-	}
-	sp.End()
-	d.phaseSec[phaseIngest].ObserveSinceExemplar(phaseStart, rootID)
-
-	// 2. One privacy-adaptive training run, fair round-robin. A naive
-	// tick%N rotation starves pipelines when the budget-refill cadence
-	// resonates with N (e.g. a window's worth of fresh blocks every 6
-	// ticks always landing on the same pipeline), so the turn pointer
-	// advances only when a pipeline actually got to train; pipelines
-	// that are merely unaffordable this tick are skipped at no budget
-	// cost and keep their place in line.
-	phaseStart = time.Now()
-	sp = root.StartChild("daemon.train")
-	trained := false
-	for k := 0; k < d.cfg.Pipelines; k++ {
-		idx := (d.nextPipe + k) % d.cfg.Pipelines
-		attempted, err := d.trainPipeline(tick, idx)
+	for i, ph := range phases {
+		start := time.Now()
+		t.span = root.StartChild("daemon." + ph.name)
+		err := ph.run(d, t)
 		if err != nil {
-			return fail(sp, err)
+			t.span.SetOutcome("error")
+			root.SetOutcome("error")
 		}
-		if attempted {
-			d.nextPipe = (idx + 1) % d.cfg.Pipelines
-			trained = true
-			break
-		}
-	}
-	if !trained {
-		sp.AddEvent("blocked")
-		d.mu.Lock()
-		d.blocked++
-		d.mu.Unlock()
-	}
-	sp.End()
-	d.phaseSec[phaseTrain].ObserveSinceExemplar(phaseStart, rootID)
-
-	// 3. Retention: retire blocks older than the window.
-	phaseStart = time.Now()
-	sp = root.StartChild("daemon.retention")
-	if d.cfg.Retention > 0 {
-		horizon := block - data.BlockID(d.cfg.Retention) + 1
-		for _, id := range d.plat.AC.Blocks() {
-			if id >= horizon {
-				break
-			}
-			if d.plat.AC.Retired(id) {
-				continue
-			}
-			if err := d.plat.AC.Retire(id); err != nil {
-				return fail(sp, fmt.Errorf("daemon: retiring block %d: %w", id, err))
-			}
-			d.cfg.Logf("daemon: tick %d: retired block %d (retention window %d)", tick, id, d.cfg.Retention)
-		}
-	}
-	sp.End()
-	d.phaseSec[phaseRetention].ObserveSinceExemplar(phaseStart, rootID)
-
-	// 4. Periodic WAL compaction: the fixed tick cadence bounds staleness,
-	// the byte threshold bounds recovery time for write-heavy logs — an
-	// oversized ledger segment is compacted the tick it crosses the
-	// threshold, not when the cadence next comes around.
-	phaseStart = time.Now()
-	sp = root.StartChild("daemon.compaction")
-	if (tick+1)%d.cfg.CompactEvery == 0 {
-		if err := d.plat.Compact(); err != nil {
-			return fail(sp, fmt.Errorf("daemon: compaction: %w", err))
-		}
-		d.mu.Lock()
-		d.compactions++
-		d.mu.Unlock()
-		lb, sb := d.plat.LogSizes()
-		d.cfg.Logf("daemon: tick %d: compacted WALs (ledger %dB, store %dB)", tick, lb, sb)
-	} else if d.cfg.CompactBytes > 0 && d.plat.MaxLogSize() > d.cfg.CompactBytes {
-		n, err := d.plat.CompactIfLarger(d.cfg.CompactBytes)
+		t.span.End()
 		if err != nil {
-			return fail(sp, fmt.Errorf("daemon: size-triggered compaction: %w", err))
+			return err
 		}
-		if n > 0 {
-			d.mu.Lock()
-			d.compactions++
-			d.mu.Unlock()
-			lb, sb := d.plat.LogSizes()
-			d.cfg.Logf("daemon: tick %d: compacted %d oversized log(s) (ledger %dB, store %dB)", tick, n, lb, sb)
-		}
+		d.phaseSec[i].ObserveSinceExemplar(start, rootID)
 	}
-	sp.End()
-	d.phaseSec[phaseCompaction].ObserveSinceExemplar(phaseStart, rootID)
 	return nil
-}
-
-// trainPipeline runs one adaptive search for pipeline idx and publishes
-// on ACCEPT. It reports attempted=false when the pipeline could not
-// afford a single training run (no budget was consumed), so the caller
-// can give another pipeline this tick's slot.
-func (d *Daemon) trainPipeline(tick, idx int) (attempted bool, err error) {
-	name := fmt.Sprintf("taxi-lr-%d", idx)
-	pipe := &pipeline.Pipeline{
-		Name:    name,
-		Trainer: pipeline.AdaSSPTrainer{Rho: 0.1, FeatureBound: 2.5, LabelBound: 1},
-		Validator: pipeline.MSEValidator{
-			Target: d.cfg.SLATargets[idx%len(d.cfg.SLATargets)], B: 1,
-			ERMTrainer: pipeline.RidgeTrainer{Lambda: 1e-4},
-		},
-		Mode: validation.ModeSage,
-	}
-	trainer := &adaptive.StreamTrainer{
-		AC: d.plat.AC, DB: d.db, Pipe: pipe,
-		Epsilon0:   d.cfg.Epsilon0,
-		EpsilonCap: d.cfg.EpsilonCap,
-		Delta:      d.cfg.Global.Delta / 100,
-		MinWindow:  min(d.cfg.MinWindow, d.db.NumBlocks()),
-	}
-	r := rng.New(rng.MixSeed(d.cfg.Seed, uint64(tick), uint64(idx), 0xDA))
-	res, err := trainer.Run(r)
-	// An insufficient-budget return with zero iterations means the
-	// pipeline never trained: no budget moved, so the slot can go to
-	// another pipeline. With iterations > 0 the search did consume
-	// budget before running out — that was a real attempt.
-	attempted = res.Iterations > 0
-	switch {
-	case errors.Is(err, adaptive.ErrInsufficientBudget):
-		// The paper's steady state: wait for the database to grow.
-		return attempted, nil
-	case err != nil:
-		// Training errors don't kill the platform; the refunds already
-		// happened inside StreamTrainer.
-		d.cfg.Logf("daemon: tick %d: pipeline %s: %v", tick, name, err)
-		return attempted, nil
-	}
-	if res.Decision != validation.Accept {
-		d.mu.Lock()
-		d.rejected++
-		d.mu.Unlock()
-		return true, nil
-	}
-	spec, err := store.Serialize(res.Model)
-	if err != nil {
-		d.cfg.Logf("daemon: tick %d: serialize %s: %v", tick, name, err)
-		return true, nil
-	}
-	bundle := store.Bundle{
-		Name:  name,
-		Model: spec,
-		// Ship the newest block's released aggregate as the bundle's
-		// serving-time join table (§2.1).
-		Features: map[string][]float64{"hour_speed": append([]float64(nil), d.lastSpeeds...)},
-		Provenance: store.Provenance{
-			Pipeline: name,
-			Spent:    res.TotalSpent,
-			Blocks:   res.Blocks,
-			Decision: res.Decision.String(),
-			Quality:  res.Quality,
-		},
-	}
-	// Publish → journal (store WAL) → push. A crash after the journal
-	// write re-pushes on restart via the publisher's self-healing.
-	var version int
-	if d.pub != nil {
-		var pushErr error
-		version, pushErr = d.pub.Publish(bundle)
-		if pushErr != nil {
-			d.cfg.Logf("daemon: tick %d: push %s@v%d (will heal): %v", tick, name, version, pushErr)
-		}
-	} else {
-		version = d.plat.Store.Publish(bundle)
-	}
-	d.mu.Lock()
-	d.accepted++
-	d.published++
-	d.mu.Unlock()
-	d.cfg.Logf("daemon: tick %d: published %s@v%d (%d blocks, quality %.4g, spent %v)",
-		tick, name, version, len(res.Blocks), res.Quality, res.TotalSpent)
-	return true, nil
-}
-
-// BlockStatus is one ledger row of the status report.
-type BlockStatus struct {
-	ID           int64   `json:"id"`
-	LossEps      float64 `json:"loss_eps"`
-	LossDelta    float64 `json:"loss_delta"`
-	RemainEps    float64 `json:"remain_eps"`
-	RemainDelta  float64 `json:"remain_delta"`
-	Queries      int     `json:"queries"`
-	Retired      bool    `json:"retired"`
-	RetireReason string  `json:"retire_reason,omitempty"`
-}
-
-// Status is the daemon's introspection snapshot (GET /daemon/status).
-// Blocks, StreamLoss*, and StoreVersions are exactly the state the
-// kill/relaunch e2e pins across a crash.
-type Status struct {
-	Ticks           int                       `json:"ticks"`
-	NextBlock       int64                     `json:"next_block"`
-	Blocks          []BlockStatus             `json:"blocks"`
-	StreamLossEps   float64                   `json:"stream_loss_eps"`
-	StreamLossDelta float64                   `json:"stream_loss_delta"`
-	StoreVersions   map[string]int            `json:"store_versions"`
-	Replicas        map[string]map[string]int `json:"replicas,omitempty"`
-	Published       int                       `json:"published"`
-	Accepted        int                       `json:"accepted"`
-	Rejected        int                       `json:"rejected"`
-	Blocked         int                       `json:"blocked"`
-	RetiredBlocks   int                       `json:"retired_blocks"`
-	Compactions     int                       `json:"compactions"`
-	WALLedgerBytes  int64                     `json:"wal_ledger_bytes"`
-	WALStoreBytes   int64                     `json:"wal_store_bytes"`
-	LedgerShards    int                       `json:"ledger_shards"`
-}
-
-// LedgerStatus converts a ledger report to status rows.
-func LedgerStatus(ac *core.AccessControl) []BlockStatus {
-	reports := ac.Report(ac.Blocks())
-	out := make([]BlockStatus, len(reports))
-	for i, rep := range reports {
-		out[i] = BlockStatus{
-			ID:           int64(rep.ID),
-			LossEps:      rep.Loss.Epsilon,
-			LossDelta:    rep.Loss.Delta,
-			RemainEps:    rep.Remain.Epsilon,
-			RemainDelta:  rep.Remain.Delta,
-			Queries:      rep.Queries,
-			Retired:      rep.Retired,
-			RetireReason: string(rep.Reason),
-		}
-	}
-	return out
-}
-
-// Status reports the daemon's current state.
-func (d *Daemon) Status() Status {
-	d.mu.Lock()
-	st := Status{
-		Ticks:         d.ticks,
-		NextBlock:     int64(d.nextBlock),
-		Published:     d.published,
-		Accepted:      d.accepted,
-		Rejected:      d.rejected,
-		Blocked:       d.blocked,
-		RetiredBlocks: d.retired,
-		Compactions:   d.compactions,
-	}
-	d.mu.Unlock()
-	st.Blocks = LedgerStatus(d.plat.AC)
-	loss := d.plat.AC.StreamLoss()
-	st.StreamLossEps, st.StreamLossDelta = loss.Epsilon, loss.Delta
-	st.StoreVersions = d.plat.Store.Watermarks()
-	st.WALLedgerBytes, st.WALStoreBytes = d.plat.LogSizes()
-	st.LedgerShards = d.plat.LedgerShards()
-	if d.pub != nil {
-		st.Replicas = make(map[string]map[string]int)
-		for _, ep := range d.pub.Endpoints() {
-			wm := make(map[string]int)
-			for name := range st.StoreVersions {
-				wm[name] = d.pub.Watermark(ep, name)
-			}
-			st.Replicas[ep] = wm
-		}
-	}
-	return st
-}
-
-// Platform exposes the underlying durable platform (tests).
-func (d *Daemon) Platform() *durable.Platform { return d.plat }
-
-// Metrics exposes the daemon's registry (tests scrape it without going
-// through HTTP).
-func (d *Daemon) Metrics() *metrics.Registry { return d.reg }
-
-// Handler returns the daemon's HTTP surface: the full single-node
-// serving API (shared store.Server handlers, so daemon and replicas
-// cannot drift) plus GET /daemon/status, behind the shared operational
-// surface (httpkit: GET /metrics, /debug/*).
-func (d *Daemon) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /daemon/status", func(w http.ResponseWriter, _ *http.Request) {
-		httpkit.WriteJSON(w, http.StatusOK, d.Status())
-	})
-	mux.Handle("/", d.srv.Handler())
-	return httpkit.Handler(d.reg, d.cfg.Tracer, mux)
 }

@@ -20,7 +20,6 @@ func fastConfig(dir string) Config {
 		Global:       privacy.MustBudget(1.0, 1e-6),
 		Tick:         time.Millisecond,
 		RowsPerBlock: 6000,
-		Window:       24,
 		Pipelines:    2,
 		SLATargets:   []float64{0.04, 0.042},
 		FeatureEps:   0.02,

@@ -1,0 +1,232 @@
+package daemon
+
+import (
+	"errors"
+	"fmt"
+
+	"repro/internal/adaptive"
+	"repro/internal/data"
+	"repro/internal/pipeline"
+	"repro/internal/privacy"
+	"repro/internal/rng"
+	"repro/internal/store"
+	"repro/internal/taxi"
+	"repro/internal/trace"
+	"repro/internal/validation"
+)
+
+// phases is the tick, in order. step runs each under a "daemon."+name
+// child span and observes its duration in
+// sage_daemon_tick_phase_seconds{phase=name}: the names are contracts —
+// dashboards, the e2e tests and the repository benchmark match on them.
+// A phase returns an error only when the platform can no longer make
+// mutations durable.
+var phases = [...]struct {
+	name string
+	run  func(*Daemon, tick) error
+}{
+	{"ingest", (*Daemon).ingest},
+	{"train", (*Daemon).train},
+	{"retention", (*Daemon).retain},
+	{"compaction", (*Daemon).compact},
+}
+
+// tick is what one loop iteration hands each of its phases.
+type tick struct {
+	n     int          // iteration index, counted from this process's start
+	block data.BlockID // the stream block this iteration ingests
+	span  *trace.Span  // the running phase's span (nil when untraced)
+}
+
+// ingest generates this tick's block and admits it to the ledger charged
+// with its share of the DP hour_speed release (Listing 1): one journal
+// record, so a crash leaves the block absent or admitted and charged.
+func (d *Daemon) ingest(t tick) error {
+	d.lastSpeeds = d.ingestBlock(t.block)
+	if _, err := d.plat.AC.AdmitBlock(t.block, privacy.Budget{Epsilon: d.cfg.FeatureEps}); err != nil {
+		return fmt.Errorf("daemon: admitting block %d: %w", t.block, err)
+	}
+	return nil
+}
+
+// ingestBlock (re)generates block id's rides, featurizes them with the
+// block's (DP) hour_speed table, and inserts them into the database.
+// Everything derives from (Seed, id), so recovery regenerates identical
+// bytes. Returns the block's speed table.
+func (d *Daemon) ingestBlock(id data.BlockID) []float64 {
+	gen := taxi.NewGenerator(taxi.Config{}, rng.MixSeed(d.cfg.Seed, uint64(id)))
+	rides := gen.Generate(d.cfg.RowsPerBlock, int64(id)*blockHours, blockHours)
+	clean, _ := taxi.Clean(rides)
+	var speeds []float64
+	if d.cfg.FeatureEps > 0 {
+		speeds = taxi.SpeedByHour(clean, d.cfg.FeatureEps, rng.New(rng.MixSeed(d.cfg.Seed, uint64(id), 7)))
+	} else {
+		speeds = taxi.SpeedByHour(clean, 0, nil)
+	}
+	d.db.Insert(taxi.Featurize(clean, speeds).Examples...)
+	return speeds
+}
+
+// train gives one pipeline a privacy-adaptive training run, fair
+// round-robin. A naive tick%N rotation starves pipelines when the
+// budget-refill cadence resonates with N (e.g. a window's worth of
+// fresh blocks every 6 ticks always landing on the same pipeline), so
+// the turn pointer advances only when a pipeline actually got to train;
+// pipelines that are merely unaffordable this tick are skipped at no
+// budget cost and keep their place in line.
+func (d *Daemon) train(t tick) error {
+	for k := 0; k < d.cfg.Pipelines; k++ {
+		idx := (d.nextPipe + k) % d.cfg.Pipelines
+		attempted, err := d.trainPipeline(t.n, idx)
+		if err != nil {
+			return err
+		}
+		if attempted {
+			d.nextPipe = (idx + 1) % d.cfg.Pipelines
+			return nil
+		}
+	}
+	t.span.AddEvent("blocked")
+	d.mu.Lock()
+	d.blocked++
+	d.mu.Unlock()
+	return nil
+}
+
+// trainPipeline runs one adaptive search for pipeline idx and publishes
+// on ACCEPT. It reports attempted=false when the pipeline could not
+// afford a single training run (no budget was consumed), so the caller
+// can give another pipeline this tick's slot.
+func (d *Daemon) trainPipeline(n, idx int) (attempted bool, err error) {
+	name := fmt.Sprintf("taxi-lr-%d", idx)
+	pipe := &pipeline.Pipeline{
+		Name:    name,
+		Trainer: pipeline.AdaSSPTrainer{Rho: 0.1, FeatureBound: 2.5, LabelBound: 1},
+		Validator: pipeline.MSEValidator{
+			Target: d.cfg.SLATargets[idx%len(d.cfg.SLATargets)], B: 1,
+			ERMTrainer: pipeline.RidgeTrainer{Lambda: 1e-4},
+		},
+		Mode: validation.ModeSage,
+	}
+	trainer := &adaptive.StreamTrainer{
+		AC: d.plat.AC, DB: d.db, Pipe: pipe,
+		Epsilon0:   d.cfg.Epsilon0,
+		EpsilonCap: d.cfg.EpsilonCap,
+		Delta:      d.cfg.Global.Delta / 100,
+		MinWindow:  min(d.cfg.MinWindow, d.db.NumBlocks()),
+	}
+	r := rng.New(rng.MixSeed(d.cfg.Seed, uint64(n), uint64(idx), 0xDA))
+	res, err := trainer.Run(r)
+	// An insufficient-budget return with zero iterations means the
+	// pipeline never trained: no budget moved, so the slot can go to
+	// another pipeline. With iterations > 0 the search did consume
+	// budget before running out — that was a real attempt.
+	attempted = res.Iterations > 0
+	switch {
+	case errors.Is(err, adaptive.ErrInsufficientBudget):
+		// The paper's steady state: wait for the database to grow.
+		return attempted, nil
+	case err != nil:
+		// Training errors don't kill the platform; the refunds already
+		// happened inside StreamTrainer.
+		d.cfg.Logf("daemon: tick %d: pipeline %s: %v", n, name, err)
+		return attempted, nil
+	}
+	if res.Decision != validation.Accept {
+		d.mu.Lock()
+		d.rejected++
+		d.mu.Unlock()
+		return true, nil
+	}
+	spec, err := store.Serialize(res.Model)
+	if err != nil {
+		d.cfg.Logf("daemon: tick %d: serialize %s: %v", n, name, err)
+		return true, nil
+	}
+	bundle := store.Bundle{
+		Name:  name,
+		Model: spec,
+		// Ship the newest block's released aggregate as the bundle's
+		// serving-time join table (§2.1).
+		Features: map[string][]float64{"hour_speed": append([]float64(nil), d.lastSpeeds...)},
+		Provenance: store.Provenance{
+			Pipeline: name,
+			Spent:    res.TotalSpent,
+			Blocks:   res.Blocks,
+			Decision: res.Decision.String(),
+			Quality:  res.Quality,
+		},
+	}
+	// Publish → journal (store WAL) → push. A crash after the journal
+	// write re-pushes on restart via the publisher's self-healing.
+	var version int
+	if d.pub != nil {
+		var pushErr error
+		version, pushErr = d.pub.Publish(bundle)
+		if pushErr != nil {
+			d.cfg.Logf("daemon: tick %d: push %s@v%d (will heal): %v", n, name, version, pushErr)
+		}
+	} else {
+		version = d.plat.Store.Publish(bundle)
+	}
+	d.mu.Lock()
+	d.accepted++
+	d.published++
+	d.mu.Unlock()
+	d.cfg.Logf("daemon: tick %d: published %s@v%d (%d blocks, quality %.4g, spent %v)",
+		n, name, version, len(res.Blocks), res.Quality, res.TotalSpent)
+	return true, nil
+}
+
+// retain retires the blocks that have fallen out of the retention
+// window (journaled; the retention hook deletes their raw data).
+func (d *Daemon) retain(t tick) error {
+	if d.cfg.Retention <= 0 {
+		return nil
+	}
+	horizon := t.block - data.BlockID(d.cfg.Retention) + 1
+	for _, id := range d.plat.AC.Blocks() {
+		if id >= horizon {
+			break
+		}
+		if d.plat.AC.Retired(id) {
+			continue
+		}
+		if err := d.plat.AC.Retire(id); err != nil {
+			return fmt.Errorf("daemon: retiring block %d: %w", id, err)
+		}
+		d.cfg.Logf("daemon: tick %d: retired block %d (retention window %d)", t.n, id, d.cfg.Retention)
+	}
+	return nil
+}
+
+// compact rewrites the WALs as snapshots: the fixed tick cadence bounds
+// staleness, the byte threshold bounds recovery time for write-heavy
+// logs — an oversized ledger segment is compacted the tick it crosses
+// the threshold, not when the cadence next comes around.
+func (d *Daemon) compact(t tick) error {
+	switch {
+	case (t.n+1)%d.cfg.CompactEvery == 0:
+		if err := d.plat.Compact(); err != nil {
+			return fmt.Errorf("daemon: compaction: %w", err)
+		}
+		lb, sb := d.plat.LogSizes()
+		d.cfg.Logf("daemon: tick %d: compacted WALs (ledger %dB, store %dB)", t.n, lb, sb)
+	case d.cfg.CompactBytes > 0 && d.plat.MaxLogSize() > d.cfg.CompactBytes:
+		n, err := d.plat.CompactIfLarger(d.cfg.CompactBytes)
+		if err != nil {
+			return fmt.Errorf("daemon: size-triggered compaction: %w", err)
+		}
+		if n == 0 {
+			return nil
+		}
+		lb, sb := d.plat.LogSizes()
+		d.cfg.Logf("daemon: tick %d: compacted %d oversized log(s) (ledger %dB, store %dB)", t.n, n, lb, sb)
+	default:
+		return nil
+	}
+	d.mu.Lock()
+	d.compactions++
+	d.mu.Unlock()
+	return nil
+}

@@ -45,15 +45,6 @@ func (d *Dataset) FeatureDim() int {
 // Append adds examples to the dataset.
 func (d *Dataset) Append(ex ...Example) { d.Examples = append(d.Examples, ex...) }
 
-// Merge returns a new dataset concatenating the receiver and others.
-func (d *Dataset) Merge(others ...*Dataset) *Dataset {
-	out := &Dataset{Examples: append([]Example{}, d.Examples...)}
-	for _, o := range others {
-		out.Examples = append(out.Examples, o.Examples...)
-	}
-	return out
-}
-
 // Shuffle permutes the examples in place.
 func (d *Dataset) Shuffle(r *rng.RNG) {
 	r.Shuffle(len(d.Examples), func(i, j int) {

@@ -14,7 +14,9 @@
 // legacy pair:
 //
 //	ledger.wal — one record per ledger mutation (register / request /
-//	             refund / retire, core.LedgerRecord canonical encoding),
+//	             refund / retire, core.LedgerRecord canonical encoding;
+//	             a register record carries the block's admission charge,
+//	             zero in logs that charged it with a following request),
 //	             plus snapshot records written by Compact.
 //	store.wal  — one record per release, the bundle's canonical bytes
 //	             (store.Bundle.CanonicalBytes). The record is the push
@@ -42,10 +44,12 @@
 // # Recovery
 //
 // Open replays each log through the same public mutation methods that
-// produced it (journals are installed only after every segment is
-// replayed, so replay does not re-journal). Segments are replayed
-// sequentially (k = 0..N-1); because segments partition the block
-// space, replay order across segments is immaterial. Each segment
+// produced it — core.AccessControl.Apply maps a record to its mutator;
+// this package never interprets one — with journals installed only
+// after every segment is replayed, so replay does not re-journal, and
+// repairs nothing afterwards. Segments are replayed sequentially
+// (k = 0..N-1); because segments partition the block space, replay
+// order across segments is immaterial. Each segment
 // starts with at most one snapshot record (written by per-segment
 // compaction) which RestoreSnapshot *merges* — replacing that shard's
 // blocks, leaving other shards' already-replayed blocks alone. Torn or
@@ -327,8 +331,8 @@ type Stats struct {
 	LedgerSegments []wal.Stats
 }
 
-// replayLedger applies recovered ledger records in order through the
-// public mutation methods (no journal installed yet).
+// replayLedger applies recovered ledger records in order (no journal is
+// installed yet, so core's Apply does not re-journal them).
 func replayLedger(ac *core.AccessControl, records []wal.Record) error {
 	for i, r := range records {
 		switch r.Type {
@@ -341,7 +345,7 @@ func replayLedger(ac *core.AccessControl, records []wal.Record) error {
 			if err != nil {
 				return fmt.Errorf("durable: ledger record %d: %w", i, err)
 			}
-			if err := applyLedgerRecord(ac, rec); err != nil {
+			if err := ac.Apply(rec); err != nil {
 				return fmt.Errorf("durable: ledger record %d (%v): %w", i, rec.Op, err)
 			}
 		default:
@@ -349,33 +353,6 @@ func replayLedger(ac *core.AccessControl, records []wal.Record) error {
 		}
 	}
 	return nil
-}
-
-// applyLedgerRecord re-executes one journaled mutation. The journal
-// only holds operations that succeeded, and the ledger is
-// deterministic, so replay failing means the log does not match the
-// policy it is being opened under (or is corrupt mid-log).
-func applyLedgerRecord(ac *core.AccessControl, rec core.LedgerRecord) error {
-	switch rec.Op {
-	case core.LedgerRegister:
-		for _, id := range rec.Blocks {
-			ac.RegisterBlock(id)
-		}
-		return nil
-	case core.LedgerRequest:
-		return ac.Request(rec.Blocks, rec.Budget)
-	case core.LedgerRefund:
-		return ac.Refund(rec.Blocks, rec.Budget)
-	case core.LedgerRetire:
-		for _, id := range rec.Blocks {
-			if err := ac.Retire(id); err != nil {
-				return err
-			}
-		}
-		return nil
-	default:
-		return fmt.Errorf("unknown op %d", byte(rec.Op))
-	}
 }
 
 // replayStore re-applies recovered releases in journal order.
@@ -404,14 +381,8 @@ func replayStore(st *store.Store, records []wal.Record) error {
 // single-threaded loop) must ensure no Request/Publish/… is in flight,
 // or the racing operation's journal record could be rewritten away.
 func (p *Platform) Compact() error {
-	for k, seg := range p.ledgerSegs {
-		if err := seg.Compact([]wal.Record{
-			{Type: recLedgerSnapshot, Payload: p.AC.SnapshotShard(k)},
-		}); err != nil {
-			return err
-		}
-	}
-	return p.compactStore()
+	_, err := p.CompactIfLarger(-1)
+	return err
 }
 
 // CompactIfLarger compacts only the logs whose current size exceeds
@@ -489,8 +460,7 @@ func LogFiles(dir string) ([]string, error) {
 	}
 	var out []string
 	for k := 0; k < nshards; k++ {
-		p := filepath.Join(dir, LedgerSegmentName(k, nshards))
-		if _, err := os.Stat(p); err == nil {
+		if p := filepath.Join(dir, LedgerSegmentName(k, nshards)); fileExists(p) {
 			out = append(out, p)
 		}
 	}

@@ -146,11 +146,12 @@ type scriptOp struct {
 	consumedFloor map[data.BlockID]float64
 }
 
-// runLedgerScript drives a request/refund/retire workload against a
-// durable platform and returns the per-op snapshots. Refunds are
-// scripted against specific earlier requests so the test can compute
-// the true consumed-budget floor for every journal prefix.
-func runLedgerScript(t *testing.T, dir string) []scriptOp {
+// runLedgerScript drives an admit/request/refund/retire workload against
+// a durable platform and returns the per-op snapshots, plus the charge
+// each AdmitBlock-admitted block arrived with. Refunds are scripted
+// against specific earlier requests so the test can compute the true
+// consumed-budget floor for every journal prefix.
+func runLedgerScript(t *testing.T, dir string) ([]scriptOp, map[data.BlockID]float64) {
 	t.Helper()
 	p := mustOpen(t, dir, Options{})
 	defer p.Close()
@@ -185,6 +186,16 @@ func runLedgerScript(t *testing.T, dir string) []scriptOp {
 
 	register := func(id data.BlockID) {
 		p.AC.RegisterBlock(id)
+		snap()
+	}
+	// An admission charge is consumed on arrival and never refunded.
+	charges := map[data.BlockID]float64{}
+	admit := func(id data.BlockID, eps float64) {
+		if ok, err := p.AC.AdmitBlock(id, privacy.Budget{Epsilon: eps}); !ok || err != nil {
+			t.Fatalf("admit %d: %v, %v", id, ok, err)
+		}
+		charges[id] = eps
+		totalReserved[id] += eps
 		snap()
 	}
 	request := func(blocks []data.BlockID, eps, eventualRefund float64) {
@@ -222,18 +233,25 @@ func runLedgerScript(t *testing.T, dir string) []scriptOp {
 	request([]data.BlockID{5}, 0.5, 0.5) // fully refunded
 	retire(4)
 	refund([]data.BlockID{5}, 0.5)
-	return ops
+	admit(6, 0.05)
+	request([]data.BlockID{3, 6}, 0.25, 0.25) // fully refunded: block 6 falls back to its charge
+	admit(7, 0.125)
+	refund([]data.BlockID{3, 6}, 0.25)
+	return ops, charges
 }
 
 // TestLedgerFaultInjectionMatrix cuts the ledger log at every record
 // boundary (and mid-record, and with a corrupted tail checksum) and
-// asserts two things about the recovered ledger: it equals the exact
-// acknowledged state at that boundary, and — the privacy-critical
-// direction — its per-block loss never under-counts the budget
-// genuinely consumed by the journaled prefix.
+// asserts three things about the recovered ledger: it equals the exact
+// acknowledged state at that boundary; — the privacy-critical direction
+// — its per-block loss never under-counts the budget genuinely consumed
+// by the journaled prefix; and a block admitted through AdmitBlock is
+// either absent or carries at least its admission charge — one op, one
+// record (the boundary count below), so "registered, zero loss" is not
+// a state any cut can produce.
 func TestLedgerFaultInjectionMatrix(t *testing.T) {
 	srcDir := t.TempDir()
-	ops := runLedgerScript(t, srcDir)
+	ops, charges := runLedgerScript(t, srcDir)
 	ledgerPath := filepath.Join(srcDir, LedgerLogName)
 	raw, err := os.ReadFile(ledgerPath)
 	if err != nil {
@@ -255,6 +273,12 @@ func TestLedgerFaultInjectionMatrix(t *testing.T) {
 		p := mustOpen(t, dir, Options{})
 		defer p.Close()
 		got := viewOf(p.AC)
+		for _, b := range got.Blocks {
+			if charge, admitted := charges[b.ID]; admitted && b.Loss.Epsilon+1e-12 < charge {
+				t.Fatalf("prefix of %d ops: block %d is registered with loss %v, below its admission charge %v",
+					wantOps, b.ID, b.Loss.Epsilon, charge)
+			}
+		}
 		if wantOps == 0 {
 			if len(got.Blocks) != 0 {
 				t.Fatalf("empty prefix recovered %d blocks", len(got.Blocks))

@@ -150,9 +150,10 @@ func TestShardedReopenReconstructsExactState(t *testing.T) {
 // variants included) while the other segments stay whole — the crash
 // shape sharding introduces: one shard's fsync lagging the others. The
 // recovered ledger must (a) keep every block of the untouched shards
-// byte-exact, and (b) never under-count the consumed-budget floor of
-// the operations that were actually acknowledged in that crash
-// timeline on the cut shard's blocks.
+// byte-exact, (b) never under-count the consumed-budget floor of the
+// operations that were actually acknowledged in that crash timeline on
+// the cut shard's blocks, and (c) hold every AdmitBlock-admitted block
+// either not at all or with at least its admission charge.
 func TestShardedFaultInjectionAcrossSegments(t *testing.T) {
 	const nshards = 3
 	srcDir := t.TempDir()
@@ -192,6 +193,16 @@ func TestShardedFaultInjectionAcrossSegments(t *testing.T) {
 		mark()
 		reservations = append(reservations, reservation{op: opIndex, blocks: blocks, eps: eps, refund: eventualRefund})
 	}
+	// An admission charge is a reservation that is never refunded.
+	charges := map[data.BlockID]float64{}
+	admit := func(id data.BlockID, eps float64) {
+		if ok, err := p.AC.AdmitBlock(id, privacy.Budget{Epsilon: eps}); !ok || err != nil {
+			t.Fatalf("admit %d: %v, %v", id, ok, err)
+		}
+		charges[id] = eps
+		mark()
+		reservations = append(reservations, reservation{op: opIndex, blocks: []data.BlockID{id}, eps: eps})
+	}
 	refund := func(blocks []data.BlockID, eps float64) {
 		if err := p.AC.Refund(blocks, privacy.Budget{Epsilon: eps}); err != nil {
 			t.Fatalf("refund %v: %v", blocks, err)
@@ -208,6 +219,15 @@ func TestShardedFaultInjectionAcrossSegments(t *testing.T) {
 	request([]data.BlockID{5, 6, 7, 8}, 0.5, 0.25)
 	request([]data.BlockID{0, 3, 6}, 0.2, 0)
 	refund([]data.BlockID{5, 6, 7, 8}, 0.25)
+	admitted := []data.BlockID{9, 11, 14} // one per shard, so every segment is cut around an admission
+	for k, id := range admitted {
+		if shardOf(id) != (k+1)%nshards {
+			t.Fatalf("block %d lives in shard %d: pick admitted ids that cover every shard", id, shardOf(id))
+		}
+		admit(id, 0.05)
+	}
+	request(append([]data.BlockID{4}, admitted...), 0.25, 0.25)
+	refund(append([]data.BlockID{4}, admitted...), 0.25)
 	if err := p.AC.Retire(2); err != nil {
 		t.Fatal(err)
 	}
@@ -274,9 +294,16 @@ func TestShardedFaultInjectionAcrossSegments(t *testing.T) {
 				continue
 			}
 			// Cut shard: conservativeness floor.
-			if loss := p2.AC.BlockLoss(id); loss.Epsilon+tol < floor(i, id) {
+			loss := p2.AC.BlockLoss(id)
+			if loss.Epsilon+tol < floor(i, id) {
 				t.Fatalf("segment %d cut at op %d: block %d loss %v under-counts consumed %v",
 					s, i, id, loss.Epsilon, floor(i, id))
+			}
+			// An admitted block is absent or charged: no cut of its one
+			// record leaves it registered with zero loss.
+			if charge, admitted := charges[id]; admitted && len(p2.AC.Report([]data.BlockID{id})) == 1 && loss.Epsilon+tol < charge {
+				t.Fatalf("segment %d cut at op %d: block %d is registered with loss %v, below its admission charge %v",
+					s, i, id, loss.Epsilon, charge)
 			}
 		}
 	}

@@ -39,7 +39,6 @@ package faulty
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -283,14 +282,6 @@ func (r *recorder) Write(p []byte) (int, error) { return r.body.Write(p) }
 type transportError struct{ mode Mode }
 
 func (e *transportError) Error() string { return "faulty: injected " + e.mode.String() }
-
-// IsInjected reports whether err originated from a faulty Transport
-// (directly or wrapped, e.g. inside a *url.Error) — lets assertions
-// distinguish injected failures from real ones.
-func IsInjected(err error) bool {
-	var te *transportError
-	return errors.As(err, &te)
-}
 
 // Transport wraps inner so the injector misbehaves "at the client":
 // Error/Reset surface as transport errors (like connection refused /

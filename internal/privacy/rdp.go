@@ -106,12 +106,6 @@ func (a *RDPAccountant) AddSampledGaussianSteps(q, sigma float64, steps int) {
 	}
 }
 
-// AddGaussian records one unsampled Gaussian release with the given noise
-// multiplier (σ relative to sensitivity 1).
-func (a *RDPAccountant) AddGaussian(sigma float64) {
-	a.AddSampledGaussianSteps(1, sigma, 1)
-}
-
 // Epsilon converts the accumulated RDP to an (ε, δ)-DP guarantee using the
 // standard conversion ε = min_α RDP(α) + log(1/δ)/(α−1).
 func (a *RDPAccountant) Epsilon(delta float64) float64 {

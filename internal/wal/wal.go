@@ -299,6 +299,25 @@ func Open(path string, opts Options) (*Log, []Record, error) {
 	return l, records, nil
 }
 
+// nextFrame parses the frame that starts at raw[off]. n is its payload
+// length, or -1 when no frame starts there: a torn header, a torn
+// payload, or a length beyond MaxRecordBytes. crcOK reports whether the
+// frame's checksum verified. It is the one reader of the frame layout;
+// appendFrame is the one writer.
+func nextFrame(raw []byte, off int64) (n int64, typ byte, payload []byte, crcOK bool) {
+	rest := raw[off:]
+	if len(rest) < headerSize {
+		return -1, 0, nil, false
+	}
+	n = int64(binary.BigEndian.Uint32(rest))
+	if n > MaxRecordBytes || int64(len(rest)) < headerSize+n {
+		return -1, 0, nil, false
+	}
+	typ, payload = rest[4], rest[headerSize:headerSize+n]
+	crc := crc32.Update(crc32.Checksum([]byte{typ}, castagnoli), castagnoli, payload)
+	return n, typ, payload, crc == binary.BigEndian.Uint32(rest[5:9])
+}
+
 // scan walks raw and returns the intact records plus every record
 // *boundary*: offsets[0] = 0 and offsets[k] is the offset just past
 // record k-1, so offsets[len(records)] is where the valid prefix ends.
@@ -307,21 +326,9 @@ func Open(path string, opts Options) (*Log, []Record, error) {
 func scan(raw []byte) ([]Record, []int64) {
 	var records []Record
 	offsets := []int64{0}
-	off := int64(0)
-	for {
-		rest := raw[off:]
-		if len(rest) < headerSize {
-			return records, offsets
-		}
-		n := int64(binary.BigEndian.Uint32(rest))
-		if n > MaxRecordBytes || int64(len(rest)) < headerSize+n {
-			return records, offsets
-		}
-		typ := rest[4]
-		sum := binary.BigEndian.Uint32(rest[5:9])
-		payload := rest[headerSize : headerSize+n]
-		crc := crc32.Update(crc32.Checksum([]byte{typ}, castagnoli), castagnoli, payload)
-		if crc != sum {
+	for off := int64(0); ; {
+		n, typ, payload, ok := nextFrame(raw, off)
+		if !ok {
 			return records, offsets
 		}
 		records = append(records, Record{Type: typ, Payload: append([]byte(nil), payload...)})
@@ -382,30 +389,22 @@ func Inspect(path string) (InspectReport, error) {
 	if err != nil {
 		return InspectReport{}, err
 	}
+	return inspect(raw), nil
+}
+
+// inspect is Inspect over bytes already read.
+func inspect(raw []byte) InspectReport {
 	rep := InspectReport{TotalBytes: int64(len(raw))}
-	off := int64(0)
 	for {
-		rest := raw[off:]
-		if len(rest) < headerSize {
-			rep.GoodBytes = off
-			return rep, nil
+		n, typ, _, ok := nextFrame(raw, rep.GoodBytes)
+		if n < 0 {
+			return rep
 		}
-		n := int64(binary.BigEndian.Uint32(rest))
-		if n > MaxRecordBytes || int64(len(rest)) < headerSize+n {
-			rep.GoodBytes = off
-			return rep, nil
+		rep.Records = append(rep.Records, RecordInfo{Offset: rep.GoodBytes, Length: n, Type: typ, CRCOK: ok})
+		if !ok {
+			return rep
 		}
-		typ := rest[4]
-		sum := binary.BigEndian.Uint32(rest[5:9])
-		payload := rest[headerSize : headerSize+n]
-		crc := crc32.Update(crc32.Checksum([]byte{typ}, castagnoli), castagnoli, payload)
-		info := RecordInfo{Offset: off, Length: n, Type: typ, CRCOK: crc == sum}
-		rep.Records = append(rep.Records, info)
-		if !info.CRCOK {
-			rep.GoodBytes = off
-			return rep, nil
-		}
-		off += headerSize + n
+		rep.GoodBytes += headerSize + n
 	}
 }
 
