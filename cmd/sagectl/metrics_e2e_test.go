@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/daemon"
 	"repro/internal/metrics"
 	"repro/internal/replica"
 )
@@ -89,9 +90,11 @@ func TestDaemonMetricsE2E(t *testing.T) {
 	d1 := startDaemon(t, bin, walDir,
 		"-tick", "30ms", "-push", srv.URL, "-push-token", tok)
 	deadline := time.Now().Add(120 * time.Second)
+	var before daemon.Status
 	for {
-		st, err := d1.status(t)
-		if err == nil && st.Published >= 2 && st.Ticks >= 5 {
+		var err error
+		before, err = d1.status(t)
+		if err == nil && before.Published >= 2 && before.Ticks >= 5 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -103,6 +106,21 @@ func TestDaemonMetricsE2E(t *testing.T) {
 	live := scrapeMetrics(t, "http://"+d1.addr, "daemon-live.prom")
 	if v := mustValue(t, live, "sage_daemon_ticks", nil); v < 5 {
 		t.Fatalf("sage_daemon_ticks = %v on a daemon that reported >=5 ticks", v)
+	}
+	// Every tick has exactly one outcome. The loop runs on under the
+	// scrape, but families are exposed in sorted order, so ticks and
+	// train_iterations are read after the outcome counters they bound
+	// from above; the status taken before the scrape bounds them from
+	// below (its newest tick may still be training).
+	runs := mustValue(t, live, "sage_daemon_accepted_runs", nil) +
+		mustValue(t, live, "sage_daemon_rejected_runs", nil) +
+		mustValue(t, live, "sage_daemon_retried_runs", nil)
+	outcomes := runs + mustValue(t, live, "sage_daemon_blocked_ticks", nil)
+	if ticks := mustValue(t, live, "sage_daemon_ticks", nil); outcomes > ticks || outcomes < float64(before.Ticks-1) {
+		t.Fatalf("%v tick outcomes (%v training runs) for %d..%v ticks; output:\n%s", outcomes, runs, before.Ticks, ticks, d1.out.dump())
+	}
+	if iters := mustValue(t, live, "sage_daemon_train_iterations", nil); iters < runs {
+		t.Fatalf("sage_daemon_train_iterations = %v below the %v training runs they made up", iters, runs)
 	}
 	if err := d1.cmd.Process.Kill(); err != nil {
 		t.Fatal(err)

@@ -246,15 +246,20 @@
 // mounted on the same handler. BENCH_wal.json records the journaling
 // overhead (about a microsecond per append before the flush).
 //
-// The substrate's hot kernels are tuned for the sweeps' scale: Gram
-// accumulation exploits outer-product symmetry (upper triangle +
-// one mirror) and one-hot sparsity, Cholesky factorization and solves
-// run on contiguous row slices, power iteration reuses its work
-// buffers, DP-SGD realizes Poisson sampling with geometric skips
-// (O(q·n) draws per step instead of n) and pools its gradient scratch,
-// and the SLAed validators stream over losses without copying.
-// BENCH_optimized.json gates the Fig. 7 pass and the DP-SGD
-// calibration cache; the kernels' before/after table is in CHANGES.md.
+// The substrate's hot kernels are tuned for the sweeps' and the
+// daemon's scale: a train/test split keeps the permutation's membership
+// but hands both halves over in storage order, so the passes over them
+// stream memory instead of chasing a shuffled pointer per row; AdaSSP
+// and the ridge ERM share one moment accumulator (linalg.Moments) that
+// touches only the cells a row's non-zeros reach, in the upper triangle,
+// mirrored once; the validators fit the ERM only when the REJECT test
+// needs it; Cholesky factorization and solves run on contiguous row
+// slices, power iteration reuses its work buffers, DP-SGD realizes
+// Poisson sampling with geometric skips (O(q·n) draws per step instead
+// of n) and pools its gradient scratch, and the SLAed validators stream
+// over losses without copying. BENCH_optimized.json gates the Fig. 7
+// pass, one iteration of the daemon's adaptive search and the DP-SGD
+// calibration cache; the before/after tables are in CHANGES.md.
 //
 // See README.md for a tour, DESIGN.md for the system inventory, and
 // EXPERIMENTS.md for paper-vs-measured results. bench/'s exp-sweep

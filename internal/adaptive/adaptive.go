@@ -9,6 +9,12 @@
 // final iteration's budget, and the final budget overshoots the smallest
 // sufficient one by at most 2×, so the search costs at most 4× the
 // optimum.
+//
+// What an iteration costs in time is the pipeline's to decide
+// (internal/pipeline): an iteration that ACCEPTs trains once; only one
+// that does not also fits the ERM, for the REJECT test that separates
+// "retry with more" from "no model in the class can do it".
+// BenchmarkStreamIteration times one iteration on a daemon-shaped heap.
 package adaptive
 
 import (

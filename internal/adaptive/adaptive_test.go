@@ -263,3 +263,47 @@ func TestStreamTrainerMissingFields(t *testing.T) {
 		t.Error("empty trainer should error")
 	}
 }
+
+// TestStreamTrainerSurfacesLedgerFailure: a journal that cannot take the
+// request (or the refund of what a run left unspent) is the ledger
+// failing, not the budget running out — the caller must see the journal's
+// own error under ErrLedger, never "wait for new data".
+func TestStreamTrainerSurfacesLedgerFailure(t *testing.T) {
+	boom := errors.New("journal: disk on fire")
+	npPipe := lrPipeline(0.01)
+	npPipe.Trainer = pipeline.RidgeTrainer{Lambda: 1e-4} // leaves its ε share unspent
+	cases := []struct {
+		name string
+		pipe *pipeline.Pipeline
+		op   core.LedgerOp
+	}{
+		{"request", lrPipeline(0.01), core.LedgerRequest},
+		{"refund", npPipe, core.LedgerRefund},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			db := data.NewGrowingDatabase(data.TimePartitioner{Window: 24})
+			ac := core.NewAccessControl(core.Policy{Global: privacy.MustBudget(1, 1e-6)})
+			for _, id := range db.Insert(taxiStream.Head(20000).Examples...) {
+				ac.RegisterBlock(id)
+			}
+			ac.SetJournal(func(rec core.LedgerRecord) error {
+				if rec.Op == c.op {
+					return boom
+				}
+				return nil
+			})
+			st := &StreamTrainer{
+				AC: ac, DB: db, Pipe: c.pipe,
+				Epsilon0: 0.1, EpsilonCap: 1.0, Delta: 1e-6, MinWindow: 2,
+			}
+			_, err := st.Run(rng.New(12))
+			if !errors.Is(err, boom) || !errors.Is(err, ErrLedger) {
+				t.Fatalf("err = %v, want the journal's error under ErrLedger", err)
+			}
+			if errors.Is(err, ErrInsufficientBudget) {
+				t.Fatalf("err = %v reads as insufficient budget", err)
+			}
+		})
+	}
+}

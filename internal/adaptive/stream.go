@@ -37,6 +37,12 @@ type StreamTrainer struct {
 // afford the next attempt; the caller should wait for new blocks.
 var ErrInsufficientBudget = errors.New("adaptive: insufficient block budget; wait for new data")
 
+// ErrLedger wraps every failure of the ledger itself — a budget request
+// or refund the access control could not make durable. Unlike
+// ErrInsufficientBudget it is not a reason to wait: the in-memory ledger
+// and its journal may have parted, so the caller should stop mutating.
+var ErrLedger = errors.New("adaptive: privacy ledger failure")
+
 // StreamResult reports a stream training run.
 type StreamResult struct {
 	Result
@@ -78,7 +84,16 @@ func (st *StreamTrainer) Run(r *rng.RNG) (StreamResult, error) {
 		}
 		if err := st.AC.Request(blocks, budget); err != nil {
 			out.Decision = validation.Retry
-			return out, ErrInsufficientBudget
+			// A block that was affordable a moment ago may have been
+			// charged or retired by a concurrent pipeline: that is the
+			// same "wait" as an unaffordable window. Anything else is
+			// the ledger failing, not the budget running out.
+			var exhausted core.ErrBlockExhausted
+			var unknown core.ErrUnknownBlock
+			if errors.As(err, &exhausted) || errors.As(err, &unknown) {
+				return out, ErrInsufficientBudget
+			}
+			return out, fmt.Errorf("%w: requesting %v: %w", ErrLedger, budget, err)
 		}
 
 		ds := st.DB.Read(blocks)
@@ -86,13 +101,17 @@ func (st *StreamTrainer) Run(r *rng.RNG) (StreamResult, error) {
 		if err != nil {
 			// The budget was deducted but unused by the failed run;
 			// refund it so the blocks are not charged for nothing.
-			_ = st.AC.Refund(blocks, budget)
+			if rerr := st.AC.Refund(blocks, budget); rerr != nil {
+				return out, fmt.Errorf("%w: refunding %v after a failed run (%v): %w", ErrLedger, budget, err, rerr)
+			}
 			return out, err
 		}
 		// Refund the slice of the reservation the pipeline left unspent
 		// (e.g. non-DP trainer stages).
 		if unspent := budget.Sub(res.Spent); !unspent.IsZero() {
-			_ = st.AC.Refund(blocks, unspent)
+			if err := st.AC.Refund(blocks, unspent); err != nil {
+				return out, fmt.Errorf("%w: refunding unspent %v: %w", ErrLedger, unspent, err)
+			}
 		}
 
 		out.Iterations++

@@ -222,7 +222,11 @@ type Daemon struct {
 	accepted    int
 	blocked     int
 	rejected    int
+	retried     int
 	compactions int
+	// trainIterations counts pipeline runs: a search is one training run
+	// of one or more iterations.
+	trainIterations int
 	// lastSpeeds is the hour_speed table of the newest ingested block —
 	// the serving-time join table accepted bundles ship (only the loop
 	// goroutine touches it).

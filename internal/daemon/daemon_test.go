@@ -1,13 +1,19 @@
 package daemon
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/adaptive"
+	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/privacy"
 	"repro/internal/replica"
 )
@@ -359,5 +365,90 @@ func TestDaemonCompactBytesThreshold(t *testing.T) {
 	st2 := d2.Status()
 	if !reflect.DeepEqual(durableFields(st2), durableFields(st)) {
 		t.Fatalf("restart after size-compaction diverges:\n got %+v\nwant %+v", durableFields(st2), durableFields(st))
+	}
+}
+
+// TestDaemonTickOutcomesPartitionTicks: on a run with no training error
+// every tick has exactly one outcome — a run that was ACCEPTed, REJECTed
+// or ended in RETRY, or a tick nobody could afford — and /metrics says
+// the same as /daemon/status.
+func TestDaemonTickOutcomesPartitionTicks(t *testing.T) {
+	cfg := fastConfig(t.TempDir())
+	cfg.MaxTicks = 14
+	cfg.Logf = func(format string, args ...any) {
+		if strings.Contains(format, ": pipeline ") || strings.Contains(format, ": serialize ") {
+			t.Errorf("training error logged: "+format, args...)
+		}
+	}
+	d, _, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	st := d.Status()
+	if got := st.Accepted + st.Rejected + st.Retried + st.Blocked; got != st.Ticks {
+		t.Fatalf("ticks %d != accepted %d + rejected %d + retried %d + blocked %d",
+			st.Ticks, st.Accepted, st.Rejected, st.Retried, st.Blocked)
+	}
+	if runs := st.Accepted + st.Rejected + st.Retried; st.TrainIterations < runs {
+		t.Fatalf("train_iterations %d below the %d training runs they made up", st.TrainIterations, runs)
+	}
+	// The first tick trains on one block, which cannot certify the
+	// target: the search runs out of window and ends in RETRY.
+	if st.Retried == 0 || st.Accepted == 0 || st.Blocked == 0 {
+		t.Fatalf("want every steady-state outcome in 14 ticks, got %+v", st)
+	}
+	var buf bytes.Buffer
+	if err := d.Metrics().TextExpose(&buf); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := metrics.Parse(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]int{
+		"sage_daemon_retried_runs":     st.Retried,
+		"sage_daemon_train_iterations": st.TrainIterations,
+	} {
+		if got, ok := fams.Value(name, nil); !ok || int(got) != want {
+			t.Errorf("%s = %v (present %v), status says %d", name, got, ok, want)
+		}
+	}
+}
+
+// TestDaemonLedgerFailureMidTrainStopsTheLoop: when the ledger can no
+// longer journal a training run's budget request, the train phase fails
+// — Run returns the journal's error in that tick — instead of reading
+// it as "wait for new data", counting a blocked tick and dying one tick
+// later in ingest.
+func TestDaemonLedgerFailureMidTrainStopsTheLoop(t *testing.T) {
+	cfg := fastConfig(t.TempDir())
+	cfg.MaxTicks = 14
+	d, _, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("journal: disk on fire")
+	requests := 0
+	d.plat.AC.SetJournal(func(rec core.LedgerRecord) error {
+		if rec.Op == core.LedgerRequest {
+			if requests++; requests == 2 {
+				return boom
+			}
+		}
+		return nil
+	})
+	err = d.Run(context.Background())
+	if !errors.Is(err, boom) || !errors.Is(err, adaptive.ErrLedger) {
+		t.Fatalf("Run = %v, want the journal's error under adaptive.ErrLedger", err)
+	}
+	// Every tick before the failing one had its outcome; the failing one
+	// has none — in particular it is not "blocked".
+	st := d.Status()
+	if got := st.Accepted + st.Rejected + st.Retried + st.Blocked; got != st.Ticks-1 || st.Ticks == cfg.MaxTicks {
+		t.Fatalf("stopped after %d ticks with %d outcomes (accepted %d, rejected %d, retried %d, blocked %d): want ticks-1, mid-life",
+			st.Ticks, got, st.Accepted, st.Rejected, st.Retried, st.Blocked)
 	}
 }

@@ -120,9 +120,20 @@ func (d *Daemon) trainPipeline(n, idx int) (attempted bool, err error) {
 	// An insufficient-budget return with zero iterations means the
 	// pipeline never trained: no budget moved, so the slot can go to
 	// another pipeline. With iterations > 0 the search did consume
-	// budget before running out — that was a real attempt.
+	// budget before running out — that was a real attempt, ending in
+	// RETRY.
 	attempted = res.Iterations > 0
+	d.mu.Lock()
+	d.trainIterations += res.Iterations
+	if attempted && errors.Is(err, adaptive.ErrInsufficientBudget) {
+		d.retried++
+	}
+	d.mu.Unlock()
 	switch {
+	case errors.Is(err, adaptive.ErrLedger):
+		// Not a training error: a request or refund could not be made
+		// durable, which is the one thing a phase fails for.
+		return attempted, fmt.Errorf("daemon: training %s: %w", name, err)
 	case errors.Is(err, adaptive.ErrInsufficientBudget):
 		// The paper's steady state: wait for the database to grow.
 		return attempted, nil

@@ -38,7 +38,9 @@ type Status struct {
 	Published       int                       `json:"published"`
 	Accepted        int                       `json:"accepted"`
 	Rejected        int                       `json:"rejected"`
+	Retried         int                       `json:"retried"`
 	Blocked         int                       `json:"blocked"`
+	TrainIterations int                       `json:"train_iterations"`
 	RetiredBlocks   int                       `json:"retired_blocks"`
 	Compactions     int                       `json:"compactions"`
 	WALLedgerBytes  int64                     `json:"wal_ledger_bytes"`
@@ -69,13 +71,15 @@ func LedgerStatus(ac *core.AccessControl) []BlockStatus {
 func (d *Daemon) Status() Status {
 	d.mu.Lock()
 	st := Status{
-		Ticks:       d.ticks,
-		NextBlock:   int64(d.nextBlock),
-		Published:   d.published,
-		Accepted:    d.accepted,
-		Rejected:    d.rejected,
-		Blocked:     d.blocked,
-		Compactions: d.compactions,
+		Ticks:           d.ticks,
+		NextBlock:       int64(d.nextBlock),
+		Published:       d.published,
+		Accepted:        d.accepted,
+		Rejected:        d.rejected,
+		Retried:         d.retried,
+		Blocked:         d.blocked,
+		TrainIterations: d.trainIterations,
+		Compactions:     d.compactions,
 	}
 	d.mu.Unlock()
 	st.Blocks = LedgerStatus(d.plat.AC)
@@ -158,7 +162,9 @@ func (d *Daemon) instrument() {
 	counter("sage_daemon_published_versions", "Bundles published into the store.", &d.published)
 	counter("sage_daemon_accepted_runs", "Training runs whose model was ACCEPTed.", &d.accepted)
 	counter("sage_daemon_rejected_runs", "Training runs whose model was REJECTed.", &d.rejected)
+	counter("sage_daemon_retried_runs", "Training runs that ended in RETRY: the search ran out of budget or window.", &d.retried)
 	counter("sage_daemon_blocked_ticks", "Ticks where no pipeline could afford to train.", &d.blocked)
+	counter("sage_daemon_train_iterations", "Pipeline runs (one training run is a search of one or more).", &d.trainIterations)
 	d.reg.GaugeFunc("sage_daemon_retired_blocks", "Blocks retired by the DP-retention policy.",
 		func() float64 { return float64(d.Status().RetiredBlocks) })
 	counter("sage_daemon_compactions", "WAL compaction passes that ran.", &d.compactions)

@@ -54,21 +54,36 @@ func (d *Dataset) Shuffle(r *rng.RNG) {
 
 // Split partitions the dataset into train and test sets with the given
 // train fraction (e.g. 0.9 for the paper's 90::10 split). The split is
-// deterministic given the RNG. The underlying examples are shared, not
-// copied.
+// deterministic given the RNG, which advances by exactly one Perm(Len).
+// The underlying examples are shared, not copied.
+//
+// Membership comes from the permutation — test is its tail — but both
+// halves are emitted in storage order, not permutation order: a split is
+// walked end to end several times per pipeline run (sufficient
+// statistics, ERM, per-example losses), and a walk in permutation order
+// chases one pointer per row at random through the whole heap. The order
+// hides nothing (the trainer runs inside the trusted platform) and no
+// consumer needs it: moment sums are order-insensitive and the SGD
+// trainers draw their own batches. Callers must not rely on a split
+// being shuffled; Shuffle exists for that.
 func (d *Dataset) Split(trainFrac float64, r *rng.RNG) (train, test *Dataset) {
 	if trainFrac < 0 || trainFrac > 1 {
 		panic(fmt.Sprintf("data: train fraction %v out of [0,1]", trainFrac))
 	}
-	idx := r.Perm(len(d.Examples))
-	nTrain := int(float64(len(d.Examples)) * trainFrac)
+	n := len(d.Examples)
+	idx := r.Perm(n)
+	nTrain := int(float64(n) * trainFrac)
+	inTest := make([]uint64, (n+63)/64)
+	for _, j := range idx[nTrain:] {
+		inTest[j>>6] |= 1 << (uint(j) & 63)
+	}
 	train = &Dataset{Examples: make([]Example, 0, nTrain)}
-	test = &Dataset{Examples: make([]Example, 0, len(d.Examples)-nTrain)}
-	for i, j := range idx {
-		if i < nTrain {
-			train.Examples = append(train.Examples, d.Examples[j])
+	test = &Dataset{Examples: make([]Example, 0, n-nTrain)}
+	for j, ex := range d.Examples {
+		if inTest[j>>6]&(1<<(uint(j)&63)) != 0 {
+			test.Examples = append(test.Examples, ex)
 		} else {
-			test.Examples = append(test.Examples, d.Examples[j])
+			train.Examples = append(train.Examples, ex)
 		}
 	}
 	return train, test
@@ -256,7 +271,13 @@ func (g *GrowingDatabase) Size() int {
 func (g *GrowingDatabase) Read(ids []BlockID) *Dataset {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	out := &Dataset{}
+	n := 0
+	for _, id := range ids {
+		if b, ok := g.blocks[id]; ok {
+			n += len(b.Examples)
+		}
+	}
+	out := &Dataset{Examples: make([]Example, 0, n)}
 	for _, id := range ids {
 		if b, ok := g.blocks[id]; ok {
 			out.Examples = append(out.Examples, b.Examples...)

@@ -2,11 +2,13 @@ package data
 
 import (
 	"math"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/rng"
+	"repro/internal/safety"
 )
 
 func mkExample(t, u int64, label float64) Example {
@@ -245,5 +247,76 @@ func TestSplitPreservesProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSplitContract pins what the rest of the platform relies on from
+// Split: membership is the permutation's (train = its first nTrain
+// entries, test = the rest), emission is storage order, and the RNG
+// advances by exactly one Perm — so every later noise draw comes from
+// the stream it always came from.
+func TestSplitContract(t *testing.T) {
+	cases := []struct {
+		n    int
+		frac float64
+		seed uint64
+	}{
+		{0, 0.9, 1}, {1, 0.9, 2}, {63, 0.9, 3}, {64, 0.5, 4}, {65, 0.9, 5},
+		{1000, 0.9, 6}, {1000, 0, 7}, {1000, 1, 8}, {4097, 0.37, 9},
+	}
+	for _, c := range cases {
+		d := &Dataset{}
+		for i := 0; i < c.n; i++ {
+			d.Append(Example{Label: float64(i)}) // the label is the source index
+		}
+		r := rng.New(c.seed)
+		train, test := d.Split(c.frac, r)
+
+		ref := rng.New(c.seed)
+		perm := ref.Perm(c.n)
+		nTrain := int(float64(c.n) * c.frac)
+		if train.Len() != nTrain || test.Len() != c.n-nTrain {
+			t.Fatalf("n=%d frac=%v: sizes %d/%d, want %d/%d", c.n, c.frac, train.Len(), test.Len(), nTrain, c.n-nTrain)
+		}
+		if got, want := r.Uint64(), ref.Uint64(); got != want {
+			t.Errorf("n=%d frac=%v: RNG did not advance by exactly one Perm", c.n, c.frac)
+		}
+		for _, half := range []struct {
+			name string
+			got  *Dataset
+			want []int
+		}{{"train", train, perm[:nTrain]}, {"test", test, perm[nTrain:]}} {
+			want := append([]int(nil), half.want...)
+			sort.Ints(want)
+			for i, ex := range half.got.Examples {
+				if int(ex.Label) != want[i] {
+					t.Fatalf("n=%d frac=%v: %s[%d] is source row %v, want %d (the permutation's members, ascending)",
+						c.n, c.frac, half.name, i, ex.Label, want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestReadSplitAllocs pins the training loop's two data-movement steps
+// to a constant number of allocations whatever the row count: Read sizes
+// its result before appending (the dataset and its examples), Split
+// makes the permutation, the membership bitmap and the two halves.
+func TestReadSplitAllocs(t *testing.T) {
+	for _, rows := range []int{500, 8000} {
+		db := NewGrowingDatabase(TimePartitioner{Window: 24})
+		for b := 0; b < 6; b++ {
+			for i := 0; i < rows; i++ {
+				db.Insert(mkExample(int64(b*24), 0, float64(i)))
+			}
+		}
+		ids := db.Blocks()
+		var ds *Dataset
+		safety.MaxAllocs(t, 10, 2, func() { ds = db.Read(ids) })
+		if ds.Len() != 6*rows {
+			t.Fatalf("Read returned %d rows, want %d", ds.Len(), 6*rows)
+		}
+		r := rng.New(1)
+		safety.MaxAllocs(t, 10, 6, func() { ds.Split(0.9, r) })
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/rng"
 )
 
 func TestDotAndNorm(t *testing.T) {
@@ -42,6 +44,17 @@ func TestMatrixBasics(t *testing.T) {
 	got := m.MulVec([]float64{1, 2, 3})
 	if got[0] != 14 || got[1] != 0 {
 		t.Errorf("MulVec = %v", got)
+	}
+}
+
+// Gram is the dense form of the outer-product update, m += x·xᵀ over
+// every cell: what Moments must equal bit for bit, and how the tests
+// below build their SPD matrices.
+func (m *Matrix) Gram(x []float64) {
+	for i, xi := range x {
+		for j, xj := range x {
+			m.Data[i*m.Cols+j] += xi * xj
+		}
 	}
 }
 
@@ -202,5 +215,59 @@ func TestMaxEigenDominatesProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestMomentsMatchDenseReference holds the sparse accumulator to the
+// dense sums bit for bit, over rows of every density it can meet:
+// all-zero, one-hot-heavy (the taxi shape), fully dense, and rows
+// carrying a -0.0, which counts as a zero to skip.
+func TestMomentsMatchDenseReference(t *testing.T) {
+	const d = 13
+	r := rng.New(7)
+	var rows [][]float64
+	var labels []float64
+	for k := 0; k < 400; k++ {
+		row := make([]float64, d)
+		switch k % 4 {
+		case 0: // all-zero
+		case 1: // one-hot-heavy: three hot buckets and a constant
+			for h := 0; h < 3; h++ {
+				row[r.IntN(d-1)] = 1
+			}
+			row[d-1] = 0.4
+		case 2: // fully dense
+			for i := range row {
+				row[i] = r.Normal(0, 1)
+			}
+		case 3: // sparse reals with a negative zero among them
+			for h := 0; h < 4; h++ {
+				row[r.IntN(d)] = r.Normal(0, 1)
+			}
+			row[r.IntN(d)] = math.Copysign(0, -1)
+		}
+		rows = append(rows, row)
+		labels = append(labels, r.Normal(0, 1))
+	}
+	labels[1], labels[2] = 0, math.Copysign(0, -1)
+
+	acc := NewMoments(d)
+	wantXtX := NewMatrix(d, d)
+	wantXty := make([]float64, d)
+	for k, row := range rows {
+		acc.Add(row, labels[k])
+		wantXtX.Gram(row)
+		AXPY(labels[k], row, wantXty)
+	}
+	xtx, xty := acc.Sums()
+	for i := range wantXtX.Data {
+		if math.Float64bits(xtx.Data[i]) != math.Float64bits(wantXtX.Data[i]) {
+			t.Fatalf("XᵀX[%d][%d] = %x, dense reference %x", i/d, i%d, xtx.Data[i], wantXtX.Data[i])
+		}
+	}
+	for i := range wantXty {
+		if math.Float64bits(xty[i]) != math.Float64bits(wantXty[i]) {
+			t.Fatalf("Xᵀy[%d] = %x, dense reference %x", i, xty[i], wantXty[i])
+		}
 	}
 }

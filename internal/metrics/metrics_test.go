@@ -65,24 +65,7 @@ func TestExpositionGolden(t *testing.T) {
 	h.Observe(0.5)
 	h.Observe(1)
 
-	const golden = `# HELP sage_test_eps_spent Privacy spend.
-# TYPE sage_test_eps_spent gauge
-sage_test_eps_spent{shard="0"} 0.25
-# HELP sage_test_inflight In-flight requests.
-# TYPE sage_test_inflight gauge
-sage_test_inflight 2
-# HELP sage_test_latency_seconds Request latency.
-# TYPE sage_test_latency_seconds histogram
-sage_test_latency_seconds_bucket{le="0.25"} 1
-sage_test_latency_seconds_bucket{le="0.5"} 2
-sage_test_latency_seconds_bucket{le="+Inf"} 3
-sage_test_latency_seconds_sum 1.75
-sage_test_latency_seconds_count 3
-# HELP sage_test_requests_total Requests served.
-# TYPE sage_test_requests_total counter
-sage_test_requests_total{class="batch"} 1
-sage_test_requests_total{class="read"} 3
-`
+	const golden = expositionGolden
 	var b strings.Builder
 	if err := r.TextExpose(&b); err != nil {
 		t.Fatal(err)

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"math"
@@ -116,27 +115,24 @@ func sampleBelongsTo(sample string, fam *Family) bool {
 func Parse(r io.Reader) (Families, error) {
 	fams := make(Families)
 	seen := make(map[string]bool) // full sample name + rendered labels
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 1<<20)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
+	raw, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	// A line ends at "\n" and nowhere else: a carriage return before it
+	// is part of the line (of a HELP text, say), not something to trim.
+	for i, line := range strings.Split(string(raw), "\n") {
 		if strings.TrimSpace(line) == "" {
 			continue
 		}
 		if strings.HasPrefix(line, "#") {
-			if err := parseComment(line, fams); err != nil {
-				return nil, fmt.Errorf("line %d: %w", lineNo, err)
-			}
-			continue
+			err = parseComment(line, fams)
+		} else {
+			err = parseSample(line, fams, seen)
 		}
-		if err := parseSample(line, fams, seen); err != nil {
-			return nil, fmt.Errorf("line %d: %w", lineNo, err)
+		if err != nil {
+			return nil, fmt.Errorf("line %d: %w", i+1, err)
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
 	}
 	for _, fam := range fams {
 		if fam.Type == "histogram" {
@@ -434,7 +430,10 @@ func canonicalLabels(labels map[string]string) string {
 	return b.String()
 }
 
-func unescapeHelp(s string) string {
-	s = strings.ReplaceAll(s, `\n`, "\n")
-	return strings.ReplaceAll(s, `\\`, `\`)
-}
+// helpUnescaper resolves a HELP text's \\ and \n escapes in one pass (a
+// Replacer never rescans what it has replaced): unescaping one kind and
+// then the other would read the second half of an escaped backslash as
+// the start of the escape after it.
+var helpUnescaper = strings.NewReplacer(`\\`, `\`, `\n`, "\n")
+
+func unescapeHelp(s string) string { return helpUnescaper.Replace(s) }

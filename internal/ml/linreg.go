@@ -36,21 +36,32 @@ type RidgeConfig struct {
 	Lambda float64 // L2 regularization strength
 }
 
+// moments streams ds once, in storage order, into the normal-equation
+// sums XᵀX and Xᵀy of its rows, each augmented with a constant 1 for the
+// bias term. prepare, when non-nil, may rescale or clip the augmented row
+// in place and returns the label to accumulate for it. This is the only
+// Gram loop the linear trainers have.
+func moments(ds *data.Dataset, prepare func(row []float64, label float64) float64) (xtx *linalg.Matrix, xty []float64) {
+	d := ds.FeatureDim()
+	acc := linalg.NewMoments(d + 1)
+	row := make([]float64, d+1)
+	for _, ex := range ds.Examples {
+		copy(row, ex.Features)
+		row[d] = 1
+		y := ex.Label
+		if prepare != nil {
+			y = prepare(row, y)
+		}
+		acc.Add(row, y)
+	}
+	return acc.Sums()
+}
+
 // TrainRidge solves (XᵀX + λI)w = Xᵀy exactly. Features are augmented
 // with a constant 1 for the bias term.
 func TrainRidge(ds *data.Dataset, cfg RidgeConfig) *LinearModel {
 	d := ds.FeatureDim()
-	aug := d + 1
-	xtx := linalg.NewMatrix(aug, aug)
-	xty := make([]float64, aug)
-	row := make([]float64, aug)
-	for _, ex := range ds.Examples {
-		copy(row, ex.Features)
-		row[d] = 1
-		xtx.GramUpper(row)
-		linalg.AXPY(ex.Label, row, xty)
-	}
-	xtx.MirrorUpper()
+	xtx, xty := moments(ds, nil)
 	xtx.AddDiagonal(cfg.Lambda + 1e-9)
 	w := linalg.SolveSPD(xtx, xty)
 	return &LinearModel{Weights: w[:d], Bias: w[d]}
@@ -92,20 +103,12 @@ func TrainAdaSSP(ds *data.Dataset, cfg AdaSSPConfig, r *rng.RNG) *LinearModel {
 	fscale := 1 / cfg.FeatureBound
 	lscale := 1 / cfg.LabelBound
 
-	xtx := linalg.NewMatrix(aug, aug)
-	xty := make([]float64, aug)
-	row := make([]float64, aug)
-	for _, ex := range ds.Examples {
-		for i, v := range ex.Features {
-			row[i] = v * fscale
-		}
-		row[d] = fscale // constant feature, also scaled to stay in the ball
+	xtx, xty := moments(ds, func(row []float64, label float64) float64 {
+		// The constant feature is scaled too, to stay in the ball.
+		linalg.Scale(fscale, row)
 		privacy.ClipL2(row, 1)
-		y := privacy.Clip(ex.Label*lscale, -1, 1)
-		xtx.GramUpper(row)
-		linalg.AXPY(y, row, xty)
-	}
-	xtx.MirrorUpper()
+		return privacy.Clip(label*lscale, -1, 1)
+	})
 
 	eps3 := cfg.Budget.Epsilon / 3
 	logTerm := math.Log(6 / cfg.Budget.Delta)

@@ -3,6 +3,12 @@
 // where the pipeline's privacy parameters, assigned by Sage at runtime,
 // are split across the stages (ε/3 each when all three stages consume
 // budget), and validation is one of the SLAed validators of §3.3.
+//
+// A run walks its data as few times as its decision needs: the split
+// hands both halves over in storage order (data.Dataset.Split), and the
+// validators fit the empirical risk minimizer — a second pass over the
+// training half — only once ACCEPT has failed, because the REJECT test
+// is all the ERM is for.
 package pipeline
 
 import (

@@ -278,3 +278,72 @@ func TestMSEValidatorQualityMatchesModel(t *testing.T) {
 		t.Errorf("reported quality %v != true MSE", q)
 	}
 }
+
+// countingERM counts how often a validator asks for the empirical risk
+// minimizer.
+type countingERM struct {
+	RidgeTrainer
+	calls *int
+}
+
+func (c countingERM) Train(ds *data.Dataset, b privacy.Budget, r *rng.RNG) ml.Model {
+	*c.calls++
+	return c.RidgeTrainer.Train(ds, b, r)
+}
+
+// TestValidatorsFitERMOnlyForReject pins the laziness both validators
+// share: the ERM exists for the REJECT test alone, so an ACCEPT never
+// fits it and every other outcome fits it exactly once.
+func TestValidatorsFitERMOnlyForReject(t *testing.T) {
+	// Binary labels for the accuracy validator: separable (label = x ≥
+	// 0.5, which the identity model predicts exactly) and pure noise.
+	gen := rng.New(41)
+	separable, noise := &data.Dataset{}, &data.Dataset{}
+	for i := 0; i < 30000; i++ {
+		x, y := gen.Float64(), 0.0
+		if x >= 0.5 {
+			y = 1
+		}
+		separable.Append(data.Example{Features: []float64{x}, Label: y})
+		y = 0
+		if gen.Bool(0.5) {
+			y = 1
+		}
+		noise.Append(data.Example{Features: []float64{gen.Float64()}, Label: y})
+	}
+	identity := &ml.LinearModel{Weights: []float64{1}}
+
+	calls := 0
+	erm := countingERM{RidgeTrainer{Lambda: 1e-4}, &calls}
+	mse := func(target float64) Validator { return MSEValidator{Target: target, B: 1, ERMTrainer: erm} }
+	acc := func(target float64) Validator { return AccuracyValidator{Target: target, ERMTrainer: erm} }
+	cases := []struct {
+		name      string
+		validator Validator
+		model     ml.Model
+		ds        *data.Dataset
+		want      validation.Decision
+		wantCalls int
+	}{
+		{"mse/accept", mse(0.02), ml.NaiveMeanModel(taxiData), taxiData.Head(50000), validation.Accept, 0},
+		{"mse/reject", mse(0.1), ml.NaiveMeanModel(noise), noise, validation.Reject, 1},
+		{"mse/retry", mse(0.004), ml.NaiveMeanModel(taxiData), taxiData.Head(300), validation.Retry, 1},
+		{"accuracy/accept", acc(0.9), identity, separable, validation.Accept, 0},
+		{"accuracy/reject", acc(0.9), identity, noise, validation.Reject, 1},
+		{"accuracy/retry", acc(0.9), identity, noise.Head(40), validation.Retry, 1},
+	}
+	cfg := validation.Config{Mode: validation.ModeSage, Eta: 0.05, Epsilon: 1}
+	for i, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			r := rng.New(uint64(50 + i))
+			train, test := c.ds.Split(0.9, r)
+			calls = 0
+			if got, _ := c.validator.Validate(c.model, test, train, cfg, r); got != c.want {
+				t.Fatalf("decision = %v, want %v", got, c.want)
+			}
+			if calls != c.wantCalls {
+				t.Errorf("ERM fitted %d times, want %d", calls, c.wantCalls)
+			}
+		})
+	}
+}

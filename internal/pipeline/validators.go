@@ -9,8 +9,9 @@ import (
 
 // MSEValidator validates regression pipelines against an MSE target
 // using the loss SLAed validator (Listing 2). If ERMTrainer is non-nil
-// it is used to fit the empirical risk minimizer on the training set for
-// the REJECT test (valid for convex classes; leave nil for NNs).
+// it fits the empirical risk minimizer on the training set for the
+// REJECT test (valid for convex classes; leave nil for NNs) — only once
+// ACCEPT has failed, since REJECT is all the ERM is for.
 type MSEValidator struct {
 	// Target is the maximum tolerated MSE (τ_loss).
 	Target float64
@@ -23,31 +24,37 @@ type MSEValidator struct {
 // Validate implements Validator.
 func (v MSEValidator) Validate(m ml.Model, test, train *data.Dataset, cfg validation.Config, r *rng.RNG) (validation.Decision, float64) {
 	lv := validation.LossValidator{Config: cfg, Target: v.Target, B: v.B}
-	testLosses := squaredLosses(m, test, v.B)
-	var ermLosses []float64
-	if v.ERMTrainer != nil && train != nil && train.Len() > 0 {
-		erm := v.ERMTrainer.Train(train, cfg.Cost(), r)
-		ermLosses = squaredLosses(erm, train, v.B)
+	testLosses, mse := squaredLosses(m, test, v.B)
+	if lv.Accept(testLosses, r) {
+		return validation.Accept, mse
 	}
-	decision := lv.Validate(testLosses, ermLosses, r)
-	return decision, ml.MSE(m, test)
+	if v.ERMTrainer != nil && train != nil && train.Len() > 0 {
+		ermLosses, _ := squaredLosses(v.ERMTrainer.Train(train, cfg.Cost(), r), train, v.B)
+		if lv.Reject(ermLosses, r) {
+			return validation.Reject, mse
+		}
+	}
+	return validation.Retry, mse
 }
 
 // Name implements Validator.
 func (MSEValidator) Name() string { return "mse" }
 
-// squaredLosses returns per-example squared errors clipped to [0, b].
-func squaredLosses(m ml.Model, ds *data.Dataset, b float64) []float64 {
-	out := make([]float64, ds.Len())
+// squaredLosses returns per-example squared errors clipped to [0, b],
+// and their unclipped mean (ml.MSE's value, from the same residuals).
+func squaredLosses(m ml.Model, ds *data.Dataset, b float64) (losses []float64, mse float64) {
+	losses = make([]float64, ds.Len())
+	sum := 0.0
 	for i, ex := range ds.Examples {
 		d := m.Predict(ex.Features) - ex.Label
 		l := d * d
+		sum += l
 		if l > b {
 			l = b
 		}
-		out[i] = l
+		losses[i] = l
 	}
-	return out
+	return losses, sum / float64(max(1, len(losses)))
 }
 
 // AccuracyValidator validates classification pipelines against an
@@ -63,18 +70,22 @@ type AccuracyValidator struct {
 	ERMTrainer Trainer
 }
 
-// Validate implements Validator.
+// Validate implements Validator. As for MSEValidator, the ERM is fitted
+// only once ACCEPT has failed.
 func (v AccuracyValidator) Validate(m ml.Model, test, train *data.Dataset, cfg validation.Config, r *rng.RNG) (validation.Decision, float64) {
 	av := validation.AccuracyValidator{Config: cfg, Target: v.Target}
 	correct := countCorrect(m, test)
-	bestCorrect, nTrain := -1, 0
-	if v.ERMTrainer != nil && train != nil && train.Len() > 0 {
-		erm := v.ERMTrainer.Train(train, cfg.Cost(), r)
-		bestCorrect = countCorrect(erm, train)
-		nTrain = train.Len()
+	accuracy := float64(correct) / float64(max(1, test.Len()))
+	if av.Accept(correct, test.Len(), r) {
+		return validation.Accept, accuracy
 	}
-	decision := av.Validate(correct, test.Len(), bestCorrect, nTrain, r)
-	return decision, ml.Accuracy(m, test)
+	if v.ERMTrainer != nil && train != nil && train.Len() > 0 {
+		bestCorrect := countCorrect(v.ERMTrainer.Train(train, cfg.Cost(), r), train)
+		if av.Reject(bestCorrect, train.Len(), r) {
+			return validation.Reject, accuracy
+		}
+	}
+	return validation.Retry, accuracy
 }
 
 // Name implements Validator.
