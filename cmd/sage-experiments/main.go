@@ -49,7 +49,10 @@ func main() {
 	scale := flag.String("scale", "small", "small (minutes) or full (hours)")
 	seed := flag.Uint64("seed", 1, "base RNG seed")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0),
-		"worker goroutines for the experiment scheduler (results identical for any value)")
+		"worker goroutines for the experiment scheduler (results identical for any value). "+
+			"The timing lines' \"cpu X of N cores\" is process CPU time over wall clock: "+
+			"a figure near 1 with N > 1 means a serial prefix — a cell cannot start before "+
+			"its experiment's dataset is generated — not a scheduler fault")
 	pipeline := flag.Bool("pipeline", true,
 		"run selected experiments concurrently on one shared scheduler (stdout bytes unchanged)")
 	flag.Parse()
@@ -126,22 +129,44 @@ func main() {
 		os.Exit(2)
 	}
 
-	start := time.Now()
+	cores := runtime.GOMAXPROCS(0)
+	total := stopwatch(cores)
 	if *pipeline && len(selected) > 1 {
 		runPipelined(selected, *scale, *workers)
 	} else {
 		for _, e := range selected {
-			t0 := time.Now()
+			elapsed := stopwatch(cores)
 			fmt.Printf("==== %s (scale=%s) ====\n", e.name, *scale)
 			e.fn(os.Stdout)
 			fmt.Println()
-			fmt.Fprintf(os.Stderr, "---- %s done in %v ----\n", e.name, time.Since(t0).Round(time.Millisecond))
+			fmt.Fprintf(os.Stderr, "---- %s done in %s ----\n", e.name, elapsed())
 		}
 	}
-	fmt.Fprintf(os.Stderr, "total wall-clock %v\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(os.Stderr, "total wall-clock %s\n", total())
 	if st := privacy.SGDCalibrationStats(); st.Hits+st.Misses > 0 {
 		fmt.Fprintf(os.Stderr, "DP-SGD calibration cache: %d hits / %d misses (hit rate %.1f%%)\n",
 			st.Hits, st.Misses, 100*st.HitRate())
+	}
+}
+
+// stopwatch starts timing a stretch of the run by wall clock and by the
+// CPU time the whole process spends over it; the returned func renders
+// both as "1.234s, cpu 1.21 of 2 cores" (wall clock alone where the
+// platform does not report process CPU time). The second figure is the
+// average number of cores kept busy, the quick answer to "why did more
+// workers not help": what runs before an experiment's first cell can
+// start is serial, and shows as a figure near 1. The clocks live here,
+// not in the experiment packages, which stay free of time so that they
+// stay deterministic.
+func stopwatch(cores int) func() string {
+	start, cpu := time.Now(), processCPU()
+	return func() string {
+		wall := time.Since(start)
+		out := wall.Round(time.Millisecond).String()
+		if busy := processCPU() - cpu; busy > 0 && wall > 0 {
+			out += fmt.Sprintf(", cpu %.2f of %d cores", busy.Seconds()/wall.Seconds(), cores)
+		}
+		return out
 	}
 }
 

@@ -423,6 +423,21 @@ func (e ErrBlockExhausted) Error() string {
 		e.ID, e.Requested, e.Remaining)
 }
 
+// ErrRefundExceedsSpend is returned when a refund asks a block for more
+// budget than its recorded spends hold. A live caller only refunds what
+// it reserved, so this is a caller bug or — at recovery — a damaged
+// refund record; either way the ledger is left as it was.
+type ErrRefundExceedsSpend struct {
+	ID     data.BlockID
+	Refund privacy.Budget
+	Loss   privacy.Budget
+}
+
+func (e ErrRefundExceedsSpend) Error() string {
+	return fmt.Sprintf("core: refund of %v exceeds block %d's recorded spends (loss %v)",
+		e.Refund, e.ID, e.Loss)
+}
+
 // uniqueIDs returns ids with duplicates removed, preserving first-
 // occurrence order. Short lists — the common case: adaptive training
 // windows are a few dozen blocks — are checked with a quadratic scan
@@ -610,17 +625,28 @@ func (ac *AccessControl) shouldRetire(st *blockState) bool {
 // is mutated, so an unknown block leaves the ledger untouched instead of
 // refunding a prefix. Duplicate IDs are coalesced for symmetry with
 // Request — a reservation charged once per distinct block must be
-// returned once per distinct block.
+// returned once per distinct block. A refund some block's recorded
+// spends do not cover is refused with ErrRefundExceedsSpend before
+// anything is journaled: accepting it would under-count privacy loss,
+// and at recovery it means a damaged record, which must fail the open
+// and not panic it.
 //
 //sage:journaled
 func (ac *AccessControl) Refund(ids []data.BlockID, b privacy.Budget) error {
-	return ac.stageAndApply(LedgerRefund, ids, b, nil, func(_ data.BlockID, st *blockState) {
-		st.acct.Refund(b)
-		if !st.sticky && !ac.shouldRetire(st) {
-			st.retired = false
-			st.reason = RetireNone
-		}
-	})
+	return ac.stageAndApply(LedgerRefund, ids, b,
+		func(id data.BlockID, st *blockState) error {
+			if !st.acct.CanRefund(b) {
+				return ErrRefundExceedsSpend{ID: id, Refund: b, Loss: st.acct.Loss()}
+			}
+			return nil
+		},
+		func(_ data.BlockID, st *blockState) {
+			st.acct.Refund(b)
+			if !st.sticky && !ac.shouldRetire(st) {
+				st.retired = false
+				st.reason = RetireNone
+			}
+		})
 }
 
 // Retire forcibly retires a block regardless of remaining budget. Forced

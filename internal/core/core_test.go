@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"sync"
@@ -548,6 +549,62 @@ func TestRefundAtomicOnUnknownBlock(t *testing.T) {
 	}
 	if got := ac.BlockLoss(1); math.Abs(got.Epsilon-0.3) > 1e-12 {
 		t.Errorf("loss after valid refund = %v, want ε=0.3", got)
+	}
+}
+
+// Regression (carried from the PR 18 fuzz work): a refund larger than a
+// block's recorded spends reached privacy.Accountant.Refund's panic
+// under the shard lock, after the record was journaled. It is refused
+// with a typed error first — at 1 and at 3 shards, whichever block of
+// the list is the short one — and neither the ledger nor the journal
+// moves.
+func TestOverRefundRefusedBeforeJournal(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		ac := NewShardedAccessControl(Policy{Global: privacy.MustBudget(1, 1e-6)}, shards)
+		for id := data.BlockID(1); id <= 4; id++ {
+			ac.RegisterBlock(id)
+		}
+		if err := ac.Request([]data.BlockID{1, 2, 3, 4}, privacy.MustBudget(0.3, 1e-8)); err != nil {
+			t.Fatal(err)
+		}
+		if err := ac.Request([]data.BlockID{1, 2, 4}, privacy.MustBudget(0.2, 0)); err != nil {
+			t.Fatal(err)
+		}
+		journaled := 0
+		ac.SetShardJournal(func(int, LedgerRecord) (func() error, error) {
+			journaled++
+			return nil, nil
+		})
+		before := ac.Snapshot()
+		for _, c := range []struct {
+			ids    []data.BlockID
+			refund privacy.Budget
+			short  data.BlockID
+		}{
+			{[]data.BlockID{1, 2, 3, 4}, privacy.MustBudget(0.4, 0), 3},    // 3 holds ε = 0.3
+			{[]data.BlockID{3}, privacy.MustBudget(0.1, 1e-7), 3},          // δ is short, ε is not
+			{[]data.BlockID{2, 1}, privacy.MustBudget(0.5000001, 0), 2},    // just over two spends
+			{[]data.BlockID{4}, privacy.MustBudget(math.MaxFloat64, 1), 4}, // what a damaged record holds
+		} {
+			err := ac.Refund(c.ids, c.refund)
+			var over ErrRefundExceedsSpend
+			if !errors.As(err, &over) || over.ID != c.short || over.Refund != c.refund {
+				t.Fatalf("%d shards, Refund(%v, %v) = %v, want ErrRefundExceedsSpend for block %d", shards, c.ids, c.refund, err, c.short)
+			}
+		}
+		if journaled != 0 {
+			t.Errorf("%d shards: %d records journaled for refused refunds", shards, journaled)
+		}
+		if !bytes.Equal(ac.Snapshot(), before) {
+			t.Errorf("%d shards: a refused refund changed the ledger", shards)
+		}
+		// What the spends do cover still refunds, across two spends.
+		if err := ac.Refund([]data.BlockID{1, 2}, privacy.MustBudget(0.5, 1e-8)); err != nil {
+			t.Fatalf("%d shards: exact refund: %v", shards, err)
+		}
+		if got := ac.BlockLoss(1); got.Epsilon > 1e-12 || got.Delta > 1e-20 {
+			t.Errorf("%d shards: loss after exact refund = %v, want zero", shards, got)
+		}
 	}
 }
 

@@ -14,8 +14,12 @@ var fuzzPolicy = Policy{Global: privacy.MustBudget(1.0, 1e-6)}
 // bytes — recovery reads it, and "damaged but CRC-valid" is the case a
 // checksum cannot catch. It must never panic; anything it accepts must
 // re-encode to exactly the input (the journal is also the audit trail);
-// and replaying an accepted record on a fresh ledger must either fail or
-// leave every block under the ceiling.
+// and replaying an accepted record must either fail or leave every block
+// under the ceiling — on a fresh ledger, and again on one where the
+// record's blocks are already registered and hold a spend, which is the
+// only place a refund or a request gets past "unknown block" (a refund
+// larger than the spends used to panic there). A refused refund or
+// request leaves that ledger byte for byte as it was.
 func FuzzDecodeLedgerRecord(f *testing.F) {
 	for _, rec := range []LedgerRecord{
 		{Op: LedgerRegister, Blocks: []data.BlockID{7}},
@@ -23,6 +27,7 @@ func FuzzDecodeLedgerRecord(f *testing.F) {
 		{Op: LedgerRegister, Blocks: []data.BlockID{1, 2}, Budget: privacy.MustBudget(2, 0)},
 		{Op: LedgerRequest, Blocks: []data.BlockID{1, 2, 3}, Budget: privacy.MustBudget(0.25, 1e-8)},
 		{Op: LedgerRefund, Blocks: []data.BlockID{2}, Budget: privacy.MustBudget(0.125, 0)},
+		{Op: LedgerRefund, Blocks: []data.BlockID{2, 3}, Budget: privacy.MustBudget(0.03125, 1e-9)},
 		{Op: LedgerRetire, Blocks: []data.BlockID{42}},
 	} {
 		raw := rec.Encode()
@@ -37,12 +42,25 @@ func FuzzDecodeLedgerRecord(f *testing.F) {
 		if !bytes.Equal(rec.Encode(), raw) {
 			t.Fatalf("accepted input does not re-encode to itself:\n in  %x\n out %x", raw, rec.Encode())
 		}
-		ac := NewAccessControl(fuzzPolicy)
-		if err := ac.Apply(rec); err != nil {
-			return
+		checkUnderCeiling := func(ac *AccessControl) {
+			if loss := ac.StreamLoss(); !fuzzPolicy.Global.Covers(loss) || !fuzzPolicy.Global.Covers(ac.StreamLossWatermark()) {
+				t.Fatalf("replaying %+v put the ledger at %v, above the ceiling %v", rec, loss, fuzzPolicy.Global)
+			}
 		}
-		if loss := ac.StreamLoss(); !fuzzPolicy.Global.Covers(loss) || !fuzzPolicy.Global.Covers(ac.StreamLossWatermark()) {
-			t.Fatalf("replaying %+v put the ledger at %v, above the ceiling %v", rec, loss, fuzzPolicy.Global)
+		if ac := NewAccessControl(fuzzPolicy); ac.Apply(rec) == nil {
+			checkUnderCeiling(ac)
+		}
+		live := NewShardedAccessControl(fuzzPolicy, 3)
+		for _, id := range rec.Blocks {
+			if _, err := live.AdmitBlock(id, privacy.MustBudget(0.0625, 1e-8)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := live.Snapshot()
+		if err := live.Apply(rec); err == nil {
+			checkUnderCeiling(live)
+		} else if (rec.Op == LedgerRefund || rec.Op == LedgerRequest) && !bytes.Equal(live.Snapshot(), before) {
+			t.Fatalf("replaying %+v failed (%v) and still changed the ledger", rec, err)
 		}
 	})
 }

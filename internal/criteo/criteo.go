@@ -97,8 +97,15 @@ func NewGenerator(cfg Config, seed uint64) *Generator {
 	truth := rng.New(0xC817E0)
 	g.zipfs = make([]func() int, NumCategorical)
 	g.catW = make([]map[int]float64, NumCategorical)
+	// A sampler is its table plus the generator's RNG, so categoricals
+	// of one cardinality share it: five tables, not twenty-six.
+	byCard := make(map[int]func() int)
 	for c := 0; c < NumCategorical; c++ {
-		g.zipfs[c] = g.r.Zipf(cardinality(c), 1.15)
+		card := cardinality(c)
+		if byCard[card] == nil {
+			byCard[card] = g.r.Zipf(card, 1.15)
+		}
+		g.zipfs[c] = byCard[card]
 		g.catW[c] = make(map[int]float64, TopValues+1)
 		// Only the frequent values carry signal; the long tail is
 		// noise (mirrors how real Criteo models behave).
@@ -157,11 +164,13 @@ func (g *Generator) Generate(n int, startTime, span int64) []Impression {
 // Featurize encodes impressions: numeric features pass through; each
 // categorical becomes TopValues+1 one-hot columns (frequent values get
 // their own column, the tail shares "other"). Labels are 1 for clicks.
+// The rows come from data.NewDataset: each has cap == len and no other
+// Featurize result shares their storage.
 func Featurize(imps []Impression) *data.Dataset {
-	ds := &data.Dataset{Examples: make([]data.Example, 0, len(imps))}
+	ds := data.NewDataset(len(imps), FeatureDim)
 	for i := range imps {
-		imp := &imps[i]
-		f := make([]float64, FeatureDim)
+		imp, ex := &imps[i], &ds.Examples[i]
+		f := ex.Features
 		copy(f, imp.Numeric[:])
 		base := NumNumeric
 		for c := 0; c < NumCategorical; c++ {
@@ -172,11 +181,10 @@ func Featurize(imps []Impression) *data.Dataset {
 			f[base+v] = 1
 			base += TopValues + 1
 		}
-		label := 0.0
 		if imp.Click {
-			label = 1
+			ex.Label = 1
 		}
-		ds.Append(data.Example{Features: f, Label: label, Time: imp.Time, UserID: imp.UserID})
+		ex.Time, ex.UserID = imp.Time, imp.UserID
 	}
 	return ds
 }

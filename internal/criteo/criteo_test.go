@@ -2,11 +2,14 @@ package criteo
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/data"
 	"repro/internal/ml"
 	"repro/internal/rng"
+	"repro/internal/safety"
 )
 
 func TestGenerateDeterministic(t *testing.T) {
@@ -150,5 +153,108 @@ func TestGenerateInvariantsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// referenceFeaturize is Featurize as it stood before PR 19 — one make
+// per row — kept verbatim as the differential reference for the chunked
+// rows.
+func referenceFeaturize(imps []Impression) *data.Dataset {
+	ds := &data.Dataset{Examples: make([]data.Example, 0, len(imps))}
+	for i := range imps {
+		imp := &imps[i]
+		f := make([]float64, FeatureDim)
+		copy(f, imp.Numeric[:])
+		base := NumNumeric
+		for c := 0; c < NumCategorical; c++ {
+			v := imp.Categorical[c]
+			if v > TopValues {
+				v = TopValues
+			}
+			f[base+v] = 1
+			base += TopValues + 1
+		}
+		label := 0.0
+		if imp.Click {
+			label = 1
+		}
+		ds.Append(data.Example{Features: f, Label: label, Time: imp.Time, UserID: imp.UserID})
+	}
+	return ds
+}
+
+// TestFeaturizeMatchesReference: value-identical datasets, cap == len on
+// every row, and two results disjoint in memory.
+func TestFeaturizeMatchesReference(t *testing.T) {
+	for _, n := range []int{0, 1, 18, 19, 2500} {
+		imps := NewGenerator(Config{}, 21).Generate(n, 0, 48)
+		got, want := Featurize(imps), referenceFeaturize(imps)
+		if !reflect.DeepEqual(got.Examples, want.Examples) {
+			t.Errorf("n=%d: dataset differs from the reference", n)
+		}
+		other := Featurize(imps)
+		for _, ds := range []*data.Dataset{got, other} {
+			for i, ex := range ds.Examples {
+				if cap(ex.Features) != len(ex.Features) {
+					t.Fatalf("n=%d row %d: cap %d != len %d, an append would write its neighbour", n, i, cap(ex.Features), len(ex.Features))
+				}
+			}
+		}
+		for _, ex := range other.Examples {
+			for j := range ex.Features {
+				ex.Features[j] = math.Inf(-1)
+			}
+		}
+		if !reflect.DeepEqual(got.Examples, want.Examples) {
+			t.Errorf("n=%d: overwriting one Featurize result changed another", n)
+		}
+	}
+}
+
+// TestFeaturizeAllocs pins the chunked rows: 6000 impressions featurize
+// in rows/chunk + 4 allocations, not one per row.
+func TestFeaturizeAllocs(t *testing.T) {
+	imps := NewGenerator(Config{}, 22).Generate(6000, 0, 24)
+	const rowsPerChunk = (24 << 10) / (8 * FeatureDim)
+	got := safety.MaxAllocs(t, 5, 6000.0/rowsPerChunk+4, func() { Featurize(imps) })
+	t.Logf("Featurize(6000 impressions): %.0f allocations", got)
+}
+
+// TestGenerateMatchesPerFeatureSamplers: the impressions are those of
+// the generator as it stood before PR 19, which gave each of the 26
+// categoricals a sampler of its own and searched its whole table on
+// every draw. Sharing a table between categoricals of one cardinality,
+// and guiding the search, change neither an index nor the RNG stream.
+func TestGenerateMatchesPerFeatureSamplers(t *testing.T) {
+	got := NewGenerator(Config{}, 23)
+	want := NewGenerator(Config{}, 23)
+	for c := range want.zipfs {
+		n := cardinality(c)
+		cum := make([]float64, n)
+		acc := 0.0
+		for i := range cum {
+			acc += math.Pow(float64(i+1), -1.15)
+			cum[i] = acc
+		}
+		total := acc
+		want.zipfs[c] = func() int {
+			u := want.r.Float64() * total
+			lo, hi := 0, n-1
+			for lo < hi {
+				mid := (lo + hi) / 2
+				if cum[mid] < u {
+					lo = mid + 1
+				} else {
+					hi = mid
+				}
+			}
+			return lo
+		}
+	}
+	a, b := got.Generate(3000, 0, 48), want.Generate(3000, 0, 48)
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("impression %d differs from the per-feature-sampler generator", i)
+		}
 	}
 }

@@ -55,15 +55,12 @@ func (d *Daemon) ingest(t tick) error {
 // bytes. Returns the block's speed table.
 func (d *Daemon) ingestBlock(id data.BlockID) []float64 {
 	gen := taxi.NewGenerator(taxi.Config{}, rng.MixSeed(d.cfg.Seed, uint64(id)))
-	rides := gen.Generate(d.cfg.RowsPerBlock, int64(id)*blockHours, blockHours)
-	clean, _ := taxi.Clean(rides)
-	var speeds []float64
+	var r *rng.RNG
 	if d.cfg.FeatureEps > 0 {
-		speeds = taxi.SpeedByHour(clean, d.cfg.FeatureEps, rng.New(rng.MixSeed(d.cfg.Seed, uint64(id), 7)))
-	} else {
-		speeds = taxi.SpeedByHour(clean, 0, nil)
+		r = rng.New(rng.MixSeed(d.cfg.Seed, uint64(id), 7))
 	}
-	d.db.Insert(taxi.Featurize(clean, speeds).Examples...)
+	ds, speeds := taxi.Ingest(gen, d.cfg.RowsPerBlock, int64(id)*blockHours, blockHours, d.cfg.FeatureEps, r)
+	d.db.Insert(ds.Examples...)
 	return speeds
 }
 

@@ -2,10 +2,13 @@ package data
 
 import (
 	"math"
+	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/rng"
 	"repro/internal/safety"
@@ -319,4 +322,81 @@ func TestReadSplitAllocs(t *testing.T) {
 		r := rng.New(1)
 		safety.MaxAllocs(t, 10, 6, func() { ds.Split(0.9, r) })
 	}
+}
+
+// TestNewDatasetRows pins the row allocator's first rule and its
+// bookkeeping: n zeroed rows of the asked width, cap == len on each, and
+// rows/chunk + 2 allocations (the chunks, the dataset, its examples).
+func TestNewDatasetRows(t *testing.T) {
+	for _, c := range []struct{ n, dim int }{{0, 48}, {1, 48}, {64, 48}, {65, 48}, {6000, 48}, {6000, 169}, {10, 5000}, {7, 0}} {
+		ds := NewDataset(c.n, c.dim)
+		if ds.Len() != c.n {
+			t.Fatalf("NewDataset(%d, %d) has %d examples", c.n, c.dim, ds.Len())
+		}
+		for i, ex := range ds.Examples {
+			if len(ex.Features) != c.dim || cap(ex.Features) != c.dim {
+				t.Fatalf("NewDataset(%d, %d) row %d: len %d cap %d", c.n, c.dim, i, len(ex.Features), cap(ex.Features))
+			}
+			for _, v := range ex.Features {
+				if v != 0 {
+					t.Fatalf("NewDataset(%d, %d) row %d is not zeroed", c.n, c.dim, i)
+				}
+			}
+		}
+		// A row written end to end, and appended to, leaves every other
+		// row zero.
+		for i := range ds.Examples {
+			row := ds.Examples[i].Features
+			for j := range row {
+				row[j] = 1
+			}
+			_ = append(row, 2)
+			for k, other := range ds.Examples {
+				for _, v := range other.Features {
+					if k != i && v != 0 {
+						t.Fatalf("NewDataset(%d, %d): writing row %d changed row %d", c.n, c.dim, i, k)
+					}
+				}
+			}
+			clear(row)
+			if c.n > 100 && i > 130 {
+				break // two chunk edges are crossed by then
+			}
+		}
+		if c.dim > 0 {
+			perChunk := max(rowChunkBytes/(8*c.dim), 1)
+			chunks := float64((c.n + perChunk - 1) / perChunk)
+			safety.MaxAllocs(t, 5, chunks+2, func() { NewDataset(c.n, c.dim) })
+		}
+	}
+}
+
+// TestNewDatasetChunksDieWithTheirDataset pins the second rule, the one
+// DP-informed retention rests on: a chunk belongs to one NewDataset
+// call, so dropping that call's examples frees every one of its chunks
+// even while a dataset allocated right after it — which a shared or
+// pooled chunk would have served too — stays live.
+func TestNewDatasetChunksDieWithTheirDataset(t *testing.T) {
+	const n, dim = 1000, 48
+	perChunk := rowChunkBytes / (8 * dim)
+	var freed, chunks atomic.Int64
+	retired := NewDataset(n, dim)
+	kept := NewDataset(n, dim)
+	for i := 0; i < n; i += perChunk {
+		// A chunk's first row starts its allocation, which is where a
+		// finalizer may be set.
+		runtime.SetFinalizer(&retired.Examples[i].Features[0], func(*float64) { freed.Add(1) })
+		chunks.Add(1)
+	}
+	retired = nil
+	// Finalizers run on their own goroutine some time after the cycle
+	// that found the object dead.
+	for i := 0; i < 200 && freed.Load() < chunks.Load(); i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if freed.Load() != chunks.Load() {
+		t.Errorf("%d of %d chunks of a dropped dataset were freed", freed.Load(), chunks.Load())
+	}
+	runtime.KeepAlive(kept)
 }

@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -549,6 +550,45 @@ func TestMismatchedPolicyFailsClosed(t *testing.T) {
 		_, _, err := Open(dir, core.Policy{Global: privacy.MustBudget(0.5, 1e-6)}, Options{})
 		if err == nil {
 			t.Fatalf("journal (compacted=%v) recovered under a tighter policy", compacted)
+		}
+	}
+}
+
+// TestOverRefundRecordFailsOpen: a refund record that is CRC-valid but
+// asks a registered block for more than its recorded spends — damage a
+// checksum cannot see, or the journal of a caller bug — used to panic
+// recovery inside privacy.Accountant.Refund. Open must fail instead, in
+// the single-segment and the three-segment layout, and say which record.
+func TestOverRefundRecordFailsOpen(t *testing.T) {
+	for _, nshards := range []int{1, 3} {
+		dir := t.TempDir()
+		p := mustOpen(t, dir, Options{LedgerShards: nshards, NoSync: true})
+		const id = data.BlockID(5)
+		if _, err := p.AC.AdmitBlock(id, privacy.MustBudget(0.05, 0)); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.AC.Request([]data.BlockID{id}, privacy.MustBudget(0.25, 1e-8)); err != nil {
+			t.Fatal(err)
+		}
+		shard := p.AC.ShardOf(id)
+		p.Close()
+
+		// The damaged record goes where the block's records live,
+		// framed and checksummed like any other.
+		seg, _, err := wal.Open(filepath.Join(dir, LedgerSegmentName(shard, nshards)), wal.Options{NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		over := core.LedgerRecord{Op: core.LedgerRefund, Blocks: []data.BlockID{id}, Budget: privacy.MustBudget(0.75, 0)}
+		if err := seg.Append(recLedgerOp, over.Encode()); err != nil {
+			t.Fatal(err)
+		}
+		seg.Close()
+
+		_, _, err = Open(dir, testPolicy, Options{LedgerShards: nshards, NoSync: true})
+		var refused core.ErrRefundExceedsSpend
+		if !errors.As(err, &refused) || refused.ID != id {
+			t.Fatalf("%d shard(s): Open = %v, want an error wrapping ErrRefundExceedsSpend for block %d", nshards, err, id)
 		}
 	}
 }

@@ -2,6 +2,9 @@ package experiments
 
 import (
 	"bytes"
+	"io"
+	"os"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -261,5 +264,75 @@ func TestFig8SmallSweep(t *testing.T) {
 	PrintFig8(&buf, res)
 	if !strings.Contains(buf.String(), "Block/Conserve") {
 		t.Error("PrintFig8 missing strategies")
+	}
+}
+
+// sweepFig8 is the Fig. 8 call of the benchmark's exp-sweep workload
+// (bench/sizes.go) at seed 1.
+var sweepFig8 = Fig8Options{TaxiRates: []float64{0.2, 0.6}, CriteoRates: []float64{0.3}, Hours: 500, Seed: 1}
+
+// TestFig8BenchGolden holds PrintFig8 at the benchmark's exp-sweep
+// options to the bytes the simulator printed before its attempt kernels
+// were rewritten (testdata written at PR 18's commit): a faster
+// simulator must be the same simulator.
+func TestFig8BenchGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/fig8_bench.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	PrintFig8(&got, Fig8(sweepFig8))
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("PrintFig8 differs from the golden:\n got:\n%s\nwant:\n%s", got.Bytes(), want)
+	}
+}
+
+// BenchmarkSweepPass is one pass of the benchmark's exp-sweep workload:
+// the six calls bench/exp.go makes, with its options (bench/sizes.go)
+// and GOMAXPROCS workers. It exists for `-cpuprofile` — what a sweep's
+// p50 is made of, call by call — and is not gated: bench/ owns the
+// numbers. The sub-benchmarks are the calls, so `-bench SweepPass/fig8`
+// profiles one.
+func BenchmarkSweepPass(b *testing.B) {
+	workers := runtime.GOMAXPROCS(0)
+	fig7 := Fig7Options{
+		Sizes: []int{20000, 80000, 160000}, LRBlockSizes: []int{10000}, Targets: []float64{0.007},
+		MaxStream: 160000, Holdout: 20000, SkipNN: true, Seed: 1, Workers: workers,
+	}
+	calls := []struct {
+		name string
+		run  func()
+	}{
+		{"fig5", func() {
+			PrintFig5(io.Discard, Fig5(Fig5Options{
+				Sizes: []int{10000, 40000, 160000}, Holdout: 20000, Models: []string{"Taxi-LR"}, Seed: 1, Workers: workers,
+			}))
+		}},
+		{"fig6", func() {
+			PrintFig6(io.Discard, Fig6(Fig6Options{
+				MaxStream: 150000, Models: []string{"Taxi-LR"}, TargetsPerConfig: 1,
+				Modes: []validation.Mode{validation.ModeNoSLA, validation.ModeSage}, Seed: 1, Workers: workers,
+			}))
+		}},
+		{"fig7_quality", func() { PrintFig7(io.Discard, Fig7Quality(fig7), nil) }},
+		{"fig7_accept", func() { PrintFig7(io.Discard, nil, Fig7Accept(fig7)) }},
+		{"fig8", func() {
+			o := sweepFig8
+			o.Workers = workers
+			PrintFig8(io.Discard, Fig8(o))
+		}},
+		{"tab2", func() {
+			PrintTab2(io.Discard, Tab2(Tab2Options{
+				Runs: 1, Stream: 40000, Holdout: 10000, Etas: []float64{0.05},
+				Modes: []validation.Mode{validation.ModeSage}, Seed: 1, Workers: workers,
+			}))
+		}},
+	}
+	for _, c := range calls {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				c.run()
+			}
+		})
 	}
 }

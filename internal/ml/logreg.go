@@ -48,6 +48,12 @@ func (m *LogisticRegression) Grad(x []float64, y float64, out []float64) {
 	out[m.dim] = diff
 }
 
+// gradCoef implements rankOne: the gradient above is (p − y)·[x; 1].
+func (m *LogisticRegression) gradCoef(x []float64, y float64) (coef, sqNorm float64) {
+	dot, sqNorm := dotSqNorm(m.params[:m.dim], x)
+	return Sigmoid(dot+m.params[m.dim]) - y, sqNorm
+}
+
 // SGDLinearRegression is a linear regressor trained by (DP-)SGD on the
 // squared loss. The paper's Taxi NN comparisons also use SGD-trained
 // linear baselines when closed-form training is not applicable.
@@ -87,4 +93,10 @@ func (m *SGDLinearRegression) Grad(x []float64, y float64, out []float64) {
 		out[i] = diff * x[i]
 	}
 	out[m.dim] = diff
+}
+
+// gradCoef implements rankOne: the gradient above is 2(pred − y)·[x; 1].
+func (m *SGDLinearRegression) gradCoef(x []float64, y float64) (coef, sqNorm float64) {
+	dot, sqNorm := dotSqNorm(m.params[:m.dim], x)
+	return 2 * (dot + m.params[m.dim] - y), sqNorm
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/data"
+	"repro/internal/linalg"
 	"repro/internal/privacy"
 	"repro/internal/rng"
 )
@@ -83,20 +84,75 @@ func getSGDScratch(p int) *sgdScratch {
 	s.velocity = s.velocity[:p]
 	s.grad = s.grad[:p]
 	s.batchGrad = s.batchGrad[:p]
-	for i := range s.velocity {
-		s.velocity[i] = 0
-	}
+	clear(s.velocity)
 	return s
 }
 
+// rankOne is implemented by the linear models (LogisticRegression,
+// SGDLinearRegression), whose per-example gradient is a scalar times
+// the bias-augmented row: g = coef·[x; 1]. gradCoef returns that scalar
+// and ‖x‖² from one pass over x, which is all DP-SGD needs to know
+// about g before adding it — see addGrad.
+type rankOne interface {
+	gradCoef(x []float64, y float64) (coef, sqNorm float64)
+}
+
+// dotSqNorm returns w·x and ‖x‖² from one pass over x. The two sums are
+// independent chains, so the second rides in the first's latency; w·x
+// accumulates in linalg.Dot's order and is bit-identical to it, which
+// keeps gradCoef's coefficient the one Grad computes through Predict.
+func dotSqNorm(w, x []float64) (dot, sqNorm float64) {
+	for i, xi := range x {
+		dot += w[i] * xi
+		sqNorm += xi * xi
+	}
+	return dot, sqNorm
+}
+
+// addGrad adds one example's gradient to sum, clipped to L2 norm clip
+// first when clip > 0 (DP-SGD's per-example sensitivity bound). linear
+// is model's rankOne side, nil if it has none.
+//
+// A general model materializes the gradient in grad, clips it and adds
+// it: four passes over the parameter vector. For a rank-one gradient
+// g = coef·[x; 1] the norm is ‖g‖ = |coef|·√(‖x‖² + 1), so clipping g
+// to the bound is scaling coef by bound/‖g‖ — the same vector, the same
+// bound, hence the same sensitivity — and the sum takes one axpy: two
+// passes over x, and no gradient buffer.
+func addGrad(sum []float64, model GradModel, linear rankOne, ex *data.Example, clip float64, grad []float64) {
+	if linear == nil {
+		model.Grad(ex.Features, ex.Label, grad)
+		if clip > 0 {
+			privacy.ClipL2(grad, clip)
+		}
+		linalg.AXPY(1, grad, sum)
+		return
+	}
+	coef, sqNorm := linear.gradCoef(ex.Features, ex.Label)
+	if clip > 0 {
+		if norm := math.Abs(coef) * math.Sqrt(sqNorm+1); norm > clip {
+			coef *= clip / norm
+		}
+	}
+	// AXPY panics on a row that is not the model's width.
+	bias := len(sum) - 1
+	linalg.AXPY(coef, ex.Features, sum[:bias])
+	sum[bias] += coef
+}
+
 // TrainSGD trains the model in place and returns it. The trainer is
-// deterministic given the RNG.
+// deterministic given the RNG. Per-example gradients go through addGrad:
+// linear models take its rank-one path (clipped coefficient, one axpy),
+// which leaves plain SGD bit-identical to the Grad loop and moves only
+// the low-order bits of DP-SGD's clipped sums; the noise draws, their
+// order and NoiseMultiplier are the same on both paths.
 func TrainSGD(model GradModel, ds *data.Dataset, cfg SGDConfig, r *rng.RNG) GradModel {
 	cfg.validate()
 	n := ds.Len()
 	if n == 0 {
 		return model
 	}
+	linear, _ := model.(rankOne)
 	params := model.Params()
 	p := len(params)
 	scratch := getSGDScratch(p)
@@ -112,17 +168,14 @@ func TrainSGD(model GradModel, ds *data.Dataset, cfg SGDConfig, r *rng.RNG) Grad
 
 	stepsPerEpoch := (n + cfg.BatchSize - 1) / cfg.BatchSize
 	q := float64(cfg.BatchSize) / float64(n)
-	perm := make([]int, 0, n)
+	var perm []int
 
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		if !cfg.DP {
 			perm = r.Perm(n)
 		}
 		for step := 0; step < stepsPerEpoch; step++ {
-			for i := range batchGrad {
-				batchGrad[i] = 0
-			}
-			count := 0
+			clear(batchGrad)
 			if cfg.DP {
 				// Poisson sampling: include each example independently
 				// with probability q, matching the RDP analysis. The
@@ -130,13 +183,7 @@ func TrainSGD(model GradModel, ds *data.Dataset, cfg SGDConfig, r *rng.RNG) Grad
 				// floor(ln U / ln(1-q)) misses between hits — so a step
 				// costs O(q·n) RNG draws instead of n Bernoulli draws.
 				for i := nextPoisson(r, q, -1); i < n; i = nextPoisson(r, q, i) {
-					ex := ds.Examples[i]
-					model.Grad(ex.Features, ex.Label, grad)
-					privacy.ClipL2(grad, cfg.ClipNorm)
-					for j := range batchGrad {
-						batchGrad[j] += grad[j]
-					}
-					count++
+					addGrad(batchGrad, model, linear, &ds.Examples[i], cfg.ClipNorm, grad)
 				}
 				// Noise the summed gradient; normalize by the
 				// *expected* batch size as in Abadi et al.
@@ -152,18 +199,10 @@ func TrainSGD(model GradModel, ds *data.Dataset, cfg SGDConfig, r *rng.RNG) Grad
 					hi = n
 				}
 				for _, idx := range perm[lo:hi] {
-					ex := ds.Examples[idx]
-					model.Grad(ex.Features, ex.Label, grad)
-					for j := range batchGrad {
-						batchGrad[j] += grad[j]
-					}
-					count++
-				}
-				if count == 0 {
-					continue
+					addGrad(batchGrad, model, linear, &ds.Examples[idx], 0, grad)
 				}
 				for j := range batchGrad {
-					batchGrad[j] /= float64(count)
+					batchGrad[j] /= float64(hi - lo)
 				}
 			}
 			for j := range params {

@@ -175,10 +175,23 @@ func (a *Accountant) Spend(b Budget) {
 	a.basic = a.basic.Add(b)
 }
 
+// CanRefund reports whether the recorded spends cover b, i.e. whether
+// Refund(b) would succeed. It changes nothing.
+func (a *Accountant) CanRefund(b Budget) bool {
+	for i := len(a.spends) - 1; i >= 0 && !b.IsZero(); i-- {
+		b = b.Sub(a.spends[i].Min(b))
+	}
+	return b.IsZero()
+}
+
 // Refund removes budget from the most recent spend(s). It is used when a
 // reserved budget was not fully consumed. Refunding more than was spent
-// panics: that would under-count privacy loss.
+// would under-count privacy loss: it panics, with nothing removed —
+// callers whose b comes from outside the program ask CanRefund first.
 func (a *Accountant) Refund(b Budget) {
+	if !a.CanRefund(b) {
+		panic("privacy: refund exceeds recorded spends")
+	}
 	for i := len(a.spends) - 1; i >= 0 && !b.IsZero(); i-- {
 		take := a.spends[i].Min(b)
 		a.spends[i] = a.spends[i].Sub(take)
@@ -187,9 +200,6 @@ func (a *Accountant) Refund(b Budget) {
 		if a.spends[i].IsZero() {
 			a.spends = a.spends[:i]
 		}
-	}
-	if !b.IsZero() {
-		panic("privacy: refund exceeds recorded spends")
 	}
 }
 

@@ -119,6 +119,47 @@ func TestAccountantRefund(t *testing.T) {
 	a.Refund(MustBudget(10, 0))
 }
 
+// TestAccountantCanRefund: CanRefund answers what Refund would do —
+// component by component, across spends — without doing it, and a
+// refused Refund panics before it removes anything.
+func TestAccountantCanRefund(t *testing.T) {
+	a := NewAccountant(nil)
+	a.Spend(MustBudget(0.5, 1e-7))
+	a.Spend(MustBudget(0.3, 0))
+	for _, c := range []struct {
+		b    Budget
+		want bool
+	}{
+		{MustBudget(0, 0), true},
+		{MustBudget(0.3, 0), true},
+		{MustBudget(0.8, 1e-7), true}, // exactly everything, over both spends
+		{MustBudget(0.8000001, 0), false},
+		{MustBudget(0.1, 2e-7), false}, // ε is covered, δ is not
+		{MustBudget(math.MaxFloat64, 1), false},
+	} {
+		if got := a.CanRefund(c.b); got != c.want {
+			t.Errorf("CanRefund(%v) = %v, want %v", c.b, got, c.want)
+		}
+	}
+	if loss := a.Loss(); loss != MustBudget(0.8, 1e-7) || a.NumSpends() != 2 {
+		t.Errorf("CanRefund changed the accountant: loss %v, %d spends", loss, a.NumSpends())
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("over-refund should panic")
+			}
+		}()
+		a.Refund(MustBudget(0.9, 0))
+	}()
+	if loss := a.Loss(); loss != MustBudget(0.8, 1e-7) || a.NumSpends() != 2 {
+		t.Errorf("a refused refund was partly applied: loss %v, %d spends", loss, a.NumSpends())
+	}
+	if empty := NewAccountant(nil); empty.CanRefund(MustBudget(1e-9, 0)) || !empty.CanRefund(Zero) {
+		t.Error("an empty accountant covers exactly the zero refund")
+	}
+}
+
 func TestStrongArithmeticPicksTighter(t *testing.T) {
 	s := StrongArithmetic{DeltaSlack: 1e-6}
 	// One big query: basic wins.

@@ -203,31 +203,65 @@ func (r *RNG) Categorical(weights []float64) int {
 }
 
 // Zipf returns a sampler over [0, n) with Zipf-like weights 1/(i+1)^s,
-// used by the Criteo generator for power-law categorical features.
+// used by the Criteo generator for power-law categorical features. A
+// draw consumes one Float64.
 func (r *RNG) Zipf(n int, s float64) func() int {
-	weights := make([]float64, n)
-	for i := range weights {
-		weights[i] = math.Pow(float64(i+1), -s)
-	}
-	// Precompute cumulative weights for binary search.
-	cum := make([]float64, n)
+	t := newZipfTable(n, s)
+	return func() int { return t.index(r.src.Float64() * t.cum[n-1]) }
+}
+
+// zipfTable inverts the Zipf CDF: index(u) is the smallest i whose
+// cumulative weight cum[i] reaches u (n−1 if rounding leaves none). The
+// binary search that finds it does not start from [0, n−1] but from a
+// guide table: u's share of the total picks one of n equal-width
+// buckets, and guide[j], guide[j+1] bracket the answer of every u in
+// bucket j. A frequent value's weight spans many buckets, so the common
+// draw needs no search step at all and the rare one a few instead of
+// log₂ n.
+type zipfTable struct {
+	cum     []float64
+	guide   []int32
+	perUnit float64 // buckets per unit of cumulative weight
+}
+
+func newZipfTable(n int, s float64) *zipfTable {
+	t := &zipfTable{cum: make([]float64, n), guide: make([]int32, n+1)}
 	acc := 0.0
-	for i, w := range weights {
-		acc += w
-		cum[i] = acc
+	for i := range t.cum {
+		acc += math.Pow(float64(i+1), -s)
+		t.cum[i] = acc
 	}
-	total := acc
-	return func() int {
-		u := r.src.Float64() * total
-		lo, hi := 0, n-1
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if cum[mid] < u {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
+	for j, i := 0, 0; j < n; j++ {
+		for i < n-1 && t.cum[i] < acc*float64(j)/float64(n) {
+			i++
 		}
-		return lo
+		t.guide[j] = int32(i)
 	}
+	t.guide[n] = int32(n - 1)
+	t.perUnit = float64(n) / acc
+	return t
+}
+
+func (t *zipfTable) index(u float64) int {
+	n := len(t.cum)
+	j := min(int(u*t.perUnit), n-1)
+	lo, hi := int(t.guide[j]), int(t.guide[j+1])
+	// The bucket index is a rounded product, so the bracket is checked
+	// against the table before it is trusted: the result is the
+	// unguided search's for every u.
+	if lo > 0 && t.cum[lo-1] >= u {
+		lo = 0
+	}
+	if t.cum[hi] < u {
+		hi = n - 1
+	}
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if t.cum[mid] < u {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }

@@ -227,3 +227,103 @@ func TestIntNRangeProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// referenceZipf is Zipf as it stood before PR 19, kept verbatim as the
+// differential reference: a fresh binary search over [0, n-1] per draw.
+func referenceZipf(r *RNG, n int, s float64) func() int {
+	weights := make([]float64, n)
+	for i := range weights {
+		weights[i] = math.Pow(float64(i+1), -s)
+	}
+	// Precompute cumulative weights for binary search.
+	cum := make([]float64, n)
+	acc := 0.0
+	for i, w := range weights {
+		acc += w
+		cum[i] = acc
+	}
+	total := acc
+	return func() int {
+		u := r.src.Float64() * total
+		lo, hi := 0, n-1
+		for lo < hi {
+			mid := (lo + hi) / 2
+			if cum[mid] < u {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		return lo
+	}
+}
+
+// TestZipfMatchesReference holds the guided search to the unguided one
+// at the Criteo generator's five cardinalities: the same index on every
+// one of 10⁶ draws, and the RNG left where the reference leaves it.
+func TestZipfMatchesReference(t *testing.T) {
+	draws := 1000000
+	if testing.Short() {
+		draws = 50000
+	}
+	for _, n := range []int{20, 100, 500, 5000, 20000} {
+		a, b := New(uint64(n)), New(uint64(n))
+		got, want := a.Zipf(n, 1.15), referenceZipf(b, n, 1.15)
+		for i := 0; i < draws; i++ {
+			if g, w := got(), want(); g != w {
+				t.Fatalf("n=%d draw %d: index %d, reference %d", n, i, g, w)
+			}
+		}
+		if g, w := a.Uint64(), b.Uint64(); g != w {
+			t.Errorf("n=%d: RNG streams diverged after %d draws", n, draws)
+		}
+	}
+}
+
+// TestZipfIndexAtBoundaries aims u where a guide table can go wrong and
+// random draws almost never land: at every cumulative weight and every
+// bucket edge, and one ulp to either side of each.
+func TestZipfIndexAtBoundaries(t *testing.T) {
+	for _, n := range []int{1, 2, 20, 100, 500, 5000, 20000} {
+		tab := newZipfTable(n, 1.15)
+		total := tab.cum[n-1]
+		unguided := func(u float64) int {
+			lo, hi := 0, n-1
+			for lo < hi {
+				mid := (lo + hi) / 2
+				if tab.cum[mid] < u {
+					lo = mid + 1
+				} else {
+					hi = mid
+				}
+			}
+			return lo
+		}
+		check := func(u float64) {
+			for _, v := range []float64{math.Nextafter(u, 0), u, math.Nextafter(u, math.Inf(1))} {
+				if v < 0 || v > total {
+					continue
+				}
+				if got, want := tab.index(v), unguided(v); got != want {
+					t.Fatalf("n=%d u=%v: index %d, unguided search %d", n, v, got, want)
+				}
+			}
+		}
+		// The second and third rounds skew the bucket scale, so that
+		// the guide brackets the wrong indices: index checks a bracket
+		// before trusting it, so a wrong guide may cost steps, never
+		// the answer. (With an exact scale the check only fires when a
+		// cumulative weight sits within rounding of a bucket edge.)
+		exact := tab.perUnit
+		for _, skew := range []float64{1, 0.97, 1.03} {
+			tab.perUnit = exact * skew
+			for i := 0; i < n; i++ {
+				check(tab.cum[i])
+				check(total * float64(i) / float64(n))
+				check(float64(i) / tab.perUnit)
+			}
+			check(0)
+			check(total)
+		}
+	}
+}

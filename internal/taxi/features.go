@@ -35,20 +35,19 @@ func speedScale(kmh float64) float64 { return privacy.Clip(kmh/45, 0, 1) }
 // are released with (ε, 0)-DP; epsilon == 0 computes exact means (the
 // non-private pipeline).
 func SpeedByHour(rides []Ride, epsilon float64, r *rng.RNG) []float64 {
-	keys := make([]int, len(rides))
-	values := make([]float64, len(rides))
-	for i, ride := range rides {
-		keys[i] = int(ride.PickupHour % 24)
-		values[i] = ride.Speed
-	}
 	if epsilon > 0 {
-		res := stats.DPGroupByMean(keys, values, numHourBuckets, epsilon, 45, r)
-		return res.Means
+		keys := make([]int, len(rides))
+		values := make([]float64, len(rides))
+		for i := range rides {
+			keys[i] = int(rides[i].PickupHour % 24)
+			values[i] = rides[i].Speed
+		}
+		return stats.DPGroupByMean(keys, values, numHourBuckets, epsilon, 45, r).Means
 	}
-	sums := make([]float64, numHourBuckets)
-	counts := make([]float64, numHourBuckets)
-	for i, k := range keys {
-		sums[k] += values[i]
+	var sums, counts [numHourBuckets]float64
+	for i := range rides {
+		k := rides[i].PickupHour % 24
+		sums[k] += rides[i].Speed
 		counts[k]++
 	}
 	means := make([]float64, numHourBuckets)
@@ -64,10 +63,12 @@ func SpeedByHour(rides []Ride, epsilon float64, r *rng.RNG) []float64 {
 // per-hour speed table (from SpeedByHour). Labels are durations scaled
 // to [0, 1] by the 2.5 h cap. Examples carry the pickup hour as the
 // stream time and the rider as UserID, so the same dataset supports both
-// block semantics.
+// block semantics. The rows come from data.NewDataset: each has
+// cap == len and no other Featurize result shares their storage.
 func Featurize(rides []Ride, speedByHour []float64) *data.Dataset {
-	ds := &data.Dataset{Examples: make([]data.Example, 0, len(rides))}
-	for _, ride := range rides {
+	ds := data.NewDataset(len(rides), FeatureDim)
+	for i := range rides {
+		ride, ex := &rides[i], &ds.Examples[i]
 		hour := int(ride.PickupHour % 24)
 		day := int(ride.PickupHour / 24 % 7)
 		week := int(ride.PickupHour / (24 * 7) % int64(numWeekBuckets))
@@ -75,7 +76,7 @@ func Featurize(rides []Ride, speedByHour []float64) *data.Dataset {
 		if distBucket >= numDistBuckets {
 			distBucket = numDistBuckets - 1
 		}
-		f := make([]float64, FeatureDim)
+		f := ex.Features
 		f[0] = distScale(ride.Distance)
 		f[1] = speedScale(speedByHour[hour])
 		base := 2
@@ -86,14 +87,24 @@ func Featurize(rides []Ride, speedByHour []float64) *data.Dataset {
 		f[base+week] = 1
 		base += numWeekBuckets
 		f[base+distBucket] = 1
-		ds.Append(data.Example{
-			Features: f,
-			Label:    privacy.Clip(ride.Duration/MaxDuration, 0, 1),
-			Time:     ride.PickupHour,
-			UserID:   ride.UserID,
-		})
+		ex.Label = privacy.Clip(ride.Duration/MaxDuration, 0, 1)
+		ex.Time = ride.PickupHour
+		ex.UserID = ride.UserID
 	}
 	return ds
+}
+
+// Ingest is the stream's one ingest sequence — generate n rides over
+// [startHour, startHour+spanHours), drop what the Appendix C filters
+// reject, compute the hour_speed table ((speedEpsilon, 0)-DP from r when
+// speedEpsilon > 0, exact otherwise), featurize — and returns the
+// dataset with the table it was featurized with. The rides exist only
+// here, so the filter compacts them in place where Clean must copy.
+func Ingest(gen *Generator, n int, startHour, spanHours int64, speedEpsilon float64, r *rng.RNG) (*data.Dataset, []float64) {
+	rides := gen.Generate(n, startHour, spanHours)
+	clean := appendValid(rides[:0], rides)
+	speeds := SpeedByHour(clean, speedEpsilon, r)
+	return Featurize(clean, speeds), speeds
 }
 
 // Pipeline bundles generation → cleaning → featurization for the
@@ -101,13 +112,10 @@ func Featurize(rides []Ride, speedByHour []float64) *data.Dataset {
 // startHour, applies the Appendix C filters, computes the speed feature
 // (DP if speedEpsilon > 0), and featurizes.
 func Pipeline(n int, startHour, spanHours int64, outlierFrac, speedEpsilon float64, seed uint64) *data.Dataset {
-	gen := NewGenerator(Config{OutlierFraction: outlierFrac}, seed)
-	rides := gen.Generate(n, startHour, spanHours)
-	clean, _ := Clean(rides)
 	var r *rng.RNG
 	if speedEpsilon > 0 {
 		r = rng.New(seed + 1)
 	}
-	speeds := SpeedByHour(clean, speedEpsilon, r)
-	return Featurize(clean, speeds)
+	ds, _ := Ingest(NewGenerator(Config{OutlierFraction: outlierFrac}, seed), n, startHour, spanHours, speedEpsilon, r)
+	return ds
 }

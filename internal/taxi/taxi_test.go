@@ -2,11 +2,16 @@ package taxi
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/data"
 	"repro/internal/ml"
+	"repro/internal/privacy"
 	"repro/internal/rng"
+	"repro/internal/safety"
+	"repro/internal/stats"
 )
 
 func TestGenerateDeterministic(t *testing.T) {
@@ -208,4 +213,143 @@ func TestFeatureBoundsProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
 	}
+}
+
+// referencePipeline is Pipeline as it stood before PR 19 — Clean's copy,
+// SpeedByHour over key and value arrays in both branches, one make per
+// featurized row — kept verbatim as the differential reference for
+// Ingest, the in-place filter, the exact-mean branch and the chunked
+// rows at once.
+func referencePipeline(n int, startHour, spanHours int64, outlierFrac, speedEpsilon float64, seed uint64) (*data.Dataset, []float64) {
+	gen := NewGenerator(Config{OutlierFraction: outlierFrac}, seed)
+	rides := gen.Generate(n, startHour, spanHours)
+	clean, _ := Clean(rides)
+	var r *rng.RNG
+	if speedEpsilon > 0 {
+		r = rng.New(seed + 1)
+	}
+	speeds := referenceSpeedByHour(clean, speedEpsilon, r)
+	return referenceFeaturize(clean, speeds), speeds
+}
+
+func referenceSpeedByHour(rides []Ride, epsilon float64, r *rng.RNG) []float64 {
+	keys := make([]int, len(rides))
+	values := make([]float64, len(rides))
+	for i, ride := range rides {
+		keys[i] = int(ride.PickupHour % 24)
+		values[i] = ride.Speed
+	}
+	if epsilon > 0 {
+		res := stats.DPGroupByMean(keys, values, numHourBuckets, epsilon, 45, r)
+		return res.Means
+	}
+	sums := make([]float64, numHourBuckets)
+	counts := make([]float64, numHourBuckets)
+	for i, k := range keys {
+		sums[k] += values[i]
+		counts[k]++
+	}
+	means := make([]float64, numHourBuckets)
+	for k := range means {
+		if counts[k] > 0 {
+			means[k] = sums[k] / counts[k]
+		}
+	}
+	return means
+}
+
+func referenceFeaturize(rides []Ride, speedByHour []float64) *data.Dataset {
+	ds := &data.Dataset{Examples: make([]data.Example, 0, len(rides))}
+	for _, ride := range rides {
+		hour := int(ride.PickupHour % 24)
+		day := int(ride.PickupHour / 24 % 7)
+		week := int(ride.PickupHour / (24 * 7) % int64(numWeekBuckets))
+		distBucket := int(distScale(ride.Distance) * float64(numDistBuckets))
+		if distBucket >= numDistBuckets {
+			distBucket = numDistBuckets - 1
+		}
+		f := make([]float64, FeatureDim)
+		f[0] = distScale(ride.Distance)
+		f[1] = speedScale(speedByHour[hour])
+		base := 2
+		f[base+hour] = 1
+		base += numHourBuckets
+		f[base+day] = 1
+		base += numDayBuckets
+		f[base+week] = 1
+		base += numWeekBuckets
+		f[base+distBucket] = 1
+		ds.Append(data.Example{
+			Features: f,
+			Label:    privacy.Clip(ride.Duration/MaxDuration, 0, 1),
+			Time:     ride.PickupHour,
+			UserID:   ride.UserID,
+		})
+	}
+	return ds
+}
+
+// TestIngestMatchesReference: the dataset and the speed table are
+// value-identical to the reference's with and without outliers to
+// filter, with exact and with DP speeds; every row has cap == len; and
+// two results are disjoint in memory.
+func TestIngestMatchesReference(t *testing.T) {
+	for _, c := range []struct {
+		n                    int
+		outlierFrac, speedEp float64
+	}{{3000, 0, 0}, {3000, 0.08, 0}, {3000, 0.08, 0.3}, {1, 0, 0}, {0, 0, 0}} {
+		want, wantSpeeds := referencePipeline(c.n, 24, 24*9, c.outlierFrac, c.speedEp, 17)
+		var r *rng.RNG
+		if c.speedEp > 0 {
+			r = rng.New(17 + 1)
+		}
+		got, gotSpeeds := Ingest(NewGenerator(Config{OutlierFraction: c.outlierFrac}, 17), c.n, 24, 24*9, c.speedEp, r)
+		if !reflect.DeepEqual(gotSpeeds, wantSpeeds) {
+			t.Errorf("%+v: speed table differs from the reference", c)
+		}
+		if !reflect.DeepEqual(got.Examples, want.Examples) {
+			t.Errorf("%+v: dataset differs from the reference (%d vs %d rows)", c, got.Len(), want.Len())
+		}
+		if viaPipeline := Pipeline(c.n, 24, 24*9, c.outlierFrac, c.speedEp, 17); !reflect.DeepEqual(viaPipeline.Examples, got.Examples) {
+			t.Errorf("%+v: Pipeline and Ingest disagree", c)
+		}
+		assertOwnRows(t, got, Pipeline(c.n, 24, 24*9, c.outlierFrac, c.speedEp, 17))
+	}
+}
+
+// assertOwnRows fails unless every row of a and b has cap == len and a
+// write over all of one dataset's rows leaves the other's untouched.
+func assertOwnRows(t *testing.T, a, b *data.Dataset) {
+	t.Helper()
+	for _, ds := range []*data.Dataset{a, b} {
+		for i, ex := range ds.Examples {
+			if cap(ex.Features) != len(ex.Features) {
+				t.Fatalf("row %d: cap %d != len %d, an append would write its neighbour", i, cap(ex.Features), len(ex.Features))
+			}
+		}
+	}
+	before := make([][]float64, b.Len())
+	for i, ex := range b.Examples {
+		before[i] = append([]float64(nil), ex.Features...)
+	}
+	for _, ex := range a.Examples {
+		for j := range ex.Features {
+			ex.Features[j] = math.Inf(-1)
+		}
+	}
+	for i, ex := range b.Examples {
+		if !reflect.DeepEqual(ex.Features, before[i]) {
+			t.Fatalf("row %d changed when another Featurize result was overwritten", i)
+		}
+	}
+}
+
+// TestFeaturizeAllocs pins the chunked rows: 6000 rides featurize in
+// rows/chunk + 4 allocations, not one per row.
+func TestFeaturizeAllocs(t *testing.T) {
+	rides := NewGenerator(Config{}, 8).Generate(6000, 0, 24)
+	speeds := SpeedByHour(rides, 0, nil)
+	const rowsPerChunk = (24 << 10) / (8 * FeatureDim)
+	got := safety.MaxAllocs(t, 5, 6000.0/rowsPerChunk+4, func() { Featurize(rides, speeds) })
+	t.Logf("Featurize(6000 rides): %.0f allocations", got)
 }

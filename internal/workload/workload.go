@@ -23,12 +23,26 @@
 // trained at budget ε — DP noise is compensated with data, the premise
 // of privacy-adaptive training. This keeps the Fig. 8 sweep tractable
 // while preserving the contention dynamics the figure measures.
+//
+// An attempt costs what it decides, not what the pipeline holds. The
+// conserving search needs, per grid budget ε, how many of the pipeline's
+// blocks carry an allocation ≥ ε, and the fewest same-sized blocks that
+// meet nReq(ε). The first is a counter addAlloc keeps current
+// (allocations only grow until release); the second is a closed form —
+// ⌈nReq/size⌉, or ⌈(nReq/size)²⌉ when query composition pays √m —
+// that only proposes: the floating-point predicate the scan upward from
+// m = 1 used to evaluate settles the answer at the proposal's
+// neighbours (minBlocks), so the count is that scan's to the unit. A
+// failing attempt is thus O(grid) and a hopeless queue (query
+// composition under load) no longer costs hours × waiting × blocks.
+// workload_test.go keeps the replaced kernels and holds whole runs to
+// equal Stats.
 package workload
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/parallel"
 	"repro/internal/rng"
@@ -141,6 +155,7 @@ type Stats struct {
 
 // simBlock is one hourly data block.
 type simBlock struct {
+	id   int // hour of arrival
 	size float64
 	// free is budget not yet allocated to any pipeline.
 	free float64
@@ -150,16 +165,32 @@ type simBlock struct {
 type allocEntry struct {
 	block *simBlock
 	amt   float64
+	// level is how many thresholds of the budget grid amt has reached.
+	level int
+}
+
+// reservations is a pipeline's hold on the stream's budget. It lives
+// from the pipeline's arrival to its release, then serves the next
+// arrival (sim.spare): the slices are as long as the stream is old, and
+// growing them afresh per pipeline was most of what a conserving cell
+// still cost.
+type reservations struct {
+	// allocs holds the per-block budget reservations.
+	allocs []allocEntry
+	// slot[b.id] is 1 + block b's position in allocs, 0 for none. Block
+	// ids are dense, so this is the map a slice can be.
+	slot []int32
+	// afford[k] counts the allocations of at least grid[k]: the blocks
+	// a training run at that budget could use. addAlloc keeps it
+	// current, so an attempt that fails never walks allocs.
+	afford []int
 }
 
 // simPipeline is one in-flight training pipeline.
 type simPipeline struct {
-	id      int
 	arrived int
 	need    float64 // base sample complexity n* (points at ε = εg)
-	// allocs holds this pipeline's per-block budget reservations.
-	allocs []allocEntry
-	index  map[*simBlock]int // block → position in allocs
+	reservations
 	// streaming composition state: points consumed so far.
 	got float64
 	// spent ε for reporting (on release).
@@ -168,26 +199,40 @@ type simPipeline struct {
 	done       bool
 }
 
-// addAlloc reserves amt more budget on block b for the pipeline.
-func (p *simPipeline) addAlloc(b *simBlock, amt float64) {
-	if i, ok := p.index[b]; ok {
-		p.allocs[i].amt += amt
-		return
+// addAlloc reserves amt > 0 more budget on block b for the pipeline and
+// counts the grid thresholds the allocation crosses. A reservation only
+// grows until the pipeline releases and hands everything back, so a
+// threshold once reached stays reached.
+func (p *simPipeline) addAlloc(b *simBlock, amt float64, grid []float64) {
+	if p.slot[b.id] == 0 {
+		p.allocs = append(p.allocs, allocEntry{block: b})
+		p.slot[b.id] = int32(len(p.allocs))
 	}
-	p.index[b] = len(p.allocs)
-	p.allocs = append(p.allocs, allocEntry{block: b, amt: amt})
+	e := &p.allocs[p.slot[b.id]-1]
+	e.amt += amt
+	for e.level < len(grid) && e.amt >= grid[e.level] {
+		p.afford[e.level]++
+		e.level++
+	}
 }
 
 // sim is the simulation state.
 type sim struct {
-	cfg      Config
-	r        *rng.RNG
-	blocks   []*simBlock
-	freed    []*simBlock // blocks whose free pool gained budget this hour
-	waiting  []*simPipeline
-	released []*simPipeline
-	now      int
-	nextID   int
+	cfg Config
+	r   *rng.RNG
+	// grid is the conserving schedule's budgets, ascending: doubling
+	// from ε0/64 (contention can thin per-block allocations well under
+	// the nominal starting budget) up to εg.
+	grid []float64
+	// attemptFn is attempt (see run).
+	attemptFn func(*sim, *simPipeline) bool
+	freed     []*simBlock    // blocks whose free pool gained budget this hour
+	amts      []float64      // attemptAggressive's sort scratch
+	spare     []reservations // of released pipelines, for the next arrivals
+	waiting   []*simPipeline
+	released  []*simPipeline
+	now       int
+	arrived   int
 }
 
 // nReq returns the data requirement of a pipeline at training budget
@@ -198,7 +243,12 @@ func (s *sim) nReq(p *simPipeline, eps float64) float64 {
 }
 
 // Run simulates the workload and returns its statistics.
-func Run(cfg Config) Stats {
+func Run(cfg Config) Stats { return run(cfg, (*sim).attempt) }
+
+// run is Run with the attempt kernel as a parameter, so that
+// workload_test.go can run the whole simulation over the kernels these
+// replaced and demand equal Stats.
+func run(cfg Config, attempt func(*sim, *simPipeline) bool) Stats {
 	cfg.fillDefaults()
 	if cfg.ArrivalRate <= 0 {
 		panic(fmt.Sprintf("workload: ArrivalRate must be > 0, got %v", cfg.ArrivalRate))
@@ -206,7 +256,10 @@ func Run(cfg Config) Stats {
 	if cfg.BlockSize <= 0 {
 		panic("workload: BlockSize must be > 0")
 	}
-	s := &sim{cfg: cfg, r: rng.New(cfg.Seed)}
+	s := &sim{cfg: cfg, r: rng.New(cfg.Seed), attemptFn: attempt}
+	for eps := cfg.Epsilon0 / 64; eps > 0 && eps <= cfg.EpsG*(1+1e-9); eps *= 2 {
+		s.grid = append(s.grid, eps)
+	}
 
 	// Pre-draw pipeline arrival times (Gamma inter-arrivals with mean
 	// 1/rate).
@@ -226,19 +279,22 @@ func Run(cfg Config) Stats {
 				blocksNeeded = cfg.ComplexityMaxBlocks
 			}
 			p := &simPipeline{
-				id:      s.nextID,
 				arrived: s.now,
 				need:    blocksNeeded * float64(cfg.BlockSize),
-				index:   make(map[*simBlock]int),
 			}
-			s.nextID++
+			if n := len(s.spare); n > 0 {
+				p.reservations, s.spare = s.spare[n-1], s.spare[:n-1]
+			} else if cfg.Strategy != StreamingComposition {
+				p.slot = make([]int32, cfg.Hours)
+				p.afford = make([]int, len(s.grid))
+			}
+			s.arrived++
 			s.waiting = append(s.waiting, p)
 			nextArrival++
 		}
 
 		// 2. A new block arrives with a fresh budget.
-		nb := &simBlock{size: float64(cfg.BlockSize), free: cfg.EpsG}
-		s.blocks = append(s.blocks, nb)
+		nb := &simBlock{id: s.now, size: float64(cfg.BlockSize), free: cfg.EpsG}
 		s.freed = append(s.freed, nb)
 
 		// 3. Distribute free block budgets evenly among waiting
@@ -246,7 +302,7 @@ func Run(cfg Config) Stats {
 		// composition distributes *points* instead.
 		if len(s.waiting) > 0 {
 			if cfg.Strategy == StreamingComposition {
-				s.distributePoints()
+				s.distributePoints(nb)
 			} else {
 				s.distributeBudget()
 			}
@@ -272,7 +328,7 @@ func (s *sim) distributeBudget() {
 		}
 		share := b.free / n
 		for _, p := range s.waiting {
-			p.addAlloc(b, share)
+			p.addAlloc(b, share, s.grid)
 		}
 		b.free = 0
 	}
@@ -281,8 +337,7 @@ func (s *sim) distributeBudget() {
 
 // distributePoints gives each waiting pipeline an equal share of the
 // newest block's points (streaming: each point used once, then gone).
-func (s *sim) distributePoints() {
-	b := s.blocks[len(s.blocks)-1]
+func (s *sim) distributePoints(b *simBlock) {
 	share := b.size / float64(len(s.waiting))
 	for _, p := range s.waiting {
 		p.got += share
@@ -301,7 +356,7 @@ func (s *sim) attemptAll() {
 			if p.done {
 				continue
 			}
-			if s.attempt(p) {
+			if s.attemptFn(s, p) {
 				p.done = true
 				p.releasedAt = s.now
 				s.released = append(s.released, p)
@@ -344,116 +399,114 @@ func (s *sim) attempt(p *simPipeline) bool {
 	}
 }
 
-// attemptConserve scans a geometric budget grid upward from far below
-// ε0 (contention can thin per-block allocations well under the nominal
-// starting budget) and releases at the smallest budget whose affordable
-// blocks hold enough data. Query composition additionally pays the √B
-// penalty for combining B blocks with independent noise, over the
-// minimal prefix of blocks it actually needs.
+// attemptConserve walks the budget grid upward and releases at the
+// smallest budget whose affordable blocks hold enough data. Query
+// composition additionally pays the √B penalty for combining B blocks
+// with independent noise, over the minimal prefix of blocks it actually
+// needs. Until a budget passes, the cost is one counter read and one
+// closed form per grid point.
 func (s *sim) attemptConserve(p *simPipeline, queryPenalty bool) bool {
 	size := float64(s.cfg.BlockSize)
-	for eps := s.cfg.Epsilon0 / 64; eps <= s.cfg.EpsG*(1+1e-9); eps *= 2 {
-		count := 0
-		for _, e := range p.allocs {
-			if e.amt >= eps {
-				count++
-			}
-		}
-		if count == 0 {
+	for k, eps := range s.grid {
+		useBlocks := minBlocks(s.nReq(p, eps), size, queryPenalty, p.afford[k])
+		if useBlocks > p.afford[k] {
 			continue
 		}
-		need := s.nReq(p, eps)
-		// Blocks are same-sized: the smallest m ≤ count of them that
-		// satisfies the requirement (query composition pays √m).
-		useBlocks := 0
-		for m := 1; m <= count; m++ {
-			data := float64(m) * size
-			if queryPenalty {
-				if data >= need*math.Sqrt(float64(m)) {
-					useBlocks = m
-					break
-				}
-			} else if data >= need {
-				useBlocks = m
-				break
-			}
-		}
-		if useBlocks == 0 {
-			continue
-		}
-		// Charge ε on exactly useBlocks of the affordable blocks and
-		// return everything else.
-		used := make(map[*simBlock]bool, useBlocks)
+		// Charge ε on the first useBlocks affordable blocks, in
+		// allocation order, and return everything else.
 		for _, e := range p.allocs {
-			if e.amt >= eps && len(used) < useBlocks {
-				used[e.block] = true
+			if e.amt >= eps && useBlocks > 0 {
+				useBlocks--
+				s.returnBudget(e.block, e.amt-eps)
+			} else {
+				s.returnBudget(e.block, e.amt)
 			}
 		}
-		s.spendUsed(p, used, eps)
+		s.recycle(p)
 		p.spent = eps
 		return true
 	}
 	return false
 }
 
-// spendUsed charges eps on the used blocks, returning their unspent
-// allocation slices and every allocation on unused blocks.
-func (s *sim) spendUsed(p *simPipeline, used map[*simBlock]bool, eps float64) {
-	for _, e := range p.allocs {
-		if used[e.block] {
-			s.returnBudget(e.block, e.amt-eps)
-		} else {
-			s.returnBudget(e.block, e.amt)
+// minBlocks returns the smallest m ≥ 1 for which m same-sized blocks
+// satisfy the requirement — m·size ≥ need, or m·size ≥ need·√m when
+// query composition pays its penalty — looking no further than count:
+// a result above count means no m ≤ count does. The closed form
+// (⌈need/size⌉, or ⌈(need/size)²⌉ under the penalty) only proposes m;
+// the predicate itself, in the floating-point form above, settles it at
+// the proposal's neighbours, so the answer is the one a scan upward from
+// m = 1 stops at.
+func minBlocks(need, size float64, queryPenalty bool, count int) int {
+	enough := func(m int) bool {
+		data := float64(m) * size
+		if queryPenalty {
+			return data >= need*math.Sqrt(float64(m))
 		}
+		return data >= need
 	}
-	p.allocs = nil
-	p.index = nil
+	guess := need / size
+	if queryPenalty {
+		guess *= guess
+	}
+	if !(guess <= float64(count)+1) { // also NaN
+		return count + 1
+	}
+	m := max(int(math.Ceil(guess)), 1)
+	for m > 1 && enough(m-1) {
+		m--
+	}
+	for m <= count && !enough(m) {
+		m++
+	}
+	return m
 }
 
 // attemptAggressive uses as much allocated budget as possible: it orders
 // its blocks by allocation (richest first) and finds the shortest prefix
 // whose minimum allocation ε and total size satisfy the frontier,
-// spending the prefix's entire allocations.
+// spending the prefix's entire allocations. Blocks are same-sized, so
+// the amounts alone decide the prefix: the sort is over a scratch copy
+// of them, not of the entries.
 func (s *sim) attemptAggressive(p *simPipeline) bool {
-	if len(p.allocs) == 0 {
-		return false
+	amts := s.amts[:0]
+	for _, e := range p.allocs {
+		amts = append(amts, e.amt)
 	}
-	entries := append([]allocEntry{}, p.allocs...)
-	sort.Slice(entries, func(i, j int) bool { return entries[i].amt > entries[j].amt })
+	s.amts = amts
+	slices.Sort(amts)
+	size := float64(s.cfg.BlockSize)
 	total := 0.0
-	for k, e := range entries {
-		total += e.block.size
-		epsEff := math.Min(e.amt, s.cfg.EpsG) // min alloc in the prefix
-		if epsEff <= 0 {
-			break
+	for k := len(amts) - 1; k >= 0; k-- {
+		total += size
+		epsEff := math.Min(amts[k], s.cfg.EpsG) // min alloc in the prefix
+		if total < s.nReq(p, epsEff) {
+			continue
 		}
-		if total >= s.nReq(p, epsEff) {
-			// Use blocks with alloc ≥ this prefix's minimum; burn
-			// their full allocation.
-			s.spendAndReturn(p, entries[k].amt, epsEff, true)
-			p.spent = epsEff
-			return true
+		// The prefix's blocks burn their whole allocation; every other
+		// allocation returns to its block's free pool.
+		for _, e := range p.allocs {
+			if e.amt < amts[k] {
+				s.returnBudget(e.block, e.amt)
+			}
 		}
+		s.recycle(p)
+		p.spent = epsEff
+		return true
 	}
 	return false
 }
 
-// spendAndReturn finalizes p's training run: allocations of at least
-// threshold belong to the used blocks (charged ε each — or burned whole
-// when burnAll); every other allocation returns to its block's free pool
-// for redistribution.
-func (s *sim) spendAndReturn(p *simPipeline, threshold, eps float64, burnAll bool) {
+// recycle empties a released pipeline's reservations for the next
+// arrival.
+func (s *sim) recycle(p *simPipeline) {
 	for _, e := range p.allocs {
-		if e.amt >= threshold {
-			if !burnAll {
-				s.returnBudget(e.block, e.amt-eps)
-			}
-		} else {
-			s.returnBudget(e.block, e.amt)
-		}
+		p.slot[e.block.id] = 0
 	}
-	p.allocs = nil
-	p.index = nil
+	clear(p.afford)
+	p.allocs = p.allocs[:0]
+	s.spare = append(s.spare, p.reservations)
+	p.reservations = reservations{}
 }
 
 // returnBudget adds budget back to a block's free pool and marks it for
@@ -471,7 +524,7 @@ func (s *sim) returnBudget(b *simBlock, amt float64) {
 // stats finalizes the run's statistics.
 func (s *sim) stats() Stats {
 	st := Stats{
-		Arrived:    s.nextID,
+		Arrived:    s.arrived,
 		Released:   len(s.released),
 		Unfinished: len(s.waiting),
 	}
