@@ -24,9 +24,10 @@
 // so concurrent charges commit in parallel (the layout is fixed when
 // the directory is created; reopening always uses what is on disk).
 // Kill it at any instant and relaunch with the same -wal directory: it
-// resumes at the same block/version watermarks, and the replica tier
-// self-heals. SIGTERM/SIGINT drain gracefully (finish the iteration,
-// final replica sync, compact, close). Its HTTP API on -addr:
+// resumes at the same block/version watermarks and reconciles every
+// replica against what the replica itself reports. SIGTERM/SIGINT drain
+// gracefully (finish the iteration, final replica sync, compact,
+// close). Its HTTP API on -addr:
 //
 //	GET  /models                           list released models
 //	GET  /models/{name}/provenance         blocks, budget, decision (audit)
@@ -44,9 +45,9 @@
 // daemon's.
 //
 // With -push, every accepted bundle is additionally pushed to the given
-// replica endpoints (versioned idempotent push with retry/backoff, gap
-// backfill, gzip bodies, and optional -push-token bearer auth; see
-// internal/replica). Replicas are started with `sagectl replica`: they
+// replica endpoints (versioned idempotent push with retry/backoff, gzip
+// bodies, optional -push-token bearer auth, and one catch-up path for a
+// replica that fell behind; see internal/replica). Replicas are started with `sagectl replica`: they
 // serve the identical read API plus
 //
 //	POST /push              receive one release's canonical bytes (publisher-only)

@@ -141,11 +141,13 @@
 // in constant time; the read API stays open), bodies are gzip-
 // compressed by default (Content-Encoding negotiation, a ~100× wire
 // reduction on wide released feature tables, with a decompression-size
-// cap against zip bombs), and publishers self-heal — a publisher
-// constructed with WithSelfHealing reconciles each replica against the
-// replica's own reported watermarks before its first push (and eagerly
-// via Heal), so a publisher restart or a replica that lost its disk
-// converges with no manual Sync.
+// cap against zip bombs), and a publisher has one catch-up path: a
+// reconcile asks a replica which versions it holds and delivers what is
+// missing, run for the endpoints the publisher has reason to doubt —
+// all of them when it is built over a store that already holds releases
+// (a restart), one that failed a push or answered a version gap — at
+// their next push, and for every endpoint by Sync. A publisher restart
+// or a replica that lost its disk converges with no operator action.
 //
 // # Durable platform core
 //
@@ -240,8 +242,8 @@
 // kill/relaunch e2e in cmd/sagectl kills the real binary mid-loop, and
 // both require the restarted daemon to report exactly what the logs
 // hold — ledger remaining-budget, store versions, and replica
-// watermarks, with replicas converging through publisher self-healing
-// alone. GET /daemon/status
+// watermarks, with replicas converging through the restarted
+// publisher's reconcile alone. GET /daemon/status
 // exposes the ledger, store, and replica watermarks; the serving API is
 // mounted on the same handler. BENCH_wal.json records the journaling
 // overhead (about a microsecond per append before the flush).

@@ -50,7 +50,7 @@ func main() {
 		Delta:      1e-6,
 		MinSamples: 100000,
 	}
-	res, err := search.Run(adaptive.SliceSource{Data: stream}, rng.New(5))
+	res, err := search.Run(stream, rng.New(5))
 	if err != nil {
 		panic(err)
 	}

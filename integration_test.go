@@ -163,7 +163,7 @@ func TestCriteoEndToEnd(t *testing.T) {
 		Pipe: pipe, Epsilon0: 0.25, EpsilonCap: 1.0,
 		Delta: 1e-6, MinSamples: 100000,
 	}
-	res, err := search.Run(adaptive.SliceSource{Data: stream}, rng.New(74))
+	res, err := search.Run(stream, rng.New(74))
 	if err != nil {
 		t.Fatal(err)
 	}

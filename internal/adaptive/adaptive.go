@@ -27,24 +27,6 @@ import (
 	"repro/internal/validation"
 )
 
-// DataSource provides growing amounts of training data from a stream:
-// Take(n) returns the first n available samples (fewer if the stream has
-// less). Implementations wrap synthetic generators or a GrowingDatabase.
-type DataSource interface {
-	Take(n int) *data.Dataset
-	// Available returns how many samples the source currently holds.
-	Available() int
-}
-
-// SliceSource is a DataSource over an in-memory dataset.
-type SliceSource struct{ Data *data.Dataset }
-
-// Take implements DataSource.
-func (s SliceSource) Take(n int) *data.Dataset { return s.Data.Head(n) }
-
-// Available implements DataSource.
-func (s SliceSource) Available() int { return s.Data.Len() }
-
 // Search configures a privacy-adaptive training search.
 type Search struct {
 	// Pipe is the DP training pipeline to drive.
@@ -84,9 +66,10 @@ type Result struct {
 	Model interface{ Predict([]float64) float64 }
 }
 
-// Run executes the search until ACCEPT, REJECT, or resource exhaustion
-// (which yields RETRY, meaning "wait for more stream data").
-func (s Search) Run(src DataSource, r *rng.RNG) (Result, error) {
+// Run executes the search over growing prefixes of the stream until
+// ACCEPT, REJECT, or resource exhaustion (which yields RETRY, meaning
+// "wait for more stream data").
+func (s Search) Run(stream *data.Dataset, r *rng.RNG) (Result, error) {
 	if s.Pipe == nil {
 		return Result{}, fmt.Errorf("adaptive: nil pipeline")
 	}
@@ -98,8 +81,8 @@ func (s Search) Run(src DataSource, r *rng.RNG) (Result, error) {
 		return Result{}, fmt.Errorf("adaptive: MinSamples must be > 0")
 	}
 	maxSamples := s.MaxSamples
-	if maxSamples == 0 || maxSamples > src.Available() {
-		maxSamples = src.Available()
+	if maxSamples == 0 || maxSamples > stream.Len() {
+		maxSamples = stream.Len()
 	}
 
 	eps := s.Epsilon0
@@ -115,7 +98,7 @@ func (s Search) Run(src DataSource, r *rng.RNG) (Result, error) {
 	var res Result
 	for {
 		res.Iterations++
-		ds := src.Take(n)
+		ds := stream.Head(n)
 		budget := privacy.Budget{Epsilon: eps, Delta: s.Delta}
 		out, err := s.Pipe.Run(ds, budget, r)
 		if err != nil {

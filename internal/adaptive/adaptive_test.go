@@ -36,7 +36,7 @@ func TestSearchAcceptsReachableTarget(t *testing.T) {
 		Delta:      1e-6,
 		MinSamples: 5000,
 	}
-	res, err := s.Run(SliceSource{Data: taxiStream}, rng.New(1))
+	res, err := s.Run(taxiStream, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestSearchBudgetDoublingFourXBound(t *testing.T) {
 		Delta:      1e-6,
 		MinSamples: taxiStream.Len(),
 	}
-	res, err := s.Run(SliceSource{Data: taxiStream}, rng.New(20))
+	res, err := s.Run(taxiStream, rng.New(20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestSearchRejectsImpossibleTarget(t *testing.T) {
 		Delta:      1e-6,
 		MinSamples: 10000,
 	}
-	res, err := s.Run(SliceSource{Data: noisy}, rng.New(3))
+	res, err := s.Run(noisy, rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestSearchRetriesWhenDataRunsOut(t *testing.T) {
 		Delta:      1e-6,
 		MinSamples: 1000,
 	}
-	res, err := s.Run(SliceSource{Data: small}, rng.New(4))
+	res, err := s.Run(small, rng.New(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestSearchAggressiveUsesEverythingAtOnce(t *testing.T) {
 		MinSamples: 5000,
 		Aggressive: true,
 	}
-	res, err := s.Run(SliceSource{Data: taxiStream}, rng.New(5))
+	res, err := s.Run(taxiStream, rng.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,11 +159,11 @@ func TestSearchConserveSpendsLessThanAggressive(t *testing.T) {
 	}
 	aggressive := conserve
 	aggressive.Aggressive = true
-	rc, err := conserve.Run(SliceSource{Data: taxiStream}, rng.New(6))
+	rc, err := conserve.Run(taxiStream, rng.New(6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ra, err := aggressive.Run(SliceSource{Data: taxiStream}, rng.New(7))
+	ra, err := aggressive.Run(taxiStream, rng.New(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestSearchConserveSpendsLessThanAggressive(t *testing.T) {
 }
 
 func TestSearchValidation(t *testing.T) {
-	src := SliceSource{Data: taxiStream.Head(100)}
+	src := taxiStream.Head(100)
 	cases := []Search{
 		{Pipe: nil, Epsilon0: 0.1, EpsilonCap: 1, MinSamples: 10},
 		{Pipe: lrPipeline(0.01), Epsilon0: 0, EpsilonCap: 1, MinSamples: 10},

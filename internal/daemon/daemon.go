@@ -39,10 +39,10 @@
 // replays it, re-derives the stream position from the ledger (next
 // block = highest registered block + 1), regenerates the raw data of
 // every non-retired block (retired blocks' data stays deleted — that is
-// the retention policy's whole point), and reconstructs the replica
-// publisher, which self-heals: each replica's reported watermarks are
-// fetched and missing releases backfilled, so a push that died mid-
-// flight converges without operator action. Recovery repairs nothing:
+// the retention policy's whole point), and builds the replica publisher
+// over the recovered store and syncs it: every replica is asked which
+// versions it holds and sent what it is missing, so a push that died
+// mid-flight converges without operator action. Recovery repairs nothing:
 // every ledger mutation the loop makes is one journal record, so New
 // reports exactly what a bare durable.Open of the directory holds,
 // wherever the process died. The kill-point matrix in this package pins
@@ -144,10 +144,9 @@ type Config struct {
 	// DrainTimeout bounds the final replica sync during Close (0 = no
 	// bound). A graceful shutdown should drain the tier — push every
 	// straggler its missing releases — but an unreachable replica must
-	// not park the daemon inside the publisher's full retry schedule:
-	// past the deadline the sync is cut short and the replica converges
-	// via self-healing on the next daemon start (or its gateway keeps it
-	// drained until it catches up). Shutdown ordering stays
+	// not park the daemon: past the deadline the sync is cut short and
+	// the replica converges at the next daemon start (or its gateway
+	// keeps it drained until it catches up). Shutdown ordering stays
 	// sync-then-close so replicas are as current as possible the moment
 	// the WAL seals.
 	DrainTimeout time.Duration
@@ -241,7 +240,7 @@ type Daemon struct {
 
 // New opens (or recovers) the durable platform in cfg.Dir and prepares
 // the loop: replay both WALs, regenerate raw data for live blocks,
-// resume the stream at the recovered block watermark, and self-heal the
+// resume the stream at the recovered block watermark, and sync the
 // replica tier. The daemon does not start looping until Run.
 func New(cfg Config) (*Daemon, durable.Stats, error) {
 	cfg.applyDefaults()
@@ -292,32 +291,27 @@ func New(cfg Config) (*Daemon, durable.Stats, error) {
 			len(recovered), d.nextBlock, countVersions(plat.Store), plat.AC.StreamLoss())
 	}
 
-	if len(cfg.PushEndpoints) > 0 {
-		opts := []replica.Option{replica.WithSelfHealing()}
-		if cfg.PushToken != "" {
-			opts = append(opts, replica.WithAuth(cfg.PushToken))
-		}
-		d.pub = replica.NewPublisher(plat.Store, cfg.PushEndpoints, opts...)
-		// Push lag per replica: how many authoritative versions the
-		// replica has not acked yet, from the publisher's watermark
-		// cache (the same numbers GET /daemon/status reports).
-		for _, ep := range cfg.PushEndpoints {
-			d.reg.GaugeFunc("sage_daemon_replica_lag_versions",
-				"Authoritative store versions not yet applied by this replica.",
-				func() float64 {
-					lag := countVersions(d.plat.Store)
-					for name := range d.plat.Store.Watermarks() {
-						lag -= d.pub.Watermark(ep, name)
-					}
-					return float64(max(lag, 0))
-				}, metrics.Label{Name: "endpoint", Value: ep})
-		}
-		// Startup heal: replicas that missed releases while this
-		// publisher was down converge now, not at the next publish.
-		// Unreachable replicas stay flagged and heal lazily.
-		if err := d.pub.Heal(); err != nil {
-			cfg.Logf("daemon: startup replica heal (will retry on push): %v", err)
-		}
+	// No endpoints is a publisher that pushes nowhere.
+	d.pub = replica.NewPublisher(plat.Store, cfg.PushEndpoints, replica.WithAuth(cfg.PushToken))
+	// Push lag per replica: how many authoritative versions the replica
+	// had not applied when the publisher last heard from it (the same
+	// watermark cache GET /daemon/status reports).
+	for _, ep := range cfg.PushEndpoints {
+		d.reg.GaugeFunc("sage_daemon_replica_lag_versions",
+			"Authoritative store versions not yet applied by this replica.",
+			func() float64 {
+				lag := countVersions(d.plat.Store)
+				for name := range d.plat.Store.Watermarks() {
+					lag -= d.pub.Watermark(ep, name)
+				}
+				return float64(max(lag, 0))
+			}, metrics.Label{Name: "endpoint", Value: ep})
+	}
+	// Replicas that missed releases while no publisher was up converge
+	// now, not at the next publish. An unreachable one stays flagged and
+	// is reconciled at its next push.
+	if err := d.pub.Sync(context.Background()); err != nil {
+		cfg.Logf("daemon: startup replica sync (will retry on push): %v", err)
 	}
 	return d, stats, nil
 }
@@ -355,16 +349,14 @@ func (d *Daemon) Run(ctx context.Context) error {
 // writes, so the loop must not keep running.
 func (d *Daemon) Close() error {
 	d.closeOnce.Do(func() {
-		if d.pub != nil {
-			ctx := context.Background()
-			if d.cfg.DrainTimeout > 0 {
-				var cancel context.CancelFunc
-				ctx, cancel = context.WithTimeout(ctx, d.cfg.DrainTimeout)
-				defer cancel()
-			}
-			if err := d.pub.SyncContext(ctx); err != nil {
-				d.cfg.Logf("daemon: final replica sync: %v", err)
-			}
+		ctx := context.Background()
+		if d.cfg.DrainTimeout > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, d.cfg.DrainTimeout)
+			defer cancel()
+		}
+		if err := d.pub.Sync(ctx); err != nil {
+			d.cfg.Logf("daemon: final replica sync: %v", err)
 		}
 		if err := d.plat.Compact(); err != nil {
 			d.cfg.Logf("daemon: final compaction: %v", err)

@@ -5,15 +5,18 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/adaptive"
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/privacy"
 	"repro/internal/replica"
 )
@@ -252,6 +255,99 @@ func TestDaemonPushesToReplicas(t *testing.T) {
 	}
 }
 
+// TestDaemonReplicaLagFollowsTheReplica: the watermark cache behind
+// /daemon/status "replicas" and sage_daemon_replica_lag_versions is what
+// the replica last said about itself, in both directions. A replica that
+// restarts empty between two ticks is shown as lagging from the moment
+// the publisher hears from it again — its gap reply to the next release —
+// until the missing versions have landed, and the release after that
+// reconciles the name the first one did not touch.
+func TestDaemonReplicaLagFollowsTheReplica(t *testing.T) {
+	var (
+		d         *Daemon
+		current   atomic.Pointer[replica.Server]
+		mu        sync.Mutex
+		lagAtPush []float64 // the gauge as each POST /push arrived
+	)
+	current.Store(replica.NewServer())
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/push" {
+			lag := replicaLag(t, d, "http://"+r.Host)
+			mu.Lock()
+			lagAtPush = append(lagAtPush, lag)
+			mu.Unlock()
+		}
+		current.Load().Handler().ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+
+	cfg := fastConfig(t.TempDir())
+	cfg.PushEndpoints = []string{srv.URL}
+	d, _, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	// fastConfig's two pipelines release in turn, one every fourth tick.
+	stepUntilVersions := func(n int) {
+		t.Helper()
+		for i := 0; countVersions(d.plat.Store) < n; i++ {
+			if i == 64 {
+				t.Fatalf("no release %d in 64 ticks: %v", n, d.Status().StoreVersions)
+			}
+			if err := d.step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	stepUntilVersions(4)
+	if got := d.Status().StoreVersions; got["taxi-lr-0"] != 2 || got["taxi-lr-1"] != 2 {
+		t.Fatalf("want two releases of each pipeline before the restart, got %v", got)
+	}
+	if lag := replicaLag(t, d, srv.URL); lag != 0 {
+		t.Fatalf("lag %v with the replica current", lag)
+	}
+
+	// Restart without a disk. Until the publisher hears from the replica
+	// it cannot know.
+	current.Store(replica.NewServer())
+	mu.Lock()
+	lagAtPush = nil
+	mu.Unlock()
+
+	// The next release, v3 of one pipeline, is answered with a gap at
+	// watermark 0. That report lowers the cache, so when the backfill of
+	// v1 arrives the gauge reads the three versions of that name the
+	// replica lacks — not just the new one, as a cache that only ever
+	// rises would have it.
+	stepUntilVersions(5)
+	mu.Lock()
+	seen := append([]float64(nil), lagAtPush...)
+	mu.Unlock()
+	if len(seen) != 4 || seen[0] != 1 || seen[1] != 3 {
+		t.Fatalf("lag gauge at the gap push and its backfill = %v, want [1 3 . .]: v3 refused, then v1, v2, v3", seen)
+	}
+
+	// The release after that finds the endpoint flagged and reconciles
+	// it: the other pipeline's versions arrive, and the daemon's view is
+	// the replica's own.
+	stepUntilVersions(6)
+	if lag := replicaLag(t, d, srv.URL); lag != 0 {
+		t.Fatalf("lag %v after the reconcile", lag)
+	}
+	st := d.Status()
+	have := current.Load().Store().Watermarks()
+	if !reflect.DeepEqual(have, st.StoreVersions) || !reflect.DeepEqual(st.Replicas[srv.URL], have) {
+		t.Fatalf("after the reconcile: replica holds %v, status says %v, source %v", have, st.Replicas[srv.URL], st.StoreVersions)
+	}
+}
+
+// replicaLag scrapes sage_daemon_replica_lag_versions for one endpoint.
+func replicaLag(t *testing.T, d *Daemon, endpoint string) float64 {
+	t.Helper()
+	return gaugeValue(t, d, "sage_daemon_replica_lag_versions", map[string]string{"endpoint": endpoint})
+}
+
 func TestDaemonStatusEndpoint(t *testing.T) {
 	dir := t.TempDir()
 	cfg := fastConfig(dir)
@@ -270,8 +366,17 @@ func TestDaemonStatusEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The daemon always has a publisher; one with no endpoints must not
+	// show in the document.
+	if bytes.Contains(raw, []byte(`"replicas"`)) {
+		t.Fatalf("status of a daemon with no push endpoints mentions replicas: %s", raw)
+	}
 	var st Status
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	if err := json.Unmarshal(raw, &st); err != nil {
 		t.Fatal(err)
 	}
 	if st.Ticks != 4 || len(st.Blocks) != 4 {
@@ -400,20 +505,12 @@ func TestDaemonTickOutcomesPartitionTicks(t *testing.T) {
 	if st.Retried == 0 || st.Accepted == 0 || st.Blocked == 0 {
 		t.Fatalf("want every steady-state outcome in 14 ticks, got %+v", st)
 	}
-	var buf bytes.Buffer
-	if err := d.Metrics().TextExpose(&buf); err != nil {
-		t.Fatal(err)
-	}
-	fams, err := metrics.Parse(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for name, want := range map[string]int{
 		"sage_daemon_retried_runs":     st.Retried,
 		"sage_daemon_train_iterations": st.TrainIterations,
 	} {
-		if got, ok := fams.Value(name, nil); !ok || int(got) != want {
-			t.Errorf("%s = %v (present %v), status says %d", name, got, ok, want)
+		if got := gaugeValue(t, d, name, nil); int(got) != want {
+			t.Errorf("%s = %v, status says %d", name, got, want)
 		}
 	}
 }

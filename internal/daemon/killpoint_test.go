@@ -86,22 +86,29 @@ func TestDaemonKillPointMatrix(t *testing.T) {
 	}
 }
 
-// retiredGauge scrapes sage_daemon_retired_blocks from d's registry.
-func retiredGauge(t *testing.T, d *Daemon) int {
+// gaugeValue scrapes one series of d's registry through the text
+// exposition. Problems are reported with t.Error, so it may be called
+// off the test's goroutine.
+func gaugeValue(t *testing.T, d *Daemon, name string, labels map[string]string) float64 {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := d.Metrics().TextExpose(&buf); err != nil {
-		t.Fatal(err)
+		t.Error(err)
 	}
 	fams, err := metrics.Parse(&buf)
 	if err != nil {
-		t.Fatal(err)
+		t.Error(err)
 	}
-	v, ok := fams.Value("sage_daemon_retired_blocks", nil)
+	v, ok := fams.Value(name, labels)
 	if !ok {
-		t.Fatal("sage_daemon_retired_blocks missing from the scrape")
+		t.Errorf("%s%v missing from the scrape", name, labels)
 	}
-	return int(v)
+	return v
+}
+
+func retiredGauge(t *testing.T, d *Daemon) int {
+	t.Helper()
+	return int(gaugeValue(t, d, "sage_daemon_retired_blocks", nil))
 }
 
 // TestRetiredBlocksSurviveCompactedRestart: the retired-block count is

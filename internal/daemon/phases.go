@@ -166,16 +166,11 @@ func (d *Daemon) trainPipeline(n, idx int) (attempted bool, err error) {
 		},
 	}
 	// Publish → journal (store WAL) → push. A crash after the journal
-	// write re-pushes on restart via the publisher's self-healing.
-	var version int
-	if d.pub != nil {
-		var pushErr error
-		version, pushErr = d.pub.Publish(bundle)
-		if pushErr != nil {
-			d.cfg.Logf("daemon: tick %d: push %s@v%d (will heal): %v", n, name, version, pushErr)
-		}
-	} else {
-		version = d.plat.Store.Publish(bundle)
+	// write re-pushes on restart: a publisher built over a store with
+	// releases reconciles every replica.
+	version, pushErr := d.pub.Publish(bundle)
+	if pushErr != nil {
+		d.cfg.Logf("daemon: tick %d: push %s@v%d (will heal): %v", n, name, version, pushErr)
 	}
 	d.mu.Lock()
 	d.accepted++
@@ -220,7 +215,7 @@ func (d *Daemon) compact(t tick) error {
 		}
 		lb, sb := d.plat.LogSizes()
 		d.cfg.Logf("daemon: tick %d: compacted WALs (ledger %dB, store %dB)", t.n, lb, sb)
-	case d.cfg.CompactBytes > 0 && d.plat.MaxLogSize() > d.cfg.CompactBytes:
+	case d.cfg.CompactBytes > 0:
 		n, err := d.plat.CompactIfLarger(d.cfg.CompactBytes)
 		if err != nil {
 			return fmt.Errorf("daemon: size-triggered compaction: %w", err)

@@ -96,15 +96,13 @@ func (d *Daemon) Status() Status {
 	st.StoreVersions = d.plat.Store.Watermarks()
 	st.WALLedgerBytes, st.WALStoreBytes = d.plat.LogSizes()
 	st.LedgerShards = d.plat.LedgerShards()
-	if d.pub != nil {
-		st.Replicas = make(map[string]map[string]int)
-		for _, ep := range d.pub.Endpoints() {
-			wm := make(map[string]int)
-			for name := range st.StoreVersions {
-				wm[name] = d.pub.Watermark(ep, name)
-			}
-			st.Replicas[ep] = wm
+	st.Replicas = make(map[string]map[string]int) // omitted from the JSON when there are no endpoints
+	for _, ep := range d.pub.Endpoints() {
+		wm := make(map[string]int)
+		for name := range st.StoreVersions {
+			wm[name] = d.pub.Watermark(ep, name)
 		}
+		st.Replicas[ep] = wm
 	}
 	return st
 }

@@ -82,13 +82,6 @@ func (d *Dataset) FeatureDim() int {
 // Append adds examples to the dataset.
 func (d *Dataset) Append(ex ...Example) { d.Examples = append(d.Examples, ex...) }
 
-// Shuffle permutes the examples in place.
-func (d *Dataset) Shuffle(r *rng.RNG) {
-	r.Shuffle(len(d.Examples), func(i, j int) {
-		d.Examples[i], d.Examples[j] = d.Examples[j], d.Examples[i]
-	})
-}
-
 // Split partitions the dataset into train and test sets with the given
 // train fraction (e.g. 0.9 for the paper's 90::10 split). The split is
 // deterministic given the RNG, which advances by exactly one Perm(Len).
@@ -124,20 +117,6 @@ func (d *Dataset) Split(trainFrac float64, r *rng.RNG) (train, test *Dataset) {
 		}
 	}
 	return train, test
-}
-
-// Subsample returns n examples drawn without replacement (all examples if
-// n >= Len).
-func (d *Dataset) Subsample(n int, r *rng.RNG) *Dataset {
-	if n >= len(d.Examples) {
-		return &Dataset{Examples: append([]Example{}, d.Examples...)}
-	}
-	idx := r.Perm(len(d.Examples))[:n]
-	out := &Dataset{Examples: make([]Example, n)}
-	for i, j := range idx {
-		out.Examples[i] = d.Examples[j]
-	}
-	return out
 }
 
 // Head returns the first n examples (all if n >= Len), sharing storage.

@@ -61,24 +61,10 @@ func TestDatasetSplit(t *testing.T) {
 	}
 }
 
-func TestDatasetSubsampleAndHead(t *testing.T) {
+func TestDatasetHead(t *testing.T) {
 	d := &Dataset{}
 	for i := 0; i < 100; i++ {
 		d.Append(mkExample(int64(i), 0, float64(i)))
-	}
-	s := d.Subsample(10, rng.New(2))
-	if s.Len() != 10 {
-		t.Fatalf("Subsample len = %d", s.Len())
-	}
-	seen := map[float64]bool{}
-	for _, ex := range s.Examples {
-		if seen[ex.Label] {
-			t.Fatal("subsample drew with replacement")
-		}
-		seen[ex.Label] = true
-	}
-	if d.Subsample(1000, rng.New(3)).Len() != 100 {
-		t.Error("oversized subsample should return everything")
 	}
 	if d.Head(5).Len() != 5 || d.Head(500).Len() != 100 {
 		t.Error("Head sizes wrong")

@@ -427,27 +427,13 @@ func (p *Platform) compactStore() error {
 func (p *Platform) LedgerShards() int { return len(p.ledgerSegs) }
 
 // LogSizes returns the current byte sizes of (ledger, store) logs; the
-// ledger size is the sum over segments — the daemon's compaction
-// trigger input.
+// ledger size is the sum over segments.
 func (p *Platform) LogSizes() (int64, int64) {
 	var ledger int64
 	for _, seg := range p.ledgerSegs {
 		ledger += seg.Size()
 	}
 	return ledger, p.storeLog.Size()
-}
-
-// MaxLogSize returns the largest single log file's size — the quantity
-// size-threshold compaction triggers on ("any WAL segment exceeds the
-// threshold").
-func (p *Platform) MaxLogSize() int64 {
-	max := p.storeLog.Size()
-	for _, seg := range p.ledgerSegs {
-		if s := seg.Size(); s > max {
-			max = s
-		}
-	}
-	return max
 }
 
 // LogFiles returns the WAL file paths present in dir, ledger segments

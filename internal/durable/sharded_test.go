@@ -384,9 +384,9 @@ func TestCompactIfLargerIsPerSegment(t *testing.T) {
 	if coldSeg.Records() != coldRecords {
 		t.Fatalf("cold segment rewritten: %d -> %d records", coldRecords, coldSeg.Records())
 	}
-	// Nothing over threshold → no-op.
-	big := p.MaxLogSize() + 1
-	if n, err := p.CompactIfLarger(big); err != nil || n != 0 {
+	// Nothing over threshold → no-op: no log is larger than all of them.
+	ledger, bundles := p.LogSizes()
+	if n, err := p.CompactIfLarger(ledger + bundles); err != nil || n != 0 {
 		t.Fatalf("no-op compaction: n=%d err=%v", n, err)
 	}
 }

@@ -147,7 +147,7 @@ func Fig6(o Fig6Options) []Fig6Point {
 		// cell's result does not depend on which other cells run.
 		r := rng.New(rng.MixSeed(o.Seed, uint64(c.cfgIdx),
 			math.Float64bits(c.target), uint64(c.mode)))
-		res, err := search.Run(adaptive.SliceSource{Data: c.stream}, r)
+		res, err := search.Run(c.stream, r)
 		pt := Fig6Point{
 			Task: cfg.Task, Model: cfg.Name,
 			Mode: c.mode, Target: c.target,

@@ -133,7 +133,7 @@ func Tab2(o Tab2Options) []Tab2Row {
 			Delta:      cfg.Delta,
 			MinSamples: 5000,
 		}
-		res, err := search.Run(adaptive.SliceSource{Data: stream}, rng.New(seed))
+		res, err := search.Run(stream, rng.New(seed))
 		if err != nil || res.Decision != validation.Accept {
 			return outcome{}
 		}

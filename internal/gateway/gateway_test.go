@@ -71,7 +71,7 @@ func newFleet(t testing.TB, n, versions int) *fleet {
 	}
 	if n > 0 {
 		pub := replica.NewPublisher(f.src, f.urls)
-		if err := pub.Sync(); err != nil {
+		if err := pub.Sync(context.Background()); err != nil {
 			t.Fatalf("syncing fleet: %v", err)
 		}
 	}
@@ -458,6 +458,9 @@ func TestBreakerOpensThenRecloses(t *testing.T) {
 // once the publisher catches it up.
 func TestLaggingReplicaIsDrainedNotKilled(t *testing.T) {
 	f := newFleet(t, 2, 0) // start empty; versions pushed by hand below
+	// Built while the store is empty, so its push below is a plain one
+	// and not a reconcile of everything the replica is missing.
+	onlyV1 := replica.NewPublisher(f.src, f.urls[1:])
 	spec, _ := store.Serialize(&ml.LinearModel{Weights: []float64{1, 1}, Bias: 0})
 	for v := 1; v <= 4; v++ {
 		f.src.Publish(store.Bundle{
@@ -467,10 +470,10 @@ func TestLaggingReplicaIsDrainedNotKilled(t *testing.T) {
 		})
 	}
 	// Replica 0 gets everything; replica 1 only v1 — 3 versions behind.
-	if err := replica.NewPublisher(f.src, f.urls[:1]).Sync(); err != nil {
+	if err := replica.NewPublisher(f.src, f.urls[:1]).Sync(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := replica.NewPublisher(f.src, f.urls[1:]).Push("m", 1); err != nil {
+	if err := onlyV1.Push(context.Background(), "m", 1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -515,7 +518,7 @@ func TestLaggingReplicaIsDrainedNotKilled(t *testing.T) {
 	}
 
 	// Catch the replica up; the next probes return it to rotation.
-	if err := replica.NewPublisher(f.src, f.urls[1:]).Sync(); err != nil {
+	if err := replica.NewPublisher(f.src, f.urls[1:]).Sync(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)

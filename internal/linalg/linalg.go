@@ -104,22 +104,6 @@ func (m *Matrix) AddDiagonal(lambda float64) {
 	}
 }
 
-// Symmetrize replaces m with (m + mᵀ)/2. Used after adding independent
-// noise to the entries of a Gram matrix so the perturbed matrix remains
-// symmetric (AdaSSP releases a symmetric noise matrix).
-func (m *Matrix) Symmetrize() {
-	if m.Rows != m.Cols {
-		panic("linalg: Symmetrize requires a square matrix")
-	}
-	for i := 0; i < m.Rows; i++ {
-		for j := i + 1; j < m.Cols; j++ {
-			v := (m.At(i, j) + m.At(j, i)) / 2
-			m.Set(i, j, v)
-			m.Set(j, i, v)
-		}
-	}
-}
-
 // Moments accumulates the normal-equation sums XᵀX and Xᵀy over a
 // stream of rows — the one pass over the data that ridge regression and
 // AdaSSP share. Each row's non-zero indices are gathered once and only

@@ -73,16 +73,6 @@ func TestGram(t *testing.T) {
 	}
 }
 
-func TestSymmetrize(t *testing.T) {
-	m := NewMatrix(2, 2)
-	m.Set(0, 1, 4)
-	m.Set(1, 0, 2)
-	m.Symmetrize()
-	if m.At(0, 1) != 3 || m.At(1, 0) != 3 {
-		t.Errorf("Symmetrize: %v %v", m.At(0, 1), m.At(1, 0))
-	}
-}
-
 func TestCholeskySolve(t *testing.T) {
 	// SPD system: [[4,2],[2,3]]·x = [1, 2] → x = [-1/8, 3/4].
 	m := NewMatrix(2, 2)

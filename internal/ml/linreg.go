@@ -155,7 +155,3 @@ func TrainAdaSSP(ds *data.Dataset, cfg AdaSSPConfig, r *rng.RNG) *LinearModel {
 	bias := w[d] * fscale / lscale
 	return &LinearModel{Weights: weights, Bias: bias}
 }
-
-// Cost returns the (ε, δ) privacy cost of one AdaSSP training run: the
-// full configured budget (the three sub-releases compose to it).
-func (cfg AdaSSPConfig) Cost() privacy.Budget { return cfg.Budget }

@@ -69,9 +69,6 @@ func NewMLP(kind OutputKind, inputDim int, hidden []int, r *rng.RNG) *MLP {
 	return m
 }
 
-// NumParams returns the total parameter count.
-func (m *MLP) NumParams() int { return len(m.params) }
-
 // Kind returns the output head kind.
 func (m *MLP) Kind() OutputKind { return m.kind }
 

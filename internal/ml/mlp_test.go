@@ -12,8 +12,8 @@ import (
 func TestMLPShapes(t *testing.T) {
 	m := NewMLP(Regression, 4, []int{8, 3}, rng.New(1))
 	// params: 4*8+8 + 8*3+3 + 3*1+1 = 40+27+4 = 71.
-	if got := m.NumParams(); got != 71 {
-		t.Errorf("NumParams = %d, want 71", got)
+	if got := len(m.Params()); got != 71 {
+		t.Errorf("%d parameters, want 71", got)
 	}
 	out := m.Predict([]float64{1, 2, 3, 4})
 	if math.IsNaN(out) || math.IsInf(out, 0) {
@@ -45,7 +45,7 @@ func TestMLPGradientCheck(t *testing.T) {
 			p := clampProb(m.Predict(x))
 			return -(y*math.Log(p) + (1-y)*math.Log(1-p))
 		}
-		grad := make([]float64, m.NumParams())
+		grad := make([]float64, len(m.Params()))
 		m.Grad(x, y, grad)
 		params := m.Params()
 		const h = 1e-6

@@ -128,21 +128,15 @@ func (b *poolBatch) run(i int) {
 	}
 }
 
-// ForEach evaluates fn(0) … fn(n-1) on the pool and waits for all of
-// them. The submitting goroutine helps drain its own batch (caller-runs),
-// then blocks until cells picked up by pool workers finish. The batch is
-// queued at the default weight (1): drained FIFO among other defaults,
-// after anything heavier.
-func (p *Pool) ForEach(n int, fn func(i int)) {
-	p.ForEachWeighted(n, 1, fn)
-}
-
-// ForEachWeighted is ForEach with an expected per-cell cost hint. weight
-// is in any units as long as they are consistent across the batches
-// sharing the pool (this repo uses rough expected cell milliseconds);
-// values <= 0 mean the default weight 1. Pool workers always drain the
-// heaviest queued batch, so submitting an expensive grid with a large
-// weight pulls its cells forward and keeps them off the critical tail.
+// ForEachWeighted evaluates fn(0) … fn(n-1) on the pool and waits for
+// all of them. The submitting goroutine helps drain its own batch
+// (caller-runs), then blocks until cells picked up by pool workers
+// finish. weight is the expected per-cell cost, in any units as long as
+// they are consistent across the batches sharing the pool (this repo
+// uses rough expected cell milliseconds); values <= 0 mean the default
+// weight 1. Pool workers always drain the heaviest queued batch, FIFO
+// among equals, so submitting an expensive grid with a large weight
+// pulls its cells forward and keeps them off the critical tail.
 // Scheduling never affects results — the determinism contract (each cell
 // seeds from its own coordinates) makes drain order invisible.
 func (p *Pool) ForEachWeighted(n int, weight float64, fn func(i int)) {

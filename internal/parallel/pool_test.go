@@ -10,7 +10,7 @@ func TestPoolForEachRunsEachOnce(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
 	var calls [300]atomic.Int32
-	p.ForEach(len(calls), func(i int) { calls[i].Add(1) })
+	p.ForEachWeighted(len(calls), 1, func(i int) { calls[i].Add(1) })
 	for i := range calls {
 		if n := calls[i].Load(); n != 1 {
 			t.Fatalf("cell %d ran %d times", i, n)
@@ -30,7 +30,7 @@ func TestPoolConcurrentBatches(t *testing.T) {
 		wg.Add(1)
 		go func(b int) {
 			defer wg.Done()
-			p.ForEach(cells, func(i int) { sums[b].Add(int64(i)) })
+			p.ForEachWeighted(cells, 1, func(i int) { sums[b].Add(int64(i)) })
 		}(b)
 	}
 	wg.Wait()
@@ -48,8 +48,8 @@ func TestPoolNestedSubmissionDoesNotDeadlock(t *testing.T) {
 	p := NewPool(1)
 	defer p.Close()
 	var inner atomic.Int32
-	p.ForEach(2, func(i int) {
-		p.ForEach(3, func(j int) { inner.Add(1) })
+	p.ForEachWeighted(2, 1, func(i int) {
+		p.ForEachWeighted(3, 1, func(j int) { inner.Add(1) })
 	})
 	if got := inner.Load(); got != 6 {
 		t.Errorf("inner cells ran %d times, want 6", got)
@@ -59,8 +59,8 @@ func TestPoolNestedSubmissionDoesNotDeadlock(t *testing.T) {
 func TestPoolEmptyBatch(t *testing.T) {
 	p := NewPool(2)
 	defer p.Close()
-	p.ForEach(0, func(i int) { t.Error("cell ran on empty batch") })
-	p.ForEach(-5, func(i int) { t.Error("cell ran on negative batch") })
+	p.ForEachWeighted(0, 1, func(i int) { t.Error("cell ran on empty batch") })
+	p.ForEachWeighted(-5, 1, func(i int) { t.Error("cell ran on negative batch") })
 }
 
 func TestGlobalPoolRoutesForEach(t *testing.T) {
@@ -133,5 +133,5 @@ func TestClosedPoolPanics(t *testing.T) {
 			t.Error("ForEach on closed pool should panic")
 		}
 	}()
-	p.ForEach(1, func(int) {})
+	p.ForEachWeighted(1, 1, func(int) {})
 }

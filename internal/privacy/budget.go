@@ -7,7 +7,6 @@
 package privacy
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
@@ -70,14 +69,6 @@ func (b Budget) Sub(o Budget) Budget {
 	}
 }
 
-// Scale returns the budget multiplied component-wise by k >= 0.
-func (b Budget) Scale(k float64) Budget {
-	if k < 0 {
-		panic("privacy: negative budget scale")
-	}
-	return Budget{Epsilon: b.Epsilon * k, Delta: math.Min(1, b.Delta*k)}
-}
-
 // Split divides the budget into n equal parts (basic composition in
 // reverse). It panics if n <= 0.
 func (b Budget) Split(n int) Budget {
@@ -103,6 +94,3 @@ func (b Budget) Min(o Budget) Budget {
 func (b Budget) String() string {
 	return fmt.Sprintf("(ε=%.6g, δ=%.3g)", b.Epsilon, b.Delta)
 }
-
-// ErrBudgetExhausted is returned when a request exceeds available budget.
-var ErrBudgetExhausted = errors.New("privacy: budget exhausted")

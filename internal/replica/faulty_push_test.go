@@ -95,7 +95,7 @@ func TestPublisherConvergesThroughFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pub := NewPublisher(src, []string{srv.URL}, WithRetry(6, time.Millisecond), WithoutCompression())
+	pub := NewPublisher(src, []string{srv.URL}, WithRetry(6, time.Millisecond))
 	const versions = 6
 	for v := 1; v <= versions; v++ {
 		b := store.Bundle{Name: "m", Model: spec, Provenance: store.Provenance{Pipeline: "m", Quality: float64(v)}}
@@ -145,7 +145,7 @@ func TestPublisherConvergesThroughHangs(t *testing.T) {
 	}
 	client := &http.Client{Timeout: 150 * time.Millisecond}
 	pub := NewPublisher(src, []string{srv.URL},
-		WithClient(client), WithRetry(4, time.Millisecond), WithoutCompression())
+		WithClient(client), WithRetry(4, time.Millisecond))
 	const versions = 4
 	for v := 1; v <= versions; v++ {
 		b := store.Bundle{Name: "m", Model: spec, Provenance: store.Provenance{Pipeline: "m", Quality: float64(v)}}
@@ -173,11 +173,10 @@ func TestPublisherConvergesThroughHangs(t *testing.T) {
 	}
 }
 
-// TestPushContextCancellationInterruptsBackoff pins the satellite fix:
-// a publisher parked in a retry backoff (formerly a bare time.Sleep)
-// must notice context cancellation promptly instead of sleeping out the
-// full schedule.
-func TestPushContextCancellationInterruptsBackoff(t *testing.T) {
+// TestPushCancellationInterruptsBackoff: a publisher parked in a retry
+// backoff must notice context cancellation promptly instead of sleeping
+// out the full schedule.
+func TestPushCancellationInterruptsBackoff(t *testing.T) {
 	// Always-503: retryable forever, so without cancellation the retry
 	// schedule below would sleep for minutes.
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
@@ -192,14 +191,14 @@ func TestPushContextCancellationInterruptsBackoff(t *testing.T) {
 	}
 	src.Publish(store.Bundle{Name: "m", Model: spec, Provenance: store.Provenance{Pipeline: "m"}})
 
-	pub := NewPublisher(src, []string{srv.URL}, WithRetry(8, 30*time.Second), WithoutCompression())
+	pub := NewPublisher(src, []string{srv.URL}, WithRetry(8, 30*time.Second))
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(50 * time.Millisecond)
 		cancel()
 	}()
 	start := time.Now()
-	err = pub.PushContext(ctx, "m", 1)
+	err = pub.Push(ctx, "m", 1)
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("push to an always-failing replica returned nil")
@@ -211,10 +210,10 @@ func TestPushContextCancellationInterruptsBackoff(t *testing.T) {
 		t.Fatalf("cancellation took %v to interrupt the backoff sleep", elapsed)
 	}
 
-	// SyncContext honors a pre-cancelled context the same way.
+	// Sync honors a pre-cancelled context the same way.
 	cctx, ccancel := context.WithCancel(context.Background())
 	ccancel()
-	if err := pub.SyncContext(cctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SyncContext with cancelled context = %v, want context.Canceled", err)
+	if err := pub.Sync(cctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Sync with cancelled context = %v, want context.Canceled", err)
 	}
 }

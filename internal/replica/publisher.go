@@ -18,39 +18,54 @@ import (
 
 // Publisher is the trainer-side half of the replication protocol: it
 // owns (a reference to) the authoritative store and pushes its releases
-// to a set of replica endpoints. Pushes are idempotent (safe to repeat
-// after any failure), retried with exponential backoff on transport
-// errors, and gap-healing: a replica that is behind — freshly joined,
-// restarted, or recovered from a partition — reports its watermark in a
-// 409 and the publisher backfills the missing versions in order.
+// to a fixed set of replica endpoints. It does two things. A push
+// delivers one release, idempotently (safe to repeat after any failure)
+// and with retries and exponential backoff on transport errors. A
+// reconcile is the one catch-up path: ask the replica which versions it
+// holds (GET /replica/status) and deliver, in order, every release of
+// every name it is missing.
 //
-// The publisher tracks a per-replica, per-model applied-version
-// watermark from push acknowledgements, so Sync can tell at a glance
-// which replicas are current. Watermarks are an optimization and a
-// diagnostic, never a correctness input: the replica's own store is the
-// source of truth, and re-pushing something already applied is a no-op
-// by protocol.
+// Which endpoints need reconciling is worked out from what the
+// publisher observes, not configured. An endpoint is flagged
+//
+//   - when the publisher is built over a store that already holds
+//     releases — a restart: replicas may have missed anything;
+//   - when a push to it fails — it may miss more before it is back;
+//   - when it answers a push with a version gap — it is not where the
+//     publisher thought (it restarted empty, or joined late), so it may
+//     be behind on other names too. The gap itself is closed at once,
+//     from the watermark the reply carries.
+//
+// A flagged endpoint is reconciled at its next push and by Sync, and is
+// flagged no longer once a reconcile has succeeded. A publisher built
+// over an empty store and never refused therefore sends one POST /push
+// per replica per release and nothing else.
+//
+// The per-replica, per-name watermark cache is what each replica last
+// said about itself — every push ack, gap reply and status report
+// overwrites it, up or down — and is a diagnostic only (Watermark, the
+// daemon's status and lag gauge): no decision reads it. The replica's
+// own store is the source of truth, and re-pushing something already
+// applied is a no-op by protocol.
 type Publisher struct {
-	src     *store.Store
-	client  *http.Client
-	retries int
-	backoff time.Duration
+	src       *store.Store
+	endpoints []string
+	client    *http.Client
+	retries   int
+	backoff   time.Duration
 	// authToken, when non-empty, is sent as "Authorization: Bearer …"
 	// on every push (replicas started with WithAuthToken require it).
 	authToken string
-	// gzipMin is the body size from which pushes are gzip-compressed
-	// (Content-Encoding: gzip); negative disables compression.
-	gzipMin int
-	// selfHeal marks endpoints "unreconciled" at construction and on
-	// AddEndpoints; the first push to such an endpoint (or Heal) first
-	// backfills everything its reported watermarks say is missing.
-	selfHeal bool
 
-	mu          sync.Mutex
-	endpoints   []string
-	watermarks  map[string]map[string]int // endpoint → name → applied versions
-	healPending map[string]bool           // endpoints not yet reconciled since construction
+	mu         sync.Mutex
+	watermarks map[string]map[string]int // endpoint → name → applied versions, as last reported
+	flagged    map[string]bool           // endpoints due a reconcile
 }
+
+// gzipMin is the body size from which pushes are gzip-compressed
+// (Content-Encoding: gzip): wide released feature tables are highly
+// redundant, so compression cuts fan-out bandwidth by integer factors.
+const gzipMin = 1 << 10
 
 // Option configures a Publisher.
 type Option func(*Publisher)
@@ -72,95 +87,44 @@ func WithAuth(tok string) Option {
 	return func(p *Publisher) { p.authToken = tok }
 }
 
-// WithoutCompression disables gzip push bodies (the default compresses
-// bodies of 1 KiB and up — wide released feature tables are highly
-// redundant, so compression cuts fan-out bandwidth by integer factors).
-func WithoutCompression() Option {
-	return func(p *Publisher) { p.gzipMin = -1 }
-}
-
-// WithSelfHealing makes the publisher reconcile each endpoint against
-// the replica's *reported* applied-version watermarks before the first
-// push after construction (and after AddEndpoints), backfilling
-// whatever the replica is missing. This is the publisher-restart path:
-// a restarted publisher has an empty watermark cache and possibly
-// replicas that missed releases while it was down; with self-healing,
-// recovery needs no manual Sync — the daemon simply constructs its
-// publisher and the tier converges. Heal() runs the same reconciliation
-// eagerly (e.g. at daemon startup, so replicas converge even before
-// the next natural push).
-func WithSelfHealing() Option {
-	return func(p *Publisher) { p.selfHeal = true }
-}
-
 // NewPublisher returns a publisher over the authoritative store,
-// pushing to the given replica base URLs (e.g. "http://10.0.0.7:8081").
+// pushing to the given replica base URLs (e.g. "http://10.0.0.7:8081");
+// none is a publisher that pushes nowhere. Over a store that already
+// holds releases every endpoint starts flagged (see Publisher).
 func NewPublisher(src *store.Store, endpoints []string, opts ...Option) *Publisher {
 	p := &Publisher{
-		src:         src,
-		client:      http.DefaultClient,
-		retries:     3,
-		backoff:     100 * time.Millisecond,
-		gzipMin:     1 << 10,
-		endpoints:   append([]string(nil), endpoints...),
-		watermarks:  make(map[string]map[string]int),
-		healPending: make(map[string]bool),
+		src:        src,
+		endpoints:  append([]string(nil), endpoints...),
+		client:     http.DefaultClient,
+		retries:    3,
+		backoff:    100 * time.Millisecond,
+		watermarks: make(map[string]map[string]int),
+		flagged:    make(map[string]bool),
 	}
 	for _, o := range opts {
 		o(p)
 	}
-	if p.selfHeal {
+	if len(src.List()) > 0 {
 		for _, ep := range p.endpoints {
-			p.healPending[ep] = true
+			p.flagged[ep] = true
 		}
 	}
 	return p
 }
 
-// AddEndpoints registers additional replicas (a late join). They serve
-// nothing until the next Push, Sync, or Heal reaches them.
-func (p *Publisher) AddEndpoints(endpoints ...string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.endpoints = append(p.endpoints, endpoints...)
-	if p.selfHeal {
-		for _, ep := range endpoints {
-			p.healPending[ep] = true
-		}
-	}
-}
-
 // Endpoints returns the registered replica URLs.
-func (p *Publisher) Endpoints() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]string(nil), p.endpoints...)
-}
+func (p *Publisher) Endpoints() []string { return append([]string(nil), p.endpoints...) }
 
-// Watermark returns the last applied version the endpoint acknowledged
-// for name (0 if never pushed).
+// Watermark returns the applied version the endpoint last reported for
+// name (0 if it never has).
 func (p *Publisher) Watermark(endpoint, name string) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.watermarks[endpoint][name]
 }
 
-func (p *Publisher) noteWatermark(endpoint, name string, version int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	wm := p.watermarks[endpoint]
-	if wm == nil {
-		wm = make(map[string]int)
-		p.watermarks[endpoint] = wm
-	}
-	if version > wm[name] {
-		wm[name] = version
-	}
-}
-
-// setWatermark overwrites the cached watermark in both directions —
-// used when the replica itself reported it (the replica is the source
-// of truth; a lower report means it lost state).
+// setWatermark records what the replica said, in both directions: a
+// lower report than the last one means it lost state.
 func (p *Publisher) setWatermark(endpoint, name string, version int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -172,13 +136,27 @@ func (p *Publisher) setWatermark(endpoint, name string, version int) {
 	wm[name] = version
 }
 
+// setFlagged marks the endpoint as due, or no longer due, a reconcile.
+func (p *Publisher) setFlagged(endpoint string, due bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.flagged[endpoint] = due
+}
+
+func (p *Publisher) isFlagged(endpoint string) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.flagged[endpoint]
+}
+
 // Publish publishes the bundle into the authoritative store (assigning
 // the next version, exactly like store.Publish) and pushes it to every
 // replica. The release is durable in the source store even if every
-// push fails — serving replicas converge on the next Push or Sync.
+// push fails — serving replicas converge on the next Push or Sync. Its
+// callers (the daemon's loop, which has none) supply no context.
 func (p *Publisher) Publish(b store.Bundle) (int, error) {
 	version := p.src.Publish(b)
-	return version, p.Push(b.Name, version)
+	return version, p.Push(context.TODO(), b.Name, version)
 }
 
 // sleepBackoff waits out one retry delay with full jitter — a uniform
@@ -205,18 +183,18 @@ func sleepBackoff(ctx context.Context, d time.Duration) error {
 }
 
 // pushBody is one release ready for the wire: its canonical bytes, or
-// their gzip form when compression is on and pays for itself.
+// their gzip form when that is smaller.
 type pushBody struct {
 	payload []byte
 	gzipped bool
 }
 
-// encodePush serializes a bundle and (by default, for bodies of gzipMin
-// bytes and up) compresses it. The compressed form is only used when it
-// is actually smaller, so incompressible bundles ship identity-encoded.
-func (p *Publisher) encodePush(b *store.Bundle) pushBody {
+// encodePush serializes a bundle and, for bodies of gzipMin bytes and
+// up, compresses it. The compressed form is only used when it is
+// actually smaller, so incompressible bundles ship identity-encoded.
+func encodePush(b *store.Bundle) pushBody {
 	raw := b.CanonicalBytes()
-	if p.gzipMin >= 0 && len(raw) >= p.gzipMin {
+	if len(raw) >= gzipMin {
 		var buf bytes.Buffer
 		zw := gzip.NewWriter(&buf)
 		if _, err := zw.Write(raw); err == nil && zw.Close() == nil && buf.Len() < len(raw) {
@@ -226,149 +204,77 @@ func (p *Publisher) encodePush(b *store.Bundle) pushBody {
 	return pushBody{payload: raw}
 }
 
-// Push ships name@version from the source store to every replica,
-// concurrently. Each replica failure is independent; the joined error
-// reports every endpoint that did not converge. With self-healing on,
-// an endpoint that has not been reconciled since this publisher started
-// is first backfilled from its reported watermarks.
-func (p *Publisher) Push(name string, version int) error {
-	return p.PushContext(context.Background(), name, version)
-}
-
-// PushContext is Push with cancellation: the context aborts in-flight
-// push requests and interrupts retry backoff sleeps promptly.
-func (p *Publisher) PushContext(ctx context.Context, name string, version int) error {
-	bundle, ok := p.src.Get(name, version)
-	if !ok {
-		return fmt.Errorf("replica: push %s@v%d: not in source store", name, version)
-	}
-	body := p.encodePush(bundle)
-	endpoints := p.Endpoints()
-	errs := make([]error, len(endpoints))
+// eachEndpoint runs do against every replica concurrently — each
+// replica's failure is independent, and a stalled one holds up nobody
+// else — and joins the errors of those that did not converge.
+func (p *Publisher) eachEndpoint(do func(endpoint string) error) error {
+	errs := make([]error, len(p.endpoints))
 	var wg sync.WaitGroup
-	for i, ep := range endpoints {
+	for i, ep := range p.endpoints {
 		wg.Add(1)
-		go func(i int, ep string) {
+		go func() {
 			defer wg.Done()
-			p.ensureHealed(ctx, ep)
-			errs[i] = p.pushTo(ctx, ep, name, version, body)
-		}(i, ep)
+			errs[i] = do(ep)
+		}()
 	}
 	wg.Wait()
 	return errors.Join(errs...)
 }
 
-// ensureHealed reconciles an endpoint flagged by WithSelfHealing. On
-// failure the flag stays set (the gap protocol still converges the
-// pushed name; other names retry at the next push or Heal).
-func (p *Publisher) ensureHealed(ctx context.Context, ep string) {
-	p.mu.Lock()
-	pending := p.healPending[ep]
-	p.mu.Unlock()
-	if !pending {
-		return
+// Push ships name@version from the source store to every replica; a
+// flagged replica is reconciled instead, which delivers this release
+// among everything else it is missing. The context aborts in-flight
+// requests and interrupts retry backoff sleeps. A replica the push
+// fails for is flagged.
+func (p *Publisher) Push(ctx context.Context, name string, version int) error {
+	bundle, ok := p.src.Get(name, version)
+	if !ok {
+		return fmt.Errorf("replica: push %s@v%d: not in source store", name, version)
 	}
-	if err := p.healEndpoint(ctx, ep); err == nil {
-		p.mu.Lock()
-		delete(p.healPending, ep)
-		p.mu.Unlock()
-	}
+	body := encodePush(bundle)
+	return p.eachEndpoint(func(ep string) error {
+		// A reconcile that fails leaves the release to the plain push and
+		// its retries; the endpoint stays flagged either way.
+		if p.isFlagged(ep) && p.reconcile(ctx, ep) == nil {
+			return nil
+		}
+		err := p.pushTo(ctx, ep, name, version, body)
+		if err != nil {
+			p.setFlagged(ep, true)
+		}
+		return err
+	})
 }
 
-// healEndpoint fetches the replica's own applied-version watermarks and
-// backfills every missing release. Unlike the cached-watermark path,
-// this trusts only what the replica reports — the correct stance right
-// after a restart on either side.
-func (p *Publisher) healEndpoint(ctx context.Context, ep string) error {
-	applied, err := p.fetchStatus(ctx, ep)
+// Sync reconciles every replica, flagged or not — the daemon's sweep at
+// start and at drain, and the way a late joiner or a replica that lost
+// its state without the publisher noticing is caught up on demand. A
+// replica that cannot be reached is reported, stays flagged, and costs
+// the others nothing; the context bounds the whole sweep.
+func (p *Publisher) Sync(ctx context.Context) error {
+	return p.eachEndpoint(func(ep string) error { return p.reconcile(ctx, ep) })
+}
+
+// reconcile is the catch-up path: it asks the replica which versions it
+// holds and delivers, in order, every release of every name past that.
+// It trusts only what the replica reports. The flag is cleared first
+// and set again on failure, so a push that fails while a reconcile runs
+// is never forgotten.
+func (p *Publisher) reconcile(ctx context.Context, endpoint string) (err error) {
+	p.setFlagged(endpoint, false)
+	defer func() {
+		if err != nil {
+			p.setFlagged(endpoint, true)
+		}
+	}()
+	applied, err := p.fetchStatus(ctx, endpoint)
 	if err != nil {
 		return err
 	}
-	return p.syncEndpoint(ctx, ep, p.src.List(), applied)
-}
-
-// Heal eagerly reconciles every endpoint against its reported
-// watermarks — the publisher-restart recovery path (the daemon calls it
-// at startup so replicas that missed releases while the publisher was
-// down converge before the next natural push). Endpoints that cannot
-// be reached stay flagged for lazy healing on their next push.
-func (p *Publisher) Heal() error {
-	return p.HealContext(context.Background())
-}
-
-// HealContext is Heal with cancellation.
-func (p *Publisher) HealContext(ctx context.Context) error {
-	var errs []error
-	for _, ep := range p.Endpoints() {
-		if err := p.healEndpoint(ctx, ep); err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		p.mu.Lock()
-		delete(p.healPending, ep)
-		p.mu.Unlock()
-	}
-	return errors.Join(errs...)
-}
-
-// Sync brings every replica up to the source store's current versions —
-// the late-join catch-up path, also usable as a periodic anti-entropy
-// sweep. Each replica's *reported* watermarks (GET /replica/status) are
-// what Sync reconciles against, not the publisher's cached ones: a
-// replica that restarted empty reports 0 and is re-backfilled even
-// though the publisher remembers acking it. When the status fetch
-// fails, Sync falls back to the cached watermarks (the gap protocol
-// corrects any staleness on the first push).
-func (p *Publisher) Sync() error {
-	return p.SyncContext(context.Background())
-}
-
-// SyncContext is Sync with cancellation: a daemon draining on shutdown
-// can bound its final anti-entropy sweep instead of hanging on an
-// unreachable replica's full retry schedule.
-func (p *Publisher) SyncContext(ctx context.Context) error {
-	names := p.src.List() // already sorted
-	var errs []error
-	for _, ep := range p.Endpoints() {
-		if err := ctx.Err(); err != nil {
-			errs = append(errs, err)
-			break
-		}
-		applied, err := p.fetchStatus(ctx, ep)
-		if err != nil {
-			applied = nil // unknown; fall back to cached watermarks
-		}
-		if err := p.syncEndpoint(ctx, ep, names, applied); err != nil {
-			// This replica is unreachable or divergent; move on to the
-			// next endpoint rather than burning retries per name.
-			errs = append(errs, err)
-		}
-	}
-	return errors.Join(errs...)
-}
-
-// syncEndpoint pushes one replica everything it is missing, stopping at
-// the first push failure (the endpoint is likely down; its remaining
-// names would each eat a full retry cycle).
-func (p *Publisher) syncEndpoint(ctx context.Context, ep string, names []string, applied map[string]int) error {
-	for _, name := range names {
-		from := p.Watermark(ep, name)
-		if applied != nil {
-			// The replica's own report overrides the cache in both
-			// directions: higher (another publisher fed it) skips work,
-			// lower (it lost state) forces the re-backfill.
-			from = applied[name]
-			p.setWatermark(ep, name, from)
-		}
-		have := p.src.VersionCount(name)
-		for v := from + 1; v <= have; v++ {
-			bundle, ok := p.src.Get(name, v)
-			if !ok {
-				continue
-			}
-			if err := p.pushTo(ctx, ep, name, v, p.encodePush(bundle)); err != nil {
-				return err
-			}
+	for _, name := range p.src.List() {
+		p.setWatermark(endpoint, name, applied[name])
+		if err := p.backfill(ctx, endpoint, name, applied[name], p.src.VersionCount(name)); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -392,17 +298,13 @@ func (p *Publisher) fetchStatus(ctx context.Context, endpoint string) (map[strin
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		return nil, fmt.Errorf("replica: undecodable status from %s: %w", endpoint, err)
 	}
-	if st.Watermarks == nil {
-		st.Watermarks = map[string]int{}
-	}
 	return st.Watermarks, nil
 }
 
 // pushTo delivers one release to one replica, retrying transport
-// errors with exponential backoff (full jitter, see sleepBackoff) and
-// healing version gaps by backfilling from the replica's reported
-// watermark. Cancelling the context aborts the in-flight request and
-// interrupts any backoff sleep.
+// errors with exponential backoff (full jitter, see sleepBackoff).
+// Cancelling the context aborts the in-flight request and interrupts
+// any backoff sleep.
 func (p *Publisher) pushTo(ctx context.Context, endpoint, name string, version int, body pushBody) error {
 	backoff := p.backoff
 	var lastErr error
@@ -416,57 +318,51 @@ func (p *Publisher) pushTo(ctx context.Context, endpoint, name string, version i
 			backoff *= 2
 		}
 		st, gap, err := p.pushOnce(ctx, endpoint, body)
-		switch {
-		case gap != nil:
-			// The replica is missing versions ≤ ours: backfill in order
-			// from its watermark, then re-deliver this one. Not a retry —
-			// the gap reply is authoritative, so the attempt counter
-			// resets inside the recursive deliveries.
+		if gap != nil {
+			// The replica is missing versions below ours, so it is not
+			// where the publisher thought: flag it, backfill this name in
+			// order from the watermark it reports, then re-deliver. Not a
+			// retry — the gap reply is authoritative.
+			p.setFlagged(endpoint, true)
+			p.setWatermark(endpoint, name, gap.Watermark)
 			if err := p.backfill(ctx, endpoint, name, gap.Watermark, version-1); err != nil {
 				return err
 			}
-			st, gap, err = p.pushOnce(ctx, endpoint, body)
-			switch {
-			case err == nil && gap == nil:
-				p.noteWatermark(endpoint, name, st.Watermark)
-				return nil
-			case gap != nil:
+			if st, gap, err = p.pushOnce(ctx, endpoint, body); gap != nil {
 				// Still behind after a completed backfill: the replica
-				// lost state mid-protocol (or another publisher raced a
-				// divergent history). Let the retry loop start over from
-				// its reported watermark.
-				lastErr = fmt.Errorf("replica: push %s@v%d to %s after backfill: replica still reports watermark %d", name, version, endpoint, gap.Watermark)
-			default:
-				lastErr = fmt.Errorf("replica: push %s@v%d to %s after backfill: %w", name, version, endpoint, err)
+				// lost state mid-protocol. The retry loop starts over from
+				// the watermark it reports next.
+				err = fmt.Errorf("replica still reports watermark %d after backfill", gap.Watermark)
 			}
-		case err == nil:
-			p.noteWatermark(endpoint, name, st.Watermark)
+		}
+		if err == nil {
+			p.setWatermark(endpoint, name, st.Watermark)
 			return nil
-		case isPermanent(err):
-			return fmt.Errorf("replica: push %s@v%d to %s: %w", name, version, endpoint, err)
-		default:
-			lastErr = fmt.Errorf("replica: push %s@v%d to %s: %w", name, version, endpoint, err)
+		}
+		lastErr = fmt.Errorf("replica: push %s@v%d to %s: %w", name, version, endpoint, err)
+		if isPermanent(err) {
+			break
 		}
 	}
 	return lastErr
 }
 
-// backfill pushes versions from..to of name (inclusive) to one
-// endpoint, in order.
+// backfill pushes versions watermark+1..to of name (inclusive) to one
+// endpoint, in order, once each: its callers own the retrying.
 func (p *Publisher) backfill(ctx context.Context, endpoint, name string, watermark, to int) error {
 	for v := watermark + 1; v <= to; v++ {
 		bundle, ok := p.src.Get(name, v)
 		if !ok {
 			return fmt.Errorf("replica: backfill %s@v%d: not in source store", name, v)
 		}
-		st, gap, err := p.pushOnce(ctx, endpoint, p.encodePush(bundle))
+		st, gap, err := p.pushOnce(ctx, endpoint, encodePush(bundle))
 		if err != nil {
 			return fmt.Errorf("replica: backfill %s@v%d to %s: %w", name, v, endpoint, err)
 		}
 		if gap != nil {
 			return fmt.Errorf("replica: backfill %s@v%d to %s: replica still reports gap at watermark %d", name, v, endpoint, gap.Watermark)
 		}
-		p.noteWatermark(endpoint, name, st.Watermark)
+		p.setWatermark(endpoint, name, st.Watermark)
 	}
 	return nil
 }

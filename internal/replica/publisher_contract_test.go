@@ -1,0 +1,334 @@
+package replica
+
+import (
+	"context"
+	"errors"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/faulty"
+	"repro/internal/ml"
+	"repro/internal/store"
+)
+
+// rigReplica is one in-process replica behind a URL that outlives it:
+// the server can be swapped for an empty one (a restart without a disk),
+// faults are injected in front of it, and every request that arrives at
+// the URL is counted by kind, faulted or not.
+type rigReplica struct {
+	url   string
+	srv   atomic.Pointer[Server]
+	inj   *faulty.Injector
+	posts atomic.Int32 // POST /push
+	gets  atomic.Int32 // GET /replica/status
+}
+
+func newRigReplica(t *testing.T, seed uint64) *rigReplica {
+	t.Helper()
+	r := &rigReplica{inj: faulty.New(seed)}
+	r.srv.Store(NewServer())
+	inner := r.inj.Handler(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		r.srv.Load().Handler().ServeHTTP(w, req)
+	}))
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		switch req.Method + " " + req.URL.Path {
+		case "POST /push":
+			r.posts.Add(1)
+		case "GET /replica/status":
+			r.gets.Add(1)
+		}
+		inner.ServeHTTP(w, req)
+	}))
+	t.Cleanup(srv.Close)
+	// Parked handlers are released before the server closes (cleanups
+	// run last-in, first-out).
+	t.Cleanup(r.inj.Clear)
+	r.url = srv.URL
+	return r
+}
+
+// restart swaps the replica for an empty one behind the same URL.
+func (r *rigReplica) restart() { r.srv.Store(NewServer()) }
+
+// traffic reports and resets the requests seen since the last call.
+func (r *rigReplica) traffic() (posts, gets int) {
+	return int(r.posts.Swap(0)), int(r.gets.Swap(0))
+}
+
+// nextBundle is the next release of name: version v carries quality v.
+func nextBundle(src *store.Store, name string) store.Bundle {
+	spec, _ := store.Serialize(&ml.LinearModel{Weights: []float64{1}, Bias: 0})
+	b := store.Bundle{Name: name, Model: spec}
+	b.Provenance.Quality = float64(src.VersionCount(name) + 1)
+	return b
+}
+
+// release publishes the next version of name straight into the source
+// store, the way a release made while no publisher was up gets there.
+func release(src *store.Store, name string) int { return src.Publish(nextBundle(src, name)) }
+
+// requireConverged fails unless the replica holds exactly the source's
+// releases and the publisher's cache says what the replica reports.
+func requireConverged(t *testing.T, pub *Publisher, src *store.Store, r *rigReplica) {
+	t.Helper()
+	have := r.srv.Load().Store().Watermarks()
+	for name, n := range src.Watermarks() {
+		if have[name] != n {
+			t.Errorf("%s holds %d version(s) of %s, the source %d", r.url, have[name], name, n)
+		}
+		if wm := pub.Watermark(r.url, name); wm != have[name] {
+			t.Errorf("Watermark(%s, %s) = %d, the replica reports %d", r.url, name, wm, have[name])
+		}
+	}
+}
+
+func urlsOf(reps []*rigReplica) []string {
+	urls := make([]string, len(reps))
+	for i, r := range reps {
+		urls[i] = r.url
+	}
+	return urls
+}
+
+// TestPublisherContract pins what a publisher sends and when an endpoint
+// is flagged. seeded is how many releases of "a" and of "b" the source
+// holds before the publisher is built over it; prefix[i] how many of
+// each replica i already applied.
+func TestPublisherContract(t *testing.T) {
+	ctx := context.Background()
+	down := faulty.Rule{Mode: faulty.Error}
+	for _, c := range []struct {
+		name   string
+		seeded int
+		prefix []int
+		drive  func(t *testing.T, src *store.Store, pub *Publisher, reps []*rigReplica)
+		// wantFlagged[i] is replica i's flag once drive returns; a
+		// replica that is not flagged must have converged.
+		wantFlagged []bool
+	}{
+		{
+			// (i) The benchmark fleets' traffic: over an empty store and
+			// never refused, a release is one POST per replica and nothing
+			// else — the first and every later one.
+			name: "empty-store", prefix: []int{0, 0},
+			drive: func(t *testing.T, src *store.Store, pub *Publisher, reps []*rigReplica) {
+				for range 3 {
+					if _, err := pub.Publish(nextBundle(src, "a")); err != nil {
+						t.Fatal(err)
+					}
+					for i, r := range reps {
+						if posts, gets := r.traffic(); posts != 1 || gets != 0 {
+							t.Fatalf("replica %d saw %d POST /push and %d GET /replica/status for one Publish, want 1 and 0", i, posts, gets)
+						}
+					}
+				}
+			},
+			wantFlagged: []bool{false, false},
+		},
+		{
+			// (ii) A restart: the source holds releases the publisher never
+			// pushed. Sync reconciles a replica holding a prefix and an
+			// empty one; the one unreachable during Sync is reconciled by
+			// its first successful push, with no further Sync.
+			name: "restart", seeded: 3, prefix: []int{1, 0, 0},
+			drive: func(t *testing.T, src *store.Store, pub *Publisher, reps []*rigReplica) {
+				reps[2].inj.Set(down)
+				err := pub.Sync(ctx)
+				if err == nil || !strings.Contains(err.Error(), reps[2].url) {
+					t.Fatalf("Sync with replica 2 down = %v, want its error", err)
+				}
+				requireConverged(t, pub, src, reps[0])
+				requireConverged(t, pub, src, reps[1])
+				if !pub.isFlagged(reps[2].url) || pub.isFlagged(reps[0].url) || pub.isFlagged(reps[1].url) {
+					t.Fatal("after Sync only the unreachable replica may be flagged")
+				}
+				reps[2].inj.Clear()
+				if err := pub.Push(ctx, "a", release(src, "a")); err != nil {
+					t.Fatal(err)
+				}
+				// Reconciled means plain pushes from here on.
+				for _, r := range reps {
+					r.traffic()
+				}
+				if err := pub.Push(ctx, "b", release(src, "b")); err != nil {
+					t.Fatal(err)
+				}
+				for i, r := range reps {
+					if posts, gets := r.traffic(); posts != 1 || gets != 0 {
+						t.Fatalf("reconciled replica %d saw %d POST and %d GET for one push, want 1 and 0", i, posts, gets)
+					}
+				}
+			},
+			wantFlagged: []bool{false, false, false},
+		},
+		{
+			// (iii) Sync with a replica that accepts connections and never
+			// answers, listed first: it costs the context's deadline and
+			// nothing else.
+			name: "sync-hung", seeded: 2, prefix: []int{0, 0, 1},
+			drive: func(t *testing.T, src *store.Store, pub *Publisher, reps []*rigReplica) {
+				reps[0].inj.Set(faulty.Rule{Mode: faulty.Hang})
+				dctx, cancel := context.WithTimeout(ctx, 300*time.Millisecond)
+				defer cancel()
+				start := time.Now()
+				err := pub.Sync(dctx)
+				if elapsed := time.Since(start); elapsed > 3*time.Second {
+					t.Fatalf("Sync took %v past a 300ms deadline", elapsed)
+				}
+				if !errors.Is(err, context.DeadlineExceeded) || !strings.Contains(err.Error(), reps[0].url) {
+					t.Fatalf("Sync = %v, want the hung replica's deadline error", err)
+				}
+				for _, r := range reps[1:] {
+					if strings.Contains(err.Error(), r.url) {
+						t.Fatalf("Sync blames a healthy replica: %v", err)
+					}
+				}
+			},
+			wantFlagged: []bool{true, false, false},
+		},
+		{
+			// (iv) A push that fails flags the endpoint, so what it missed
+			// while it was away — other names too — arrives with the next
+			// push that gets through.
+			name: "failed-push", prefix: []int{0, 0},
+			drive: func(t *testing.T, src *store.Store, pub *Publisher, reps []*rigReplica) {
+				reps[1].inj.Set(down)
+				err := pub.Push(ctx, "a", release(src, "a"))
+				if err == nil || !strings.Contains(err.Error(), reps[1].url) {
+					t.Fatalf("push with replica 1 down = %v, want its error", err)
+				}
+				if !pub.isFlagged(reps[1].url) || pub.isFlagged(reps[0].url) {
+					t.Fatal("only the replica the push failed for may be flagged")
+				}
+				_ = pub.Push(ctx, "b", release(src, "b"))
+				reps[1].inj.Clear()
+				if err := pub.Push(ctx, "a", release(src, "a")); err != nil {
+					t.Fatal(err)
+				}
+			},
+			wantFlagged: []bool{false, false},
+		},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			src := store.New()
+			for range c.seeded {
+				release(src, "a")
+				release(src, "b")
+			}
+			reps := make([]*rigReplica, len(c.prefix))
+			for i, n := range c.prefix {
+				reps[i] = newRigReplica(t, uint64(i))
+				for v := 1; v <= n; v++ {
+					for _, name := range []string{"a", "b"} {
+						b, _ := src.Get(name, v)
+						if _, err := reps[i].srv.Load().Store().Apply(*b); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			}
+			pub := NewPublisher(src, urlsOf(reps), WithRetry(1, time.Millisecond))
+			c.drive(t, src, pub, reps)
+			for i, r := range reps {
+				if got := pub.isFlagged(r.url); got != c.wantFlagged[i] {
+					t.Errorf("replica %d flagged = %v, want %v", i, got, c.wantFlagged[i])
+				}
+				if !c.wantFlagged[i] {
+					requireConverged(t, pub, src, r)
+				}
+			}
+		})
+	}
+}
+
+// TestReplicaRestartMidRunConverges: a replica that comes back empty
+// while the publisher runs is not where the publisher thinks it is. The
+// gap reply to the next release says so; the push after that reconciles
+// it, so the name that got no new release converges too, and the cache
+// follows the replica down instead of reporting it current.
+func TestReplicaRestartMidRunConverges(t *testing.T) {
+	ctx := context.Background()
+	src := store.New()
+	rep := newRigReplica(t, 1)
+	pub := NewPublisher(src, []string{rep.url}, WithRetry(1, time.Millisecond))
+	for range 3 {
+		for _, name := range []string{"a", "b"} {
+			if err := pub.Push(ctx, name, release(src, name)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	requireConverged(t, pub, src, rep)
+
+	rep.restart()
+	for range 2 {
+		if err := pub.Push(ctx, "a", release(src, "a")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	requireConverged(t, pub, src, rep)
+	for name, n := range map[string]int{"a": 5, "b": 3} {
+		for v := 1; v <= n; v++ {
+			if b, ok := rep.srv.Load().Store().Get(name, v); !ok || b.Provenance.Quality != float64(v) {
+				t.Errorf("%s@v%d missing or wrong on the restarted replica", name, v)
+			}
+		}
+	}
+	if pub.isFlagged(rep.url) {
+		t.Error("reconciled replica still flagged")
+	}
+}
+
+// TestSyncHealsRestartedReplica: Sync asks every replica, flagged or
+// not, so one that restarted empty without the publisher having heard
+// from it since — the cache still says current — is backfilled from
+// what it reports.
+func TestSyncHealsRestartedReplica(t *testing.T) {
+	ctx := context.Background()
+	src := store.New()
+	rep := newRigReplica(t, 1)
+	pub := NewPublisher(src, []string{rep.url}, WithRetry(1, time.Millisecond))
+	for range 2 {
+		if err := pub.Push(ctx, "a", release(src, "a")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep.restart()
+	if wm := pub.Watermark(rep.url, "a"); wm != 2 || pub.isFlagged(rep.url) {
+		t.Fatalf("precondition: cached watermark %d (want 2), flagged %v (want false)", wm, pub.isFlagged(rep.url))
+	}
+	if err := pub.Sync(ctx); err != nil {
+		t.Fatalf("sync after restart: %v", err)
+	}
+	requireConverged(t, pub, src, rep)
+}
+
+// TestSelfHealingConcurrentPushes: racing pushes to a flagged endpoint
+// reconcile it concurrently without corrupting the bookkeeping (run with
+// -race).
+func TestSelfHealingConcurrentPushes(t *testing.T) {
+	src := store.New()
+	release(src, "a")
+	rep := newRigReplica(t, 1)
+	pub := NewPublisher(src, []string{rep.url})
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := pub.Push(context.Background(), "a", 1); err != nil {
+				t.Errorf("concurrent push: %v", err)
+			}
+		}()
+	}
+	wg.Wait()
+	requireConverged(t, pub, src, rep)
+	if pub.isFlagged(rep.url) {
+		t.Error("endpoint still flagged after four successful pushes")
+	}
+}

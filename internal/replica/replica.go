@@ -16,7 +16,7 @@
 // digest; a release has no other serialization. The replica's reply
 // reports its *applied-version watermark* for that model name —
 // watermark = n always means versions 1..n are applied, because the
-// replica refuses gaps. The protocol is idempotent and self-healing:
+// replica refuses gaps. The protocol is idempotent:
 //
 //   - version == watermark+1 → applied, watermark advances.
 //   - version <= watermark → duplicate. The replica verifies the
@@ -24,25 +24,38 @@
 //     without reapplying; a digest mismatch is a 409 — a release can
 //     never be silently replaced.
 //   - version > watermark+1 → 409 with the watermark, and the
-//     publisher backfills the missing versions in order. This is also
-//     how a replica that joins late catches up: its watermark is 0, so
-//     the first push triggers a backfill from version 1.
+//     publisher backfills the missing versions of that name in order.
 //
 // Replica stores are read-only from the network's point of view: only
 // /push mutates them, and application happens under the store's write
 // lock, so a concurrent /predict sees either the old set of releases or
 // the new one, never a half-applied bundle.
 //
-// Two wire-level options harden and cheapen the push path. /push can be
-// gated behind a shared-secret bearer token (WithAuthToken on the
-// server, the matching option on the Publisher): the mutating endpoint
-// then rejects unauthenticated bodies with 401 before reading them,
-// while the read API stays open. And push bodies may be gzip-compressed
-// (Content-Encoding: gzip, the publisher's default for bodies past a
-// small threshold) — wide released feature tables are highly
-// redundant, so compression cuts fan-out bandwidth by integer factors;
-// the replica decompresses transparently and enforces the same
-// decoded-size cap as for identity bodies.
+// # Catching up
+//
+// A replica falls behind by joining late, by restarting without its
+// state, or by being unreachable while releases were made. There is one
+// way back: the publisher reconciles it — reads GET /replica/status and
+// pushes, in order, every release of every name past the watermarks the
+// replica reports. Nothing selects this; the publisher works out which
+// endpoints to doubt from what it observes (built over a store that
+// already holds releases, a failed push, a gap reply — see Publisher),
+// reconciles those at their next push, and reconciles all of them when
+// asked to (Publisher.Sync, which the daemon calls at start and at
+// drain). The watermarks a publisher caches are what each replica last
+// said, never an input to a decision.
+//
+// # On the wire
+//
+// /push can be gated behind a shared-secret bearer token (WithAuthToken
+// on the server, WithAuth on the Publisher): the mutating endpoint then
+// rejects unauthenticated bodies with 401 before reading them, while
+// the read API stays open. Push bodies of a kilobyte and up are
+// gzip-compressed when that makes them smaller (Content-Encoding: gzip)
+// — wide released feature tables are highly redundant, so compression
+// cuts fan-out bandwidth by integer factors; the replica decompresses
+// transparently and enforces the same decoded-size cap as for identity
+// bodies.
 package replica
 
 import (

@@ -2,6 +2,7 @@ package replica
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -190,11 +191,12 @@ func TestReplicatedServingEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Late join: a fresh replica added after both publishes must catch
-	// up to the current versions through Sync.
+	// Late join: a fresh replica that appears after both publishes gets
+	// a publisher of its own over the same store, and must catch up to
+	// the current versions through Sync.
 	late, lateSrv := newReplica(t)
-	pub.AddEndpoints(lateSrv.URL)
-	if err := pub.Sync(); err != nil {
+	pub = NewPublisher(src, []string{lateSrv.URL}, WithRetry(2, 5*time.Millisecond))
+	if err := pub.Sync(context.Background()); err != nil {
 		t.Fatalf("late-join sync: %v", err)
 	}
 	if got := late.Store().VersionCount("taxi-lr"); got != 2 {
@@ -211,7 +213,7 @@ func TestReplicatedServingEndToEnd(t *testing.T) {
 	// Sync is idempotent: a second run pushes nothing new and changes
 	// nothing.
 	gen := late.Store().Generation()
-	if err := pub.Sync(); err != nil {
+	if err := pub.Sync(context.Background()); err != nil {
 		t.Fatalf("second sync: %v", err)
 	}
 	if late.Store().Generation() != gen {
@@ -225,18 +227,22 @@ func TestReplicatedServingEndToEnd(t *testing.T) {
 // versions in order, transparently.
 func TestPushGapTriggersBackfill(t *testing.T) {
 	src := store.New()
+	rep, srv := newReplica(t)
+	// Built over the empty store, so the endpoint is not flagged and the
+	// push below is a plain one.
+	pub := NewPublisher(src, []string{srv.URL}, WithRetry(1, time.Millisecond))
 	spec, _ := store.Serialize(&ml.LinearModel{Weights: []float64{1}, Bias: 0})
 	for i := 0; i < 3; i++ {
 		b := store.Bundle{Name: "m", Model: spec}
 		b.Provenance.Quality = float64(i)
 		src.Publish(b)
 	}
-
-	rep, srv := newReplica(t)
-	pub := NewPublisher(src, []string{srv.URL}, WithRetry(1, time.Millisecond))
 	// Push only v3: the replica (watermark 0) must end up with 1..3.
-	if err := pub.Push("m", 3); err != nil {
+	if err := pub.Push(context.Background(), "m", 3); err != nil {
 		t.Fatalf("push with gap: %v", err)
+	}
+	if !pub.isFlagged(srv.URL) {
+		t.Error("a replica that answered a gap is not where the publisher thought: it must be flagged")
 	}
 	if got := rep.Store().VersionCount("m"); got != 3 {
 		t.Fatalf("replica has %d version(s), want 3 (backfilled)", got)
@@ -269,12 +275,13 @@ func TestPushRetriesTransientErrors(t *testing.T) {
 	}))
 	defer flaky.Close()
 
+	// Every publisher here is built before the release exists, so its
+	// endpoint is not flagged and the calls counted are pushes alone.
 	src := store.New()
+	pub := NewPublisher(src, []string{flaky.URL}, WithRetry(3, time.Millisecond))
 	spec, _ := store.Serialize(&ml.LinearModel{Weights: []float64{2}, Bias: 1})
 	src.Publish(store.Bundle{Name: "m", Model: spec})
-
-	pub := NewPublisher(src, []string{flaky.URL}, WithRetry(3, time.Millisecond))
-	if err := pub.Push("m", 1); err != nil {
+	if err := pub.Push(context.Background(), "m", 1); err != nil {
 		t.Fatalf("push through flaky replica: %v", err)
 	}
 	if got := rep.Store().VersionCount("m"); got != 1 {
@@ -290,7 +297,7 @@ func TestPushRetriesTransientErrors(t *testing.T) {
 	}))
 	defer dead.Close()
 	pubDead := NewPublisher(src, []string{dead.URL}, WithRetry(1, time.Millisecond))
-	if err := pubDead.Push("m", 1); err == nil {
+	if err := pubDead.Push(context.Background(), "m", 1); err == nil {
 		t.Error("push to permanently-down replica reported success")
 	}
 
@@ -310,8 +317,10 @@ func TestPushRetriesTransientErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	divergeCalls.Store(0)
-	pubDiv := NewPublisher(src, []string{counting.URL}, WithRetry(5, time.Millisecond))
-	if err := pubDiv.Push("m", 1); err == nil {
+	srcDiv := store.New()
+	pubDiv := NewPublisher(srcDiv, []string{counting.URL}, WithRetry(5, time.Millisecond))
+	srcDiv.Publish(store.Bundle{Name: "m", Model: spec})
+	if err := pubDiv.Push(context.Background(), "m", 1); err == nil {
 		t.Fatal("divergent push reported success")
 	}
 	if divergeCalls.Load() != 1 {
@@ -336,7 +345,7 @@ func TestPushRacesPredict(t *testing.T) {
 
 	rep, srv := newReplica(t)
 	pub := NewPublisher(src, []string{srv.URL}, WithRetry(2, time.Millisecond))
-	if err := pub.Push("m", 1); err != nil {
+	if err := pub.Push(context.Background(), "m", 1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -390,7 +399,7 @@ func TestPushRacesPredict(t *testing.T) {
 	}
 	for v := 2; v <= versions; v++ {
 		src.Publish(store.Bundle{Name: "m", Model: mkSpec(v)})
-		if err := pub.Push("m", v); err != nil {
+		if err := pub.Push(context.Background(), "m", v); err != nil {
 			t.Fatalf("push v%d during predicts: %v", v, err)
 		}
 	}
@@ -406,50 +415,6 @@ func TestPushRacesPredict(t *testing.T) {
 	}
 }
 
-// TestSyncHealsRestartedReplica pins Sync's anti-entropy contract: it
-// reconciles against the replica's *reported* watermarks, not the
-// publisher's cache, so a replica that restarted empty (same endpoint,
-// lost state) is re-backfilled even though the publisher remembers
-// acking every version.
-func TestSyncHealsRestartedReplica(t *testing.T) {
-	src := store.New()
-	spec, _ := store.Serialize(&ml.LinearModel{Weights: []float64{1}, Bias: 0})
-	src.Publish(store.Bundle{Name: "m", Model: spec})
-	src.Publish(store.Bundle{Name: "m", Model: spec})
-
-	// The endpoint survives the "restart"; the replica behind it does
-	// not.
-	var current atomic.Value
-	first := NewServer()
-	current.Store(first.Handler())
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		current.Load().(http.Handler).ServeHTTP(w, r)
-	}))
-	defer srv.Close()
-
-	pub := NewPublisher(src, []string{srv.URL}, WithRetry(1, time.Millisecond))
-	if err := pub.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if got := first.Store().VersionCount("m"); got != 2 {
-		t.Fatalf("first replica at %d versions, want 2", got)
-	}
-
-	// Restart: fresh empty store behind the same URL. The cached
-	// watermark still says 2.
-	reborn := NewServer()
-	current.Store(reborn.Handler())
-	if wm := pub.Watermark(srv.URL, "m"); wm != 2 {
-		t.Fatalf("precondition: cached watermark %d, want 2", wm)
-	}
-	if err := pub.Sync(); err != nil {
-		t.Fatalf("sync after restart: %v", err)
-	}
-	if got := reborn.Store().VersionCount("m"); got != 2 {
-		t.Errorf("restarted replica at %d versions after Sync, want 2 (must heal from reported watermark, not cache)", got)
-	}
-}
-
 // TestReplicaStatusEndpoint covers the operator view: watermarks per
 // model and the store generation.
 func TestReplicaStatusEndpoint(t *testing.T) {
@@ -461,7 +426,7 @@ func TestReplicaStatusEndpoint(t *testing.T) {
 
 	_, srv := newReplica(t)
 	pub := NewPublisher(src, []string{srv.URL}, WithRetry(1, time.Millisecond))
-	if err := pub.Sync(); err != nil {
+	if err := pub.Sync(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	code, raw := fetch(t, "GET", srv.URL+"/replica/status", "")

@@ -77,9 +77,6 @@ func (r *RNG) Split() *RNG {
 // Uint64 returns a uniformly distributed 64-bit value.
 func (r *RNG) Uint64() uint64 { return r.src.Uint64() }
 
-// Int64N returns a uniform value in [0, n). It panics if n <= 0.
-func (r *RNG) Int64N(n int64) int64 { return r.src.Int64N(n) }
-
 // IntN returns a uniform value in [0, n). It panics if n <= 0.
 func (r *RNG) IntN(n int) int { return r.src.IntN(n) }
 
@@ -174,33 +171,6 @@ func (r *RNG) LogNormal(mu, sigma float64) float64 {
 
 // Perm returns a pseudo-random permutation of [0, n).
 func (r *RNG) Perm(n int) []int { return r.src.Perm(n) }
-
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) { r.src.Shuffle(n, swap) }
-
-// Categorical returns an index drawn proportionally to the non-negative
-// weights. It panics if the weights are empty or sum to zero.
-func (r *RNG) Categorical(weights []float64) int {
-	total := 0.0
-	for _, w := range weights {
-		if w < 0 {
-			panic("rng: Categorical requires non-negative weights")
-		}
-		total += w
-	}
-	if len(weights) == 0 || total == 0 {
-		panic("rng: Categorical requires positive total weight")
-	}
-	u := r.src.Float64() * total
-	acc := 0.0
-	for i, w := range weights {
-		acc += w
-		if u < acc {
-			return i
-		}
-	}
-	return len(weights) - 1
-}
 
 // Zipf returns a sampler over [0, n) with Zipf-like weights 1/(i+1)^s,
 // used by the Criteo generator for power-law categorical features. A

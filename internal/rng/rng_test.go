@@ -129,23 +129,6 @@ func TestParetoMin(t *testing.T) {
 	}
 }
 
-func TestCategorical(t *testing.T) {
-	r := New(9)
-	w := []float64{1, 2, 7}
-	counts := make([]int, 3)
-	const n = 100000
-	for i := 0; i < n; i++ {
-		counts[r.Categorical(w)]++
-	}
-	for i, c := range counts {
-		got := float64(c) / n
-		want := w[i] / 10
-		if math.Abs(got-want) > 0.01 {
-			t.Errorf("category %d frequency = %v, want ~%v", i, got, want)
-		}
-	}
-}
-
 func TestZipfBounds(t *testing.T) {
 	r := New(10)
 	draw := r.Zipf(50, 1.2)

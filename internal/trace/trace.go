@@ -147,14 +147,6 @@ func New(cfg Config) *Tracer {
 	return t
 }
 
-// Service returns the tier name ("" on a nil tracer).
-func (t *Tracer) Service() string {
-	if t == nil {
-		return ""
-	}
-	return t.service
-}
-
 // nextID draws one nonzero 64-bit id (splitmix64 over the seeded
 // counter — no locks, no allocation).
 func (t *Tracer) nextID() uint64 {

@@ -1,8 +1,6 @@
 package validation
 
 import (
-	"math"
-
 	"repro/internal/privacy"
 	"repro/internal/rng"
 )
@@ -59,39 +57,4 @@ func (v ErrorValidator) Accept(n int, r *rng.RNG) bool {
 	}
 	sampling := HoeffdingDeviation(total, v.Eta/2, v.B)
 	return noiseErr+sampling <= v.Target
-}
-
-// RequiredSamples returns the smallest n for which Accept would hold in
-// expectation (ignoring count noise), useful for sizing windows:
-// solves noise/n + B·sqrt(ln(2/η)/(2n)) ≤ τ numerically.
-func (v ErrorValidator) RequiredSamples() int {
-	v.Config.validate()
-	if v.B <= 0 {
-		panic("validation: ErrorValidator requires B > 0")
-	}
-	noise := 0.0
-	if v.Mode.isDP() {
-		statMech := privacy.LaplaceMechanism{Sensitivity: v.B, Epsilon: v.Epsilon / 2}
-		noise = statMech.TailBound(v.Eta / 2)
-		if v.Mode.corrects() {
-			countMech := privacy.LaplaceMechanism{Sensitivity: 1, Epsilon: v.Epsilon / 2}
-			noise += v.Target * countMech.TailBound(v.Eta/2) // count slack, first order
-		}
-	}
-	lo, hi := 1.0, 1e12
-	need := func(n float64) bool {
-		return noise/n+HoeffdingDeviation(n, v.Eta/2, v.B) <= v.Target
-	}
-	if !need(hi) {
-		return math.MaxInt64 / 2
-	}
-	for i := 0; i < 100; i++ {
-		mid := (lo + hi) / 2
-		if need(mid) {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return int(math.Ceil(hi))
 }

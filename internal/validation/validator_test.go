@@ -223,26 +223,18 @@ func TestErrorValidator(t *testing.T) {
 	if !v.Accept(1000000, r) {
 		t.Error("1M samples should bound error to 0.05")
 	}
-	// RequiredSamples should be consistent with Accept.
-	n := v.RequiredSamples()
-	if n <= 0 {
-		t.Fatalf("RequiredSamples = %d", n)
-	}
-	if !v.Accept(n*4, r) {
-		t.Errorf("Accept(4×RequiredSamples=%d) failed", 4*n)
-	}
-	if v.Accept(n/100, r) {
-		t.Errorf("Accept(RequiredSamples/100) unexpectedly passed")
-	}
 }
 
 func TestErrorValidatorModeComparison(t *testing.T) {
-	// The NP validator needs fewer samples than the DP-corrected one.
+	// DP costs samples: at a size where the sampling error alone just
+	// fits the target, the NP validator accepts and the DP-corrected one,
+	// which also has to fit its noise, does not.
 	np := ErrorValidator{Config: Config{Mode: ModeNPSLA, Eta: 0.05}, Target: 0.02, B: 1}
 	sage := ErrorValidator{Config: Config{Mode: ModeSage, Eta: 0.05, Epsilon: 0.1}, Target: 0.02, B: 1}
-	if np.RequiredSamples() >= sage.RequiredSamples() {
-		t.Errorf("NP required %d, Sage required %d: DP should cost samples",
-			np.RequiredSamples(), sage.RequiredSamples())
+	r := rng.New(10)
+	const n = 6000
+	if gotNP, gotSage := np.Accept(n, r), sage.Accept(n, r); !gotNP || gotSage {
+		t.Errorf("at n = %d: NP accepts %v, Sage accepts %v; want true, false", n, gotNP, gotSage)
 	}
 }
 
