@@ -252,11 +252,14 @@
 // daemon's scale: a train/test split keeps the permutation's membership
 // but hands both halves over in storage order, so the passes over them
 // stream memory instead of chasing a shuffled pointer per row; AdaSSP
-// and the ridge ERM share one moment accumulator (linalg.Moments) that
-// touches only the cells a row's non-zeros reach, in the upper triangle,
-// mirrored once; the validators fit the ERM only when the REJECT test
-// needs it; Cholesky factorization and solves run on contiguous row
-// slices, power iteration reuses its work buffers, DP-SGD realizes
+// and the ridge ERM share one moment pass (ml.moments over
+// linalg.Moments) that reads each row once, where it is stored, into the
+// pairs of its non-zeros, scales and clips those and touches only the
+// cells they reach, in the upper triangle, mirrored once — one serial
+// walk, so a tick takes what it takes whatever the other core is doing;
+// the validators fit the ERM only when the REJECT test needs it;
+// Cholesky factorization and solves run on contiguous row slices, power
+// iteration reuses its work buffers, DP-SGD realizes
 // Poisson sampling with geometric skips (O(q·n) draws per step instead
 // of n), pools its gradient scratch and, for a linear model, clips the
 // per-example gradient's coefficient and adds it with one axpy instead
@@ -268,8 +271,8 @@
 // guide table, and an attempt in the workload simulator costs one
 // counter read and one closed form per grid budget (internal/workload).
 // BENCH_optimized.json gates the Fig. 7 pass, one iteration of the
-// daemon's adaptive search, the DP-SGD calibration cache and those
-// kernels; the before/after tables are in CHANGES.md.
+// daemon's adaptive search, one AdaSSP fit, the DP-SGD calibration cache
+// and those kernels; the before/after tables are in CHANGES.md.
 //
 // See README.md for a tour, DESIGN.md for the system inventory, and
 // EXPERIMENTS.md for paper-vs-measured results. bench/'s exp-sweep

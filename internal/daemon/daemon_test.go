@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -158,6 +159,44 @@ func TestDaemonCrashMidLoop(t *testing.T) {
 	defer d2.Close()
 	if got := durableFields(d2.Status()); !reflect.DeepEqual(got, want) {
 		t.Fatalf("crash recovery diverges:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestDaemonLifeIsCoreCountFree: what a daemon's life leaves behind must
+// not know how many cores it ran on — the same 12 ticks on one core and
+// on two end with the same releases, byte for byte, and the same ledger.
+// Nothing under a tick fans out today; whatever does so next has this to
+// pass.
+func TestDaemonLifeIsCoreCountFree(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var releases [2][][]byte
+	var ledger [2][]byte
+	for i, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		cfg := fastConfig(t.TempDir())
+		cfg.Retention = 3
+		d, _, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n := 0; n < 12; n++ {
+			if err := d.step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		releases[i], ledger[i] = d.Platform().Store.SnapshotBundles(), d.Platform().AC.Snapshot()
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(releases[0]) == 0 {
+		t.Fatal("no releases in 12 ticks: nothing trained, nothing compared")
+	}
+	if !reflect.DeepEqual(releases[0], releases[1]) {
+		t.Errorf("%d releases on one core, %d on two, or their canonical bytes differ", len(releases[0]), len(releases[1]))
+	}
+	if !bytes.Equal(ledger[0], ledger[1]) {
+		t.Error("ledger snapshots differ between one core and two")
 	}
 }
 

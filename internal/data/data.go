@@ -221,12 +221,22 @@ func (g *GrowingDatabase) Partitioner() Partitioner { return g.part }
 
 // Insert adds examples to the database, creating blocks as needed.
 // It returns the IDs of any newly created blocks, in first-seen order.
+//
+// A stream arrives as runs of examples with one key (the daemon inserts a
+// block at a time), so the block is looked up once per run and grows
+// once, by the run's length — never by the rest of the call's, which
+// would leave each block of a many-block insert holding room for all of
+// them.
 func (g *GrowingDatabase) Insert(examples ...Example) []BlockID {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	var created []BlockID
-	for _, ex := range examples {
-		id := g.part.Key(ex)
+	for lo, hi := 0, 0; lo < len(examples); lo = hi {
+		id := g.part.Key(examples[lo])
+		hi = lo + 1
+		for hi < len(examples) && g.part.Key(examples[hi]) == id {
+			hi++
+		}
 		b, ok := g.blocks[id]
 		if !ok {
 			b = &Block{ID: id}
@@ -234,7 +244,7 @@ func (g *GrowingDatabase) Insert(examples ...Example) []BlockID {
 			g.insertOrdered(id)
 			created = append(created, id)
 		}
-		b.Examples = append(b.Examples, ex)
+		b.Examples = append(b.Examples, examples[lo:hi]...)
 	}
 	return created
 }

@@ -287,10 +287,12 @@ func TestSplitContract(t *testing.T) {
 	}
 }
 
-// TestReadSplitAllocs pins the training loop's two data-movement steps
+// TestReadSplitAllocs pins the training loop's three data-movement steps
 // to a constant number of allocations whatever the row count: Read sizes
 // its result before appending (the dataset and its examples), Split
-// makes the permutation, the membership bitmap and the two halves.
+// makes the permutation, the membership bitmap and the two halves, and
+// the Insert of one block's run makes the block, its examples and the
+// list of created IDs.
 func TestReadSplitAllocs(t *testing.T) {
 	for _, rows := range []int{500, 8000} {
 		db := NewGrowingDatabase(TimePartitioner{Window: 24})
@@ -307,6 +309,46 @@ func TestReadSplitAllocs(t *testing.T) {
 		}
 		r := rng.New(1)
 		safety.MaxAllocs(t, 10, 6, func() { ds.Split(0.9, r) })
+	}
+
+	db := NewGrowingDatabase(TimePartitioner{Window: 24})
+	block := make([]Example, 6000)
+	for i := range block {
+		block[i] = mkExample(int64(i%24), 0, float64(i))
+	}
+	safety.MaxAllocs(t, 10, 3, func() {
+		db.Insert(block...)
+		db.Delete(0)
+	})
+}
+
+// TestInsertGrowsBlocksByTheirRuns: a call spanning many blocks leaves
+// each with room for its own rows, not for the call's, whether the block
+// is new or already holds rows, and keeps every block's arrival order.
+func TestInsertGrowsBlocksByTheirRuns(t *testing.T) {
+	const blocks, run = 16, 1000
+	db := NewGrowingDatabase(TimePartitioner{Window: 24})
+	for call := 0; call < 3; call++ {
+		var stream []Example
+		for b := 0; b < blocks; b++ {
+			for i := 0; i < run; i++ {
+				stream = append(stream, mkExample(int64(b*24), 0, float64(call*run+i)))
+			}
+		}
+		if created := db.Insert(stream...); (call == 0) != (len(created) == blocks) {
+			t.Fatalf("call %d created %d blocks", call, len(created))
+		}
+		for id, b := range db.blocks {
+			if len(b.Examples) != (call+1)*run || cap(b.Examples) > 2*len(b.Examples) {
+				t.Fatalf("call %d, block %d: len %d cap %d, want len %d and cap at most twice that",
+					call, id, len(b.Examples), cap(b.Examples), (call+1)*run)
+			}
+			for i, ex := range b.Examples {
+				if ex.Label != float64(i) {
+					t.Fatalf("block %d row %d carries label %v: arrival order lost", id, i, ex.Label)
+				}
+			}
+		}
 	}
 }
 

@@ -245,7 +245,8 @@ func TestMomentsMatchDenseReference(t *testing.T) {
 	wantXtX := NewMatrix(d, d)
 	wantXty := make([]float64, d)
 	for k, row := range rows {
-		acc.Add(row, labels[k])
+		acc.Gather(row[:d-1], row[d-1])
+		acc.Update(labels[k])
 		wantXtX.Gram(row)
 		AXPY(labels[k], row, wantXty)
 	}
