@@ -70,10 +70,13 @@
 // HTTP: GET /models lists releases, GET /models/{name}/provenance
 // exposes the audit view (blocks read, budget spent, validator
 // decision), POST /predict answers one row, POST /predict/batch runs N
-// rows through one cached model instantiation with per-row validation
-// errors reported positionally, and GET /features serves the bundle's
-// released aggregate tables (Listing 1's per-hour speed join; &index=
-// for single-value serving-time joins). Models implement a
+// rows through one cached model instantiation with per-row errors — a
+// wrong width, or a prediction JSON cannot carry (features that overflow
+// the model; a 400 on /predict) — reported positionally, so a client's
+// bad row fails neither the batch nor, at the gateway, a replica's
+// breaker; and GET /features serves the bundle's released aggregate
+// tables (Listing 1's per-hour speed join; &index= for single-value
+// serving-time joins). Models implement a
 // ml.BatchPredictor fast path; scratch-sharing models (the MLP,
 // ml.SerialPredictor) are served from a pool of prediction clones
 // (ml.ScratchCloner: shared read-only parameters, private scratch), so
@@ -82,9 +85,9 @@
 // per-instance lock taken once per batch. `sagectl serve` runs the
 // whole loop — stream → DP aggregate → pipelines → publish → serve —
 // as a demo preset over the daemon below, not a loop of its own;
-// BENCH_serving.json records HTTP-level throughput (~211K rows/s
-// batched at 256 rows vs ~18K rows/s singleton on taxi
-// dimensionality, two shared vCPUs).
+// BENCH_serving.json records HTTP-level throughput (batched at 256
+// rows, ~1.4M rows/s on one-hot taxi rows and ~213K on random 17-digit
+// ones, vs ~17K rows/s singleton; two shared vCPUs).
 //
 // Underneath every handler sits a connection-level fast path. The
 // immutable read endpoints (model list, provenance, whole feature
@@ -96,11 +99,14 @@
 // response encode buffer) in a sync.Pool, reads the body behind
 // http.MaxBytesReader, and scans and writes its JSON by hand
 // (internal/store/batchjson.go: one pass over the rows, no reflection,
-// byte-for-byte encoding/json's output, both pinned by differential
-// fuzzing) — a warm 256-row request runs in 24 allocations where
-// encoding/json took ~300 pooled and ~2200 unpooled, a body past the
-// row limit is abandoned there, and a scratch one maximal request has
-// grown is dropped instead of pooled.
+// a bare digit between commas — what one-hot rows are made of — taken
+// in one compare, byte-for-byte encoding/json's output, both pinned by
+// differential fuzzing) — a warm 256-row request runs in 26 allocations
+// where encoding/json took ~300 pooled and ~2200 unpooled, a body past
+// the row limit is abandoned there, and a scratch one maximal request
+// has grown is dropped instead of pooled. With a tracer, the handler's
+// decode, predict and encode are child spans (store.decode,
+// store.predict, store.encode) of the request's server span.
 //
 // # Replicated serving tier
 //

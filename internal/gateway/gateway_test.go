@@ -452,6 +452,39 @@ func TestBreakerOpensThenRecloses(t *testing.T) {
 	}
 }
 
+// TestOverflowingBatchesLeaveBreakersClosed: a batch whose row
+// overflows the model to +Inf is the client's fault, and every replica
+// answers it the same. Were it a 5xx, each such batch would count
+// against two breakers, and a handful from one client would make the
+// fleet unroutable for everyone.
+func TestOverflowingBatchesLeaveBreakersClosed(t *testing.T) {
+	f := newFleet(t, 2, 1)
+	g := f.gw(t)
+	gsrv := httptest.NewServer(g.Handler())
+	defer gsrv.Close()
+
+	for i := 0; i < 2*g.cfg.Breaker.FailThreshold; i++ {
+		// 2·1e308 − 0 + 0.5 overflows: row 0 is a row error, row 1 is served.
+		code, body, err := doReq(t, gsrv.Client(), http.MethodPost, gsrv.URL+"/predict/batch?model=m", `{"rows":[[1e308,0],[1,0.5]]}`)
+		if err != nil || code != http.StatusOK {
+			t.Errorf("overflowing batch %d: %d %v %s", i, code, err, body)
+		}
+	}
+	for _, b := range g.Status().Backends {
+		if b.Breaker != "closed" {
+			t.Errorf("backend %s breaker %s after overflowing batches", b.URL, b.Breaker)
+		}
+	}
+	want := f.canon(t, http.MethodPost, "/predict/batch?model=m", batchBody)
+	code, got, err := doReq(t, gsrv.Client(), http.MethodPost, gsrv.URL+"/predict/batch?model=m", batchBody)
+	if err != nil || code != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("good batch after overflowing ones: %d %v %s", code, err, got)
+	}
+	if st := g.Status(); st.Retries != 0 || st.Proxied != int64(2*g.cfg.Breaker.FailThreshold+1) {
+		t.Errorf("retries %d, proxied %d: every request should be served in one attempt", st.Retries, st.Proxied)
+	}
+}
+
 // TestLaggingReplicaIsDrainedNotKilled: health probes compare each
 // replica's applied-version watermarks against the fleet's frontier; a
 // stale replica is drained (no traffic, no breaker trip) and rejoins

@@ -5,11 +5,11 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 
 	"repro/internal/metrics"
 	"repro/internal/ml"
-	"repro/internal/rng"
 	"repro/internal/safety"
 	"repro/internal/taxi"
 	"repro/internal/trace"
@@ -28,10 +28,11 @@ const (
 
 	// One warm 256-row /predict/batch request through the mux: pooled
 	// body + hand-written decode into pooled rows + positional predict +
-	// append-encode into a pooled buffer measures 24 allocs/op, all of it
-	// per-request HTTP plumbing. It was 296 with encoding/json decoding
-	// each row by reflection (PR 4 to 13) and 2182 without the pool, so
-	// the budget fails either coming back.
+	// append-encode into a pooled buffer measures 26 allocs/op on random
+	// and one-hot rows alike (31 under a live tracer, the server span's
+	// plumbing), all of it per-request HTTP plumbing. It was 296 with
+	// encoding/json decoding each row by reflection (PR 4 to 13) and 2182
+	// without the pool, so the budget fails either coming back.
 	batchWarmBudget = 60
 )
 
@@ -70,7 +71,7 @@ func TestPreEncodedHitAllocs(t *testing.T) {
 // warm 256-row POST /predict/batch through the handler reuses the
 // pooled scratch (body, row buffers, outputs, encode buffer) and scans
 // and writes its JSON without reflection, so its allocations are the
-// per-request HTTP plumbing whatever the batch size.
+// per-request HTTP plumbing whatever the batch size or the rows' shape.
 func TestPredictBatchWarmAllocs(t *testing.T) {
 	s := New()
 	weights := make([]float64, taxi.FeatureDim)
@@ -84,35 +85,73 @@ func TestPredictBatchWarmAllocs(t *testing.T) {
 	s.Publish(Bundle{Name: "bench", Model: spec})
 	srv := NewServer(s)
 	srv.Instrument(metrics.New()) // budgets hold with instrumentation live
-	// A disabled (nil) tracer's Middleware returns the handler
-	// unchanged, so the budget also pins that tracing-compiled-in but
-	// switched-off serving costs exactly nothing.
-	h := (*trace.Tracer)(nil).Middleware(srv.Handler())
 
-	r := rng.New(11)
-	rows := make([][]float64, 256)
-	for i := range rows {
-		x := make([]float64, taxi.FeatureDim)
-		for j := range x {
-			x[j] = r.Float64()
+	for _, tc := range []struct {
+		name   string
+		rows   [][]float64
+		tracer *trace.Tracer
+	}{
+		// A disabled (nil) tracer's Middleware returns the handler
+		// unchanged, so the budget also pins that tracing-compiled-in
+		// but switched-off serving costs exactly nothing.
+		{"random", benchRows(256), nil},
+		{"onehot", onehotRows(256), nil},
+		// A live one adds the server span's plumbing; the handler's
+		// pooled stage spans add nothing.
+		{"onehot/traced", onehotRows(256), trace.New(trace.Config{Service: "store"})},
+	} {
+		h := tc.tracer.Middleware(srv.Handler())
+		payload, err := json.Marshal(batchRequest{Rows: tc.rows})
+		if err != nil {
+			t.Fatal(err)
 		}
-		rows[i] = x
+		serve := func() {
+			req := httptest.NewRequest(http.MethodPost, "/predict/batch?model=bench", bytes.NewReader(payload))
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s: status %d: %s", tc.name, rec.Code, rec.Body.String())
+			}
+		}
+		serve() // warm the model cache, the scratch pool and the span pool
+
+		got := safety.MaxAllocs(t, 50, batchWarmBudget, serve)
+		t.Logf("warm 256-row %s batch: %.1f allocs/op (budget %d)", tc.name, got, batchWarmBudget)
 	}
-	payload, err := json.Marshal(batchRequest{Rows: rows})
+}
+
+// TestPredictBatchStageSpans: a traced batch request records exactly
+// the handler's three stages, in order, as children of its server span.
+func TestPredictBatchStageSpans(t *testing.T) {
+	s := New()
+	spec, err := Serialize(&ml.LinearModel{Weights: []float64{1, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.Publish(Bundle{Name: "m", Model: spec})
+	tr := trace.New(trace.Config{Service: "store"})
+	rec := httptest.NewRecorder()
+	tr.Middleware(NewServer(s).Handler()).ServeHTTP(rec, httptest.NewRequest(http.MethodPost,
+		"/predict/batch?model=m", bytes.NewReader([]byte(`{"rows":[[1,0],[0,1]]}`))))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+	}
 
-	serve := func() {
-		req := httptest.NewRequest(http.MethodPost, "/predict/batch?model=bench", bytes.NewReader(payload))
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		if rec.Code != http.StatusOK {
-			t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+	spans := tr.Snapshot().Recent
+	if len(spans) == 0 {
+		t.Fatal("no spans recorded")
+	}
+	server := spans[len(spans)-1] // the last to end
+	if server.Name != "POST /predict/batch" {
+		t.Fatalf("last span %q, want the server span", server.Name)
+	}
+	var children []string
+	for _, sp := range spans {
+		if sp.ParentID == server.SpanID {
+			children = append(children, sp.Name)
 		}
 	}
-	serve() // warm the model cache and the scratch pool
-
-	got := safety.MaxAllocs(t, 50, batchWarmBudget, serve)
-	t.Logf("warm 256-row batch: %.1f allocs/op (budget %d)", got, batchWarmBudget)
+	if want := []string{"store.decode", "store.predict", "store.encode"}; !slices.Equal(children, want) {
+		t.Errorf("children of the server span: %q, want %q", children, want)
+	}
 }

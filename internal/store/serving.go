@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -14,6 +16,7 @@ import (
 	"repro/internal/httpkit"
 	"repro/internal/metrics"
 	"repro/internal/ml"
+	"repro/internal/trace"
 )
 
 // maxBatchRows bounds one /predict/batch request so a single client
@@ -370,11 +373,19 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	httpkit.WriteJSON(w, http.StatusOK, predictResponse{
-		Model: bundle.Name, Version: bundle.Version,
-		Prediction: model.predict(req.Features),
-	})
+	// JSON has no number for ±Inf or NaN, which finite weights give on
+	// features that overflow them: a 400, which no gateway breaker counts.
+	p := model.predict(req.Features)
+	if !finite(p) {
+		httpError(w, http.StatusBadRequest, nonFinite(p))
+		return
+	}
+	httpkit.WriteJSON(w, http.StatusOK, predictResponse{Model: bundle.Name, Version: bundle.Version, Prediction: p})
 }
+
+func finite(f float64) bool { return !math.IsInf(f, 0) && !math.IsNaN(f) }
+
+func nonFinite(f float64) string { return fmt.Sprintf("prediction %v is not a JSON number", f) }
 
 // batchScratch is the pooled per-request working set of the batch path:
 // the request body, the decoded row buffers, the valid/position split,
@@ -430,9 +441,10 @@ type rowError struct {
 // handlePredictBatch runs N rows through one cached model instantiation:
 // one store lookup, one cache lookup, and (for scratch-sharing models)
 // one lock acquisition are amortized over the whole batch, against N of
-// each for N singleton /predict calls. Malformed rows do not fail the
-// batch — they are reported positionally so the caller can join
-// predictions back to its inputs by index.
+// each for N singleton /predict calls. Malformed rows, and rows whose
+// prediction is not finite, do not fail the batch — they are reported
+// positionally so the caller can join predictions back to its inputs by
+// index.
 func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 	defer s.met.batchSec.ObserveSince(time.Now())
 	q := r.URL.Query()
@@ -451,7 +463,11 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 		bodyError(w, err)
 		return
 	}
+	// The three stages under the server span (nil, and free, untraced).
+	span := trace.FromContext(r.Context())
+	stage := span.StartChild("store.decode")
 	rows, err := decodeBatchRows(sc.body.Bytes(), sc.rows)
+	stage.End()
 	if len(rows) > len(sc.rows) {
 		sc.rows = rows // keep grown row buffers for the next request
 	}
@@ -487,11 +503,26 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 		sc.valid = append(sc.valid, row)
 		sc.positions = append(sc.positions, i)
 	}
-	if len(sc.valid) > 0 {
-		sc.out = grow(sc.out, len(sc.valid))
-		model.predictBatch(sc.valid, sc.out)
+	stage = span.StartChild("store.predict")
+	sc.out = grow(sc.out, len(sc.valid))
+	model.predictBatch(sc.valid, sc.out)
+	// A prediction JSON cannot carry is that row's error, not the batch's:
+	// a 5xx would count against the replica's breaker at the gateway, and
+	// every replica answers the same. Errors are listed in row order.
+	kept := 0
+	for j, f := range sc.out {
+		if !finite(f) {
+			rowErrs = append(rowErrs, rowError{Row: sc.positions[j], Error: nonFinite(f)})
+			continue
+		}
+		sc.positions[kept], sc.out[kept] = sc.positions[j], f
+		kept++
 	}
-	sc.enc, err = appendBatchResponse(sc.enc[:0], bundle.Name, bundle.Version, len(rows), sc.positions, sc.out, rowErrs)
+	slices.SortFunc(rowErrs, func(a, b rowError) int { return a.Row - b.Row })
+	stage.End()
+	stage = span.StartChild("store.encode")
+	sc.enc, err = appendBatchResponse(sc.enc[:0], bundle.Name, bundle.Version, len(rows), sc.positions[:kept], sc.out, rowErrs)
+	stage.End()
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return

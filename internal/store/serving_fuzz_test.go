@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -123,6 +124,13 @@ var batchBodySeeds = []string{
 	`{"rows":[[1e99999999999999999999]]}`,
 	`{"rows":[[0.` + strings.Repeat("0", 200) + `1e201]]}`,
 	`{"rows":[[1` + strings.Repeat("0", 30) + `e-30]]}`,
+	// one-digit literals between separators, and every shape next to them
+	// that is not one
+	`{"rows":[[0,1,0,0,0,0,1,0,0,0,0,0,0,1,0,0,0,0,0,0,0,1,0,0,0,0,0,0,0,0,0,1,0,0,0,0,0,0,0,0,0,1],[1,0,9,8,7,6,5,4,3,2]]}`,
+	`{"rows":[[0,1 ]]}`, `{"rows":[[0, 1]]}`, `{"rows":[[0,1,]]}`, `{"rows":[[0,01]]}`,
+	`{"rows":[[0,1.5,2e1,3E0,4]]}`, `{"rows":[[0,-1,-0]]}`, `{"rows":[[0,null,1]]}`,
+	`{"rows":[[0,1`, `{"rows":[[0,1]`,
+	`{"rows":[[` + strings.Repeat("0,", 5000) + `0]]}`,
 	// number syntax errors
 	`{"rows":[[01]]}`, `{"rows":[[1.]]}`, `{"rows":[[.5]]}`, `{"rows":[[+1]]}`, `{"rows":[[1e]]}`,
 	`{"rows":[[1e+]]}`, `{"rows":[[-]]}`, `{"rows":[[0x10]]}`, `{"rows":[[1_0]]}`, `{"rows":[[NaN]]}`,
@@ -392,26 +400,46 @@ func TestBatchResponseGolden(t *testing.T) {
 	}
 }
 
-// TestPredictBatchNonFiniteIs500: JSON has no spelling for NaN or ±Inf,
-// so a batch that predicts one fails as a whole rather than shipping a
-// body clients cannot parse.
-func TestPredictBatchNonFiniteIs500(t *testing.T) {
+// TestPredictNonFiniteIsRequestError: JSON has no spelling for NaN or
+// ±Inf, and finite weights on finite features can still predict one. It
+// is the request's fault, not the server's: /predict answers 400 with a
+// JSON error (not a 200 whose body the encoder refused), and in a batch
+// only that row fails — positionally, in row order among the other row
+// errors, byte for byte what json.Encoder writes for the reply.
+func TestPredictNonFiniteIsRequestError(t *testing.T) {
 	s := New()
 	spec, _ := Serialize(&ml.LinearModel{Weights: []float64{1e308, -1e308}})
 	s.Publish(Bundle{Name: "m", Model: spec})
 	srv := httptest.NewServer(NewServer(s).Handler())
 	defer srv.Close()
 
-	for name, payload := range map[string]string{
-		"NaN":  `{"rows":[[1,1],[1e308,1e308]]}`, // Inf − Inf
-		"+Inf": `{"rows":[[1e308,0]]}`,
-	} {
-		var body map[string]any
-		if code := postJSON(t, srv.URL+"/predict/batch?model=m", payload, &body); code != http.StatusInternalServerError {
-			t.Errorf("%s prediction: code %d, want 500 (body %v)", name, code, body)
-		} else if msg, _ := body["error"].(string); msg == "" {
-			t.Errorf("%s prediction: 500 without an error message", name)
-		}
+	var single map[string]any
+	if code := postJSON(t, srv.URL+"/predict?model=m", `{"features":[1e308,0]}`, &single); code != http.StatusBadRequest || single["error"] == nil {
+		t.Errorf("/predict of +Inf: code %d, body %v; want 400 with an error", code, single)
+	}
+
+	p := func(f float64) *float64 { return &f }
+	want, err := json.Marshal(batchResponse{Model: "m", Version: 1,
+		Predictions: []*float64{p(0), nil, nil, nil, p(0.5 * 1e308)},
+		Errors: []rowError{
+			{1, nonFinite(math.NaN())}, // Inf − Inf
+			{2, `model "m" expects 2 features, got 1`},
+			{3, nonFinite(math.Inf(1))}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(srv.URL+"/predict/batch?model=m", "application/json",
+		strings.NewReader(`{"rows":[[1,1],[1e308,1e308],[2],[1e308,0],[0.5,0]]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	got, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(got, append(want, '\n')) {
+		t.Errorf("batch with non-finite rows: HTTP %d\n got  %s\n want %s", resp.StatusCode, got, want)
 	}
 }
 
