@@ -287,11 +287,11 @@ func TestStreamTrainerSurfacesLedgerFailure(t *testing.T) {
 			for _, id := range db.Insert(taxiStream.Head(20000).Examples...) {
 				ac.RegisterBlock(id)
 			}
-			ac.SetJournal(func(rec core.LedgerRecord) error {
+			ac.SetShardJournal(func(_ int, rec core.LedgerRecord) (func() error, error) {
 				if rec.Op == c.op {
-					return boom
+					return nil, boom
 				}
-				return nil
+				return nil, nil
 			})
 			st := &StreamTrainer{
 				AC: ac, DB: db, Pipe: c.pipe,

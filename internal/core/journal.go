@@ -153,33 +153,20 @@ func (ac *AccessControl) Apply(rec LedgerRecord) error {
 // the mutation with no state applied.
 type JournalStageFunc func(shard int, rec LedgerRecord) (wait func() error, err error)
 
-// SetJournal installs a synchronous write-ahead journal. Every
-// subsequent mutation calls it, under the mutated shard's lock, before
-// any state changes or the caller is acknowledged; a non-nil return
-// aborts the mutation. Multi-shard mutations are split into one
-// sub-record per involved shard (with a single shard — NewAccessControl
-// — every record arrives whole, which is what the journal-order tests
-// pin). Install the journal *after* replaying recovered records —
-// replay uses the public mutation methods, and a set journal would
-// re-journal them. RegisterBlock and Publish-style paths that cannot
-// surface an error treat a journal failure as fatal (panic): a durable
-// ledger that can no longer journal must stop taking mutations rather
-// than silently diverge from its log.
-//
-//sage:nojournal installs the journal itself; runs before any journal exists
-func (ac *AccessControl) SetJournal(journal func(LedgerRecord) error) {
-	if journal == nil {
-		ac.SetShardJournal(nil)
-		return
-	}
-	ac.SetShardJournal(func(_ int, rec LedgerRecord) (func() error, error) {
-		return nil, journal(rec)
-	})
-}
-
-// SetShardJournal installs the staged, shard-aware journal (see
-// JournalStageFunc). internal/durable binds each shard to its own WAL
-// segment here; SetJournal is the single-segment convenience wrapper.
+// SetShardJournal installs the staged, shard-aware write-ahead journal
+// (see JournalStageFunc). Every subsequent mutation stages through it,
+// under the mutated shard's lock, before any state changes or the
+// caller is acknowledged; a staging error aborts the mutation.
+// Multi-shard mutations are split into one sub-record per involved
+// shard (with a single shard — NewAccessControl — every record arrives
+// whole, which is what the journal-order tests pin). Install the
+// journal *after* replaying recovered records — replay uses the public
+// mutation methods, and a set journal would re-journal them.
+// RegisterBlock and Publish-style paths that cannot surface an error
+// treat a journal failure as fatal (panic): a durable ledger that can
+// no longer journal must stop taking mutations rather than silently
+// diverge from its log. internal/durable binds each shard to its own
+// WAL segment here.
 //
 //sage:nojournal installs the journal itself; runs before any journal exists
 func (ac *AccessControl) SetShardJournal(stage JournalStageFunc) {

@@ -14,9 +14,9 @@ import (
 // slice and returns the slice pointer.
 func collectJournal(ac *AccessControl) *[]LedgerRecord {
 	var records []LedgerRecord
-	ac.SetJournal(func(rec LedgerRecord) error {
+	ac.SetShardJournal(func(_ int, rec LedgerRecord) (func() error, error) {
 		records = append(records, rec)
-		return nil
+		return nil, nil
 	})
 	return &records
 }
@@ -146,7 +146,7 @@ func TestJournalBeforeAcknowledge(t *testing.T) {
 
 	// A failing journal vetoes the mutation.
 	boom := errors.New("disk gone")
-	ac.SetJournal(func(LedgerRecord) error { return boom })
+	ac.SetShardJournal(func(int, LedgerRecord) (func() error, error) { return nil, boom })
 	before := ac.BlockLoss(1)
 	if err := ac.Request([]data.BlockID{1}, budget); !errors.Is(err, boom) {
 		t.Fatalf("request with failing journal: %v", err)
@@ -413,7 +413,7 @@ func TestAdmitBlockIsOneMutation(t *testing.T) {
 	// A failing journal vetoes the whole admission — RegisterBlock, which
 	// has no error to return, panics instead (TestJournalBeforeAcknowledge).
 	boom := errors.New("disk gone")
-	ac.SetJournal(func(LedgerRecord) error { return boom })
+	ac.SetShardJournal(func(int, LedgerRecord) (func() error, error) { return nil, boom })
 	if ok, err := ac.AdmitBlock(5, charge); ok || !errors.Is(err, boom) {
 		t.Fatalf("admit with failing journal: %v, %v", ok, err)
 	}

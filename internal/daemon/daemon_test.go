@@ -568,13 +568,13 @@ func TestDaemonLedgerFailureMidTrainStopsTheLoop(t *testing.T) {
 	}
 	boom := errors.New("journal: disk on fire")
 	requests := 0
-	d.plat.AC.SetJournal(func(rec core.LedgerRecord) error {
+	d.plat.AC.SetShardJournal(func(_ int, rec core.LedgerRecord) (func() error, error) {
 		if rec.Op == core.LedgerRequest {
 			if requests++; requests == 2 {
-				return boom
+				return nil, boom
 			}
 		}
-		return nil
+		return nil, nil
 	})
 	err = d.Run(context.Background())
 	if !errors.Is(err, boom) || !errors.Is(err, adaptive.ErrLedger) {

@@ -82,11 +82,11 @@
 // segment (per-shard journal order is per-shard lock order), so a
 // surviving refund always has its matching request.
 //
-// The ledger segments use WAL group commit (wal.Options.GroupCommit):
-// the ledger stages each sub-record under the shard lock but waits for
-// durability after releasing it, so concurrent charges on one shard
-// amortize a single fdatasync instead of paying one each — see
-// BENCH_ledger.json for the measured effect.
+// Every log commits through the WAL's one batch path (see the wal
+// package docs), synced or not. The ledger stages each sub-record under
+// the shard lock but waits for durability after releasing it, so
+// concurrent charges on one shard amortize a single fdatasync instead
+// of paying one each — see BENCH_ledger.json for the measured effect.
 //
 // The store log and ledger segments are independent. The daemon orders
 // its operations so that the cross-log interleavings a crash can
@@ -146,9 +146,6 @@ type Options struct {
 	// consulted when the directory is empty: an existing directory's
 	// segment layout wins (see the package docs). 0 means 1.
 	LedgerShards int
-	// DisableGroupCommit turns off WAL group commit on the ledger
-	// segments (benchmark baseline; production keeps it on).
-	DisableGroupCommit bool
 	// Metrics, when non-nil, instruments every write-ahead log (and the
 	// shared sync group, if one is used) in the given registry; series
 	// are labeled per log file. See wal.Options.Metrics.
@@ -233,18 +230,17 @@ func Open(dir string, policy core.Policy, opts Options) (*Platform, Stats, error
 		return nil, stats, err
 	}
 	walOpts := wal.Options{
-		NoSync:      opts.NoSync,
-		GroupCommit: !opts.NoSync && !opts.DisableGroupCommit,
-		Metrics:     opts.Metrics,
-		Logf:        opts.Logf,
-		Tracer:      opts.Tracer,
+		NoSync:  opts.NoSync,
+		Metrics: opts.Metrics,
+		Logf:    opts.Logf,
+		Tracer:  opts.Tracer,
 	}
 	// With several segments on one filesystem, per-segment fsyncs
 	// serialize on the filesystem journal; a shared sync group turns a
 	// cohort of concurrent cross-segment commits into one flush. Falls
 	// back to per-file fsync where syncfs is unavailable.
 	var group *wal.SyncGroup
-	if nshards > 1 && walOpts.GroupCommit && wal.SyncGroupSupported() {
+	if nshards > 1 && !opts.NoSync && wal.SyncGroupSupported() {
 		if g, err := wal.NewSyncGroup(dir); err == nil {
 			if opts.Metrics != nil {
 				g.Instrument(opts.Metrics)

@@ -12,26 +12,17 @@ import (
 
 // BenchmarkLedgerParallelCharge measures the durable write path under
 // contention: 8 goroutines charging budget against distinct blocks,
-// every charge journaled and fsynced before acknowledgement. The
-// "baseline" variant is the pre-shard shape — one mutex, one log fd,
-// one fdatasync per append. The "sharded" variant stripes the ledger
-// across 8 WAL segments and lets group commit coalesce concurrent
-// appends into a single write+fdatasync per batch. This is the
-// headline number for the sharded-ledger arc and is gated in CI via
-// BENCH_ledger.json.
+// every charge journaled and fsynced before acknowledgement. Both
+// variants group-commit concurrent appends into one write+flush per
+// batch: "shards=1" is one ledger stripe on one WAL segment, "shards=8"
+// stripes the ledger across 8 segments whose flushes share a SyncGroup.
+// Gated in CI via BENCH_ledger.json.
 func BenchmarkLedgerParallelCharge(b *testing.B) {
-	variants := []struct {
-		name string
-		opts Options
-	}{
-		{"baseline", Options{LedgerShards: 1, DisableGroupCommit: true}},
-		{"sharded", Options{LedgerShards: 8}},
-	}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
+	for _, shards := range []int{1, 8} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			dir := b.TempDir()
 			policy := core.Policy{Global: privacy.MustBudget(1e9, 1e-3)}
-			p, _, err := Open(dir, policy, v.opts)
+			p, _, err := Open(dir, policy, Options{LedgerShards: shards})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -6,16 +6,35 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
-// TestGroupCommitConcurrentAppends hammers one group-commit log from
-// many goroutines and asserts every acknowledged record survives a
-// reopen — the journal-before-ack contract under contention.
+// commitModes are the two ways a log commits a batch: write only, and
+// write plus fdatasync. Both take the same batch path.
+var commitModes = []struct {
+	name string
+	opts Options
+}{
+	{"nosync", Options{NoSync: true}},
+	{"sync", Options{}},
+}
+
+// TestGroupCommitConcurrentAppends hammers one log from many goroutines
+// and asserts every acknowledged record survives a reopen — the
+// journal-before-ack contract under contention, synced or not.
 func TestGroupCommitConcurrentAppends(t *testing.T) {
+	for _, m := range commitModes {
+		t.Run(m.name, func(t *testing.T) { testConcurrentAppends(t, m.opts) })
+	}
+}
+
+func testConcurrentAppends(t *testing.T, opts Options) {
 	path := filepath.Join(t.TempDir(), "gc.wal")
-	l, _, err := Open(path, Options{GroupCommit: true})
+	l, _, err := Open(path, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +70,7 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, got, err := Open(path, Options{GroupCommit: true})
+	_, got, err := Open(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +104,7 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 // order is the on-disk order even when Waits resolve out of order.
 func TestGroupCommitAsyncStagingOrder(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "order.wal")
-	l, _, err := Open(path, Options{GroupCommit: true, NoSync: true})
+	l, _, err := Open(path, Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,12 +139,76 @@ func TestGroupCommitAsyncStagingOrder(t *testing.T) {
 	}
 }
 
+// TestGroupCommitUnsyncedOnlyInBatches pins that an unsynced log has no
+// commit path of its own: staging writes nothing, and one Wait commits
+// every staged frame as one batch.
+func TestGroupCommitUnsyncedOnlyInBatches(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ns.wal")
+	reg := metrics.New()
+	l, _, err := Open(path, Options{NoSync: true, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 5
+	commits := make([]Commit, n)
+	for i := range commits {
+		if commits[i], err = l.AppendAsync(1, fmt.Appendf(nil, "r%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() != 0 {
+		t.Fatalf("file holds %d bytes before any Wait — staging wrote", fi.Size())
+	}
+	if err := commits[n-1].Wait(); err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	if err := reg.TextExpose(&b); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := metrics.Parse(strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lbl := map[string]string{"log": "ns.wal"}
+	if v, ok := fams.Value("sage_wal_commit_batch_frames_count", lbl); v != 1 {
+		t.Errorf("commits = %v (found %v), want 1", v, ok)
+	}
+	if v, ok := fams.Value("sage_wal_commit_batch_frames_sum", lbl); v != n {
+		t.Errorf("frames committed = %v (found %v), want %d", v, ok, n)
+	}
+	for i, c := range commits {
+		if err := c.Wait(); err != nil {
+			t.Fatalf("wait %d: %v", i, err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, got, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != n {
+		t.Fatalf("recovered %d records, want %d", len(got), n)
+	}
+	for i, r := range got {
+		if want := fmt.Sprintf("r%d", i); string(r.Payload) != want {
+			t.Fatalf("record %d = %q, want %q", i, r.Payload, want)
+		}
+	}
+}
+
 // TestGroupCommitCompactFlushesStaged ensures Compact commits staged
 // frames before rewriting, rather than letting them land after the
 // snapshot (which would double-apply them at replay).
 func TestGroupCommitCompactFlushesStaged(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cf.wal")
-	l, _, err := Open(path, Options{GroupCommit: true})
+	l, _, err := Open(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +238,7 @@ func TestGroupCommitCompactFlushesStaged(t *testing.T) {
 // rather than ack silently.
 func TestGroupCommitClosedLog(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "closed.wal")
-	l, _, err := Open(path, Options{GroupCommit: true})
+	l, _, err := Open(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,10 +252,10 @@ func TestGroupCommitClosedLog(t *testing.T) {
 // the underlying fd out from under the log) and asserts the log poisons
 // itself: the failed append errors, and so does every subsequent one.
 func TestPoisonedLogRefusesAppends(t *testing.T) {
-	for _, gc := range []bool{false, true} {
-		t.Run(fmt.Sprintf("groupcommit=%v", gc), func(t *testing.T) {
+	for _, m := range commitModes {
+		t.Run(m.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "p.wal")
-			l, _, err := Open(path, Options{GroupCommit: gc})
+			l, _, err := Open(path, m.opts)
 			if err != nil {
 				t.Fatal(err)
 			}

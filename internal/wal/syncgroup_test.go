@@ -23,7 +23,7 @@ func TestSyncGroupMultiLogDurability(t *testing.T) {
 	const nlogs, writers, perWriter = 4, 8, 25
 	logs := make([]*Log, nlogs)
 	for i := range logs {
-		l, _, err := Open(filepath.Join(dir, fmt.Sprintf("seg%d.wal", i)), Options{GroupCommit: true, SyncGroup: g})
+		l, _, err := Open(filepath.Join(dir, fmt.Sprintf("seg%d.wal", i)), Options{SyncGroup: g})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +91,7 @@ func TestSyncGroupClosedFailsAppends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, _, err := Open(filepath.Join(dir, "seg.wal"), Options{GroupCommit: true, SyncGroup: g})
+	l, _, err := Open(filepath.Join(dir, "seg.wal"), Options{SyncGroup: g})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,23 +40,24 @@
 // a poisoned log therefore fails fast with the original error; the
 // only way back is to reopen, which truncates the torn tail.
 //
-// # Group commit
+// # Commit path
 //
-// With Options.GroupCommit, appends are split into a staging step and a
-// durability wait (AppendAsync returning a Commit ticket; Append is the
-// two chained). Concurrent appenders enqueue frames into the current
-// batch; whoever reaches the commit lock first writes the whole batch
-// with one write(2) and pays a single fdatasync for every frame in it,
-// and the other appenders' Commit.Wait calls unblock when their frame
-// is durable. Batches commit strictly in staging order (the commit
-// lock covers seal→write→sync), so the on-disk record order equals
-// staging order and the torn-tail prefix argument above is unchanged.
-// Journal-before-ack is preserved exactly: Wait returns nil only after
-// the frame's batch is written and synced. Under contention the sync
-// cost amortizes across the batch (150-220µs per fdatasync on the bench
-// hardware vs about 1µs per unsynced append; BENCH_wal.json gates the
-// append, BENCH_ledger.json the contended whole); an uncontended append
-// degenerates to a batch of one and pays what it always paid.
+// Every append, synced or not, is a staging step and a durability wait
+// (AppendAsync returning a Commit ticket; Append is the two chained).
+// AppendAsync stages the frame into the current batch — a lone append
+// is a batch of one — and the first Wait on the batch writes all of it
+// with one write(2) and, unless NoSync, one flush; the other appenders'
+// Wait calls unblock when their frame is durable, and a write or sync
+// failure surfaces from Wait. Batches commit strictly in staging order
+// (the commit lock covers seal→write→sync), so the on-disk record order
+// equals staging order and the torn-tail prefix argument above is
+// unchanged. Journal-before-ack is preserved exactly: Wait returns nil
+// only after the frame's batch is written and synced. Before sealing,
+// the driving Wait lingers for runnable appenders only when a per-file
+// fdatasync follows (150-220µs on the bench hardware vs about 1µs per
+// unsynced append): with NoSync there is no flush to amortize, and a
+// SyncGroup amortizes its own. BENCH_wal.json gates the append,
+// BENCH_ledger.json the contended whole.
 //
 // # Compaction
 //
@@ -117,11 +118,6 @@ type Options struct {
 	// older one. Tests and benchmarks use it; a production daemon must
 	// not.
 	NoSync bool
-	// GroupCommit batches concurrent appends into one write+fdatasync
-	// (see the package docs). Durability and ordering semantics are
-	// identical to the plain path; only the sync cost per append under
-	// contention changes.
-	GroupCommit bool
 	// SyncGroup, when non-nil, replaces the per-file fdatasync with a
 	// filesystem-wide group sync shared by several logs (the sharded
 	// ledger's segments). Concurrent commits on different files then
@@ -181,10 +177,8 @@ type Log struct {
 	tracer *trace.Tracer
 	base   string
 
-	// Group-commit state. commitMu serializes seal→write→sync so
-	// batches hit the file in staging order; batchMu guards only the
-	// staging batch.
-	gc       bool
+	// Commit state. commitMu serializes seal→write→sync so batches hit
+	// the file in staging order; batchMu guards only the staging batch.
 	group    *SyncGroup // nil ⇒ per-file fsync
 	commitMu sync.Mutex
 	batchMu  sync.Mutex
@@ -205,23 +199,27 @@ type instruments struct {
 
 // commitBatch accumulates staged frames awaiting one shared commit.
 type commitBatch struct {
-	buf  []byte
-	n    int
-	err  error
-	done chan struct{}
+	buf []byte
+	n   int
+	err error
+	// done is released once the batch is committed (written and synced,
+	// or failed), waking every parked waiter at once; unlike a channel
+	// it costs no allocation per batch. committed reads the same fact
+	// without blocking.
+	done      sync.WaitGroup
+	committed atomic.Bool
 	// prev is the predecessor batch if it was still in flight when this
-	// batch was created (guarded by batchMu; cleared once this batch
-	// commits so old batches can be collected). Waiters block on
-	// prev.done — a channel, observable while parked — rather than on
+	// batch was created (cleared once this batch seals so old batches
+	// can be collected). Waiters block on prev.done rather than on
 	// commitMu, where a parked waiter whose batch already committed
 	// would still wake up, barge in, and chop the next batch into
 	// one-frame commits. The predecessor's fsync is exactly the window
 	// in which this batch fills up.
-	prev *commitBatch
+	prev atomic.Pointer[commitBatch]
 	// driver elects exactly one waiter to seal and commit this batch.
-	// The losers park on done — a channel close wakes them all at once,
-	// so after a commit the whole cohort stages its next frames into
-	// one batch instead of dribbling out of a mutex queue one by one.
+	// The losers park on done, so after a commit the whole cohort
+	// stages its next frames into one batch instead of dribbling out of
+	// a mutex queue one by one.
 	driver atomic.Bool
 }
 
@@ -251,7 +249,6 @@ func Open(path string, opts Options) (*Log, []Record, error) {
 		size:   good,
 		count:  len(records),
 		noSync: opts.NoSync,
-		gc:     opts.GroupCommit,
 		group:  opts.SyncGroup,
 		stats: Stats{
 			Records:   len(records),
@@ -281,7 +278,7 @@ func Open(path string, opts Options) (*Log, []Record, error) {
 		lbl := metrics.Label{Name: "log", Value: base}
 		l.ins = &instruments{
 			appendSec: opts.Metrics.Histogram("sage_wal_append_seconds",
-				"Latency of one durable append (write plus sync).", metrics.LatencyBuckets(), lbl),
+				"Latency of one committed batch (write plus sync).", metrics.LatencyBuckets(), lbl),
 			syncSec: opts.Metrics.Histogram("sage_wal_sync_seconds",
 				"Latency of the sync step alone (fdatasync, or the shared syncfs cohort ride).", metrics.LatencyBuckets(), lbl),
 			batchFrames: opts.Metrics.Histogram("sage_wal_commit_batch_frames",
@@ -415,9 +412,6 @@ func (l *Log) Stats() Stats {
 	return l.stats
 }
 
-// Path returns the log's file path.
-func (l *Log) Path() string { return l.path }
-
 // Size returns the log's current byte length.
 func (l *Log) Size() int64 {
 	l.mu.Lock()
@@ -436,9 +430,9 @@ func (l *Log) Records() int {
 // Append journals one record: frame it, write it, and (unless NoSync)
 // sync before returning. When Append returns nil the record will
 // survive any subsequent crash; on error the caller must not
-// acknowledge the operation it was journaling. With GroupCommit the
-// frame may share its write and fdatasync with concurrently appended
-// records; semantics are unchanged.
+// acknowledge the operation it was journaling. The frame may share its
+// write and flush with concurrently appended records (see the package
+// docs); semantics are unchanged.
 func (l *Log) Append(typ byte, payload []byte) error {
 	c, err := l.AppendAsync(typ, payload)
 	if err != nil {
@@ -449,6 +443,7 @@ func (l *Log) Append(typ byte, payload []byte) error {
 
 // Commit is the durability ticket AppendAsync returns: Wait blocks
 // until the staged record's batch is written and synced (or failed).
+// The zero Commit is only ever returned alongside an error.
 type Commit struct {
 	l *Log
 	b *commitBatch
@@ -460,41 +455,32 @@ type Commit struct {
 // not be acknowledged. Wait is safe to call from any goroutine and
 // more than once.
 func (c Commit) Wait() error {
-	if c.b == nil {
-		return nil // resolved at append time (non-group-commit path)
-	}
-	select {
-	case <-c.b.done:
-		return c.b.err
-	default:
-	}
 	// First let our predecessor batch finish: while its fsync runs, our
 	// batch keeps filling with frames from other appenders. Blocking
-	// here on a channel (not on commitMu) is what lets those appenders
+	// here on prev.done (not on commitMu) is what lets those appenders
 	// stage instead of queueing.
-	c.l.batchMu.Lock()
-	prev := c.b.prev
-	c.l.batchMu.Unlock()
-	if prev != nil {
-		<-prev.done
+	if prev := c.b.prev.Load(); prev != nil {
+		prev.done.Wait()
 	}
-	// Exactly one waiter drives the commit; everyone else parks on the
-	// done channel. commitOwn seals and commits our batch unless a
-	// concurrent flush (Sync/Compact/Close) already did.
+	// Exactly one waiter drives the commit; everyone else parks on
+	// done. commitOwn seals and commits our batch unless a
+	// concurrent flush (Compact/Close) already did; either way it
+	// returns with the batch done.
 	if c.b.driver.CompareAndSwap(false, true) {
 		c.l.commitOwn(c.b)
+	} else {
+		c.b.done.Wait()
 	}
-	<-c.b.done
 	return c.b.err
 }
 
 // AppendAsync stages one record and returns a ticket that resolves when
-// it is durable. Without GroupCommit the record is written (and synced)
-// before AppendAsync returns and the ticket is already resolved. A
-// non-nil error means nothing was staged. Callers must call Wait on
-// every ticket they obtain — an unwaited ticket's batch commits when
-// the next append or Sync/Compact/Close arrives, but its outcome is
-// then unobserved.
+// it is durable. Nothing reaches the file before some Wait (or a
+// Compact/Close) commits the batch, and a write or sync failure
+// surfaces from Wait. A non-nil error means nothing was staged. Callers
+// must call Wait on every ticket they obtain — an unwaited ticket's
+// batch commits when a later ticket's Wait or a Compact/Close arrives,
+// but its outcome is then unobserved.
 //
 // Staging order is on-disk order: a record staged after another —
 // under whatever external lock orders the two mutations — can never
@@ -503,27 +489,26 @@ func (l *Log) AppendAsync(typ byte, payload []byte) (Commit, error) {
 	if int64(len(payload)) > MaxRecordBytes {
 		return Commit{}, fmt.Errorf("wal: record of %d bytes exceeds limit %d", len(payload), int64(MaxRecordBytes))
 	}
-	if !l.gc {
-		frame := appendFrame(make([]byte, 0, headerSize+len(payload)), typ, payload)
-		l.mu.Lock()
-		err := l.writeLocked(frame, 1)
-		l.mu.Unlock()
-		return Commit{}, err
-	}
 	l.batchMu.Lock()
 	b := l.batch
 	if b == nil {
-		b = &commitBatch{done: make(chan struct{})}
+		b = &commitBatch{}
+		b.done.Add(1)
 		// A new batch is only ever created after the previous one was
 		// sealed, i.e. while its commit is in flight (or finished). Link
-		// to it so our waiters ride out its fsync on prev.done.
+		// to an in-flight one so our waiters ride out its fsync on
+		// prev.done; a finished one hands over its buffer, whose frames
+		// are on disk and read by no one again.
 		if lb := l.lastBatch; lb != nil {
-			select {
-			case <-lb.done:
-				l.lastBatch = nil
-			default:
-				b.prev = lb
+			if lb.committed.Load() {
+				b.buf = lb.buf[:0]
+			} else {
+				b.prev.Store(lb)
 			}
+		}
+		// Sized for its first frame: a lone append copies its payload once.
+		if cap(b.buf) < headerSize+len(payload) {
+			b.buf = make([]byte, 0, headerSize+len(payload))
 		}
 		l.batch = b
 		l.lastBatch = b
@@ -550,20 +535,18 @@ const lingerRounds = 8
 func (l *Log) commitOwn(b *commitBatch) {
 	l.commitMu.Lock()
 	defer l.commitMu.Unlock()
-	select {
-	case <-b.done:
+	if b.committed.Load() {
 		return
-	default:
 	}
 	// Linger before sealing: yield while the staging batch is still
 	// growing, so appenders that are runnable right now get their
 	// frames into this batch instead of paying for the next fsync.
 	// Without this, the first waiter after an idle moment seals a
 	// batch of one and group commit degenerates to a sync per record.
-	// With a shared SyncGroup the flush is amortized across logs
-	// anyway, and lingering here only delays this log's write past the
-	// cohort it could have joined — so don't.
-	if l.group == nil {
+	// With NoSync there is no flush to amortize, and with a shared
+	// SyncGroup lingering only delays this log's write past the cohort
+	// it could have joined — so don't.
+	if l.group == nil && !l.noSync {
 		last := -1
 		for i := 0; i < lingerRounds; i++ {
 			l.batchMu.Lock()
@@ -581,7 +564,7 @@ func (l *Log) commitOwn(b *commitBatch) {
 
 // commitPending seals the staging batch (if any) and commits it:
 // one write(2) for the whole batch, one fdatasync (unless NoSync).
-// Used by Sync, Compact and Close to flush unwaited tickets; appenders
+// Used by Compact and Close to flush unwaited tickets; appenders
 // go through commitOwn. commitMu makes seal→write→sync atomic with
 // respect to other commits, so batches reach the file in staging order.
 func (l *Log) commitPending() {
@@ -600,17 +583,14 @@ func (l *Log) commitStagingLocked() {
 	if b == nil {
 		return
 	}
+	// b's predecessor committed before commitMu came to us; unlink it so
+	// committed batches can be collected.
+	b.prev.Store(nil)
 	l.mu.Lock()
 	b.err = l.writeLocked(b.buf, b.n)
 	l.mu.Unlock()
-	close(b.done)
-	// Drop chain pointers so committed batches can be collected.
-	l.batchMu.Lock()
-	b.prev = nil
-	if l.lastBatch == b {
-		l.lastBatch = nil
-	}
-	l.batchMu.Unlock()
+	b.committed.Store(true)
+	b.done.Done()
 }
 
 // writeLocked writes one framed batch and syncs. Caller holds mu. On
@@ -695,7 +675,8 @@ func (l *Log) poisonLocked(err error) {
 func appendFrame(dst []byte, typ byte, payload []byte) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
 	dst = append(dst, typ)
-	crc := crc32.Update(crc32.Checksum([]byte{typ}, castagnoli), castagnoli, payload)
+	// The CRC reads the type byte in place: no one-byte slice per frame.
+	crc := crc32.Update(crc32.Checksum(dst[len(dst)-1:], castagnoli), castagnoli, payload)
 	dst = binary.BigEndian.AppendUint32(dst, crc)
 	return append(dst, payload...)
 }
@@ -710,11 +691,9 @@ func compactPath(path string) string { return path + ".compact" }
 // new one. The caller must guarantee the records capture all state the
 // discarded log entries produced, and that no append races the call.
 func (l *Log) Compact(records []Record) error {
-	if l.gc {
-		// Flush any staged-but-uncommitted batch first so its frames
-		// cannot land in the rewritten file after the snapshot.
-		l.commitPending()
-	}
+	// Flush any staged-but-uncommitted batch first so its frames cannot
+	// land in the rewritten file after the snapshot.
+	l.commitPending()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.f == nil {
@@ -764,27 +743,10 @@ func (l *Log) Compact(records []Record) error {
 	return nil
 }
 
-// Sync flushes the log to stable storage, committing any staged
-// group-commit batch first. Useful with NoSync to place explicit
-// durability points.
-func (l *Log) Sync() error {
-	if l.gc {
-		l.commitPending()
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
-		return nil
-	}
-	return l.f.Sync()
-}
-
 // Close commits any staged batch, syncs, and closes the log. Further
 // appends fail.
 func (l *Log) Close() error {
-	if l.gc {
-		l.commitPending()
-	}
+	l.commitPending()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.f == nil {
