@@ -650,10 +650,8 @@ func runLedger(opt options, budget privacy.Budget) error {
 	})
 
 	stream := taxi.Pipeline(opt.days*8000, 0, int64(opt.days)*24, 0, 0, 17)
-	for _, ex := range stream.Examples {
-		for _, id := range db.Insert(ex) {
-			ac.RegisterBlock(id)
-		}
+	for _, id := range db.Insert(stream.Examples...) {
+		ac.RegisterBlock(id)
 	}
 	fmt.Printf("stream: %d samples in %d blocks (partitioner %s), policy %v\n\n",
 		db.Size(), db.NumBlocks(), db.Partitioner().Name(), budget)

@@ -12,9 +12,12 @@
 //     maximum per-block loss — new blocks arrive with fresh budget and
 //     the platform never runs out.
 //   - Privacy-adaptive training (internal/adaptive) with SLAed
-//     validation (internal/validation): retry loops that double data or
-//     budget until a statistically rigorous, DP-corrected ACCEPT test
-//     passes.
+//     validation (internal/validation): one retry loop that doubles the
+//     budget up to its cap, then the data, until a statistically
+//     rigorous, DP-corrected ACCEPT (or REJECT) test passes, or reports
+//     ErrInsufficientBudget once both run out — over a stream's prefixes
+//     (adaptive.Search) or a block ledger's newest blocks
+//     (adaptive.StreamTrainer).
 //
 // Substrates — DP mechanisms with an RDP accountant (internal/privacy),
 // AdaSSP and DP-SGD trainers (internal/ml), DP statistics

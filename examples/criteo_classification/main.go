@@ -4,6 +4,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/adaptive"
@@ -51,16 +52,18 @@ func main() {
 		MinSamples: 100000,
 	}
 	res, err := search.Run(stream, rng.New(5))
-	if err != nil {
+	if err != nil && !errors.Is(err, adaptive.ErrInsufficientBudget) {
 		panic(err)
 	}
 	fmt.Printf("\ndecision: %v after %d iterations\n", res.Decision, res.Iterations)
+	if err != nil {
+		fmt.Printf("  %v\n", err)
+	}
 	fmt.Printf("  samples: %d, final budget %v, total spent %v\n",
 		res.Samples, res.FinalBudget, res.TotalSpent)
 	fmt.Printf("  DP-estimated accuracy: %.4f (target %.2f)\n", res.Quality, accTarget)
 	if res.Decision == validation.Accept {
-		model := res.Model.(ml.Model)
 		holdout := criteo.Pipeline(100000, 0, 24, 99)
-		fmt.Printf("  held-out accuracy: %.4f — the SLA held\n", ml.Accuracy(model, holdout))
+		fmt.Printf("  held-out accuracy: %.4f — the SLA held\n", ml.Accuracy(res.Model, holdout))
 	}
 }

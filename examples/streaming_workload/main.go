@@ -28,10 +28,8 @@ func main() {
 	ac := core.NewAccessControl(core.Policy{Global: privacy.MustBudget(1.0, 1e-6)})
 	retired := 0
 	ac.SetRetireCallback(func(id data.BlockID) { retired++ })
-	for _, ex := range stream.Examples {
-		for _, id := range db.Insert(ex) {
-			ac.RegisterBlock(id)
-		}
+	for _, id := range db.Insert(stream.Examples...) {
+		ac.RegisterBlock(id)
 	}
 	fmt.Printf("stream: %d samples, %d daily blocks, policy %v\n",
 		db.Size(), db.NumBlocks(), ac.Policy().Global)

@@ -61,8 +61,7 @@ func TestEndToEndEventLevel(t *testing.T) {
 	if res.Decision != validation.Accept {
 		t.Fatalf("decision %v (quality %v)", res.Decision, res.Quality)
 	}
-	model := res.Model.(ml.Model)
-	if got := ml.MSE(model, holdout); got > target {
+	if got := ml.MSE(res.Model, holdout); got > target {
 		t.Errorf("accepted model violates target out of sample: %v > %v", got, target)
 	}
 	if sl := ac.StreamLoss(); sl.Epsilon > 1+1e-9 || sl.Delta > 1e-6 {
@@ -170,8 +169,7 @@ func TestCriteoEndToEnd(t *testing.T) {
 	if res.Decision != validation.Accept {
 		t.Fatalf("decision %v (quality %v, samples %d)", res.Decision, res.Quality, res.Samples)
 	}
-	model := res.Model.(ml.Model)
-	if acc := ml.Accuracy(model, holdout); acc < 0.745 {
+	if acc := ml.Accuracy(res.Model, holdout); acc < 0.745 {
 		t.Errorf("accepted model violates target out of sample: %v", acc)
 	}
 }

@@ -1,8 +1,17 @@
 // Package adaptive implements Sage's privacy-adaptive training (§3.3):
-// a retry loop around an (ε, δ)-DP training pipeline that doubles either
-// the privacy budget or the amount of training data on each RETRY from
-// the SLAed validator, until the model is ACCEPTed or REJECTed (or the
-// search exhausts its caps).
+// a retry loop around an (ε, δ)-DP training pipeline that, on each RETRY
+// from the SLAed validator, doubles the privacy budget while it stays
+// under its cap, else doubles the training window up to what there is,
+// until the model is ACCEPTed or REJECTed.
+//
+// The schedule is written once (run) and driven two ways: Search over
+// growing prefixes of an in-memory stream (Fig. 6, Table 2), and
+// StreamTrainer over the newest blocks of a GrowingDatabase under an
+// AccessControl (the daemon). Both report running out of budget and
+// window the same way: Decision RETRY with ErrInsufficientBudget, the
+// caller's cue to wait for more data. Each RETRY grows one resource
+// until it is spent, so a search makes at most
+// log2(cap/ε0) + log2(limit/n0) + 1 attempts.
 //
 // The doubling schedule gives the paper's resource bound: when a model is
 // accepted, the budget burned by all failed iterations is at most the
@@ -18,16 +27,19 @@
 package adaptive
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/data"
+	"repro/internal/ml"
 	"repro/internal/pipeline"
 	"repro/internal/privacy"
 	"repro/internal/rng"
 	"repro/internal/validation"
 )
 
-// Search configures a privacy-adaptive training search.
+// Search configures a privacy-adaptive training search over growing
+// prefixes of a stream.
 type Search struct {
 	// Pipe is the DP training pipeline to drive.
 	Pipe *pipeline.Pipeline
@@ -39,13 +51,6 @@ type Search struct {
 	Delta float64
 	// MinSamples is the initial window size.
 	MinSamples int
-	// MaxSamples caps the data the search may consume (0 = all
-	// available).
-	MaxSamples int
-	// Aggressive selects the Block/Aggressive strategy of §5.4: start
-	// directly at EpsilonCap and all available data, instead of the
-	// budget-conserving doubling schedule.
-	Aggressive bool
 }
 
 // Result reports the outcome of a search.
@@ -58,79 +63,74 @@ type Result struct {
 	// TotalSpent accumulates the budget of every iteration (the 4×
 	// bound is on this quantity).
 	TotalSpent privacy.Budget
-	// Iterations counts pipeline invocations.
+	// Iterations counts the pipeline runs that returned a decision.
 	Iterations int
 	// Quality is the DP quality estimate of the final iteration.
 	Quality float64
 	// Model is the final model (nil unless ACCEPTed).
-	Model interface{ Predict([]float64) float64 }
+	Model ml.Model
+	// Blocks are the blocks the final iteration trained on (StreamTrainer
+	// only).
+	Blocks []data.BlockID
 }
 
+// ErrInsufficientBudget is returned when the search has run out of
+// budget and window before a decision; the caller should wait for new
+// data.
+var ErrInsufficientBudget = errors.New("adaptive: insufficient block budget; wait for new data")
+
 // Run executes the search over growing prefixes of the stream until
-// ACCEPT, REJECT, or resource exhaustion (which yields RETRY, meaning
-// "wait for more stream data").
+// ACCEPT, REJECT, or ErrInsufficientBudget once the whole stream at
+// EpsilonCap still yields RETRY.
 func (s Search) Run(stream *data.Dataset, r *rng.RNG) (Result, error) {
 	if s.Pipe == nil {
 		return Result{}, fmt.Errorf("adaptive: nil pipeline")
 	}
-	if s.Epsilon0 <= 0 || s.EpsilonCap < s.Epsilon0 {
-		return Result{}, fmt.Errorf("adaptive: need 0 < Epsilon0 ≤ EpsilonCap, got %v, %v",
-			s.Epsilon0, s.EpsilonCap)
-	}
 	if s.MinSamples <= 0 {
 		return Result{}, fmt.Errorf("adaptive: MinSamples must be > 0")
 	}
-	maxSamples := s.MaxSamples
-	if maxSamples == 0 || maxSamples > stream.Len() {
-		maxSamples = stream.Len()
-	}
+	limit := stream.Len()
+	return run(s.Epsilon0, s.EpsilonCap, s.Delta, min(s.MinSamples, limit), limit,
+		func(b privacy.Budget, n int, res *Result) (pipeline.Result, error) {
+			ds := stream.Head(n)
+			res.Samples = ds.Len()
+			return s.Pipe.Run(ds, b, r)
+		})
+}
 
-	eps := s.Epsilon0
-	n := s.MinSamples
-	if s.Aggressive {
-		eps = s.EpsilonCap
-		n = maxSamples
+// run is §3.3's schedule. Each attempt trains once at budget b on a
+// window of n (rows or blocks) and records in res what it trained on. On
+// RETRY run doubles ε while 2ε ≤ epsCap, else doubles n up to limit, else
+// stops with ErrInsufficientBudget.
+func run(eps0, epsCap, delta float64, n, limit int,
+	attempt func(b privacy.Budget, n int, res *Result) (pipeline.Result, error)) (Result, error) {
+	if eps0 <= 0 || epsCap < eps0 {
+		return Result{}, fmt.Errorf("adaptive: need 0 < Epsilon0 ≤ EpsilonCap, got %v, %v", eps0, epsCap)
 	}
-	if n > maxSamples {
-		n = maxSamples
-	}
-
 	var res Result
+	eps := eps0
 	for {
-		res.Iterations++
-		ds := stream.Head(n)
-		budget := privacy.Budget{Epsilon: eps, Delta: s.Delta}
-		out, err := s.Pipe.Run(ds, budget, r)
+		out, err := attempt(privacy.Budget{Epsilon: eps, Delta: delta}, n, &res)
 		if err != nil {
 			return res, err
 		}
-		res.Samples = ds.Len()
+		res.Iterations++
 		res.FinalBudget = out.Spent
 		res.TotalSpent = res.TotalSpent.Add(out.Spent)
 		res.Quality = out.Quality
 		res.Decision = out.Decision
-
-		switch out.Decision {
-		case validation.Accept:
+		switch {
+		case out.Decision == validation.Accept:
 			res.Model = out.Model
 			return res, nil
-		case validation.Reject:
+		case out.Decision == validation.Reject:
 			return res, nil
-		}
-		// RETRY: double the budget while allocation remains, else
-		// double the data window (§3.3's conserving schedule).
-		switch {
-		case eps*2 <= s.EpsilonCap:
+		case eps*2 <= epsCap:
 			eps *= 2
-		case n < maxSamples:
-			n *= 2
-			if n > maxSamples {
-				n = maxSamples
-			}
+		case n < limit:
+			n = min(2*n, limit)
 		default:
-			// Out of both resources: report RETRY to the caller,
-			// who waits for new stream data.
-			return res, nil
+			return res, ErrInsufficientBudget
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/data"
+	"repro/internal/ml"
 	"repro/internal/pipeline"
 	"repro/internal/privacy"
 	"repro/internal/rng"
@@ -114,8 +115,8 @@ func TestSearchRetriesWhenDataRunsOut(t *testing.T) {
 		MinSamples: 1000,
 	}
 	res, err := s.Run(small, rng.New(4))
-	if err != nil {
-		t.Fatal(err)
+	if !errors.Is(err, ErrInsufficientBudget) {
+		t.Fatalf("err = %v, want ErrInsufficientBudget", err)
 	}
 	if res.Decision != validation.Retry {
 		t.Fatalf("decision = %v, want RETRY (stream exhausted)", res.Decision)
@@ -125,14 +126,15 @@ func TestSearchRetriesWhenDataRunsOut(t *testing.T) {
 	}
 }
 
+// §5.4's aggressive block strategy is the schedule started at its
+// end: ε0 = the cap and the whole stream as the first window.
 func TestSearchAggressiveUsesEverythingAtOnce(t *testing.T) {
 	s := Search{
 		Pipe:       lrPipeline(0.006),
-		Epsilon0:   0.1,
+		Epsilon0:   1.0,
 		EpsilonCap: 1.0,
 		Delta:      1e-6,
-		MinSamples: 5000,
-		Aggressive: true,
+		MinSamples: taxiStream.Len(),
 	}
 	res, err := s.Run(taxiStream, rng.New(5))
 	if err != nil {
@@ -158,7 +160,8 @@ func TestSearchConserveSpendsLessThanAggressive(t *testing.T) {
 		Delta: 1e-6, MinSamples: 20000,
 	}
 	aggressive := conserve
-	aggressive.Aggressive = true
+	aggressive.Epsilon0 = aggressive.EpsilonCap
+	aggressive.MinSamples = taxiStream.Len()
 	rc, err := conserve.Run(taxiStream, rng.New(6))
 	if err != nil {
 		t.Fatal(err)
@@ -306,4 +309,85 @@ func TestStreamTrainerSurfacesLedgerFailure(t *testing.T) {
 			}
 		})
 	}
+}
+
+// constModel predicts one value for every row.
+type constModel float64
+
+func (m constModel) Predict([]float64) float64 { return float64(m) }
+
+// constTrainer is a non-DP trainer that fits nothing.
+type constTrainer struct{}
+
+func (constTrainer) Train(*data.Dataset, privacy.Budget, *rng.RNG) ml.Model { return constModel(0) }
+func (constTrainer) IsDP() bool                                             { return false }
+
+type attemptRec struct {
+	eps  float64
+	rows int
+}
+
+// retryValidator answers RETRY to every model and records each attempt:
+// its ε (the validation share doubled back to the pipeline's budget) and
+// its rows (both halves of the split).
+type retryValidator struct{ attempts *[]attemptRec }
+
+func (v retryValidator) Validate(_ ml.Model, test, train *data.Dataset, cfg validation.Config, _ *rng.RNG) (validation.Decision, float64) {
+	*v.attempts = append(*v.attempts, attemptRec{2 * cfg.Epsilon, test.Len() + train.Len()})
+	return validation.Retry, 0
+}
+
+// TestSearchAndStreamTrainerWalkOneSchedule: a search that never gets
+// past RETRY walks §3.3's schedule — ε doubles to its cap on the first
+// window, then the window doubles to everything there is — and both
+// Search and StreamTrainer end it the same way.
+func TestSearchAndStreamTrainerWalkOneSchedule(t *testing.T) {
+	const k, days = 100, 8
+	stream := &data.Dataset{}
+	for i := 0; i < k*days; i++ {
+		stream.Append(data.Example{Features: []float64{1}, Time: int64(i/k*24 + i%24)})
+	}
+	want := []attemptRec{{0.125, k}, {0.25, k}, {0.5, k}, {1, k}, {1, 2 * k}, {1, 4 * k}, {1, 8 * k}}
+	pipe := func(attempts *[]attemptRec) *pipeline.Pipeline {
+		return &pipeline.Pipeline{
+			Name: "stub", Trainer: constTrainer{},
+			Validator: retryValidator{attempts}, Mode: validation.ModeSage,
+		}
+	}
+	check := func(name string, attempts []attemptRec, res Result, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrInsufficientBudget) || res.Decision != validation.Retry || res.Iterations != len(want) {
+			t.Errorf("%s: err %v, decision %v, %d iterations; want ErrInsufficientBudget, RETRY, %d",
+				name, err, res.Decision, res.Iterations, len(want))
+		}
+		if len(attempts) != len(want) {
+			t.Fatalf("%s: attempts %v, want %v", name, attempts, want)
+		}
+		for i := range want {
+			if attempts[i] != want[i] {
+				t.Errorf("%s: attempt %d = %+v, want %+v", name, i, attempts[i], want[i])
+			}
+		}
+	}
+
+	var searched []attemptRec
+	s := Search{Pipe: pipe(&searched), Epsilon0: 0.125, EpsilonCap: 1, Delta: 1e-6, MinSamples: k}
+	res, err := s.Run(stream, rng.New(13))
+	check("Search", searched, res, err)
+
+	var streamed []attemptRec
+	db := data.NewGrowingDatabase(data.TimePartitioner{Window: 24})
+	ac := core.NewAccessControl(core.Policy{Global: privacy.MustBudget(8, 1e-3)})
+	for _, id := range db.Insert(stream.Examples...) {
+		ac.RegisterBlock(id)
+	}
+	if db.NumBlocks() != days {
+		t.Fatalf("%d blocks, want %d", db.NumBlocks(), days)
+	}
+	st := &StreamTrainer{
+		AC: ac, DB: db, Pipe: pipe(&streamed),
+		Epsilon0: 0.125, EpsilonCap: 1, Delta: 1e-6, MinWindow: 1,
+	}
+	res, err = st.Run(rng.New(14))
+	check("StreamTrainer", streamed, res, err)
 }

@@ -140,7 +140,6 @@ func Fig6(o Fig6Options) []Fig6Point {
 			EpsilonCap: cfg.LargeEps,
 			Delta:      cfg.Delta,
 			MinSamples: o.MinSamples,
-			MaxSamples: o.MaxStream,
 		}
 		// The cell seed mixes the cell's own coordinates (not its grid
 		// position) so nearby cells get decorrelated streams and a

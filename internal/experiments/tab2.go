@@ -137,10 +137,9 @@ func Tab2(o Tab2Options) []Tab2Row {
 		if err != nil || res.Decision != validation.Accept {
 			return outcome{}
 		}
-		model := res.Model.(ml.Model)
 		return outcome{
 			accepted: true,
-			violated: violates(cfg.Task, model, holdouts[c.holdIdx], target),
+			violated: violates(cfg.Task, res.Model, holdouts[c.holdIdx], target),
 		}
 	})
 

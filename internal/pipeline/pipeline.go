@@ -27,8 +27,6 @@ import (
 type Trainer interface {
 	// Train returns a model trained on ds within budget b.
 	Train(ds *data.Dataset, b privacy.Budget, r *rng.RNG) ml.Model
-	// Name identifies the trainer in logs and experiment tables.
-	Name() string
 	// IsDP reports whether training consumes privacy budget.
 	IsDP() bool
 }
@@ -40,8 +38,6 @@ type Validator interface {
 	// Validate returns the decision and the DP estimate of the quality
 	// metric (for reporting).
 	Validate(m ml.Model, test, train *data.Dataset, cfg validation.Config, r *rng.RNG) (validation.Decision, float64)
-	// Name identifies the metric ("mse", "accuracy").
-	Name() string
 }
 
 // Pipeline is one (ε, δ)-DP training pipeline.

@@ -194,10 +194,6 @@ func TestSGDTrainerKinds(t *testing.T) {
 	if m := dp.Train(ds, privacy.MustBudget(1, 1e-6), rng.New(11)); m == nil {
 		t.Fatal("DP training returned nil")
 	}
-	// Names are distinct and stable.
-	if dp.Name() != "dpsgd-logreg" {
-		t.Errorf("Name = %q", dp.Name())
-	}
 }
 
 func TestTrainerOnEmptyDataset(t *testing.T) {

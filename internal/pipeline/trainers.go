@@ -26,9 +26,6 @@ func (t AdaSSPTrainer) Train(ds *data.Dataset, b privacy.Budget, r *rng.RNG) ml.
 	return ml.TrainAdaSSP(ds, cfg, r)
 }
 
-// Name implements Trainer.
-func (AdaSSPTrainer) Name() string { return "adassp-lr" }
-
 // IsDP implements Trainer.
 func (AdaSSPTrainer) IsDP() bool { return true }
 
@@ -42,9 +39,6 @@ type RidgeTrainer struct {
 func (t RidgeTrainer) Train(ds *data.Dataset, _ privacy.Budget, _ *rng.RNG) ml.Model {
 	return ml.TrainRidge(ds, ml.RidgeConfig{Lambda: t.Lambda})
 }
-
-// Name implements Trainer.
-func (RidgeTrainer) Name() string { return "ridge-np" }
 
 // IsDP implements Trainer.
 func (RidgeTrainer) IsDP() bool { return false }
@@ -113,18 +107,6 @@ func (t SGDTrainer) Train(ds *data.Dataset, b privacy.Budget, r *rng.RNG) ml.Mod
 		return model
 	}
 	return ml.TrainSGD(model, ds, cfg, r)
-}
-
-// Name implements Trainer.
-func (t SGDTrainer) Name() string {
-	kind := map[ModelKind]string{
-		KindLogistic: "logreg", KindLinear: "linreg-sgd",
-		KindMLPRegression: "mlp-reg", KindMLPClassification: "mlp-clf",
-	}[t.Kind]
-	if t.DP {
-		return "dpsgd-" + kind
-	}
-	return "sgd-" + kind
 }
 
 // IsDP implements Trainer.

@@ -37,9 +37,6 @@ func (v MSEValidator) Validate(m ml.Model, test, train *data.Dataset, cfg valida
 	return validation.Retry, mse
 }
 
-// Name implements Validator.
-func (MSEValidator) Name() string { return "mse" }
-
 // squaredLosses returns per-example squared errors clipped to [0, b],
 // and their unclipped mean (ml.MSE's value, from the same residuals).
 func squaredLosses(m ml.Model, ds *data.Dataset, b float64) (losses []float64, mse float64) {
@@ -87,9 +84,6 @@ func (v AccuracyValidator) Validate(m ml.Model, test, train *data.Dataset, cfg v
 	}
 	return validation.Retry, accuracy
 }
-
-// Name implements Validator.
-func (AccuracyValidator) Name() string { return "accuracy" }
 
 // countCorrect returns the number of correct thresholded predictions.
 func countCorrect(m ml.Model, ds *data.Dataset) int {

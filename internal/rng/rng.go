@@ -105,15 +105,6 @@ func (r *RNG) Laplace(mean, scale float64) float64 {
 	return mean + scale*math.Log(1+2*u)
 }
 
-// Exponential returns a draw from the exponential distribution with the
-// given mean (scale). It panics if mean <= 0.
-func (r *RNG) Exponential(mean float64) float64 {
-	if mean <= 0 {
-		panic("rng: Exponential requires mean > 0")
-	}
-	return mean * r.src.ExpFloat64()
-}
-
 // Gamma returns a draw from the Gamma distribution with shape k and scale
 // theta, using the Marsaglia–Tsang method. Used by the workload simulator
 // for pipeline inter-arrival times (§5.4 of the paper).

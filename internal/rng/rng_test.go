@@ -83,14 +83,6 @@ func TestNormalMoments(t *testing.T) {
 	}
 }
 
-func TestExponentialMean(t *testing.T) {
-	r := New(5)
-	mean, _ := moments(200000, func() float64 { return r.Exponential(4.0) })
-	if math.Abs(mean-4.0)/4.0 > 0.05 {
-		t.Errorf("Exponential mean = %v, want ~4", mean)
-	}
-}
-
 func TestGammaMoments(t *testing.T) {
 	r := New(6)
 	const shape, scale = 2.5, 1.5

@@ -62,31 +62,6 @@ func DPMean(values []float64, lo, hi, epsilon float64, r *rng.RNG) MeanResult {
 	return MeanResult{Mean: mean, NoisySum: s, NoisyN: n, Epsilon: epsilon}
 }
 
-// DPVariance releases the variance of values clipped to [lo, hi] with
-// (ε, 0)-DP, splitting the budget across the sum, the sum of squares, and
-// the count.
-func DPVariance(values []float64, lo, hi, epsilon float64, r *rng.RNG) float64 {
-	third := epsilon / 3
-	s := DPSum(values, lo, hi, third, r)
-	sq := make([]float64, len(values))
-	bound := max(abs(lo), abs(hi))
-	for i, v := range values {
-		c := privacy.Clip(v, lo, hi)
-		sq[i] = c * c
-	}
-	s2 := DPSum(sq, 0, bound*bound, third, r)
-	n := DPCount(len(values), third, r)
-	if n <= 1 {
-		return 0
-	}
-	mean := s / n
-	v := s2/n - mean*mean
-	if v < 0 {
-		v = 0
-	}
-	return v
-}
-
 // Histogram releases per-bucket counts with (ε, 0)-DP. Each data point
 // falls in exactly one bucket, so by parallel composition the whole
 // histogram costs ε, not ε·buckets. Out-of-range keys are dropped (the

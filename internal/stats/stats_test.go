@@ -82,24 +82,6 @@ func TestDPMeanEmptyInput(t *testing.T) {
 	}
 }
 
-func TestDPVariance(t *testing.T) {
-	r := rng.New(6)
-	values := make([]float64, 50000)
-	gen := rng.New(7)
-	for i := range values {
-		values[i] = gen.Float64() // uniform [0,1): variance 1/12
-	}
-	got := DPVariance(values, 0, 1, 1.0, r)
-	if math.Abs(got-1.0/12) > 0.01 {
-		t.Errorf("DP variance = %v, want ~%v", got, 1.0/12)
-	}
-	// Empty input: the noisy count may wobble above 1, but the release
-	// must stay finite and non-negative.
-	if v := DPVariance(nil, 0, 1, 1.0, r); math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-		t.Errorf("empty variance = %v, want finite non-negative", v)
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	r := rng.New(8)
 	keys := make([]int, 0, 6000)

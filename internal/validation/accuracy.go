@@ -83,15 +83,3 @@ func (v AccuracyValidator) Reject(bestCorrect, nTrain int, r *rng.RNG) bool {
 	}
 	return BinomialUpper(k, total, v.Eta/3) < v.Target
 }
-
-// Validate runs ACCEPT then REJECT. Pass bestCorrect = -1 when the best
-// empirical classifier is unavailable (e.g. neural networks).
-func (v AccuracyValidator) Validate(correct, n, bestCorrect, nTrain int, r *rng.RNG) Decision {
-	if v.Accept(correct, n, r) {
-		return Accept
-	}
-	if v.Reject(bestCorrect, nTrain, r) {
-		return Reject
-	}
-	return Retry
-}

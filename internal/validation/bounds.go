@@ -26,22 +26,6 @@ func BernsteinUpperBound(loss, n, eta, b float64) float64 {
 	return loss + math.Sqrt(2*b*loss*logTerm/n) + 4*b*logTerm/n
 }
 
-// EmpiricalBernsteinUpperBound returns a (1−η)-confidence upper bound
-// using the sample variance (Maurer & Pontil 2009), tighter than
-// Bernstein when the variance is small:
-//
-//	mean + sqrt(2·var·ln(2/η)/n) + 7·B·ln(2/η)/(3(n−1))
-func EmpiricalBernsteinUpperBound(mean, variance, n, eta, b float64) float64 {
-	if n <= 1 {
-		return math.Inf(1)
-	}
-	if variance < 0 {
-		variance = 0
-	}
-	logTerm := math.Log(2 / eta)
-	return mean + math.Sqrt(2*variance*logTerm/n) + 7*b*logTerm/(3*(n-1))
-}
-
 // HoeffdingDeviation returns t such that the empirical mean of n samples
 // of a [0, B]-bounded variable deviates from its expectation by more than
 // t with probability at most η (one-sided): t = B·sqrt(ln(1/η)/(2n)).

@@ -51,23 +51,6 @@ func TestBernsteinCoverage(t *testing.T) {
 	}
 }
 
-func TestEmpiricalBernsteinTighterForLowVariance(t *testing.T) {
-	// With near-zero variance the empirical-Bernstein bound beats the
-	// variance-free Bernstein bound at the same confidence.
-	mean, variance, n, eta, b := 0.5, 1e-6, 1000.0, 0.05, 1.0
-	eb := EmpiricalBernsteinUpperBound(mean, variance, n, eta, b)
-	std := BernsteinUpperBound(mean, n, eta, b)
-	if eb >= std {
-		t.Errorf("empirical Bernstein %v not tighter than Bernstein %v", eb, std)
-	}
-	if eb <= mean {
-		t.Error("bound must exceed the mean")
-	}
-	if !math.IsInf(EmpiricalBernsteinUpperBound(mean, variance, 1, eta, b), 1) {
-		t.Error("n=1 should give +Inf")
-	}
-}
-
 func TestHoeffdingDeviation(t *testing.T) {
 	d1 := HoeffdingDeviation(100, 0.05, 1)
 	d2 := HoeffdingDeviation(10000, 0.05, 1)

@@ -109,17 +109,3 @@ func (v LossValidator) Reject(bestTrainLosses []float64, r *rng.RNG) bool {
 	lower := sum/n - HoeffdingDeviation(n, eta/3, v.B)
 	return lower > v.Target
 }
-
-// Validate runs ACCEPT then REJECT and returns the decision. Both tests
-// run on disjoint data (test vs train split), so the total privacy cost
-// is Cost() for each test that actually consumed budget; use
-// ValidationCost to account for it.
-func (v LossValidator) Validate(testLosses, bestTrainLosses []float64, r *rng.RNG) Decision {
-	if v.Accept(testLosses, r) {
-		return Accept
-	}
-	if v.Reject(bestTrainLosses, r) {
-		return Reject
-	}
-	return Retry
-}

@@ -117,15 +117,23 @@ func TestLossValidateDecisions(t *testing.T) {
 		Target: 0.3, B: 1,
 	}
 	r := rng.New(4)
-	if d := v.Validate(mkLosses(100000, 0.1), mkLosses(100000, 0.1), r); d != Accept {
-		t.Errorf("decision = %v, want ACCEPT", d)
+	// ACCEPT: the first test passes, so REJECT never runs.
+	if !v.Accept(mkLosses(100000, 0.1), r) {
+		t.Error("loss 0.1 on 100000 points should ACCEPT")
 	}
-	if d := v.Validate(mkLosses(100000, 0.9), mkLosses(100000, 0.9), r); d != Reject {
-		t.Errorf("decision = %v, want REJECT", d)
+	// REJECT: ACCEPT fails first, then REJECT passes.
+	if v.Accept(mkLosses(100000, 0.9), r) {
+		t.Error("loss 0.9 should not ACCEPT")
 	}
-	// Good-enough loss but insufficient data: RETRY.
-	if d := v.Validate(mkLosses(30, 0.25), mkLosses(30, 0.2), r); d != Retry {
-		t.Errorf("decision = %v, want RETRY", d)
+	if !v.Reject(mkLosses(100000, 0.9), r) {
+		t.Error("best loss 0.9 should REJECT")
+	}
+	// Good-enough loss but insufficient data: neither test passes, RETRY.
+	if v.Accept(mkLosses(30, 0.25), r) {
+		t.Error("30 points should not ACCEPT")
+	}
+	if v.Reject(mkLosses(30, 0.2), r) {
+		t.Error("best loss 0.2 on 30 points should not REJECT")
 	}
 }
 
@@ -200,14 +208,23 @@ func TestAccuracyValidateDecisions(t *testing.T) {
 		Target: 0.74,
 	}
 	r := rng.New(7)
-	if d := v.Validate(80000, 100000, 80000, 100000, r); d != Accept {
-		t.Errorf("want ACCEPT, got %v", d)
+	// ACCEPT: the first test passes, so REJECT never runs.
+	if !v.Accept(80000, 100000, r) {
+		t.Error("accuracy 0.8 on 100000 points should ACCEPT")
 	}
-	if d := v.Validate(50000, 100000, 50000, 100000, r); d != Reject {
-		t.Errorf("want REJECT, got %v", d)
+	// REJECT: ACCEPT fails first, then REJECT passes.
+	if v.Accept(50000, 100000, r) {
+		t.Error("accuracy 0.5 should not ACCEPT")
 	}
-	if d := v.Validate(76, 100, -1, 0, r); d != Retry {
-		t.Errorf("want RETRY, got %v", d)
+	if !v.Reject(50000, 100000, r) {
+		t.Error("best accuracy 0.5 should REJECT")
+	}
+	// Too few points and no best classifier: neither test passes, RETRY.
+	if v.Accept(76, 100, r) {
+		t.Error("100 points should not ACCEPT")
+	}
+	if v.Reject(-1, 0, r) {
+		t.Error("bestCorrect=-1 must skip rejection")
 	}
 }
 
