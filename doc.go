@@ -61,7 +61,12 @@
 // DP-SGD noise calibration (privacy.CalibrateSGDNoise) is memoized
 // process-wide by (N, BatchSize, Epochs, ε, δ): the sweeps re-run
 // identical plans thousands of times, and a cache hit replaces a
-// ~160 ms RDP bracketing search with a lock-free lookup.
+// ~4 ms RDP bracketing search with a lock-free lookup. Each probe of
+// that search asks only whether σ meets (ε, δ): ε is a minimum over
+// RDP orders, so the first order that proves it answers yes, and an
+// order is dropped as soon as its partial sum — which no later term
+// lowers — rules it out. The probes and their answers are those of the
+// full SGDEpsilon, so σ is the same to the bit.
 // privacy.SGDCalibrationStats exposes the hit/miss counters, which
 // cmd/sage-experiments reports after every run.
 //

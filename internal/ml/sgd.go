@@ -231,12 +231,3 @@ func nextPoisson(r *rng.RNG, q float64, cur int) int {
 	}
 	return cur + 1 + int(skip)
 }
-
-// Cost returns the privacy cost of one training run: the configured
-// budget for DP training, zero otherwise.
-func (cfg SGDConfig) Cost() privacy.Budget {
-	if cfg.DP {
-		return cfg.Budget
-	}
-	return privacy.Zero
-}

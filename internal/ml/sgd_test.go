@@ -109,17 +109,6 @@ func TestSGDConfigValidation(t *testing.T) {
 	}
 }
 
-func TestSGDCost(t *testing.T) {
-	np := SGDConfig{LearningRate: 0.1, Epochs: 1, BatchSize: 1}
-	if !np.Cost().IsZero() {
-		t.Error("non-DP cost should be zero")
-	}
-	dp := SGDConfig{DP: true, Budget: privacy.MustBudget(0.5, 1e-7)}
-	if c := dp.Cost(); c.Epsilon != 0.5 || c.Delta != 1e-7 {
-		t.Errorf("DP cost = %v", c)
-	}
-}
-
 func TestSGDEmptyDataset(t *testing.T) {
 	m := NewSGDLinearRegression(2)
 	before := append([]float64{}, m.Params()...)

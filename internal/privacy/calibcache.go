@@ -6,11 +6,13 @@ import (
 )
 
 // DP-SGD noise calibration is a pure function of the plan and the target
-// (ε, δ), and it is expensive: each probe of the bracketing/bisection
-// search composes the subsampled-Gaussian RDP curve over every step of
-// the plan. Experiment sweeps re-run identical plans thousands of times —
-// every Fig. 6 / Tab. 2 cell at the same stream size trains with the same
-// (n, batch, epochs, ε, δ) — so CalibrateSGDNoise memoizes σ process-wide.
+// (ε, δ), and a miss costs milliseconds: each of the search's ~70 probes
+// asks whether some RDP order proves (ε, δ) at that σ, summing each
+// order's terms until it does or is ruled out (sgdMeets; three Lgamma
+// calls a term). Experiment sweeps re-run identical plans thousands of
+// times — every Fig. 6 / Tab. 2 cell at the same stream size trains with
+// the same (n, batch, epochs, ε, δ) — so CalibrateSGDNoise memoizes σ
+// process-wide.
 // The cache is concurrency-safe and deterministic by construction: a hit
 // returns bit-identical σ to the computation it replaced.
 

@@ -11,9 +11,10 @@ import (
 // multiplier σ for a given sampling rate and number of steps, exactly as
 // TensorFlow Privacy does for the pipelines in Table 1.
 
-// defaultOrders are the RDP orders the accountant evaluates. Integer
-// orders admit an exact closed form for the subsampled Gaussian.
-func defaultOrders() []int {
+// rdpOrders are the RDP orders the accountant evaluates, shared read-only
+// by every accountant. Integer orders admit an exact closed form for the
+// subsampled Gaussian.
+var rdpOrders = func() []int {
 	orders := make([]int, 0, 80)
 	for a := 2; a <= 63; a++ {
 		orders = append(orders, a)
@@ -22,7 +23,7 @@ func defaultOrders() []int {
 	// ε = RDP(α) + log(1/δ)/(α−1) term needs large α when ε ≪ 1).
 	orders = append(orders, 80, 96, 128, 160, 192, 256, 320, 384, 512, 768, 1024, 2048, 4096)
 	return orders
-}
+}()
 
 // RDPAccountant tracks Rényi divergences at a fixed set of integer orders.
 type RDPAccountant struct {
@@ -30,11 +31,10 @@ type RDPAccountant struct {
 	rdp    []float64 // cumulative RDP at each order
 }
 
-// NewRDPAccountant returns an accountant over the default integer orders
-// 2..63.
+// NewRDPAccountant returns an accountant over the integer orders 2..63
+// and 13 sparse orders from 80 to 4096.
 func NewRDPAccountant() *RDPAccountant {
-	o := defaultOrders()
-	return &RDPAccountant{orders: o, rdp: make([]float64, len(o))}
+	return &RDPAccountant{orders: rdpOrders, rdp: make([]float64, len(rdpOrders))}
 }
 
 // gaussianRDP returns the RDP of the (unsampled) Gaussian mechanism with
@@ -70,25 +70,43 @@ func logAddExp(a, b float64) float64 {
 //
 //	RDP(α) = 1/(α−1) · log Σ_{k=0}^{α} C(α,k)·(1−q)^{α−k}·q^k·exp(k(k−1)/(2σ²))
 func sampledGaussianRDP(q, sigma float64, alpha int) float64 {
+	rdp, _ := sampledGaussianRDPUntil(q, sigma, alpha, nil)
+	return rdp
+}
+
+// sampledGaussianRDPUntil is sampledGaussianRDP with an early exit. It
+// adds the sum's terms in increasing k and after each one passes exceeds
+// the RDP the partial sum implies; if exceeds returns true, it stops and
+// returns false. Each logAddExp returns m + log(1 + x) with x >= 0 and m
+// the larger operand, so no term lowers the running sum, and every later
+// step is monotone under IEEE rounding: the RDP a partial sum implies is
+// a lower bound on the order's final RDP, bit for bit. A nil exceeds
+// never stops.
+func sampledGaussianRDPUntil(q, sigma float64, alpha int, exceeds func(rdp float64) bool) (float64, bool) {
 	if q <= 0 {
-		return 0
+		return 0, true
 	}
+	gauss := gaussianRDP(sigma, alpha)
 	if q >= 1 {
-		return gaussianRDP(sigma, alpha)
+		return gauss, true
 	}
 	logSum := math.Inf(-1)
 	logQ := math.Log(q)
 	log1Q := math.Log1p(-q)
+	var rdp float64
 	for k := 0; k <= alpha; k++ {
 		term := logComb(alpha, k) +
 			float64(alpha-k)*log1Q +
 			float64(k)*logQ +
 			float64(k*(k-1))/(2*sigma*sigma)
 		logSum = logAddExp(logSum, term)
+		// The subsampled mechanism is never worse than the unsampled one.
+		rdp = math.Min(logSum/float64(alpha-1), gauss)
+		if exceeds != nil && exceeds(rdp) {
+			return rdp, false
+		}
 	}
-	rdp := logSum / float64(alpha-1)
-	// The subsampled mechanism is never worse than the unsampled one.
-	return math.Min(rdp, gaussianRDP(sigma, alpha))
+	return rdp, true
 }
 
 // AddSampledGaussianSteps records `steps` steps of the subsampled Gaussian
@@ -175,11 +193,11 @@ func CalibrateSGDNoise(plan SGDPlan, epsilon, delta float64) float64 {
 }
 
 // calibrateSGDNoise is the uncached bracketing/bisection search behind
-// CalibrateSGDNoise.
+// CalibrateSGDNoise. Every probe asks only whether σ is private enough.
 func calibrateSGDNoise(plan SGDPlan, epsilon, delta float64) float64 {
 	lo, hi := 1e-2, 1e-2
 	// Grow hi until private enough.
-	for SGDEpsilon(plan, hi, delta) > epsilon {
+	for !sgdMeets(plan, hi, delta, epsilon) {
 		hi *= 2
 		if hi > 1e6 {
 			panic("privacy: noise calibration diverged")
@@ -187,17 +205,44 @@ func calibrateSGDNoise(plan SGDPlan, epsilon, delta float64) float64 {
 	}
 	// Shrink lo until not private enough (or keep tiny floor).
 	lo = hi / 2
-	for lo > 1e-3 && SGDEpsilon(plan, lo, delta) <= epsilon {
+	for lo > 1e-3 && sgdMeets(plan, lo, delta, epsilon) {
 		hi = lo
 		lo /= 2
 	}
 	for i := 0; i < 60; i++ {
 		mid := (lo + hi) / 2
-		if SGDEpsilon(plan, mid, delta) <= epsilon {
+		if sgdMeets(plan, mid, delta, epsilon) {
 			hi = mid
 		} else {
 			lo = mid
 		}
 	}
 	return hi
+}
+
+// sgdMeets reports SGDEpsilon(plan, sigma, delta) <= epsilon, computing
+// no more of SGDEpsilon's arithmetic than the answer needs. SGDEpsilon is
+// the minimum over orders of ε(α) = steps·RDP(α) + log(1/δ)/(α−1), and
+// ε(α) grows with RDP(α). So the first order with ε(α) <= epsilon
+// decides yes; an order passes if it passes with steps·α/(2σ²), the
+// upper bound sampledGaussianRDP takes its minimum with; and an order
+// whose partial sum already implies ε(α) > epsilon cannot pass and is
+// dropped (sampledGaussianRDPUntil).
+func sgdMeets(plan SGDPlan, sigma, delta, epsilon float64) bool {
+	q, steps := plan.SamplingRate(), float64(plan.Steps())
+	for _, alpha := range rdpOrders {
+		slack := math.Log(1/delta) / float64(alpha-1)
+		// Epsilon's conversion of this order's RDP. The float64 keeps
+		// the product rounded on its own, as it is when the accountant
+		// stores it.
+		eps := func(rdp float64) float64 { return float64(steps*rdp) + slack }
+		if eps(gaussianRDP(sigma, alpha)) <= epsilon {
+			return true
+		}
+		rdp, whole := sampledGaussianRDPUntil(q, sigma, alpha, func(r float64) bool { return eps(r) > epsilon })
+		if whole && eps(rdp) <= epsilon {
+			return true
+		}
+	}
+	return false
 }

@@ -147,3 +147,88 @@ func TestEpsilonMonotoneInDeltaProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// referenceCalibrateSGDNoise is the calibration search as it stood
+// before sgdMeets: the same bracketing and bisection, with every probe
+// computing SGDEpsilon in full. It is the oracle calibrateSGDNoise must
+// match bit for bit.
+func referenceCalibrateSGDNoise(plan SGDPlan, epsilon, delta float64) float64 {
+	lo, hi := 1e-2, 1e-2
+	for SGDEpsilon(plan, hi, delta) > epsilon {
+		hi *= 2
+		if hi > 1e6 {
+			panic("privacy: noise calibration diverged")
+		}
+	}
+	lo = hi / 2
+	for lo > 1e-3 && SGDEpsilon(plan, lo, delta) <= epsilon {
+		hi = lo
+		lo /= 2
+	}
+	for i := 0; i < 60; i++ {
+		mid := (lo + hi) / 2
+		if SGDEpsilon(plan, mid, delta) <= epsilon {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return hi
+}
+
+type calibCase struct {
+	plan       SGDPlan
+	eps, delta float64
+}
+
+// calibGrid spans the dataset sizes, batch sizes, epochs and targets the
+// experiments calibrate for.
+var calibGrid = []calibCase{
+	{SGDPlan{N: 1000, BatchSize: 256, Epochs: 1}, 1.0 / 16, 1e-6},
+	{SGDPlan{N: 4500, BatchSize: 512, Epochs: 3}, 0.5, 1e-8},
+	{SGDPlan{N: 18000, BatchSize: 1024, Epochs: 5}, 2, 1e-6},
+	{SGDPlan{N: 36000, BatchSize: 2000, Epochs: 1}, 8, 1e-8},
+	{SGDPlan{N: 77002, BatchSize: 512, Epochs: 3}, 0.7, 1e-6},
+	{SGDPlan{N: 100000, BatchSize: 256, Epochs: 5}, 0.25, 1e-8},
+}
+
+// calibEdges are the plans at the ends of the search: σ at or just above
+// its 1e-3 floor, full-batch sampling, a huge ε, and an ε small enough
+// to need many bracketing doublings.
+var calibEdges = []calibCase{
+	{SGDPlan{N: 1000, BatchSize: 1000, Epochs: 1}, 2e6, 1e-6},
+	{SGDPlan{N: 1000, BatchSize: 1000, Epochs: 1}, 5e5, 1e-6},
+	{SGDPlan{N: 1000, BatchSize: 4000, Epochs: 1}, 1, 1e-6},
+	{SGDPlan{N: 4500, BatchSize: 256, Epochs: 1}, 2e7, 1e-6},
+	{SGDPlan{N: 36000, BatchSize: 512, Epochs: 3}, 0.01, 1e-6},
+}
+
+func TestCalibrateMatchesFullEpsilonSearch(t *testing.T) {
+	for _, c := range append(append([]calibCase{}, calibGrid...), calibEdges...) {
+		got := calibrateSGDNoise(c.plan, c.eps, c.delta)
+		want := referenceCalibrateSGDNoise(c.plan, c.eps, c.delta)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%+v ε=%v δ=%v: σ = %v, reference %v", c.plan, c.eps, c.delta, got, want)
+		}
+	}
+}
+
+// The early exits in sgdMeets are exact: it answers SGDEpsilon <= ε at
+// the calibrated σ, at its neighbouring floats, where the answer flips,
+// and across a log-spaced sweep.
+func TestSGDMeetsAgreesWithSGDEpsilon(t *testing.T) {
+	for _, c := range append(append([]calibCase{}, calibGrid...), calibEdges...) {
+		sigma := calibrateSGDNoise(c.plan, c.eps, c.delta)
+		probes := []float64{sigma, math.Nextafter(sigma, 0), math.Nextafter(sigma, math.Inf(1))}
+		for s := 1e-3; s < 1e3; s *= 2.5 {
+			probes = append(probes, s)
+		}
+		for _, s := range probes {
+			want := SGDEpsilon(c.plan, s, c.delta) <= c.eps
+			if got := sgdMeets(c.plan, s, c.delta, c.eps); got != want {
+				t.Errorf("%+v ε=%v δ=%v σ=%v: sgdMeets = %v, SGDEpsilon <= ε is %v",
+					c.plan, c.eps, c.delta, s, got, want)
+			}
+		}
+	}
+}
