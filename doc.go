@@ -282,10 +282,13 @@
 // per-example gradient's coefficient and adds it with one axpy instead
 // of materializing it (ml.TrainSGD), and the SLAed validators stream
 // over losses without copying. What runs before an experiment's first
-// cell can start is kept short: featurizers carve their rows from
-// chunks (data.NewDataset), the one ingest sequence filters its rides
-// in place (taxi.Ingest), the Zipf sampler starts its search from a
-// guide table, and an attempt in the workload simulator costs one
+// cell can start is kept short: ingest streams (taxi.Ingest,
+// criteo.Pipeline) — each ride or impression is drawn, filtered and
+// featurized before the next is drawn, the hour_speed sums accumulate
+// as they pass (stats.GroupSums), and rows
+// are carved from 24 KiB chunks as they are written (data.Rows), so no
+// stream-sized buffer is allocated — the Zipf sampler starts its search
+// from a guide table, and an attempt in the workload simulator costs one
 // counter read and one closed form per grid budget (internal/workload).
 // BENCH_optimized.json gates the Fig. 7 pass, one iteration of the
 // daemon's adaptive search, one AdaSSP fit, the DP-SGD calibration cache

@@ -81,8 +81,8 @@ type Generator struct {
 	r       *rng.RNG
 	zipfs   []func() int
 	numW    [NumNumeric]float64
-	catW    []map[int]float64 // effect per (categorical, value)
-	effectN float64           // normalizer keeping logits in range
+	catW    [NumCategorical][TopValues + 1]float64 // effect per (categorical, value)
+	effectN float64                                // normalizer keeping logits in range
 }
 
 // NewGenerator returns a calibrated generator.
@@ -96,7 +96,6 @@ func NewGenerator(cfg Config, seed uint64) *Generator {
 	// noise differs by seed.
 	truth := rng.New(0xC817E0)
 	g.zipfs = make([]func() int, NumCategorical)
-	g.catW = make([]map[int]float64, NumCategorical)
 	// A sampler is its table plus the generator's RNG, so categoricals
 	// of one cardinality share it: five tables, not twenty-six.
 	byCard := make(map[int]func() int)
@@ -106,7 +105,6 @@ func NewGenerator(cfg Config, seed uint64) *Generator {
 			byCard[card] = g.r.Zipf(card, 1.15)
 		}
 		g.zipfs[c] = byCard[card]
-		g.catW[c] = make(map[int]float64, TopValues+1)
 		// Only the frequent values carry signal; the long tail is
 		// noise (mirrors how real Criteo models behave).
 		for v := 0; v <= TopValues; v++ {
@@ -137,60 +135,48 @@ func (g *Generator) logit(imp *Impression) float64 {
 	return z*logitScale/g.effectN + logitBias
 }
 
-// Generate returns n impressions spread uniformly over
-// [startTime, startTime+span).
-func (g *Generator) Generate(n int, startTime, span int64) []Impression {
-	if span <= 0 {
-		span = 1
+// draw writes impression i of an n-impression stream spread uniformly
+// over [startTime, startTime+span) into imp, every field of it; called
+// for i = 0, 1, … it makes the stream's draws in order.
+func (g *Generator) draw(imp *Impression, i, n int, startTime, span int64) {
+	imp.Time = startTime + int64(float64(max(span, 1))*float64(i)/float64(n))
+	imp.UserID = int64(g.r.IntN(g.cfg.Users))
+	for j := 0; j < NumNumeric; j++ {
+		// Lognormal-ish counts squashed into [0, 1].
+		raw := g.r.LogNormal(0, 1)
+		imp.Numeric[j] = privacy.Clip(math.Log1p(raw)/3, 0, 1)
 	}
-	out := make([]Impression, n)
-	for i := range out {
-		imp := &out[i]
-		imp.Time = startTime + int64(float64(span)*float64(i)/float64(n))
-		imp.UserID = int64(g.r.IntN(g.cfg.Users))
-		for j := 0; j < NumNumeric; j++ {
-			// Lognormal-ish counts squashed into [0, 1].
-			raw := g.r.LogNormal(0, 1)
-			imp.Numeric[j] = privacy.Clip(math.Log1p(raw)/3, 0, 1)
-		}
-		for c := 0; c < NumCategorical; c++ {
-			imp.Categorical[c] = g.zipfs[c]()
-		}
-		imp.Click = g.r.Bool(ml.Sigmoid(g.logit(imp)))
+	for c := 0; c < NumCategorical; c++ {
+		imp.Categorical[c] = g.zipfs[c]()
 	}
-	return out
+	imp.Click = g.r.Bool(ml.Sigmoid(g.logit(imp)))
 }
 
-// Featurize encodes impressions: numeric features pass through; each
-// categorical becomes TopValues+1 one-hot columns (frequent values get
-// their own column, the tail shares "other"). Labels are 1 for clicks.
-// The rows come from data.NewDataset: each has cap == len and no other
-// Featurize result shares their storage.
-func Featurize(imps []Impression) *data.Dataset {
-	ds := data.NewDataset(len(imps), FeatureDim)
-	for i := range imps {
-		imp, ex := &imps[i], &ds.Examples[i]
-		f := ex.Features
-		copy(f, imp.Numeric[:])
+// Pipeline generates n impressions over [startTime, startTime+span) and
+// encodes them: numeric features pass through; each categorical becomes
+// TopValues+1 one-hot columns (frequent values get their own column, the
+// tail shares "other"). Labels are 1 for clicks. It is one pass: each
+// impression is drawn into one reused Impression and encoded into a row
+// carved as it is written (data.Rows), so each row has cap == len and no
+// other result shares its storage.
+func Pipeline(n int, startTime, span int64, seed uint64) *data.Dataset {
+	gen := NewGenerator(Config{}, seed)
+	ds := &data.Dataset{Examples: make([]data.Example, n)}
+	rows := data.NewRows(n, FeatureDim)
+	var imp Impression
+	for i := range ds.Examples {
+		gen.draw(&imp, i, n, startTime, span)
+		ex := &ds.Examples[i]
+		ex.Features, ex.Time, ex.UserID = rows.Next(), imp.Time, imp.UserID
+		copy(ex.Features, imp.Numeric[:])
 		base := NumNumeric
-		for c := 0; c < NumCategorical; c++ {
-			v := imp.Categorical[c]
-			if v > TopValues {
-				v = TopValues
-			}
-			f[base+v] = 1
+		for _, v := range imp.Categorical {
+			ex.Features[base+min(v, TopValues)] = 1
 			base += TopValues + 1
 		}
 		if imp.Click {
 			ex.Label = 1
 		}
-		ex.Time, ex.UserID = imp.Time, imp.UserID
 	}
 	return ds
-}
-
-// Pipeline bundles generation and featurization.
-func Pipeline(n int, startTime, span int64, seed uint64) *data.Dataset {
-	gen := NewGenerator(Config{}, seed)
-	return Featurize(gen.Generate(n, startTime, span))
 }

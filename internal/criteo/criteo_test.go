@@ -3,18 +3,29 @@ package criteo
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/data"
 	"repro/internal/ml"
+	"repro/internal/privacy"
 	"repro/internal/rng"
 	"repro/internal/safety"
 )
 
+// generate draws an n-impression stream the way Pipeline does.
+func generate(g *Generator, n int, startTime, span int64) []Impression {
+	imps := make([]Impression, n)
+	for i := range imps {
+		g.draw(&imps[i], i, n, startTime, span)
+	}
+	return imps
+}
+
 func TestGenerateDeterministic(t *testing.T) {
-	a := NewGenerator(Config{}, 3).Generate(100, 0, 24)
-	b := NewGenerator(Config{}, 3).Generate(100, 0, 24)
+	a := generate(NewGenerator(Config{}, 3), 100, 0, 24)
+	b := generate(NewGenerator(Config{}, 3), 100, 0, 24)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("impression %d differs between same-seed generators", i)
@@ -25,8 +36,8 @@ func TestGenerateDeterministic(t *testing.T) {
 func TestSharedGroundTruthAcrossSeeds(t *testing.T) {
 	// Different seeds draw different samples from the SAME task: a model
 	// trained on seed A must transfer to data from seed B.
-	train := Featurize(NewGenerator(Config{}, 10).Generate(60000, 0, 24))
-	test := Featurize(NewGenerator(Config{}, 11).Generate(20000, 0, 24))
+	train := Pipeline(60000, 0, 24, 10)
+	test := Pipeline(20000, 0, 24, 11)
 	m := ml.NewLogisticRegression(FeatureDim)
 	ml.TrainSGD(m, train, ml.SGDConfig{LearningRate: 0.1, Epochs: 3, BatchSize: 256}, rng.New(12))
 	acc := ml.Accuracy(m, test)
@@ -37,8 +48,7 @@ func TestSharedGroundTruthAcrossSeeds(t *testing.T) {
 }
 
 func TestFeaturizeShape(t *testing.T) {
-	imps := NewGenerator(Config{}, 4).Generate(500, 5, 10)
-	ds := Featurize(imps)
+	ds := Pipeline(500, 5, 10, 4)
 	if ds.Len() != 500 || ds.FeatureDim() != FeatureDim {
 		t.Fatalf("Len=%d dim=%d", ds.Len(), ds.FeatureDim())
 	}
@@ -66,7 +76,7 @@ func TestFeaturizeShape(t *testing.T) {
 }
 
 func TestNumericFeatureRange(t *testing.T) {
-	imps := NewGenerator(Config{}, 5).Generate(2000, 0, 1)
+	imps := generate(NewGenerator(Config{}, 5), 2000, 0, 1)
 	for _, imp := range imps {
 		for j, v := range imp.Numeric {
 			if v < 0 || v > 1 || math.IsNaN(v) {
@@ -82,7 +92,7 @@ func TestNumericFeatureRange(t *testing.T) {
 }
 
 func TestZipfSkew(t *testing.T) {
-	imps := NewGenerator(Config{}, 6).Generate(20000, 0, 1)
+	imps := generate(NewGenerator(Config{}, 6), 20000, 0, 1)
 	// Value 0 of any categorical should be much more frequent than a
 	// mid-cardinality value.
 	zeros, mids := 0, 0
@@ -107,9 +117,8 @@ func TestCalibrationAnchors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("calibration check trains on 100K samples")
 	}
-	gen := NewGenerator(Config{}, 20)
-	train := Featurize(gen.Generate(100000, 0, 24*30))
-	test := Featurize(NewGenerator(Config{}, 21).Generate(30000, 0, 24*30))
+	train := Pipeline(100000, 0, 24*30, 20)
+	test := Pipeline(30000, 0, 24*30, 21)
 	ctr := train.MeanLabel()
 	if math.Abs(ctr-0.257) > 0.03 {
 		t.Errorf("CTR = %v, want ≈ 0.257 (paper)", ctr)
@@ -140,7 +149,7 @@ func TestPipelineHelper(t *testing.T) {
 func TestGenerateInvariantsProperty(t *testing.T) {
 	f := func(seed uint64, nRaw uint8) bool {
 		n := int(nRaw)%100 + 1
-		imps := NewGenerator(Config{Users: 50}, seed).Generate(n, 0, 5)
+		imps := generate(NewGenerator(Config{Users: 50}, seed), n, 0, 5)
 		if len(imps) != n {
 			return false
 		}
@@ -156,9 +165,31 @@ func TestGenerateInvariantsProperty(t *testing.T) {
 	}
 }
 
-// referenceFeaturize is Featurize as it stood before PR 19 — one make
-// per row — kept verbatim as the differential reference for the chunked
-// rows.
+// referenceGenerate is Generator.Generate as it stood before ingest
+// streamed, and referenceFeaturize is Featurize as it stood before PR 19
+// — one make per row — both kept verbatim as the differential reference
+// for Pipeline's per-impression draws and its carved rows.
+func referenceGenerate(g *Generator, n int, startTime, span int64) []Impression {
+	if span <= 0 {
+		span = 1
+	}
+	out := make([]Impression, n)
+	for i := range out {
+		imp := &out[i]
+		imp.Time = startTime + int64(float64(span)*float64(i)/float64(n))
+		imp.UserID = int64(g.r.IntN(g.cfg.Users))
+		for j := 0; j < NumNumeric; j++ {
+			raw := g.r.LogNormal(0, 1)
+			imp.Numeric[j] = privacy.Clip(math.Log1p(raw)/3, 0, 1)
+		}
+		for c := 0; c < NumCategorical; c++ {
+			imp.Categorical[c] = g.zipfs[c]()
+		}
+		imp.Click = g.r.Bool(ml.Sigmoid(g.logit(imp)))
+	}
+	return out
+}
+
 func referenceFeaturize(imps []Impression) *data.Dataset {
 	ds := &data.Dataset{Examples: make([]data.Example, 0, len(imps))}
 	for i := range imps {
@@ -183,16 +214,23 @@ func referenceFeaturize(imps []Impression) *data.Dataset {
 	return ds
 }
 
-// TestFeaturizeMatchesReference: value-identical datasets, cap == len on
-// every row, and two results disjoint in memory.
+// TestFeaturizeMatchesReference: Pipeline is the reference's
+// Featurize(Generate(n)) to the bit at every n around a row-chunk
+// boundary and with a span of 0, with cap == len on every row and two
+// results disjoint in memory.
 func TestFeaturizeMatchesReference(t *testing.T) {
-	for _, n := range []int{0, 1, 18, 19, 2500} {
-		imps := NewGenerator(Config{}, 21).Generate(n, 0, 48)
-		got, want := Featurize(imps), referenceFeaturize(imps)
+	const rowsPerChunk = (24 << 10) / (8 * FeatureDim)
+	for _, c := range []struct {
+		n    int
+		span int64
+	}{{0, 48}, {1, 48}, {rowsPerChunk - 1, 48}, {rowsPerChunk, 48}, {rowsPerChunk + 1, 48}, {3*rowsPerChunk + 7, 48}, {2500, 48}, {40, 0}} {
+		n := c.n
+		want := referenceFeaturize(referenceGenerate(NewGenerator(Config{}, 24), n, 5, c.span))
+		got := Pipeline(n, 5, c.span, 24)
 		if !reflect.DeepEqual(got.Examples, want.Examples) {
-			t.Errorf("n=%d: dataset differs from the reference", n)
+			t.Errorf("n=%d span=%d: dataset differs from the reference", n, c.span)
 		}
-		other := Featurize(imps)
+		other := Pipeline(n, 5, c.span, 24)
 		for _, ds := range []*data.Dataset{got, other} {
 			for i, ex := range ds.Examples {
 				if cap(ex.Features) != len(ex.Features) {
@@ -206,18 +244,54 @@ func TestFeaturizeMatchesReference(t *testing.T) {
 			}
 		}
 		if !reflect.DeepEqual(got.Examples, want.Examples) {
-			t.Errorf("n=%d: overwriting one Featurize result changed another", n)
+			t.Errorf("n=%d: overwriting one Pipeline result changed another", n)
 		}
 	}
 }
 
-// TestFeaturizeAllocs pins the chunked rows: 6000 impressions featurize
-// in rows/chunk + 4 allocations, not one per row.
+// TestGroundTruthDrawOrder: the categorical and numeric effects are the
+// fixed-seed draws in the order the generator has always made them —
+// categorical by categorical, value by value, then the numerics — so
+// holding them in an array instead of per-categorical maps moved no bit.
+func TestGroundTruthDrawOrder(t *testing.T) {
+	g := NewGenerator(Config{}, 1)
+	truth := rng.New(0xC817E0)
+	for c := 0; c < NumCategorical; c++ {
+		for v := 0; v <= TopValues; v++ {
+			if w := truth.Normal(0, 0.55); g.catW[c][v] != w {
+				t.Fatalf("catW[%d][%d] = %v, want %v", c, v, g.catW[c][v], w)
+			}
+		}
+	}
+	for i := 0; i < NumNumeric; i++ {
+		if w := truth.Normal(0, 0.5); g.numW[i] != w {
+			t.Fatalf("numW[%d] = %v, want %v", i, g.numW[i], w)
+		}
+	}
+}
+
+// TestFeaturizeAllocs pins that Pipeline holds no stream-sized buffer:
+// 6000 impressions cost their row chunks, the examples and the
+// generator's set-up, not one allocation per row and not a []Impression
+// of the stream (2 MB).
 func TestFeaturizeAllocs(t *testing.T) {
-	imps := NewGenerator(Config{}, 22).Generate(6000, 0, 24)
-	const rowsPerChunk = (24 << 10) / (8 * FeatureDim)
-	got := safety.MaxAllocs(t, 5, 6000.0/rowsPerChunk+4, func() { Featurize(imps) })
-	t.Logf("Featurize(6000 impressions): %.0f allocations", got)
+	const n, rowsPerChunk = 6000, (24 << 10) / (8 * FeatureDim)
+	base := testing.AllocsPerRun(5, func() { NewGenerator(Config{}, 22) })
+	got := safety.MaxAllocs(t, 5, base+(n+rowsPerChunk-1)/rowsPerChunk+2, func() { Pipeline(n, 0, 24, 22) })
+	t.Logf("Pipeline(%d impressions): %.0f allocations (%.0f of them the generator)", n, got, base)
+	var before, after runtime.MemStats
+	bytes := uint64(math.MaxUint64)
+	for range 5 {
+		runtime.ReadMemStats(&before)
+		Pipeline(n, 0, 24, 22)
+		runtime.ReadMemStats(&after)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+	}
+	const budget = n*FeatureDim*8 + n*48 + 512<<10 // rows, examples, the generator's samplers
+	if bytes > budget {
+		t.Errorf("Pipeline(%d impressions) allocated %d bytes, budget %d", n, bytes, budget)
+	}
+	t.Logf("Pipeline(%d impressions): %d bytes", n, bytes)
 }
 
 // TestGenerateMatchesPerFeatureSamplers: the impressions are those of
@@ -251,7 +325,7 @@ func TestGenerateMatchesPerFeatureSamplers(t *testing.T) {
 			return lo
 		}
 	}
-	a, b := got.Generate(3000, 0, 48), want.Generate(3000, 0, 48)
+	a, b := generate(got, 3000, 0, 48), generate(want, 3000, 0, 48)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("impression %d differs from the per-feature-sampler generator", i)

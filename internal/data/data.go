@@ -30,7 +30,7 @@ type Dataset struct {
 	Examples []Example
 }
 
-// rowChunkBytes is how much feature storage NewDataset takes from the
+// rowChunkBytes is how much feature storage Rows takes from the
 // runtime at a time. It is a measured constant, not a parameter: one
 // slab per dataset was the fastest and put the experiment sweep's peak
 // RSS 45-50 % above one make per row (180 → 262-275 MB), 1 MiB chunks
@@ -39,32 +39,47 @@ type Dataset struct {
 // and reads the same RSS as one make per row at 1/64 of the objects.
 const rowChunkBytes = 24 << 10
 
-// NewDataset returns n examples whose Features are zeroed rows of width
-// dim, for a featurizer to fill in; the other fields are zero. It is the
-// row allocator of the tree: rows are carved from chunks of
-// rowChunkBytes instead of one make each, under two rules that keep a
-// carved row indistinguishable from a made one.
-//
-//   - cap == len on every row (three-index slices), so an append to one
-//     row reallocates instead of writing into its neighbour.
-//   - A chunk serves one call and is referenced only by that call's rows:
-//     nothing is pooled or carried over, so when a block's examples are
-//     dropped — DP-informed retention, GrowingDatabase.Delete — the
-//     chunks go with them, as the rows did. The unit the collector frees
-//     is a chunk rather than a row; a caller that keeps one row of a
-//     deleted block keeps that row's chunk.
+// NewDataset returns n zero examples whose Features are zeroed rows of
+// width dim, all carved up front, for a featurizer to fill in.
 func NewDataset(n, dim int) *Dataset {
 	ds := &Dataset{Examples: make([]Example, n)}
-	perChunk := max(rowChunkBytes/(8*max(dim, 1)), 1)
-	var chunk []float64
+	rows := NewRows(n, dim)
 	for i := range ds.Examples {
-		if len(chunk) < dim {
-			chunk = make([]float64, min(perChunk, n-i)*dim)
-		}
-		ds.Examples[i].Features = chunk[:dim:dim]
-		chunk = chunk[dim:]
+		ds.Examples[i].Features = rows.Next()
 	}
 	return ds
+}
+
+// Rows is the row allocator of the tree: it carves zeroed rows of one
+// width from chunks of rowChunkBytes, not one make each, and takes a chunk
+// only when the last is used up, so a streaming featurizer's rows are
+// allocated as it writes them. Two rules keep a carved row
+// indistinguishable from a made one.
+//
+//   - cap == len on every row, so an append to one row reallocates
+//     instead of writing into its neighbour.
+//   - A chunk serves one Rows and nothing is pooled or carried over, so a
+//     dropped block's chunks (DP-informed retention,
+//     GrowingDatabase.Delete) go with its examples, as made rows would; a
+//     caller that keeps one row of a deleted block keeps its chunk.
+type Rows struct {
+	dim, left int
+	chunk     []float64
+}
+
+// NewRows carves at most n rows of width dim; n sizes the last chunk.
+func NewRows(n, dim int) Rows { return Rows{dim: dim, left: n} }
+
+// Next returns the next zeroed row.
+func (r *Rows) Next() []float64 {
+	if len(r.chunk) < r.dim {
+		perChunk := max(rowChunkBytes/(8*r.dim), 1)
+		r.chunk = make([]float64, min(perChunk, r.left)*r.dim)
+	}
+	row := r.chunk[:r.dim:r.dim]
+	r.chunk = r.chunk[r.dim:]
+	r.left--
+	return row
 }
 
 // Len returns the number of examples.

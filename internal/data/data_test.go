@@ -400,31 +400,80 @@ func TestNewDatasetRows(t *testing.T) {
 }
 
 // TestNewDatasetChunksDieWithTheirDataset pins the second rule, the one
-// DP-informed retention rests on: a chunk belongs to one NewDataset
-// call, so dropping that call's examples frees every one of its chunks
-// even while a dataset allocated right after it — which a shared or
-// pooled chunk would have served too — stays live.
+// DP-informed retention rests on: a chunk belongs to one carver, so
+// dropping its examples frees every one of its chunks even while a
+// dataset allocated right after it — which a shared or pooled chunk
+// would have served too — stays live. It holds for rows carved all up
+// front (NewDataset) and for rows carved chunk by chunk as a streaming
+// featurizer writes them, two carvers taking turns row by row, so their
+// chunks alternate in allocation order.
 func TestNewDatasetChunksDieWithTheirDataset(t *testing.T) {
 	const n, dim = 1000, 48
-	perChunk := rowChunkBytes / (8 * dim)
-	var freed, chunks atomic.Int64
-	retired := NewDataset(n, dim)
-	kept := NewDataset(n, dim)
-	for i := 0; i < n; i += perChunk {
-		// A chunk's first row starts its allocation, which is where a
-		// finalizer may be set.
-		runtime.SetFinalizer(&retired.Examples[i].Features[0], func(*float64) { freed.Add(1) })
-		chunks.Add(1)
+	interleaved := func() (*Dataset, *Dataset) {
+		a, b := &Dataset{}, &Dataset{}
+		ra, rb := NewRows(n, dim), NewRows(n, dim)
+		for range n {
+			a.Append(Example{Features: ra.Next()})
+			b.Append(Example{Features: rb.Next()})
+		}
+		return a, b
 	}
-	retired = nil
-	// Finalizers run on their own goroutine some time after the cycle
-	// that found the object dead.
-	for i := 0; i < 200 && freed.Load() < chunks.Load(); i++ {
-		runtime.GC()
-		time.Sleep(time.Millisecond)
+	upFront := func() (*Dataset, *Dataset) { return NewDataset(n, dim), NewDataset(n, dim) }
+	for _, c := range []struct {
+		name  string
+		carve func() (*Dataset, *Dataset)
+	}{{"up front", upFront}, {"chunk by chunk", interleaved}} {
+		name, carve := c.name, c.carve
+		perChunk := rowChunkBytes / (8 * dim)
+		var freed, chunks atomic.Int64
+		retired, kept := carve()
+		for i := 0; i < n; i += perChunk {
+			// A chunk's first row starts its allocation, which is where a
+			// finalizer may be set.
+			runtime.SetFinalizer(&retired.Examples[i].Features[0], func(*float64) { freed.Add(1) })
+			chunks.Add(1)
+		}
+		retired = nil
+		// Finalizers run on their own goroutine some time after the cycle
+		// that found the object dead.
+		for i := 0; i < 200 && freed.Load() < chunks.Load(); i++ {
+			runtime.GC()
+			time.Sleep(time.Millisecond)
+		}
+		if freed.Load() != chunks.Load() {
+			t.Errorf("%s: %d of %d chunks of a dropped dataset were freed", name, freed.Load(), chunks.Load())
+		}
+		runtime.KeepAlive(kept)
 	}
-	if freed.Load() != chunks.Load() {
-		t.Errorf("%d of %d chunks of a dropped dataset were freed", freed.Load(), chunks.Load())
-	}
-	runtime.KeepAlive(kept)
 }
+
+// TestRowsCarveOnDemand: a carver takes a chunk from the runtime only
+// when the row before has used up the last one, so a streaming
+// featurizer holds at most one chunk it has not written yet.
+func TestRowsCarveOnDemand(t *testing.T) {
+	if safety.RaceEnabled {
+		t.Skip("allocation figures are not stable under the race detector")
+	}
+	const n, dim = 6000, 48
+	perChunk := rowChunkBytes / (8 * dim)
+	for _, k := range []int{1, perChunk, perChunk + 1, 3*perChunk + 7} {
+		want := uint64((k+perChunk-1)/perChunk) * rowChunkBytes
+		got := uint64(math.MaxUint64)
+		var before, after runtime.MemStats
+		for range 5 {
+			runtime.ReadMemStats(&before)
+			rows := NewRows(n, dim)
+			for range k {
+				carved = rows.Next()
+			}
+			runtime.ReadMemStats(&after)
+			got = min(got, after.TotalAlloc-before.TotalAlloc)
+		}
+		if got > want {
+			t.Errorf("%d rows of %d carved with %d bytes, want at most %d", k, n, got, want)
+		}
+	}
+}
+
+// carved keeps TestRowsCarveOnDemand's rows observable.
+var carved []float64

@@ -81,27 +81,28 @@ func Fig5(o Fig5Options) []Fig5Point {
 		}
 	}
 
-	// Stage 1: one stream + holdout pair per distinct task (several
-	// pipelines share a task's data), generated in parallel.
-	type pairT struct{ stream, holdout *data.Dataset }
+	// Stage 1: the stream and the holdout of each distinct task (several
+	// pipelines share a task's data), generated in parallel as tasks of
+	// their own, streams first: sets[t] is task t's stream and
+	// sets[len(tasks)+t] its holdout.
 	maxN := o.Sizes[len(o.Sizes)-1]
 	tasks, taskOf := distinctTasks(cfgs, selected)
-	pairs := parallel.Map(o.Workers, len(tasks), func(i int) pairT {
-		return pairT{
-			stream:  Dataset(tasks[i], maxN, o.Seed),
-			holdout: Dataset(tasks[i], o.Holdout, o.Seed+1),
+	sets := parallel.Map(o.Workers, 2*len(tasks), func(i int) *data.Dataset {
+		if i < len(tasks) {
+			return Dataset(tasks[i], maxN, o.Seed)
 		}
+		return Dataset(tasks[i-len(tasks)], o.Holdout, o.Seed+1)
 	})
 
 	// Stage 2: flatten the (pipeline × variant × size) grid in output
 	// order; every cell trains and evaluates independently.
 	type cell struct {
-		cfgIdx  int
-		pair    pairT
-		variant string
-		dp      bool
-		eps     float64
-		n       int
+		cfgIdx          int
+		stream, holdout *data.Dataset
+		variant         string
+		dp              bool
+		eps             float64
+		n               int
 	}
 	var cells []cell
 	for _, cfgIdx := range selected {
@@ -117,8 +118,9 @@ func Fig5(o Fig5Options) []Fig5Point {
 		}
 		for _, v := range variants {
 			for _, n := range o.Sizes {
+				t := taskOf[cfg.Task]
 				cells = append(cells, cell{
-					cfgIdx: cfgIdx, pair: pairs[taskOf[cfg.Task]],
+					cfgIdx: cfgIdx, stream: sets[t], holdout: sets[len(tasks)+t],
 					variant: v.name, dp: v.dp, eps: v.eps, n: n,
 				})
 			}
@@ -128,7 +130,7 @@ func Fig5(o Fig5Options) []Fig5Point {
 		c := cells[i]
 		cfg := cfgs[c.cfgIdx]
 		p := cfg.Build(c.dp, cfg.Targets[0], validation.ModeSage)
-		train := c.pair.stream.Head(c.n)
+		train := c.stream.Head(c.n)
 		// Train directly (no validation): Fig. 5 measures training
 		// quality, not acceptance.
 		budget := privacy.Budget{Epsilon: c.eps, Delta: cfg.Delta}
@@ -140,7 +142,7 @@ func Fig5(o Fig5Options) []Fig5Point {
 		model := p.Trainer.Train(train, budget, r)
 		return Fig5Point{
 			Task: cfg.Task, Model: cfg.Name, Variant: c.variant,
-			N: c.n, Quality: quality(cfg.Task, model, c.pair.holdout),
+			N: c.n, Quality: quality(cfg.Task, model, c.holdout),
 		}
 	})
 }

@@ -99,8 +99,7 @@ func (p *StatisticsPipeline) Run(ds *data.Dataset, budget privacy.Budget, r *rng
 	bound := p.ValueRange
 	switch p.Kind {
 	case GroupMean:
-		res := stats.DPGroupByMean(keys, values, p.NumKeys, half, p.ValueRange, r)
-		out.Values = res.Means
+		out.Values = stats.DPGroupByMean(keys, values, p.NumKeys, half, p.ValueRange, r)
 	default:
 		out.Values = stats.NormalizedHistogram(keys, p.NumKeys, half, r)
 		bound = 1

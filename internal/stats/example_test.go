@@ -17,9 +17,9 @@ func ExampleDPGroupByMean() {
 		keys = append(keys, 0, 1)
 		values = append(values, 10, -5)
 	}
-	res := stats.DPGroupByMean(keys, values, 2, 1.0, 20, rng.New(3))
-	fmt.Println("key 0 near 10:", res.Means[0] > 9.5 && res.Means[0] < 10.5)
-	fmt.Println("key 1 near -5:", res.Means[1] > -5.5 && res.Means[1] < -4.5)
+	means := stats.DPGroupByMean(keys, values, 2, 1.0, 20, rng.New(3))
+	fmt.Println("key 0 near 10:", means[0] > 9.5 && means[0] < 10.5)
+	fmt.Println("key 1 near -5:", means[1] > -5.5 && means[1] < -4.5)
 	// Output:
 	// key 0 near 10: true
 	// key 1 near -5: true

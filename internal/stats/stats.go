@@ -12,6 +12,7 @@ package stats
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/privacy"
 	"repro/internal/rng"
@@ -97,50 +98,78 @@ func NormalizedHistogram(keys []int, nBuckets int, epsilon float64, r *rng.RNG) 
 	return out
 }
 
-// GroupByMeanResult is the output of DPGroupByMean: the DP mean per key
-// plus the noisy counts, mirroring Listing 1's dp_group_by_mean.
-type GroupByMeanResult struct {
-	Means  []float64
-	Counts []float64
-	Sums   []float64
-}
-
 // DPGroupByMean computes the DP mean of values grouped by key (Listing 1,
 // lines 33-42): noisy per-key counts plus noisy per-key sums, each with
 // ε/2 (sensitivity doubles nothing: every point has exactly one key, so
 // the groups compose in parallel; the budget is split between the count
 // release and the sum release). valueRange bounds |value|; values are
 // clipped to [-valueRange, valueRange].
-func DPGroupByMean(keys []int, values []float64, nKeys int, epsilon, valueRange float64, r *rng.RNG) GroupByMeanResult {
+func DPGroupByMean(keys []int, values []float64, nKeys int, epsilon, valueRange float64, r *rng.RNG) []float64 {
 	if len(keys) != len(values) {
 		panic("stats: keys/values length mismatch")
 	}
-	if nKeys <= 0 || valueRange <= 0 {
-		panic("stats: DPGroupByMean requires nKeys, valueRange > 0")
+	if nKeys <= 0 || epsilon <= 0 || valueRange <= 0 {
+		panic("stats: DPGroupByMean requires nKeys, epsilon, valueRange > 0")
 	}
-	counts := make([]float64, nKeys)
-	sums := make([]float64, nKeys)
+	g := NewGroupSums(nKeys, epsilon, valueRange)
 	for i, k := range keys {
-		if k < 0 || k >= nKeys {
-			continue
+		g.Add(k, values[i])
+	}
+	return g.Means(r)
+}
+
+// GroupSums is DPGroupByMean's pass over the data, one point at a time,
+// so a stream needs no key and value arrays: per-key counts and sums,
+// keys outside [0, nKeys) dropped.
+type GroupSums struct {
+	counts, sums        []float64
+	epsilon, valueRange float64
+}
+
+// NewGroupSums returns an empty accumulator over nKeys keys. With
+// epsilon > 0 it clips values to [-valueRange, valueRange] and Means
+// releases them as DPGroupByMean does; with epsilon 0 nothing is clipped
+// and Means is exact.
+func NewGroupSums(nKeys int, epsilon, valueRange float64) GroupSums {
+	if epsilon <= 0 {
+		valueRange = math.Inf(1)
+	}
+	return GroupSums{counts: make([]float64, nKeys), sums: make([]float64, nKeys), epsilon: epsilon, valueRange: valueRange}
+}
+
+// Add counts value under key.
+func (g *GroupSums) Add(key int, value float64) {
+	if key >= 0 && key < len(g.counts) {
+		g.counts[key]++
+		g.sums[key] += privacy.Clip(value, -g.valueRange, g.valueRange)
+	}
+}
+
+// Means returns the per-key means: (ε, 0)-DP from r when epsilon > 0,
+// else exact, with 0 for an empty key.
+func (g *GroupSums) Means(r *rng.RNG) []float64 {
+	means := make([]float64, len(g.counts))
+	if g.epsilon <= 0 {
+		for k, c := range g.counts {
+			if c > 0 {
+				means[k] = g.sums[k] / c
+			}
 		}
-		counts[k]++
-		sums[k] += privacy.Clip(values[i], -valueRange, valueRange)
+		return means
 	}
 	// Listing 1 adds laplace(2/ε) to counts and laplace(range·2/ε) to
 	// sums: ε/2 for each of the two parallel-composed releases.
-	cm := privacy.LaplaceMechanism{Sensitivity: 1, Epsilon: epsilon / 2}
-	sm := privacy.LaplaceMechanism{Sensitivity: valueRange, Epsilon: epsilon / 2}
-	noisyCounts := cm.ReleaseVector(counts, r)
-	noisySums := sm.ReleaseVector(sums, r)
-	means := make([]float64, nKeys)
-	for k := 0; k < nKeys; k++ {
+	cm := privacy.LaplaceMechanism{Sensitivity: 1, Epsilon: g.epsilon / 2}
+	sm := privacy.LaplaceMechanism{Sensitivity: g.valueRange, Epsilon: g.epsilon / 2}
+	noisyCounts := cm.ReleaseVector(g.counts, r)
+	noisySums := sm.ReleaseVector(g.sums, r)
+	for k := range means {
 		if noisyCounts[k] > 1 {
 			means[k] = noisySums[k] / noisyCounts[k]
 		}
-		means[k] = privacy.Clip(means[k], -valueRange, valueRange)
+		means[k] = privacy.Clip(means[k], -g.valueRange, g.valueRange)
 	}
-	return GroupByMeanResult{Means: means, Counts: noisyCounts, Sums: noisySums}
+	return means
 }
 
 func abs(x float64) float64 {

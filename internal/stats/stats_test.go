@@ -119,16 +119,16 @@ func TestDPGroupByMean(t *testing.T) {
 		keys = append(keys, 0, 1)
 		values = append(values, 10, -5)
 	}
-	res := DPGroupByMean(keys, values, 3, 1.0, 20, r)
-	if math.Abs(res.Means[0]-10) > 0.5 {
-		t.Errorf("key 0 mean = %v, want ~10", res.Means[0])
+	means := DPGroupByMean(keys, values, 3, 1.0, 20, r)
+	if math.Abs(means[0]-10) > 0.5 {
+		t.Errorf("key 0 mean = %v, want ~10", means[0])
 	}
-	if math.Abs(res.Means[1]+5) > 0.5 {
-		t.Errorf("key 1 mean = %v, want ~-5", res.Means[1])
+	if math.Abs(means[1]+5) > 0.5 {
+		t.Errorf("key 1 mean = %v, want ~-5", means[1])
 	}
 	// Empty key: mean clipped into range, not NaN.
-	if math.IsNaN(res.Means[2]) || math.Abs(res.Means[2]) > 20 {
-		t.Errorf("empty key mean = %v", res.Means[2])
+	if math.IsNaN(means[2]) || math.Abs(means[2]) > 20 {
+		t.Errorf("empty key mean = %v", means[2])
 	}
 }
 
@@ -139,9 +139,9 @@ func TestDPGroupByMeanClipsValues(t *testing.T) {
 	for i := range values {
 		values[i] = 1e9 // should clip to valueRange=1
 	}
-	res := DPGroupByMean(keys, values, 1, 1.0, 1, r)
-	if res.Means[0] > 1.01 {
-		t.Errorf("mean = %v, want clipped to ~1", res.Means[0])
+	means := DPGroupByMean(keys, values, 1, 1.0, 1, r)
+	if means[0] > 1.01 {
+		t.Errorf("mean = %v, want clipped to ~1", means[0])
 	}
 }
 
@@ -202,8 +202,8 @@ func TestGroupByMeanRangeProperty(t *testing.T) {
 			keys[i] = int(uint8(v)) % 4
 			values[i] = float64(v)
 		}
-		res := DPGroupByMean(keys, values, 4, 0.5, 10, rng.New(seed))
-		for _, m := range res.Means {
+		means := DPGroupByMean(keys, values, 4, 0.5, 10, rng.New(seed))
+		for _, m := range means {
 			if m < -10-1e-9 || m > 10+1e-9 || math.IsNaN(m) {
 				return false
 			}

@@ -39,17 +39,11 @@ func inBox(lat, lon float64) bool {
 
 // Clean returns the rides passing Valid and the number dropped.
 func Clean(rides []Ride) (kept []Ride, dropped int) {
-	kept = appendValid(make([]Ride, 0, len(rides)), rides)
-	return kept, len(rides) - len(kept)
-}
-
-// appendValid appends the rides passing Valid to dst. dst may be
-// rides[:0]: the filter then compacts the slice in place.
-func appendValid(dst, rides []Ride) []Ride {
+	kept = make([]Ride, 0, len(rides))
 	for i := range rides {
 		if Valid(rides[i]) {
-			dst = append(dst, rides[i])
+			kept = append(kept, rides[i])
 		}
 	}
-	return dst
+	return kept, len(rides) - len(kept)
 }

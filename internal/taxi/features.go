@@ -35,28 +35,11 @@ func speedScale(kmh float64) float64 { return privacy.Clip(kmh/45, 0, 1) }
 // are released with (ε, 0)-DP; epsilon == 0 computes exact means (the
 // non-private pipeline).
 func SpeedByHour(rides []Ride, epsilon float64, r *rng.RNG) []float64 {
-	if epsilon > 0 {
-		keys := make([]int, len(rides))
-		values := make([]float64, len(rides))
-		for i := range rides {
-			keys[i] = int(rides[i].PickupHour % 24)
-			values[i] = rides[i].Speed
-		}
-		return stats.DPGroupByMean(keys, values, numHourBuckets, epsilon, 45, r).Means
-	}
-	var sums, counts [numHourBuckets]float64
+	speeds := stats.NewGroupSums(numHourBuckets, epsilon, 45)
 	for i := range rides {
-		k := rides[i].PickupHour % 24
-		sums[k] += rides[i].Speed
-		counts[k]++
+		speeds.Add(int(rides[i].PickupHour%24), rides[i].Speed)
 	}
-	means := make([]float64, numHourBuckets)
-	for k := range means {
-		if counts[k] > 0 {
-			means[k] = sums[k] / counts[k]
-		}
-	}
-	return means
+	return speeds.Means(r)
 }
 
 // Featurize converts rides into training examples using the given
@@ -68,43 +51,65 @@ func SpeedByHour(rides []Ride, epsilon float64, r *rng.RNG) []float64 {
 func Featurize(rides []Ride, speedByHour []float64) *data.Dataset {
 	ds := data.NewDataset(len(rides), FeatureDim)
 	for i := range rides {
-		ride, ex := &rides[i], &ds.Examples[i]
-		hour := int(ride.PickupHour % 24)
-		day := int(ride.PickupHour / 24 % 7)
-		week := int(ride.PickupHour / (24 * 7) % int64(numWeekBuckets))
-		distBucket := int(distScale(ride.Distance) * float64(numDistBuckets))
-		if distBucket >= numDistBuckets {
-			distBucket = numDistBuckets - 1
-		}
-		f := ex.Features
-		f[0] = distScale(ride.Distance)
-		f[1] = speedScale(speedByHour[hour])
-		base := 2
-		f[base+hour] = 1
-		base += numHourBuckets
-		f[base+day] = 1
-		base += numDayBuckets
-		f[base+week] = 1
-		base += numWeekBuckets
-		f[base+distBucket] = 1
-		ex.Label = privacy.Clip(ride.Duration/MaxDuration, 0, 1)
-		ex.Time = ride.PickupHour
-		ex.UserID = ride.UserID
+		ex := featurize(&rides[i], ds.Examples[i].Features)
+		ex.Features[1] = speedScale(speedByHour[ex.Time%24])
+		ds.Examples[i] = ex
 	}
 	return ds
+}
+
+// featurize writes ride into the zeroed row f but for column 1, the
+// hour_speed feature, which needs the table of the whole stream.
+func featurize(ride *Ride, f []float64) data.Example {
+	hour := int(ride.PickupHour % 24)
+	day := int(ride.PickupHour / 24 % 7)
+	week := int(ride.PickupHour / (24 * 7) % int64(numWeekBuckets))
+	distBucket := int(distScale(ride.Distance) * float64(numDistBuckets))
+	if distBucket >= numDistBuckets {
+		distBucket = numDistBuckets - 1
+	}
+	f[0] = distScale(ride.Distance)
+	base := 2
+	f[base+hour] = 1
+	base += numHourBuckets
+	f[base+day] = 1
+	base += numDayBuckets
+	f[base+week] = 1
+	base += numWeekBuckets
+	f[base+distBucket] = 1
+	return data.Example{
+		Features: f,
+		Label:    privacy.Clip(ride.Duration/MaxDuration, 0, 1),
+		Time:     ride.PickupHour,
+		UserID:   ride.UserID,
+	}
 }
 
 // Ingest is the stream's one ingest sequence — generate n rides over
 // [startHour, startHour+spanHours), drop what the Appendix C filters
 // reject, compute the hour_speed table ((speedEpsilon, 0)-DP from r when
 // speedEpsilon > 0, exact otherwise), featurize — and returns the
-// dataset with the table it was featurized with. The rides exist only
-// here, so the filter compacts them in place where Clean must copy.
+// dataset with the table it was featurized with. It is one pass: each
+// ride is drawn, filtered, summed into the table and featurized into a
+// row carved as it is written, in Generate's, Clean's and SpeedByHour's
+// order, so the result is theirs to the bit without a stream-sized
+// buffer. Column 1 is filled from the table at the end.
 func Ingest(gen *Generator, n int, startHour, spanHours int64, speedEpsilon float64, r *rng.RNG) (*data.Dataset, []float64) {
-	rides := gen.Generate(n, startHour, spanHours)
-	clean := appendValid(rides[:0], rides)
-	speeds := SpeedByHour(clean, speedEpsilon, r)
-	return Featurize(clean, speeds), speeds
+	ds := &data.Dataset{Examples: make([]data.Example, 0, n)}
+	rows := data.NewRows(n, FeatureDim)
+	speeds := stats.NewGroupSums(numHourBuckets, speedEpsilon, 45)
+	var ride Ride
+	for i := range n {
+		if gen.draw(&ride, i, n, startHour, spanHours); Valid(ride) {
+			speeds.Add(int(ride.PickupHour%24), ride.Speed)
+			ds.Examples = append(ds.Examples, featurize(&ride, rows.Next()))
+		}
+	}
+	table := speeds.Means(r)
+	for _, ex := range ds.Examples {
+		ex.Features[1] = speedScale(table[ex.Time%24])
+	}
+	return ds, table
 }
 
 // Pipeline bundles generation → cleaning → featurization for the

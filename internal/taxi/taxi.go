@@ -95,18 +95,20 @@ func NewGenerator(cfg Config, seed uint64) *Generator {
 // Generate returns n rides whose pickup times advance uniformly through
 // [startHour, startHour+spanHours).
 func (g *Generator) Generate(n int, startHour, spanHours int64) []Ride {
-	if spanHours <= 0 {
-		spanHours = 1
-	}
 	rides := make([]Ride, n)
 	for i := range rides {
-		tick := startHour + int64(float64(spanHours)*float64(i)/float64(n))
-		rides[i] = g.ride(tick)
-		if g.cfg.OutlierFraction > 0 && g.r.Bool(g.cfg.OutlierFraction) {
-			g.corrupt(&rides[i])
-		}
+		g.draw(&rides[i], i, n, startHour, spanHours)
 	}
 	return rides
+}
+
+// draw writes ride i of Generate's n-ride stream into ride; called for
+// i = 0, 1, … it makes Generate's draws in Generate's order.
+func (g *Generator) draw(ride *Ride, i, n int, startHour, spanHours int64) {
+	*ride = g.ride(startHour + int64(float64(max(spanHours, 1))*float64(i)/float64(n)))
+	if g.cfg.OutlierFraction > 0 && g.r.Bool(g.cfg.OutlierFraction) {
+		g.corrupt(ride)
+	}
 }
 
 // ride draws one clean ride at the given stream tick.

@@ -3,6 +3,7 @@ package taxi
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -217,12 +218,12 @@ func TestFeatureBoundsProperty(t *testing.T) {
 
 // referencePipeline is Pipeline as it stood before PR 19 — Clean's copy,
 // SpeedByHour over key and value arrays in both branches, one make per
-// featurized row — kept verbatim as the differential reference for
-// Ingest, the in-place filter, the exact-mean branch and the chunked
-// rows at once.
+// featurized row — over Generate as it stood before ingest streamed, all
+// kept verbatim as the differential reference for Ingest's per-ride
+// draws, filter, table and rows at once.
 func referencePipeline(n int, startHour, spanHours int64, outlierFrac, speedEpsilon float64, seed uint64) (*data.Dataset, []float64) {
 	gen := NewGenerator(Config{OutlierFraction: outlierFrac}, seed)
-	rides := gen.Generate(n, startHour, spanHours)
+	rides := referenceGenerate(gen, n, startHour, spanHours)
 	clean, _ := Clean(rides)
 	var r *rng.RNG
 	if speedEpsilon > 0 {
@@ -230,6 +231,21 @@ func referencePipeline(n int, startHour, spanHours int64, outlierFrac, speedEpsi
 	}
 	speeds := referenceSpeedByHour(clean, speedEpsilon, r)
 	return referenceFeaturize(clean, speeds), speeds
+}
+
+func referenceGenerate(g *Generator, n int, startHour, spanHours int64) []Ride {
+	if spanHours <= 0 {
+		spanHours = 1
+	}
+	rides := make([]Ride, n)
+	for i := range rides {
+		tick := startHour + int64(float64(spanHours)*float64(i)/float64(n))
+		rides[i] = g.ride(tick)
+		if g.cfg.OutlierFraction > 0 && g.r.Bool(g.cfg.OutlierFraction) {
+			g.corrupt(&rides[i])
+		}
+	}
+	return rides
 }
 
 func referenceSpeedByHour(rides []Ride, epsilon float64, r *rng.RNG) []float64 {
@@ -240,8 +256,7 @@ func referenceSpeedByHour(rides []Ride, epsilon float64, r *rng.RNG) []float64 {
 		values[i] = ride.Speed
 	}
 	if epsilon > 0 {
-		res := stats.DPGroupByMean(keys, values, numHourBuckets, epsilon, 45, r)
-		return res.Means
+		return stats.DPGroupByMean(keys, values, numHourBuckets, epsilon, 45, r)
 	}
 	sums := make([]float64, numHourBuckets)
 	counts := make([]float64, numHourBuckets)
@@ -290,30 +305,55 @@ func referenceFeaturize(rides []Ride, speedByHour []float64) *data.Dataset {
 }
 
 // TestIngestMatchesReference: the dataset and the speed table are
-// value-identical to the reference's with and without outliers to
-// filter, with exact and with DP speeds; every row has cap == len; and
-// two results are disjoint in memory.
+// value-identical to the reference's at every n around a row-chunk
+// boundary, with and without outliers to filter — some dropped on both
+// sides of a ride whose row starts a chunk — and with exact and with DP
+// speeds, through Ingest and through the Generate, Clean, SpeedByHour
+// and Featurize wrappers; every row has cap == len; and two results are
+// disjoint in memory.
 func TestIngestMatchesReference(t *testing.T) {
-	for _, c := range []struct {
-		n                    int
-		outlierFrac, speedEp float64
-	}{{3000, 0, 0}, {3000, 0.08, 0}, {3000, 0.08, 0.3}, {1, 0, 0}, {0, 0, 0}} {
-		want, wantSpeeds := referencePipeline(c.n, 24, 24*9, c.outlierFrac, c.speedEp, 17)
-		var r *rng.RNG
-		if c.speedEp > 0 {
-			r = rng.New(17 + 1)
+	const seed, rowsPerChunk = 14, (24 << 10) / (8 * FeatureDim)
+	straddled := false
+	for _, n := range []int{0, 1, rowsPerChunk - 1, rowsPerChunk, rowsPerChunk + 1, 3*rowsPerChunk + 7, 3000} {
+		for _, c := range []struct{ outlierFrac, speedEp float64 }{{0, 0}, {0, 0.3}, {0.08, 0}, {0.5, 0.3}} {
+			want, wantSpeeds := referencePipeline(n, 24, 24*9, c.outlierFrac, c.speedEp, seed)
+			var r *rng.RNG
+			if c.speedEp > 0 {
+				r = rng.New(seed + 1)
+			}
+			got, gotSpeeds := Ingest(NewGenerator(Config{OutlierFraction: c.outlierFrac}, seed), n, 24, 24*9, c.speedEp, r)
+			if !reflect.DeepEqual(gotSpeeds, wantSpeeds) {
+				t.Errorf("n=%d %+v: speed table differs from the reference", n, c)
+			}
+			if !reflect.DeepEqual(got.Examples, want.Examples) {
+				t.Errorf("n=%d %+v: dataset differs from the reference (%d vs %d rows)", n, c, got.Len(), want.Len())
+			}
+			if viaPipeline := Pipeline(n, 24, 24*9, c.outlierFrac, c.speedEp, seed); !reflect.DeepEqual(viaPipeline.Examples, got.Examples) {
+				t.Errorf("n=%d %+v: Pipeline and Ingest disagree", n, c)
+			}
+			assertOwnRows(t, got, Pipeline(n, 24, 24*9, c.outlierFrac, c.speedEp, seed))
+			rides := NewGenerator(Config{OutlierFraction: c.outlierFrac}, seed).Generate(n, 24, 24*9)
+			clean, _ := Clean(rides)
+			if c.speedEp > 0 {
+				r = rng.New(seed + 1)
+			}
+			if viaWrappers := Featurize(clean, SpeedByHour(clean, c.speedEp, r)); !reflect.DeepEqual(viaWrappers.Examples, want.Examples) {
+				t.Errorf("n=%d %+v: Featurize(Clean(Generate)) differs from the reference", n, c)
+			}
+			kept := 0
+			for i := range rides {
+				if !Valid(rides[i]) {
+					continue
+				}
+				if kept > 0 && kept%rowsPerChunk == 0 && i > 0 && i+1 < n {
+					straddled = straddled || !Valid(rides[i-1]) && !Valid(rides[i+1])
+				}
+				kept++
+			}
 		}
-		got, gotSpeeds := Ingest(NewGenerator(Config{OutlierFraction: c.outlierFrac}, 17), c.n, 24, 24*9, c.speedEp, r)
-		if !reflect.DeepEqual(gotSpeeds, wantSpeeds) {
-			t.Errorf("%+v: speed table differs from the reference", c)
-		}
-		if !reflect.DeepEqual(got.Examples, want.Examples) {
-			t.Errorf("%+v: dataset differs from the reference (%d vs %d rows)", c, got.Len(), want.Len())
-		}
-		if viaPipeline := Pipeline(c.n, 24, 24*9, c.outlierFrac, c.speedEp, 17); !reflect.DeepEqual(viaPipeline.Examples, got.Examples) {
-			t.Errorf("%+v: Pipeline and Ingest disagree", c)
-		}
-		assertOwnRows(t, got, Pipeline(c.n, 24, 24*9, c.outlierFrac, c.speedEp, 17))
+	}
+	if !straddled {
+		t.Fatal("no case drops the rides on both sides of a chunk's first row")
 	}
 }
 
@@ -352,4 +392,43 @@ func TestFeaturizeAllocs(t *testing.T) {
 	const rowsPerChunk = (24 << 10) / (8 * FeatureDim)
 	got := safety.MaxAllocs(t, 5, 6000.0/rowsPerChunk+4, func() { Featurize(rides, speeds) })
 	t.Logf("Featurize(6000 rides): %.0f allocations", got)
+}
+
+// TestIngestAllocs pins that Ingest holds no stream-sized buffer: 6000
+// rides cost their row chunks, the dataset and its examples and the speed
+// table's counts, sums and means (the DP release adds its two noisy
+// vectors), and no more bytes
+// than those — a []Ride of the stream would add 528 kB, key and value
+// arrays 96 kB.
+func TestIngestAllocs(t *testing.T) {
+	const n, rowsPerChunk = 6000, (24 << 10) / (8 * FeatureDim)
+	chunks := float64((n + rowsPerChunk - 1) / rowsPerChunk)
+	for _, eps := range []float64{0, 0.3} {
+		ingest := func() { Ingest(NewGenerator(Config{OutlierFraction: 0.02}, 8), n, 0, 24, eps, rng.New(9)) }
+		base := testing.AllocsPerRun(5, func() { NewGenerator(Config{OutlierFraction: 0.02}, 8); rng.New(9) })
+		budget := base + chunks + 4
+		if eps > 0 {
+			budget += 2
+		}
+		got := safety.MaxAllocs(t, 5, budget, ingest)
+		t.Logf("Ingest(%d rides, ε=%v): %.0f allocations (%.0f of them the generator and RNG)", n, eps, got, base)
+
+		var before, after runtime.MemStats
+		bytes := uint64(math.MaxUint64)
+		for range 5 {
+			runtime.ReadMemStats(&before)
+			ingest()
+			runtime.ReadMemStats(&after)
+			bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+		}
+		const (
+			rows     = n * FeatureDim * 8
+			examples = n * 48
+			slack    = 24 << 10 // the generator, the RNGs, the table
+		)
+		if bytes > rows+examples+slack {
+			t.Errorf("Ingest(%d rides, ε=%v) allocated %d bytes, budget %d", n, eps, bytes, rows+examples+slack)
+		}
+		t.Logf("Ingest(%d rides, ε=%v): %d bytes", n, eps, bytes)
+	}
 }
