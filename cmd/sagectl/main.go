@@ -86,10 +86,8 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"os"
@@ -456,7 +454,7 @@ func runTrace(opt options) error {
 		return fmt.Errorf("sagectl trace: GET %s: HTTP %d (is the server running with -debug?)", url, resp.StatusCode)
 	}
 	var snap trace.Snapshot
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 32<<20)).Decode(&snap); err != nil {
+	if err := httpkit.ReadJSON(resp.Body, httpkit.TraceReplyBytes, &snap); err != nil {
 		return fmt.Errorf("sagectl trace: decoding %s: %w", url, err)
 	}
 	fmt.Printf("service %s: %d span(s) recorded, %d trace(s) captured\n",
@@ -609,7 +607,7 @@ func fetchMembership(daemonURL string) ([]string, error) {
 	var st struct {
 		Replicas map[string]map[string]int `json:"replicas"`
 	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 8<<20)).Decode(&st); err != nil {
+	if err := httpkit.ReadJSON(resp.Body, httpkit.DaemonStatusBytes, &st); err != nil {
 		return nil, err
 	}
 	eps := make([]string, 0, len(st.Replicas))

@@ -104,8 +104,8 @@
 // replay byte-for-byte until a publish flushes the cache. The batch
 // predict path pools its whole working set (the request body, decoded
 // row buffers, the valid/position split, prediction outputs, and the
-// response encode buffer) in a sync.Pool, reads the body behind
-// http.MaxBytesReader, and scans and writes its JSON by hand
+// response encode buffer) in a sync.Pool, reads a body httpkit has
+// capped at its route's budget, and scans and writes its JSON by hand
 // (internal/store/batchjson.go: one pass over the rows, no reflection,
 // a bare digit between commas — what one-hot rows are made of — taken
 // in one compare, byte-for-byte encoding/json's output, both pinned by
@@ -260,10 +260,10 @@
 // both require the restarted daemon to report exactly what the logs
 // hold — ledger remaining-budget, store versions, and replica
 // watermarks, with replicas converging through the restarted
-// publisher's reconcile alone. GET /daemon/status
-// exposes the ledger, store, and replica watermarks; the serving API is
-// mounted on the same handler. BENCH_wal.json records the journaling
-// overhead (about a microsecond per append before the flush).
+// publisher's reconcile alone. GET /daemon/status exposes the ledger,
+// store, and replica watermarks, one mux with the serving API's rows.
+// BENCH_wal.json records the journaling overhead (about a microsecond
+// per append before the flush).
 //
 // The substrate's hot kernels are tuned for the sweeps' and the
 // daemon's scale: a train/test split keeps the permutation's membership

@@ -183,15 +183,14 @@ func (d *Daemon) Platform() *durable.Platform { return d.plat }
 // through HTTP).
 func (d *Daemon) Metrics() *metrics.Registry { return d.reg }
 
-// Handler returns the daemon's HTTP surface: the full single-node
-// serving API (shared store.Server handlers, so daemon and replicas
-// cannot drift) plus GET /daemon/status, behind the shared operational
-// surface (httpkit: GET /metrics, /debug/*).
-func (d *Daemon) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /daemon/status", func(w http.ResponseWriter, _ *http.Request) {
+// Routes declares the daemon's HTTP API: the single-node serving API
+// (store.API, bound to the shared store.Server handlers, so daemon and
+// replicas cannot drift) plus GET /daemon/status.
+func (d *Daemon) Routes() []httpkit.Route {
+	return append(d.srv.Routes(), httpkit.Route{Pattern: "GET /daemon/status", Serve: func(w http.ResponseWriter, _ *http.Request) {
 		httpkit.WriteJSON(w, http.StatusOK, d.Status())
-	})
-	mux.Handle("/", d.srv.Handler())
-	return httpkit.Handler(d.reg, d.cfg.Tracer, mux)
+	}})
 }
+
+// Handler serves Routes with httpkit's shared surface (/metrics, /debug/*).
+func (d *Daemon) Handler() http.Handler { return httpkit.Handler(d.reg, d.cfg.Tracer, d.Routes()) }

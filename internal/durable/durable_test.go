@@ -17,6 +17,24 @@ import (
 
 var testPolicy = core.Policy{Global: privacy.MustBudget(1.0, 1e-6)}
 
+// boundaries reads a log's record boundaries from wal.Inspect: where
+// each intact record starts, then where the intact prefix ends — so
+// cutting the file at boundaries[k] keeps exactly the first k records.
+func boundaries(t *testing.T, path string) []int64 {
+	t.Helper()
+	rep, err := wal.Inspect(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var offsets []int64
+	for _, r := range rep.Records {
+		if r.CRCOK {
+			offsets = append(offsets, r.Offset)
+		}
+	}
+	return append(offsets, rep.GoodBytes)
+}
+
 func mustOpen(t *testing.T, dir string, opts Options) *Platform {
 	t.Helper()
 	p, _, err := Open(dir, testPolicy, opts)
@@ -258,10 +276,7 @@ func TestLedgerFaultInjectionMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	offsets, err := wal.RecordOffsets(ledgerPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	offsets := boundaries(t, ledgerPath)
 	if len(offsets) != len(ops)+1 {
 		t.Fatalf("%d record boundaries for %d ops", len(offsets)-1, len(ops))
 	}
@@ -338,10 +353,7 @@ func TestStoreFaultInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	offsets, err := wal.RecordOffsets(storePath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	offsets := boundaries(t, storePath)
 	if len(offsets) != 5 {
 		t.Fatalf("expected 4 records, got boundaries %v", offsets)
 	}
@@ -466,10 +478,7 @@ func TestRandomizedRecoveryConservative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	offsets, err := wal.RecordOffsets(ledgerPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	offsets := boundaries(t, ledgerPath)
 	if len(offsets) != len(deltas)+1 {
 		t.Fatalf("%d boundaries for %d ops", len(offsets)-1, len(deltas))
 	}

@@ -1,55 +1,14 @@
 package gateway
 
 import (
-	"net/http"
-	"strings"
 	"sync/atomic"
 
 	"repro/internal/metrics"
+	"repro/internal/store"
 )
 
-// Class buckets requests by cost for admission control. The gateway's
-// shed policy is cost-ordered: under pressure the expensive batch work
-// is refused first, the cheap immutable reads last — a platform that is
-// overloaded should degrade into a read-only cache, not collapse.
-type Class int
-
-const (
-	// ClassRead: immutable GETs (model list, provenance, feature
-	// tables, status) — cheap, often pre-encoded server-side.
-	ClassRead Class = iota
-	// ClassPredict: single-row POST /predict — one model evaluation.
-	ClassPredict
-	// ClassBatch: POST /predict/batch — up to thousands of rows per
-	// request, the most expensive thing the serving tier does.
-	ClassBatch
-	numClasses
-)
-
-// String names the class for status reports.
-func (c Class) String() string {
-	switch c {
-	case ClassRead:
-		return "read"
-	case ClassPredict:
-		return "predict"
-	case ClassBatch:
-		return "batch"
-	default:
-		return "unknown"
-	}
-}
-
-// Classify buckets one request.
-func Classify(r *http.Request) Class {
-	if r.Method == http.MethodPost && strings.HasPrefix(r.URL.Path, "/predict") {
-		if strings.HasPrefix(r.URL.Path, "/predict/batch") {
-			return ClassBatch
-		}
-		return ClassPredict
-	}
-	return ClassRead
-}
+// numClasses counts store.Class, numbered densely from ClassRead.
+const numClasses = store.ClassBatch + 1
 
 // Limits bounds in-flight requests per class. Zero fields get defaults
 // sized so reads vastly outnumber batch work, mirroring their cost gap.
@@ -95,10 +54,10 @@ type admission struct {
 func newAdmission(l Limits, reg *metrics.Registry) *admission {
 	l.applyDefaults()
 	a := &admission{}
-	a.sems[ClassRead] = make(chan struct{}, l.Read)
-	a.sems[ClassPredict] = make(chan struct{}, l.Predict)
-	a.sems[ClassBatch] = make(chan struct{}, l.Batch)
-	for c := Class(0); c < numClasses; c++ {
+	a.sems[store.ClassRead] = make(chan struct{}, l.Read)
+	a.sems[store.ClassPredict] = make(chan struct{}, l.Predict)
+	a.sems[store.ClassBatch] = make(chan struct{}, l.Batch)
+	for c := store.Class(0); c < numClasses; c++ {
 		a.shed[c] = reg.Counter("sage_gateway_shed_total",
 			"Requests refused by admission control, by route class.",
 			metrics.Label{Name: "class", Value: c.String()})
@@ -117,9 +76,9 @@ func newAdmission(l Limits, reg *metrics.Registry) *admission {
 // admit tries to take an in-flight slot for class without blocking. On
 // success it returns a release func (call exactly once); on refusal it
 // returns ok=false and counts the shed.
-func (a *admission) admit(class Class) (release func(), ok bool) {
+func (a *admission) admit(class store.Class) (release func(), ok bool) {
 	if a.global.Load() >= a.globalLimit ||
-		(class == ClassBatch && a.global.Load() >= a.batchSoft) {
+		(class == store.ClassBatch && a.global.Load() >= a.batchSoft) {
 		a.shed[class].Inc()
 		return nil, false
 	}
@@ -140,7 +99,7 @@ func (a *admission) admit(class Class) (release func(), ok bool) {
 // registry series).
 func (a *admission) shedCounts() map[string]int64 {
 	out := make(map[string]int64, int(numClasses))
-	for c := Class(0); c < numClasses; c++ {
+	for c := store.Class(0); c < numClasses; c++ {
 		out[c.String()] = int64(a.shed[c].Value())
 	}
 	return out

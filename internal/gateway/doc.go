@@ -60,7 +60,8 @@
 //
 // Overload gets the same design-for-failure treatment (admission.go):
 // a bounded in-flight semaphore per route class (read / predict /
-// batch) refuses excess load with an immediate 503 + Retry-After
+// batch, declared on each row of store.API) refuses excess load with
+// an immediate 503 + Retry-After
 // instead of queueing toward collapse. Above a global soft threshold
 // (¾ of total capacity) new batch work — the most expensive thing the
 // serving tier does — is shed even when its own class has room, so the
@@ -73,7 +74,9 @@
 // POST /push is refused outright: replica membership and bundle
 // fan-out belong to the publisher (which pushes to each replica
 // directly and heals gaps); load-balancing a mutation across the fleet
-// would apply it to one replica and desynchronize the tier.
+// would apply it to one replica and desynchronize the tier. A body past
+// its row's budget (a GET's is 0) is 413 and a path the serving API
+// does not declare is the mux's 404; neither reaches a replica.
 //
 // GET /gateway/status reports per-backend health, breaker state,
 // watermarks, and shed/retry counters for operators and tests.

@@ -6,7 +6,6 @@ package gateway
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -19,18 +18,13 @@ import (
 	"repro/internal/httpkit"
 	"repro/internal/metrics"
 	"repro/internal/replica"
+	"repro/internal/store"
 	"repro/internal/trace"
 )
 
-const (
-	// maxRequestBytes bounds a buffered request body (bodies are
-	// buffered so a failed attempt can be replayed on another backend).
-	// The serving tier's own per-endpoint caps are far below this.
-	maxRequestBytes = 8 << 20
-	// maxResponseBytes bounds a buffered upstream response (buffered so
-	// completeness is verified before any byte reaches the client).
-	maxResponseBytes = 64 << 20
-)
+// maxResponseBytes bounds a buffered upstream response (buffered so
+// completeness is verified before any byte reaches the client).
+const maxResponseBytes = 64 << 20
 
 // Config configures a Gateway.
 type Config struct {
@@ -170,7 +164,7 @@ func New(cfg Config) (*Gateway, error) {
 		"Failed attempts that triggered (or exhausted) failover.")
 	g.unroutable = reg.Counter("sage_gateway_unroutable_total",
 		"Requests no backend could serve.")
-	for c := Class(0); c < numClasses; c++ {
+	for c := store.Class(0); c < numClasses; c++ {
 		g.reqSec[c] = reg.Histogram("sage_gateway_request_seconds",
 			"Gateway request latency by route class (all terminal outcomes).",
 			metrics.LatencyBuckets(), metrics.Label{Name: "class", Value: c.String()})
@@ -302,7 +296,7 @@ func (g *Gateway) probe(ctx context.Context, b *backend) {
 		return
 	}
 	var st replica.Status
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&st); err != nil {
+	if err := httpkit.ReadJSON(resp.Body, httpkit.StatusReplyBytes, &st); err != nil {
 		g.markDown(b, fmt.Errorf("status probe: %w", err))
 		return
 	}
@@ -376,32 +370,36 @@ func (g *Gateway) pick(exclude map[*backend]bool) *backend {
 	return nil
 }
 
-// Handler returns the gateway's HTTP surface: the proxied serving API
-// plus GET /gateway/status, behind the shared operational surface
-// (httpkit) — GET /metrics and, with a tracer, /debug/* are the
-// gateway's own, never a proxied backend's.
-func (g *Gateway) Handler() http.Handler {
-	return httpkit.Handler(g.reg, g.cfg.Tracer, http.HandlerFunc(g.serve))
-}
-
-// serve implements the proxy: classify → admit (or shed) → pick a
-// backend → forward with a per-attempt deadline → on failure, fail over
-// once to a different backend.
-func (g *Gateway) serve(w http.ResponseWriter, r *http.Request) {
-	switch r.URL.Path {
-	case "/gateway/status":
-		httpkit.WriteJSON(w, http.StatusOK, g.Status())
-		return
-	case "/push":
+// Routes declares the gateway's HTTP API: the serving API (store.API),
+// each row proxied under its own body budget and admission class, plus
+// GET /gateway/status and the /push refusal. Any other path is the
+// mux's 404, which spends no admission slot and no upstream hop.
+func (g *Gateway) Routes() []httpkit.Route {
+	routes := []httpkit.Route{
+		{Pattern: "GET /gateway/status", Serve: func(w http.ResponseWriter, _ *http.Request) { httpkit.WriteJSON(w, http.StatusOK, g.Status()) }},
 		// Mutations go publisher → replica directly; a load-balanced
 		// push would desynchronize the fleet.
-		httpkit.WriteJSON(w, http.StatusForbidden, map[string]string{
-			"error": "push is a publisher-to-replica operation; the gateway only routes reads",
-		})
-		return
+		{Pattern: "/push", Serve: func(w http.ResponseWriter, _ *http.Request) {
+			httpkit.WriteJSON(w, http.StatusForbidden, map[string]string{"error": "push is a publisher-to-replica operation; the gateway only routes reads"})
+		}},
 	}
+	for _, rt := range store.API {
+		routes = append(routes, httpkit.Route{Pattern: rt.Pattern, Body: rt.Body, Serve: func(w http.ResponseWriter, r *http.Request) {
+			g.proxy(w, r, rt.Class, rt.Body)
+		}})
+	}
+	return routes
+}
 
-	class := Classify(r)
+// Handler serves Routes with httpkit's shared surface: GET /metrics and,
+// with a tracer, /debug/* are the gateway's own, never a backend's.
+func (g *Gateway) Handler() http.Handler { return httpkit.Handler(g.reg, g.cfg.Tracer, g.Routes()) }
+
+// proxy serves one row of the serving API: admit under the row's class
+// (or shed) → buffer the body, at most the row's budget → pick a
+// backend → forward with a per-attempt deadline → on failure, fail over
+// once to a different backend.
+func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, class store.Class, budget int64) {
 	// The server span is httpkit's (nil when tracing is off); the gateway
 	// adds what only it knows: route class, its outcomes, attempt children.
 	root := trace.FromContext(r.Context())
@@ -421,15 +419,10 @@ func (g *Gateway) serve(w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	var body []byte
-	if r.Body != nil && r.ContentLength != 0 { // -1: unknown until read
+	if r.ContentLength != 0 { // -1: unknown until read
 		var err error
-		body, err = readCapped(r.Body, r.ContentLength, maxRequestBytes)
-		if err != nil {
-			httpkit.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "reading request body: " + err.Error()})
-			return
-		}
-		if len(body) > maxRequestBytes {
-			httpkit.WriteJSON(w, http.StatusRequestEntityTooLarge, map[string]string{"error": "request body exceeds gateway limit"})
+		if body, err = readCapped(r.Body, r.ContentLength, budget); err != nil {
+			httpkit.BodyError(w, "reading request body", err)
 			return
 		}
 	}

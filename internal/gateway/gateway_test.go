@@ -3,9 +3,13 @@ package gateway
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
+	"maps"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,6 +18,7 @@ import (
 	"repro/internal/ml"
 	"repro/internal/replica"
 	"repro/internal/store"
+	"repro/internal/taxi"
 )
 
 // fleet is the shared test fixture: a primary store with published
@@ -144,23 +149,40 @@ func (f *fleet) canon(t testing.TB, method, path, body string) []byte {
 	return raw
 }
 
+// TestClassify: the gateway admits each request under its serving
+// row's class (store.API), whatever the query string — observed as
+// exactly one request in that class's latency histogram and none in
+// the others.
 func TestClassify(t *testing.T) {
+	f := newFleet(t, 1, 1)
+	g := f.gw(t)
+	h := g.Handler()
 	cases := []struct {
 		method, path string
-		want         Class
+		want         store.Class
 	}{
-		{http.MethodGet, "/models", ClassRead},
-		{http.MethodGet, "/features?model=m&key=k", ClassRead},
-		{http.MethodGet, "/models/m/provenance", ClassRead},
-		{http.MethodPost, "/predict", ClassPredict},
-		{http.MethodPost, "/predict?model=m", ClassPredict},
-		{http.MethodPost, "/predict/batch", ClassBatch},
-		{http.MethodPost, "/predict/batch?model=m", ClassBatch},
+		{http.MethodGet, "/models", store.ClassRead},
+		{http.MethodGet, "/features?model=m&key=k", store.ClassRead},
+		{http.MethodGet, "/models/m/provenance", store.ClassRead},
+		{http.MethodPost, "/predict", store.ClassPredict},
+		{http.MethodPost, "/predict?model=m", store.ClassPredict},
+		{http.MethodPost, "/predict/batch", store.ClassBatch},
+		{http.MethodPost, "/predict/batch?model=m", store.ClassBatch},
 	}
 	for _, c := range cases {
-		r := httptest.NewRequest(c.method, c.path, nil)
-		if got := Classify(r); got != c.want {
-			t.Errorf("Classify(%s %s) = %v, want %v", c.method, c.path, got, c.want)
+		var before [numClasses]uint64
+		for k := range before {
+			before[k] = g.reqSec[k].Count()
+		}
+		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(c.method, c.path, nil))
+		for k := range before {
+			want := uint64(0)
+			if store.Class(k) == c.want {
+				want = 1
+			}
+			if got := g.reqSec[k].Count() - before[k]; got != want {
+				t.Errorf("%s %s: %d request(s) admitted as %v, want %d", c.method, c.path, got, store.Class(k), want)
+			}
 		}
 	}
 }
@@ -235,7 +257,7 @@ func TestBreakerStateMachine(t *testing.T) {
 func TestAdmissionShedOrdering(t *testing.T) {
 	a := newAdmission(Limits{Read: 6, Predict: 2, Batch: 2}, metrics.New()) // global 10, soft 7
 	var releases []func()
-	acquire := func(c Class, wantOK bool) {
+	acquire := func(c store.Class, wantOK bool) {
 		t.Helper()
 		rel, ok := a.admit(c)
 		if ok != wantOK {
@@ -248,23 +270,23 @@ func TestAdmissionShedOrdering(t *testing.T) {
 
 	// Below the soft threshold everything is admitted, up to each
 	// class's own bound.
-	acquire(ClassBatch, true)
-	acquire(ClassBatch, true)
-	acquire(ClassBatch, false) // class bound: batch is full at 2
+	acquire(store.ClassBatch, true)
+	acquire(store.ClassBatch, true)
+	acquire(store.ClassBatch, false) // class bound: batch is full at 2
 	// Free one batch slot and climb to the soft threshold with cheap
 	// classes: global reaches 7 (== batchSoft) with batch at 1/2.
 	releases[0]()
 	releases = releases[1:]
 	for i := 0; i < 6; i++ {
-		acquire(ClassRead, true)
+		acquire(store.ClassRead, true)
 	}
 	// Batch has class room, but the gateway is ¾ full → shed batch
 	// first...
-	acquire(ClassBatch, false)
+	acquire(store.ClassBatch, false)
 	// ...while cheap classes are still welcome until their own bounds.
-	acquire(ClassPredict, true)
-	acquire(ClassPredict, true)
-	acquire(ClassRead, false) // read class bound (6/6)
+	acquire(store.ClassPredict, true)
+	acquire(store.ClassPredict, true)
+	acquire(store.ClassRead, false) // read class bound (6/6)
 
 	shed := a.shedCounts()
 	if shed["batch"] != 2 || shed["read"] != 1 || shed["predict"] != 0 {
@@ -277,7 +299,7 @@ func TestAdmissionShedOrdering(t *testing.T) {
 		t.Fatalf("global in-flight after all releases = %d, want 0", a.global.Load())
 	}
 	// Capacity fully restored: batch admits again.
-	if _, ok := a.admit(ClassBatch); !ok {
+	if _, ok := a.admit(store.ClassBatch); !ok {
 		t.Fatal("batch refused on an idle gateway after releases")
 	}
 }
@@ -614,6 +636,113 @@ func TestPushRefusedAtGateway(t *testing.T) {
 	}
 	if f.reps[0].Store().VersionCount("m") != 1 {
 		t.Fatal("a gateway-routed push mutated a replica store")
+	}
+}
+
+// spaces is an endless body of JSON whitespace.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// TestGatewayBudgets: the gateway routes, admits and caps requests by
+// the store's own rows (store.API).
+//
+//   - A maxBatchRows-row batch at taxi width and full float precision,
+//     past the 8 MiB the gateway once capped every body at, passes to a
+//     replica and comes back 200: the gateway's budget is the replica's.
+//   - A body past a row's budget, or any body on a row that reads none,
+//     is 413 at the gateway, with no upstream hop.
+//   - An undeclared path is the mux's own 404, byte for byte, even with
+//     every admission slot taken: it spends neither a slot nor an
+//     upstream hop (GET /replica/status once reached a random replica).
+func TestGatewayBudgets(t *testing.T) {
+	f := newFleet(t, 1, 1)
+	spec, err := store.Serialize(&ml.LinearModel{Weights: make([]float64, taxi.FeatureDim)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.src.Publish(store.Bundle{Name: "wide", Model: spec})
+	if err := replica.NewPublisher(f.src, f.urls).Sync(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	g := f.gw(t, func(c *Config) {
+		c.Limits = Limits{Read: 1, Predict: 1, Batch: 1}
+		c.AttemptTimeout = time.Minute // a maximal batch under -race takes seconds upstream
+	})
+	h := g.Handler()
+	serve := func(method, path string, body io.Reader, n int64) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(method, path, body)
+		req.ContentLength = n
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec
+	}
+	upstream := func() int64 { return g.Status().Backends[0].Requests }
+
+	r := rand.New(rand.NewPCG(1, 2))
+	rows := make([][]float64, 10_000)
+	for i := range rows {
+		rows[i] = make([]float64, taxi.FeatureDim)
+		for j := range rows[i] {
+			rows[i][j] = r.Float64()
+		}
+	}
+	batch, err := json.Marshal(map[string]any{"rows": rows})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(batch) <= 8<<20 {
+		t.Fatalf("the batch is %d bytes, not past 8 MiB", len(batch))
+	}
+	t.Logf("batch body: %.2f MiB", float64(len(batch))/(1<<20))
+	if rec := serve(http.MethodPost, "/predict/batch?model=wide", bytes.NewReader(batch), int64(len(batch))); rec.Code != http.StatusOK {
+		t.Fatalf("a %d-byte batch through the gateway: %d %.200s", len(batch), rec.Code, rec.Body.String())
+	}
+
+	before := upstream()
+	for _, rt := range store.API {
+		method, path, _ := strings.Cut(rt.Pattern, " ")
+		path = strings.ReplaceAll(path, "{name}", "m") + "?model=m"
+		n := rt.Body + 1
+		if rec := serve(method, path, io.LimitReader(spaces{}, n), n); rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s with a %d-byte body: %d %s, want 413", rt.Pattern, n, rec.Code, rec.Body.String())
+		}
+		if rt.Body == 0 { // and of unknown length: read until the budget runs out
+			if rec := serve(method, path, strings.NewReader("x"), -1); rec.Code != http.StatusRequestEntityTooLarge {
+				t.Errorf("%s with a chunked body: %d %s, want 413", rt.Pattern, rec.Code, rec.Body.String())
+			}
+		}
+	}
+	if hops := upstream() - before; hops != 0 {
+		t.Errorf("refused bodies took %d upstream hop(s)", hops)
+	}
+
+	for _, c := range []store.Class{store.ClassBatch, store.ClassPredict, store.ClassRead} {
+		release, ok := g.adm.admit(c)
+		if !ok {
+			t.Fatalf("pinning the %v slot failed", c)
+		}
+		defer release()
+	}
+	shed := g.Status().Shed
+	for _, path := range []string{"/replica/status", "/no/such/route", "/models/"} {
+		rec := serve(http.MethodGet, path, nil, 0)
+		want := httptest.NewRecorder()
+		http.NotFound(want, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != want.Code || rec.Body.String() != want.Body.String() {
+			t.Errorf("GET %s: %d %q, want the mux's %d %q", path, rec.Code, rec.Body.String(), want.Code, want.Body.String())
+		}
+	}
+	if hops := upstream() - before; hops != 0 {
+		t.Errorf("undeclared paths took %d upstream hop(s)", hops)
+	}
+	if got := g.Status().Shed; !maps.Equal(got, shed) {
+		t.Errorf("undeclared paths were shed: %v, then %v", shed, got)
 	}
 }
 

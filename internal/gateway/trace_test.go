@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/faulty"
+	"repro/internal/store"
 	"repro/internal/trace"
 )
 
@@ -130,7 +131,7 @@ func TestGatewayTraceCapturesShed(t *testing.T) {
 	// Pin the one batch slot directly (white-box: the test lives in the
 	// package) — exactly the state a hung in-flight batch request leaves
 	// behind, without racing a real request through the injector.
-	release, ok := g.adm.admit(ClassBatch)
+	release, ok := g.adm.admit(store.ClassBatch)
 	if !ok {
 		t.Fatal("admitting into an idle gateway failed")
 	}

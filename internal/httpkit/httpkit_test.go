@@ -16,17 +16,28 @@ import (
 	"repro/internal/gateway"
 	"repro/internal/httpkit"
 	"repro/internal/metrics"
+	"repro/internal/ml"
 	"repro/internal/privacy"
 	"repro/internal/replica"
+	"repro/internal/store"
 	"repro/internal/trace"
 )
 
+// tier is what every HTTP tier declares: its rows, and the one handler
+// serving them with the shared surface.
+type tier interface {
+	Routes() []httpkit.Route
+	Handler() http.Handler
+}
+
 // tiers declares every HTTP tier in the tree, each as a constructor
-// taking the tier's tracer (nil = the -debug surface off). The test
-// below walks the declarations; a tier assembled without httpkit fails
-// it on the first shared route it forgot.
-var tiers = map[string]func(t *testing.T, tracer *trace.Tracer) http.Handler{
-	"daemon": func(t *testing.T, tracer *trace.Tracer) http.Handler {
+// taking the tier's tracer (nil = the -debug surface off). The tests
+// below walk the declarations; a tier assembled without httpkit fails
+// them on the first shared route it forgot. The gateway fronts a
+// replica holding model "m", so a body the gateway forwards is read to
+// its end upstream.
+var tiers = map[string]func(t *testing.T, tracer *trace.Tracer) tier{
+	"daemon": func(t *testing.T, tracer *trace.Tracer) tier {
 		d, _, err := daemon.New(daemon.Config{
 			Dir: t.TempDir(), Global: privacy.MustBudget(1, 1e-6), NoSync: true, Tracer: tracer,
 		})
@@ -34,19 +45,30 @@ var tiers = map[string]func(t *testing.T, tracer *trace.Tracer) http.Handler{
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { d.Close() })
-		return d.Handler()
+		return d
 	},
-	"replica": func(t *testing.T, tracer *trace.Tracer) http.Handler {
-		return replica.NewServer(replica.WithTracer(tracer)).Handler()
+	"replica": func(t *testing.T, tracer *trace.Tracer) tier {
+		return replica.NewServer(replica.WithTracer(tracer))
 	},
-	"gateway": func(t *testing.T, tracer *trace.Tracer) http.Handler {
-		backend := httptest.NewServer(replica.NewServer().Handler())
+	"gateway": func(t *testing.T, tracer *trace.Tracer) tier {
+		src := store.New()
+		spec, err := store.Serialize(&ml.LinearModel{Weights: []float64{1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		src.Publish(store.Bundle{Name: "m", Model: spec})
+		b, _ := src.Get("m", 1)
+		rep := replica.NewServer()
+		if _, err := rep.Store().Apply(*b); err != nil {
+			t.Fatal(err)
+		}
+		backend := httptest.NewServer(rep.Handler())
 		t.Cleanup(backend.Close)
 		g, err := gateway.New(gateway.Config{Backends: []string{backend.URL}, Tracer: tracer})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return g.Handler()
+		return g
 	},
 }
 
@@ -59,9 +81,9 @@ func get(h http.Handler, method, path string) (int, string) {
 
 // TestEveryTierServesTheSharedSurface: /metrics on every tier, always;
 // /debug/trace and /debug/pprof/ on every tier exactly when it has a
-// tracer; and the tier's own answers — unknown paths, the gateway's
-// refusal to route pushes — exactly as they are without the kit in
-// front.
+// tracer; and the tier's own answers beside them — an unknown path is
+// the mux's 404 on every tier, the gateway included, and the gateway
+// refuses to route pushes.
 func TestEveryTierServesTheSharedSurface(t *testing.T) {
 	for name, build := range tiers {
 		for _, debug := range []bool{false, true} {
@@ -72,7 +94,7 @@ func TestEveryTierServesTheSharedSurface(t *testing.T) {
 				label += "+tracer"
 			}
 			t.Run(label, func(t *testing.T) {
-				h := build(t, tracer)
+				h := build(t, tracer).Handler()
 
 				code, body := get(h, http.MethodGet, "/metrics")
 				if code != http.StatusOK {
@@ -118,7 +140,7 @@ func TestEveryTierTracesItsOwnRoutesOnly(t *testing.T) {
 	for name, build := range tiers {
 		t.Run(name, func(t *testing.T) {
 			tracer := trace.New(trace.Config{Service: name})
-			h := build(t, tracer)
+			h := build(t, tracer).Handler()
 			for _, path := range []string{"/metrics", "/debug/trace", "/debug/pprof/cmdline"} {
 				get(h, http.MethodGet, path)
 			}
@@ -147,12 +169,81 @@ func TestEveryTierTracesItsOwnRoutesOnly(t *testing.T) {
 	}
 }
 
+// spaces is an endless body of JSON whitespace.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// TestEveryTierServesItsDeclaredRows holds each tier's declared rows
+// (Routes) and its one mux to each other:
+//
+//   - every row is served: a request built from its pattern reaches the
+//     row's handler, not the mux's 404 or 405;
+//   - a declared path asked with another method answers 405;
+//   - a row's Body budget is exact: a body of Body bytes reaches the
+//     handler and one of Body+1 is 413 — on the gateway too, where the
+//     body is buffered and forwarded to a replica that reads it whole.
+//
+// What is not declared is not served (the unknown path above). Bodies
+// carry Content-Encoding: gzip, which the serving API ignores and which
+// makes POST /push stop at the gzip header instead of reading 64 MiB.
+func TestEveryTierServesItsDeclaredRows(t *testing.T) {
+	const muxNotFound = "404 page not found\n"
+	for name, build := range tiers {
+		t.Run(name, func(t *testing.T) {
+			tr := build(t, nil)
+			h := tr.Handler()
+			serve := func(method, path string, n int64) (int, string) {
+				req := httptest.NewRequest(method, path+"?model=m", io.LimitReader(spaces{}, n))
+				req.ContentLength = n
+				req.Header.Set("Content-Encoding", "gzip")
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, req)
+				return rec.Code, rec.Body.String()
+			}
+			for _, rt := range tr.Routes() {
+				method, path, ok := strings.Cut(rt.Pattern, " ")
+				if !ok {
+					method, path = http.MethodPost, rt.Pattern
+				}
+				path = strings.ReplaceAll(path, "{name}", "m")
+				if code, body := serve(method, path, 0); code == http.StatusMethodNotAllowed || body == muxNotFound {
+					t.Errorf("%s: %s %s is not served: %d %q", rt.Pattern, method, path, code, body)
+				}
+				if ok {
+					other := http.MethodPost
+					if method == http.MethodPost {
+						other = http.MethodGet
+					}
+					if code, _ := serve(other, path, 0); code != http.StatusMethodNotAllowed {
+						t.Errorf("%s: %s %s answered %d, want 405", rt.Pattern, other, path, code)
+					}
+				}
+				if rt.Body == 0 {
+					continue
+				}
+				if code, body := serve(method, path, rt.Body); code == http.StatusRequestEntityTooLarge || body == muxNotFound {
+					t.Errorf("%s: a %d-byte body (the budget) did not reach the handler: %d %q", rt.Pattern, rt.Body, code, body)
+				}
+				if code, body := serve(method, path, rt.Body+1); code != http.StatusRequestEntityTooLarge {
+					t.Errorf("%s: a %d-byte body (budget+1) answered %d %q, want 413", rt.Pattern, rt.Body+1, code, body)
+				}
+			}
+		})
+	}
+}
+
 // TestTierDeclarationsAreComplete is the other half of the bijection:
 // the packages under internal/ that call httpkit.Handler (a tier has to,
 // to get /metrics at all) are exactly the declared tiers — a new tier
 // without a declaration fails here, as does a declaration whose tier is
-// gone. Keyed on the call, not the import: internal/store imports
-// httpkit for WriteJSON and is mounted by tiers, not one itself.
+// gone. Keyed on the call, not the import: internal/store builds a bare
+// mux with httpkit.Mux and is mounted by tiers, not one itself.
 func TestTierDeclarationsAreComplete(t *testing.T) {
 	files, err := filepath.Glob("../*/*.go")
 	if err != nil {

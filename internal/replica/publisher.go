@@ -13,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/httpkit"
 	"repro/internal/store"
 )
 
@@ -295,7 +296,7 @@ func (p *Publisher) fetchStatus(ctx context.Context, endpoint string) (map[strin
 		return nil, fmt.Errorf("replica: status %s: %d: %s", endpoint, resp.StatusCode, readError(resp.Body))
 	}
 	var st Status
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	if err := httpkit.ReadJSON(resp.Body, httpkit.StatusReplyBytes, &st); err != nil {
 		return nil, fmt.Errorf("replica: undecodable status from %s: %w", endpoint, err)
 	}
 	return st.Watermarks, nil
@@ -403,13 +404,16 @@ func (p *Publisher) pushOnce(ctx context.Context, endpoint string, body pushBody
 		// cannot help.
 		return PushStatus{}, nil, &permanentError{msg: "replica rejected push: " + readError(resp.Body)}
 	case http.StatusOK:
-		st, err := decodeStatus(resp.Body)
-		return st, nil, err
+		var st PushStatus
+		if err := httpkit.ReadJSON(resp.Body, httpkit.StatusReplyBytes, &st); err != nil {
+			return PushStatus{}, nil, fmt.Errorf("undecodable push reply: %w", err)
+		}
+		return st, nil, nil
 	case http.StatusConflict:
 		// Either a version gap (carries a watermark to resume from) or a
 		// divergent release (permanent).
 		var gap gapResponse
-		if err := json.NewDecoder(resp.Body).Decode(&gap); err != nil {
+		if err := httpkit.ReadJSON(resp.Body, httpkit.StatusReplyBytes, &gap); err != nil {
 			return PushStatus{}, nil, fmt.Errorf("undecodable 409 reply: %w", err)
 		}
 		if gap.Name != "" {

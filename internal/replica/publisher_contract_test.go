@@ -332,3 +332,39 @@ func TestSelfHealingConcurrentPushes(t *testing.T) {
 		t.Error("endpoint still flagged after four successful pushes")
 	}
 }
+
+// TestPublisherBoundsReplies: a replica that answers with an endless
+// JSON string costs the publisher httpkit.StatusReplyBytes of reading
+// and an error, not its heap — for a status reply (Sync) and for a push
+// ack (Push) alike.
+func TestPublisherBoundsReplies(t *testing.T) {
+	endless := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = w.Write([]byte(`{"name":"`))
+		chunk := []byte(strings.Repeat("a", 32<<10))
+		for r.Context().Err() == nil {
+			if _, err := w.Write(chunk); err != nil {
+				return
+			}
+		}
+	}))
+	defer endless.Close()
+
+	src := store.New()
+	pub := NewPublisher(src, []string{endless.URL}, WithRetry(0, 0))
+	spec, err := store.Serialize(&ml.LinearModel{Weights: []float64{1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := src.Publish(store.Bundle{Name: "m", Model: spec})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	for name, call := range map[string]func() error{
+		"Push": func() error { return pub.Push(ctx, "m", v) }, // not flagged: a plain push
+		"Sync": func() error { return pub.Sync(ctx) },
+	} {
+		if err := call(); err == nil || !strings.Contains(err.Error(), "reply exceeds") {
+			t.Errorf("%s against an endless reply: %v, want the reply cap's error", name, err)
+		}
+	}
+}

@@ -61,8 +61,6 @@ package replica
 import (
 	"compress/gzip"
 	"crypto/subtle"
-	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"time"
@@ -72,12 +70,6 @@ import (
 	"repro/internal/store"
 	"repro/internal/trace"
 )
-
-// maxPushBodyBytes bounds one pushed bundle. Models at the paper's
-// scale (taxi/criteo dims, small MLPs) are a few KB; 64 MiB leaves room
-// for wide released aggregates without letting one connection pin
-// unbounded memory.
-const maxPushBodyBytes = 64 << 20
 
 // PushStatus is a replica's reply to one push (and one entry of the
 // status listing): the applied-version watermark after the push, and
@@ -214,21 +206,27 @@ func (s *Server) Metrics() *metrics.Registry { return s.reg }
 // serving path never hands it out).
 func (s *Server) Store() *store.Store { return s.store }
 
-// Handler returns the replica's HTTP handler: the full single-node
-// serving API plus POST /push and GET /replica/status, behind the
-// shared operational surface (httpkit: GET /metrics, /debug/*).
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /push", s.handlePush)
-	mux.HandleFunc("GET /replica/status", s.handleStatus)
-	serving := s.srv.Handler()
-	mux.Handle("/", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.inflight.Add(1)
-		defer s.inflight.Add(-1)
-		serving.ServeHTTP(w, r)
-	}))
-	return httpkit.Handler(s.reg, s.tracer, mux)
+// Routes declares the replica's HTTP API: the single-node serving API
+// (store.API, each request counted in flight) plus POST /push and GET
+// /replica/status.
+func (s *Server) Routes() []httpkit.Route {
+	routes := s.srv.Routes()
+	for i, rt := range routes {
+		routes[i].Serve = func(w http.ResponseWriter, r *http.Request) {
+			s.inflight.Add(1)
+			defer s.inflight.Add(-1)
+			rt.Serve(w, r)
+		}
+	}
+	// 64 MiB bounds a bundle on the wire and after gzip: paper-scale
+	// models are a few KB, the rest is room for wide released aggregates.
+	push := httpkit.Route{Pattern: "POST /push", Body: 64 << 20}
+	push.Serve = func(w http.ResponseWriter, r *http.Request) { s.handlePush(w, r, push.Body) }
+	return append(routes, push, httpkit.Route{Pattern: "GET /replica/status", Serve: s.handleStatus})
 }
+
+// Handler serves Routes with httpkit's shared surface (/metrics, /debug/*).
+func (s *Server) Handler() http.Handler { return httpkit.Handler(s.reg, s.tracer, s.Routes()) }
 
 // authorized checks the shared-secret bearer token in constant time.
 func (s *Server) authorized(r *http.Request) bool {
@@ -240,7 +238,9 @@ func (s *Server) authorized(r *http.Request) bool {
 	return subtle.ConstantTimeCompare([]byte(got), []byte(want)) == 1
 }
 
-func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
+// handlePush applies one pushed release; limit is its row's body budget,
+// which httpkit enforces on the wire and this handler after gzip.
+func (s *Server) handlePush(w http.ResponseWriter, r *http.Request, limit int64) {
 	defer s.pushSec.ObserveSinceExemplar(time.Now(), trace.CtxTraceID(r.Context()))
 	if !s.authorized(r) {
 		s.pushUnauthorized.Inc()
@@ -248,28 +248,28 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 		httpkit.WriteJSON(w, http.StatusUnauthorized, map[string]string{"error": "push requires a valid bearer token"})
 		return
 	}
-	// The byte cap applies to the *decoded* bundle: MaxBytesReader
-	// bounds what is read off the wire, and for gzip bodies an extra
-	// LimitReader bounds what decompression may expand to, so a
-	// compression bomb cannot pin unbounded memory.
-	body := io.Reader(http.MaxBytesReader(w, r.Body, maxPushBodyBytes))
+	// The byte cap applies to the *decoded* bundle: httpkit bounds what
+	// is read off the wire, and for gzip bodies a LimitReader bounds what
+	// decompression may expand to, so a compression bomb cannot pin
+	// unbounded memory.
+	body := io.Reader(r.Body)
 	if r.Header.Get("Content-Encoding") == "gzip" {
 		gz, err := gzip.NewReader(body)
 		if err != nil {
 			s.pushBadBody.Inc()
-			httpkit.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "bad gzip body: " + err.Error()})
+			httpkit.BodyError(w, "bad gzip body", err)
 			return
 		}
 		defer gz.Close()
-		body = io.LimitReader(gz, maxPushBodyBytes+1)
+		body = io.LimitReader(gz, limit+1)
 	}
 	raw, err := io.ReadAll(body)
 	if err != nil {
 		s.pushBadBody.Inc()
-		httpkit.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "reading bundle: " + err.Error()})
+		httpkit.BodyError(w, "reading bundle", err)
 		return
 	}
-	if int64(len(raw)) > maxPushBodyBytes {
+	if int64(len(raw)) > limit {
 		s.pushBadBody.Inc()
 		httpkit.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "bundle exceeds size limit after decompression"})
 		return
@@ -314,13 +314,4 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 		Models:     len(wms),
 		Inflight:   s.inflight.Value(),
 	})
-}
-
-// decodeStatus parses a push reply.
-func decodeStatus(r io.Reader) (PushStatus, error) {
-	var st PushStatus
-	if err := json.NewDecoder(r).Decode(&st); err != nil {
-		return st, fmt.Errorf("replica: undecodable push reply: %w", err)
-	}
-	return st, nil
 }

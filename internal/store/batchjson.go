@@ -51,7 +51,7 @@ type batchScanner struct {
 // so there is still one implementation of that grammar. Bytes after the
 // closing brace are not looked at.
 //
-// Memory: the caller caps body (http.MaxBytesReader, maxBatchBodyBytes);
+// Memory: httpkit caps body at the /predict/batch row's budget (API);
 // the scan itself holds at most maxBatchRows rows — it stops at the
 // first row past the limit — whose floats number under half the body's
 // bytes.

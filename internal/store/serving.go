@@ -3,7 +3,6 @@ package store
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -27,20 +26,55 @@ const maxBatchRows = 10_000
 // maxPooledScratchBytes bounds what one batchScratch may carry back into
 // batchPool. Under steady traffic the pool keeps a scratch per P, so
 // without a bound a single maximal request (maxBatchRows rows at taxi
-// width, or a maxBatchBodyBytes body) would pin its buffers there; above
-// the bound the scratch is dropped and the next request starts from an
-// empty one. A 256-row batch at taxi width holds under a tenth of this.
+// width, or a body at its route's budget) would pin its buffers there;
+// above the bound the scratch is dropped and the next request starts
+// from an empty one. A 256-row batch at taxi width holds under a tenth
+// of this.
 const maxPooledScratchBytes = 4 << 20
 
-// Request-body byte limits, enforced with http.MaxBytesReader *before*
-// JSON decode: the row-count check alone runs only after the whole body
-// has been materialized, which would let one request allocate
-// arbitrarily much. 32 MiB comfortably fits maxBatchRows rows at a few
-// hundred features.
+// Class is a serving route's admission class at the gateway, by cost:
+// under pressure the expensive batch work is shed first and the cheap
+// immutable reads last, so an overloaded platform degrades into a
+// read-only cache instead of collapsing.
+type Class int
+
 const (
-	maxBatchBodyBytes   = 32 << 20
-	maxPredictBodyBytes = 1 << 20
+	// ClassRead: immutable GETs — cheap, often pre-encoded.
+	ClassRead Class = iota
+	// ClassPredict: single-row POST /predict — one model evaluation.
+	ClassPredict
+	// ClassBatch: POST /predict/batch — up to maxBatchRows rows, the
+	// most expensive thing the serving tier does.
+	ClassBatch
 )
+
+// String names the class for status reports and metric labels.
+func (c Class) String() string { return [...]string{"read", "predict", "batch"}[c] }
+
+// Route is one row of the serving API: httpkit.Route's pattern and body
+// budget, the row's admission class at the gateway, and its handler.
+type Route struct {
+	Pattern string
+	Body    int64
+	Class   Class
+	serve   func(*Server, http.ResponseWriter, *http.Request)
+}
+
+// API declares the serving API once: the daemon and each replica bind
+// its rows to their Server (Server.Routes), the gateway binds each to
+// its proxy under the row's budget and class, and httpkit caps every
+// body at its row's budget. 1 MiB holds a /predict row at any plausible
+// width; 32 MiB holds maxBatchRows rows at taxi width and full float
+// precision (8.84 MiB) with room to spare. At the gateway's default
+// Limits it can buffer at most 128 predicts × 1 MiB + 16 batches × 32
+// MiB = 640 MiB of request bodies at once; reads carry none.
+var API = []Route{
+	{"GET /models", 0, ClassRead, (*Server).handleModels},
+	{"GET /models/{name}/provenance", 0, ClassRead, (*Server).handleProvenance},
+	{"POST /predict", 1 << 20, ClassPredict, (*Server).handlePredict},
+	{"POST /predict/batch", 32 << 20, ClassBatch, (*Server).handlePredictBatch},
+	{"GET /features", 0, ClassRead, (*Server).handleFeatures},
+}
 
 // Server is the Serving Infrastructure of Fig. 1: it loads bundles from
 // the store and answers prediction requests over HTTP. It caches the
@@ -49,7 +83,7 @@ const (
 // so a long-running server's cache stays bounded at one live model per
 // name however many versions the pipelines publish.
 //
-// Endpoints:
+// Its endpoints are the rows of API:
 //
 //	GET  /models                        → JSON list of {name, version, pipeline}
 //	GET  /models/{name}/provenance      → audit view: blocks, budget, decision
@@ -59,7 +93,8 @@ const (
 //	                                      for a single-value serving-time join)
 //
 // Every endpoint taking ?model= also accepts ?version= to pin an older
-// release; the default is the latest version.
+// release; the default is the latest version. No handler caps a body:
+// httpkit does, at its row's budget.
 type Server struct {
 	store *Store
 	mu    sync.Mutex
@@ -219,16 +254,17 @@ func NewServer(s *Store) *Server {
 	return &Server{store: s, cache: make(map[modelKey]*cachedModel)}
 }
 
-// Handler returns the HTTP handler.
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /models", s.handleModels)
-	mux.HandleFunc("GET /models/{name}/provenance", s.handleProvenance)
-	mux.HandleFunc("POST /predict", s.handlePredict)
-	mux.HandleFunc("POST /predict/batch", s.handlePredictBatch)
-	mux.HandleFunc("GET /features", s.handleFeatures)
-	return mux
+// Routes binds API to s, for a tier to mount beside its own rows.
+func (s *Server) Routes() []httpkit.Route {
+	routes := make([]httpkit.Route, len(API))
+	for i, rt := range API {
+		routes[i] = httpkit.Route{Pattern: rt.Pattern, Body: rt.Body, Serve: func(w http.ResponseWriter, r *http.Request) { rt.serve(s, w, r) }}
+	}
+	return routes
 }
+
+// Handler serves API alone: no operational surface, no tracing.
+func (s *Server) Handler() http.Handler { return httpkit.Mux(nil, s.Routes()) }
 
 // modelInfo is one row of the /models listing.
 type modelInfo struct {
@@ -356,8 +392,8 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req predictRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxPredictBodyBytes)).Decode(&req); err != nil {
-		bodyError(w, err)
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		httpkit.BodyError(w, "invalid JSON body", err)
 		return
 	}
 	// Validate the feature vector against the bundle before Predict: a
@@ -459,8 +495,8 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 	defer sc.release()
 
 	sc.body.Reset()
-	if _, err := sc.body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBatchBodyBytes)); err != nil {
-		bodyError(w, err)
+	if _, err := sc.body.ReadFrom(r.Body); err != nil {
+		httpkit.BodyError(w, "invalid JSON body", err)
 		return
 	}
 	// The three stages under the server span (nil, and free, untraced).
@@ -472,7 +508,7 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 		sc.rows = rows // keep grown row buffers for the next request
 	}
 	if err != nil {
-		bodyError(w, err)
+		httpkit.BodyError(w, "invalid JSON body", err)
 		return
 	}
 	if len(rows) == 0 {
@@ -642,18 +678,6 @@ func (s *Server) model(b *Bundle) (*cachedModel, error) {
 	}
 	s.cache[key] = cm
 	return cm, nil
-}
-
-// bodyError answers a request body that could not be read or decoded:
-// 413 when it ran into the endpoint's byte cap, 400 otherwise.
-func bodyError(w http.ResponseWriter, err error) {
-	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
-		httpError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("request body exceeds the %d-byte limit", tooBig.Limit))
-		return
-	}
-	httpError(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
 }
 
 func httpError(w http.ResponseWriter, code int, msg string) {

@@ -159,6 +159,18 @@ func TestPredictBatchPositionalRowErrors(t *testing.T) {
 	}
 }
 
+// apiBudget is the body budget API declares for pattern.
+func apiBudget(t *testing.T, pattern string) int64 {
+	t.Helper()
+	for _, rt := range API {
+		if rt.Pattern == pattern {
+			return rt.Body
+		}
+	}
+	t.Fatalf("API declares no %q", pattern)
+	return 0
+}
+
 func TestPredictBatchRequestValidation(t *testing.T) {
 	s := New()
 	spec, _ := Serialize(&ml.LinearModel{Weights: []float64{1}, Bias: 0})
@@ -180,9 +192,9 @@ func TestPredictBatchRequestValidation(t *testing.T) {
 		// Past the byte cap is 413 — the body may well be valid JSON, the
 		// server just refuses to read that much of it.
 		{"oversize batch body", "/predict/batch?model=m",
-			`{"rows":[[1]],"pad":"` + strings.Repeat("x", maxBatchBodyBytes) + `"}`, http.StatusRequestEntityTooLarge},
+			`{"rows":[[1]],"pad":"` + strings.Repeat("x", int(apiBudget(t, "POST /predict/batch"))) + `"}`, http.StatusRequestEntityTooLarge},
 		{"oversize predict body", "/predict?model=m",
-			`{"features":[1],"pad":"` + strings.Repeat("x", maxPredictBodyBytes) + `"}`, http.StatusRequestEntityTooLarge},
+			`{"features":[1],"pad":"` + strings.Repeat("x", int(apiBudget(t, "POST /predict"))) + `"}`, http.StatusRequestEntityTooLarge},
 	} {
 		var body map[string]any
 		if code := postJSON(t, srv.URL+tc.url, tc.payload, &body); code != tc.wantCode {

@@ -15,7 +15,7 @@
 // (version 00, sampled flag always 01 — a tier that traces at all
 // records every span; retention, not sampling-at-source, bounds cost).
 // Every tier's server span is Middleware's, applied in one place —
-// httpkit.Handler wraps the tier's own routes in it (not /metrics or
+// httpkit.Mux wraps each of the tier's own routes in it (not /metrics or
 // /debug/*: a scrape is not a request) — and it opens a root or
 // continues a caller-supplied traceparent. The gateway adds its route
 // class and outcomes to that span and stamps each routing *attempt*

@@ -292,17 +292,24 @@ func TestInspectReportsFrames(t *testing.T) {
 	if len(rep.Records) != 5 || rep.Torn() || rep.GoodBytes != rep.TotalBytes {
 		t.Fatalf("clean log report wrong: %+v", rep)
 	}
-	offsets, _ := RecordOffsets(path)
+	// Each frame starts where recovery's scan ends the one before it.
+	raw, _ := os.ReadFile(path)
+	recs, _ := scan(raw)
+	var offsets []int64
 	for i, r := range rep.Records {
-		if r.Offset != offsets[i] || !r.CRCOK {
-			t.Fatalf("record %d: %+v, want offset %d", i, r, offsets[i])
+		off := int64(0)
+		if i > 0 {
+			off = offsets[i-1] + headerSize + int64(len(recs[i-1].Payload))
 		}
+		if r.Offset != off || r.Length != int64(len(recs[i].Payload)) || !r.CRCOK {
+			t.Fatalf("record %d: %+v, want offset %d length %d", i, r, off, len(recs[i].Payload))
+		}
+		offsets = append(offsets, off)
 	}
 
 	// Corrupt record 3's payload: Inspect should list records 0-2 as
 	// intact, record 3 with CRCOK=false, and a torn tail from record 3
 	// onward.
-	raw, _ := os.ReadFile(path)
 	raw[offsets[3]+headerSize] ^= 0xFF
 	bad := filepath.Join(dir, "bad.wal")
 	if err := os.WriteFile(bad, raw, 0o644); err != nil {

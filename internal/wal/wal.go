@@ -241,8 +241,7 @@ func Open(path string, opts Options) (*Log, []Record, error) {
 		f.Close()
 		return nil, nil, fmt.Errorf("wal: read %s: %w", path, err)
 	}
-	records, offsets := scan(raw)
-	good := offsets[len(offsets)-1]
+	records, good := scan(raw)
 	l := &Log{
 		path:   path,
 		f:      f,
@@ -315,36 +314,19 @@ func nextFrame(raw []byte, off int64) (n int64, typ byte, payload []byte, crcOK 
 	return n, typ, payload, crc == binary.BigEndian.Uint32(rest[5:9])
 }
 
-// scan walks raw and returns the intact records plus every record
-// *boundary*: offsets[0] = 0 and offsets[k] is the offset just past
-// record k-1, so offsets[len(records)] is where the valid prefix ends.
-// Scanning stops at the first torn or corrupt frame; everything after
-// it is tail damage by the package's crash model.
-func scan(raw []byte) ([]Record, []int64) {
+// scan walks raw and returns the intact records and the offset where
+// their prefix ends. Scanning stops at the first torn or corrupt frame;
+// everything after it is tail damage by the package's crash model.
+func scan(raw []byte) ([]Record, int64) {
 	var records []Record
-	offsets := []int64{0}
 	for off := int64(0); ; {
 		n, typ, payload, ok := nextFrame(raw, off)
 		if !ok {
-			return records, offsets
+			return records, off
 		}
 		records = append(records, Record{Type: typ, Payload: append([]byte(nil), payload...)})
 		off += headerSize + n
-		offsets = append(offsets, off)
 	}
-}
-
-// RecordOffsets scans the log file at path and returns the byte offset
-// of every intact record boundary (see scan): truncating the file at
-// offsets[k] yields exactly the first k records. Fault-injection tests
-// and recovery tooling use it to cut logs at precise points.
-func RecordOffsets(path string) ([]int64, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	_, offsets := scan(raw)
-	return offsets, nil
 }
 
 // RecordInfo describes one frame found by Inspect.

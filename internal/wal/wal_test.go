@@ -24,6 +24,24 @@ func appendN(t *testing.T, l *Log, n int) []Record {
 	return out
 }
 
+// boundaries reads the log's record boundaries from Inspect: where each
+// intact record starts, then where the intact prefix ends — so cutting
+// the file at boundaries[k] keeps exactly the first k records.
+func boundaries(t *testing.T, path string) []int64 {
+	t.Helper()
+	rep, err := Inspect(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var offsets []int64
+	for _, r := range rep.Records {
+		if r.CRCOK {
+			offsets = append(offsets, r.Offset)
+		}
+	}
+	return append(offsets, rep.GoodBytes)
+}
+
 func sameRecords(a, b []Record) bool {
 	if len(a) != len(b) {
 		return false
@@ -95,10 +113,7 @@ func TestTruncateAtEveryByte(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	offsets, err := RecordOffsets(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	offsets := boundaries(t, path)
 	if len(offsets) != 13 || offsets[len(offsets)-1] != int64(len(raw)) {
 		t.Fatalf("offsets = %v, file len %d", offsets, len(raw))
 	}
@@ -164,10 +179,7 @@ func TestCorruptChecksumTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	offsets, err := RecordOffsets(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	offsets := boundaries(t, path)
 
 	corruptPath := filepath.Join(dir, "corrupt.wal")
 	for rec := 0; rec < 10; rec++ {
@@ -206,7 +218,7 @@ func TestCorruptLengthField(t *testing.T) {
 	want := appendN(t, l, 4)
 	l.Close()
 	raw, _ := os.ReadFile(path)
-	offsets, _ := RecordOffsets(path)
+	offsets := boundaries(t, path)
 
 	for _, firstByte := range []byte{0x7F, 0xFF} { // huge but < / > MaxRecordBytes
 		bad := append([]byte(nil), raw...)
