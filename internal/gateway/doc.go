@@ -69,6 +69,25 @@
 // predictions. An overloaded gateway degrades into a read-mostly
 // cache; it does not fall over.
 //
+// # Memory
+//
+// A proxied request's body and its buffered upstream response live in
+// one hopBuffers set from a sync.Pool (hopbuf.go), not in buffers
+// allocated per request. The set's users are the handler, until its
+// w.Write returns, and each attempt's request body, until the
+// transport closes it: the http.RoundTripper contract lets a transport
+// read a body after RoundTrip has returned, so the set carries a
+// reference count and the last user to finish returns it. Nobody
+// waits — the handler drops its reference and leaves, so a slow
+// upstream write never holds an admission slot. A set that grew past
+// maxPooledHopBytes (4 MiB) is left to the collector instead. Pooling
+// changes no bound: each admitted request still buffers at most its
+// row's budget, so worst-case in-flight request bytes at default
+// Limits stay 128 × 1 MiB + 16 × 32 MiB = 640 MiB. What a forwarded
+// body still allocates is net/http's own 32 KiB copy buffer when the
+// transport writes it to the connection; the transport is the
+// caller's, so that one stays.
+//
 // # What the gateway refuses
 //
 // POST /push is refused outright: replica membership and bundle

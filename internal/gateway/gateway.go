@@ -4,13 +4,13 @@
 package gateway
 
 import (
-	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"sort"
+	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -352,8 +352,8 @@ func (g *Gateway) pick(exclude map[*backend]bool) *backend {
 			continue
 		}
 		// Least-loaded first; stable ties resolved round-robin.
-		sort.SliceStable(candidates, func(i, j int) bool {
-			return candidates[i].load < candidates[j].load
+		slices.SortStableFunc(candidates, func(a, b candidate) int {
+			return cmp.Compare(a.load, b.load)
 		})
 		ties := 1
 		for ties < len(candidates) && candidates[ties].load == candidates[0].load {
@@ -396,9 +396,9 @@ func (g *Gateway) Routes() []httpkit.Route {
 func (g *Gateway) Handler() http.Handler { return httpkit.Handler(g.reg, g.cfg.Tracer, g.Routes()) }
 
 // proxy serves one row of the serving API: admit under the row's class
-// (or shed) → buffer the body, at most the row's budget → pick a
-// backend → forward with a per-attempt deadline → on failure, fail over
-// once to a different backend.
+// (or shed) → buffer the body, at most the row's budget, in a pooled
+// hopBuffers set → pick a backend → forward with a per-attempt deadline
+// → on failure, fail over once to a different backend.
 func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, class store.Class, budget int64) {
 	// The server span is httpkit's (nil when tracing is off); the gateway
 	// adds what only it knows: route class, its outcomes, attempt children.
@@ -418,10 +418,12 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, class store.Clas
 	}
 	defer release()
 
-	var body []byte
+	// The handler's reference outlives w.Write below; each attempt's
+	// request body holds its own until the transport closes it.
+	set := getHop()
+	defer set.unref()
 	if r.ContentLength != 0 { // -1: unknown until read
-		var err error
-		if body, err = readCapped(r.Body, r.ContentLength, budget); err != nil {
+		if err := fill(&set.req, r.Body, r.ContentLength, budget); err != nil {
 			httpkit.BodyError(w, "reading request body", err)
 			return
 		}
@@ -437,7 +439,7 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, class store.Clas
 		exclude[b] = true
 		att := root.StartChild("gateway.attempt")
 		att.SetAttr("backend", b.url)
-		res, err := g.forward(r, b, body, att)
+		res, err := g.forward(r, b, set, att)
 		if err != nil {
 			att.SetOutcome("error")
 			att.End()
@@ -474,7 +476,7 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, class store.Clas
 			}
 		}
 		copyHeader(w.Header(), res.header)
-		w.Header().Set("Content-Length", fmt.Sprint(len(res.body)))
+		w.Header().Set("Content-Length", strconv.Itoa(len(res.body)))
 		w.WriteHeader(res.status)
 		_, _ = w.Write(res.body)
 		g.proxied.Inc()
@@ -490,7 +492,8 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, class store.Clas
 	httpkit.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"error": msg})
 }
 
-// proxyResult is one complete, verified upstream response.
+// proxyResult is one complete, verified upstream response; body is the
+// set's resp buffer, live until the handler drops its reference.
 type proxyResult struct {
 	status int
 	header http.Header
@@ -498,23 +501,25 @@ type proxyResult struct {
 }
 
 // forward proxies one attempt to one backend under the per-attempt
-// deadline, buffering and length-verifying the response. An upstream
+// deadline, sending set's request body and buffering and
+// length-verifying the response into set's resp buffer. An upstream
 // that delivers fewer bytes than it advertised is an error (the partial
 // response never reaches the client), as is one that out-sizes the
 // response cap. att, when non-nil, is stamped as the outgoing
 // traceparent parent — each attempt carries its own span id, so the
 // replica's server span hangs under the attempt that reached it.
-func (g *Gateway) forward(r *http.Request, b *backend, body []byte, att *trace.Span) (proxyResult, error) {
+func (g *Gateway) forward(r *http.Request, b *backend, set *hopBuffers, att *trace.Span) (proxyResult, error) {
 	ctx, cancel := context.WithTimeout(r.Context(), g.cfg.AttemptTimeout)
 	defer cancel()
 	b.inflight.Add(1)
 	defer b.inflight.Add(-1)
 	b.requests.Inc()
 
-	req, err := http.NewRequestWithContext(ctx, r.Method, b.url+r.URL.RequestURI(), bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, r.Method, b.url+r.URL.RequestURI(), nil)
 	if err != nil {
 		return proxyResult{}, err
 	}
+	set.attach(req)
 	copyHeader(req.Header, r.Header)
 	req.Header.Del("Connection")
 	trace.Inject(att, req.Header)
@@ -524,10 +529,10 @@ func (g *Gateway) forward(r *http.Request, b *backend, body []byte, att *trace.S
 		return proxyResult{}, err
 	}
 	defer resp.Body.Close()
-	data, err := readCapped(resp.Body, resp.ContentLength, maxResponseBytes)
-	if err != nil {
+	if err := fill(&set.resp, resp.Body, resp.ContentLength, maxResponseBytes); err != nil {
 		return proxyResult{}, fmt.Errorf("reading upstream body: %w", err)
 	}
+	data := set.resp.Bytes()
 	if len(data) > maxResponseBytes {
 		return proxyResult{}, errors.New("upstream response exceeds gateway limit")
 	}
@@ -535,18 +540,6 @@ func (g *Gateway) forward(r *http.Request, b *backend, body []byte, att *trace.S
 		return proxyResult{}, fmt.Errorf("partial upstream body: %d of %d bytes", len(data), resp.ContentLength)
 	}
 	return proxyResult{status: resp.StatusCode, header: resp.Header, body: data}, nil
-}
-
-// readCapped buffers a body of the declared length (-1: unknown) up to
-// limit+1 bytes, so the caller can tell a body over the limit from one
-// at it. The buffer is sized from length, one allocation, where
-// io.ReadAll's 512-byte start re-grows and copies a batch body about
-// ten times; a length that lies costs at most the limit.
-func readCapped(r io.Reader, length, limit int64) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.Grow(int(min(max(length, 0), limit)) + bytes.MinRead)
-	_, err := buf.ReadFrom(io.LimitReader(r, limit+1))
-	return buf.Bytes(), err
 }
 
 // hopHeaders are connection-scoped and must not be forwarded either way.

@@ -1,0 +1,146 @@
+// hopbuf.go holds the pooled buffers a proxied request travels in: its
+// body, replayed to each attempt, and the upstream response the gateway
+// verifies before forwarding. doc.go's "Memory" section states the
+// lifetime rule.
+package gateway
+
+import (
+	"bytes"
+	"errors"
+	"io"
+	"net/http"
+	"sync"
+	"sync/atomic"
+)
+
+// maxPooledHopBytes bounds what one hopBuffers set may carry back into
+// hopPool. Under steady traffic the pool keeps sets per P, so without a
+// bound one batch body at its route's budget would stay pinned there;
+// above the bound the set is dropped and a later request starts from an
+// empty one. A 256-row taxi-width batch and its reply hold under a
+// tenth of this.
+const maxPooledHopBytes = 4 << 20
+
+// errHopReleased answers a replay asked for after the last user of the
+// request's buffers has gone.
+var errHopReleased = errors.New("gateway: request body replayed after its request finished")
+
+// hopBuffers is one proxied request's buffers: req holds its body and
+// resp the current attempt's upstream response. Its users are the
+// handler and each upstream attempt's request body, which the transport
+// may still be reading after RoundTrip has returned; the last of them
+// to finish returns the set to hopPool.
+type hopBuffers struct {
+	req, resp bytes.Buffer
+	// state is the set's generation in the high 32 bits, counted up each
+	// time the pool hands the set out, and its live references in the
+	// low 32. A reference is only taken against the generation it was
+	// handed out as, so a reader that outlives its request can never
+	// pin, or read, a later request's bytes.
+	state atomic.Uint64
+}
+
+var hopPool = sync.Pool{New: func() any { return new(hopBuffers) }}
+
+// getHop takes an empty set from the pool, holding the caller's one
+// reference.
+func getHop() *hopBuffers {
+	h := hopPool.Get().(*hopBuffers)
+	h.req.Reset()
+	h.resp.Reset()
+	gen := h.state.Load()>>32 + 1
+	h.state.Store(gen<<32 | 1)
+	return h
+}
+
+// unref drops one reference. The last one returns the set to hopPool
+// unless a buffer has grown past maxPooledHopBytes, in which case it is
+// left to the collector; it reports whether the set went back.
+func (h *hopBuffers) unref() bool {
+	if uint32(h.state.Add(^uint64(0))) != 0 {
+		return false
+	}
+	if h.req.Cap()+h.resp.Cap() > maxPooledHopBytes {
+		return false
+	}
+	hopPool.Put(h)
+	return true
+}
+
+// attach makes the set's request body req's: an explicit ContentLength,
+// a Body holding its own reference until the transport closes it, and
+// a GetBody that replays the same bytes, so net/http can resend the
+// body on a fresh connection. An empty body stays NewRequest's nil. The
+// caller holds a reference, which keeps the generation live.
+func (h *hopBuffers) attach(req *http.Request) {
+	if h.req.Len() == 0 {
+		return
+	}
+	gen := h.state.Load() >> 32
+	req.Body, _ = h.body(gen)
+	req.ContentLength = int64(h.req.Len())
+	req.GetBody = func() (io.ReadCloser, error) { return h.body(gen) }
+}
+
+// body returns a reader over the request body that holds a reference
+// to generation gen of the set, or errHopReleased once that
+// generation's last user has gone.
+func (h *hopBuffers) body(gen uint64) (io.ReadCloser, error) {
+	for {
+		s := h.state.Load()
+		if s>>32 != gen || uint32(s) == 0 {
+			return nil, errHopReleased
+		}
+		if h.state.CompareAndSwap(s, s+1) {
+			break
+		}
+	}
+	b := &hopBody{set: h, open: true}
+	b.r.Reset(h.req.Bytes())
+	return b, nil
+}
+
+// hopBody is one upstream request body. Read and Close exclude each
+// other, so no read runs on bytes Close has handed back.
+type hopBody struct {
+	set  *hopBuffers
+	mu   sync.Mutex
+	open bool
+	r    bytes.Reader
+}
+
+func (b *hopBody) Read(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if !b.open {
+		return 0, http.ErrBodyReadAfterClose
+	}
+	return b.r.Read(p)
+}
+
+// Close drops the body's reference; the transport may call it more
+// than once, and from another goroutine.
+func (b *hopBody) Close() error {
+	b.mu.Lock()
+	wasOpen := b.open
+	b.open = false
+	b.mu.Unlock()
+	if wasOpen {
+		b.set.unref()
+	}
+	return nil
+}
+
+// fill reads a body of the declared length (-1: unknown) into buf, up
+// to limit+1 bytes, so the caller can tell a body over the limit from
+// one at it. buf is grown from length first, so a pooled buffer that
+// has seen a body this size reads without allocating, and a fresh one
+// allocates once where ReadFrom's 512-byte start would re-grow and copy
+// a batch body about ten times; a length that lies costs at most the
+// limit.
+func fill(buf *bytes.Buffer, r io.Reader, length, limit int64) error {
+	buf.Reset()
+	buf.Grow(int(min(max(length, 0), limit)) + bytes.MinRead)
+	_, err := buf.ReadFrom(io.LimitReader(r, limit+1))
+	return err
+}

@@ -1,0 +1,293 @@
+package gateway
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"math/rand/v2"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+
+	"repro/internal/ml"
+	"repro/internal/replica"
+	"repro/internal/safety"
+	"repro/internal/store"
+	"repro/internal/taxi"
+)
+
+// lateTransport answers every request before it reads the request body,
+// as the http.RoundTripper contract allows, and reads and closes the
+// body from another goroutine once the test releases that request —
+// after the gateway handler that sent it has returned. Each late read
+// must see the bytes its own request sent.
+type lateTransport struct {
+	t  *testing.T
+	wg sync.WaitGroup
+
+	mu   sync.Mutex
+	want map[string][]byte        // request id → the body it sent
+	gate map[string]chan struct{} // closed when the late read may start
+}
+
+func (lt *lateTransport) expect(id string, body []byte) chan struct{} {
+	lt.mu.Lock()
+	defer lt.mu.Unlock()
+	gate := make(chan struct{})
+	lt.want[id], lt.gate[id] = body, gate
+	return gate
+}
+
+func (lt *lateTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	id := r.Header.Get("X-Late-Id")
+	lt.mu.Lock()
+	want, gate := lt.want[id], lt.gate[id]
+	lt.mu.Unlock()
+	if r.ContentLength != int64(len(want)) {
+		lt.t.Errorf("request %s: ContentLength %d, body is %d bytes", id, r.ContentLength, len(want))
+	}
+	lt.wg.Add(1)
+	go func() {
+		defer lt.wg.Done()
+		<-gate
+		got, err := io.ReadAll(r.Body)
+		r.Body.Close()
+		if err != nil || !bytes.Equal(got, want) {
+			lt.t.Errorf("request %s: late read got %d bytes (%v), sent %d: %.40q", id, len(got), err, len(want), got)
+		}
+	}()
+	return &http.Response{
+		StatusCode:    http.StatusOK,
+		Body:          io.NopCloser(strings.NewReader("[]")),
+		ContentLength: 2,
+		Request:       r,
+	}, nil
+}
+
+// TestHopBodyOutlivesHandler: a transport may read a request body after
+// RoundTrip has returned, so the gateway's pooled request buffer must
+// stay with that body until the transport closes it. Each request's
+// body is read only after the client's next lag requests have gone
+// through, while the other clients keep going: a buffer handed back
+// when the handler returned would already hold a later body.
+func TestHopBodyOutlivesHandler(t *testing.T) {
+	lt := &lateTransport{t: t, want: map[string][]byte{}, gate: map[string]chan struct{}{}}
+	g, err := New(Config{Backends: []string{"http://late-reader"}, Transport: lt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := g.Handler()
+
+	const clients, perClient, lag = 4, 100, 4
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r := rand.New(rand.NewPCG(uint64(c), 7))
+			var queued []chan struct{}
+			for i := 0; i < perClient; i++ {
+				id := fmt.Sprintf("%d-%d", c, i)
+				body := bytes.Repeat([]byte(id+","), 1+r.IntN(400))
+				gate := lt.expect(id, body)
+				req := httptest.NewRequest(http.MethodPost, "/predict/batch?model=m", bytes.NewReader(body))
+				req.Header.Set("X-Late-Id", id)
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, req)
+				if rec.Code != http.StatusOK {
+					t.Errorf("request %s: %d %s", id, rec.Code, rec.Body.String())
+				}
+				if queued = append(queued, gate); len(queued) > lag {
+					close(queued[0])
+					queued = queued[1:]
+				}
+			}
+			for _, gate := range queued {
+				close(gate)
+			}
+		}()
+	}
+	wg.Wait()
+	lt.wg.Wait()
+}
+
+// replayTransport reads part of each request body, closes it, and sends
+// what GetBody replays back as the response, as net/http does when it
+// resends a body on a fresh connection. It keeps the last GetBody.
+type replayTransport struct {
+	t       *testing.T
+	getBody func() (io.ReadCloser, error)
+}
+
+func (rt *replayTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	if _, err := r.Body.Read(make([]byte, 5)); err != nil {
+		return nil, err
+	}
+	r.Body.Close()
+	if _, err := r.Body.Read(make([]byte, 1)); !errors.Is(err, http.ErrBodyReadAfterClose) {
+		rt.t.Errorf("a read after Close: %v, want %v", err, http.ErrBodyReadAfterClose)
+	}
+	body, err := r.GetBody()
+	if err != nil {
+		return nil, err
+	}
+	replayed, err := io.ReadAll(body)
+	body.Close()
+	if err != nil {
+		return nil, err
+	}
+	rt.getBody = r.GetBody
+	return &http.Response{
+		StatusCode:    http.StatusOK,
+		Body:          io.NopCloser(bytes.NewReader(replayed)),
+		ContentLength: int64(len(replayed)),
+		Request:       r,
+	}, nil
+}
+
+// TestHopBodyReplay: GetBody replays the request's own bytes, in full,
+// however much of the first body was read; once the request is over, a
+// replay is refused rather than served from a buffer a later request
+// may own.
+func TestHopBodyReplay(t *testing.T) {
+	rt := &replayTransport{t: t}
+	g, err := New(Config{Backends: []string{"http://replayer"}, Transport: rt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := g.Handler()
+	for _, body := range []string{batchBody, `{"rows":[[3,4],[5,6],[7,8]]}`} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/predict/batch?model=m", strings.NewReader(body)))
+		if rec.Code != http.StatusOK || rec.Body.String() != body {
+			t.Errorf("replayed body: %d %q, sent %q", rec.Code, rec.Body.String(), body)
+		}
+		if late, err := rt.getBody(); !errors.Is(err, errHopReleased) {
+			t.Errorf("a replay after the request finished: %v, %v; want %v", late, err, errHopReleased)
+		}
+	}
+}
+
+// newHop is a set as getHop hands it out, without going through the
+// pool: one reference, the caller's.
+func newHop() *hopBuffers {
+	h := new(hopBuffers)
+	h.state.Store(1<<32 | 1)
+	return h
+}
+
+// TestHopBuffersRelease: a set within the bound goes back to the pool
+// when its last user is done, and not before; one that an oversize
+// request or response has grown is dropped, so hopPool never pins such
+// buffers per P.
+func TestHopBuffersRelease(t *testing.T) {
+	typical := newHop()
+	typical.req.Grow(256 << 10)
+	typical.resp.Grow(8 << 10)
+	if !typical.unref() {
+		t.Error("a 256-row batch's set was dropped; the warm path depends on pooling it")
+	}
+
+	held := newHop()
+	body, err := held.body(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if held.unref() {
+		t.Error("the set went back to the pool while a request body still reads it")
+	}
+	body.Close()
+	body.Close()
+	if refs := uint32(held.state.Load()); refs != 0 {
+		t.Errorf("%d reference(s) left after the last user closed its body twice", refs)
+	}
+
+	for name, grow := range map[string]func(*hopBuffers){
+		"oversize request":  func(h *hopBuffers) { h.req.Grow(maxPooledHopBytes + 1) },
+		"oversize response": func(h *hopBuffers) { h.resp.Grow(maxPooledHopBytes + 1) },
+	} {
+		h := newHop()
+		grow(h)
+		if h.unref() {
+			t.Errorf("%s: set went back to the pool", name)
+		}
+	}
+}
+
+// inProcess serves upstream requests with a handler in the calling
+// goroutine: no sockets, so a request's allocations are the gateway's,
+// the replica's and this shim's.
+type inProcess struct{ h http.Handler }
+
+func (p inProcess) RoundTrip(r *http.Request) (*http.Response, error) {
+	rec := httptest.NewRecorder()
+	p.h.ServeHTTP(rec, r)
+	if r.Body != nil {
+		r.Body.Close()
+	}
+	return rec.Result(), nil
+}
+
+// TestGatewayProxyBytesPerRequest pins what a warm 256-row taxi-width
+// batch costs to proxy, in bytes allocated per request, at under a
+// quarter of its body: the gateway's request and response buffers come
+// from hopPool, so a per-request copy of the body (the body alone is
+// one whole body size) fails here.
+func TestGatewayProxyBytesPerRequest(t *testing.T) {
+	if safety.RaceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	f := newFleet(t, 1, 1)
+	spec, err := store.Serialize(&ml.LinearModel{Weights: make([]float64, taxi.FeatureDim)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.src.Publish(store.Bundle{Name: "wide", Model: spec})
+	if err := replica.NewPublisher(f.src, f.urls).Sync(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	g := f.gw(t, func(c *Config) { c.Transport = inProcess{f.reps[0].Handler()} })
+	h := g.Handler()
+
+	r := rand.New(rand.NewPCG(3, 4))
+	rows := make([][]float64, 256)
+	for i := range rows {
+		rows[i] = make([]float64, taxi.FeatureDim)
+		for j := range rows[i] {
+			rows[i][j] = r.Float64()
+		}
+	}
+	batch, err := json.Marshal(map[string]any{"rows": rows})
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve := func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/predict/batch?model=wide", bytes.NewReader(batch)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("batch through the gateway: %d %.200s", rec.Code, rec.Body.String())
+		}
+	}
+	for i := 0; i < 5; i++ {
+		serve() // warm: the pools, the model cache, the encode buffers
+	}
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		serve()
+	}
+	runtime.ReadMemStats(&after)
+	perReq := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	budget := float64(len(batch)) / 4
+	t.Logf("%.0f bytes allocated per request for a %d-byte batch (budget %.0f)", perReq, len(batch), budget)
+	if perReq > budget {
+		t.Errorf("%.0f bytes allocated per proxied batch, budget is %.0f (a quarter of the %d-byte body): has a hop buffer stopped being pooled?", perReq, budget, len(batch))
+	}
+}

@@ -495,6 +495,12 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 	defer sc.release()
 
 	sc.body.Reset()
+	if r.ContentLength > 0 {
+		// httpkit refused a declared length past the route's budget, so
+		// sizing from it holds the body once, not across ReadFrom's
+		// doubling copies; MinRead is the room ReadFrom wants to see EOF.
+		sc.body.Grow(int(r.ContentLength) + bytes.MinRead)
+	}
 	if _, err := sc.body.ReadFrom(r.Body); err != nil {
 		httpkit.BodyError(w, "invalid JSON body", err)
 		return
