@@ -6,21 +6,21 @@
 //
 // Usage:
 //
-//	sage-experiments -exp tab1|tab2|fig5|fig6|fig7|fig8|all [-scale small|full] [-seed N] [-workers N] [-pipeline=false]
+//	sage-experiments -exp tab1|tab2|fig5|fig6|fig7|fig8|all [-scale small|full] [-seed N] [-workers N]
 //
 // The small scale finishes on a laptop in minutes; full mirrors the
 // paper's grid sizes (hours of compute). Every experiment grid runs on
 // the deterministic parallel engine (internal/parallel): -workers bounds
-// the concurrency (default: all cores) and any value produces
+// each grid's concurrency (default: all cores) and any value produces
 // bit-identical output.
 //
-// With -exp all, the experiments share one process-wide scheduler
-// (parallel.SetGlobal) and run concurrently, pipelined across each
-// other: the tail of one experiment's grid overlaps the head of the
-// next instead of idling at a per-experiment barrier. Each experiment
-// writes into its own buffer and the buffers are flushed to stdout in
-// the canonical order, so stdout is byte-identical to a sequential run
-// (-pipeline=false) for any -workers value. Timing and the DP-SGD
+// The selected experiments run concurrently, each in its own goroutine
+// with its own -workers cells in flight, so the tail of one
+// experiment's grid overlaps the rest of the others instead of idling
+// at a per-experiment barrier; the Go runtime schedules them all on the
+// same cores. Each experiment writes into its own buffer and the
+// buffers are flushed to stdout in the canonical order, so stdout is
+// byte-identical for any -workers value. Timing and the DP-SGD
 // calibration-cache report go to stderr.
 package main
 
@@ -34,7 +34,6 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/parallel"
 	"repro/internal/privacy"
 )
 
@@ -49,12 +48,10 @@ func main() {
 	scale := flag.String("scale", "small", "small (minutes) or full (hours)")
 	seed := flag.Uint64("seed", 1, "base RNG seed")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0),
-		"worker goroutines for the experiment scheduler (results identical for any value). "+
-			"The timing lines' \"cpu X of N cores\" is process CPU time over wall clock: "+
+		"worker goroutines per experiment grid (results identical for any value). "+
+			"The total timing line's \"cpu X of N cores\" is process CPU time over wall clock: "+
 			"a figure near 1 with N > 1 means a serial prefix — a cell cannot start before "+
 			"its experiment's dataset is generated — not a scheduler fault")
-	pipeline := flag.Bool("pipeline", true,
-		"run selected experiments concurrently on one shared scheduler (stdout bytes unchanged)")
 	flag.Parse()
 
 	full := *scale == "full"
@@ -129,19 +126,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	cores := runtime.GOMAXPROCS(0)
-	total := stopwatch(cores)
-	if *pipeline && len(selected) > 1 {
-		runPipelined(selected, *scale, *workers)
-	} else {
-		for _, e := range selected {
-			elapsed := stopwatch(cores)
-			fmt.Printf("==== %s (scale=%s) ====\n", e.name, *scale)
-			e.fn(os.Stdout)
-			fmt.Println()
-			fmt.Fprintf(os.Stderr, "---- %s done in %s ----\n", e.name, elapsed())
-		}
-	}
+	total := stopwatch(runtime.GOMAXPROCS(0))
+	run(selected, *scale)
 	fmt.Fprintf(os.Stderr, "total wall-clock %s\n", total())
 	if st := privacy.SGDCalibrationStats(); st.Hits+st.Misses > 0 {
 		fmt.Fprintf(os.Stderr, "DP-SGD calibration cache: %d hits / %d misses (hit rate %.1f%%)\n",
@@ -170,35 +156,28 @@ func stopwatch(cores int) func() string {
 	}
 }
 
-// runPipelined executes the experiments concurrently on one shared
-// bounded scheduler and flushes their buffered output in canonical
-// order. Every experiment's cells carry coordinate-derived seeds, so the
-// interleaving cannot change a single byte of the output.
-func runPipelined(selected []experiment, scale string, workers int) {
-	pool := parallel.NewPool(workers)
-	parallel.SetGlobal(pool)
-	defer func() {
-		parallel.SetGlobal(nil)
-		pool.Close()
-	}()
-
+// run executes the experiments concurrently and flushes their buffered
+// output in canonical order. Every experiment's cells carry
+// coordinate-derived seeds, so the interleaving cannot change a single
+// byte of the output.
+func run(selected []experiment, scale string) {
 	bufs := make([]bytes.Buffer, len(selected))
 	elapsed := make([]time.Duration, len(selected))
 	done := make([]chan struct{}, len(selected))
 	for i, e := range selected {
 		done[i] = make(chan struct{})
-		go func(i int, e experiment) {
+		go func() {
 			defer close(done[i])
 			t0 := time.Now()
 			e.fn(&bufs[i])
 			elapsed[i] = time.Since(t0)
-		}(i, e)
+		}()
 	}
 	for i, e := range selected {
 		<-done[i]
 		fmt.Printf("==== %s (scale=%s) ====\n", e.name, scale)
 		io.Copy(os.Stdout, &bufs[i])
 		fmt.Println()
-		fmt.Fprintf(os.Stderr, "---- %s done in %v (pipelined) ----\n", e.name, elapsed[i].Round(time.Millisecond))
+		fmt.Fprintf(os.Stderr, "---- %s done in %v ----\n", e.name, elapsed[i].Round(time.Millisecond))
 	}
 }

@@ -31,32 +31,25 @@
 // Every evaluation sweep (internal/experiments Fig. 5–8, Table 2, and
 // workload.Sweep) runs on the deterministic parallel experiment engine
 // of internal/parallel: the sweep's nested loops are flattened into an
-// indexed grid of independent cells, dispatched to a bounded worker
-// pool, and collected in grid order. Determinism is preserved by
-// construction — each cell derives its RNG with rng.MixSeed from the
-// cell's own coordinates (pipeline, target, mode, size, run), never
-// from scheduling — so any worker count, including 1, produces
-// bit-identical figures. A Workers option on every experiment's
-// Options struct (and -workers on cmd/sage-experiments) bounds the
-// concurrency; the default is runtime.GOMAXPROCS(0). The determinism
-// regression tests in internal/experiments pin this contract down.
+// indexed grid of independent cells, handed to a bounded set of workers
+// through an atomic counter, and collected in grid order. Determinism
+// is preserved by construction — each cell derives its RNG with
+// rng.MixSeed from the cell's own coordinates (pipeline, target, mode,
+// size, run), never from scheduling — so any worker count, including 1,
+// produces bit-identical figures. A Workers option on every
+// experiment's Options struct (and -workers on cmd/sage-experiments)
+// bounds a grid's concurrency; the default is runtime.GOMAXPROCS(0).
+// The determinism regression tests in internal/experiments pin this
+// contract down.
 //
-// On top of the per-sweep engine sits a process-wide shared scheduler
-// (parallel.Pool + parallel.SetGlobal): one bounded worker pool that
-// every sweep submits its cells into, with a caller-runs policy
-// (submitters help their own batch, so nested submissions cannot
-// deadlock). Workers drain longest-expected-cell-first: each submission
-// carries a per-cell cost hint (parallel.ForEachWeighted; FIFO among
-// equal weights), so the expensive grids — fig. 7's DP-SGD cells, the
-// big-block workload sweeps — start early instead of becoming the
-// straggler tail after every cheap batch has drained.
-// cmd/sage-experiments -pipeline installs the pool for -exp all,
-// running the experiments concurrently so the tail of one grid overlaps
-// the head of the next instead of idling at a per-experiment barrier;
-// buffered per-experiment output keeps stdout byte-identical to a
-// sequential run. Because scheduling never feeds randomness,
-// interleaving whole experiments is as invisible as interleaving cells
-// — pinned by the shared-pool determinism test.
+// cmd/sage-experiments runs its selected experiments concurrently, one
+// goroutine each, so the tail of one grid overlaps the others instead
+// of idling at a per-experiment barrier; the Go runtime is the one
+// scheduler they share, and buffered per-experiment output keeps stdout
+// byte-identical for any -workers value. Because scheduling never feeds
+// randomness, interleaving whole experiments is as invisible as
+// interleaving cells — pinned by the interleaved-experiments
+// determinism test.
 //
 // DP-SGD noise calibration (privacy.CalibrateSGDNoise) is memoized
 // process-wide by (N, BatchSize, Epochs, ε, δ): the sweeps re-run

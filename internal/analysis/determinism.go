@@ -11,7 +11,7 @@ import (
 // only randomness source is an explicitly seeded generator derived
 // from the cell's coordinates (rng.MixSeed), and the wall clock is
 // off-limits entirely — output must be bit-identical for any
-// -workers/-pipeline setting.
+// -workers setting.
 var deterministicPkgs = []string{
 	"internal/experiments",
 	"internal/workload",

@@ -13,7 +13,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/parallel"
 	"repro/internal/validation"
 	"repro/internal/workload"
 )
@@ -95,11 +94,12 @@ func TestTab2DeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestSharedPoolInterleavedExperimentsDeterministic pins the tentpole
-// contract of the shared scheduler: two experiments submitting cells
-// into one process-wide pool concurrently — so their grids interleave
-// arbitrarily on the same workers — must each produce output
-// bit-identical to a private sequential run.
+// TestSharedPoolInterleavedExperimentsDeterministic pins the contract
+// cmd/sage-experiments relies on: experiments running concurrently, each
+// fanning out on its own workers, share one scheduler — the Go
+// runtime's — so their grids interleave arbitrarily on the same cores,
+// and each must still produce output bit-identical to its sequential
+// one-worker run.
 func TestSharedPoolInterleavedExperimentsDeterministic(t *testing.T) {
 	fig5Opts := Fig5Options{
 		Sizes:   []int{5000, 10000},
@@ -121,18 +121,13 @@ func TestSharedPoolInterleavedExperimentsDeterministic(t *testing.T) {
 	sweepRates := []float64{0.3}
 	sweepStrats := []workload.Strategy{workload.BlockConserve, workload.QueryComposition}
 
-	// Baselines: private sequential pools, no global scheduler.
+	// Baselines: one after another, one worker each.
 	wantFig5 := Fig5(fig5Opts)
 	wantFig6 := Fig6(fig6Opts)
 	wantSweep := workload.Sweep(sweepBase, sweepRates, sweepStrats)
 
-	// Interleaved: all three run concurrently on one shared pool.
-	pool := parallel.NewPool(4)
-	parallel.SetGlobal(pool)
-	defer func() {
-		parallel.SetGlobal(nil)
-		pool.Close()
-	}()
+	// Interleaved: all three run concurrently, two workers each.
+	fig5Opts.Workers, fig6Opts.Workers, sweepBase.Workers = 2, 2, 2
 	var gotFig5 []Fig5Point
 	var gotFig6 []Fig6Point
 	var gotSweep []workload.SweepPoint
@@ -144,13 +139,13 @@ func TestSharedPoolInterleavedExperimentsDeterministic(t *testing.T) {
 	wg.Wait()
 
 	if !reflect.DeepEqual(wantFig5, gotFig5) {
-		t.Errorf("Fig5 changed under the shared pool:\nprivate: %+v\nshared:  %+v", wantFig5, gotFig5)
+		t.Errorf("Fig5 changed when run concurrently:\nsequential: %+v\nconcurrent: %+v", wantFig5, gotFig5)
 	}
 	if !reflect.DeepEqual(wantFig6, gotFig6) {
-		t.Errorf("Fig6 changed under the shared pool:\nprivate: %+v\nshared:  %+v", wantFig6, gotFig6)
+		t.Errorf("Fig6 changed when run concurrently:\nsequential: %+v\nconcurrent: %+v", wantFig6, gotFig6)
 	}
 	if !reflect.DeepEqual(wantSweep, gotSweep) {
-		t.Errorf("Sweep changed under the shared pool:\nprivate: %+v\nshared:  %+v", wantSweep, gotSweep)
+		t.Errorf("Sweep changed when run concurrently:\nsequential: %+v\nconcurrent: %+v", wantSweep, gotSweep)
 	}
 }
 

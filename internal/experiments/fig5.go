@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/data"
 	"repro/internal/ml"
@@ -30,7 +31,8 @@ type Fig5Options struct {
 	Sizes []int
 	// Holdout is the evaluation set size (paper: 100K).
 	Holdout int
-	// Models filters by model name; empty runs all.
+	// Models filters by "<Task>-<Name>" (for example "Taxi-LR"); empty
+	// runs all.
 	Models []string
 	// Seed drives data generation and DP noise.
 	Seed uint64
@@ -51,35 +53,16 @@ func (o *Fig5Options) fill() {
 	}
 }
 
-// wants reports whether the model is selected.
-func (o *Fig5Options) wants(name string) bool {
-	if len(o.Models) == 0 {
-		return true
-	}
-	for _, m := range o.Models {
-		if m == name {
-			return true
-		}
-	}
-	return false
-}
-
 // Fig5 regenerates the learning curves of Fig. 5: for each Table 1
 // pipeline, the non-private, large-ε and small-ε variants trained on
 // growing data, evaluated on a held-out set. The grid is flattened into
-// independent cells enqueued on the experiment scheduler — the shared
-// process-wide pool when one is installed (parallel.SetGlobal), a
-// private Workers-bounded pool otherwise — and collected in grid order;
-// per-cell rng.MixSeed seeds keep the output bit-identical either way.
+// independent cells run on Workers goroutines (parallel.Map) and
+// collected in grid order; per-cell rng.MixSeed seeds keep the output
+// bit-identical for any Workers value.
 func Fig5(o Fig5Options) []Fig5Point {
 	o.fill()
 	cfgs := Configs()
-	var selected []int
-	for i, cfg := range cfgs {
-		if o.wants(cfg.Task.String() + "-" + cfg.Name) {
-			selected = append(selected, i)
-		}
-	}
+	selected := selectConfigs(cfgs, o.Models)
 
 	// Stage 1: the stream and the holdout of each distinct task (several
 	// pipelines share a task's data), generated in parallel as tasks of
@@ -145,6 +128,18 @@ func Fig5(o Fig5Options) []Fig5Point {
 			N: c.n, Quality: quality(cfg.Task, model, c.holdout),
 		}
 	})
+}
+
+// selectConfigs returns the indexes of the configs whose "<Task>-<Name>"
+// is in models, in Configs() order; empty models selects all.
+func selectConfigs(cfgs []ModelConfig, models []string) []int {
+	var selected []int
+	for i, cfg := range cfgs {
+		if len(models) == 0 || slices.Contains(models, cfg.Task.String()+"-"+cfg.Name) {
+			selected = append(selected, i)
+		}
+	}
+	return selected
 }
 
 // distinctTasks returns the distinct tasks among the selected configs in

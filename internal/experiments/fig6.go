@@ -37,8 +37,9 @@ type Fig6Options struct {
 	Modes []validation.Mode
 	// Models filters by "<Task>-<Name>"; empty runs all.
 	Models []string
-	// Targets overrides each config's target list (useful for benches).
-	TargetsPerConfig int // 0 = all targets; k = first k targets
+	// TargetsPerConfig keeps each config's first k targets (useful for
+	// benches); 0 keeps them all.
+	TargetsPerConfig int
 	Seed             uint64
 	// Workers bounds the experiment engine's parallelism (<= 0 means
 	// runtime.GOMAXPROCS(0)). Output is bit-identical for any value.
@@ -63,18 +64,6 @@ func (o *Fig6Options) fill() {
 	}
 }
 
-func (o *Fig6Options) wants(name string) bool {
-	if len(o.Models) == 0 {
-		return true
-	}
-	for _, m := range o.Models {
-		if m == name {
-			return true
-		}
-	}
-	return false
-}
-
 // fig6Cell is one task of the Fig. 6 grid: a (pipeline, target, mode)
 // coordinate plus the shared (read-only) stream it searches over.
 type fig6Cell struct {
@@ -87,8 +76,7 @@ type fig6Cell struct {
 // Fig6 regenerates the sample-complexity curves of Fig. 6: for each
 // pipeline, target, and validation mode, the data required for
 // privacy-adaptive training to ACCEPT. The grid is flattened into
-// independent cells and enqueued on the experiment scheduler (the shared
-// global pool under -pipeline, else a private Workers-bounded one); each
+// independent cells run on Workers goroutines (parallel.Map); each
 // cell's RNG is derived from its own coordinates, so the output is
 // bit-identical for any Workers value and any cross-experiment
 // interleaving.
@@ -98,12 +86,7 @@ func Fig6(o Fig6Options) []Fig6Point {
 	// Stage 1: one stream per distinct task (several pipelines share a
 	// task's data), generated in parallel.
 	cfgs := Configs()
-	var selected []int
-	for i, cfg := range cfgs {
-		if o.wants(cfg.Task.String() + "-" + cfg.Name) {
-			selected = append(selected, i)
-		}
-	}
+	selected := selectConfigs(cfgs, o.Models)
 	tasks, taskOf := distinctTasks(cfgs, selected)
 	streams := parallel.Map(o.Workers, len(tasks), func(i int) *data.Dataset {
 		return Dataset(tasks[i], o.MaxStream, o.Seed)

@@ -172,8 +172,8 @@ func trainNNBlockwise(ds *data.Dataset, blockSize int, eps, delta float64, dim i
 }
 
 // Fig7Quality regenerates the training-quality panels (7a, 7c). The
-// (size × composition-mode) grid is flattened and enqueued on the
-// experiment scheduler (shared global pool when installed); cell seeds
+// (size × composition-mode) grid is flattened and run on Workers
+// goroutines (parallel.Map); cell seeds
 // mix the cell's own coordinates through splitmix64, so neighboring
 // cells get decorrelated noise streams and the output is bit-identical
 // for any Workers value and any cross-experiment interleaving.
@@ -209,15 +209,7 @@ func Fig7Quality(o Fig7Options) []Fig7QualityPoint {
 			cells = append(cells, cell{model: "NN", n: n, bs: o.NNBlockSize})
 		}
 	}
-	// The NN cells (DP-SGD over up to maxN rows) are the most expensive
-	// cells in the whole suite — hundreds of milliseconds against the
-	// default batch's ~1 — so under a shared pool this grid must start
-	// draining ahead of the cheap sweeps or it becomes the -exp all tail.
-	weight := 20.0
-	if !o.SkipNN {
-		weight = 400
-	}
-	return parallel.MapWeighted(o.Workers, len(cells), weight, func(i int) Fig7QualityPoint {
+	return parallel.Map(o.Workers, len(cells), func(i int) Fig7QualityPoint {
 		c := cells[i]
 		train := stream.Head(c.n)
 		if c.model == "LR" {

@@ -92,8 +92,7 @@ func Tab2(o Tab2Options) []Tab2Row {
 
 	// Stage 2: flatten the (task × η × mode × run) grid. Every run is an
 	// independent privacy-adaptive training over its own stream sample —
-	// the dominant cost — so runs fan out across the experiment
-	// scheduler (the shared global pool under -pipeline) and the
+	// the dominant cost — so runs fan out across Workers goroutines and the
 	// accept/violate outcomes are folded back in grid order afterwards.
 	type cell struct {
 		cfgIdx, holdIdx int

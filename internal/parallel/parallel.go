@@ -1,9 +1,9 @@
 // Package parallel provides the deterministic fan-out engine the
-// experiment sweeps run on: a bounded worker pool that evaluates an
-// indexed task grid and collects results in index order. A process-wide
-// shared Pool (SetGlobal) lets many sweeps share one worker budget, so
-// independent experiments pipeline across each other instead of each
-// fanning out behind its own barrier.
+// experiment sweeps run on: a bounded set of workers that evaluates an
+// indexed task grid and collects results in index order. Each call
+// brings its own workers; when several sweeps run at once (as
+// cmd/sage-experiments runs its experiments), the Go runtime's
+// scheduler is what they share.
 //
 // Determinism is a contract, not an accident. Every task must derive all
 // of its randomness from its own coordinates (via rng.MixSeed and a
@@ -33,48 +33,19 @@ func Workers(n int) int {
 // the results in index order. workers <= 0 means GOMAXPROCS. fn must be
 // safe to call concurrently and must not depend on evaluation order.
 func Map[T any](workers, n int, fn func(i int) T) []T {
-	return MapWeighted(workers, n, 1, fn)
-}
-
-// MapWeighted is Map with an expected per-cell cost hint (see
-// ForEachWeighted). Sweeps whose cells are known to be expensive —
-// DP-SGD training grids, large-block workload simulations — pass a
-// large weight so the shared pool starts them ahead of cheap batches.
-func MapWeighted[T any](workers, n int, weight float64, fn func(i int) T) []T {
 	if n <= 0 {
 		return nil
 	}
 	out := make([]T, n)
-	ForEachWeighted(workers, n, weight, func(i int) { out[i] = fn(i) })
+	ForEach(workers, n, func(i int) { out[i] = fn(i) })
 	return out
 }
 
 // ForEach evaluates fn(0) … fn(n-1) on up to workers goroutines and
 // waits for all of them. Tasks are handed out through a shared atomic
 // counter, so long tasks never serialize behind a fixed pre-partition.
-//
-// When a process-wide shared pool is installed (SetGlobal), the grid is
-// submitted to it instead and the per-call workers bound is ignored: the
-// pool's worker count is the global concurrency budget, shared by every
-// sweep running in the process. Results are unaffected either way — the
-// determinism contract makes scheduling invisible.
 func ForEach(workers, n int, fn func(i int)) {
-	ForEachWeighted(workers, n, 1, fn)
-}
-
-// ForEachWeighted is ForEach with an expected per-cell cost hint. The
-// weight only matters when a shared pool is installed — its workers
-// drain the heaviest queued batch first (longest-expected-cell-first),
-// closing the straggler tail when cheap and expensive sweeps pipeline
-// together. Without a shared pool there is nothing to reorder and the
-// weight is ignored. Units are arbitrary but should be consistent
-// across the process (this repo uses rough expected cell milliseconds).
-func ForEachWeighted(workers, n int, weight float64, fn func(i int)) {
 	if n <= 0 {
-		return
-	}
-	if g := Global(); g != nil {
-		g.ForEachWeighted(n, weight, fn)
 		return
 	}
 	workers = Workers(workers)

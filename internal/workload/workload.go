@@ -553,12 +553,10 @@ type SweepPoint struct {
 }
 
 // Sweep runs the base configuration across arrival rates and strategies,
-// regenerating one panel of Fig. 8. The (rate × strategy) grid is
-// enqueued on the experiment scheduler — the shared process-wide pool
-// when one is installed (parallel.SetGlobal), else base.Workers private
-// goroutines; every cell simulates from its own RNG seeded by base.Seed,
-// so the points are bit-identical for any worker count and any
-// cross-experiment interleaving.
+// regenerating one panel of Fig. 8. The (rate × strategy) grid runs on
+// base.Workers goroutines (parallel.Map); every cell simulates from its
+// own RNG seeded by base.Seed, so the points are bit-identical for any
+// worker count and any cross-experiment interleaving.
 func Sweep(base Config, rates []float64, strategies []Strategy) []SweepPoint {
 	type cell struct {
 		rate  float64
@@ -570,13 +568,7 @@ func Sweep(base Config, rates []float64, strategies []Strategy) []SweepPoint {
 			cells = append(cells, cell{rate: rate, strat: strat})
 		}
 	}
-	// A cell simulates base.Hours ticks whose per-block training cost
-	// scales with BlockSize; hint the expected cell cost (rough
-	// milliseconds) so big-block sweeps (Criteo's 267K blocks) drain
-	// ahead of cheap batches in a shared pool instead of forming the
-	// tail.
-	weight := float64(base.Hours) * float64(base.BlockSize) / 1e6
-	return parallel.MapWeighted(base.Workers, len(cells), weight, func(i int) SweepPoint {
+	return parallel.Map(base.Workers, len(cells), func(i int) SweepPoint {
 		cfg := base
 		cfg.ArrivalRate = cells[i].rate
 		cfg.Strategy = cells[i].strat
