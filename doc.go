@@ -183,7 +183,12 @@
 // is always at least the budget genuinely consumed. Fault-injection
 // tests in internal/durable cut the logs at every record boundary (and
 // corrupt every record's checksum in turn) and pin both exact-state
-// recovery and the never-under-count invariant.
+// recovery and the never-under-count invariant. A block's ledger state
+// is its running (ε, δ) loss and its charge count, and a compaction
+// snapshot stores exactly that (layout 2), so a reopened ledger reads
+// every loss bit for bit as the live one did, whether or not a
+// compaction ran before the crash; layout-1 snapshots, which listed
+// each block's charges, still open (testdata/v1-snapshot-*).
 //
 // The write path scales with cores because the paper's block
 // composition theorem makes per-block state independent: only the
@@ -287,9 +292,10 @@
 // daemon's adaptive search, one AdaSSP fit, the DP-SGD calibration cache
 // and those kernels; the before/after tables are in CHANGES.md.
 //
-// See README.md for a tour, DESIGN.md for the system inventory, and
-// EXPERIMENTS.md for paper-vs-measured results. bench/'s exp-sweep
-// workload and cmd/sage-experiments regenerate the paper's tables and
-// figures at reduced and at full scale; bench_test.go keeps the gated
-// Fig. 7 bench, the ablations and the kernel micro-benchmarks.
+// This package comment is the tour and the system inventory; ROADMAP.md
+// holds the open items and CHANGES.md each change's before/after
+// numbers. bench/'s exp-sweep workload and cmd/sage-experiments
+// regenerate the paper's tables and figures at reduced and at full
+// scale; bench_test.go keeps the gated Fig. 7 bench, the ablations and
+// the kernel micro-benchmarks.
 package sage

@@ -41,15 +41,12 @@ import (
 )
 
 // Policy configures the global DP guarantee enforced on each block of a
-// stream.
+// stream. A block's losses compose by the basic theorem (Theorem 4.3):
+// its cumulative loss is the sum of its charges, less its refunds.
 type Policy struct {
 	// Global is the (εg, δg) ceiling every block's cumulative privacy
 	// loss must stay under.
 	Global privacy.Budget
-	// Arithmetic combines per-query budgets into a cumulative loss.
-	// Nil defaults to basic composition (Theorem 4.3); strong variants
-	// (Theorems A.1/A.2) permit more queries under the same ceiling.
-	Arithmetic privacy.CompositionArithmetic
 }
 
 // RetireReason records why a block was retired, for audit output
@@ -72,7 +69,12 @@ const (
 
 // blockState tracks one block's accounting.
 type blockState struct {
-	acct    *privacy.Accountant
+	// loss is the block's running (ε, δ) sum: every charge added, every
+	// refund subtracted, in the order the ledger applied them.
+	loss privacy.Budget
+	// queries counts the charges the block has taken; a refund gives
+	// back budget, not a query.
+	queries int
 	retired bool
 	// sticky marks retirements that must never be reversed: forced
 	// retirements (Retire) and any retirement whose onRetire callback
@@ -345,11 +347,11 @@ func (ac *AccessControl) AdmitBlock(id data.BlockID, charge privacy.Budget) (boo
 		sh.mu.Unlock()
 		return false, nil
 	}
-	st := &blockState{acct: privacy.NewAccountant(ac.policy.Arithmetic)}
+	st := &blockState{}
 	// A zero charge is not a query: nothing to afford, and the block's
-	// spend history stays empty.
+	// charge count stays zero.
 	charged := !charge.IsZero()
-	if charged && st.acct.WouldExceed(charge, ac.policy.Global) {
+	if charged && !ac.affords(st, charge) {
 		sh.mu.Unlock()
 		return false, ErrBlockExhausted{ID: id, Requested: charge, Remaining: ac.policy.Global}
 	}
@@ -378,8 +380,9 @@ func (ac *AccessControl) AdmitBlock(id data.BlockID, charge privacy.Budget) (boo
 // block's raw data, so the retirement is irreversible even if budget is
 // refunded later. Caller holds the block's shard lock.
 func (ac *AccessControl) spendLocked(st *blockState, b privacy.Budget, hooked bool) bool {
-	st.acct.Spend(b)
-	ac.noteLoss(st.acct.Loss())
+	st.loss = st.loss.Add(b)
+	st.queries++
+	ac.noteLoss(st.loss)
 	if !ac.shouldRetire(st) {
 		return false
 	}
@@ -424,7 +427,7 @@ func (e ErrBlockExhausted) Error() string {
 }
 
 // ErrRefundExceedsSpend is returned when a refund asks a block for more
-// budget than its recorded spends hold. A live caller only refunds what
+// budget than its cumulative loss holds. A live caller only refunds what
 // it reserved, so this is a caller bug or — at recovery — a damaged
 // refund record; either way the ledger is left as it was.
 type ErrRefundExceedsSpend struct {
@@ -434,7 +437,7 @@ type ErrRefundExceedsSpend struct {
 }
 
 func (e ErrRefundExceedsSpend) Error() string {
-	return fmt.Sprintf("core: refund of %v exceeds block %d's recorded spends (loss %v)",
+	return fmt.Sprintf("core: refund of %v exceeds block %d's loss %v",
 		e.Refund, e.ID, e.Loss)
 }
 
@@ -506,11 +509,11 @@ func (ac *AccessControl) Request(ids []data.BlockID, b privacy.Budget) error {
 	var retiredNow []data.BlockID
 	err := ac.stageAndApply(LedgerRequest, ids, b,
 		func(id data.BlockID, st *blockState) error {
-			if st.retired || st.acct.WouldExceed(b, ac.policy.Global) {
+			if st.retired || !ac.affords(st, b) {
 				return ErrBlockExhausted{
 					ID:        id,
 					Requested: b,
-					Remaining: ac.policy.Global.Sub(st.acct.Loss()),
+					Remaining: ac.policy.Global.Sub(st.loss),
 				}
 			}
 			return nil
@@ -606,13 +609,19 @@ func (ac *AccessControl) stageAndApply(op LedgerOp, ids []data.BlockID, b privac
 	return err
 }
 
+// affords reports whether charging b next keeps the block's loss within
+// the ceiling (up to Covers' floating-point tolerance). Caller holds the
+// block's shard lock.
+func (ac *AccessControl) affords(st *blockState, b privacy.Budget) bool {
+	return ac.policy.Global.Covers(st.loss.Add(b))
+}
+
 // shouldRetire reports whether a block has no usable budget left. A block
 // is retired once the smallest meaningful request (ε = εg/1000) would
 // exceed the ceiling; the paper retires blocks whose loss reaches the
 // ceiling. Caller holds the block's shard lock.
 func (ac *AccessControl) shouldRetire(st *blockState) bool {
-	probe := privacy.Budget{Epsilon: ac.policy.Global.Epsilon / 1000}
-	return st.acct.WouldExceed(probe, ac.policy.Global)
+	return !ac.affords(st, privacy.Budget{Epsilon: ac.policy.Global.Epsilon / 1000})
 }
 
 // Refund returns unspent budget to every block in ids. Pipelines reserve
@@ -625,23 +634,27 @@ func (ac *AccessControl) shouldRetire(st *blockState) bool {
 // is mutated, so an unknown block leaves the ledger untouched instead of
 // refunding a prefix. Duplicate IDs are coalesced for symmetry with
 // Request — a reservation charged once per distinct block must be
-// returned once per distinct block. A refund some block's recorded
-// spends do not cover is refused with ErrRefundExceedsSpend before
-// anything is journaled: accepting it would under-count privacy loss,
-// and at recovery it means a damaged record, which must fail the open
-// and not panic it.
+// returned once per distinct block. A refund some block's loss does not
+// cover is refused with ErrRefundExceedsSpend before anything is
+// journaled: accepting it would under-count privacy loss, and at
+// recovery it means a damaged record, which must fail the open. Cover is
+// Budget.Covers, the tolerance the ceiling check uses: a caller
+// returning exactly what it was charged can find the running sum an ulp
+// short of it after rounding, and that refund empties the block (Sub
+// clamps at zero) instead of failing. A refund returns budget, not a
+// query: BlockReport.Queries does not change.
 //
 //sage:journaled
 func (ac *AccessControl) Refund(ids []data.BlockID, b privacy.Budget) error {
 	return ac.stageAndApply(LedgerRefund, ids, b,
 		func(id data.BlockID, st *blockState) error {
-			if !st.acct.CanRefund(b) {
-				return ErrRefundExceedsSpend{ID: id, Refund: b, Loss: st.acct.Loss()}
+			if !st.loss.Covers(b) {
+				return ErrRefundExceedsSpend{ID: id, Refund: b, Loss: st.loss}
 			}
 			return nil
 		},
 		func(_ data.BlockID, st *blockState) {
-			st.acct.Refund(b)
+			st.loss = st.loss.Sub(b)
 			if !st.sticky && !ac.shouldRetire(st) {
 				st.retired = false
 				st.reason = RetireNone
@@ -705,8 +718,8 @@ func (ac *AccessControl) Retired(id data.BlockID) bool {
 	return ok && st.retired
 }
 
-// BlockLoss returns a block's cumulative privacy loss under the policy's
-// arithmetic (zero for unknown blocks).
+// BlockLoss returns a block's cumulative privacy loss: the sum of its
+// charges less its refunds (zero for unknown blocks).
 func (ac *AccessControl) BlockLoss(id data.BlockID) privacy.Budget {
 	sh := ac.shards[ac.ShardOf(id)]
 	sh.mu.Lock()
@@ -715,12 +728,11 @@ func (ac *AccessControl) BlockLoss(id data.BlockID) privacy.Budget {
 	if !ok {
 		return privacy.Zero
 	}
-	return st.acct.Loss()
+	return st.loss
 }
 
-// Remaining returns the budget a block can still spend, conservatively
-// computed as ceiling − loss. Under basic composition this is exact;
-// under strong composition it understates what is actually spendable.
+// Remaining returns the budget a block can still spend: ceiling − loss,
+// or zero once the block is retired.
 func (ac *AccessControl) Remaining(id data.BlockID) privacy.Budget {
 	sh := ac.shards[ac.ShardOf(id)]
 	sh.mu.Lock()
@@ -729,7 +741,7 @@ func (ac *AccessControl) Remaining(id data.BlockID) privacy.Budget {
 	if !ok || st.retired {
 		return privacy.Zero
 	}
-	return ac.policy.Global.Sub(st.acct.Loss())
+	return ac.policy.Global.Sub(st.loss)
 }
 
 // AvailableBlocks returns the registered, non-retired blocks that can
@@ -744,7 +756,7 @@ func (ac *AccessControl) AvailableBlocks(candidates []data.BlockID, atLeast priv
 	ac.forEachShardOf(candidates, func(sh *shard, idx []int) {
 		for _, i := range idx {
 			st, ok := sh.blocks[candidates[i]]
-			keep[i] = ok && !st.retired && !st.acct.WouldExceed(atLeast, ac.policy.Global)
+			keep[i] = ok && !st.retired && ac.affords(st, atLeast)
 		}
 	})
 	var out []data.BlockID
@@ -797,12 +809,11 @@ func (ac *AccessControl) StreamLoss() privacy.Budget {
 	for _, sh := range ac.shards {
 		sh.mu.Lock()
 		for _, st := range sh.blocks {
-			l := st.acct.Loss()
-			if l.Epsilon > max.Epsilon {
-				max.Epsilon = l.Epsilon
+			if st.loss.Epsilon > max.Epsilon {
+				max.Epsilon = st.loss.Epsilon
 			}
-			if l.Delta > max.Delta {
-				max.Delta = l.Delta
+			if st.loss.Delta > max.Delta {
+				max.Delta = st.loss.Delta
 			}
 		}
 		sh.mu.Unlock()
@@ -813,9 +824,11 @@ func (ac *AccessControl) StreamLoss() privacy.Budget {
 // BlockReport summarizes one block's accounting state for inspection
 // tools (cmd/sagectl).
 type BlockReport struct {
-	ID      data.BlockID
-	Loss    privacy.Budget
-	Remain  privacy.Budget
+	ID     data.BlockID
+	Loss   privacy.Budget
+	Remain privacy.Budget
+	// Queries counts the charges the block has taken, its admission
+	// charge included; refunds do not give queries back.
 	Queries int
 	Retired bool
 	// Reason distinguishes budget-exhausted, forced, and
@@ -836,16 +849,15 @@ func (ac *AccessControl) Report(ids []data.BlockID) []BlockReport {
 			if !ok {
 				continue
 			}
-			loss := st.acct.Loss()
-			remain := ac.policy.Global.Sub(loss)
+			remain := ac.policy.Global.Sub(st.loss)
 			if st.retired {
 				remain = privacy.Zero
 			}
 			rows[i] = &BlockReport{
 				ID:      id,
-				Loss:    loss,
+				Loss:    st.loss,
 				Remain:  remain,
-				Queries: st.acct.NumSpends(),
+				Queries: st.queries,
 				Retired: st.retired,
 				Reason:  st.reason,
 			}

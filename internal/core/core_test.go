@@ -301,34 +301,19 @@ func TestReport(t *testing.T) {
 	if rep[1].ID != 2 || rep[1].Queries != 0 {
 		t.Errorf("report[1] = %+v", rep[1])
 	}
-}
-
-func TestStrongArithmeticAllowsMoreQueries(t *testing.T) {
-	// Ablation: under strong composition a block affords more small
-	// queries than under basic composition.
-	countQueries := func(arith privacy.CompositionArithmetic) int {
-		ac := NewAccessControl(Policy{
-			Global:     privacy.MustBudget(1, 1e-6),
-			Arithmetic: arith,
-		})
-		ac.RegisterBlock(1)
-		small := privacy.MustBudget(0.02, 1e-9)
-		n := 0
-		for n < 10000 {
-			if err := ac.Request([]data.BlockID{1}, small); err != nil {
-				break
-			}
-			n++
+	// A refund gives back budget, not a query: refunding block 1's whole
+	// latest charge, and then all of its loss, leaves both charges
+	// counted.
+	for _, refund := range []float64{0.25, 0.25} {
+		if err := ac.Refund([]data.BlockID{1}, privacy.MustBudget(refund, 0)); err != nil {
+			t.Fatal(err)
 		}
-		return n
+		if r := ac.Report([]data.BlockID{1})[0]; r.Queries != 2 {
+			t.Errorf("after a refund of %v: report[0] = %+v, want 2 queries", refund, r)
+		}
 	}
-	basic := countQueries(privacy.BasicArithmetic{})
-	strong := countQueries(privacy.StrongArithmetic{DeltaSlack: 5e-7})
-	if basic != 50 {
-		t.Errorf("basic composition allowed %d queries, want 50", basic)
-	}
-	if strong <= basic {
-		t.Errorf("strong composition allowed %d queries, want > %d", strong, basic)
+	if loss := ac.BlockLoss(1); !loss.IsZero() {
+		t.Errorf("block 1 loss %v after refunding everything, want zero", loss)
 	}
 }
 
@@ -553,7 +538,7 @@ func TestRefundAtomicOnUnknownBlock(t *testing.T) {
 }
 
 // Regression (carried from the PR 18 fuzz work): a refund larger than a
-// block's recorded spends reached privacy.Accountant.Refund's panic
+// block's loss reached the per-block accountant's panic
 // under the shard lock, after the record was journaled. It is refused
 // with a typed error first — at 1 and at 3 shards, whichever block of
 // the list is the short one — and neither the ledger nor the journal

@@ -32,6 +32,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/data"
@@ -205,16 +206,19 @@ func (ac *AccessControl) ShardBlocks(k int) []data.BlockID {
 	return out
 }
 
-// snapshotVersion guards the snapshot layout for forward evolution.
-const snapshotVersion = 1
+// snapshotVersion is the snapshot layout Snapshot writes. Layout 1
+// stored each block's individual charges, as left after refunds;
+// RestoreSnapshot still reads it, so directories compacted before
+// layout 2 still open.
+const snapshotVersion = 2
 
 // Snapshot returns a canonical serialization of the full ledger state:
-// every block's spend history (individual spends, not just the sum —
-// strong-composition arithmetics need the sequence), retirement flags,
-// and reason. Compaction writes it as the single record that replaces
-// the journal's history. The policy is deliberately not included: it is
-// configuration, supplied by the operator at open, and RestoreSnapshot
-// validates state against it.
+// every block's id, retirement flags, reason, cumulative loss and charge
+// count — the block's whole account, so a restored block reads the same
+// loss, bit for bit, as the ledger that wrote it. Compaction writes it
+// as the single record that replaces the journal's history. The policy
+// is deliberately not included: it is configuration, supplied by the
+// operator at open, and RestoreSnapshot validates state against it.
 func (ac *AccessControl) Snapshot() []byte {
 	ac.lockAll()
 	defer ac.unlockAll()
@@ -261,12 +265,9 @@ func (ac *AccessControl) encodeSnapshotLocked(ids []data.BlockID) []byte {
 		}
 		buf = append(buf, flags)
 		buf = AppendString(buf, string(st.reason))
-		spends := st.acct.Spends()
-		buf = AppendUint(buf, uint64(len(spends)))
-		for _, s := range spends {
-			buf = AppendFloat(buf, s.Epsilon)
-			buf = AppendFloat(buf, s.Delta)
-		}
+		buf = AppendFloat(buf, st.loss.Epsilon)
+		buf = AppendFloat(buf, st.loss.Delta)
+		buf = AppendUint(buf, uint64(st.queries))
 	}
 	return buf
 }
@@ -281,43 +282,62 @@ func (ac *AccessControl) encodeSnapshotLocked(ids []data.BlockID) []byte {
 // shard's blocks, and restoring segment k must not discard the blocks
 // segments 0..k-1 already rebuilt. On a fresh ledger (the only place
 // recovery starts) merging into the empty map is a plain restore.
+// A layout-1 snapshot's charges are summed in order and counted, which
+// is how the ledger that wrote it restored them.
 //
 //sage:nojournal recovery path — replays the log, must not re-journal it
 func (ac *AccessControl) RestoreSnapshot(snap []byte) error {
 	c := NewCursor(snap)
-	if v := c.Uint(); c.Err() == nil && v != snapshotVersion {
-		return fmt.Errorf("core: ledger snapshot version %d, want %d", v, snapshotVersion)
+	version := c.Uint()
+	if c.Err() == nil && version != 1 && version != snapshotVersion {
+		return fmt.Errorf("core: ledger snapshot version %d, want 1 or %d", version, snapshotVersion)
+	}
+	// Each block entry is at least id + flags + reason length, then a
+	// charge count (layout 1: 25 bytes) or the loss and the charge count
+	// (layout 2: 41 bytes); a damaged count must not size the allocation.
+	minEntry := uint64(41)
+	if version == 1 {
+		minEntry = 25
 	}
 	n := c.Uint()
-	// Each block entry is at least id + flags + reason-length + spend
-	// count (25 bytes); a damaged count must not size the allocation.
-	if n > uint64(c.Remaining())/25 {
+	if n > uint64(c.Remaining())/minEntry {
 		return fmt.Errorf("core: ledger snapshot: block count %d exceeds payload", n)
 	}
 	blocks := make(map[data.BlockID]*blockState, n)
 	for i := uint64(0); i < n && c.Err() == nil; i++ {
 		id := data.BlockID(c.Uint())
 		flags := c.Byte()
-		reason := RetireReason(c.String())
-		nspends := c.Uint()
-		if c.Err() != nil {
-			break
-		}
 		st := &blockState{
-			acct:    privacy.NewAccountant(ac.policy.Arithmetic),
 			retired: flags&1 != 0,
 			sticky:  flags&2 != 0,
-			reason:  reason,
+			reason:  RetireReason(c.String()),
 		}
-		for j := uint64(0); j < nspends && c.Err() == nil; j++ {
-			b := privacy.Budget{Epsilon: c.Float(), Delta: c.Float()}
+		if version == 1 {
+			nspends := c.Uint()
+			for j := uint64(0); j < nspends && c.Err() == nil; j++ {
+				b := privacy.Budget{Epsilon: c.Float(), Delta: c.Float()}
+				if c.Err() != nil {
+					break
+				}
+				if err := b.Validate(); err != nil {
+					return fmt.Errorf("core: ledger snapshot block %d spend %d: %w", id, j, err)
+				}
+				st.loss = st.loss.Add(b)
+				st.queries++
+			}
+		} else {
+			st.loss = privacy.Budget{Epsilon: c.Float(), Delta: c.Float()}
+			queries := c.Uint()
 			if c.Err() != nil {
 				break
 			}
-			if err := b.Validate(); err != nil {
-				return fmt.Errorf("core: ledger snapshot block %d spend %d: %w", id, j, err)
+			if err := st.loss.Validate(); err != nil {
+				return fmt.Errorf("core: ledger snapshot block %d: %w", id, err)
 			}
-			st.acct.Spend(b)
+			if queries > math.MaxInt {
+				return fmt.Errorf("core: ledger snapshot block %d: charge count %d out of range", id, queries)
+			}
+			st.queries = int(queries)
 		}
 		// Validate against the open policy: every loss the admission
 		// checks ever granted stayed under the ceiling, so a restored
@@ -326,9 +346,9 @@ func (ac *AccessControl) RestoreSnapshot(snap []byte) error {
 		// the op-replay path fails the same way (its admission checks
 		// reject), so recovery behavior cannot depend on whether a
 		// compaction happened to run before the crash.
-		if loss := st.acct.Loss(); c.Err() == nil && !ac.policy.Global.Covers(loss) {
+		if c.Err() == nil && !ac.policy.Global.Covers(st.loss) {
 			return fmt.Errorf("core: ledger snapshot block %d: restored loss %v exceeds policy ceiling %v",
-				id, loss, ac.policy.Global)
+				id, st.loss, ac.policy.Global)
 		}
 		blocks[id] = st
 	}
@@ -341,7 +361,7 @@ func (ac *AccessControl) RestoreSnapshot(snap []byte) error {
 	ac.lockAll()
 	for id, st := range blocks {
 		ac.shards[ac.ShardOf(id)].blocks[id] = st
-		ac.noteLoss(st.acct.Loss())
+		ac.noteLoss(st.loss)
 	}
 	ac.unlockAll()
 	return nil

@@ -65,11 +65,52 @@ func FuzzDecodeLedgerRecord(f *testing.F) {
 	})
 }
 
+// layout1Block is one block entry of a layout-1 snapshot.
+type layout1Block struct {
+	id     data.BlockID
+	flags  byte // 1 retired, 2 sticky
+	reason RetireReason
+	spends []privacy.Budget
+}
+
+// encodeLayout1 hand-encodes a layout-1 snapshot, the layout written
+// before snapshots held each block's loss: the version (1) and the block
+// count, then per block its id, flags, reason, and the charges left
+// after refunds, each as ε then δ.
+func encodeLayout1(blocks ...layout1Block) []byte {
+	buf := AppendUint(nil, 1)
+	buf = AppendUint(buf, uint64(len(blocks)))
+	for _, b := range blocks {
+		buf = AppendUint(buf, uint64(b.id))
+		buf = append(buf, b.flags)
+		buf = AppendString(buf, string(b.reason))
+		buf = AppendUint(buf, uint64(len(b.spends)))
+		for _, s := range b.spends {
+			buf = AppendFloat(buf, s.Epsilon)
+			buf = AppendFloat(buf, s.Delta)
+		}
+	}
+	return buf
+}
+
+// layout1Blocks is a ledger in layout-1 terms: blocks 0-4 after
+// admission, a request on 0-2, a refund on 1, block 0's exhaustion under
+// a retention hook and block 4's forced retirement.
+var layout1Blocks = []layout1Block{
+	{0, 3, RetireDataDeleted, []privacy.Budget{{Epsilon: 0.05, Delta: 1e-9}, {Epsilon: 0.5, Delta: 1e-8}, {Epsilon: 0.45}}},
+	{1, 0, RetireNone, []privacy.Budget{{Epsilon: 0.05, Delta: 1e-9}, {Epsilon: 0.25, Delta: 1e-8}}},
+	{2, 0, RetireNone, []privacy.Budget{{Epsilon: 0.05, Delta: 1e-9}, {Epsilon: 0.5, Delta: 1e-8}}},
+	{3, 0, RetireNone, []privacy.Budget{{Epsilon: 0.05, Delta: 1e-9}}},
+	{4, 3, RetireForced, []privacy.Budget{{Epsilon: 0.05, Delta: 1e-9}}},
+}
+
 // FuzzRestoreSnapshot feeds the compaction-snapshot decoder arbitrary
 // bytes. It must never panic or build more blocks than its payload can
 // describe; an accepted snapshot leaves every block under the ceiling,
 // and Snapshot → RestoreSnapshot → Snapshot is a fixed point (what
-// compaction writes is what the next compaction would write).
+// compaction writes is what the next compaction would write). The
+// layout-1 seeds (whole, truncated, one shard's blocks) run the legacy
+// decoder: layout 1 in, layout 2 out, and layout 2 is the fixed point.
 func FuzzRestoreSnapshot(f *testing.F) {
 	ac := NewShardedAccessControl(fuzzPolicy, 3)
 	ac.SetRetireCallback(func(data.BlockID) {})
@@ -87,6 +128,16 @@ func FuzzRestoreSnapshot(f *testing.F) {
 	f.Add(snap)
 	f.Add(snap[:len(snap)/2])
 	f.Add(ac.SnapshotShard(1))
+	v1 := encodeLayout1(layout1Blocks...)
+	f.Add(v1)
+	f.Add(v1[:len(v1)-20])
+	var shard1 []layout1Block
+	for _, b := range layout1Blocks {
+		if ac.ShardOf(b.id) == 1 {
+			shard1 = append(shard1, b)
+		}
+	}
+	f.Add(encodeLayout1(shard1...))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		restored := NewAccessControl(fuzzPolicy)
 		if err := restored.RestoreSnapshot(raw); err != nil {

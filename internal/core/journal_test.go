@@ -239,25 +239,28 @@ func TestReplayReconstructsLedger(t *testing.T) {
 	}
 }
 
+// TestSnapshotRestoreRoundTrip: a block account survives Snapshot →
+// RestoreSnapshot whole — loss, charge count, flags and reason. "strong"
+// is the many-small-charges regime, where StrongCompose would bound a
+// block tighter than Σε; the ledger keeps the Σ account there too.
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
-	for _, arith := range []privacy.CompositionArithmetic{
-		nil, // basic
-		privacy.StrongArithmetic{DeltaSlack: 1e-9},
+	for _, c := range []struct {
+		name    string
+		charge  privacy.Budget
+		charges int
+	}{
+		{"basic", privacy.MustBudget(0.125, 1e-9), 6},
+		{"strong", privacy.MustBudget(0.0125, 1e-10), 60},
 	} {
-		name := "basic"
-		if arith != nil {
-			name = arith.Name()
-		}
-		t.Run(name, func(t *testing.T) {
-			policy := Policy{Global: privacy.MustBudget(1.0, 1e-6), Arithmetic: arith}
+		t.Run(c.name, func(t *testing.T) {
+			policy := Policy{Global: privacy.MustBudget(1.0, 1e-6)}
 			ac := NewAccessControl(policy)
 			ac.SetRetireCallback(func(data.BlockID) {})
 			for id := data.BlockID(0); id < 5; id++ {
 				ac.RegisterBlock(id)
 			}
-			for i := 0; i < 6; i++ {
-				_ = ac.Request([]data.BlockID{data.BlockID(i % 5), data.BlockID((i + 1) % 5)},
-					privacy.MustBudget(0.125, 1e-9))
+			for i := 0; i < c.charges; i++ {
+				_ = ac.Request([]data.BlockID{data.BlockID(i % 5), data.BlockID((i + 1) % 5)}, c.charge)
 			}
 			_ = ac.Refund([]data.BlockID{1}, privacy.MustBudget(0.05, 0))
 			_ = ac.Retire(4)
@@ -275,6 +278,13 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 			}
 			if restored.StreamLoss() != ac.StreamLoss() {
 				t.Fatalf("stream loss differs: %v vs %v", restored.StreamLoss(), ac.StreamLoss())
+			}
+			sigma := privacy.Zero
+			for q := 0; q < restored.Report([]data.BlockID{0})[0].Queries; q++ {
+				sigma = sigma.Add(c.charge)
+			}
+			if got := restored.BlockLoss(0); got != sigma {
+				t.Fatalf("block 0 restored at %v, want the Σ of its charges %v", got, sigma)
 			}
 		})
 	}
@@ -431,5 +441,30 @@ func TestAdmitBlockIsOneMutation(t *testing.T) {
 	}
 	if !bytes.Equal(replayed.Snapshot(), ac.Snapshot()) {
 		t.Fatalf("replay differs:\n got %+v\nwant %+v", replayed.Report(replayed.Blocks()), ac.Report(ac.Blocks()))
+	}
+}
+
+// TestRestoreSnapshotLayout1: a layout-1 snapshot restores each block's
+// loss as the in-order sum of the charges it lists and its charge count
+// as their number, keeps flags and reason, and snapshots again as
+// layout 2.
+func TestRestoreSnapshotLayout1(t *testing.T) {
+	ac := NewAccessControl(fuzzPolicy)
+	if err := ac.RestoreSnapshot(encodeLayout1(layout1Blocks...)); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range layout1Blocks {
+		sum := privacy.Zero
+		for _, s := range b.spends {
+			sum = sum.Add(s)
+		}
+		r := ac.Report([]data.BlockID{b.id})[0]
+		if r.Loss != sum || r.Queries != len(b.spends) || r.Retired != (b.flags&1 != 0) || r.Reason != b.reason {
+			t.Errorf("block %d restored as %+v, want loss %v over %d charges, flags %d, reason %q",
+				b.id, r, sum, len(b.spends), b.flags, b.reason)
+		}
+	}
+	if v := NewCursor(ac.Snapshot()).Uint(); v != 2 {
+		t.Errorf("a restored layout-1 ledger snapshots as layout %d, want 2", v)
 	}
 }

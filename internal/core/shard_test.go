@@ -357,7 +357,7 @@ func TestShardJournalSplitsRecords(t *testing.T) {
 // one at a time (merge semantics) reassemble exactly the state a full
 // snapshot captures — the multi-segment recovery path.
 func TestShardedSnapshotRoundTrip(t *testing.T) {
-	policy := Policy{Global: privacy.MustBudget(2.0, 1e-6), Arithmetic: privacy.StrongArithmetic{DeltaSlack: 1e-9}}
+	policy := Policy{Global: privacy.MustBudget(2.0, 1e-6)}
 	ac := NewShardedAccessControl(policy, 4)
 	for i := 0; i < 16; i++ {
 		ac.RegisterBlock(data.BlockID(i))

@@ -564,9 +564,9 @@ func TestMismatchedPolicyFailsClosed(t *testing.T) {
 }
 
 // TestOverRefundRecordFailsOpen: a refund record that is CRC-valid but
-// asks a registered block for more than its recorded spends — damage a
+// asks a registered block for more than its loss — damage a
 // checksum cannot see, or the journal of a caller bug — used to panic
-// recovery inside privacy.Accountant.Refund. Open must fail instead, in
+// recovery inside the per-block accountant. Open must fail instead, in
 // the single-segment and the three-segment layout, and say which record.
 func TestOverRefundRecordFailsOpen(t *testing.T) {
 	for _, nshards := range []int{1, 3} {

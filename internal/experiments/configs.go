@@ -54,9 +54,10 @@ type ModelConfig struct {
 	Build func(dp bool, target float64, mode validation.Mode) *pipeline.Pipeline
 }
 
-// scaled-down NN hyperparameters: the paper trains 5000/100 and 1024/32
-// hidden units on a cluster; we keep the 2-hidden-layer ReLU shape at
-// laptop scale (DESIGN.md documents the substitution).
+// Scaled-down NN hyperparameters, a substitution for the paper's: it
+// trains 5000/100 and 1024/32 hidden units on a cluster; we keep the
+// 2-hidden-layer ReLU shape at 64/32 hidden units, which train at
+// laptop scale.
 var (
 	taxiHidden   = []int{64, 32}
 	criteoHidden = []int{64, 32}

@@ -28,8 +28,9 @@ const (
 // dataset is partitioned into fixed-size blocks, each block is queried
 // with its own DP noise, and the results are aggregated (model averaging
 // for training, noisy-sum aggregation for validation). The paper's
-// block sizes are 100K/500K/5M on a 37M-sample stream; ours scale down
-// with the synthetic stream (DESIGN.md documents the substitution).
+// block sizes are 100K/500K/5M on a 37M-sample stream; ours substitute
+// 25K/100K (LR) and 200K (NN) on a synthetic stream of at most 1M
+// samples (Fig7Options), keeping each block a small share of it.
 
 // Fig7QualityPoint is one training-quality measurement (Fig. 7a/7c).
 type Fig7QualityPoint struct {

@@ -1,7 +1,8 @@
 // Package privacy implements the differential-privacy primitives Sage is
-// built on: (ε, δ) budgets and their arithmetic, the Laplace and Gaussian
-// mechanisms, basic and strong composition (Dwork et al.), composition under
-// adaptively chosen parameters (Rogers et al., used by block composition),
+// built on: (ε, δ) budgets and their arithmetic (Budget.Add is the basic
+// composition block accounting uses), the Laplace and Gaussian mechanisms,
+// the strong composition bounds of Appendix A (Dwork et al.; Rogers et al.
+// for adaptively chosen parameters), kept for the composition ablation,
 // and a Rényi-DP accountant for the subsampled Gaussian mechanism used to
 // calibrate DP-SGD noise.
 package privacy
@@ -83,11 +84,6 @@ func (b Budget) Split(n int) Budget {
 func (b Budget) Covers(o Budget) bool {
 	const tol = 1e-12
 	return b.Epsilon+tol >= o.Epsilon && b.Delta+tol >= o.Delta
-}
-
-// Min returns the component-wise minimum of two budgets.
-func (b Budget) Min(o Budget) Budget {
-	return Budget{Epsilon: math.Min(b.Epsilon, o.Epsilon), Delta: math.Min(b.Delta, o.Delta)}
 }
 
 // String formats the budget as "(ε=…, δ=…)".

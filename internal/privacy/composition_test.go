@@ -6,14 +6,13 @@ import (
 	"testing/quick"
 )
 
-func TestBasicCompose(t *testing.T) {
-	got := BasicCompose([]Budget{{0.1, 1e-7}, {0.2, 2e-7}, {0.3, 0}})
-	if math.Abs(got.Epsilon-0.6) > 1e-12 || math.Abs(got.Delta-3e-7) > 1e-18 {
-		t.Errorf("BasicCompose = %v", got)
+// sum is the basic-composition loss of a sequence of budgets: Σεi, Σδi.
+func sum(budgets []Budget) Budget {
+	total := Zero
+	for _, b := range budgets {
+		total = total.Add(b)
 	}
-	if !BasicCompose(nil).IsZero() {
-		t.Error("empty composition should be zero")
-	}
+	return total
 }
 
 func TestStrongComposeBeatsBasicForManySmallQueries(t *testing.T) {
@@ -23,7 +22,7 @@ func TestStrongComposeBeatsBasicForManySmallQueries(t *testing.T) {
 	for i := range spends {
 		spends[i] = Budget{Epsilon: 0.01}
 	}
-	basic := BasicCompose(spends)
+	basic := sum(spends)
 	strong := StrongCompose(spends, 1e-6)
 	if strong.Epsilon >= basic.Epsilon {
 		t.Errorf("strong ε=%v not better than basic ε=%v for 100 small queries",
@@ -50,7 +49,7 @@ func TestAdaptiveStrongCompose(t *testing.T) {
 	for i := range spends {
 		spends[i] = Budget{Epsilon: 0.01, Delta: 1e-9}
 	}
-	basic := BasicCompose(spends)
+	basic := sum(spends)
 	adaptive := AdaptiveStrongCompose(spends, 1.0, 1e-6)
 	if adaptive.Epsilon >= basic.Epsilon {
 		t.Errorf("adaptive strong ε=%v not better than basic ε=%v",
@@ -68,121 +67,13 @@ func TestAdaptiveStrongCompose(t *testing.T) {
 	}
 }
 
-func TestAccountantSpendLoss(t *testing.T) {
-	a := NewAccountant(BasicArithmetic{})
-	a.Spend(MustBudget(0.3, 1e-7))
-	a.Spend(MustBudget(0.2, 0))
-	loss := a.Loss()
-	if math.Abs(loss.Epsilon-0.5) > 1e-12 || loss.Delta != 1e-7 {
-		t.Errorf("Loss = %v", loss)
-	}
-	if a.NumSpends() != 2 {
-		t.Errorf("NumSpends = %d", a.NumSpends())
-	}
-}
-
-func TestAccountantWouldExceed(t *testing.T) {
-	a := NewAccountant(nil) // defaults to basic
-	ceiling := MustBudget(1, 1e-6)
-	a.Spend(MustBudget(0.8, 0))
-	if a.WouldExceed(MustBudget(0.2, 0), ceiling) {
-		t.Error("exactly reaching the ceiling should be allowed")
-	}
-	if !a.WouldExceed(MustBudget(0.21, 0), ceiling) {
-		t.Error("exceeding the ceiling should be detected")
-	}
-	if !a.WouldExceed(MustBudget(0, 2e-6), ceiling) {
-		t.Error("delta exhaustion should be detected")
-	}
-}
-
-func TestAccountantRefund(t *testing.T) {
-	a := NewAccountant(nil)
-	a.Spend(MustBudget(0.5, 1e-7))
-	a.Spend(MustBudget(0.3, 0))
-	a.Refund(MustBudget(0.3, 0))
-	loss := a.Loss()
-	if math.Abs(loss.Epsilon-0.5) > 1e-12 {
-		t.Errorf("after refund ε=%v, want 0.5", loss.Epsilon)
-	}
-	// Refund spanning multiple spends.
-	a.Refund(MustBudget(0.4, 0))
-	loss = a.Loss()
-	if math.Abs(loss.Epsilon-0.1) > 1e-12 {
-		t.Errorf("after second refund ε=%v, want 0.1", loss.Epsilon)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("over-refund should panic")
-		}
-	}()
-	a.Refund(MustBudget(10, 0))
-}
-
-// TestAccountantCanRefund: CanRefund answers what Refund would do —
-// component by component, across spends — without doing it, and a
-// refused Refund panics before it removes anything.
-func TestAccountantCanRefund(t *testing.T) {
-	a := NewAccountant(nil)
-	a.Spend(MustBudget(0.5, 1e-7))
-	a.Spend(MustBudget(0.3, 0))
-	for _, c := range []struct {
-		b    Budget
-		want bool
-	}{
-		{MustBudget(0, 0), true},
-		{MustBudget(0.3, 0), true},
-		{MustBudget(0.8, 1e-7), true}, // exactly everything, over both spends
-		{MustBudget(0.8000001, 0), false},
-		{MustBudget(0.1, 2e-7), false}, // ε is covered, δ is not
-		{MustBudget(math.MaxFloat64, 1), false},
-	} {
-		if got := a.CanRefund(c.b); got != c.want {
-			t.Errorf("CanRefund(%v) = %v, want %v", c.b, got, c.want)
-		}
-	}
-	if loss := a.Loss(); loss != MustBudget(0.8, 1e-7) || a.NumSpends() != 2 {
-		t.Errorf("CanRefund changed the accountant: loss %v, %d spends", loss, a.NumSpends())
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("over-refund should panic")
-			}
-		}()
-		a.Refund(MustBudget(0.9, 0))
-	}()
-	if loss := a.Loss(); loss != MustBudget(0.8, 1e-7) || a.NumSpends() != 2 {
-		t.Errorf("a refused refund was partly applied: loss %v, %d spends", loss, a.NumSpends())
-	}
-	if empty := NewAccountant(nil); empty.CanRefund(MustBudget(1e-9, 0)) || !empty.CanRefund(Zero) {
-		t.Error("an empty accountant covers exactly the zero refund")
-	}
-}
-
-func TestStrongArithmeticPicksTighter(t *testing.T) {
-	s := StrongArithmetic{DeltaSlack: 1e-6}
-	// One big query: basic wins.
-	one := []Budget{{Epsilon: 1}}
-	if got := s.Loss(one); got.Epsilon != 1 {
-		t.Errorf("single query loss ε=%v, want 1 (basic)", got.Epsilon)
-	}
-	// Many small queries: strong wins.
-	many := make([]Budget, 400)
-	for i := range many {
-		many[i] = Budget{Epsilon: 0.01}
-	}
-	if got, basic := s.Loss(many), BasicCompose(many); got.Epsilon >= basic.Epsilon {
-		t.Errorf("many-query loss ε=%v, want < basic %v", got.Epsilon, basic.Epsilon)
-	}
-}
-
-// Property: composition loss is monotone — adding a query never reduces ε.
+// Property: composition loss is monotone — adding a query never reduces
+// ε, under basic (Σ), strong or adaptive-strong composition.
 func TestCompositionMonotoneProperty(t *testing.T) {
-	arith := []CompositionArithmetic{
-		BasicArithmetic{},
-		StrongArithmetic{DeltaSlack: 1e-6},
-		AdaptiveStrongArithmetic{EpsG: 1, DeltaSlack: 1e-6},
+	compose := []func([]Budget) Budget{
+		sum,
+		func(spends []Budget) Budget { return StrongCompose(spends, 1e-6) },
+		func(spends []Budget) Budget { return AdaptiveStrongCompose(spends, 1, 1e-6) },
 	}
 	f := func(raw []uint8, extra uint8) bool {
 		if len(raw) > 20 {
@@ -193,9 +84,9 @@ func TestCompositionMonotoneProperty(t *testing.T) {
 			spends[i] = Budget{Epsilon: float64(r) / 512}
 		}
 		next := Budget{Epsilon: float64(extra)/512 + 1e-4}
-		for _, ar := range arith {
-			before := ar.Loss(spends).Epsilon
-			after := ar.Loss(append(append([]Budget{}, spends...), next)).Epsilon
+		for _, loss := range compose {
+			before := loss(spends).Epsilon
+			after := loss(append(append([]Budget{}, spends...), next)).Epsilon
 			if after < before-1e-9 {
 				return false
 			}

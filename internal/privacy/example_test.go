@@ -39,7 +39,10 @@ func ExampleStrongCompose() {
 	for i := range spends {
 		spends[i] = privacy.Budget{Epsilon: 0.01}
 	}
-	basic := privacy.BasicCompose(spends)
+	basic := privacy.Zero
+	for _, b := range spends {
+		basic = basic.Add(b)
+	}
 	strong := privacy.StrongCompose(spends, 1e-6)
 	fmt.Printf("basic ε = %.2f\n", basic.Epsilon)
 	fmt.Println("strong tighter:", strong.Epsilon < basic.Epsilon)
