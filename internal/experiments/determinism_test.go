@@ -34,22 +34,33 @@ func TestFig5DeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestFig6DeterministicAcrossWorkers covers the LR cells and, at a
+// smaller stream, the NN cells, whose DP-SGD trainers draw their batches
+// from the cell's RNG.
 func TestFig6DeterministicAcrossWorkers(t *testing.T) {
-	base := Fig6Options{
+	for _, base := range []Fig6Options{{
 		MaxStream:        60000,
 		MinSamples:       5000,
 		Models:           []string{"Taxi-LR"},
 		TargetsPerConfig: 2,
 		Modes:            []validation.Mode{validation.ModeNoSLA, validation.ModeSage},
 		Seed:             77,
-	}
-	seq := base
-	seq.Workers = 1
-	par := base
-	par.Workers = 8
-	a, b := Fig6(seq), Fig6(par)
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("Fig6 output depends on worker count:\nworkers=1: %+v\nworkers=8: %+v", a, b)
+	}, {
+		MaxStream:        800,
+		MinSamples:       400,
+		Models:           []string{"Taxi-NN", "Criteo-NN"},
+		TargetsPerConfig: 1,
+		Modes:            []validation.Mode{validation.ModeNoSLA, validation.ModeSage},
+		Seed:             77,
+	}} {
+		seq := base
+		seq.Workers = 1
+		par := base
+		par.Workers = 8
+		a, b := Fig6(seq), Fig6(par)
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("Fig6 %v output depends on worker count:\nworkers=1: %+v\nworkers=8: %+v", base.Models, a, b)
+		}
 	}
 }
 
