@@ -81,7 +81,9 @@ var ErrInsufficientBudget = errors.New("adaptive: insufficient block budget; wai
 
 // Run executes the search over growing prefixes of the stream until
 // ACCEPT, REJECT, or ErrInsufficientBudget once the whole stream at
-// EpsilonCap still yields RETRY.
+// EpsilonCap still yields RETRY. A pipeline run reorders what it is
+// handed, so each attempt gets its own copy of its prefix: the stream's
+// order is left alone, and searches may share one stream concurrently.
 func (s Search) Run(stream *data.Dataset, r *rng.RNG) (Result, error) {
 	if s.Pipe == nil {
 		return Result{}, fmt.Errorf("adaptive: nil pipeline")
@@ -92,7 +94,7 @@ func (s Search) Run(stream *data.Dataset, r *rng.RNG) (Result, error) {
 	limit := stream.Len()
 	return run(s.Epsilon0, s.EpsilonCap, s.Delta, min(s.MinSamples, limit), limit,
 		func(b privacy.Budget, n int, res *Result) (pipeline.Result, error) {
-			ds := stream.Head(n)
+			ds := stream.Head(n).Clone()
 			res.Samples = ds.Len()
 			return s.Pipe.Run(ds, b, r)
 		})

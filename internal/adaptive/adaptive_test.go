@@ -1,7 +1,9 @@
 package adaptive
 
 import (
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -390,4 +392,45 @@ func TestSearchAndStreamTrainerWalkOneSchedule(t *testing.T) {
 	}
 	res, err = st.Run(rng.New(14))
 	check("StreamTrainer", streamed, res, err)
+}
+
+// streamDigest hashes each example's label and feature-row pointer in
+// stream order: it changes if anything reorders the stream.
+func streamDigest(ds *data.Dataset) [sha256.Size]byte {
+	h := sha256.New()
+	for _, ex := range ds.Examples {
+		fmt.Fprintf(h, "%v %p\n", ex.Label, ex.Features)
+	}
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	return sum
+}
+
+// TestSearchLeavesStreamOrder: each attempt splits a copy of its prefix,
+// never the stream, so a search that walks the whole schedule — every ε
+// rung on the first window, then every window up to the stream — leaves
+// the stream it shares with other searches exactly as it found it.
+func TestSearchLeavesStreamOrder(t *testing.T) {
+	stream := data.NewDataset(800, 1)
+	for i := range stream.Examples {
+		stream.Examples[i].Label = float64(i)
+	}
+	before := streamDigest(stream)
+	var attempts []attemptRec
+	s := Search{
+		Pipe: &pipeline.Pipeline{
+			Name: "stub", Trainer: constTrainer{},
+			Validator: retryValidator{&attempts}, Mode: validation.ModeSage,
+		},
+		Epsilon0: 0.125, EpsilonCap: 1, Delta: 1e-6, MinSamples: 100,
+	}
+	if _, err := s.Run(stream, rng.New(15)); !errors.Is(err, ErrInsufficientBudget) {
+		t.Fatalf("err %v, want the whole schedule walked to ErrInsufficientBudget", err)
+	}
+	if len(attempts) != 7 {
+		t.Fatalf("%d attempts, want 7", len(attempts))
+	}
+	if streamDigest(stream) != before {
+		t.Error("the search reordered the stream it was handed")
+	}
 }

@@ -10,6 +10,7 @@ package data
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -97,42 +98,57 @@ func (d *Dataset) FeatureDim() int {
 // Append adds examples to the dataset.
 func (d *Dataset) Append(ex ...Example) { d.Examples = append(d.Examples, ex...) }
 
-// Split partitions the dataset into train and test sets with the given
-// train fraction (e.g. 0.9 for the paper's 90::10 split). The split is
-// deterministic given the RNG, which advances by exactly one Perm(Len).
-// The underlying examples are shared, not copied.
+// Split partitions the dataset in place into train and test sets with
+// the given train fraction (e.g. 0.9 for the paper's 90::10 split) and
+// returns them as two views of d's storage: train is Examples[:nTrain]
+// with its capacity cut there, so an append to it reallocates rather
+// than overwrite test, and test is Examples[nTrain:]. d is left holding
+// train then test. The split is deterministic given the RNG, which
+// advances by exactly one Perm(Len).
 //
 // Membership comes from the permutation — test is its tail — but both
-// halves are emitted in storage order, not permutation order: a split is
-// walked end to end several times per pipeline run (sufficient
-// statistics, ERM, per-example losses), and a walk in permutation order
-// chases one pointer per row at random through the whole heap. The order
-// hides nothing (the trainer runs inside the trusted platform) and no
-// consumer needs it: moment sums are order-insensitive and the SGD
-// trainers draw their own batches. Callers must not rely on a split
-// being shuffled; Shuffle exists for that.
+// halves stay in storage order, not permutation order: a split is walked
+// end to end several times per pipeline run (sufficient statistics, ERM,
+// per-example losses), and a walk in permutation order chases one
+// pointer per row at random through the whole heap. The order hides
+// nothing (the trainer runs inside the trusted platform) and no consumer
+// needs it: moment sums are order-insensitive and the SGD trainers draw
+// their own batches. Train rows are compacted to the front and test rows
+// held in a buffer the size of the test half, then copied to the tail:
+// the only copy of the rows a split makes.
 func (d *Dataset) Split(trainFrac float64, r *rng.RNG) (train, test *Dataset) {
 	if trainFrac < 0 || trainFrac > 1 {
 		panic(fmt.Sprintf("data: train fraction %v out of [0,1]", trainFrac))
 	}
 	n := len(d.Examples)
-	idx := r.Perm(n)
+	idx := make([]int32, n)
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	r.Shuffle(n, func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
 	nTrain := int(float64(n) * trainFrac)
 	inTest := make([]uint64, (n+63)/64)
 	for _, j := range idx[nTrain:] {
 		inTest[j>>6] |= 1 << (uint(j) & 63)
 	}
-	train = &Dataset{Examples: make([]Example, 0, nTrain)}
-	test = &Dataset{Examples: make([]Example, 0, n-nTrain)}
+	held := make([]Example, 0, n-nTrain)
+	w := 0
 	for j, ex := range d.Examples {
 		if inTest[j>>6]&(1<<(uint(j)&63)) != 0 {
-			test.Examples = append(test.Examples, ex)
+			held = append(held, ex)
 		} else {
-			train.Examples = append(train.Examples, ex)
+			d.Examples[w] = ex
+			w++
 		}
 	}
-	return train, test
+	copy(d.Examples[nTrain:], held)
+	return &Dataset{Examples: d.Examples[:nTrain:nTrain]}, &Dataset{Examples: d.Examples[nTrain:]}
 }
+
+// Clone returns a dataset of its own over the same examples, for a
+// caller that must hand Split a dataset whose order it does not share.
+// The feature rows are shared, not copied.
+func (d *Dataset) Clone() *Dataset { return &Dataset{Examples: slices.Clone(d.Examples)} }
 
 // Head returns the first n examples (all if n >= Len), sharing storage.
 func (d *Dataset) Head(n int) *Dataset {
@@ -308,7 +324,7 @@ func (g *GrowingDatabase) Size() int {
 }
 
 // Read assembles a dataset from the given blocks (missing IDs are
-// skipped). The examples are copied so callers may shuffle freely.
+// skipped): the caller's own copy, which Split reorders.
 func (g *GrowingDatabase) Read(ids []BlockID) *Dataset {
 	g.mu.RLock()
 	defer g.mu.RUnlock()

@@ -243,7 +243,9 @@ func TestSplitPreservesProperty(t *testing.T) {
 // Split: membership is the permutation's (train = its first nTrain
 // entries, test = the rest), emission is storage order, and the RNG
 // advances by exactly one Perm — so every later noise draw comes from
-// the stream it always came from.
+// the stream it always came from. The halves are views of the split
+// dataset, which is left holding train then test, and train's capacity
+// ends where test begins.
 func TestSplitContract(t *testing.T) {
 	cases := []struct {
 		n    int
@@ -284,15 +286,25 @@ func TestSplitContract(t *testing.T) {
 				}
 			}
 		}
+		if cap(train.Examples) != nTrain {
+			t.Errorf("n=%d frac=%v: train capacity %d, want %d", c.n, c.frac, cap(train.Examples), nTrain)
+		}
+		if c.n > 0 && (nTrain > 0 && &train.Examples[0] != &d.Examples[0] ||
+			nTrain < c.n && &test.Examples[0] != &d.Examples[nTrain]) {
+			t.Errorf("n=%d frac=%v: the halves are not views of the split dataset", c.n, c.frac)
+		}
 	}
 }
 
 // TestReadSplitAllocs pins the training loop's three data-movement steps
 // to a constant number of allocations whatever the row count: Read sizes
 // its result before appending (the dataset and its examples), Split
-// makes the permutation, the membership bitmap and the two halves, and
-// the Insert of one block's run makes the block, its examples and the
-// list of created IDs.
+// makes the permutation, the membership bitmap, the test half's buffer
+// and the two views, and the Insert of one block's run makes the block,
+// its examples and the list of created IDs. Split is held to bytes too:
+// it partitions in place, so what it allocates is the 4-byte permutation
+// entry of every row and the test half's 48-byte headers — under 12
+// bytes a row at 90::10, where a copy of the train half alone is 43.
 func TestReadSplitAllocs(t *testing.T) {
 	for _, rows := range []int{500, 8000} {
 		db := NewGrowingDatabase(TimePartitioner{Window: 24})
@@ -308,7 +320,11 @@ func TestReadSplitAllocs(t *testing.T) {
 			t.Fatalf("Read returned %d rows, want %d", ds.Len(), 6*rows)
 		}
 		r := rng.New(1)
-		safety.MaxAllocs(t, 10, 6, func() { ds.Split(0.9, r) })
+		safety.MaxAllocs(t, 10, 5, func() { ds.Split(0.9, r) })
+		n := uint64(ds.Len())
+		if got, budget := splitBytes(ds, r), 12*n+1024; got >= budget {
+			t.Errorf("Split of %d rows allocated %d bytes, budget %d", n, got, budget)
+		}
 	}
 
 	db := NewGrowingDatabase(TimePartitioner{Window: 24})
@@ -320,6 +336,20 @@ func TestReadSplitAllocs(t *testing.T) {
 		db.Insert(block...)
 		db.Delete(0)
 	})
+}
+
+// splitBytes returns the fewest heap bytes one of three Splits of ds
+// allocated; the fewest, because the runtime may allocate on the side.
+func splitBytes(ds *Dataset, r *rng.RNG) uint64 {
+	least := uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	for range 3 {
+		runtime.ReadMemStats(&before)
+		ds.Split(0.9, r)
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
 }
 
 // TestInsertGrowsBlocksByTheirRuns: a call spanning many blocks leaves

@@ -9,9 +9,13 @@ package experiments
 // RNG from its own coordinates rather than from scheduling order.
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
+
+	"repro/internal/data"
 
 	"repro/internal/validation"
 	"repro/internal/workload"
@@ -61,6 +65,35 @@ func TestFig6DeterministicAcrossWorkers(t *testing.T) {
 		if !reflect.DeepEqual(a, b) {
 			t.Errorf("Fig6 %v output depends on worker count:\nworkers=1: %+v\nworkers=8: %+v", base.Models, a, b)
 		}
+	}
+}
+
+// TestFig6LeavesStreamOrder: Fig. 6's cells search one shared stream per
+// task concurrently, and each leaves it as it found it — checked by a
+// digest of every example's label and feature-row pointer, and under the
+// race detector by any write at all.
+func TestFig6LeavesStreamOrder(t *testing.T) {
+	o := Fig6Options{
+		MaxStream: 8000, MinSamples: 1000, Models: []string{"Taxi-LR", "Criteo-LG"},
+		TargetsPerConfig: 1, Modes: allModes, Seed: 95, Workers: 3,
+	}
+	o.fill()
+	digest := func(streams []*data.Dataset) [sha256.Size]byte {
+		h := sha256.New()
+		for _, s := range streams {
+			for _, ex := range s.Examples {
+				fmt.Fprintf(h, "%v %p\n", ex.Label, ex.Features)
+			}
+		}
+		var sum [sha256.Size]byte
+		h.Sum(sum[:0])
+		return sum
+	}
+	streams := o.streams()
+	before := digest(streams)
+	o.search(streams)
+	if digest(streams) != before {
+		t.Error("a Fig. 6 search reordered the stream its cells share")
 	}
 }
 

@@ -82,18 +82,28 @@ type fig6Cell struct {
 // interleaving.
 func Fig6(o Fig6Options) []Fig6Point {
 	o.fill()
+	return o.search(o.streams())
+}
 
-	// Stage 1: one stream per distinct task (several pipelines share a
-	// task's data), generated in parallel.
+// streams is Fig. 6's first stage: one stream per distinct task of the
+// selected pipelines (several pipelines share a task's data), generated
+// in parallel.
+func (o *Fig6Options) streams() []*data.Dataset {
 	cfgs := Configs()
-	selected := selectConfigs(cfgs, o.Models)
-	tasks, taskOf := distinctTasks(cfgs, selected)
-	streams := parallel.Map(o.Workers, len(tasks), func(i int) *data.Dataset {
+	tasks, _ := distinctTasks(cfgs, selectConfigs(cfgs, o.Models))
+	return parallel.Map(o.Workers, len(tasks), func(i int) *data.Dataset {
 		return Dataset(tasks[i], o.MaxStream, o.Seed)
 	})
+}
 
-	// Stage 2: flatten the (pipeline × target × mode) grid in output
-	// order and run every cell's adaptive search concurrently.
+// search is Fig. 6's second stage: it flattens the (pipeline × target ×
+// mode) grid in output order and runs every cell's adaptive search
+// concurrently over the shared streams, which each search leaves as it
+// found them.
+func (o *Fig6Options) search(streams []*data.Dataset) []Fig6Point {
+	cfgs := Configs()
+	selected := selectConfigs(cfgs, o.Models)
+	_, taskOf := distinctTasks(cfgs, selected)
 	var cells []fig6Cell
 	for _, cfgIdx := range selected {
 		cfg := cfgs[cfgIdx]

@@ -5,7 +5,8 @@
 // budget), and validation is one of the SLAed validators of §3.3.
 //
 // A run walks its data as few times as its decision needs: the split
-// hands both halves over in storage order (data.Dataset.Split), and the
+// partitions the run's dataset in place and hands both halves over in
+// storage order (data.Dataset.Split), and the
 // validators fit the empirical risk minimizer — a second pass over the
 // training half — only once ACCEPT has failed, because the REJECT test
 // is all the ERM is for.
@@ -81,6 +82,10 @@ type Result struct {
 // without one, training and validation each get ε/2. δ goes entirely to
 // training (the validators are (ε, 0)-DP). Non-DP trainers leave the
 // training share unspent.
+//
+// Run reorders the dataset it is handed — or the one Preprocess returns
+// — because its split partitions in place (data.Dataset.Split): a caller
+// that shares ds with anyone hands Run its own copy (Dataset.Clone).
 func (p *Pipeline) Run(ds *data.Dataset, budget privacy.Budget, r *rng.RNG) (Result, error) {
 	if p.Trainer == nil || p.Validator == nil {
 		return Result{}, fmt.Errorf("pipeline %q: missing trainer or validator", p.Name)

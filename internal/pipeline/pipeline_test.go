@@ -12,7 +12,9 @@ import (
 	"repro/internal/validation"
 )
 
-// taxiData caches a featurized synthetic taxi dataset for the tests.
+// taxiData caches a featurized synthetic taxi dataset for the tests. A
+// run reorders what it is handed, so each hands Run or Split a Clone and
+// the fixture reads the same in any test order.
 var taxiData = taxi.Pipeline(200000, 0, 24*30, 0, 0, 99)
 
 func taxiLRPipeline(target float64, mode validation.Mode) *Pipeline {
@@ -29,7 +31,7 @@ func taxiLRPipeline(target float64, mode validation.Mode) *Pipeline {
 
 func TestPipelineRunAcceptsEasyTarget(t *testing.T) {
 	p := taxiLRPipeline(0.0085, validation.ModeSage) // above-naive target: easy
-	res, err := p.Run(taxiData, privacy.MustBudget(1, 1e-6), rng.New(1))
+	res, err := p.Run(taxiData.Clone(), privacy.MustBudget(1, 1e-6), rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +83,7 @@ func TestPipelineRejectsImpossibleTarget(t *testing.T) {
 
 func TestPipelineRetriesOnSmallData(t *testing.T) {
 	p := taxiLRPipeline(0.004, validation.ModeSage)
-	small := taxiData.Head(300)
+	small := taxiData.Head(300).Clone()
 	res, err := p.Run(small, privacy.MustBudget(1, 1e-6), rng.New(3))
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +96,7 @@ func TestPipelineRetriesOnSmallData(t *testing.T) {
 func TestPipelineBudgetAccounting(t *testing.T) {
 	// DP trainer + DP validator, no preprocessing: ε/2 + ε/2 = ε.
 	p := taxiLRPipeline(0.007, validation.ModeSage)
-	res, err := p.Run(taxiData, privacy.MustBudget(0.8, 1e-6), rng.New(4))
+	res, err := p.Run(taxiData.Clone(), privacy.MustBudget(0.8, 1e-6), rng.New(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +115,7 @@ func TestPipelineNPTrainerSpendsOnlyValidation(t *testing.T) {
 		Validator: MSEValidator{Target: 0.007, B: 1},
 		Mode:      validation.ModeSage,
 	}
-	res, err := p.Run(taxiData, privacy.MustBudget(1, 1e-6), rng.New(5))
+	res, err := p.Run(taxiData.Clone(), privacy.MustBudget(1, 1e-6), rng.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +134,7 @@ func TestPipelineWithPreprocessing(t *testing.T) {
 		}
 		return ds
 	}
-	res, err := p.Run(taxiData, privacy.MustBudget(1, 1e-6), rng.New(6))
+	res, err := p.Run(taxiData.Clone(), privacy.MustBudget(1, 1e-6), rng.New(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +247,7 @@ func TestNoSLAPipelineAcceptsSmallData(t *testing.T) {
 	small := taxiData.Head(2000)
 	accepts := 0
 	for i := 0; i < 10; i++ {
-		res, err := pNo.Run(small, privacy.MustBudget(1, 1e-6), rng.New(uint64(20+i)))
+		res, err := pNo.Run(small.Clone(), privacy.MustBudget(1, 1e-6), rng.New(uint64(20+i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,7 +258,7 @@ func TestNoSLAPipelineAcceptsSmallData(t *testing.T) {
 	if accepts < 3 {
 		t.Errorf("No SLA accepted only %d/10 on small data", accepts)
 	}
-	res, err := pSage.Run(small, privacy.MustBudget(1, 1e-6), rng.New(30))
+	res, err := pSage.Run(small.Clone(), privacy.MustBudget(1, 1e-6), rng.New(30))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +334,7 @@ func TestValidatorsFitERMOnlyForReject(t *testing.T) {
 	for i, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			r := rng.New(uint64(50 + i))
-			train, test := c.ds.Split(0.9, r)
+			train, test := c.ds.Clone().Split(0.9, r)
 			calls = 0
 			if got, _ := c.validator.Validate(c.model, test, train, cfg, r); got != c.want {
 				t.Fatalf("decision = %v, want %v", got, c.want)

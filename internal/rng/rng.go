@@ -163,6 +163,11 @@ func (r *RNG) LogNormal(mu, sigma float64) float64 {
 // Perm returns a pseudo-random permutation of [0, n).
 func (r *RNG) Perm(n int) []int { return r.src.Perm(n) }
 
+// Shuffle pseudo-randomizes the order of n elements through swap. It
+// makes exactly the draws Perm(n) makes, so shuffling an identity slice
+// yields Perm(n) and leaves the generator where Perm would.
+func (r *RNG) Shuffle(n int, swap func(i, j int)) { r.src.Shuffle(n, swap) }
+
 // Zipf returns a sampler over [0, n) with Zipf-like weights 1/(i+1)^s,
 // used by the Criteo generator for power-law categorical features. A
 // draw consumes one Float64.

@@ -164,6 +164,29 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
+// TestShuffleMakesPermsDraws: Shuffle over an identity []int32 is Perm(n)
+// element by element and leaves the generator where Perm leaves it, so a
+// caller may trade one for the other without moving any later draw.
+func TestShuffleMakesPermsDraws(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 63, 1000, 1 << 16} {
+		a, b := New(uint64(n)+40), New(uint64(n)+40)
+		want := a.Perm(n)
+		got := make([]int32, n)
+		for i := range got {
+			got[i] = int32(i)
+		}
+		b.Shuffle(n, func(i, j int) { got[i], got[j] = got[j], got[i] })
+		for i := range want {
+			if int(got[i]) != want[i] {
+				t.Fatalf("n=%d: Shuffle[%d] = %d, Perm[%d] = %d", n, i, got[i], i, want[i])
+			}
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Errorf("n=%d: the generators part after Perm and Shuffle", n)
+		}
+	}
+}
+
 // Property: Laplace draws are symmetric around the mean (median ≈ mean).
 func TestLaplaceSymmetryProperty(t *testing.T) {
 	f := func(seed uint64, rawMean int16, rawScale uint8) bool {
