@@ -401,9 +401,7 @@ func streamDigest(ds *data.Dataset) [sha256.Size]byte {
 	for _, ex := range ds.Examples {
 		fmt.Fprintf(h, "%v %p\n", ex.Label, ex.Features)
 	}
-	var sum [sha256.Size]byte
-	h.Sum(sum[:0])
-	return sum
+	return [sha256.Size]byte(h.Sum(nil))
 }
 
 // TestSearchLeavesStreamOrder: each attempt splits a copy of its prefix,

@@ -16,7 +16,6 @@ import (
 	"testing"
 
 	"repro/internal/data"
-
 	"repro/internal/validation"
 	"repro/internal/workload"
 )
@@ -85,9 +84,7 @@ func TestFig6LeavesStreamOrder(t *testing.T) {
 				fmt.Fprintf(h, "%v %p\n", ex.Label, ex.Features)
 			}
 		}
-		var sum [sha256.Size]byte
-		h.Sum(sum[:0])
-		return sum
+		return [sha256.Size]byte(h.Sum(nil))
 	}
 	streams := o.streams()
 	before := digest(streams)

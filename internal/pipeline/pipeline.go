@@ -6,10 +6,10 @@
 //
 // A run walks its data as few times as its decision needs: the split
 // partitions the run's dataset in place and hands both halves over in
-// storage order (data.Dataset.Split), and the
-// validators fit the empirical risk minimizer — a second pass over the
-// training half — only once ACCEPT has failed, because the REJECT test
-// is all the ERM is for.
+// storage order (data.Dataset.Split), and the validators fit the
+// empirical risk minimizer — a second pass over the training half —
+// only once ACCEPT has failed, because the REJECT test is all the ERM
+// is for.
 package pipeline
 
 import (
