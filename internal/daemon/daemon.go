@@ -20,7 +20,10 @@
 //     configured pipelines) through adaptive.StreamTrainer — the §3.3
 //     retry loop under block composition. A pipeline blocked on budget
 //     simply waits for fresh blocks, exactly the paper's "Sage never
-//     runs out of budget as long as the database grows";
+//     runs out of budget as long as the database grows". Training
+//     randomness — the splits and the DP noise — derives from (Seed,
+//     block, pipeline): a restarted daemon's tick count starts over, its
+//     block numbers do not, so every release draws fresh noise;
 //  3. publishes an accepted model+features bundle into the durable
 //     store and pushes it to the replica tier (versioned idempotent
 //     push with gzip bodies and optional bearer-token auth);

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -550,6 +551,39 @@ func TestDaemonTickOutcomesPartitionTicks(t *testing.T) {
 	} {
 		if got := gaugeValue(t, d, name, nil); int(got) != want {
 			t.Errorf("%s = %v, status says %d", name, got, want)
+		}
+	}
+}
+
+// TestTrainingSeedsNeverRepeatAcrossLives: two lives on one directory
+// never seed two training runs alike. The second life's tick count
+// starts over at 0; the seed must not, or its tick k would redraw the
+// first life's split and DP noise of tick k on another window.
+func TestTrainingSeedsNeverRepeatAcrossLives(t *testing.T) {
+	cfg := fastConfig(t.TempDir())
+	const ticksPerLife = 6
+	seen := make(map[uint64]string)
+	for life := range 2 {
+		d, _, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range ticksPerLife {
+			next := tick{n: d.ticks, block: d.nextBlock}
+			for idx := range cfg.Pipelines {
+				seed := next.trainSeed(cfg.Seed, idx)
+				here := fmt.Sprintf("life %d tick %d (block %d) pipeline %d", life, next.n, next.block, idx)
+				if prev, ok := seen[seed]; ok {
+					t.Fatalf("%s reuses the training seed of %s", here, prev)
+				}
+				seen[seed] = here
+			}
+			if err := d.step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -74,7 +74,7 @@ func (d *Daemon) ingestBlock(id data.BlockID) []float64 {
 func (d *Daemon) train(t tick) error {
 	for k := 0; k < d.cfg.Pipelines; k++ {
 		idx := (d.nextPipe + k) % d.cfg.Pipelines
-		attempted, err := d.trainPipeline(t.n, idx)
+		attempted, err := d.trainPipeline(t, idx)
 		if err != nil {
 			return err
 		}
@@ -90,11 +90,22 @@ func (d *Daemon) train(t tick) error {
 	return nil
 }
 
+// trainSeed seeds pipeline idx's training randomness in tick t: its
+// splits and its Gaussian and Laplace noise. It derives from the block
+// the tick ingests, not from the tick count: ticks restart at 0 in every
+// process, blocks resume past every block the ledger holds, so no two
+// training runs of one directory's lives draw the same noise, as block
+// composition assumes of every release.
+func (t tick) trainSeed(seed uint64, idx int) uint64 {
+	return rng.MixSeed(seed, uint64(t.block), uint64(idx), 0xDA)
+}
+
 // trainPipeline runs one adaptive search for pipeline idx and publishes
 // on ACCEPT. It reports attempted=false when the pipeline could not
 // afford a single training run (no budget was consumed), so the caller
 // can give another pipeline this tick's slot.
-func (d *Daemon) trainPipeline(n, idx int) (attempted bool, err error) {
+func (d *Daemon) trainPipeline(t tick, idx int) (attempted bool, err error) {
+	n := t.n
 	name := fmt.Sprintf("taxi-lr-%d", idx)
 	pipe := &pipeline.Pipeline{
 		Name:    name,
@@ -112,7 +123,7 @@ func (d *Daemon) trainPipeline(n, idx int) (attempted bool, err error) {
 		Delta:      d.cfg.Global.Delta / 100,
 		MinWindow:  min(d.cfg.MinWindow, d.db.NumBlocks()),
 	}
-	r := rng.New(rng.MixSeed(d.cfg.Seed, uint64(n), uint64(idx), 0xDA))
+	r := rng.New(t.trainSeed(d.cfg.Seed, idx))
 	res, err := trainer.Run(r)
 	// An insufficient-budget return with zero iterations means the
 	// pipeline never trained: no budget moved, so the slot can go to
