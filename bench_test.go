@@ -118,7 +118,7 @@ func BenchmarkAblationUserBlocks(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				db := data.NewGrowingDatabase(part)
 				db.Insert(stream.Examples...)
-				_ = db.Read(db.Blocks())
+				_ = db.Read(nil, db.Blocks())
 			}
 		})
 	}

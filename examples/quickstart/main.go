@@ -45,7 +45,7 @@ func main() {
 	if err := ac.Request(window, statBudget); err != nil {
 		panic(err)
 	}
-	ds := db.Read(window)
+	ds := db.Read(nil, window)
 	mean := stats.DPMean(ds.Labels(), 0, 2.1, statBudget.Epsilon, r)
 	fmt.Printf("DP mean label over last 3 days: %.4f (ε=%.2f)\n", mean.Mean, statBudget.Epsilon)
 
@@ -55,7 +55,7 @@ func main() {
 	if err := ac.Request(all, trainBudget); err != nil {
 		panic(err)
 	}
-	model := ml.TrainAdaSSP(db.Read(all), ml.AdaSSPConfig{
+	model := ml.TrainAdaSSP(db.Read(nil, all), ml.AdaSSPConfig{
 		Budget: trainBudget, Rho: 0.1, FeatureBound: 1.5, LabelBound: 2.1,
 	}, r)
 	fmt.Printf("DP model: y ≈ %.3f·x + %.3f (ε=%.2f, δ=%.0e)\n",

@@ -4,7 +4,12 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"math"
+	"runtime"
+	"runtime/debug"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/data"
@@ -12,6 +17,7 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/privacy"
 	"repro/internal/rng"
+	"repro/internal/safety"
 	"repro/internal/taxi"
 	"repro/internal/validation"
 )
@@ -430,5 +436,126 @@ func TestSearchLeavesStreamOrder(t *testing.T) {
 	}
 	if streamDigest(stream) != before {
 		t.Error("the search reordered the stream it was handed")
+	}
+}
+
+// TestStreamTrainerRunBytes: a warm StreamTrainer.Run over a 36 000-row
+// window allocates what its models and moments need, not the window. A
+// copy of the window's example headers alone is 1.7 MB.
+func TestStreamTrainerRunBytes(t *testing.T) {
+	if safety.RaceEnabled {
+		t.Skip("allocation figures are not stable under the race detector")
+	}
+	const blocks, rowsPerBlock = 6, 6000
+	db := data.NewGrowingDatabase(data.TimePartitioner{Window: 24})
+	ac := core.NewAccessControl(core.Policy{Global: privacy.MustBudget(1, 1e-6)})
+	for id := range blocks {
+		for _, id := range db.Insert(taxi.Pipeline(rowsPerBlock, int64(id)*24, 24, 0, 0.05, rng.MixSeed(3, uint64(id))).Examples...) {
+			ac.RegisterBlock(id)
+		}
+	}
+	// ε0 is the cap and the window the whole database, so every Run is
+	// one attempt on all six blocks.
+	st := &StreamTrainer{
+		AC: ac, DB: db, Pipe: lrPipeline(0.01),
+		Epsilon0: 0.125, EpsilonCap: 0.125, Delta: 1e-8, MinWindow: blocks,
+	}
+	run := func() {
+		res, err := st.Run(rng.New(19))
+		if err != nil && !errors.Is(err, ErrInsufficientBudget) {
+			t.Fatal(err)
+		}
+		if res.Iterations != 1 {
+			t.Fatalf("%d attempts, want 1", res.Iterations)
+		}
+	}
+	run() // warms the pools
+	least := uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	for range 3 {
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least >= 512<<10 {
+		t.Errorf("a warm Run over %d rows allocated %d bytes, budget 512 KiB", blocks*rowsPerBlock, least)
+	}
+}
+
+// TestPooledScratchPinsNoRows: the pooled scratch a training attempt
+// works in — StreamTrainer's window, Split's held test rows — keeps no
+// row reachable once the data's last user drops it, so DP-informed
+// retention (GrowingDatabase.Delete) frees a block's rows. Each row is
+// made on its own with a finalizer, in the idiom of the data package's
+// TestNewDatasetChunksDieWithTheirDataset, and one collection, with the
+// collector otherwise off, must free them all. One: a sync.Pool drops
+// what it holds at the second collection after a Put, so a later cycle
+// would free the rows behind a buffer that was never cleared.
+func TestPooledScratchPinsNoRows(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const blocks, rowsPerBlock = 6, 500
+	t.Run("StreamTrainer.Run", func(t *testing.T) {
+		var freed atomic.Int64
+		func() {
+			db := data.NewGrowingDatabase(data.TimePartitioner{Window: 24})
+			ac := core.NewAccessControl(core.Policy{Global: privacy.MustBudget(1, 1e-6)})
+			for id := range blocks {
+				rows := taxi.Pipeline(rowsPerBlock, int64(id)*24, 24, 0, 0, rng.MixSeed(5, uint64(id)))
+				for _, id := range db.Insert(watchedRows(rows, &freed)...) {
+					ac.RegisterBlock(id)
+				}
+			}
+			st := &StreamTrainer{
+				AC: ac, DB: db, Pipe: lrPipeline(0.01),
+				Epsilon0: 0.125, EpsilonCap: 0.5, Delta: 1e-6, MinWindow: blocks / 2,
+			}
+			res, err := st.Run(rng.New(21))
+			if err != nil && !errors.Is(err, ErrInsufficientBudget) {
+				t.Fatal(err)
+			}
+			if res.Iterations < 2 {
+				t.Fatalf("%d attempts, want at least 2 through the pooled window", res.Iterations)
+			}
+			for _, id := range db.Blocks() {
+				db.Delete(id)
+			}
+		}()
+		requireFreed(t, &freed, blocks*rowsPerBlock)
+	})
+	t.Run("Split", func(t *testing.T) {
+		var freed atomic.Int64
+		func() {
+			ds := &data.Dataset{Examples: watchedRows(taxi.Pipeline(rowsPerBlock, 0, 24, 0, 0, 5), &freed)}
+			ds.Split(0.9, rng.New(23))
+		}()
+		requireFreed(t, &freed, rowsPerBlock)
+	})
+}
+
+// watchedRows copies ds's examples onto rows made one by one, each of
+// which counts itself into freed when it is collected.
+func watchedRows(ds *data.Dataset, freed *atomic.Int64) []data.Example {
+	out := make([]data.Example, ds.Len())
+	for i, ex := range ds.Examples {
+		out[i] = ex
+		out[i].Features = append(make([]float64, 0, len(ex.Features)), ex.Features...)
+		runtime.SetFinalizer(&out[i].Features[0], func(*float64) { freed.Add(1) })
+	}
+	return out
+}
+
+// requireFreed runs one collection and fails t unless, once the
+// finalizers it queued have run, all want rows were freed.
+func requireFreed(t *testing.T, freed *atomic.Int64, want int64) {
+	t.Helper()
+	runtime.GC()
+	// Finalizers run on their own goroutine after the cycle that found
+	// their objects dead.
+	for deadline := time.Now().Add(5 * time.Second); freed.Load() < want && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if got := freed.Load(); got != want {
+		t.Errorf("%d of %d rows freed: pooled scratch keeps the rest reachable", got, want)
 	}
 }

@@ -11,8 +11,9 @@ import (
 
 // BenchmarkStreamIteration is one iteration of the privacy-adaptive
 // search as the daemon's train phase runs it: Read the newest six blocks
-// out of a long-lived GrowingDatabase, then one pipeline run (split,
-// AdaSSP, SLAed MSE validation with its ridge ERM). The database is
+// out of a long-lived GrowingDatabase into a buffer reused across
+// iterations, as StreamTrainer's pooled window is, then one pipeline run
+// (split, AdaSSP, SLAed MSE validation with its ridge ERM). The database is
 // filled block by block the way daemon.ingestBlock fills it — 48 blocks
 // of 6000 taxi rows, one generate → clean → featurize → Insert per block
 // — because the cost being gated is that of walking rows which sit where
@@ -30,10 +31,13 @@ func BenchmarkStreamIteration(b *testing.B) {
 	pipe := lrPipeline(0.01)
 	budget := privacy.Budget{Epsilon: 0.125, Delta: 1e-8}
 	newest := db.LatestBlocks(window)
+	var buf []data.Example
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pipe.Run(db.Read(newest), budget, rng.New(rng.MixSeed(3, uint64(i), 0xDA))); err != nil {
+		ds := db.Read(buf, newest)
+		buf = ds.Examples
+		if _, err := pipe.Run(ds, budget, rng.New(rng.MixSeed(3, uint64(i), 0xDA))); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -3,6 +3,7 @@ package adaptive
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/data"
@@ -40,10 +41,22 @@ var ErrLedger = errors.New("adaptive: privacy ledger failure")
 // attempt trains on the newest window of blocks that can afford its
 // budget, and ends the search with ErrInsufficientBudget when there are
 // fewer such blocks than the window needs.
+//
+// Every attempt reads its window into one buffer from windowPool, which
+// outlives the search: the daemon searches once a tick, forever, so a
+// window per attempt would be garbage every tick. Before the buffer goes
+// back its headers are cleared up to the longest window of the search,
+// so the pool keeps no row of a deleted block reachable.
 func (st *StreamTrainer) Run(r *rng.RNG) (Result, error) {
 	if st.AC == nil || st.DB == nil || st.Pipe == nil {
 		return Result{}, fmt.Errorf("adaptive: StreamTrainer missing AC, DB, or Pipe")
 	}
+	buf := windowPool.Get().(*[]data.Example)
+	used := 0
+	defer func() {
+		clear((*buf)[:used])
+		windowPool.Put(buf)
+	}()
 	return run(st.Epsilon0, st.EpsilonCap, st.Delta, max(st.MinWindow, 1), st.DB.NumBlocks(),
 		func(budget privacy.Budget, window int, out *Result) (pipeline.Result, error) {
 			blocks := st.AC.AvailableBlocks(st.DB.Blocks(), budget)
@@ -67,7 +80,8 @@ func (st *StreamTrainer) Run(r *rng.RNG) (Result, error) {
 				return pipeline.Result{}, fmt.Errorf("%w: requesting %v: %w", ErrLedger, budget, err)
 			}
 
-			ds := st.DB.Read(blocks)
+			ds := st.DB.Read(*buf, blocks)
+			*buf, used = ds.Examples, max(used, ds.Len())
 			res, err := st.Pipe.Run(ds, budget, r)
 			if err != nil {
 				// The budget was deducted but unused by the failed run;
@@ -89,3 +103,6 @@ func (st *StreamTrainer) Run(r *rng.RNG) (Result, error) {
 			return res, nil
 		})
 }
+
+// windowPool holds the training windows StreamTrainer.Run reads into.
+var windowPool = sync.Pool{New: func() any { return new([]data.Example) }}

@@ -114,24 +114,30 @@ func (d *Dataset) Append(ex ...Example) { d.Examples = append(d.Examples, ex...)
 // nothing (the trainer runs inside the trusted platform) and no consumer
 // needs it: moment sums are order-insensitive and the SGD trainers draw
 // their own batches. Train rows are compacted to the front and test rows
-// held in a buffer the size of the test half, then copied to the tail:
-// the only copy of the rows a split makes.
+// held aside, then copied to the tail.
+//
+// The permutation, the membership bitmap and the held test rows are
+// scratch from splitPool, so a warm split allocates only its two views;
+// the held headers are cleared before the scratch goes back, so the pool
+// keeps no row of a dataset reachable after its last user drops it.
 func (d *Dataset) Split(trainFrac float64, r *rng.RNG) (train, test *Dataset) {
 	if trainFrac < 0 || trainFrac > 1 {
 		panic(fmt.Sprintf("data: train fraction %v out of [0,1]", trainFrac))
 	}
 	n := len(d.Examples)
-	idx := make([]int32, n)
+	nTrain := int(float64(n) * trainFrac)
+	s := splitPool.Get().(*splitScratch)
+	idx := slices.Grow(s.idx[:0], n)[:n]
 	for i := range idx {
 		idx[i] = int32(i)
 	}
 	r.Shuffle(n, func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-	nTrain := int(float64(n) * trainFrac)
-	inTest := make([]uint64, (n+63)/64)
+	inTest := slices.Grow(s.inTest[:0], (n+63)/64)[:(n+63)/64]
+	clear(inTest)
 	for _, j := range idx[nTrain:] {
 		inTest[j>>6] |= 1 << (uint(j) & 63)
 	}
-	held := make([]Example, 0, n-nTrain)
+	held := slices.Grow(s.held[:0], n-nTrain)
 	w := 0
 	for j, ex := range d.Examples {
 		if inTest[j>>6]&(1<<(uint(j)&63)) != 0 {
@@ -142,8 +148,21 @@ func (d *Dataset) Split(trainFrac float64, r *rng.RNG) (train, test *Dataset) {
 		}
 	}
 	copy(d.Examples[nTrain:], held)
+	clear(held)
+	s.idx, s.inTest, s.held = idx, inTest, held[:0]
+	splitPool.Put(s)
 	return &Dataset{Examples: d.Examples[:nTrain:nTrain]}, &Dataset{Examples: d.Examples[nTrain:]}
 }
+
+// splitScratch is one Split's working set: the permutation, the test
+// membership bitmap and the test rows held while train is compacted.
+type splitScratch struct {
+	idx    []int32
+	inTest []uint64
+	held   []Example
+}
+
+var splitPool = sync.Pool{New: func() any { return new(splitScratch) }}
 
 // Clone returns a dataset of its own over the same examples, for a
 // caller that must hand Split a dataset whose order it does not share.
@@ -324,8 +343,12 @@ func (g *GrowingDatabase) Size() int {
 }
 
 // Read assembles a dataset from the given blocks (missing IDs are
-// skipped): the caller's own copy, which Split reorders.
-func (g *GrowingDatabase) Read(ids []BlockID) *Dataset {
+// skipped) into into[:0]: the caller's own copy, which Split reorders.
+// It grows into once, to the blocks' total, when into lacks the room; a
+// nil into is a fresh copy. The result's examples share into's storage
+// whenever it had the room, so a caller reusing one buffer across reads
+// owns every header it leaves there.
+func (g *GrowingDatabase) Read(into []Example, ids []BlockID) *Dataset {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	n := 0
@@ -334,7 +357,7 @@ func (g *GrowingDatabase) Read(ids []BlockID) *Dataset {
 			n += len(b.Examples)
 		}
 	}
-	out := &Dataset{Examples: make([]Example, 0, n)}
+	out := &Dataset{Examples: slices.Grow(into[:0], n)}
 	for _, id := range ids {
 		if b, ok := g.blocks[id]; ok {
 			out.Examples = append(out.Examples, b.Examples...)

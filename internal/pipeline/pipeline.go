@@ -24,7 +24,9 @@ import (
 
 // Trainer trains a model under a DP budget. Implementations wrap the ML
 // substrate's DP algorithms (AdaSSP, DP-SGD) or their non-private
-// counterparts (budget ignored).
+// counterparts (budget ignored). A model keeps parameters, never ds's
+// Examples slice: the daemon reads every attempt into one reused window
+// (adaptive.StreamTrainer), which the next attempt overwrites.
 type Trainer interface {
 	// Train returns a model trained on ds within budget b.
 	Train(ds *data.Dataset, b privacy.Budget, r *rng.RNG) ml.Model
@@ -34,7 +36,9 @@ type Trainer interface {
 
 // Validator wraps an SLAed validator for a concrete quality metric. It
 // receives the test set, and optionally the training set for REJECT
-// tests that need the empirical risk minimizer.
+// tests that need the empirical risk minimizer. Like a Trainer's, the
+// models it fits keep no Examples slice of either set, which are views
+// of a reused window.
 type Validator interface {
 	// Validate returns the decision and the DP estimate of the quality
 	// metric (for reporting).

@@ -2,12 +2,14 @@ package pipeline
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/data"
 	"repro/internal/ml"
 	"repro/internal/privacy"
 	"repro/internal/rng"
+	"repro/internal/safety"
 	"repro/internal/taxi"
 	"repro/internal/validation"
 )
@@ -274,6 +276,42 @@ func TestMSEValidatorQualityMatchesModel(t *testing.T) {
 	_, q := v.Validate(m, taxiData, nil, cfg, rng.New(31))
 	if math.Abs(q-ml.MSE(m, taxiData)) > 1e-12 {
 		t.Errorf("reported quality %v != true MSE", q)
+	}
+}
+
+// TestMSEValidatorBytesFlat: a warm MSE validation allocates the same
+// bytes on 3000 rows as on 48 000, though it walks the test losses and,
+// on the way to REJECT, the ERM's training losses: both are written into
+// one pooled buffer. What it does allocate is the ERM's d×d moments and
+// the models, which the row count does not size.
+func TestMSEValidatorBytesFlat(t *testing.T) {
+	if safety.RaceEnabled {
+		t.Skip("allocation figures are not stable under the race detector")
+	}
+	v := MSEValidator{Target: 0.004, B: 1, ERMTrainer: RidgeTrainer{Lambda: 1e-4}}
+	cfg := validation.Config{Mode: validation.ModeSage, Eta: 0.05, Epsilon: 1}
+	m := ml.NaiveMeanModel(taxiData)
+	var got [2]uint64
+	for i, n := range []int{3000, 48000} {
+		ds := taxiData.Head(n)
+		r := rng.New(61)
+		validate := func() {
+			if d, _ := v.Validate(m, ds, ds, cfg, r); d == validation.Accept {
+				t.Fatalf("n=%d: ACCEPT never fits the ERM, so it leaves the training losses unmeasured", n)
+			}
+		}
+		validate() // warms the pooled buffer
+		got[i] = math.MaxUint64
+		var before, after runtime.MemStats
+		for range 3 {
+			runtime.ReadMemStats(&before)
+			validate()
+			runtime.ReadMemStats(&after)
+			got[i] = min(got[i], after.TotalAlloc-before.TotalAlloc)
+		}
+	}
+	if got[0] != got[1] {
+		t.Errorf("Validate allocated %d bytes on 3000 rows and %d on 48000: a buffer grows with the data", got[0], got[1])
 	}
 }
 

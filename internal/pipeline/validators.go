@@ -1,6 +1,9 @@
 package pipeline
 
 import (
+	"slices"
+	"sync"
+
 	"repro/internal/data"
 	"repro/internal/ml"
 	"repro/internal/rng"
@@ -21,26 +24,37 @@ type MSEValidator struct {
 	ERMTrainer Trainer
 }
 
-// Validate implements Validator.
+// Validate implements Validator. The test losses and, once ACCEPT has
+// failed, the ERM's training losses are written into one buffer from
+// lossPool, so a validation allocates nothing that grows with the data.
 func (v MSEValidator) Validate(m ml.Model, test, train *data.Dataset, cfg validation.Config, r *rng.RNG) (validation.Decision, float64) {
+	buf := lossPool.Get().(*[]float64)
+	defer lossPool.Put(buf)
 	lv := validation.LossValidator{Config: cfg, Target: v.Target, B: v.B}
-	testLosses, mse := squaredLosses(m, test, v.B)
-	if lv.Accept(testLosses, r) {
+	var mse float64
+	*buf, mse = squaredLosses(*buf, m, test, v.B)
+	if lv.Accept(*buf, r) {
 		return validation.Accept, mse
 	}
 	if v.ERMTrainer != nil && train != nil && train.Len() > 0 {
-		ermLosses, _ := squaredLosses(v.ERMTrainer.Train(train, cfg.Cost(), r), train, v.B)
-		if lv.Reject(ermLosses, r) {
+		*buf, _ = squaredLosses(*buf, v.ERMTrainer.Train(train, cfg.Cost(), r), train, v.B)
+		if lv.Reject(*buf, r) {
 			return validation.Reject, mse
 		}
 	}
 	return validation.Retry, mse
 }
 
-// squaredLosses returns per-example squared errors clipped to [0, b],
-// and their unclipped mean (ml.MSE's value, from the same residuals).
-func squaredLosses(m ml.Model, ds *data.Dataset, b float64) (losses []float64, mse float64) {
-	losses = make([]float64, ds.Len())
+// lossPool holds MSEValidator's per-example loss buffers. A loss is a
+// float, not a reference, so a pooled buffer keeps no row reachable and
+// goes back as it is.
+var lossPool = sync.Pool{New: func() any { return new([]float64) }}
+
+// squaredLosses writes per-example squared errors clipped to [0, b] into
+// into[:0], grown to ds.Len() if it lacks the room, and returns them
+// with their unclipped mean (ml.MSE's value, from the same residuals).
+func squaredLosses(into []float64, m ml.Model, ds *data.Dataset, b float64) (losses []float64, mse float64) {
+	losses = slices.Grow(into[:0], ds.Len())[:ds.Len()]
 	sum := 0.0
 	for i, ex := range ds.Examples {
 		d := m.Predict(ex.Features) - ex.Label
