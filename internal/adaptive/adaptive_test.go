@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"runtime/debug"
 	"sync/atomic"
@@ -470,15 +469,7 @@ func TestStreamTrainerRunBytes(t *testing.T) {
 		}
 	}
 	run() // warms the pools
-	least := uint64(math.MaxUint64)
-	var before, after runtime.MemStats
-	for range 3 {
-		runtime.ReadMemStats(&before)
-		run()
-		runtime.ReadMemStats(&after)
-		least = min(least, after.TotalAlloc-before.TotalAlloc)
-	}
-	if least >= 512<<10 {
+	if least := safety.LeastBytes(3, run); least >= 512<<10 {
 		t.Errorf("a warm Run over %d rows allocated %d bytes, budget 512 KiB", blocks*rowsPerBlock, least)
 	}
 }

@@ -3,7 +3,6 @@ package criteo
 import (
 	"math"
 	"reflect"
-	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -279,14 +278,7 @@ func TestFeaturizeAllocs(t *testing.T) {
 	base := testing.AllocsPerRun(5, func() { NewGenerator(Config{}, 22) })
 	got := safety.MaxAllocs(t, 5, base+(n+rowsPerChunk-1)/rowsPerChunk+2, func() { Pipeline(n, 0, 24, 22) })
 	t.Logf("Pipeline(%d impressions): %.0f allocations (%.0f of them the generator)", n, got, base)
-	var before, after runtime.MemStats
-	bytes := uint64(math.MaxUint64)
-	for range 5 {
-		runtime.ReadMemStats(&before)
-		Pipeline(n, 0, 24, 22)
-		runtime.ReadMemStats(&after)
-		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
-	}
+	bytes := safety.LeastBytes(5, func() { Pipeline(n, 0, 24, 22) })
 	const budget = n*FeatureDim*8 + n*48 + 512<<10 // rows, examples, the generator's samplers
 	if bytes > budget {
 		t.Errorf("Pipeline(%d impressions) allocated %d bytes, budget %d", n, bytes, budget)

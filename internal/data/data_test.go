@@ -331,13 +331,13 @@ func TestReadSplitAllocs(t *testing.T) {
 			t.Fatalf("Read returned %d rows, want %d", ds.Len(), 6*rows)
 		}
 		n := ds.Len()
-		if got := leastBytes(func() { db.Read(buf, ids) }); got >= 1024 {
+		if got := safety.LeastBytes(3, func() { db.Read(buf, ids) }); got >= 1024 {
 			t.Errorf("Read of %d rows into a buffer with room allocated %d bytes, budget 1 KiB", n, got)
 		}
 		r := rng.New(1)
 		ds.Split(0.9, r) // warms the scratch
 		safety.MaxAllocs(t, 10, 2, func() { ds.Split(0.9, r) })
-		if got := leastBytes(func() { ds.Split(0.9, r) }); got >= 1024 {
+		if got := safety.LeastBytes(3, func() { ds.Split(0.9, r) }); got >= 1024 {
 			t.Errorf("warm Split of %d rows allocated %d bytes, budget 1 KiB", n, got)
 		}
 	}
@@ -351,20 +351,6 @@ func TestReadSplitAllocs(t *testing.T) {
 		db.Insert(block...)
 		db.Delete(0)
 	})
-}
-
-// leastBytes returns the fewest heap bytes one of three calls of f
-// allocated; the fewest, because the runtime may allocate on the side.
-func leastBytes(f func()) uint64 {
-	least := uint64(math.MaxUint64)
-	var before, after runtime.MemStats
-	for range 3 {
-		runtime.ReadMemStats(&before)
-		f()
-		runtime.ReadMemStats(&after)
-		least = min(least, after.TotalAlloc-before.TotalAlloc)
-	}
-	return least
 }
 
 // TestInsertGrowsBlocksByTheirRuns: a call spanning many blocks leaves
@@ -503,17 +489,12 @@ func TestRowsCarveOnDemand(t *testing.T) {
 	perChunk := rowChunkBytes / (8 * dim)
 	for _, k := range []int{1, perChunk, perChunk + 1, 3*perChunk + 7} {
 		want := uint64((k+perChunk-1)/perChunk) * rowChunkBytes
-		got := uint64(math.MaxUint64)
-		var before, after runtime.MemStats
-		for range 5 {
-			runtime.ReadMemStats(&before)
+		got := safety.LeastBytes(5, func() {
 			rows := NewRows(n, dim)
 			for range k {
 				carved = rows.Next()
 			}
-			runtime.ReadMemStats(&after)
-			got = min(got, after.TotalAlloc-before.TotalAlloc)
-		}
+		})
 		if got > want {
 			t.Errorf("%d rows of %d carved with %d bytes, want at most %d", k, n, got, want)
 		}

@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"math"
-	"runtime"
 	"testing"
 
 	"repro/internal/data"
@@ -301,14 +300,7 @@ func TestMSEValidatorBytesFlat(t *testing.T) {
 			}
 		}
 		validate() // warms the pooled buffer
-		got[i] = math.MaxUint64
-		var before, after runtime.MemStats
-		for range 3 {
-			runtime.ReadMemStats(&before)
-			validate()
-			runtime.ReadMemStats(&after)
-			got[i] = min(got[i], after.TotalAlloc-before.TotalAlloc)
-		}
+		got[i] = safety.LeastBytes(3, validate)
 	}
 	if got[0] != got[1] {
 		t.Errorf("Validate allocated %d bytes on 3000 rows and %d on 48000: a buffer grows with the data", got[0], got[1])

@@ -14,7 +14,11 @@
 // across toolchain bumps yet loud when the optimization is lost.
 package safety
 
-import "testing"
+import (
+	"math"
+	"runtime"
+	"testing"
+)
 
 // MaxAllocs measures f's steady-state heap allocations per run with
 // testing.AllocsPerRun and fails tb when they exceed budget. It
@@ -33,4 +37,20 @@ func MaxAllocs(tb testing.TB, runs int, budget float64, f func()) float64 {
 		tb.Errorf("allocations per run = %.1f, budget is %.1f: a zero/low-alloc fast path has regressed", got, budget)
 	}
 	return got
+}
+
+// LeastBytes returns the fewest heap bytes one of runs calls of f
+// allocated: the fewest, because the runtime may allocate on the side.
+// The race detector inflates bytes as it does counts, so a test that
+// pins the figure skips under RaceEnabled.
+func LeastBytes(runs int, f func()) uint64 {
+	least := uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	for range runs {
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
 }

@@ -63,3 +63,17 @@ func TestMaxAllocsSkipsUnderRace(t *testing.T) {
 		t.Error("MaxAllocs did not skip under the race detector")
 	}
 }
+
+func TestLeastBytesMeasuresWhatFAllocates(t *testing.T) {
+	if RaceEnabled {
+		t.Skip("byte figures are inflated under -race")
+	}
+	var sink []byte
+	if got := LeastBytes(3, func() {}); got != 0 {
+		t.Errorf("a call that allocates nothing measured %d bytes", got)
+	}
+	if got := LeastBytes(3, func() { sink = make([]byte, 1<<12) }); got < 1<<12 || got >= 1<<13 {
+		t.Errorf("a 4 KiB allocation measured %d bytes", got)
+	}
+	_ = sink
+}

@@ -3,7 +3,6 @@ package taxi
 import (
 	"math"
 	"reflect"
-	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -413,14 +412,7 @@ func TestIngestAllocs(t *testing.T) {
 		got := safety.MaxAllocs(t, 5, budget, ingest)
 		t.Logf("Ingest(%d rides, ε=%v): %.0f allocations (%.0f of them the generator and RNG)", n, eps, got, base)
 
-		var before, after runtime.MemStats
-		bytes := uint64(math.MaxUint64)
-		for range 5 {
-			runtime.ReadMemStats(&before)
-			ingest()
-			runtime.ReadMemStats(&after)
-			bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
-		}
+		bytes := safety.LeastBytes(5, ingest)
 		const (
 			rows     = n * FeatureDim * 8
 			examples = n * 48
