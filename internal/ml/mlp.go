@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/rng"
@@ -92,8 +93,12 @@ func (m *MLP) layer(l int) (w, b []float64) {
 }
 
 // forward runs the network, filling the activation buffers, and returns
-// the raw output (pre-head).
+// the raw output (pre-head). A row that is not InputDim wide panics: a
+// short one would otherwise keep the previous row's tail.
 func (m *MLP) forward(x []float64) float64 {
+	if len(x) != m.sizes[0] {
+		panic(fmt.Sprintf("ml: MLP row has %d features, the model takes %d", len(x), m.sizes[0]))
+	}
 	copy(m.acts[0], x)
 	layers := len(m.sizes) - 1
 	for l := 0; l < layers; l++ {

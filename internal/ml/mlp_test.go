@@ -21,6 +21,24 @@ func TestMLPShapes(t *testing.T) {
 	}
 }
 
+// TestMLPRejectsWrongWidth feeds a full row and then a short one: the
+// short row must panic, not be read with the full row's tail, and a long
+// one must panic too.
+func TestMLPRejectsWrongWidth(t *testing.T) {
+	m := NewMLP(Regression, 4, []int{3}, rng.New(1))
+	m.Predict([]float64{1, 2, 3, 4})
+	for _, x := range [][]float64{{1, 2}, {1, 2, 3, 4, 5}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("a %d-wide row on a 4-wide MLP did not panic", len(x))
+				}
+			}()
+			m.Predict(x)
+		}()
+	}
+}
+
 func TestMLPClassificationOutputsProbability(t *testing.T) {
 	m := NewMLP(BinaryClassification, 3, []int{5}, rng.New(2))
 	for i := 0; i < 100; i++ {
