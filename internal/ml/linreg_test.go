@@ -70,7 +70,7 @@ func momentRows(n, d int, r *rng.RNG) *data.Dataset {
 // noise to, and the ones TrainRidge solves, to the dense path bit for
 // bit. The clipped rows are the point: their norm bound is the
 // sensitivity AdaSSP's noise is calibrated to, so scaling and clipping
-// the gathered non-zeros must give exactly the values Scale and ClipL2
+// the gathered non-zeros must give exactly the values Scale and clipL2
 // give on the whole row.
 func TestMomentsMatchDensePreparePath(t *testing.T) {
 	const d, featureBound, labelBound = 12, 2.5, 1.0
@@ -80,7 +80,7 @@ func TestMomentsMatchDensePreparePath(t *testing.T) {
 		clipped := 0
 		wantXtX, wantXty := denseMoments(ds, func(row []float64, label float64) float64 {
 			linalg.Scale(fscale, row)
-			if privacy.ClipL2(row, 1) > 1 {
+			if clipL2(row, 1) > 1 {
 				clipped++
 			}
 			return privacy.Clip(label*lscale, -1, 1)

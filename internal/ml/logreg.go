@@ -1,6 +1,8 @@
 package ml
 
 import (
+	"math"
+
 	"repro/internal/linalg"
 )
 
@@ -38,20 +40,11 @@ func (m *LogisticRegression) Params() []float64 { return m.params }
 // Dim returns the feature dimensionality.
 func (m *LogisticRegression) Dim() int { return m.dim }
 
-// Grad implements GradModel: ∂logloss/∂w = (p − y)·x, ∂/∂b = (p − y).
-func (m *LogisticRegression) Grad(x []float64, y float64, out []float64) {
-	p := m.Predict(x)
-	diff := p - y
-	for i := 0; i < m.dim; i++ {
-		out[i] = diff * x[i]
-	}
-	out[m.dim] = diff
-}
-
-// gradCoef implements rankOne: the gradient above is (p − y)·[x; 1].
-func (m *LogisticRegression) gradCoef(x []float64, y float64) (coef, sqNorm float64) {
+// addGrad implements GradModel: ∂logloss/∂w = (p − y)·x, ∂/∂b = (p − y),
+// so the gradient is (p − y)·[x; 1].
+func (m *LogisticRegression) addGrad(sum, x []float64, y, clip float64) {
 	dot, sqNorm := dotSqNorm(m.params[:m.dim], x)
-	return Sigmoid(dot+m.params[m.dim]) - y, sqNorm
+	addRankOne(sum, x, Sigmoid(dot+m.params[m.dim])-y, sqNorm, clip)
 }
 
 // SGDLinearRegression is a linear regressor trained by (DP-)SGD on the
@@ -86,17 +79,38 @@ func (m *SGDLinearRegression) Params() []float64 { return m.params }
 // Dim returns the feature dimensionality.
 func (m *SGDLinearRegression) Dim() int { return m.dim }
 
-// Grad implements GradModel: ∂(pred−y)²/∂w = 2(pred−y)·x.
-func (m *SGDLinearRegression) Grad(x []float64, y float64, out []float64) {
-	diff := 2 * (m.Predict(x) - y)
-	for i := 0; i < m.dim; i++ {
-		out[i] = diff * x[i]
-	}
-	out[m.dim] = diff
+// addGrad implements GradModel: ∂(pred−y)²/∂w = 2(pred−y)·x, so the
+// gradient is 2(pred − y)·[x; 1].
+func (m *SGDLinearRegression) addGrad(sum, x []float64, y, clip float64) {
+	dot, sqNorm := dotSqNorm(m.params[:m.dim], x)
+	addRankOne(sum, x, 2*(dot+m.params[m.dim]-y), sqNorm, clip)
 }
 
-// gradCoef implements rankOne: the gradient above is 2(pred − y)·[x; 1].
-func (m *SGDLinearRegression) gradCoef(x []float64, y float64) (coef, sqNorm float64) {
-	dot, sqNorm := dotSqNorm(m.params[:m.dim], x)
-	return 2 * (dot + m.params[m.dim] - y), sqNorm
+// dotSqNorm returns w·x and ‖x‖² from one pass over x. The two sums are
+// independent chains, so the second rides in the first's latency; w·x
+// accumulates in linalg.Dot's order and is bit-identical to it, which
+// keeps a linear model's gradient coefficient the one Predict gives.
+func dotSqNorm(w, x []float64) (dot, sqNorm float64) {
+	for i, xi := range x {
+		dot += w[i] * xi
+		sqNorm += xi * xi
+	}
+	return dot, sqNorm
+}
+
+// addRankOne is the linear models' addGrad once they have the
+// coefficient: their per-example gradient is g = coef·[x; 1], so
+// ‖g‖ = |coef|·√(‖x‖² + 1) and clipping g to the bound is scaling coef
+// by bound/‖g‖ — the same vector, the same bound, hence the same
+// sensitivity — and the sum takes one axpy: two passes over x.
+func addRankOne(sum, x []float64, coef, sqNorm, clip float64) {
+	if clip > 0 {
+		if norm := math.Abs(coef) * math.Sqrt(sqNorm+1); norm > clip {
+			coef *= clip / norm
+		}
+	}
+	// AXPY panics on a row that is not the model's width.
+	bias := len(sum) - 1
+	linalg.AXPY(coef, x, sum[:bias])
+	sum[bias] += coef
 }

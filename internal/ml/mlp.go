@@ -21,8 +21,9 @@ const (
 
 // MLP is a fully connected multi-layer perceptron with ReLU hidden
 // activations, the paper's "NN" pipelines (Table 1: ReLU, 2 hidden
-// layers). Parameters are stored flat so the generic (DP-)SGD trainer can
-// clip and noise whole-model gradients.
+// layers). Parameters are stored flat, each layer's W then b, and
+// addGrad adds a per-example gradient to a sum of that layout without
+// forming it.
 type MLP struct {
 	kind   OutputKind
 	sizes  []int // layer widths: input, hidden..., 1
@@ -33,6 +34,7 @@ type MLP struct {
 	acts []([]float64) // activations per layer
 	zs   []([]float64) // pre-activations per layer
 	errs []([]float64) // back-propagated deltas
+	nz   []([]int32)   // indices of each layer's non-zero activations
 }
 
 // NewMLP returns an MLP with the given input dimension and hidden layer
@@ -62,10 +64,12 @@ func NewMLP(kind OutputKind, inputDim int, hidden []int, r *rng.RNG) *MLP {
 	m.acts = make([][]float64, len(sizes))
 	m.zs = make([][]float64, len(sizes))
 	m.errs = make([][]float64, len(sizes))
+	m.nz = make([][]int32, len(sizes))
 	for i, s := range sizes {
 		m.acts[i] = make([]float64, s)
 		m.zs[i] = make([]float64, s)
 		m.errs[i] = make([]float64, s)
+		m.nz[i] = make([]int32, 0, s)
 	}
 	return m
 }
@@ -156,13 +160,13 @@ func (m *MLP) predictUsesSharedScratch() {}
 // CloneForServing implements ScratchCloner: the clone aliases the
 // original's parameters (never written on the predict path) and
 // allocates only fresh activation buffers, so a serving tier can keep a
-// pool of clones and run MLP predictions concurrently. The error
-// buffers are shared too — they are only written by Grad, which serving
-// never calls.
+// pool of clones and run MLP predictions concurrently. The error and
+// index buffers are shared too — they are only written by addGrad,
+// which serving never calls.
 func (m *MLP) CloneForServing() Model {
 	c := &MLP{
 		kind: m.kind, sizes: m.sizes, params: m.params,
-		offsets: m.offsets, errs: m.errs,
+		offsets: m.offsets, errs: m.errs, nz: m.nz,
 	}
 	c.acts = make([][]float64, len(m.sizes))
 	c.zs = make([][]float64, len(m.sizes))
@@ -173,10 +177,19 @@ func (m *MLP) CloneForServing() Model {
 	return c
 }
 
-// Grad implements GradModel via backpropagation. For both heads the
+// addGrad implements GradModel via backpropagation. For both heads the
 // output delta is (prediction − label): squared loss (halved) with
 // identity output and log loss with sigmoid output share this form.
-func (m *MLP) Grad(x []float64, y float64, out []float64) {
+// Layer l's gradient is the outer product δ_{l+1}·a_lᵀ (W) and δ_{l+1}
+// (b), so it is formed term by term in two passes that write nothing
+// but sum: the first, only when clip > 0, sums its squares in parameter
+// order for the norm; the second adds each term times the clip's scale.
+// Only the inputs with a_i ≠ 0 take part — a skipped term is ±0, which
+// moves neither a sum of squares nor a sum that starts at +0 — so what
+// is added is the dense gradient scaled as a whole vector, to the bit.
+// The exception is a non-finite δ: the dense Inf·0 or NaN·0 is NaN,
+// where the entries of inputs with a_i = 0 are left untouched here.
+func (m *MLP) addGrad(sum, x []float64, y, clip float64) {
 	z := m.forward(x)
 	pred := z
 	if m.kind == BinaryClassification {
@@ -184,32 +197,65 @@ func (m *MLP) Grad(x []float64, y float64, out []float64) {
 	}
 	layers := len(m.sizes) - 1
 	m.errs[layers][0] = pred - y
-	// Backpropagate deltas through ReLU layers.
+	// Backpropagate deltas through ReLU layers, reading W by rows: each
+	// delta still sums over j in order from +0.
 	for l := layers - 1; l >= 1; l-- {
-		in, outn := m.sizes[l], m.sizes[l+1]
+		in := m.sizes[l]
 		w, _ := m.layer(l)
-		for i := 0; i < in; i++ {
-			sum := 0.0
-			for j := 0; j < outn; j++ {
-				sum += w[j*in+i] * m.errs[l+1][j]
+		e := m.errs[l]
+		clear(e)
+		for j, d := range m.errs[l+1] {
+			for i, wi := range w[j*in : (j+1)*in] {
+				e[i] += wi * d
 			}
-			if m.zs[l][i] <= 0 {
-				sum = 0 // ReLU derivative
+		}
+		for i, zi := range m.zs[l] {
+			if zi <= 0 {
+				e[i] = 0 // ReLU derivative
 			}
-			m.errs[l][i] = sum
 		}
 	}
-	// Write gradients: dW[j][i] = delta[j]·act[i], db[j] = delta[j].
 	for l := 0; l < layers; l++ {
-		in, outn := m.sizes[l], m.sizes[l+1]
-		start := m.offsets[l]
-		for j := 0; j < outn; j++ {
-			d := m.errs[l+1][j]
-			base := start + j*in
-			for i := 0; i < in; i++ {
-				out[base+i] = d * m.acts[l][i]
+		nz := m.nz[l][:0]
+		for i, a := range m.acts[l] {
+			if a != 0 {
+				nz = append(nz, int32(i))
 			}
-			out[start+in*outn+j] = d
+		}
+		m.nz[l] = nz
+	}
+	scale := 1.0
+	if clip > 0 {
+		sq := 0.0
+		for l := 0; l < layers; l++ {
+			a, nz := m.acts[l], m.nz[l]
+			for _, d := range m.errs[l+1] {
+				for _, i := range nz {
+					v := d * a[i]
+					sq += v * v
+				}
+			}
+			for _, d := range m.errs[l+1] {
+				sq += d * d
+			}
+		}
+		if norm := math.Sqrt(sq); norm > clip {
+			scale = clip / norm
+		}
+	}
+	for l := 0; l < layers; l++ {
+		in, a, nz := m.sizes[l], m.acts[l], m.nz[l]
+		start := m.offsets[l]
+		deltas := m.errs[l+1]
+		bias := sum[start+in*len(deltas):]
+		for j, d := range deltas {
+			row := sum[start+j*in : start+(j+1)*in]
+			for _, i := range nz {
+				// Rounded before the add, as the dense gradient is
+				// stored, also where Go fuses a multiply-add.
+				row[i] += float64(d * a[i] * scale)
+			}
+			bias[j] += float64(d * scale)
 		}
 	}
 }

@@ -49,7 +49,8 @@ func TestMLPClassificationOutputsProbability(t *testing.T) {
 	}
 }
 
-// TestMLPGradientCheck verifies backprop against finite differences.
+// TestMLPGradientCheck verifies backprop against finite differences:
+// addGrad unclipped into a zeroed sum is the gradient.
 func TestMLPGradientCheck(t *testing.T) {
 	for _, kind := range []OutputKind{Regression, BinaryClassification} {
 		m := NewMLP(kind, 3, []int{4, 3}, rng.New(3))
@@ -64,7 +65,7 @@ func TestMLPGradientCheck(t *testing.T) {
 			return -(y*math.Log(p) + (1-y)*math.Log(1-p))
 		}
 		grad := make([]float64, len(m.Params()))
-		m.Grad(x, y, grad)
+		m.addGrad(grad, x, y, 0)
 		params := m.Params()
 		const h = 1e-6
 		for _, idx := range []int{0, 3, 7, 15, 20, len(params) - 1} {
@@ -78,6 +79,39 @@ func TestMLPGradientCheck(t *testing.T) {
 			if math.Abs(numeric-grad[idx]) > 1e-4*(1+math.Abs(numeric)) {
 				t.Errorf("kind=%v param %d: analytic %v vs numeric %v", kind, idx, grad[idx], numeric)
 			}
+		}
+	}
+}
+
+// TestMLPAddGradNaNLabel pins the one place addGrad and the dense
+// gradient part: a NaN label makes every live δ NaN, and the dense
+// NaN·0 of an input with a_i = 0 is NaN, where addGrad leaves that entry
+// untouched. Every other entry is the dense one, clipped or not.
+func TestMLPAddGradNaNLabel(t *testing.T) {
+	m := NewMLP(Regression, 3, []int{4}, rng.New(3))
+	x := []float64{0.3, 0, 1.1}
+	for _, clip := range []float64{0, 1} {
+		dense := make([]float64, len(m.Params()))
+		m.Grad(x, math.NaN(), dense)
+		sum := make([]float64, len(dense))
+		m.addGrad(sum, x, math.NaN(), clip)
+		untouched := 0
+		for l := 0; l < len(m.sizes)-1; l++ {
+			in, out := m.sizes[l], m.sizes[l+1]
+			for k := m.offsets[l]; k < m.offsets[l]+in*out+out; k++ {
+				j := k - m.offsets[l]
+				if j < in*out && m.acts[l][j%in] == 0 && math.IsNaN(dense[k]) {
+					if math.Float64bits(sum[k]) != 0 {
+						t.Errorf("clip %v: param %d of a zero input = %v, want untouched", clip, k, sum[k])
+					}
+					untouched++
+				} else if sum[k] != dense[k] && !(math.IsNaN(sum[k]) && math.IsNaN(dense[k])) {
+					t.Errorf("clip %v: param %d = %v, dense %v", clip, k, sum[k], dense[k])
+				}
+			}
+		}
+		if untouched == 0 {
+			t.Fatalf("clip %v: no entry has a zero input and a NaN δ", clip)
 		}
 	}
 }

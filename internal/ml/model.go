@@ -19,14 +19,17 @@ type Model interface {
 	Predict(features []float64) float64
 }
 
-// GradModel is a parametric model that can compute per-example gradients,
-// the contract the SGD trainers need. Params returns the flat, mutable
-// parameter vector; Grad writes the gradient of the per-example loss into
-// out (len(out) == len(Params())).
+// GradModel is a parametric model the SGD trainer can train. Params
+// returns the flat, mutable parameter vector. addGrad is DP-SGD's
+// per-example step: it adds the gradient of the loss on (x, y) to sum
+// (len(sum) == len(Params())), scaled first to L2 norm clip when
+// clip > 0 and the gradient's norm exceeds it. Each model forms its
+// gradient its own way and writes nothing but sum, so no gradient
+// buffer exists.
 type GradModel interface {
 	Model
 	Params() []float64
-	Grad(features []float64, label float64, out []float64)
+	addGrad(sum, x []float64, y, clip float64)
 }
 
 // BatchPredictor is implemented by models with a batched prediction fast

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/data"
-	"repro/internal/linalg"
 	"repro/internal/privacy"
 	"repro/internal/rng"
 )
@@ -63,102 +62,47 @@ func (cfg SGDConfig) NoiseMultiplier(n int) float64 {
 // invoke TrainSGD once per grid cell (thousands of times for Tab. 2 /
 // Fig. 6), so the buffers are pooled instead of reallocated per call;
 // contents are (re)initialized on checkout, keeping training
-// deterministic.
+// deterministic. The per-example gradient needs none: each model adds
+// its own into batchGrad.
 type sgdScratch struct {
-	velocity, grad, batchGrad []float64
+	velocity, batchGrad []float64
 }
 
 var sgdScratchPool = sync.Pool{New: func() any { return new(sgdScratch) }}
 
 // getSGDScratch returns buffers of length p: velocity zeroed (momentum
-// must start at rest), grad and batchGrad with stale pooled contents —
-// Grad fully overwrites grad, and TrainSGD re-zeroes batchGrad at the
-// start of every step.
+// must start at rest), batchGrad with stale pooled contents — TrainSGD
+// re-zeroes it at the start of every step.
 func getSGDScratch(p int) *sgdScratch {
 	s := sgdScratchPool.Get().(*sgdScratch)
 	if cap(s.velocity) < p {
 		s.velocity = make([]float64, p)
-		s.grad = make([]float64, p)
 		s.batchGrad = make([]float64, p)
 	}
 	s.velocity = s.velocity[:p]
-	s.grad = s.grad[:p]
 	s.batchGrad = s.batchGrad[:p]
 	clear(s.velocity)
 	return s
 }
 
-// rankOne is implemented by the linear models (LogisticRegression,
-// SGDLinearRegression), whose per-example gradient is a scalar times
-// the bias-augmented row: g = coef·[x; 1]. gradCoef returns that scalar
-// and ‖x‖² from one pass over x, which is all DP-SGD needs to know
-// about g before adding it — see addGrad.
-type rankOne interface {
-	gradCoef(x []float64, y float64) (coef, sqNorm float64)
-}
-
-// dotSqNorm returns w·x and ‖x‖² from one pass over x. The two sums are
-// independent chains, so the second rides in the first's latency; w·x
-// accumulates in linalg.Dot's order and is bit-identical to it, which
-// keeps gradCoef's coefficient the one Grad computes through Predict.
-func dotSqNorm(w, x []float64) (dot, sqNorm float64) {
-	for i, xi := range x {
-		dot += w[i] * xi
-		sqNorm += xi * xi
-	}
-	return dot, sqNorm
-}
-
-// addGrad adds one example's gradient to sum, clipped to L2 norm clip
-// first when clip > 0 (DP-SGD's per-example sensitivity bound). linear
-// is model's rankOne side, nil if it has none.
-//
-// A general model materializes the gradient in grad, clips it and adds
-// it: four passes over the parameter vector. For a rank-one gradient
-// g = coef·[x; 1] the norm is ‖g‖ = |coef|·√(‖x‖² + 1), so clipping g
-// to the bound is scaling coef by bound/‖g‖ — the same vector, the same
-// bound, hence the same sensitivity — and the sum takes one axpy: two
-// passes over x, and no gradient buffer.
-func addGrad(sum []float64, model GradModel, linear rankOne, ex *data.Example, clip float64, grad []float64) {
-	if linear == nil {
-		model.Grad(ex.Features, ex.Label, grad)
-		if clip > 0 {
-			privacy.ClipL2(grad, clip)
-		}
-		linalg.AXPY(1, grad, sum)
-		return
-	}
-	coef, sqNorm := linear.gradCoef(ex.Features, ex.Label)
-	if clip > 0 {
-		if norm := math.Abs(coef) * math.Sqrt(sqNorm+1); norm > clip {
-			coef *= clip / norm
-		}
-	}
-	// AXPY panics on a row that is not the model's width.
-	bias := len(sum) - 1
-	linalg.AXPY(coef, ex.Features, sum[:bias])
-	sum[bias] += coef
-}
-
 // TrainSGD trains the model in place and returns it. The trainer is
-// deterministic given the RNG. Per-example gradients go through addGrad:
-// linear models take its rank-one path (clipped coefficient, one axpy),
-// which leaves plain SGD bit-identical to the Grad loop and moves only
-// the low-order bits of DP-SGD's clipped sums; the noise draws, their
-// order and NoiseMultiplier are the same on both paths.
+// deterministic given the RNG. Each sampled example is one call to the
+// model's addGrad, clipped under DP and not otherwise; what the models
+// add is the dense gradient (clipped as a whole vector) to the bit, but
+// for the linear models' DP sums, whose clipped coefficient may move
+// low-order bits. The noise draws, their order and NoiseMultiplier do
+// not depend on the model.
 func TrainSGD(model GradModel, ds *data.Dataset, cfg SGDConfig, r *rng.RNG) GradModel {
 	cfg.validate()
 	n := ds.Len()
 	if n == 0 {
 		return model
 	}
-	linear, _ := model.(rankOne)
 	params := model.Params()
 	p := len(params)
 	scratch := getSGDScratch(p)
 	defer sgdScratchPool.Put(scratch)
 	velocity := scratch.velocity
-	grad := scratch.grad
 	batchGrad := scratch.batchGrad
 
 	sigma := 0.0
@@ -183,7 +127,7 @@ func TrainSGD(model GradModel, ds *data.Dataset, cfg SGDConfig, r *rng.RNG) Grad
 				// floor(ln U / ln(1-q)) misses between hits — so a step
 				// costs O(q·n) RNG draws instead of n Bernoulli draws.
 				for i := nextPoisson(r, q, -1); i < n; i = nextPoisson(r, q, i) {
-					addGrad(batchGrad, model, linear, &ds.Examples[i], cfg.ClipNorm, grad)
+					model.addGrad(batchGrad, ds.Examples[i].Features, ds.Examples[i].Label, cfg.ClipNorm)
 				}
 				// Noise the summed gradient; normalize by the
 				// *expected* batch size as in Abadi et al.
@@ -199,7 +143,7 @@ func TrainSGD(model GradModel, ds *data.Dataset, cfg SGDConfig, r *rng.RNG) Grad
 					hi = n
 				}
 				for _, idx := range perm[lo:hi] {
-					addGrad(batchGrad, model, linear, &ds.Examples[idx], 0, grad)
+					model.addGrad(batchGrad, ds.Examples[idx].Features, ds.Examples[idx].Label, 0)
 				}
 				for j := range batchGrad {
 					batchGrad[j] /= float64(hi - lo)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/privacy"
 	"repro/internal/rng"
 	"repro/internal/safety"
+	"repro/internal/taxi"
 )
 
 func TestSGDLinearRegressionConverges(t *testing.T) {
@@ -166,10 +167,10 @@ func TestNoiseMultiplierScalesWithBudget(t *testing.T) {
 	}
 }
 
-// referenceTrainSGD is TrainSGD as it stood before PR 19, kept verbatim
-// as the differential reference: every model, linear or not, goes
-// through Grad into a gradient buffer, privacy.ClipL2 and an add loop.
-func referenceTrainSGD(model GradModel, ds *data.Dataset, cfg SGDConfig, r *rng.RNG) GradModel {
+// referenceTrainSGD is TrainSGD as it stood before PR 19, kept as the
+// differential reference: every model, linear or not, goes through Grad
+// into a gradient buffer, clipL2 and an add loop.
+func referenceTrainSGD(model denseGradModel, ds *data.Dataset, cfg SGDConfig, r *rng.RNG) GradModel {
 	cfg.validate()
 	n := ds.Len()
 	if n == 0 {
@@ -180,7 +181,7 @@ func referenceTrainSGD(model GradModel, ds *data.Dataset, cfg SGDConfig, r *rng.
 	scratch := getSGDScratch(p)
 	defer sgdScratchPool.Put(scratch)
 	velocity := scratch.velocity
-	grad := scratch.grad
+	grad := make([]float64, p)
 	batchGrad := scratch.batchGrad
 
 	sigma := 0.0
@@ -205,7 +206,7 @@ func referenceTrainSGD(model GradModel, ds *data.Dataset, cfg SGDConfig, r *rng.
 				for i := nextPoisson(r, q, -1); i < n; i = nextPoisson(r, q, i) {
 					ex := ds.Examples[i]
 					model.Grad(ex.Features, ex.Label, grad)
-					privacy.ClipL2(grad, cfg.ClipNorm)
+					clipL2(grad, cfg.ClipNorm)
 					for j := range batchGrad {
 						batchGrad[j] += grad[j]
 					}
@@ -247,29 +248,71 @@ func referenceTrainSGD(model GradModel, ds *data.Dataset, cfg SGDConfig, r *rng.
 }
 
 // sgdModels builds the three GradModel kinds at one width, each fresh.
-func sgdModels(dim int) map[string]func() GradModel {
-	return map[string]func() GradModel{
-		"logistic": func() GradModel { return NewLogisticRegression(dim) },
-		"linear":   func() GradModel { return NewSGDLinearRegression(dim) },
-		"mlp":      func() GradModel { return NewMLP(BinaryClassification, dim, []int{8}, rng.New(77)) },
+func sgdModels(dim int) map[string]func() denseGradModel {
+	return map[string]func() denseGradModel{
+		"logistic": func() denseGradModel { return NewLogisticRegression(dim) },
+		"linear":   func() denseGradModel { return NewSGDLinearRegression(dim) },
+		"mlp":      func() denseGradModel { return NewMLP(BinaryClassification, dim, []int{8}, rng.New(77)) },
 	}
 }
 
+// criteoDim is criteo.FeatureDim: 13 numeric columns, then 26
+// categoricals one-hot over 6 columns each. criteo imports ml, so its
+// pipeline is out of this package's tests' reach; criteoRows builds
+// rows of its layout instead.
+const criteoDim = 13 + 26*6
+
+func criteoRows(n int, r *rng.RNG) *data.Dataset {
+	ds := data.NewDataset(n, criteoDim)
+	for k := range ds.Examples {
+		ex := &ds.Examples[k]
+		for i := 0; i < 13; i++ {
+			if r.Bool(0.7) {
+				ex.Features[i] = r.Float64()
+			}
+		}
+		for c := 0; c < 26; c++ {
+			ex.Features[13+6*c+r.IntN(6)] = 1
+		}
+		if r.Bool(0.26) {
+			ex.Label = 1
+		}
+	}
+	return ds
+}
+
 // TestTrainSGDMatchesReference trains every model kind through TrainSGD
-// and through the reference loop from one RNG seed. Plain SGD must be
-// bit-identical for all three (the rank-one coefficient is Grad's, and
-// coef·x is added in the same order). Under DP the MLP, which keeps
-// Grad + ClipL2, is still bit-identical; the linear models clip the
-// coefficient instead of the vector, which may move low-order bits —
-// 1e-12 relative on every parameter — and nothing else: the same
-// examples are sampled and the same noise is drawn.
+// and through the reference loop from one RNG seed, and the MLP at the
+// paper's two NN widths (Table 1: 64 and 32 hidden units over Taxi's
+// and Criteo's rows) too. Plain SGD must be bit-identical for all (the
+// rank-one coefficient is Grad's, and coef·x is added in the same
+// order), and so must the DP MLP, which sums the dense gradient's
+// squares and adds its scaled terms over the non-zero inputs only. The
+// linear models clip the coefficient instead of the vector, which may
+// move low-order bits — 1e-12 relative on every parameter — and nothing
+// else: the same examples are sampled and the same noise is drawn.
 func TestTrainSGDMatchesReference(t *testing.T) {
 	const dim = 12
 	w := make([]float64, dim)
 	for i := range w {
 		w[i] = float64(i%5) - 2
 	}
-	ds := synthLogistic(3000, dim, w, 0.3, rng.New(31))
+	type run struct {
+		ds    *data.Dataset
+		fresh func() denseGradModel
+	}
+	runs := map[string]run{
+		"taxi-nn": {taxi.Pipeline(2000, 0, 24*7, 0, 0, 33), func() denseGradModel {
+			return NewMLP(Regression, taxi.FeatureDim, []int{64, 32}, rng.New(11))
+		}},
+		"criteo-nn": {criteoRows(2000, rng.New(34)), func() denseGradModel {
+			return NewMLP(BinaryClassification, criteoDim, []int{64, 32}, rng.New(13))
+		}},
+	}
+	small := synthLogistic(3000, dim, w, 0.3, rng.New(31))
+	for name, fresh := range sgdModels(dim) {
+		runs[name] = run{small, fresh}
+	}
 	for _, dp := range []bool{false, true} {
 		cfg := SGDConfig{LearningRate: 0.1, Momentum: 0.5, Epochs: 1, BatchSize: 100}
 		if dp {
@@ -277,10 +320,12 @@ func TestTrainSGDMatchesReference(t *testing.T) {
 			// sides of the clip are compared.
 			cfg.DP, cfg.ClipNorm, cfg.Budget = true, 0.9, privacy.MustBudget(2, 1e-6)
 		}
-		for name, fresh := range sgdModels(dim) {
-			got := TrainSGD(fresh(), ds, cfg, rng.New(32)).Params()
-			want := referenceTrainSGD(fresh(), ds, cfg, rng.New(32)).Params()
-			exact := !dp || name == "mlp"
+		for name, c := range runs {
+			model := TrainSGD(c.fresh(), c.ds, cfg, rng.New(32))
+			got := model.Params()
+			want := referenceTrainSGD(c.fresh(), c.ds, cfg, rng.New(32)).Params()
+			_, mlp := model.(*MLP)
+			exact := !dp || mlp
 			for i := range want {
 				if exact && math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 					t.Fatalf("%s dp=%v: param %d = %v, reference %v: want bit-identical", name, dp, i, got[i], want[i])
@@ -294,11 +339,11 @@ func TestTrainSGDMatchesReference(t *testing.T) {
 }
 
 // TestClippedContributionBound checks DP-SGD's sensitivity bound where
-// it is enforced: whatever addGrad adds for one example has L2 norm at
-// most the clip bound, on the rank-one path as on the general one — for
-// an ordinary row, an all-zero row (the gradient is all bias), a row
-// whose gradient norm is exactly the bound (it must pass unscaled), and
-// a row so large that its squared norm overflows.
+// it is enforced: whatever a model's addGrad adds for one example has L2
+// norm at most the clip bound — for an ordinary row, an all-zero row
+// (a linear gradient is all bias), a row whose gradient norm is exactly
+// the bound (it must pass unscaled), and a row so large that its squared
+// norm overflows. Unclipped, what it adds is the reference gradient.
 func TestClippedContributionBound(t *testing.T) {
 	const dim, clip = 3, 1.0
 	rows := map[string][]float64{
@@ -312,13 +357,8 @@ func TestClippedContributionBound(t *testing.T) {
 		for rowName, x := range rows {
 			for _, y := range []float64{0, 1} {
 				model := fresh()
-				linear, _ := model.(rankOne)
-				if (linear != nil) != (name != "mlp") {
-					t.Fatalf("%s: rank-one path taken = %v", name, linear != nil)
-				}
 				sum := make([]float64, len(model.Params()))
-				grad := make([]float64, len(sum))
-				addGrad(sum, model, linear, &data.Example{Features: x, Label: y}, clip, grad)
+				model.addGrad(sum, x, y, clip)
 				if norm := linalg.Norm2(sum); !(norm <= clip*(1+1e-12)) {
 					t.Errorf("%s, %s row, y=%v: contribution norm %v exceeds the bound %v", name, rowName, y, norm, clip)
 				}
@@ -327,9 +367,9 @@ func TestClippedContributionBound(t *testing.T) {
 						t.Errorf("a gradient at exactly the bound was rescaled: %v", sum)
 					}
 				}
-				// And unclipped it is the gradient itself.
 				clear(sum)
-				addGrad(sum, model, linear, &data.Example{Features: rows["ordinary"], Label: y}, 0, grad)
+				model.addGrad(sum, rows["ordinary"], y, 0)
+				grad := make([]float64, len(sum))
 				model.Grad(rows["ordinary"], y, grad)
 				if !equalFloats(sum, grad) {
 					t.Errorf("%s: unclipped contribution %v, Grad %v", name, sum, grad)
@@ -351,19 +391,34 @@ func equalFloats(a, b []float64) bool {
 	return true
 }
 
-// TestDPSGDStepAllocs pins the rank-one path's allocations: a DP epoch
-// on a linear model costs the same handful of objects (the calibration
-// lookup's, none of TrainSGD's own) whether it takes 20 steps or 200 —
-// nothing is allocated per step or per example.
+// TestDPSGDStepAllocs pins the per-example step's allocations: a DP
+// epoch, on a linear model and on the Taxi-NN MLP, costs the same handful
+// of objects (the calibration lookup's, none of TrainSGD's own) whether
+// it takes 20 steps or 200 — nothing is allocated per step or per
+// example.
 func TestDPSGDStepAllocs(t *testing.T) {
-	ds := synthLogistic(4000, 20, make([]float64, 20), 0, rng.New(41))
-	for _, batch := range []int{200, 20} {
-		cfg := SGDConfig{
-			LearningRate: 0.1, Epochs: 1, BatchSize: batch,
-			DP: true, ClipNorm: 1, Budget: privacy.MustBudget(1, 1e-6),
+	cases := []struct {
+		name  string
+		ds    *data.Dataset
+		model GradModel
+	}{
+		{"logistic", synthLogistic(4000, 20, make([]float64, 20), 0, rng.New(41)), NewLogisticRegression(20)},
+		{"taxi-nn", taxi.Pipeline(4000, 0, 24*7, 0, 0, 41), NewMLP(Regression, taxi.FeatureDim, []int{64, 32}, rng.New(41))},
+	}
+	for _, c := range cases {
+		var allocs []float64
+		for _, batch := range []int{c.ds.Len() / 20, c.ds.Len() / 200} {
+			cfg := SGDConfig{
+				LearningRate: 0.1, Epochs: 1, BatchSize: batch,
+				DP: true, ClipNorm: 1, Budget: privacy.MustBudget(1, 1e-6),
+			}
+			r := rng.New(42)
+			got := safety.MaxAllocs(t, 5, 2, func() { TrainSGD(c.model, c.ds, cfg, r) })
+			t.Logf("%s, batch %d (%d steps): %.0f allocations", c.name, batch, (c.ds.Len()+batch-1)/batch, got)
+			allocs = append(allocs, got)
 		}
-		model, r := NewLogisticRegression(20), rng.New(42)
-		got := safety.MaxAllocs(t, 5, 2, func() { TrainSGD(model, ds, cfg, r) })
-		t.Logf("batch %d (%d steps): %.0f allocations", batch, 4000/batch, got)
+		if allocs[0] != allocs[1] {
+			t.Errorf("%s: %.0f allocations at 20 steps, %.0f at 200: the step allocates", c.name, allocs[0], allocs[1])
+		}
 	}
 }

@@ -110,24 +110,3 @@ func Clip(x, lo, hi float64) float64 {
 	}
 	return x
 }
-
-// ClipL2 scales vector v in place so its L2 norm is at most bound, and
-// returns the original norm. This is the per-example gradient clipping step
-// of DP-SGD (Abadi et al. 2016).
-func ClipL2(v []float64, bound float64) float64 {
-	if bound <= 0 {
-		panic("privacy: ClipL2 requires bound > 0")
-	}
-	sq := 0.0
-	for _, x := range v {
-		sq += x * x
-	}
-	norm := math.Sqrt(sq)
-	if norm > bound {
-		f := bound / norm
-		for i := range v {
-			v[i] *= f
-		}
-	}
-	return norm
-}

@@ -3,7 +3,6 @@ package privacy
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/rng"
 )
@@ -99,39 +98,6 @@ func TestReleaseVector(t *testing.T) {
 func TestClip(t *testing.T) {
 	if Clip(5, 0, 1) != 1 || Clip(-5, 0, 1) != 0 || Clip(0.5, 0, 1) != 0.5 {
 		t.Error("Clip misbehaves")
-	}
-}
-
-func TestClipL2(t *testing.T) {
-	v := []float64{3, 4}
-	norm := ClipL2(v, 1)
-	if math.Abs(norm-5) > 1e-12 {
-		t.Errorf("returned norm %v, want 5", norm)
-	}
-	got := math.Hypot(v[0], v[1])
-	if math.Abs(got-1) > 1e-12 {
-		t.Errorf("clipped norm %v, want 1", got)
-	}
-	// Vectors within bound are untouched.
-	w := []float64{0.3, 0.4}
-	ClipL2(w, 1)
-	if w[0] != 0.3 || w[1] != 0.4 {
-		t.Error("in-bound vector modified")
-	}
-}
-
-// Property: ClipL2 never increases the norm and never exceeds the bound.
-func TestClipL2Property(t *testing.T) {
-	f := func(a, b, c int16, rawBound uint8) bool {
-		bound := float64(rawBound)/16 + 0.1
-		v := []float64{float64(a) / 100, float64(b) / 100, float64(c) / 100}
-		before := math.Sqrt(v[0]*v[0] + v[1]*v[1] + v[2]*v[2])
-		ClipL2(v, bound)
-		after := math.Sqrt(v[0]*v[0] + v[1]*v[1] + v[2]*v[2])
-		return after <= bound+1e-9 && after <= before+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 
