@@ -657,41 +657,3 @@ func TestBlockReportReason(t *testing.T) {
 		t.Errorf("reason after Retire = %q, want %q kept", rep[0].Reason, RetireDataDeleted)
 	}
 }
-
-func TestMultiContext(t *testing.T) {
-	m := NewMultiContextAccessControl(Policy{Global: privacy.MustBudget(1, 1e-6)})
-	m.RegisterBlock(1)
-	teamA := m.Context("team-a")
-	teamB := m.Context("team-b")
-	if teamA == teamB {
-		t.Fatal("contexts should be distinct")
-	}
-	if m.Context("team-a") != teamA {
-		t.Fatal("context lookup should be stable")
-	}
-	if err := teamA.Request([]data.BlockID{1}, privacy.MustBudget(0.9, 0)); err != nil {
-		t.Fatal(err)
-	}
-	// Team B has its own budget for the same block.
-	if err := teamB.Request([]data.BlockID{1}, privacy.MustBudget(0.9, 0)); err != nil {
-		t.Fatalf("team B should have independent budget: %v", err)
-	}
-	// Blocks registered later appear in existing contexts.
-	m.RegisterBlock(2)
-	if err := teamA.Request([]data.BlockID{2}, privacy.MustBudget(0.1, 0)); err != nil {
-		t.Errorf("late block not visible in context: %v", err)
-	}
-	// New contexts see previously registered blocks.
-	if err := m.Context("team-c").Request([]data.BlockID{1}, privacy.MustBudget(0.1, 0)); err != nil {
-		t.Errorf("new context missing block: %v", err)
-	}
-	names := m.Contexts()
-	if len(names) != 3 || names[0] != "team-a" || names[2] != "team-c" {
-		t.Errorf("Contexts = %v", names)
-	}
-	// Worst case (collusion): losses add across contexts.
-	wc := m.WorstCaseStreamLoss()
-	if math.Abs(wc.Epsilon-1.9) > 1e-9 {
-		t.Errorf("worst-case stream ε = %v, want 1.9", wc.Epsilon)
-	}
-}
