@@ -198,6 +198,33 @@ func BenchmarkDPSGDEpochLogistic(b *testing.B) {
 	}
 }
 
+// BenchmarkDPSGDEpochMLP is one DP-SGD epoch of the paper's NN
+// pipelines' model (Table 1: ReLU, hidden layers of 64 and 32) over
+// 5000 rows at each dataset's width, Fig. 6's critical path: per example,
+// a forward pass, backprop and the clipped outer products over the
+// row's non-zero inputs.
+func BenchmarkDPSGDEpochMLP(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		kind ml.OutputKind
+		ds   *data.Dataset
+	}{
+		{"taxi", ml.Regression, taxi.Pipeline(5000, 0, 24*7, 0, 0, 11)},
+		{"criteo", ml.BinaryClassification, criteo.Pipeline(5000, 0, 24*14, 11)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m := ml.NewMLP(c.kind, c.ds.FeatureDim(), []int{64, 32}, rng.New(13))
+				ml.TrainSGD(m, c.ds, ml.SGDConfig{
+					LearningRate: 0.01, Momentum: 0.9, Epochs: 1, BatchSize: 256,
+					DP: true, ClipNorm: 1, Budget: privacy.MustBudget(1, 1e-6),
+				}, rng.New(uint64(i)))
+			}
+		})
+	}
+}
+
 // BenchmarkFeaturize times what stands between a generated stream of
 // rides and a trainable dataset — the Appendix C filter, the hour_speed
 // table and the featurizer — on rides generated once, through the
