@@ -87,11 +87,11 @@ func getSGDScratch(p int) *sgdScratch {
 
 // TrainSGD trains the model in place and returns it. The trainer is
 // deterministic given the RNG. Each sampled example is one call to the
-// model's addGrad, clipped under DP and not otherwise; what the models
-// add is the dense gradient (clipped as a whole vector) to the bit, but
-// for the linear models' DP sums, whose clipped coefficient may move
-// low-order bits. The noise draws, their order and NoiseMultiplier do
-// not depend on the model.
+// model's addGrad, with the clip bound under DP and 0 otherwise. What a
+// model adds is the dense per-example gradient, clipped as a whole
+// vector, to the bit; only a linear model's clipped coefficient may move
+// the low-order bits of a DP sum. The noise draws, their order and
+// NoiseMultiplier do not depend on the model.
 func TrainSGD(model GradModel, ds *data.Dataset, cfg SGDConfig, r *rng.RNG) GradModel {
 	cfg.validate()
 	n := ds.Len()
