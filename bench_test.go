@@ -244,12 +244,16 @@ func BenchmarkFeaturize(b *testing.B) {
 
 // BenchmarkIngest times the serial prefix of every experiment cell and
 // the daemon's per-tick ingest: 40000 rows generated, filtered (taxi)
-// and featurized in one pass, one row at a time.
+// and featurized in one pass, one row at a time. The taxi examples go
+// into one buffer reused across iterations, as the daemon ingests block
+// after block into one of its own.
 func BenchmarkIngest(b *testing.B) {
 	b.Run("taxi", func(b *testing.B) {
 		b.ReportAllocs()
+		var buf []data.Example
 		for i := 0; i < b.N; i++ {
-			_, _ = taxi.Ingest(taxi.NewGenerator(taxi.Config{OutlierFraction: 0.02}, 14), 40000, 0, 24*14, 0, nil)
+			ds, _ := taxi.Ingest(buf, taxi.NewGenerator(taxi.Config{OutlierFraction: 0.02}, 14), 40000, 0, 24*14, 0, nil)
+			buf = ds.Examples
 		}
 	})
 	b.Run("criteo", func(b *testing.B) {

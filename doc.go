@@ -273,7 +273,9 @@
 // cells they reach, in the upper triangle, mirrored once — one serial
 // walk, so a tick takes what it takes whatever the other core is doing;
 // the validators fit the ERM only when the REJECT test needs it;
-// Cholesky factorization and solves run on contiguous row slices, power
+// Cholesky factorization (in place) and solves run on contiguous row
+// slices, a linear fit's d×d matrices — the moments, SolveSPD's factor,
+// MinEigen's shifted matrix — come from one workspace pooled in ml, power
 // iteration reuses its work buffers, DP-SGD realizes
 // Poisson sampling with geometric skips (O(q·n) draws per step instead
 // of n), pools its gradient scratch and, for a linear model, clips the

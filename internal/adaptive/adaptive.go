@@ -29,6 +29,7 @@ package adaptive
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/data"
 	"repro/internal/ml"
@@ -84,6 +85,10 @@ var ErrInsufficientBudget = errors.New("adaptive: insufficient block budget; wai
 // EpsilonCap still yields RETRY. A pipeline run reorders what it is
 // handed, so each attempt gets its own copy of its prefix: the stream's
 // order is left alone, and searches may share one stream concurrently.
+// The copies go into one window from windowPool, which concurrent
+// searches (Fig. 6 and Table 2 cells) share; its headers are cleared,
+// up to the longest prefix of the search, before it goes back, so the
+// pool keeps no row of a dropped stream reachable.
 func (s Search) Run(stream *data.Dataset, r *rng.RNG) (Result, error) {
 	if s.Pipe == nil {
 		return Result{}, fmt.Errorf("adaptive: nil pipeline")
@@ -91,14 +96,24 @@ func (s Search) Run(stream *data.Dataset, r *rng.RNG) (Result, error) {
 	if s.MinSamples <= 0 {
 		return Result{}, fmt.Errorf("adaptive: MinSamples must be > 0")
 	}
+	buf := windowPool.Get().(*[]data.Example)
+	used := 0
+	defer func() {
+		clear((*buf)[:used])
+		windowPool.Put(buf)
+	}()
 	limit := stream.Len()
 	return run(s.Epsilon0, s.EpsilonCap, s.Delta, min(s.MinSamples, limit), limit,
 		func(b privacy.Budget, n int, res *Result) (pipeline.Result, error) {
-			ds := stream.Head(n).Clone()
+			ds := &data.Dataset{Examples: append((*buf)[:0], stream.Examples[:n]...)}
+			*buf, used = ds.Examples, max(used, ds.Len())
 			res.Samples = ds.Len()
 			return s.Pipe.Run(ds, b, r)
 		})
 }
+
+// windowPool holds the windows Search.Run copies its prefixes into.
+var windowPool = sync.Pool{New: func() any { return new([]data.Example) }}
 
 // run is §3.3's schedule. Each attempt trains once at budget b on a
 // window of n (rows or blocks) and records in res what it trained on. On

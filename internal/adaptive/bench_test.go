@@ -12,7 +12,7 @@ import (
 // BenchmarkStreamIteration is one iteration of the privacy-adaptive
 // search as the daemon's train phase runs it: Read the newest six blocks
 // out of a long-lived GrowingDatabase into a buffer reused across
-// iterations, as StreamTrainer's pooled window is, then one pipeline run
+// iterations, as a StreamTrainer's own window is, then one pipeline run
 // (split, AdaSSP, SLAed MSE validation with its ridge ERM). The database is
 // filled block by block the way daemon.ingestBlock fills it — 48 blocks
 // of 6000 taxi rows, one generate → clean → featurize → Insert per block

@@ -3,7 +3,6 @@ package adaptive
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/data"
@@ -17,6 +16,12 @@ import (
 // budgets before each attempt and widening its window / doubling its
 // budget on RETRY. This is the component that makes privacy-adaptive
 // training work end-to-end with block composition.
+//
+// A StreamTrainer owns the window its attempts read into, so it must not
+// run concurrently with itself. A caller that keeps one across searches
+// reads into the same window every time: the daemon keeps one for all
+// its pipelines, which train one at a time, and sets Pipe before each
+// search.
 type StreamTrainer struct {
 	AC   *core.AccessControl
 	DB   *data.GrowingDatabase
@@ -29,6 +34,13 @@ type StreamTrainer struct {
 	Delta float64
 	// MinWindow is the initial number of most-recent blocks to train on.
 	MinWindow int
+
+	// window is what every attempt reads its blocks into: it outlives
+	// the search, so the daemon, which searches once a tick forever, does
+	// not grow a window per attempt. Run clears the headers it wrote
+	// before it returns, so a trainer kept between searches keeps no row
+	// of a deleted block reachable.
+	window []data.Example
 }
 
 // ErrLedger wraps every failure of the ledger itself — a budget request
@@ -40,23 +52,15 @@ var ErrLedger = errors.New("adaptive: privacy ledger failure")
 // Run executes privacy-adaptive training against the stream: each
 // attempt trains on the newest window of blocks that can afford its
 // budget, and ends the search with ErrInsufficientBudget when there are
-// fewer such blocks than the window needs.
-//
-// Every attempt reads its window into one buffer from windowPool, which
-// outlives the search: the daemon searches once a tick, forever, so a
-// window per attempt would be garbage every tick. Before the buffer goes
-// back its headers are cleared up to the longest window of the search,
-// so the pool keeps no row of a deleted block reachable.
+// fewer such blocks than the window needs. Every attempt reads into the
+// trainer's own window, whose headers are cleared, up to the longest
+// window of the search, before Run returns.
 func (st *StreamTrainer) Run(r *rng.RNG) (Result, error) {
 	if st.AC == nil || st.DB == nil || st.Pipe == nil {
 		return Result{}, fmt.Errorf("adaptive: StreamTrainer missing AC, DB, or Pipe")
 	}
-	buf := windowPool.Get().(*[]data.Example)
 	used := 0
-	defer func() {
-		clear((*buf)[:used])
-		windowPool.Put(buf)
-	}()
+	defer func() { clear(st.window[:used]) }()
 	return run(st.Epsilon0, st.EpsilonCap, st.Delta, max(st.MinWindow, 1), st.DB.NumBlocks(),
 		func(budget privacy.Budget, window int, out *Result) (pipeline.Result, error) {
 			blocks := st.AC.AvailableBlocks(st.DB.Blocks(), budget)
@@ -80,8 +84,8 @@ func (st *StreamTrainer) Run(r *rng.RNG) (Result, error) {
 				return pipeline.Result{}, fmt.Errorf("%w: requesting %v: %w", ErrLedger, budget, err)
 			}
 
-			ds := st.DB.Read(*buf, blocks)
-			*buf, used = ds.Examples, max(used, ds.Len())
+			ds := st.DB.Read(st.window, blocks)
+			st.window, used = ds.Examples, max(used, ds.Len())
 			res, err := st.Pipe.Run(ds, budget, r)
 			if err != nil {
 				// The budget was deducted but unused by the failed run;
@@ -103,6 +107,3 @@ func (st *StreamTrainer) Run(r *rng.RNG) (Result, error) {
 			return res, nil
 		})
 }
-
-// windowPool holds the training windows StreamTrainer.Run reads into.
-var windowPool = sync.Pool{New: func() any { return new([]data.Example) }}

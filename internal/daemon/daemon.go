@@ -67,10 +67,12 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/adaptive"
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/durable"
 	"repro/internal/metrics"
+	"repro/internal/pipeline"
 	"repro/internal/privacy"
 	"repro/internal/replica"
 	"repro/internal/store"
@@ -236,6 +238,16 @@ type Daemon struct {
 	// nextPipe is the fair round-robin turn pointer (loop goroutine
 	// only; advances when a pipeline actually trains, see train).
 	nextPipe int
+	// pipes are the model pipelines, built once in New. trainer runs
+	// their privacy-adaptive searches, one at a time on the loop
+	// goroutine, so they share the window it owns and a warm tick grows
+	// none (loop goroutine only).
+	pipes   []*pipeline.Pipeline
+	trainer *adaptive.StreamTrainer
+	// ingestBuf is the buffer every block is ingested into: Insert copies
+	// the headers into the block, and ingestBlock clears them, so it
+	// holds no row a retirement deletes.
+	ingestBuf []data.Example
 
 	closeOnce sync.Once
 	closeErr  error
@@ -278,6 +290,16 @@ func New(cfg Config) (*Daemon, durable.Stats, error) {
 	d.srv = store.NewServer(plat.Store)
 	d.srv.Instrument(d.reg)
 	d.instrument()
+	d.pipes = make([]*pipeline.Pipeline, cfg.Pipelines)
+	for idx := range d.pipes {
+		d.pipes[idx] = newPipeline(idx, cfg.SLATargets[idx%len(cfg.SLATargets)])
+	}
+	d.trainer = &adaptive.StreamTrainer{
+		AC: plat.AC, DB: d.db,
+		Epsilon0:   cfg.Epsilon0,
+		EpsilonCap: cfg.EpsilonCap,
+		Delta:      cfg.Global.Delta / 100,
+	}
 
 	// Resume the stream where the ledger says it stopped. Retired
 	// blocks stay deleted; every live block's raw data is regenerated

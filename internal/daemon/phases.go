@@ -59,8 +59,10 @@ func (d *Daemon) ingestBlock(id data.BlockID) []float64 {
 	if d.cfg.FeatureEps > 0 {
 		r = rng.New(rng.MixSeed(d.cfg.Seed, uint64(id), 7))
 	}
-	ds, speeds := taxi.Ingest(gen, d.cfg.RowsPerBlock, int64(id)*blockHours, blockHours, d.cfg.FeatureEps, r)
+	ds, speeds := taxi.Ingest(d.ingestBuf, gen, d.cfg.RowsPerBlock, int64(id)*blockHours, blockHours, d.cfg.FeatureEps, r)
 	d.db.Insert(ds.Examples...)
+	clear(ds.Examples)
+	d.ingestBuf = ds.Examples[:0]
 	return speeds
 }
 
@@ -100,29 +102,30 @@ func (t tick) trainSeed(seed uint64, idx int) uint64 {
 	return rng.MixSeed(seed, uint64(t.block), uint64(idx), 0xDA)
 }
 
+// newPipeline builds pipeline idx: taxi AdaSSP validated against an
+// MSE target, with a ridge ERM for the REJECT test.
+func newPipeline(idx int, target float64) *pipeline.Pipeline {
+	return &pipeline.Pipeline{
+		Name:    fmt.Sprintf("taxi-lr-%d", idx),
+		Trainer: pipeline.AdaSSPTrainer{Rho: 0.1, FeatureBound: 2.5, LabelBound: 1},
+		Validator: pipeline.MSEValidator{
+			Target: target, B: 1,
+			ERMTrainer: pipeline.RidgeTrainer{Lambda: 1e-4},
+		},
+		Mode: validation.ModeSage,
+	}
+}
+
 // trainPipeline runs one adaptive search for pipeline idx and publishes
 // on ACCEPT. It reports attempted=false when the pipeline could not
 // afford a single training run (no budget was consumed), so the caller
 // can give another pipeline this tick's slot.
 func (d *Daemon) trainPipeline(t tick, idx int) (attempted bool, err error) {
 	n := t.n
-	name := fmt.Sprintf("taxi-lr-%d", idx)
-	pipe := &pipeline.Pipeline{
-		Name:    name,
-		Trainer: pipeline.AdaSSPTrainer{Rho: 0.1, FeatureBound: 2.5, LabelBound: 1},
-		Validator: pipeline.MSEValidator{
-			Target: d.cfg.SLATargets[idx%len(d.cfg.SLATargets)], B: 1,
-			ERMTrainer: pipeline.RidgeTrainer{Lambda: 1e-4},
-		},
-		Mode: validation.ModeSage,
-	}
-	trainer := &adaptive.StreamTrainer{
-		AC: d.plat.AC, DB: d.db, Pipe: pipe,
-		Epsilon0:   d.cfg.Epsilon0,
-		EpsilonCap: d.cfg.EpsilonCap,
-		Delta:      d.cfg.Global.Delta / 100,
-		MinWindow:  min(d.cfg.MinWindow, d.db.NumBlocks()),
-	}
+	trainer := d.trainer
+	trainer.Pipe = d.pipes[idx]
+	trainer.MinWindow = min(d.cfg.MinWindow, d.db.NumBlocks())
+	name := trainer.Pipe.Name
 	r := rng.New(t.trainSeed(d.cfg.Seed, idx))
 	res, err := trainer.Run(r)
 	// An insufficient-budget return with zero iterations means the
@@ -199,12 +202,12 @@ func (d *Daemon) retain(t tick) error {
 		return nil
 	}
 	horizon := t.block - data.BlockID(d.cfg.Retention) + 1
-	for _, id := range d.plat.AC.Blocks() {
+	// The database holds exactly the blocks the ledger has not retired
+	// (New regenerates them, a retirement deletes one), so its few live
+	// blocks are the candidates, however many the ledger has retired.
+	for _, id := range d.db.Blocks() {
 		if id >= horizon {
 			break
-		}
-		if d.plat.AC.Retired(id) {
-			continue
 		}
 		if err := d.plat.AC.Retire(id); err != nil {
 			return fmt.Errorf("daemon: retiring block %d: %w", id, err)

@@ -7,6 +7,7 @@ package linalg
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Dot returns the inner product of a and b. It panics on length mismatch.
@@ -53,6 +54,14 @@ func NewMatrix(rows, cols int) *Matrix {
 		panic("linalg: negative matrix dimensions")
 	}
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
+}
+
+// reshape makes m a rows×cols matrix, over its own storage when that
+// has the room. The contents are whatever was there: the callers
+// overwrite or clear them.
+func (m *Matrix) reshape(rows, cols int) {
+	m.Rows, m.Cols = rows, cols
+	m.Data = slices.Grow(m.Data[:0], rows*cols)[:rows*cols]
 }
 
 // At returns element (i, j).
@@ -119,7 +128,7 @@ func (m *Matrix) AddDiagonal(lambda float64) {
 // in the addresses Update writes; the trainers run inside the trusted
 // platform (§2.2), where nobody is placed to watch them.
 type Moments struct {
-	xtx *Matrix
+	xtx Matrix
 	xty []float64
 	// The gathered row (scratch, len d): its first n entries are the
 	// non-zeros' indices, ascending, and their values.
@@ -128,9 +137,17 @@ type Moments struct {
 	n   int
 }
 
-// NewMoments returns zeroed moments for rows of dimension d.
-func NewMoments(d int) *Moments {
-	return &Moments{xtx: NewMatrix(d, d), xty: make([]float64, d), idx: make([]int, d), val: make([]float64, d)}
+// Reset empties the moments for rows of dimension d, over the storage
+// they already have when it has the room, so one accumulator serves fit
+// after fit. The zero Moments is ready for Reset.
+func (m *Moments) Reset(d int) {
+	m.xtx.reshape(d, d)
+	clear(m.xtx.Data)
+	m.xty = slices.Grow(m.xty[:0], d)[:d]
+	clear(m.xty)
+	m.idx = slices.Grow(m.idx[:0], d)[:d]
+	m.val = slices.Grow(m.val[:0], d)[:d]
+	m.n = 0
 }
 
 // Gather loads the row (x…, bias) — x followed by the constant column
@@ -188,8 +205,8 @@ func (m *Moments) Update(y float64) {
 }
 
 // Sums completes XᵀX (the strict upper triangle is mirrored onto the
-// lower one) and returns it with Xᵀy. The moments own both; callers may
-// modify them once accumulation is done.
+// lower one) and returns it with Xᵀy. The moments own both, until the
+// next Reset; callers may modify them once accumulation is done.
 func (m *Moments) Sums() (xtx *Matrix, xty []float64) {
 	d := len(m.xty)
 	for i := 0; i < d; i++ {
@@ -197,45 +214,49 @@ func (m *Moments) Sums() (xtx *Matrix, xty []float64) {
 			m.xtx.Data[j*d+i] = m.xtx.Data[i*d+j]
 		}
 	}
-	return m.xtx, m.xty
+	return &m.xtx, m.xty
 }
 
-// Cholesky computes the lower-triangular L with m = L·Lᵀ for a symmetric
-// positive-definite matrix. It returns false if the matrix is not
-// positive definite (within a small tolerance).
-func Cholesky(m *Matrix) (*Matrix, bool) {
+// Cholesky factors a symmetric positive-definite matrix in place: on
+// success m's lower triangle, diagonal included, is the L with
+// m = L·Lᵀ, which is all SolveCholesky reads; the strict upper triangle
+// is left as it was. It returns false, with m partly overwritten, if
+// the matrix is not positive definite (within a small tolerance).
+func Cholesky(m *Matrix) bool {
 	if m.Rows != m.Cols {
 		panic("linalg: Cholesky requires a square matrix")
 	}
 	n := m.Rows
-	l := NewMatrix(n, n)
+	l := m.Data
 	for j := 0; j < n; j++ {
 		// Row slices keep the inner dot products on contiguous memory
-		// instead of paying an index multiply per At() access.
-		lj := l.Data[j*n : j*n+j]
-		sum := m.Data[j*n+j]
+		// instead of paying an index multiply per At() access. Column j
+		// is read before it is overwritten, and L's rows left of it are
+		// final, so the factor needs no storage of its own.
+		lj := l[j*n : j*n+j]
+		sum := l[j*n+j]
 		for _, v := range lj {
 			sum -= v * v
 		}
 		if sum <= 1e-14 {
-			return nil, false
+			return false
 		}
 		diag := math.Sqrt(sum)
-		l.Data[j*n+j] = diag
+		l[j*n+j] = diag
 		for i := j + 1; i < n; i++ {
-			li := l.Data[i*n : i*n+j]
-			s := m.Data[i*n+j]
+			li := l[i*n : i*n+j]
+			s := l[i*n+j]
 			for k := range lj {
 				s -= li[k] * lj[k]
 			}
-			l.Data[i*n+j] = s / diag
+			l[i*n+j] = s / diag
 		}
 	}
-	return l, true
+	return true
 }
 
-// SolveCholesky solves m·x = b via the Cholesky factor L (forward then
-// backward substitution).
+// SolveCholesky solves m·x = b via the Cholesky factor L in l's lower
+// triangle (forward then backward substitution).
 func SolveCholesky(l *Matrix, b []float64) []float64 {
 	n := l.Rows
 	if len(b) != n {
@@ -265,17 +286,21 @@ func SolveCholesky(l *Matrix, b []float64) []float64 {
 }
 
 // SolveSPD solves m·x = b for symmetric positive-definite m, adding
-// progressively larger ridge terms if m is singular. It panics only if
-// the system remains unsolvable after heavy regularization.
-func SolveSPD(m *Matrix, b []float64) []float64 {
+// progressively larger ridge terms if m is singular. factor is its
+// workspace, reshaped to m's: each try copies m there and factors it in
+// place, so m is left as it was and a caller that hands in the same
+// workspace fit after fit allocates no matrix. It panics only if the
+// system remains unsolvable after heavy regularization.
+func SolveSPD(m *Matrix, b []float64, factor *Matrix) []float64 {
+	factor.reshape(m.Rows, m.Cols)
 	ridge := 0.0
 	for attempt := 0; attempt < 12; attempt++ {
-		work := m.Clone()
+		copy(factor.Data, m.Data)
 		if ridge > 0 {
-			work.AddDiagonal(ridge)
+			factor.AddDiagonal(ridge)
 		}
-		if l, ok := Cholesky(work); ok {
-			return SolveCholesky(l, b)
+		if Cholesky(factor) {
+			return SolveCholesky(factor, b)
 		}
 		if ridge == 0 {
 			ridge = 1e-10
@@ -322,13 +347,15 @@ func MaxEigen(m *Matrix, iters int) float64 {
 // MinEigen estimates the smallest eigenvalue of a symmetric
 // positive-semidefinite matrix via power iteration on (c·I − m) where c
 // upper-bounds the spectrum. AdaSSP needs λ_min(XᵀX) for its adaptive
-// regularization.
-func MinEigen(m *Matrix, iters int) float64 {
+// regularization. shifted is its workspace, reshaped to m's, where
+// c·I − m is formed; m is left as it was.
+func MinEigen(m *Matrix, iters int, shifted *Matrix) float64 {
 	c := MaxEigen(m, iters) * 1.01
 	if c == 0 {
 		return 0
 	}
-	shifted := m.Clone()
+	shifted.reshape(m.Rows, m.Cols)
+	copy(shifted.Data, m.Data)
 	Scale(-1, shifted.Data)
 	shifted.AddDiagonal(c)
 	mu := MaxEigen(shifted, iters)

@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -80,11 +81,10 @@ func TestCholeskySolve(t *testing.T) {
 	m.Set(0, 1, 2)
 	m.Set(1, 0, 2)
 	m.Set(1, 1, 3)
-	l, ok := Cholesky(m)
-	if !ok {
+	if !Cholesky(m) {
 		t.Fatal("Cholesky failed on SPD matrix")
 	}
-	x := SolveCholesky(l, []float64{1, 2})
+	x := SolveCholesky(m, []float64{1, 2})
 	if math.Abs(x[0]+0.125) > 1e-12 || math.Abs(x[1]-0.75) > 1e-12 {
 		t.Errorf("solution = %v", x)
 	}
@@ -94,7 +94,7 @@ func TestCholeskyRejectsIndefinite(t *testing.T) {
 	m := NewMatrix(2, 2)
 	m.Set(0, 0, 1)
 	m.Set(1, 1, -1)
-	if _, ok := Cholesky(m); ok {
+	if Cholesky(m) {
 		t.Error("Cholesky accepted an indefinite matrix")
 	}
 }
@@ -104,7 +104,7 @@ func TestSolveSPDRegularizesSingular(t *testing.T) {
 	// finite via ridge escalation.
 	m := NewMatrix(2, 2)
 	m.Gram([]float64{1, 1})
-	x := SolveSPD(m, []float64{2, 2})
+	x := SolveSPD(m, []float64{2, 2}, new(Matrix))
 	for _, v := range x {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			t.Fatalf("solution = %v", x)
@@ -121,7 +121,7 @@ func TestEigenExtremes(t *testing.T) {
 	if got := MaxEigen(m, 200); math.Abs(got-5) > 1e-6 {
 		t.Errorf("MaxEigen = %v, want 5", got)
 	}
-	if got := MinEigen(m, 200); math.Abs(got-0.5) > 1e-3 {
+	if got := MinEigen(m, 200, new(Matrix)); math.Abs(got-0.5) > 1e-3 {
 		t.Errorf("MinEigen = %v, want 0.5", got)
 	}
 }
@@ -136,7 +136,7 @@ func TestEigenNonDiagonal(t *testing.T) {
 	if got := MaxEigen(m, 200); math.Abs(got-3) > 1e-6 {
 		t.Errorf("MaxEigen = %v, want 3", got)
 	}
-	if got := MinEigen(m, 200); math.Abs(got-1) > 1e-3 {
+	if got := MinEigen(m, 200, new(Matrix)); math.Abs(got-1) > 1e-3 {
 		t.Errorf("MinEigen = %v, want 1", got)
 	}
 }
@@ -163,7 +163,7 @@ func TestSolveRoundTripProperty(t *testing.T) {
 			x[i] = float64(raw[d*d+i]) / 32
 		}
 		b := g.MulVec(x)
-		got := SolveSPD(g, b)
+		got := SolveSPD(g, b, new(Matrix))
 		for i := range x {
 			if math.Abs(got[i]-x[i]) > 1e-6 {
 				return false
@@ -241,7 +241,8 @@ func TestMomentsMatchDenseReference(t *testing.T) {
 	}
 	labels[1], labels[2] = 0, math.Copysign(0, -1)
 
-	acc := NewMoments(d)
+	var acc Moments
+	acc.Reset(d)
 	wantXtX := NewMatrix(d, d)
 	wantXty := make([]float64, d)
 	for k, row := range rows {
@@ -260,5 +261,65 @@ func TestMomentsMatchDenseReference(t *testing.T) {
 		if math.Float64bits(xty[i]) != math.Float64bits(wantXty[i]) {
 			t.Fatalf("Xᵀy[%d] = %x, dense reference %x", i, xty[i], wantXty[i])
 		}
+	}
+}
+
+// TestWorkspacesCarryNothingOver: SolveSPD and MinEigen into a workspace
+// last used for a larger system, and moments reset after a larger
+// accumulation, read bit for bit what fresh storage reads, and the two
+// solvers leave the matrix they are handed as it was — a singular one
+// included, which takes SolveSPD more than one try.
+func TestWorkspacesCarryNothingOver(t *testing.T) {
+	r := rng.New(11)
+	gram := func(d int, singular bool) *Matrix {
+		m := NewMatrix(d, d)
+		for k := 0; k < d; k++ {
+			row := make([]float64, d)
+			for i := range row {
+				row[i] = r.Normal(0, 1)
+			}
+			if singular {
+				row[d-1] = 0 // a zero diagonal: the first try fails
+			}
+			m.Gram(row)
+		}
+		return m
+	}
+	same := func(name string, got, want []float64) {
+		t.Helper()
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s[%d] = %x, want %x", name, i, got[i], want[i])
+			}
+		}
+	}
+	var factor, shifted Matrix
+	SolveSPD(gram(9, false), make([]float64, 9), &factor)
+	MinEigen(gram(9, false), 50, &shifted)
+	for _, singular := range []bool{false, true} {
+		m := gram(5, singular)
+		before := slices.Clone(m.Data)
+		b := []float64{1, -2, 3, 0.5, 4}
+		same("SolveSPD", SolveSPD(m, b, &factor), SolveSPD(m, b, new(Matrix)))
+		same("MinEigen", []float64{MinEigen(m, 50, &shifted)}, []float64{MinEigen(m, 50, new(Matrix))})
+		same("the solvers' input", m.Data, before)
+	}
+
+	var acc, fresh Moments
+	acc.Reset(9)
+	acc.Gather([]float64{1, 2, 3, 4, 5, 6, 7, 8}, 1)
+	acc.Update(3)
+	acc.Reset(4)
+	fresh.Reset(4)
+	for _, a := range []*Moments{&acc, &fresh} {
+		a.Gather([]float64{0, 1.5, -2}, 1)
+		a.Update(0.25)
+	}
+	gotXtX, gotXty := acc.Sums()
+	wantXtX, wantXty := fresh.Sums()
+	same("XᵀX", gotXtX.Data, wantXtX.Data)
+	same("Xᵀy", gotXty, wantXty)
+	if gotXtX.Rows != 4 || len(gotXtX.Data) != 16 || len(gotXty) != 4 {
+		t.Fatalf("reset moments are %d×%d with %d sums, want 4×4 with 4", gotXtX.Rows, gotXtX.Cols, len(gotXty))
 	}
 }

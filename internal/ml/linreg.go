@@ -3,6 +3,7 @@ package ml
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/data"
 	"repro/internal/linalg"
@@ -37,10 +38,23 @@ type RidgeConfig struct {
 	Lambda float64 // L2 regularization strength
 }
 
-// moments streams ds once, in storage order, into the normal-equation
-// sums XᵀX and Xᵀy of its rows, each augmented with a constant 1 for the
-// bias term. The augmented row is multiplied by fscale and the label by
-// lscale; with clip set the row is then clipped to the unit L2 ball and
+// linearWork is one linear fit's scratch: the moment accumulator,
+// SolveSPD's factor and MinEigen's shifted matrix, (d+1)² floats each. A
+// fit keeps none of it — the model gets weights of its own — so
+// TrainRidge and TrainAdaSSP take it from linearPool and put it back,
+// and a daemon that fits every tick allocates no d×d matrix once warm.
+type linearWork struct {
+	acc             linalg.Moments
+	factor, shifted linalg.Matrix
+}
+
+var linearPool = sync.Pool{New: func() any { return new(linearWork) }}
+
+// moments resets acc and streams ds into it once, in storage order, for
+// the normal-equation sums XᵀX and Xᵀy of its rows, each augmented with
+// a constant 1 for the bias term; acc owns what it returns. The
+// augmented row is multiplied by fscale and the label by lscale; with
+// clip set the row is then clipped to the unit L2 ball and
 // the label to [-1, 1], the bounds AdaSSP's sensitivities rest on — on
 // the row's gathered non-zeros, with the values a dense scale and clip
 // give bit for bit. This is the only Gram loop the linear trainers have,
@@ -49,9 +63,9 @@ type RidgeConfig struct {
 // faster when it was not, so the daemon's tick rate read anywhere from
 // 78 to 110 a second depending on the neighbours (ROADMAP direction 4).
 // A row whose width is not the dataset's panics.
-func moments(ds *data.Dataset, fscale, lscale float64, clip bool) (xtx *linalg.Matrix, xty []float64) {
+func moments(acc *linalg.Moments, ds *data.Dataset, fscale, lscale float64, clip bool) (xtx *linalg.Matrix, xty []float64) {
 	d := ds.FeatureDim()
-	acc := linalg.NewMoments(d + 1)
+	acc.Reset(d + 1)
 	for i, ex := range ds.Examples {
 		if len(ex.Features) != d {
 			panic(fmt.Sprintf("ml: row %d has %d features, the dataset's first has %d", i, len(ex.Features), d))
@@ -79,9 +93,11 @@ func moments(ds *data.Dataset, fscale, lscale float64, clip bool) (xtx *linalg.M
 // with a constant 1 for the bias term.
 func TrainRidge(ds *data.Dataset, cfg RidgeConfig) *LinearModel {
 	d := ds.FeatureDim()
-	xtx, xty := moments(ds, 1, 1, false)
+	ws := linearPool.Get().(*linearWork)
+	defer linearPool.Put(ws)
+	xtx, xty := moments(&ws.acc, ds, 1, 1, false)
 	xtx.AddDiagonal(cfg.Lambda + 1e-9)
-	w := linalg.SolveSPD(xtx, xty)
+	w := linalg.SolveSPD(xtx, xty, &ws.factor)
 	return &LinearModel{Weights: w[:d], Bias: w[d]}
 }
 
@@ -122,7 +138,9 @@ func TrainAdaSSP(ds *data.Dataset, cfg AdaSSPConfig, r *rng.RNG) *LinearModel {
 	lscale := 1 / cfg.LabelBound
 
 	// The constant feature is scaled too, to stay in the ball.
-	xtx, xty := moments(ds, fscale, lscale, true)
+	ws := linearPool.Get().(*linearWork)
+	defer linearPool.Put(ws)
+	xtx, xty := moments(&ws.acc, ds, fscale, lscale, true)
 
 	eps3 := cfg.Budget.Epsilon / 3
 	logTerm := math.Log(6 / cfg.Budget.Delta)
@@ -130,7 +148,7 @@ func TrainAdaSSP(ds *data.Dataset, cfg AdaSSPConfig, r *rng.RNG) *LinearModel {
 
 	// (1) Noisy minimum eigenvalue, shifted down to be a lower bound
 	// with high probability.
-	lambdaMin := linalg.MinEigen(xtx, 200)
+	lambdaMin := linalg.MinEigen(xtx, 200, &ws.shifted)
 	lambdaMinDP := lambdaMin + r.Normal(0, sigma) - logTerm/eps3
 	if lambdaMinDP < 0 {
 		lambdaMinDP = 0
@@ -159,7 +177,7 @@ func TrainAdaSSP(ds *data.Dataset, cfg AdaSSPConfig, r *rng.RNG) *LinearModel {
 	}
 
 	xtx.AddDiagonal(lambda + 1e-9)
-	w := linalg.SolveSPD(xtx, xty)
+	w := linalg.SolveSPD(xtx, xty, &ws.factor)
 
 	// Undo the scaling: prediction = (w_scaled · x·fscale + b_scaled·fscale)/lscale.
 	weights := make([]float64, d)

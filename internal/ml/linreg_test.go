@@ -88,11 +88,11 @@ func TestMomentsMatchDensePreparePath(t *testing.T) {
 		if n >= 7 && (clipped == 0 || clipped == n) {
 			t.Fatalf("n=%d: %d rows clipped; the test needs both kinds", n, clipped)
 		}
-		gotXtX, gotXty := moments(ds, fscale, lscale, true)
+		gotXtX, gotXty := moments(new(linalg.Moments), ds, fscale, lscale, true)
 		sameBits(t, fmt.Sprintf("AdaSSP n=%d", n), gotXtX, gotXty, wantXtX, wantXty)
 
 		wantXtX, wantXty = denseMoments(ds, nil)
-		gotXtX, gotXty = moments(ds, 1, 1, false)
+		gotXtX, gotXty = moments(new(linalg.Moments), ds, 1, 1, false)
 		sameBits(t, fmt.Sprintf("ridge n=%d", n), gotXtX, gotXty, wantXtX, wantXty)
 	}
 }

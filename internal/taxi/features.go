@@ -94,8 +94,16 @@ func featurize(ride *Ride, f []float64) data.Example {
 // row carved as it is written, in Generate's, Clean's and SpeedByHour's
 // order, so the result is theirs to the bit without a stream-sized
 // buffer. Column 1 is filled from the table at the end.
-func Ingest(gen *Generator, n int, startHour, spanHours int64, speedEpsilon float64, r *rng.RNG) (*data.Dataset, []float64) {
-	ds := &data.Dataset{Examples: make([]data.Example, 0, n)}
+//
+// The examples are appended to into[:0], or to a fresh slice of
+// capacity n when into is nil or lacks the room. Only the headers go
+// there: the rows are always new. A caller that ingests into one
+// buffer, block after block, owns every header the call leaves in it.
+func Ingest(into []data.Example, gen *Generator, n int, startHour, spanHours int64, speedEpsilon float64, r *rng.RNG) (*data.Dataset, []float64) {
+	if into == nil || cap(into) < n {
+		into = make([]data.Example, 0, n)
+	}
+	ds := &data.Dataset{Examples: into[:0]}
 	rows := data.NewRows(n, FeatureDim)
 	speeds := stats.NewGroupSums(numHourBuckets, speedEpsilon, 45)
 	var ride Ride
@@ -121,6 +129,6 @@ func Pipeline(n int, startHour, spanHours int64, outlierFrac, speedEpsilon float
 	if speedEpsilon > 0 {
 		r = rng.New(seed + 1)
 	}
-	ds, _ := Ingest(NewGenerator(Config{OutlierFraction: outlierFrac}, seed), n, startHour, spanHours, speedEpsilon, r)
+	ds, _ := Ingest(nil, NewGenerator(Config{OutlierFraction: outlierFrac}, seed), n, startHour, spanHours, speedEpsilon, r)
 	return ds
 }

@@ -320,7 +320,7 @@ func TestIngestMatchesReference(t *testing.T) {
 			if c.speedEp > 0 {
 				r = rng.New(seed + 1)
 			}
-			got, gotSpeeds := Ingest(NewGenerator(Config{OutlierFraction: c.outlierFrac}, seed), n, 24, 24*9, c.speedEp, r)
+			got, gotSpeeds := Ingest(nil, NewGenerator(Config{OutlierFraction: c.outlierFrac}, seed), n, 24, 24*9, c.speedEp, r)
 			if !reflect.DeepEqual(gotSpeeds, wantSpeeds) {
 				t.Errorf("n=%d %+v: speed table differs from the reference", n, c)
 			}
@@ -398,29 +398,37 @@ func TestFeaturizeAllocs(t *testing.T) {
 // table's counts, sums and means (the DP release adds its two noisy
 // vectors), and no more bytes
 // than those — a []Ride of the stream would add 528 kB, key and value
-// arrays 96 kB.
+// arrays 96 kB. Into a buffer with room, as the daemon ingests block
+// after block, the 6000 × 48 B of examples are not allocated at all.
 func TestIngestAllocs(t *testing.T) {
 	const n, rowsPerChunk = 6000, (24 << 10) / (8 * FeatureDim)
 	chunks := float64((n + rowsPerChunk - 1) / rowsPerChunk)
-	for _, eps := range []float64{0, 0.3} {
-		ingest := func() { Ingest(NewGenerator(Config{OutlierFraction: 0.02}, 8), n, 0, 24, eps, rng.New(9)) }
-		base := testing.AllocsPerRun(5, func() { NewGenerator(Config{OutlierFraction: 0.02}, 8); rng.New(9) })
-		budget := base + chunks + 4
-		if eps > 0 {
-			budget += 2
-		}
-		got := safety.MaxAllocs(t, 5, budget, ingest)
-		t.Logf("Ingest(%d rides, ε=%v): %.0f allocations (%.0f of them the generator and RNG)", n, eps, got, base)
+	buf := make([]data.Example, 0, n)
+	for _, c := range []struct {
+		into     []data.Example
+		examples int // allocations and bytes of the examples' headers
+	}{{nil, 1}, {buf, 0}} {
+		for _, eps := range []float64{0, 0.3} {
+			ingest := func() {
+				Ingest(c.into, NewGenerator(Config{OutlierFraction: 0.02}, 8), n, 0, 24, eps, rng.New(9))
+			}
+			base := testing.AllocsPerRun(5, func() { NewGenerator(Config{OutlierFraction: 0.02}, 8); rng.New(9) })
+			budget := base + chunks + 3 + float64(c.examples)
+			if eps > 0 {
+				budget += 2
+			}
+			got := safety.MaxAllocs(t, 5, budget, ingest)
+			t.Logf("Ingest(%d rides, ε=%v, into cap %d): %.0f allocations (%.0f of them the generator and RNG)", n, eps, cap(c.into), got, base)
 
-		bytes := safety.LeastBytes(5, ingest)
-		const (
-			rows     = n * FeatureDim * 8
-			examples = n * 48
-			slack    = 24 << 10 // the generator, the RNGs, the table
-		)
-		if bytes > rows+examples+slack {
-			t.Errorf("Ingest(%d rides, ε=%v) allocated %d bytes, budget %d", n, eps, bytes, rows+examples+slack)
+			bytes := safety.LeastBytes(5, ingest)
+			const (
+				rows  = n * FeatureDim * 8
+				slack = 24 << 10 // the generator, the RNGs, the table
+			)
+			if limit := rows + c.examples*n*48 + slack; bytes > uint64(limit) {
+				t.Errorf("Ingest(%d rides, ε=%v, into cap %d) allocated %d bytes, budget %d", n, eps, cap(c.into), bytes, limit)
+			}
+			t.Logf("Ingest(%d rides, ε=%v, into cap %d): %d bytes", n, eps, cap(c.into), bytes)
 		}
-		t.Logf("Ingest(%d rides, ε=%v): %d bytes", n, eps, bytes)
 	}
 }
