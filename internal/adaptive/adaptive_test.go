@@ -518,7 +518,6 @@ func TestPooledScratchPinsNoRows(t *testing.T) {
 			for _, id := range db.Blocks() {
 				db.Delete(id)
 			}
-			st.AC, st.DB = nil, nil
 		}()
 		requireFreed(t, &freed, blocks*rowsPerBlock)
 		runtime.KeepAlive(st)
