@@ -216,7 +216,7 @@ func main() {
 		fs.Float64Var(&opt.eps0, "eps0", 0, "adaptive search starting ε (default εg/8)")
 		fs.Float64Var(&opt.epsCap, "eps-cap", 0, "adaptive search per-attempt ε cap (default εg/2)")
 		fs.BoolVar(&opt.noSync, "no-sync", false, "disable per-append fsync (tests only: crash durability drops to what the OS flushed)")
-		fs.DurationVar(&opt.drain, "drain", 30*time.Second, "bound on the final replica sync during graceful shutdown (0 = unbounded)")
+		fs.DurationVar(&opt.drain, "drain", 30*time.Second, "bound on every replica sync the daemon waits on: the one at startup and the final one at graceful shutdown (0 = unbounded)")
 	case "trace":
 		fs.StringVar(&opt.from, "from", "", "base URL of a sagectl server running with -debug (required)")
 		fs.StringVar(&opt.traceID, "id", "", "show only the trace with this 32-hex-digit id")

@@ -146,14 +146,15 @@ type Config struct {
 	LedgerShards int
 	// NoSync disables per-append fsync (tests only).
 	NoSync bool
-	// DrainTimeout bounds the final replica sync during Close (0 = no
-	// bound). A graceful shutdown should drain the tier — push every
-	// straggler its missing releases — but an unreachable replica must
-	// not park the daemon: past the deadline the sync is cut short and
-	// the replica converges at the next daemon start (or its gateway
-	// keeps it drained until it catches up). Shutdown ordering stays
-	// sync-then-close so replicas are as current as possible the moment
-	// the WAL seals.
+	// DrainTimeout bounds every replica sync the daemon waits on: the
+	// startup sync in New and the final one in Close (0 = no bound). A
+	// start or a graceful shutdown should bring the tier current — push
+	// every straggler its missing releases — but an unreachable or hung
+	// replica must not park the daemon: past the deadline the sync is
+	// cut short, the replica stays flagged, and it converges at its next
+	// push or the next daemon start (its gateway keeps it drained until
+	// it catches up). Shutdown ordering stays sync-then-close so
+	// replicas are as current as possible the moment the WAL seals.
 	DrainTimeout time.Duration
 	// Logf receives progress lines (default: discard).
 	Logf func(format string, args ...any)
@@ -335,16 +336,28 @@ func New(cfg Config) (*Daemon, durable.Stats, error) {
 	// Replicas that missed releases while no publisher was up converge
 	// now, not at the next publish. An unreachable one stays flagged and
 	// is reconciled at its next push.
-	if err := d.pub.Sync(context.Background()); err != nil {
+	if err := d.syncReplicas(); err != nil {
 		cfg.Logf("daemon: startup replica sync (will retry on push): %v", err)
 	}
 	return d, stats, nil
 }
 
+// syncReplicas reconciles every replica within DrainTimeout.
+func (d *Daemon) syncReplicas() error {
+	ctx := context.Background()
+	if d.cfg.DrainTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, d.cfg.DrainTimeout)
+		defer cancel()
+	}
+	return d.pub.Sync(ctx)
+}
+
 // Run executes the loop until the context is cancelled (graceful drain:
-// the in-flight iteration completes, the replica tier gets a final
-// sync, the WALs are compacted and closed) or MaxTicks is reached. The
-// first iteration runs one Tick after Run starts.
+// the in-flight iteration completes, its pushes cut short by the
+// cancellation, the replica tier gets a final sync, the WALs are
+// compacted and closed) or MaxTicks is reached. The first iteration
+// runs one Tick after Run starts.
 func (d *Daemon) Run(ctx context.Context) error {
 	ticker := time.NewTicker(d.cfg.Tick)
 	defer ticker.Stop()
@@ -354,7 +367,7 @@ func (d *Daemon) Run(ctx context.Context) error {
 			d.cfg.Logf("daemon: draining (signal received)")
 			return d.Close()
 		case <-ticker.C:
-			if err := d.step(); err != nil {
+			if err := d.step(ctx); err != nil {
 				d.Close()
 				return err
 			}
@@ -374,13 +387,7 @@ func (d *Daemon) Run(ctx context.Context) error {
 // writes, so the loop must not keep running.
 func (d *Daemon) Close() error {
 	d.closeOnce.Do(func() {
-		ctx := context.Background()
-		if d.cfg.DrainTimeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, d.cfg.DrainTimeout)
-			defer cancel()
-		}
-		if err := d.pub.Sync(ctx); err != nil {
+		if err := d.syncReplicas(); err != nil {
 			d.cfg.Logf("daemon: final replica sync: %v", err)
 		}
 		if err := d.plat.Compact(); err != nil {
@@ -397,8 +404,10 @@ func (d *Daemon) Close() error {
 // platform can no longer make mutations durable) abort the daemon;
 // everything else — blocked pipelines, unreachable replicas — is
 // continuous-operation business as usual. A failed phase marks its span
-// and the root, so the deferred root.End tail-captures the trace.
-func (d *Daemon) step() error {
+// and the root, so the deferred root.End tail-captures the trace. ctx
+// bounds the tick's pushes and carries the running phase's span, so a
+// push continues the tick's trace.
+func (d *Daemon) step(ctx context.Context) error {
 	d.mu.Lock()
 	t := tick{n: d.ticks, block: d.nextBlock}
 	d.ticks++
@@ -414,6 +423,7 @@ func (d *Daemon) step() error {
 	for i, ph := range phases {
 		start := time.Now()
 		t.span = root.StartChild("daemon." + ph.name)
+		t.ctx = trace.ContextWith(ctx, t.span)
 		err := ph.run(d, t)
 		if err != nil {
 			t.span.SetOutcome("error")

@@ -145,7 +145,7 @@ func TestDaemonCrashMidLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 7; i++ {
-		if err := d.step(); err != nil {
+		if err := d.step(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -181,7 +181,7 @@ func TestDaemonLifeIsCoreCountFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		for n := 0; n < 12; n++ {
-			if err := d.step(); err != nil {
+			if err := d.step(context.Background()); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -335,7 +335,7 @@ func TestDaemonReplicaLagFollowsTheReplica(t *testing.T) {
 			if i == 64 {
 				t.Fatalf("no release %d in 64 ticks: %v", n, d.Status().StoreVersions)
 			}
-			if err := d.step(); err != nil {
+			if err := d.step(context.Background()); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -578,7 +578,7 @@ func TestTrainingSeedsNeverRepeatAcrossLives(t *testing.T) {
 				}
 				seen[seed] = here
 			}
-			if err := d.step(); err != nil {
+			if err := d.step(context.Background()); err != nil {
 				t.Fatal(err)
 			}
 		}

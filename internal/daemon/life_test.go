@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -38,7 +39,7 @@ func TestDaemonLifeGolden(t *testing.T) {
 	}
 	defer d.Close()
 	for n := 0; n < 60; n++ {
-		if err := d.step(); err != nil {
+		if err := d.step(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -36,6 +37,9 @@ type tick struct {
 	n     int          // iteration index, counted from this process's start
 	block data.BlockID // the stream block this iteration ingests
 	span  *trace.Span  // the running phase's span (nil when untraced)
+	// ctx is Run's context carrying span: it cuts the phase's replica
+	// pushes short on shutdown, and a push continues span's trace.
+	ctx context.Context
 }
 
 // ingest generates this tick's block and admits it to the ledger charged
@@ -181,9 +185,10 @@ func (d *Daemon) trainPipeline(t tick, idx int) (attempted bool, err error) {
 	}
 	// Publish → journal (store WAL) → push. A crash after the journal
 	// write re-pushes on restart: a publisher built over a store with
-	// releases reconciles every replica.
-	version, pushErr := d.pub.Publish(bundle)
-	if pushErr != nil {
+	// releases reconciles every replica. A push cut short by shutdown
+	// leaves its replicas flagged for the final sync.
+	version := d.plat.Store.Publish(bundle)
+	if pushErr := d.pub.Push(t.ctx, name, version); pushErr != nil {
 		d.cfg.Logf("daemon: tick %d: push %s@v%d (will heal): %v", n, name, version, pushErr)
 	}
 	d.mu.Lock()

@@ -74,25 +74,28 @@ func newAdmission(l Limits, reg *metrics.Registry) *admission {
 }
 
 // admit tries to take an in-flight slot for class without blocking. On
-// success it returns a release func (call exactly once); on refusal it
-// returns ok=false and counts the shed.
-func (a *admission) admit(class store.Class) (release func(), ok bool) {
+// success the caller owns the slot and gives it back with exactly one
+// release(class); on refusal admit returns false and counts the shed.
+func (a *admission) admit(class store.Class) bool {
 	if a.global.Load() >= a.globalLimit ||
 		(class == store.ClassBatch && a.global.Load() >= a.batchSoft) {
 		a.shed[class].Inc()
-		return nil, false
+		return false
 	}
 	select {
 	case a.sems[class] <- struct{}{}:
 		a.global.Add(1)
-		return func() {
-			<-a.sems[class]
-			a.global.Add(-1)
-		}, true
+		return true
 	default:
 		a.shed[class].Inc()
-		return nil, false
+		return false
 	}
+}
+
+// release gives back a slot admit granted for class.
+func (a *admission) release(class store.Class) {
+	<-a.sems[class]
+	a.global.Add(-1)
 }
 
 // shedCounts snapshots the per-class shed counters (a view over the

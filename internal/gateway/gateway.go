@@ -336,7 +336,9 @@ func (g *Gateway) pick(exclude map[*backend]bool) *backend {
 		b    *backend
 		load int64
 	}
-	candidates := make([]candidate, 0, len(g.backends))
+	// On the stack for fleets of up to len(room) backends.
+	var room [8]candidate
+	candidates := room[:0]
 	for _, relaxed := range []bool{false, true} {
 		candidates = candidates[:0]
 		for _, b := range g.backends {
@@ -405,8 +407,7 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, class store.Clas
 	root := trace.FromContext(r.Context())
 	root.SetAttr("class", class.String())
 	defer g.reqSec[class].ObserveSinceExemplar(time.Now(), root.TraceIDString())
-	release, ok := g.adm.admit(class)
-	if !ok {
+	if !g.adm.admit(class) {
 		// Shed fast: an immediate, honest "try later" beats a queued
 		// request that times out after pinning resources.
 		root.SetOutcome("shed")
@@ -416,7 +417,7 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, class store.Clas
 		})
 		return
 	}
-	defer release()
+	defer g.adm.release(class)
 
 	// The handler's reference outlives w.Write below; each attempt's
 	// request body holds its own until the transport closes it.
@@ -556,12 +557,18 @@ var hopHeaders = map[string]bool{
 	"Proxy-Authorization": true,
 }
 
+// copyHeader hands src's end-to-end headers to dst. The value slices
+// are shared, not copied: src is a header the hop owns — the client's
+// request, which the handler only reads, or an upstream reply nothing
+// reads after it — and the other side only reads them too, since
+// RoundTrip must not modify its request and net/http copies the
+// handler's header when it writes the status line.
 func copyHeader(dst, src http.Header) {
 	for k, vs := range src {
 		if hopHeaders[http.CanonicalHeaderKey(k)] {
 			continue
 		}
-		dst[k] = append([]string(nil), vs...)
+		dst[k] = vs
 	}
 }
 

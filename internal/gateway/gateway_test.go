@@ -256,15 +256,16 @@ func TestBreakerStateMachine(t *testing.T) {
 // room, while reads keep being admitted until their own bound.
 func TestAdmissionShedOrdering(t *testing.T) {
 	a := newAdmission(Limits{Read: 6, Predict: 2, Batch: 2}, metrics.New()) // global 10, soft 7
-	var releases []func()
+	// held lists the slots taken, each given back with a.release.
+	var held []store.Class
 	acquire := func(c store.Class, wantOK bool) {
 		t.Helper()
-		rel, ok := a.admit(c)
+		ok := a.admit(c)
 		if ok != wantOK {
 			t.Fatalf("admit(%v) = %v, want %v (global %d)", c, ok, wantOK, a.global.Load())
 		}
 		if ok {
-			releases = append(releases, rel)
+			held = append(held, c)
 		}
 	}
 
@@ -275,8 +276,8 @@ func TestAdmissionShedOrdering(t *testing.T) {
 	acquire(store.ClassBatch, false) // class bound: batch is full at 2
 	// Free one batch slot and climb to the soft threshold with cheap
 	// classes: global reaches 7 (== batchSoft) with batch at 1/2.
-	releases[0]()
-	releases = releases[1:]
+	a.release(held[0])
+	held = held[1:]
 	for i := 0; i < 6; i++ {
 		acquire(store.ClassRead, true)
 	}
@@ -292,14 +293,14 @@ func TestAdmissionShedOrdering(t *testing.T) {
 	if shed["batch"] != 2 || shed["read"] != 1 || shed["predict"] != 0 {
 		t.Fatalf("shed counts = %v, want batch 2, read 1, predict 0", shed)
 	}
-	for _, rel := range releases {
-		rel()
+	for _, c := range held {
+		a.release(c)
 	}
 	if a.global.Load() != 0 {
 		t.Fatalf("global in-flight after all releases = %d, want 0", a.global.Load())
 	}
 	// Capacity fully restored: batch admits again.
-	if _, ok := a.admit(store.ClassBatch); !ok {
+	if !a.admit(store.ClassBatch) {
 		t.Fatal("batch refused on an idle gateway after releases")
 	}
 }
@@ -723,11 +724,10 @@ func TestGatewayBudgets(t *testing.T) {
 	}
 
 	for _, c := range []store.Class{store.ClassBatch, store.ClassPredict, store.ClassRead} {
-		release, ok := g.adm.admit(c)
-		if !ok {
+		if !g.adm.admit(c) {
 			t.Fatalf("pinning the %v slot failed", c)
 		}
-		defer release()
+		defer g.adm.release(c)
 	}
 	shed := g.Status().Shed
 	for _, path := range []string{"/replica/status", "/no/such/route", "/models/"} {

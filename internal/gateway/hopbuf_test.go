@@ -234,11 +234,17 @@ func (p inProcess) RoundTrip(r *http.Request) (*http.Response, error) {
 	return rec.Result(), nil
 }
 
-// TestGatewayProxyBytesPerRequest pins what a warm 256-row taxi-width
-// batch costs to proxy, in bytes allocated per request, at under a
-// quarter of its body: the gateway's request and response buffers come
-// from hopPool, so a per-request copy of the body (the body alone is
-// one whole body size) fails here.
+// TestGatewayProxyBytesPerRequest pins what a warm request costs to
+// proxy, in bytes and allocations per request through the gateway and
+// the replica behind it (and httptest on both sides). A 256-row
+// taxi-width batch stays under a quarter of its body: the gateway's
+// request and response buffers come from hopPool, so a per-request
+// copy of the body (the body alone is one whole body size) fails here.
+// A single-value feature join reads ≈ 8.6 kB in 45 allocations and a
+// taxi-width single predict ≈ 11.1 kB in 58; with a url.Values map per
+// handler, a fresh Content-Type per reply, a copy of every header value
+// at the hop and a /predict row grown from nothing they read ≈ 9.1 kB
+// in 54 and ≈ 12.7 kB in 73, past both budgets.
 func TestGatewayProxyBytesPerRequest(t *testing.T) {
 	if safety.RaceEnabled {
 		t.Skip("allocation counts are not stable under the race detector")
@@ -267,27 +273,43 @@ func TestGatewayProxyBytesPerRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serve := func() {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/predict/batch?model=wide", bytes.NewReader(batch)))
-		if rec.Code != http.StatusOK {
-			t.Fatalf("batch through the gateway: %d %.200s", rec.Code, rec.Body.String())
+	single, err := json.Marshal(map[string]any{"features": rows[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name, method, path string
+		body               []byte
+		bytes, allocs      float64
+	}{
+		{"256-row batch", http.MethodPost, "/predict/batch?model=wide", batch, float64(len(batch)) / 4, 64},
+		{"feature join", http.MethodGet, "/features?model=m&key=hour_speed&index=3", nil, 8850, 49},
+		{"single predict", http.MethodPost, "/predict?model=wide", single, 11900, 65},
+	} {
+		serve := func() {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(c.method, c.path, bytes.NewReader(c.body)))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s through the gateway: %d %.200s", c.name, rec.Code, rec.Body.String())
+			}
 		}
-	}
-	for i := 0; i < 5; i++ {
-		serve() // warm: the pools, the model cache, the encode buffers
-	}
-	const runs = 50
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		serve()
-	}
-	runtime.ReadMemStats(&after)
-	perReq := float64(after.TotalAlloc-before.TotalAlloc) / runs
-	budget := float64(len(batch)) / 4
-	t.Logf("%.0f bytes allocated per request for a %d-byte batch (budget %.0f)", perReq, len(batch), budget)
-	if perReq > budget {
-		t.Errorf("%.0f bytes allocated per proxied batch, budget is %.0f (a quarter of the %d-byte body): has a hop buffer stopped being pooled?", perReq, budget, len(batch))
+		for i := 0; i < 5; i++ {
+			serve() // warm: the pools, the model cache, the encode buffers
+		}
+		const runs = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			serve()
+		}
+		runtime.ReadMemStats(&after)
+		perReq := float64(after.TotalAlloc-before.TotalAlloc) / runs
+		allocs := testing.AllocsPerRun(runs, serve)
+		t.Logf("%s: %.0f bytes in %.0f allocations per request for a %d-byte body (budgets %.0f, %.0f)",
+			c.name, perReq, allocs, len(c.body), c.bytes, c.allocs)
+		if perReq > c.bytes || allocs > c.allocs {
+			t.Errorf("%s: %.0f bytes in %.0f allocations per proxied request, budgets %.0f and %.0f: has a hop buffer, the /predict request or the shared header values stopped being reused?",
+				c.name, perReq, allocs, c.bytes, c.allocs)
+		}
 	}
 }

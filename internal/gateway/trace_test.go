@@ -131,11 +131,10 @@ func TestGatewayTraceCapturesShed(t *testing.T) {
 	// Pin the one batch slot directly (white-box: the test lives in the
 	// package) — exactly the state a hung in-flight batch request leaves
 	// behind, without racing a real request through the injector.
-	release, ok := g.adm.admit(store.ClassBatch)
-	if !ok {
+	if !g.adm.admit(store.ClassBatch) {
 		t.Fatal("admitting into an idle gateway failed")
 	}
-	defer release()
+	defer g.adm.release(store.ClassBatch)
 
 	client := &http.Client{Timeout: 5 * time.Second}
 	code, body, err := doReq(t, client, http.MethodPost, gsrv.URL+"/predict/batch?model=m", batchBody)

@@ -85,12 +85,27 @@ func Handler(reg *metrics.Registry, tracer *trace.Tracer, routes []Route) http.H
 	return mux
 }
 
+// jsonContentType is every JSON reply's Content-Type value, shared by
+// all of them instead of the fresh slice Header().Set makes per reply.
+// Its len is its cap, so an Add appends to a copy, and net/http only
+// reads it.
+var jsonContentType = []string{"application/json"}
+
 // WriteJSON answers with status code and v as the JSON body — the one
 // reply writer behind every tier's status, error and result documents.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v) // past the status line an error can only cut the body short
+}
+
+// WriteEncodedJSON answers with status code and body, a JSON document
+// the caller has already encoded (a cached reply, an append-encoded
+// batch).
+func WriteEncodedJSON(w http.ResponseWriter, code int, body []byte) {
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(code)
+	_, _ = w.Write(body)
 }
 
 // BodyError answers a request whose body could not be read or decoded:

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/httpkit"
 	"repro/internal/store"
+	"repro/internal/trace"
 )
 
 // Publisher is the trainer-side half of the replication protocol: it
@@ -153,8 +154,9 @@ func (p *Publisher) isFlagged(endpoint string) bool {
 // Publish publishes the bundle into the authoritative store (assigning
 // the next version, exactly like store.Publish) and pushes it to every
 // replica. The release is durable in the source store even if every
-// push fails — serving replicas converge on the next Push or Sync. Its
-// callers (the daemon's loop, which has none) supply no context.
+// push fails — serving replicas converge on the next Push or Sync. It is
+// for callers without a context: one that has one (the daemon's loop)
+// publishes to the store and calls Push with it.
 func (p *Publisher) Publish(b store.Bundle) (int, error) {
 	version := p.src.Publish(b)
 	return version, p.Push(context.TODO(), b.Name, version)
@@ -287,6 +289,7 @@ func (p *Publisher) fetchStatus(ctx context.Context, endpoint string) (map[strin
 	if err != nil {
 		return nil, err
 	}
+	trace.Inject(trace.FromContext(ctx), req.Header)
 	resp, err := p.client.Do(req)
 	if err != nil {
 		return nil, err
@@ -387,6 +390,10 @@ func (p *Publisher) pushOnce(ctx context.Context, endpoint string, body pushBody
 		return PushStatus{}, nil, err
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
+	// The push continues the caller's trace (the daemon's tick) into the
+	// replica's server span, as fetchStatus does; untraced, there is no
+	// span to inject.
+	trace.Inject(trace.FromContext(ctx), req.Header)
 	if body.gzipped {
 		req.Header.Set("Content-Encoding", "gzip")
 	}

@@ -28,12 +28,22 @@ const (
 
 	// One warm 256-row /predict/batch request through the mux: pooled
 	// body + hand-written decode into pooled rows + positional predict +
-	// append-encode into a pooled buffer measures 26 allocs/op on random
-	// and one-hot rows alike (31 under a live tracer, the server span's
-	// plumbing), all of it per-request HTTP plumbing. It was 296 with
-	// encoding/json decoding each row by reflection (PR 4 to 13) and 2182
-	// without the pool, so the budget fails either coming back.
+	// append-encode into a pooled buffer measures 22 allocs/op on random
+	// and one-hot rows alike (27 under a live tracer, the server span's
+	// plumbing), all of it per-request HTTP plumbing; 26 and 31 before
+	// the query was read in place and the Content-Type value shared.
+	// It was 296 with encoding/json decoding each row by reflection and
+	// 2182 without the pool, so the budget fails either coming back.
 	batchWarmBudget = 60
+
+	// One warm single-row /predict through the mux, traced: the query
+	// read in place, the row decoded into a pooled request, the shared
+	// Content-Type value. It measures 34 allocs/op, mostly httptest's
+	// request and recorder, the json.Decoder and the server span; it
+	// was 46 with url.Values built per request, Features grown from
+	// nothing and a fresh header value per reply, so the budget fails if
+	// most of that comes back.
+	predictWarmBudget = 40
 )
 
 // TestPreEncodedHitAllocs pins the immutable-read fast path: once a
@@ -154,4 +164,35 @@ func TestPredictBatchStageSpans(t *testing.T) {
 	if want := []string{"store.decode", "store.predict", "store.encode"}; !slices.Equal(children, want) {
 		t.Errorf("children of the server span: %q, want %q", children, want)
 	}
+}
+
+// TestPredictSingleWarmAllocs pins the single-row path end to end: a
+// warm POST /predict through the mux, with metrics and tracing live,
+// reads its query without building url.Values, decodes into a pooled
+// request whose Features keep their capacity, and replies under the
+// shared Content-Type value.
+func TestPredictSingleWarmAllocs(t *testing.T) {
+	s := New()
+	spec, err := Serialize(&ml.LinearModel{Weights: make([]float64, taxi.FeatureDim), Bias: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Publish(Bundle{Name: "bench", Model: spec})
+	srv := NewServer(s)
+	srv.Instrument(metrics.New())
+	h := trace.New(trace.Config{Service: "store"}).Middleware(srv.Handler())
+	payload, err := json.Marshal(predictRequest{Features: onehotRows(1)[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve := func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/predict?model=bench", bytes.NewReader(payload)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+		}
+	}
+	serve()
+	got := safety.MaxAllocs(t, 200, predictWarmBudget, serve)
+	t.Logf("warm single /predict: %.1f allocs/op (budget %d)", got, predictWarmBudget)
 }

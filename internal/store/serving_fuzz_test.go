@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/ml"
 	"repro/internal/rng"
+	"repro/internal/taxi"
 )
 
 // The /predict/batch wire shapes as encoding/json sees them. Serving no
@@ -472,5 +473,74 @@ func TestBatchScratchRelease(t *testing.T) {
 		if sc.release() {
 			t.Errorf("%s: scratch went back to the pool", name)
 		}
+	}
+}
+
+// TestPredictPooledRequestStartsEmpty: /predict decodes into a pooled
+// request, and one reused after a full row answers every body as a
+// fresh one would — a body without "features" is still a 400, and a
+// null element still reads as zero, not as the last row's value.
+func TestPredictPooledRequestStartsEmpty(t *testing.T) {
+	s := New()
+	weights := make([]float64, taxi.FeatureDim)
+	full := make([]string, taxi.FeatureDim)
+	nulls := make([]string, taxi.FeatureDim)
+	for i := range weights {
+		weights[i] = float64(i + 1)
+		full[i] = "1"
+		nulls[i] = "null"
+	}
+	spec, err := Serialize(&ml.LinearModel{Weights: weights, Bias: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Publish(Bundle{Name: "m", Model: spec})
+	h := NewServer(s).Handler()
+	row := "[" + strings.Join(full, ",") + "]"
+	const sum = 0.5 + 48*49/2 // bias + every weight
+	for _, c := range []struct {
+		body string
+		code int
+		want float64 // the prediction, on a 200
+	}{
+		{`{"features":` + row + `}`, http.StatusOK, sum},
+		{`{}`, http.StatusBadRequest, 0},
+		{`{"features":null}`, http.StatusBadRequest, 0},
+		{`{"other":` + row + `}`, http.StatusBadRequest, 0},
+		{`{"features":[` + strings.Join(nulls, ",") + `]}`, http.StatusOK, 0.5},
+		{`{"FEATURES":` + row + `}`, http.StatusOK, sum},
+		{`{"features":[1],"features":` + row + `}`, http.StatusOK, sum},
+		{`{"features":` + row + `,"features":[1]}`, http.StatusBadRequest, 0},
+	} {
+		for range 3 { // after a full row, and after itself
+			h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/predict?model=m",
+				strings.NewReader(`{"features":`+row+`}`)))
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/predict?model=m", strings.NewReader(c.body)))
+			if rec.Code != c.code {
+				t.Fatalf("%.60s: HTTP %d %s, want %d", c.body, rec.Code, rec.Body.String(), c.code)
+			}
+			if c.code != http.StatusOK {
+				continue
+			}
+			var got predictResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+				t.Fatal(err)
+			}
+			if got.Prediction != c.want {
+				t.Fatalf("%.60s: predicted %v, want %v", c.body, got.Prediction, c.want)
+			}
+		}
+	}
+}
+
+// TestPredictRequestRelease: a request at a plausible width goes back to
+// the pool; one a wide body has grown is dropped.
+func TestPredictRequestRelease(t *testing.T) {
+	if !(&predictRequest{Features: make([]float64, 0, 169)}).release() {
+		t.Error("a Criteo-width request was dropped; the warm path depends on pooling it")
+	}
+	if (&predictRequest{Features: make([]float64, 0, maxPooledFeatures+1)}).release() {
+		t.Error("a request past maxPooledFeatures went back to the pool")
 	}
 }
