@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/data"
 	"repro/internal/validation"
 	"repro/internal/workload"
 )
@@ -54,6 +55,21 @@ func TestDatasetHelper(t *testing.T) {
 	criteo := Dataset(CriteoClassification, 500, 1)
 	if criteo.Len() != 500 {
 		t.Errorf("criteo len = %d", criteo.Len())
+	}
+}
+
+// TestReleaseDropsEveryRow: a pointer to a released dataset — the stale
+// stack word release guards against — reaches no feature row.
+func TestReleaseDropsEveryRow(t *testing.T) {
+	taxi := Dataset(TaxiRegression, 1000, 1)
+	criteo := Dataset(CriteoClassification, 500, 1)
+	release(taxi, criteo)
+	for _, ds := range []*data.Dataset{taxi, criteo} {
+		for i, ex := range ds.Examples {
+			if ex.Features != nil {
+				t.Fatalf("example %d of %d keeps %d features after release", i, ds.Len(), len(ex.Features))
+			}
+		}
 	}
 }
 

@@ -76,6 +76,7 @@ func Fig5(o Fig5Options) []Fig5Point {
 		}
 		return Dataset(tasks[i-len(tasks)], o.Holdout, o.Seed+1)
 	})
+	defer release(sets...)
 
 	// Stage 2: flatten the (pipeline × variant × size) grid in output
 	// order; every cell trains and evaluates independently.

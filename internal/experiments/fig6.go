@@ -82,7 +82,9 @@ type fig6Cell struct {
 // interleaving.
 func Fig6(o Fig6Options) []Fig6Point {
 	o.fill()
-	return o.search(o.streams())
+	streams := o.streams()
+	defer release(streams...)
+	return o.search(streams)
 }
 
 // streams is Fig. 6's first stage: one stream per distinct task of the

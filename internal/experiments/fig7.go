@@ -189,6 +189,7 @@ func Fig7Quality(o Fig7Options) []Fig7QualityPoint {
 			holdout = Dataset(TaxiRegression, o.Holdout, o.Seed+1)
 		}
 	})
+	defer release(stream, holdout)
 	const eps, delta = 1.0, 1e-6
 
 	// One cell per point, in output order: the LR panel (block + each
@@ -304,6 +305,7 @@ func Fig7Accept(o Fig7Options) []Fig7AcceptPoint {
 			holdout = Dataset(TaxiRegression, o.Holdout, o.Seed+6)
 		}
 	})
+	defer release(stream, holdout)
 	// Train the best affordable LR once on the full stream to get the
 	// loss profile being validated.
 	m := ml.TrainAdaSSP(stream, ml.AdaSSPConfig{

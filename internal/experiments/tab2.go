@@ -89,6 +89,7 @@ func Tab2(o Tab2Options) []Tab2Row {
 	holdouts := parallel.Map(o.Workers, len(selected), func(i int) *data.Dataset {
 		return Dataset(cfgs[selected[i]].Task, o.Holdout, o.Seed+999)
 	})
+	defer release(holdouts...)
 
 	// Stage 2: flatten the (task × η × mode × run) grid. Every run is an
 	// independent privacy-adaptive training over its own stream sample —
@@ -119,6 +120,7 @@ func Tab2(o Tab2Options) []Tab2Row {
 		cfg := cfgs[c.cfgIdx]
 		seed := o.Seed + uint64(c.run)*31 + uint64(c.mode)*7 + uint64(c.eta*1000)
 		stream := Dataset(cfg.Task, o.Stream, seed)
+		defer release(stream)
 		// Hard targets near the frontier: the last (tightest) two of
 		// the config's range, alternating per run.
 		target := cfg.Targets[len(cfg.Targets)-1-c.run%2]
