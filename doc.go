@@ -59,7 +59,8 @@
 // RDP orders, so the first order that proves it answers yes, and an
 // order is dropped as soon as its partial sum — which no later term
 // lowers — rules it out. The probes and their answers are those of the
-// full SGDEpsilon, so σ is the same to the bit.
+// accountant's full sum (SGDEpsilon, the tests' oracle), so σ is the
+// same to the bit.
 // privacy.SGDCalibrationStats exposes the hit/miss counters, which
 // cmd/sage-experiments reports after every run.
 //

@@ -195,7 +195,7 @@ func TestRetiredBlockDataDeletion(t *testing.T) {
 	if db.NumBlocks() != before-1 {
 		t.Errorf("retired block not deleted: %d blocks, want %d", db.NumBlocks(), before-1)
 	}
-	if db.BlockSize(first) != 0 {
+	if db.Read(nil, []data.BlockID{first}).Len() != 0 {
 		t.Error("retired block data still readable")
 	}
 }

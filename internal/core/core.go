@@ -164,9 +164,6 @@ func (ac *AccessControl) ShardOf(id data.BlockID) int {
 	return int((uint64(id) * shardMix) % uint64(len(ac.shards)))
 }
 
-// NumShards returns the number of stripes the ledger was created with.
-func (ac *AccessControl) NumShards() int { return len(ac.shards) }
-
 // Policy returns the enforced policy.
 func (ac *AccessControl) Policy() Policy { return ac.policy }
 
@@ -729,19 +726,6 @@ func (ac *AccessControl) BlockLoss(id data.BlockID) privacy.Budget {
 		return privacy.Zero
 	}
 	return st.loss
-}
-
-// Remaining returns the budget a block can still spend: ceiling − loss,
-// or zero once the block is retired.
-func (ac *AccessControl) Remaining(id data.BlockID) privacy.Budget {
-	sh := ac.shards[ac.ShardOf(id)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	st, ok := sh.blocks[id]
-	if !ok || st.retired {
-		return privacy.Zero
-	}
-	return ac.policy.Global.Sub(st.loss)
 }
 
 // AvailableBlocks returns the registered, non-retired blocks that can

@@ -12,6 +12,22 @@ import (
 	"repro/internal/privacy"
 )
 
+// NumShards returns the number of stripes the ledger was created with.
+func (ac *AccessControl) NumShards() int { return len(ac.shards) }
+
+// Remaining returns the budget a block can still spend: ceiling − loss,
+// or zero once the block is retired.
+func (ac *AccessControl) Remaining(id data.BlockID) privacy.Budget {
+	sh := ac.shards[ac.ShardOf(id)]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	st, ok := sh.blocks[id]
+	if !ok || st.retired {
+		return privacy.Zero
+	}
+	return ac.policy.Global.Sub(st.loss)
+}
+
 func newAC(eps, delta float64) *AccessControl {
 	return NewAccessControl(Policy{Global: privacy.MustBudget(eps, delta)})
 }

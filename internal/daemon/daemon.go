@@ -269,6 +269,9 @@ func New(cfg Config) (*Daemon, durable.Stats, error) {
 	if !cfg.Global.Covers(privacy.Budget{Epsilon: cfg.FeatureEps}) {
 		return nil, durable.Stats{}, fmt.Errorf("daemon: feature ε %v exceeds the global ceiling %v: no block could be admitted", cfg.FeatureEps, cfg.Global)
 	}
+	if err := replica.CheckEndpoints(cfg.PushEndpoints); err != nil {
+		return nil, durable.Stats{}, fmt.Errorf("daemon: push endpoints: %w", err)
+	}
 
 	d := &Daemon{cfg: cfg, reg: metrics.New()}
 	d.db = data.NewGrowingDatabase(data.TimePartitioner{Window: blockHours})

@@ -9,6 +9,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -19,6 +21,7 @@ import (
 
 	"repro/internal/adaptive"
 	"repro/internal/core"
+	"repro/internal/data"
 	"repro/internal/privacy"
 	"repro/internal/replica"
 )
@@ -224,7 +227,7 @@ func TestDaemonRetentionRetiresAndDeletes(t *testing.T) {
 			t.Fatalf("block %d outside retention window still active", b.ID)
 		}
 	}
-	if d.db.BlockSize(0) != 0 {
+	if d.db.Read(nil, []data.BlockID{0}).Len() != 0 {
 		t.Fatal("retired block's raw data not deleted")
 	}
 
@@ -234,7 +237,7 @@ func TestDaemonRetentionRetiresAndDeletes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d2.Close()
-	if d2.db.BlockSize(0) != 0 {
+	if d2.db.Read(nil, []data.BlockID{0}).Len() != 0 {
 		t.Fatal("restart re-ingested a retention-deleted block")
 	}
 	if !d2.plat.AC.Retired(0) {
@@ -245,6 +248,24 @@ func TestDaemonRetentionRetiresAndDeletes(t *testing.T) {
 // TestDaemonPushesToReplicas runs the full loop against live replica
 // servers (auth on) and requires convergence, including a publisher
 // restart healing a wiped replica.
+// TestRepeatedPushEndpointIsAnError: each push endpoint registers its
+// own lag series, so a repeated or empty URL is refused by New before
+// it opens the WAL directory, not a panic in the registry or a replica
+// every push to fails.
+func TestRepeatedPushEndpointIsAnError(t *testing.T) {
+	for _, eps := range [][]string{{"http://a", "http://a"}, {"http://a", ""}} {
+		cfg := fastConfig(filepath.Join(t.TempDir(), "wal"))
+		cfg.PushEndpoints = eps
+		if d, _, err := New(cfg); err == nil {
+			d.Close()
+			t.Errorf("New with push endpoints %q = nil error, want one", eps)
+		}
+		if _, err := os.Stat(cfg.Dir); !os.IsNotExist(err) {
+			t.Errorf("push endpoints %q: WAL directory opened before the check (stat: %v)", eps, err)
+		}
+	}
+}
+
 func TestDaemonPushesToReplicas(t *testing.T) {
 	repA := replica.NewServer(replica.WithAuthToken("tok"))
 	srvA := httptest.NewServer(repA.Handler())

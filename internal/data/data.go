@@ -321,16 +321,6 @@ func (g *GrowingDatabase) NumBlocks() int {
 	return len(g.order)
 }
 
-// BlockSize returns the number of examples in a block (0 if absent).
-func (g *GrowingDatabase) BlockSize(id BlockID) int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	if b, ok := g.blocks[id]; ok {
-		return len(b.Examples)
-	}
-	return 0
-}
-
 // Size returns the total number of examples.
 func (g *GrowingDatabase) Size() int {
 	g.mu.RLock()

@@ -106,7 +106,7 @@ func TestGrowingDatabaseInsertRead(t *testing.T) {
 	if g.NumBlocks() != 2 || g.Size() != 3 {
 		t.Fatalf("NumBlocks=%d Size=%d", g.NumBlocks(), g.Size())
 	}
-	if g.BlockSize(0) != 2 || g.BlockSize(1) != 1 || g.BlockSize(99) != 0 {
+	if g.Read(nil, []BlockID{0}).Len() != 2 || g.Read(nil, []BlockID{1}).Len() != 1 || g.Read(nil, []BlockID{99}).Len() != 0 {
 		t.Error("block sizes wrong")
 	}
 	ds := g.Read(nil, []BlockID{0, 1, 99})
@@ -171,7 +171,7 @@ func TestGrowingDatabaseUserBlocks(t *testing.T) {
 	if g.NumBlocks() != 2 {
 		t.Fatalf("NumBlocks = %d, want 2 (one per user)", g.NumBlocks())
 	}
-	if g.BlockSize(7) != 2 || g.BlockSize(3) != 1 {
+	if g.Read(nil, []BlockID{7}).Len() != 2 || g.Read(nil, []BlockID{3}).Len() != 1 {
 		t.Error("user block sizes wrong")
 	}
 }

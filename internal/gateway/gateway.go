@@ -38,9 +38,8 @@ type Config struct {
 	// context cancellation is propagated under the per-attempt deadline.
 	AttemptTimeout time.Duration
 	// HealthInterval is the active health-probe period (default 2s).
+	// One status probe is bounded by min(HealthInterval, 1s).
 	HealthInterval time.Duration
-	// HealthTimeout bounds one status probe (default min(HealthInterval, 1s)).
-	HealthTimeout time.Duration
 	// LagVersions drains a backend whose total applied-version watermark
 	// trails the fleet maximum by more than this many versions
 	// (default 2). Drained backends are routed around, not failed.
@@ -67,12 +66,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.HealthInterval <= 0 {
 		c.HealthInterval = 2 * time.Second
-	}
-	if c.HealthTimeout <= 0 {
-		c.HealthTimeout = c.HealthInterval
-		if c.HealthTimeout > time.Second {
-			c.HealthTimeout = time.Second
-		}
 	}
 	if c.LagVersions <= 0 {
 		c.LagVersions = 2
@@ -155,6 +148,9 @@ func New(cfg Config) (*Gateway, error) {
 	cfg.applyDefaults()
 	if len(cfg.Backends) == 0 {
 		return nil, errors.New("gateway: no backends configured")
+	}
+	if err := replica.CheckEndpoints(cfg.Backends); err != nil {
+		return nil, fmt.Errorf("gateway: backends: %w", err)
 	}
 	reg := metrics.New()
 	g := &Gateway{cfg: cfg, adm: newAdmission(cfg.Limits, reg), reg: reg, done: make(chan struct{})}
@@ -279,7 +275,7 @@ func (g *Gateway) probeAll(ctx context.Context) {
 
 // probe fetches one backend's replica status.
 func (g *Gateway) probe(ctx context.Context, b *backend) {
-	ctx, cancel := context.WithTimeout(ctx, g.cfg.HealthTimeout)
+	ctx, cancel := context.WithTimeout(ctx, min(g.cfg.HealthInterval, time.Second))
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.url+"/replica/status", nil)
 	if err != nil {

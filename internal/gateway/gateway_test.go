@@ -813,3 +813,14 @@ func TestNoBackends(t *testing.T) {
 		t.Fatal("New with zero backends must error")
 	}
 }
+
+// TestRepeatedBackendIsAnError: each backend registers its own metric
+// series, so a repeated or empty URL is refused by New, not a panic in
+// the registry or a backend that can never answer.
+func TestRepeatedBackendIsAnError(t *testing.T) {
+	for _, backends := range [][]string{{"http://a", "http://a"}, {"http://a", ""}} {
+		if _, err := New(Config{Backends: backends}); err == nil {
+			t.Errorf("New(%q) = nil error, want one", backends)
+		}
+	}
+}

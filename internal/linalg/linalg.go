@@ -48,14 +48,6 @@ type Matrix struct {
 	Data       []float64 // len Rows*Cols
 }
 
-// NewMatrix returns a zero matrix of the given shape.
-func NewMatrix(rows, cols int) *Matrix {
-	if rows < 0 || cols < 0 {
-		panic("linalg: negative matrix dimensions")
-	}
-	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
-}
-
 // reshape makes m a rows×cols matrix, over its own storage when that
 // has the room. The contents are whatever was there: the callers
 // overwrite or clear them.
@@ -64,28 +56,8 @@ func (m *Matrix) reshape(rows, cols int) {
 	m.Data = slices.Grow(m.Data[:0], rows*cols)[:rows*cols]
 }
 
-// At returns element (i, j).
-func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
-
-// Set assigns element (i, j).
-func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
-
 // Add increments element (i, j).
 func (m *Matrix) Add(i, j int, v float64) { m.Data[i*m.Cols+j] += v }
-
-// Clone returns a deep copy.
-func (m *Matrix) Clone() *Matrix {
-	out := NewMatrix(m.Rows, m.Cols)
-	copy(out.Data, m.Data)
-	return out
-}
-
-// MulVec returns m·x.
-func (m *Matrix) MulVec(x []float64) []float64 {
-	out := make([]float64, m.Rows)
-	m.MulVecInto(out, x)
-	return out
-}
 
 // MulVecInto computes dst = m·x without allocating. dst must have length
 // m.Rows; iterative callers (power iteration) reuse it across calls.

@@ -9,6 +9,34 @@ import (
 	"repro/internal/rng"
 )
 
+// NewMatrix returns a zero matrix of the given shape.
+func NewMatrix(rows, cols int) *Matrix {
+	if rows < 0 || cols < 0 {
+		panic("linalg: negative matrix dimensions")
+	}
+	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
+}
+
+// At returns element (i, j).
+func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
+
+// Set assigns element (i, j).
+func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
+
+// Clone returns a deep copy.
+func (m *Matrix) Clone() *Matrix {
+	out := NewMatrix(m.Rows, m.Cols)
+	copy(out.Data, m.Data)
+	return out
+}
+
+// MulVec returns m·x.
+func (m *Matrix) MulVec(x []float64) []float64 {
+	out := make([]float64, m.Rows)
+	m.MulVecInto(out, x)
+	return out
+}
+
 func TestDotAndNorm(t *testing.T) {
 	if got := Dot([]float64{1, 2, 3}, []float64{4, 5, 6}); got != 32 {
 		t.Errorf("Dot = %v, want 32", got)

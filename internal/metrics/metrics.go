@@ -34,14 +34,6 @@ func (c *Counter) Inc() {
 	c.v.Add(1)
 }
 
-// Add adds n.
-func (c *Counter) Add(n uint64) {
-	if c == nil {
-		return
-	}
-	c.v.Add(n)
-}
-
 // Value returns the current count.
 func (c *Counter) Value() uint64 {
 	if c == nil {

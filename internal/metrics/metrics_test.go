@@ -9,6 +9,14 @@ import (
 	"repro/internal/safety"
 )
 
+// Add adds n.
+func (c *Counter) Add(n uint64) {
+	if c == nil {
+		return
+	}
+	c.v.Add(n)
+}
+
 // TestHistogramBucketBoundaries pins the bucket semantics: bounds are
 // inclusive upper bounds, observations above the last bound land in
 // the implicit +Inf bucket, and exposition renders cumulative counts.

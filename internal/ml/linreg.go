@@ -61,8 +61,9 @@ var linearPool = sync.Pool{New: func() any { return new(linearWork) }}
 // and it is one serial walk on purpose: cut into chunks summed on both
 // cores it was a third faster while the second core was free and no
 // faster when it was not, so the daemon's tick rate read anywhere from
-// 78 to 110 a second depending on the neighbours (ROADMAP direction 4).
-// A row whose width is not the dataset's panics.
+// 78 to 110 a second depending on the neighbours (ROADMAP, "Decided
+// against": intra-tick data parallelism). A row whose width is not the
+// dataset's panics.
 func moments(acc *linalg.Moments, ds *data.Dataset, fscale, lscale float64, clip bool) (xtx *linalg.Matrix, xty []float64) {
 	d := ds.FeatureDim()
 	acc.Reset(d + 1)

@@ -18,7 +18,7 @@ import (
 // and Xᵀy, zeros included — over the whole dataset in one serial walk.
 func denseMoments(ds *data.Dataset, prepare func(row []float64, label float64) float64) (xtx *linalg.Matrix, xty []float64) {
 	d := ds.FeatureDim()
-	xtx, xty = linalg.NewMatrix(d+1, d+1), make([]float64, d+1)
+	xtx, xty = &linalg.Matrix{Rows: d + 1, Cols: d + 1, Data: make([]float64, (d+1)*(d+1))}, make([]float64, d+1)
 	row := make([]float64, d+1)
 	for _, ex := range ds.Examples {
 		copy(row, ex.Features)

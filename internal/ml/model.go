@@ -117,35 +117,6 @@ func Accuracy(m Model, ds *data.Dataset) float64 {
 	return float64(correct) / float64(ds.Len())
 }
 
-// LogLoss returns the mean binary cross-entropy with predictions clamped
-// away from 0 and 1.
-func LogLoss(m Model, ds *data.Dataset) float64 {
-	if ds.Len() == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, ex := range ds.Examples {
-		p := clampProb(m.Predict(ex.Features))
-		if ex.Label >= 0.5 {
-			sum += -math.Log(p)
-		} else {
-			sum += -math.Log(1 - p)
-		}
-	}
-	return sum / float64(ds.Len())
-}
-
-func clampProb(p float64) float64 {
-	const eps = 1e-12
-	if p < eps {
-		return eps
-	}
-	if p > 1-eps {
-		return 1 - eps
-	}
-	return p
-}
-
 // ConstantModel predicts a fixed value regardless of features. The
 // paper's naïve baselines are constant models: the Taxi baseline predicts
 // the mean duration (MSE 0.0069), the Criteo baseline predicts the

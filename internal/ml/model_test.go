@@ -9,6 +9,36 @@ import (
 	"repro/internal/rng"
 )
 
+// LogLoss returns the mean binary cross-entropy with predictions clamped
+// away from 0 and 1.
+func LogLoss(m Model, ds *data.Dataset) float64 {
+	if ds.Len() == 0 {
+		return 0
+	}
+	sum := 0.0
+	for _, ex := range ds.Examples {
+		p := clampProb(m.Predict(ex.Features))
+		if ex.Label >= 0.5 {
+			sum += -math.Log(p)
+		} else {
+			sum += -math.Log(1 - p)
+		}
+	}
+	return sum / float64(ds.Len())
+}
+
+// clampProb keeps a predicted probability out of log(0).
+func clampProb(p float64) float64 {
+	const eps = 1e-12
+	if p < eps {
+		return eps
+	}
+	if p > 1-eps {
+		return 1 - eps
+	}
+	return p
+}
+
 // synthLinear builds y = w·x + b + noise with x uniform in [0,1]^d.
 func synthLinear(n, d int, w []float64, b, noise float64, r *rng.RNG) *data.Dataset {
 	ds := &data.Dataset{}

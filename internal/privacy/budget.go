@@ -1,9 +1,9 @@
 // Package privacy implements the differential-privacy primitives Sage is
 // built on: (ε, δ) budgets and their arithmetic (Budget.Add is the basic
-// composition block accounting uses), the Laplace and Gaussian mechanisms,
-// the strong composition bounds of Appendix A (Dwork et al.; Rogers et al.
-// for adaptively chosen parameters), kept for the composition ablation,
-// and a Rényi-DP accountant for the subsampled Gaussian mechanism used to
+// composition block accounting uses), the Laplace mechanism, the strong
+// composition bounds of Appendix A (Dwork et al.; Rogers et al. for
+// adaptively chosen parameters), kept for the composition ablation, and a
+// Rényi-DP accountant for the subsampled Gaussian mechanism used to
 // calibrate DP-SGD noise.
 package privacy
 
@@ -68,15 +68,6 @@ func (b Budget) Sub(o Budget) Budget {
 		Epsilon: math.Max(0, b.Epsilon-o.Epsilon),
 		Delta:   math.Max(0, b.Delta-o.Delta),
 	}
-}
-
-// Split divides the budget into n equal parts (basic composition in
-// reverse). It panics if n <= 0.
-func (b Budget) Split(n int) Budget {
-	if n <= 0 {
-		panic("privacy: Split requires n > 0")
-	}
-	return Budget{Epsilon: b.Epsilon / float64(n), Delta: b.Delta / float64(n)}
 }
 
 // Covers reports whether budget b is at least as large as o in both

@@ -55,18 +55,6 @@ func TestBudgetDeltaSaturates(t *testing.T) {
 	}
 }
 
-func TestBudgetSplit(t *testing.T) {
-	b := MustBudget(0.9, 3e-6)
-	p := b.Split(3)
-	if math.Abs(p.Epsilon-0.3) > 1e-12 || math.Abs(p.Delta-1e-6) > 1e-18 {
-		t.Errorf("Split = %v", p)
-	}
-	total := p.Add(p).Add(p)
-	if !b.Covers(total) || !total.Covers(b) {
-		t.Errorf("3 parts = %v, want original %v", total, b)
-	}
-}
-
 func TestBudgetCovers(t *testing.T) {
 	big := MustBudget(1, 1e-5)
 	small := MustBudget(0.5, 1e-6)
@@ -100,28 +88,6 @@ func TestBudgetAddProperties(t *testing.T) {
 			return false
 		}
 		return ab.Covers(a) && ab.Covers(b)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Split(n) then n×Add reconstructs a budget that covers within
-// tolerance, and each part is covered by the whole.
-func TestBudgetSplitProperty(t *testing.T) {
-	f := func(e uint16, d uint16, rawN uint8) bool {
-		n := int(rawN)%10 + 1
-		b := Budget{Epsilon: float64(e) / 100, Delta: float64(d) / 1e6 / 65.536}
-		part := b.Split(n)
-		if !b.Covers(part) {
-			return false
-		}
-		total := Zero
-		for i := 0; i < n; i++ {
-			total = total.Add(part)
-		}
-		const tol = 1e-9
-		return math.Abs(total.Epsilon-b.Epsilon) < tol && math.Abs(total.Delta-b.Delta) < tol
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -52,31 +52,6 @@ func TestLaplaceTailBound(t *testing.T) {
 	}
 }
 
-func TestGaussianSigma(t *testing.T) {
-	m := GaussianMechanism{Sensitivity: 1, Epsilon: 1, Delta: 1e-5}
-	want := math.Sqrt(2 * math.Log(1.25/1e-5))
-	if got := m.Sigma(); math.Abs(got-want) > 1e-12 {
-		t.Errorf("Sigma = %v, want %v", got, want)
-	}
-}
-
-func TestGaussianTailBound(t *testing.T) {
-	r := rng.New(3)
-	m := GaussianMechanism{Sensitivity: 1, Epsilon: 1, Delta: 1e-5}
-	const eta = 0.05
-	bound := m.TailBound(eta)
-	below := 0
-	const n = 200000
-	for i := 0; i < n; i++ {
-		if m.Release(0, r) < -bound {
-			below++
-		}
-	}
-	if frac := float64(below) / n; frac > eta {
-		t.Errorf("tail frequency %v exceeds eta %v", frac, eta)
-	}
-}
-
 func TestReleaseVector(t *testing.T) {
 	r := rng.New(4)
 	m := LaplaceMechanism{Sensitivity: 1, Epsilon: 10}

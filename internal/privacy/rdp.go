@@ -168,14 +168,6 @@ func (p SGDPlan) SamplingRate() float64 {
 	return q
 }
 
-// SGDEpsilon returns the (ε, δ) guarantee of running the plan with the
-// given noise multiplier.
-func SGDEpsilon(plan SGDPlan, sigma, delta float64) float64 {
-	acct := NewRDPAccountant()
-	acct.AddSampledGaussianSteps(plan.SamplingRate(), sigma, plan.Steps())
-	return acct.Epsilon(delta)
-}
-
 // CalibrateSGDNoise returns the smallest noise multiplier σ such that the
 // plan satisfies (ε, δ)-DP, found by exponential bracketing followed by
 // binary search. It mirrors TF-Privacy's compute_noise utility. Results
@@ -221,7 +213,8 @@ func calibrateSGDNoise(plan SGDPlan, epsilon, delta float64) float64 {
 }
 
 // sgdMeets reports SGDEpsilon(plan, sigma, delta) <= epsilon, computing
-// no more of SGDEpsilon's arithmetic than the answer needs. SGDEpsilon is
+// no more of SGDEpsilon's arithmetic than the answer needs (SGDEpsilon,
+// the accountant's full sum, is the oracle in rdp_test.go). SGDEpsilon is
 // the minimum over orders of ε(α) = steps·RDP(α) + log(1/δ)/(α−1), and
 // ε(α) grows with RDP(α). So the first order with ε(α) <= epsilon
 // decides yes; an order passes if it passes with steps·α/(2σ²), the

@@ -148,6 +148,15 @@ func TestEpsilonMonotoneInDeltaProperty(t *testing.T) {
 	}
 }
 
+// SGDEpsilon returns the (ε, δ) guarantee of running the plan with the
+// given noise multiplier: the RDP accountant's full sum, which sgdMeets
+// answers the yes/no question of.
+func SGDEpsilon(plan SGDPlan, sigma, delta float64) float64 {
+	acct := NewRDPAccountant()
+	acct.AddSampledGaussianSteps(plan.SamplingRate(), sigma, plan.Steps())
+	return acct.Epsilon(delta)
+}
+
 // referenceCalibrateSGDNoise is the calibration search as it stood
 // before sgdMeets: the same bracketing and bisection, with every probe
 // computing SGDEpsilon in full. It is the oracle calibrateSGDNoise must

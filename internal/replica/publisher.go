@@ -89,6 +89,24 @@ func WithAuth(tok string) Option {
 	return func(p *Publisher) { p.authToken = tok }
 }
 
+// CheckEndpoints returns an error for an empty or repeated replica base
+// URL. Every tier that talks to a list of replicas keys its state and
+// its metric series by URL, so a repeat would collide, and an empty
+// entry would name no replica at all.
+func CheckEndpoints(urls []string) error {
+	seen := make(map[string]bool, len(urls))
+	for _, u := range urls {
+		if u == "" {
+			return errors.New("empty replica endpoint")
+		}
+		if seen[u] {
+			return fmt.Errorf("replica endpoint %q is listed twice", u)
+		}
+		seen[u] = true
+	}
+	return nil
+}
+
 // NewPublisher returns a publisher over the authoritative store,
 // pushing to the given replica base URLs (e.g. "http://10.0.0.7:8081");
 // none is a publisher that pushes nowhere. Over a store that already

@@ -1,11 +1,11 @@
-// Package rng provides deterministic, splittable random number generation
-// and the noise samplers used by Sage's differentially private mechanisms.
+// Package rng provides deterministic random number generation and the
+// noise samplers used by Sage's differentially private mechanisms.
 //
 // All randomness in the repository flows through an *rng.RNG so that every
-// experiment, test, and benchmark is reproducible from a single seed. RNGs
-// can be split into independent child streams (one per pipeline, per block,
-// per training step) without sharing state, which keeps concurrent
-// components deterministic regardless of scheduling.
+// experiment, test, and benchmark is reproducible from a single seed.
+// Concurrent components each seed their own RNG from their coordinates
+// (MixSeed), without sharing state, which keeps them deterministic
+// regardless of scheduling.
 package rng
 
 import (
@@ -17,13 +17,10 @@ import (
 // math/rand/v2 and adds the distribution samplers Sage needs (Laplace,
 // Gaussian, exponential, Gamma, power law, lognormal).
 //
-// An RNG is not safe for concurrent use; use Split to derive independent
-// generators for concurrent components.
+// An RNG is not safe for concurrent use; give each concurrent component
+// its own, seeded with MixSeed.
 type RNG struct {
 	src *rand.Rand
-	// seeds retained so Split can derive decorrelated children.
-	s0, s1  uint64
-	nsplits uint64
 }
 
 // New returns an RNG seeded from the given seed. Two RNGs created with the
@@ -33,7 +30,7 @@ func New(seed uint64) *RNG {
 	// decorrelated streams.
 	s0 := splitmix64(&seed)
 	s1 := splitmix64(&seed)
-	return &RNG{src: rand.New(rand.NewPCG(s0, s1)), s0: s0, s1: s1}
+	return &RNG{src: rand.New(rand.NewPCG(s0, s1))}
 }
 
 // splitmix64 advances *x and returns a well-mixed 64-bit value. It is the
@@ -62,16 +59,6 @@ func MixSeed(parts ...uint64) uint64 {
 		h = splitmix64(&x)
 	}
 	return h
-}
-
-// Split returns a new RNG whose stream is independent of the parent's
-// future output. Successive calls return distinct streams.
-func (r *RNG) Split() *RNG {
-	r.nsplits++
-	seed := r.s0 ^ (r.s1 * 0x9e3779b97f4a7c15) ^ (r.nsplits * 0xda942042e4dd58b5)
-	// Mix in a draw from the parent so splits after different usage differ.
-	seed ^= r.src.Uint64()
-	return New(seed)
 }
 
 // Uint64 returns a uniformly distributed 64-bit value.

@@ -28,23 +28,6 @@ func TestDifferentSeedsDiffer(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	parent := New(7)
-	c1 := parent.Split()
-	c2 := parent.Split()
-	if c1.Uint64() == c2.Uint64() && c1.Uint64() == c2.Uint64() {
-		t.Fatal("sibling splits produced identical streams")
-	}
-	// Splitting must be deterministic given the same parent history.
-	p1, p2 := New(9), New(9)
-	s1, s2 := p1.Split(), p2.Split()
-	for i := 0; i < 100; i++ {
-		if s1.Uint64() != s2.Uint64() {
-			t.Fatalf("split streams not reproducible at draw %d", i)
-		}
-	}
-}
-
 // moments computes the sample mean and variance of n draws.
 func moments(n int, draw func() float64) (mean, variance float64) {
 	sum, sumSq := 0.0, 0.0

@@ -76,6 +76,17 @@ func (s Strategy) String() string {
 	}
 }
 
+// A pipeline's inter-arrival time is Gamma(gammaShape) with mean
+// 1/ArrivalRate, and its sample complexity, in blocks of data, is
+// Pareto(complexityMinBlocks, complexityAlpha) clipped to
+// complexityMaxBlocks (mean ≈ 2 hourly blocks): n* = BlockSize · that.
+const (
+	gammaShape          = 2
+	complexityMinBlocks = 0.8
+	complexityAlpha     = 1.6
+	complexityMaxBlocks = 60
+)
+
 // Config parameterizes one simulation run.
 type Config struct {
 	Strategy Strategy
@@ -87,15 +98,6 @@ type Config struct {
 	// ArrivalRate is the expected pipeline arrivals per hour (Fig. 8's
 	// x-axis).
 	ArrivalRate float64
-	// GammaShape shapes the inter-arrival Gamma distribution
-	// (mean is fixed at 1/ArrivalRate; default 2).
-	GammaShape float64
-	// Complexity* parameterize the power-law sample complexity, in
-	// units of blocks of data: n* = BlockSize · Pareto(Min, Alpha)
-	// clipped to Max (defaults 0.8, 1.6, 60 — mean ≈ 2 hourly blocks).
-	ComplexityMinBlocks float64
-	ComplexityAlpha     float64
-	ComplexityMaxBlocks float64
 	// Kappa is the DP data-inflation constant κ (default 1: training
 	// at ε = εg/16 needs ≈ 8.5× the ε = 1 data).
 	Kappa float64
@@ -115,18 +117,6 @@ type Config struct {
 func (c *Config) fillDefaults() {
 	if c.EpsG == 0 {
 		c.EpsG = 1
-	}
-	if c.GammaShape == 0 {
-		c.GammaShape = 2
-	}
-	if c.ComplexityMinBlocks == 0 {
-		c.ComplexityMinBlocks = 0.8
-	}
-	if c.ComplexityAlpha == 0 {
-		c.ComplexityAlpha = 1.6
-	}
-	if c.ComplexityMaxBlocks == 0 {
-		c.ComplexityMaxBlocks = 60
 	}
 	if c.Kappa == 0 {
 		c.Kappa = 1
@@ -266,7 +256,7 @@ func run(cfg Config, attempt func(*sim, *simPipeline) bool) Stats {
 	var arrivals []float64
 	t := 0.0
 	for t < float64(cfg.Hours) {
-		t += s.r.Gamma(cfg.GammaShape, 1/(cfg.GammaShape*cfg.ArrivalRate))
+		t += s.r.Gamma(gammaShape, 1/(gammaShape*cfg.ArrivalRate))
 		arrivals = append(arrivals, t)
 	}
 	nextArrival := 0
@@ -274,10 +264,7 @@ func run(cfg Config, attempt func(*sim, *simPipeline) bool) Stats {
 	for s.now = 0; s.now < cfg.Hours; s.now++ {
 		// 1. Pipeline arrivals this hour.
 		for nextArrival < len(arrivals) && arrivals[nextArrival] < float64(s.now+1) {
-			blocksNeeded := s.r.ParetoMin(cfg.ComplexityMinBlocks, cfg.ComplexityAlpha)
-			if blocksNeeded > cfg.ComplexityMaxBlocks {
-				blocksNeeded = cfg.ComplexityMaxBlocks
-			}
+			blocksNeeded := min(s.r.ParetoMin(complexityMinBlocks, complexityAlpha), complexityMaxBlocks)
 			p := &simPipeline{
 				arrived: s.now,
 				need:    blocksNeeded * float64(cfg.BlockSize),
