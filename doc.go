@@ -135,27 +135,30 @@
 // lock, so a racing /predict sees old or new but never half), acks
 // duplicates after verifying the release's digest, and answers
 // out-of-order pushes with a 409 carrying its applied-version
-// watermark, from which the publisher backfills in order. Late joiners
-// are just the degenerate case: watermark 0, backfill everything
-// (Publisher.Sync). Transport errors retry with exponential backoff;
-// divergent releases (same version, different digest) are permanent
-// errors and never retried — a release can be repeated, never replaced.
+// watermark. Every retry is a reconcile (below), so a gap reply, a
+// transport error and a 5xx are all followed, after an exponential
+// backoff, by the same catch-up; late joiners are just the degenerate
+// case: watermark 0, deliver everything (Publisher.Sync). A refused
+// token, a malformed or oversized bundle and a divergent release (same
+// version, different digest) are permanent errors and never retried — a
+// release can be repeated, never replaced.
 // `sagectl replica` runs a replica; `sagectl serve -push <urls>` (or
 // `sagectl daemon -push`) publishes through the tier.
 // BENCH_replica.json records push latency and per-replica throughput.
 //
 // The push path is hardened for deployment across trust boundaries:
 // POST /push can be gated behind a shared-secret bearer token (checked
-// in constant time; the read API stays open), bodies are gzip-
-// compressed by default (Content-Encoding negotiation, a ~100× wire
-// reduction on wide released feature tables, with a decompression-size
-// cap against zip bombs), and a publisher has one catch-up path: a
-// reconcile asks a replica which versions it holds and delivers what is
-// missing, run for the endpoints the publisher has reason to doubt —
-// all of them when it is built over a store that already holds releases
-// (a restart), one that failed a push or answered a version gap — at
-// their next push, and for every endpoint by Sync. A publisher restart
-// or a replica that lost its disk converges with no operator action.
+// in constant time; the read API stays open), bodies of a kilobyte and
+// up are gzip-compressed when that makes them smaller (Content-Encoding:
+// gzip, a ~100× wire reduction on wide released feature tables; the
+// replica caps the decoded size against zip bombs and answers 413 past
+// it), and a publisher has one catch-up path: a reconcile asks a
+// replica which versions it holds and delivers what is missing. It is
+// every retry of a push, the first attempt for an endpoint the
+// publisher has reason to doubt — all of them when it is built over a
+// store that already holds releases (a restart), one whose retries ran
+// out — and every attempt of Sync. A publisher restart or a replica
+// that lost its disk converges with no operator action.
 //
 // # Durable platform core
 //

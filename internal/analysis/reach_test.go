@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -15,11 +16,11 @@ import (
 // testOnly drop it: "privacy.StrongCompose", "core.AccessControl.X".
 const internalPrefix = "repro/internal/"
 
-// testOnly declares the exports of internal/ that no non-test code in
-// either module calls, and why each stays. A key with no dot names a
+// testOnly declares the exports of internal/ that no path from the
+// program's roots reaches, and why each stays. A key with no dot names a
 // whole package that only tests import. A row is a declaration, not a
 // suppression: TestEveryExportHasACaller fails on a row whose export
-// no longer exists or has gained a caller.
+// no longer exists or is reached from the program's roots.
 var testOnly = map[string]string{
 	"faulty": "fault injection for the gateway and replica tests",
 	"safety": "the allocation-budget helpers the alloc tests assert with",
@@ -43,18 +44,24 @@ var testOnly = map[string]string{
 }
 
 // TestEveryExportHasACaller holds every exported function and method
-// declared in a non-test file under internal/ to a caller in non-test
-// code of the root module or of bench/ (its own module, which the root
-// build never sees), or to a testOnly row, and each row to an export
-// that still has no caller. ./... skips testdata, so the analysis
-// fixtures are not covered. A call from inside the export's own body
-// does not count. A method also counts as called when its name and
-// signature match a method of error or of an interface declared in a
-// package the program imports (fmt.Stringer, http.Handler, ml.Model,
-// math/rand/v2's Source): it is called through that interface.
+// declared in a non-test file under internal/ to a path from the
+// program's roots in non-test code of the root module or of bench/ (its
+// own module, which the root build never sees), or to a testOnly row,
+// and each row to an export that no such path reaches. ./... skips
+// testdata, so the analysis fixtures are not covered.
+//
+// The walk starts at every main, every init and every package-level
+// variable initializer of both modules, and at every method whose name
+// and signature match a method of error or of an interface declared in
+// a package the program imports (fmt.Stringer, http.Handler, ml.Model,
+// math/rand/v2's Source): it is called through that interface. From a
+// function it follows every function or method its body names,
+// unexported ones included, so an export called only from dead code is
+// dead too. The testOnly rows are roots last: what a test-only export
+// calls is live, but a row is stale only if the program reaches it.
 //
 // The two modules are type-checked apart, so one function is two
-// objects; exports are keyed by package path, receiver and name.
+// objects; functions are keyed by package path, receiver and name.
 func TestEveryExportHasACaller(t *testing.T) {
 	root := repoRoot(t)
 	var pkgs []*Package
@@ -66,79 +73,102 @@ func TestEveryExportHasACaller(t *testing.T) {
 		pkgs = append(pkgs, loaded...)
 	}
 
-	type body struct {
-		fset     *token.FileSet
-		pos, end token.Pos
-	}
-	exports := make(map[string]body)  // export key -> its declaration's body
-	imported := make(map[string]bool) // package key -> non-test code imports it
-	loaded := make(map[string]bool)   // package key -> declared under internal/
+	exports := make(map[string]bool)      // export key -> declared under internal/
+	refs := make(map[string][]string)     // function key -> functions its body names
+	var roots []string                    // functions the program runs without a caller
+	pkgFuncs := make(map[string][]string) // package key -> every function it declares
+	imported := make(map[string]bool)     // package key -> non-test code imports it
 	ifaces := interfaceMethods(pkgs)
 	for _, p := range pkgs {
 		for _, imp := range p.Types.Imports() {
 			imported[strings.TrimPrefix(imp.Path(), internalPrefix)] = true
 		}
-		if !strings.HasPrefix(p.ImportPath, internalPrefix) {
-			continue
-		}
-		loaded[strings.TrimPrefix(p.ImportPath, internalPrefix)] = true
+		pkg := strings.TrimPrefix(p.ImportPath, internalPrefix)
+		internal := strings.HasPrefix(p.ImportPath, internalPrefix)
 		for _, f := range p.Files {
 			for _, d := range f.Decls {
 				fd, ok := d.(*ast.FuncDecl)
-				if !ok || !fd.Name.IsExported() {
+				if !ok {
+					// A package-level var's initializer runs at start-up.
+					roots = append(roots, namedFuncs(p, d)...)
 					continue
 				}
 				fn := p.Info.Defs[fd.Name].(*types.Func)
-				if fd.Recv != nil && ifaces[methodShape(fn)] {
-					continue
+				key := exportKey(fn)
+				refs[key] = append(refs[key], namedFuncs(p, fd)...)
+				pkgFuncs[pkg] = append(pkgFuncs[pkg], key)
+				switch {
+				case fd.Recv != nil && ifaces[methodShape(fn)],
+					fd.Recv == nil && (fd.Name.Name == "init" || fd.Name.Name == "main" && p.Types.Name() == "main"):
+					roots = append(roots, key)
+				case internal && fd.Name.IsExported():
+					exports[key] = true
 				}
-				exports[exportKey(fn)] = body{p.Fset, fd.Pos(), fd.End()}
 			}
 		}
 	}
 
-	called := make(map[string]bool)
-	for _, p := range pkgs {
-		for id, obj := range p.Info.Uses {
-			fn, ok := obj.(*types.Func)
-			if !ok || fn.Pkg() == nil {
-				continue
+	reached := make(map[string]bool)
+	reach := func(from ...string) {
+		for len(from) > 0 {
+			key := from[len(from)-1]
+			from = from[:len(from)-1]
+			if !reached[key] {
+				reached[key] = true
+				from = append(from, refs[key]...)
 			}
-			key := exportKey(fn.Origin())
-			if b, ok := exports[key]; ok && !(b.fset == p.Fset && b.pos <= id.Pos() && id.Pos() < b.end) {
-				called[key] = true
-			}
+		}
+	}
+	reach(roots...)
+	live := maps.Clone(reached)
+	for key := range testOnly {
+		if strings.Contains(key, ".") {
+			reach(key)
+		} else {
+			reach(pkgFuncs[key]...)
 		}
 	}
 
 	var missing []string
 	for key := range exports {
-		pkg, _, _ := strings.Cut(key, ".")
-		_, declared := testOnly[key]
-		if _, pkgDeclared := testOnly[pkg]; !called[key] && !declared && !pkgDeclared {
+		if !reached[key] {
 			missing = append(missing, key)
 		}
 	}
 	sort.Strings(missing)
 	for _, key := range missing {
-		t.Errorf("%s: no non-test code of either module calls it; delete it, move it into a _test.go file, or add a testOnly row", key)
+		t.Errorf("%s: no path from a main, an init or a package-level initializer of either module reaches it; delete it, move it into a _test.go file, or add a testOnly row", key)
 	}
 	for key, reason := range testOnly {
 		if reason == "" {
 			t.Errorf("testOnly row %q: no reason given", key)
 		}
 		if !strings.Contains(key, ".") {
-			if !loaded[key] {
+			if _, ok := pkgFuncs[key]; !ok {
 				t.Errorf("testOnly row %q: no such package; drop the row", key)
 			} else if imported[key] {
 				t.Errorf("testOnly row %q: non-test code imports the package; drop the row", key)
 			}
-		} else if _, ok := exports[key]; !ok {
+		} else if !exports[key] {
 			t.Errorf("testOnly row %q: no such export; drop the row", key)
-		} else if called[key] {
+		} else if live[key] {
 			t.Errorf("testOnly row %q: the export has a caller now; drop the row", key)
 		}
 	}
+}
+
+// namedFuncs returns the key of every function or method that n names.
+func namedFuncs(p *Package, n ast.Node) []string {
+	var keys []string
+	ast.Inspect(n, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok {
+			if fn, ok := p.Info.Uses[id].(*types.Func); ok && fn.Pkg() != nil {
+				keys = append(keys, exportKey(fn.Origin()))
+			}
+		}
+		return true
+	})
+	return keys
 }
 
 // exportKey names fn by its package path under internal/, its

@@ -107,7 +107,7 @@ type AccessControl struct {
 	// setup (before traffic) and read on every mutation.
 	cfgMu    sync.RWMutex
 	onRetire func(data.BlockID)
-	// stage, when set (SetShardJournal / SetJournal), receives every
+	// stage, when set (SetShardJournal), receives every
 	// mutation before it is applied or acknowledged — the ledger half of
 	// the durable platform core (see journal.go for the
 	// crash-consistency argument). Multi-shard mutations are split into

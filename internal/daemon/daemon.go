@@ -223,8 +223,7 @@ type Daemon struct {
 	mu          sync.Mutex
 	ticks       int
 	nextBlock   data.BlockID
-	published   int
-	accepted    int
+	accepted    int // ACCEPTed runs; each publishes, so also the published count
 	blocked     int
 	rejected    int
 	retried     int

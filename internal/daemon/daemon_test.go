@@ -321,8 +321,8 @@ func TestDaemonPushesToReplicas(t *testing.T) {
 // the replica last said about itself, in both directions. A replica that
 // restarts empty between two ticks is shown as lagging from the moment
 // the publisher hears from it again — its gap reply to the next release —
-// until the missing versions have landed, and the release after that
-// reconciles the name the first one did not touch.
+// until the missing versions have landed: the retry after the gap is a
+// reconcile, which delivers every name, not only the released one.
 func TestDaemonReplicaLagFollowsTheReplica(t *testing.T) {
 	var (
 		d         *Daemon
@@ -377,24 +377,27 @@ func TestDaemonReplicaLagFollowsTheReplica(t *testing.T) {
 	mu.Unlock()
 
 	// The next release, v3 of one pipeline, is answered with a gap at
-	// watermark 0. That report lowers the cache, so when the backfill of
-	// v1 arrives the gauge reads the three versions of that name the
-	// replica lacks — not just the new one, as a cache that only ever
-	// rises would have it.
+	// watermark 0. The retry reconciles: the status read reports nothing
+	// applied, which lowers the cache for both names, so when v1 arrives
+	// the gauge reads all five versions the replica lacks — not just the
+	// new one, as a cache that only ever rises would have it — and each
+	// delivery lowers it by one.
 	stepUntilVersions(5)
 	mu.Lock()
 	seen := append([]float64(nil), lagAtPush...)
 	mu.Unlock()
-	if len(seen) != 4 || seen[0] != 1 || seen[1] != 3 {
-		t.Fatalf("lag gauge at the gap push and its backfill = %v, want [1 3 . .]: v3 refused, then v1, v2, v3", seen)
+	if !reflect.DeepEqual(seen, []float64{1, 5, 4, 3, 2, 1}) {
+		t.Fatalf("lag gauge at the gap push and the reconcile's pushes = %v, want [1 5 4 3 2 1]: v3 refused, then three versions of one name and two of the other", seen)
+	}
+	if lag := replicaLag(t, d, srv.URL); lag != 0 {
+		t.Fatalf("lag %v after the reconcile", lag)
 	}
 
-	// The release after that finds the endpoint flagged and reconciles
-	// it: the other pipeline's versions arrive, and the daemon's view is
+	// The release after that is a plain push, and the daemon's view is
 	// the replica's own.
 	stepUntilVersions(6)
 	if lag := replicaLag(t, d, srv.URL); lag != 0 {
-		t.Fatalf("lag %v after the reconcile", lag)
+		t.Fatalf("lag %v after the next release", lag)
 	}
 	st := d.Status()
 	have := current.Load().Store().Watermarks()

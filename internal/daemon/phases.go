@@ -193,7 +193,6 @@ func (d *Daemon) trainPipeline(t tick, idx int) (attempted bool, err error) {
 	}
 	d.mu.Lock()
 	d.accepted++
-	d.published++
 	d.mu.Unlock()
 	d.cfg.Logf("daemon: tick %d: published %s@v%d (%d blocks, quality %.4g, spent %v)",
 		n, name, version, len(res.Blocks), res.Quality, res.TotalSpent)

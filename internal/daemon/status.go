@@ -73,7 +73,7 @@ func (d *Daemon) Status() Status {
 	st := Status{
 		Ticks:           d.ticks,
 		NextBlock:       int64(d.nextBlock),
-		Published:       d.published,
+		Published:       d.accepted,
 		Accepted:        d.accepted,
 		Rejected:        d.rejected,
 		Retried:         d.retried,
@@ -157,7 +157,7 @@ func (d *Daemon) instrument() {
 		})
 	}
 	counter("sage_daemon_ticks", "Loop iterations started.", &d.ticks)
-	counter("sage_daemon_published_versions", "Bundles published into the store.", &d.published)
+	counter("sage_daemon_published_versions", "Bundles published into the store.", &d.accepted)
 	counter("sage_daemon_accepted_runs", "Training runs whose model was ACCEPTed.", &d.accepted)
 	counter("sage_daemon_rejected_runs", "Training runs whose model was REJECTed.", &d.rejected)
 	counter("sage_daemon_retried_runs", "Training runs that ended in RETRY: the search ran out of budget or window.", &d.retried)

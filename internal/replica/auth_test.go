@@ -1,6 +1,8 @@
 package replica
 
 import (
+	"bytes"
+	"compress/gzip"
 	"context"
 	"net/http"
 	"net/http/httptest"
@@ -152,5 +154,39 @@ func TestPushRejectsCorruptGzip(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("corrupt gzip got %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestPushRejectsGzipBomb: a gzip body that inflates past the push
+// row's 64 MiB budget is answered 413, as an identity body past it is,
+// and leaves the store untouched.
+func TestPushRejectsGzipBomb(t *testing.T) {
+	rep, srv := newReplica(t)
+	var body bytes.Buffer
+	zw := gzip.NewWriter(&body)
+	zeros := make([]byte, 1<<20)
+	for range 64 {
+		if _, err := zw.Write(zeros); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := zw.Write([]byte{0}); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	req, _ := http.NewRequest(http.MethodPost, srv.URL+"/push", &body)
+	req.Header.Set("Content-Encoding", "gzip")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("gzip body inflating to 64 MiB + 1 got %d, want 413", resp.StatusCode)
+	}
+	if wm := rep.Store().Watermarks(); len(wm) != 0 || rep.Store().Generation() != 0 {
+		t.Fatalf("rejected push changed the store: watermarks %v, generation %d", wm, rep.Store().Generation())
 	}
 }

@@ -71,8 +71,9 @@ func newPushAudit() *pushAudit {
 //
 //   - errors before the replica (500s) are retried until delivery;
 //   - an applied push whose ACK is lost in flight (truncated reply —
-//     the classic ambiguous outcome) is re-delivered, and the replica
-//     acks it idempotently: no version is ever applied twice;
+//     the classic ambiguous outcome) is settled by the retry's status
+//     read, which reports it applied: it is neither re-delivered nor
+//     ever applied twice;
 //   - the acked watermark never regresses;
 //   - the replica ends at the source store's frontier.
 func TestPublisherConvergesThroughFaults(t *testing.T) {
@@ -121,8 +122,8 @@ func TestPublisherConvergesThroughFaults(t *testing.T) {
 	if len(audit.regress) > 0 {
 		t.Errorf("acked watermark regressed: %v", audit.regress)
 	}
-	if audit.acks <= versions {
-		t.Errorf("%d acks for %d versions — expected idempotent re-deliveries after lost acks", audit.acks, versions)
+	if audit.acks != versions {
+		t.Errorf("%d acks for %d versions — a retry reconciles, so a version whose ack was lost is not re-delivered", audit.acks, versions)
 	}
 }
 

@@ -21,27 +21,26 @@ import (
 // Publisher is the trainer-side half of the replication protocol: it
 // owns (a reference to) the authoritative store and pushes its releases
 // to a fixed set of replica endpoints. It does two things. A push
-// delivers one release, idempotently (safe to repeat after any failure)
-// and with retries and exponential backoff on transport errors. A
-// reconcile is the one catch-up path: ask the replica which versions it
-// holds (GET /replica/status) and deliver, in order, every release of
-// every name it is missing.
+// delivers one release, idempotently (safe to repeat after any
+// failure). A reconcile is the one catch-up path: ask the replica which
+// versions it holds (GET /replica/status) and deliver, in order, every
+// release of every name it is missing. Push and Sync share one attempt
+// loop per endpoint (converge): every attempt after a failed one — a
+// gap reply is a failure like any other — is a reconcile, run after an
+// exponential backoff and within the retry budget.
 //
 // Which endpoints need reconciling is worked out from what the
-// publisher observes, not configured. An endpoint is flagged
+// publisher observes, not configured. An endpoint is flagged, so that
+// its next push starts with a reconcile,
 //
 //   - when the publisher is built over a store that already holds
 //     releases — a restart: replicas may have missed anything;
-//   - when a push to it fails — it may miss more before it is back;
-//   - when it answers a push with a version gap — it is not where the
-//     publisher thought (it restarted empty, or joined late), so it may
-//     be behind on other names too. The gap itself is closed at once,
-//     from the watermark the reply carries.
+//   - when every attempt to bring it up to date failed — it may miss
+//     more before it is back.
 //
-// A flagged endpoint is reconciled at its next push and by Sync, and is
-// flagged no longer once a reconcile has succeeded. A publisher built
-// over an empty store and never refused therefore sends one POST /push
-// per replica per release and nothing else.
+// A successful reconcile clears the flag. A publisher built over an
+// empty store and never refused therefore sends one POST /push per
+// replica per release and nothing else.
 //
 // The per-replica, per-name watermark cache is what each replica last
 // said about itself — every push ack, gap reply and status report
@@ -76,9 +75,9 @@ type Option func(*Publisher)
 // http.DefaultClient; tests inject httptest clients).
 func WithClient(c *http.Client) Option { return func(p *Publisher) { p.client = c } }
 
-// WithRetry sets how many times a failed push is retried per endpoint
-// and the initial backoff, which doubles per attempt. The defaults are
-// 3 retries starting at 100ms.
+// WithRetry sets how many times a failed push or reconcile is retried
+// per endpoint and the initial backoff, which doubles per attempt. The
+// defaults are 3 retries starting at 100ms.
 func WithRetry(retries int, backoff time.Duration) Option {
 	return func(p *Publisher) { p.retries, p.backoff = retries, backoff }
 }
@@ -204,8 +203,11 @@ func sleepBackoff(ctx context.Context, d time.Duration) error {
 }
 
 // pushBody is one release ready for the wire: its canonical bytes, or
-// their gzip form when that is smaller.
+// their gzip form when that is smaller, and the name and version its
+// errors report.
 type pushBody struct {
+	name    string
+	version int
 	payload []byte
 	gzipped bool
 }
@@ -214,15 +216,15 @@ type pushBody struct {
 // up, compresses it. The compressed form is only used when it is
 // actually smaller, so incompressible bundles ship identity-encoded.
 func encodePush(b *store.Bundle) pushBody {
-	raw := b.CanonicalBytes()
-	if len(raw) >= gzipMin {
+	body := pushBody{name: b.Name, version: b.Version, payload: b.CanonicalBytes()}
+	if len(body.payload) >= gzipMin {
 		var buf bytes.Buffer
 		zw := gzip.NewWriter(&buf)
-		if _, err := zw.Write(raw); err == nil && zw.Close() == nil && buf.Len() < len(raw) {
-			return pushBody{payload: buf.Bytes(), gzipped: true}
+		if _, err := zw.Write(body.payload); err == nil && zw.Close() == nil && buf.Len() < len(body.payload) {
+			body.payload, body.gzipped = buf.Bytes(), true
 		}
 	}
-	return pushBody{payload: raw}
+	return body
 }
 
 // eachEndpoint runs do against every replica concurrently — each
@@ -253,18 +255,7 @@ func (p *Publisher) Push(ctx context.Context, name string, version int) error {
 		return fmt.Errorf("replica: push %s@v%d: not in source store", name, version)
 	}
 	body := encodePush(bundle)
-	return p.eachEndpoint(func(ep string) error {
-		// A reconcile that fails leaves the release to the plain push and
-		// its retries; the endpoint stays flagged either way.
-		if p.isFlagged(ep) && p.reconcile(ctx, ep) == nil {
-			return nil
-		}
-		err := p.pushTo(ctx, ep, name, version, body)
-		if err != nil {
-			p.setFlagged(ep, true)
-		}
-		return err
-	})
+	return p.eachEndpoint(func(ep string) error { return p.converge(ctx, ep, &body) })
 }
 
 // Sync reconciles every replica, flagged or not — the daemon's sweep at
@@ -273,29 +264,64 @@ func (p *Publisher) Push(ctx context.Context, name string, version int) error {
 // replica that cannot be reached is reported, stays flagged, and costs
 // the others nothing; the context bounds the whole sweep.
 func (p *Publisher) Sync(ctx context.Context) error {
-	return p.eachEndpoint(func(ep string) error { return p.reconcile(ctx, ep) })
+	return p.eachEndpoint(func(ep string) error { return p.converge(ctx, ep, nil) })
 }
 
-// reconcile is the catch-up path: it asks the replica which versions it
-// holds and delivers, in order, every release of every name past that.
-// It trusts only what the replica reports. The flag is cleared first
-// and set again on failure, so a push that fails while a reconcile runs
-// is never forgotten.
-func (p *Publisher) reconcile(ctx context.Context, endpoint string) (err error) {
-	p.setFlagged(endpoint, false)
-	defer func() {
-		if err != nil {
-			p.setFlagged(endpoint, true)
+// converge is the attempt loop Push and Sync share for one endpoint.
+// The first attempt is the plain push of body, unless there is none
+// (Sync) or the endpoint is flagged: then it is a reconcile. Every later
+// attempt is a reconcile, after a backoff that doubles from the
+// configured one (full jitter, see sleepBackoff), up to the retry
+// budget; a permanent error or the context ends the loop early. An
+// endpoint left unconverged is flagged.
+func (p *Publisher) converge(ctx context.Context, endpoint string, body *pushBody) error {
+	var err error
+	if body != nil && !p.isFlagged(endpoint) {
+		err = p.pushOnce(ctx, endpoint, *body)
+	} else {
+		err = p.reconcile(ctx, endpoint)
+	}
+	backoff := p.backoff
+	for retry := 0; retry < p.retries && err != nil && !isPermanent(err); retry++ {
+		if serr := sleepBackoff(ctx, backoff); serr != nil {
+			// Cancelled mid-retry: surface both the cancellation and
+			// what we were retrying.
+			err = errors.Join(serr, err)
+			break
 		}
-	}()
+		backoff *= 2
+		err = p.reconcile(ctx, endpoint)
+	}
+	if err != nil {
+		p.setFlagged(endpoint, true)
+	}
+	return err
+}
+
+// reconcile asks the replica which versions it holds and delivers, in
+// order, every release of every name past that, each once: converge
+// owns the retrying. It trusts only what the replica reports. The flag
+// is cleared first, so a push that fails while a reconcile runs, and
+// flags the endpoint, is never forgotten.
+func (p *Publisher) reconcile(ctx context.Context, endpoint string) error {
+	p.setFlagged(endpoint, false)
 	applied, err := p.fetchStatus(ctx, endpoint)
 	if err != nil {
 		return err
 	}
-	for _, name := range p.src.List() {
+	names := p.src.List()
+	for _, name := range names {
 		p.setWatermark(endpoint, name, applied[name])
-		if err := p.backfill(ctx, endpoint, name, applied[name], p.src.VersionCount(name)); err != nil {
-			return err
+	}
+	for _, name := range names {
+		for v := applied[name] + 1; v <= p.src.VersionCount(name); v++ {
+			bundle, ok := p.src.Get(name, v)
+			if !ok {
+				return fmt.Errorf("replica: reconcile %s@v%d: not in source store", name, v)
+			}
+			if err := p.pushOnce(ctx, endpoint, encodePush(bundle)); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -323,74 +349,8 @@ func (p *Publisher) fetchStatus(ctx context.Context, endpoint string) (map[strin
 	return st.Watermarks, nil
 }
 
-// pushTo delivers one release to one replica, retrying transport
-// errors with exponential backoff (full jitter, see sleepBackoff).
-// Cancelling the context aborts the in-flight request and interrupts
-// any backoff sleep.
-func (p *Publisher) pushTo(ctx context.Context, endpoint, name string, version int, body pushBody) error {
-	backoff := p.backoff
-	var lastErr error
-	for attempt := 0; attempt <= p.retries; attempt++ {
-		if attempt > 0 {
-			if err := sleepBackoff(ctx, backoff); err != nil {
-				// Cancelled mid-retry: surface both the cancellation and
-				// what we were retrying.
-				return errors.Join(err, lastErr)
-			}
-			backoff *= 2
-		}
-		st, gap, err := p.pushOnce(ctx, endpoint, body)
-		if gap != nil {
-			// The replica is missing versions below ours, so it is not
-			// where the publisher thought: flag it, backfill this name in
-			// order from the watermark it reports, then re-deliver. Not a
-			// retry — the gap reply is authoritative.
-			p.setFlagged(endpoint, true)
-			p.setWatermark(endpoint, name, gap.Watermark)
-			if err := p.backfill(ctx, endpoint, name, gap.Watermark, version-1); err != nil {
-				return err
-			}
-			if st, gap, err = p.pushOnce(ctx, endpoint, body); gap != nil {
-				// Still behind after a completed backfill: the replica
-				// lost state mid-protocol. The retry loop starts over from
-				// the watermark it reports next.
-				err = fmt.Errorf("replica still reports watermark %d after backfill", gap.Watermark)
-			}
-		}
-		if err == nil {
-			p.setWatermark(endpoint, name, st.Watermark)
-			return nil
-		}
-		lastErr = fmt.Errorf("replica: push %s@v%d to %s: %w", name, version, endpoint, err)
-		if isPermanent(err) {
-			break
-		}
-	}
-	return lastErr
-}
-
-// backfill pushes versions watermark+1..to of name (inclusive) to one
-// endpoint, in order, once each: its callers own the retrying.
-func (p *Publisher) backfill(ctx context.Context, endpoint, name string, watermark, to int) error {
-	for v := watermark + 1; v <= to; v++ {
-		bundle, ok := p.src.Get(name, v)
-		if !ok {
-			return fmt.Errorf("replica: backfill %s@v%d: not in source store", name, v)
-		}
-		st, gap, err := p.pushOnce(ctx, endpoint, encodePush(bundle))
-		if err != nil {
-			return fmt.Errorf("replica: backfill %s@v%d to %s: %w", name, v, endpoint, err)
-		}
-		if gap != nil {
-			return fmt.Errorf("replica: backfill %s@v%d to %s: replica still reports gap at watermark %d", name, v, endpoint, gap.Watermark)
-		}
-		p.setWatermark(endpoint, name, st.Watermark)
-	}
-	return nil
-}
-
-// permanentError marks replies that retrying cannot fix (divergent
-// digest, malformed bundle).
+// permanentError marks replies that retrying cannot fix (refused
+// token, divergent digest, malformed or oversized bundle).
 type permanentError struct{ msg string }
 
 func (e *permanentError) Error() string { return e.msg }
@@ -400,12 +360,19 @@ func isPermanent(err error) bool {
 	return errors.As(err, &pe)
 }
 
-// pushOnce performs a single POST /push. It returns the decoded status
-// on success, the gap report on a version-gap 409, or an error.
-func (p *Publisher) pushOnce(ctx context.Context, endpoint string, body pushBody) (PushStatus, *gapResponse, error) {
+// pushOnce performs a single POST /push and records the watermark the
+// replica answers with, in its ack or in a gap reply. A gap is an
+// ordinary, retryable failure: the replica is behind, and the attempt
+// after it reconciles.
+func (p *Publisher) pushOnce(ctx context.Context, endpoint string, body pushBody) (err error) {
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("replica: push %s@v%d to %s: %w", body.name, body.version, endpoint, err)
+		}
+	}()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, endpoint+"/push", bytes.NewReader(body.payload))
 	if err != nil {
-		return PushStatus{}, nil, err
+		return err
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
 	// The push continues the caller's trace (the daemon's tick) into the
@@ -420,35 +387,35 @@ func (p *Publisher) pushOnce(ctx context.Context, endpoint string, body pushBody
 	}
 	resp, err := p.client.Do(req)
 	if err != nil {
-		return PushStatus{}, nil, err
+		return err
 	}
 	defer resp.Body.Close()
 	switch resp.StatusCode {
-	case http.StatusUnauthorized:
-		// Wrong or missing shared secret: retrying with the same token
-		// cannot help.
-		return PushStatus{}, nil, &permanentError{msg: "replica rejected push: " + readError(resp.Body)}
 	case http.StatusOK:
 		var st PushStatus
 		if err := httpkit.ReadJSON(resp.Body, httpkit.StatusReplyBytes, &st); err != nil {
-			return PushStatus{}, nil, fmt.Errorf("undecodable push reply: %w", err)
+			return fmt.Errorf("undecodable push reply: %w", err)
 		}
-		return st, nil, nil
+		p.setWatermark(endpoint, st.Name, st.Watermark)
+		return nil
 	case http.StatusConflict:
-		// Either a version gap (carries a watermark to resume from) or a
+		// Either a version gap (carries the replica's watermark) or a
 		// divergent release (permanent).
 		var gap gapResponse
 		if err := httpkit.ReadJSON(resp.Body, httpkit.StatusReplyBytes, &gap); err != nil {
-			return PushStatus{}, nil, fmt.Errorf("undecodable 409 reply: %w", err)
+			return fmt.Errorf("undecodable 409 reply: %w", err)
 		}
-		if gap.Name != "" {
-			return PushStatus{}, &gap, nil
+		if gap.Name == "" {
+			return &permanentError{msg: gap.Error}
 		}
-		return PushStatus{}, nil, &permanentError{msg: gap.Error}
-	case http.StatusBadRequest:
-		return PushStatus{}, nil, &permanentError{msg: readError(resp.Body)}
+		p.setWatermark(endpoint, gap.Name, gap.Watermark)
+		return errors.New(gap.Error)
+	case http.StatusUnauthorized, http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+		// A wrong or missing shared secret, a malformed bundle or one
+		// past the replica's size cap: the same bytes cannot fare better.
+		return &permanentError{msg: readError(resp.Body)}
 	default:
-		return PushStatus{}, nil, fmt.Errorf("replica returned status %d: %s", resp.StatusCode, readError(resp.Body))
+		return fmt.Errorf("replica returned status %d: %s", resp.StatusCode, readError(resp.Body))
 	}
 }
 

@@ -87,6 +87,15 @@ func requireConverged(t *testing.T, pub *Publisher, src *store.Store, r *rigRepl
 	}
 }
 
+// blipSecondPush makes the replica answer its next-but-one POST /push
+// with a 500, once; every other request passes.
+func (r *rigReplica) blipSecondPush() {
+	r.inj.Set(
+		faulty.Rule{Path: "/push", First: 1},
+		faulty.Rule{Path: "/push", Mode: faulty.Error, First: 1},
+	)
+}
+
 func urlsOf(reps []*rigReplica) []string {
 	urls := make([]string, len(reps))
 	for i, r := range reps {
@@ -248,9 +257,9 @@ func TestPublisherContract(t *testing.T) {
 
 // TestReplicaRestartMidRunConverges: a replica that comes back empty
 // while the publisher runs is not where the publisher thinks it is. The
-// gap reply to the next release says so; the push after that reconciles
-// it, so the name that got no new release converges too, and the cache
-// follows the replica down instead of reporting it current.
+// gap reply to the next release says so; the retry after it is a
+// reconcile, so the name that got no new release converges too, and the
+// cache follows the replica down instead of reporting it current.
 func TestReplicaRestartMidRunConverges(t *testing.T) {
 	ctx := context.Background()
 	src := store.New()
@@ -306,6 +315,53 @@ func TestSyncHealsRestartedReplica(t *testing.T) {
 		t.Fatalf("sync after restart: %v", err)
 	}
 	requireConverged(t, pub, src, rep)
+}
+
+// TestHealRidesOutABlipDuringGapCatchUp: a replica two versions behind
+// answers the next release with a gap, and the catch-up after it meets
+// one failed POST /push. With retries left that costs one more
+// reconcile, not the push.
+func TestHealRidesOutABlipDuringGapCatchUp(t *testing.T) {
+	src := store.New()
+	rep := newRigReplica(t, 1)
+	pub := NewPublisher(src, []string{rep.url}, WithRetry(3, time.Millisecond))
+	release(src, "m")
+	release(src, "m")
+	rep.blipSecondPush()
+	if err := pub.Push(context.Background(), "m", release(src, "m")); err != nil {
+		t.Fatalf("push with one blip and retries left: %v", err)
+	}
+	requireConverged(t, pub, src, rep)
+	if pub.isFlagged(rep.url) {
+		t.Error("converged replica still flagged")
+	}
+	// v3 (gap); a reconcile: v1 (the blip); a reconcile: v1, v2, v3.
+	if posts, gets := rep.traffic(); posts != 5 || gets != 2 {
+		t.Errorf("%d POST /push and %d GET /replica/status, want 5 and 2", posts, gets)
+	}
+}
+
+// TestHealRidesOutABlipDuringSync: the same blip in the middle of a
+// Sync's catch-up is retried as a second reconcile.
+func TestHealRidesOutABlipDuringSync(t *testing.T) {
+	src := store.New()
+	for range 3 {
+		release(src, "m")
+	}
+	rep := newRigReplica(t, 1)
+	pub := NewPublisher(src, []string{rep.url}, WithRetry(3, time.Millisecond))
+	rep.blipSecondPush()
+	if err := pub.Sync(context.Background()); err != nil {
+		t.Fatalf("sync with one blip and retries left: %v", err)
+	}
+	requireConverged(t, pub, src, rep)
+	if pub.isFlagged(rep.url) {
+		t.Error("converged replica still flagged")
+	}
+	// A reconcile: v1, v2 (the blip); a reconcile: v2, v3.
+	if posts, gets := rep.traffic(); posts != 4 || gets != 2 {
+		t.Errorf("%d POST /push and %d GET /replica/status, want 4 and 2", posts, gets)
+	}
 }
 
 // TestSelfHealingConcurrentPushes: racing pushes to a flagged endpoint

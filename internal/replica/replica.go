@@ -23,8 +23,9 @@
 //     digest of the pushed bytes against the applied release and acks
 //     without reapplying; a digest mismatch is a 409 — a release can
 //     never be silently replaced.
-//   - version > watermark+1 → 409 with the watermark, and the
-//     publisher backfills the missing versions of that name in order.
+//   - version > watermark+1 → 409 with the watermark. The replica is
+//     behind, and the publisher's next attempt reconciles it (see
+//     Catching up).
 //
 // Replica stores are read-only from the network's point of view: only
 // /push mutates them, and application happens under the store's write
@@ -37,12 +38,13 @@
 // state, or by being unreachable while releases were made. There is one
 // way back: the publisher reconciles it — reads GET /replica/status and
 // pushes, in order, every release of every name past the watermarks the
-// replica reports. Nothing selects this; the publisher works out which
-// endpoints to doubt from what it observes (built over a store that
-// already holds releases, a failed push, a gap reply — see Publisher),
-// reconciles those at their next push, and reconciles all of them when
-// asked to (Publisher.Sync, which the daemon calls at start and at
-// drain). The watermarks a publisher caches are what each replica last
+// replica reports. Nothing selects this. Every retry is a reconcile: a
+// push that fails, a gap reply included, is followed by one after a
+// backoff. The publisher starts with a reconcile where it has reason to
+// doubt an endpoint (built over a store that already holds releases,
+// or one left unconverged when its retries ran out — see Publisher),
+// and reconciles all of them when asked to (Publisher.Sync, which the
+// daemon calls at start and at drain). The watermarks a publisher caches are what each replica last
 // said, never an input to a decision.
 //
 // # On the wire
@@ -55,7 +57,7 @@
 // — wide released feature tables are highly redundant, so compression
 // cuts fan-out bandwidth by integer factors; the replica decompresses
 // transparently and enforces the same decoded-size cap as for identity
-// bodies.
+// bodies: 413 past it, which the publisher does not retry.
 package replica
 
 import (
@@ -271,7 +273,7 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request, limit int64)
 	}
 	if int64(len(raw)) > limit {
 		s.pushBadBody.Inc()
-		httpkit.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "bundle exceeds size limit after decompression"})
+		httpkit.BodyError(w, "", &http.MaxBytesError{Limit: limit})
 		return
 	}
 	b, err := store.DecodeCanonicalBundle(raw)

@@ -223,8 +223,8 @@ func TestReplicatedServingEndToEnd(t *testing.T) {
 
 // TestPushGapTriggersBackfill covers the protocol's self-healing: a
 // publisher that pushes only the newest version to a behind replica
-// gets a 409 with the replica's watermark and must backfill the missing
-// versions in order, transparently.
+// gets a 409 with the replica's watermark, and its retry — a reconcile —
+// must deliver the missing versions in order, transparently.
 func TestPushGapTriggersBackfill(t *testing.T) {
 	src := store.New()
 	rep, srv := newReplica(t)
@@ -241,8 +241,8 @@ func TestPushGapTriggersBackfill(t *testing.T) {
 	if err := pub.Push(context.Background(), "m", 3); err != nil {
 		t.Fatalf("push with gap: %v", err)
 	}
-	if !pub.isFlagged(srv.URL) {
-		t.Error("a replica that answered a gap is not where the publisher thought: it must be flagged")
+	if pub.isFlagged(srv.URL) {
+		t.Error("the reconcile after the gap succeeded: the replica must not stay flagged")
 	}
 	if got := rep.Store().VersionCount("m"); got != 3 {
 		t.Fatalf("replica has %d version(s), want 3 (backfilled)", got)
@@ -260,8 +260,8 @@ func TestPushGapTriggersBackfill(t *testing.T) {
 
 // TestPushRetriesTransientErrors pins the retry/backoff path: a replica
 // that fails with 503 twice before recovering must still converge, and
-// a divergent release (409 digest mismatch) must fail immediately with
-// no retries.
+// a divergent release (409 digest mismatch) or one past the replica's
+// size cap (413) must fail at once with no retries.
 func TestPushRetriesTransientErrors(t *testing.T) {
 	rep := NewServer()
 	inner := rep.Handler()
@@ -275,8 +275,8 @@ func TestPushRetriesTransientErrors(t *testing.T) {
 	}))
 	defer flaky.Close()
 
-	// Every publisher here is built before the release exists, so its
-	// endpoint is not flagged and the calls counted are pushes alone.
+	// This publisher is built before the release exists, so its endpoint
+	// is not flagged and its first attempt is a plain push.
 	src := store.New()
 	pub := NewPublisher(src, []string{flaky.URL}, WithRetry(3, time.Millisecond))
 	spec, _ := store.Serialize(&ml.LinearModel{Weights: []float64{2}, Bias: 1})
@@ -287,8 +287,8 @@ func TestPushRetriesTransientErrors(t *testing.T) {
 	if got := rep.Store().VersionCount("m"); got != 1 {
 		t.Fatalf("replica store has %d versions, want 1", got)
 	}
-	if calls.Load() != 3 {
-		t.Errorf("push took %d attempts, want 3 (two 503s then success)", calls.Load())
+	if calls.Load() != 4 {
+		t.Errorf("push took %d requests, want 4: a 503 to the push, a 503 to the retry's status read, then the status read and the push", calls.Load())
 	}
 
 	// Exhausted retries surface as an error.
@@ -325,6 +325,22 @@ func TestPushRetriesTransientErrors(t *testing.T) {
 	}
 	if divergeCalls.Load() != 1 {
 		t.Errorf("divergent push attempted %d times, want 1 (permanent errors must not retry)", divergeCalls.Load())
+	}
+
+	var tooLargeCalls atomic.Int32
+	tooLarge := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		tooLargeCalls.Add(1)
+		http.Error(w, "too large", http.StatusRequestEntityTooLarge)
+	}))
+	defer tooLarge.Close()
+	srcLarge := store.New()
+	pubLarge := NewPublisher(srcLarge, []string{tooLarge.URL}, WithRetry(3, time.Millisecond))
+	srcLarge.Publish(store.Bundle{Name: "m", Model: spec})
+	if err := pubLarge.Push(context.Background(), "m", 1); err == nil {
+		t.Fatal("push answered 413 reported success")
+	}
+	if tooLargeCalls.Load() != 1 {
+		t.Errorf("push answered 413 attempted %d times, want 1 (permanent errors must not retry)", tooLargeCalls.Load())
 	}
 }
 
