@@ -71,22 +71,36 @@
 //
 // # Memory
 //
-// A proxied request's body and its buffered upstream response live in
-// one hopBuffers set from a sync.Pool (hopbuf.go), not in buffers
-// allocated per request. The set's users are the handler, until its
-// w.Write returns, and each attempt's request body, until the
-// transport closes it: the http.RoundTripper contract lets a transport
-// read a body after RoundTrip has returned, so the set carries a
-// reference count and the last user to finish returns it. Nobody
-// waits — the handler drops its reference and leaves, so a slow
-// upstream write never holds an admission slot. A set that grew past
-// maxPooledHopBytes (4 MiB) is left to the collector instead. Pooling
-// changes no bound: each admitted request still buffers at most its
-// row's budget, so worst-case in-flight request bytes at default
-// Limits stay 128 × 1 MiB + 16 × 32 MiB = 640 MiB. What a forwarded
-// body still allocates is net/http's own 32 KiB copy buffer when the
-// transport writes it to the connection; the transport is the
-// caller's, so that one stays.
+// A proxied request's body, its buffered upstream response and each
+// attempt's outgoing URL and header live in one hopBuffers set from a
+// sync.Pool (hopbuf.go), not in buffers allocated per request. The set
+// has one URL-and-header slot per attempt, so a failover never rewrites
+// what the first attempt's transport may still be reading. Each
+// backend's base URL is parsed once, by New, and an attempt's URL is
+// built from it by value, so the outgoing request is the one allocation
+// WithContext makes. The per-attempt deadline context stays: it is what
+// bounds each attempt by AttemptTimeout, and the common path makes only
+// one.
+//
+// The set's users are the handler, until its w.Write returns, and each
+// attempt's request body, until the transport closes it: the
+// http.RoundTripper contract lets a transport read a request — its body,
+// URL and header — after RoundTrip has returned, with a response or an
+// error, so the set carries a reference count and the last user to
+// finish clears the slots and returns it. A request with no body holds
+// no reference of its own: the contract lets a caller reuse it once the
+// response body is closed, which forward does before it returns; if its
+// RoundTrip fails, nothing tells when the transport is done with it, so
+// the set is spent and goes to the collector. Nobody waits — the handler
+// drops its reference and leaves, so a slow upstream write never holds
+// an admission slot. A set whose buffers grew past maxPooledHopBytes
+// (4 MiB) is left to the collector instead, and a slot's header map past
+// maxPooledHeaders keys is dropped from the set. Pooling changes no
+// bound: each admitted request still buffers at most its row's budget,
+// so worst-case in-flight request bytes at default Limits stay 128 ×
+// 1 MiB + 16 × 32 MiB = 640 MiB. What a forwarded body still allocates
+// is net/http's own 32 KiB copy buffer when the transport writes it to
+// the connection; the transport is the caller's, so that one stays.
 //
 // # What the gateway refuses
 //

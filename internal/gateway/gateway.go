@@ -9,8 +9,10 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,7 +30,10 @@ const maxResponseBytes = 64 << 20
 
 // Config configures a Gateway.
 type Config struct {
-	// Backends are replica base URLs (e.g. "http://10.0.0.7:8081").
+	// Backends are replica base URLs (e.g. "http://10.0.0.7:8081"). New
+	// refuses one that is not an absolute http(s) URL with a host (see
+	// replica.CheckEndpoints) and parses each once: every attempt and
+	// probe builds its target from that parse.
 	Backends []string
 	// Transport performs upstream requests (default http.DefaultTransport;
 	// tests inject faulty transports).
@@ -79,7 +84,12 @@ func (c *Config) applyDefaults() {
 
 // backend is one replica endpoint and the gateway's view of it.
 type backend struct {
-	url     string
+	url string
+	// base is url as parsed by New, with an empty port trimmed from its
+	// host as http.NewRequest trims it. rawPath is its path as written
+	// in url, the prefix an escaped request path is appended to.
+	base    url.URL
+	rawPath string
 	breaker *Breaker
 	// inflight is this gateway's requests currently proxied to the
 	// backend — the least-loaded routing key.
@@ -166,7 +176,15 @@ func New(cfg Config) (*Gateway, error) {
 			metrics.LatencyBuckets(), metrics.Label{Name: "class", Value: c.String()})
 	}
 	for _, u := range cfg.Backends {
-		b := &backend{url: u, breaker: NewBreaker(cfg.Breaker)}
+		base, err := url.Parse(u)
+		if err != nil {
+			return nil, fmt.Errorf("gateway: backends: %w", err)
+		}
+		base.Host = strings.TrimSuffix(base.Host, ":")
+		b := &backend{url: u, base: *base, rawPath: base.RawPath, breaker: NewBreaker(cfg.Breaker)}
+		if b.rawPath == "" {
+			b.rawPath = base.EscapedPath()
+		}
 		lbl := metrics.Label{Name: "backend", Value: u}
 		b.requests = reg.Counter("sage_gateway_backend_requests_total",
 			"Attempts forwarded to the backend.", lbl)
@@ -277,11 +295,9 @@ func (g *Gateway) probeAll(ctx context.Context) {
 func (g *Gateway) probe(ctx context.Context, b *backend) {
 	ctx, cancel := context.WithTimeout(ctx, min(g.cfg.HealthInterval, time.Second))
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.url+"/replica/status", nil)
-	if err != nil {
-		return
-	}
-	resp, err := g.cfg.Transport.RoundTrip(req)
+	var target url.URL
+	b.target(&target, &statusPath)
+	resp, err := g.cfg.Transport.RoundTrip(newRequest(ctx, http.MethodGet, &target, make(http.Header)))
 	if err != nil {
 		g.markDown(b, err)
 		return
@@ -426,9 +442,9 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, class store.Clas
 		}
 	}
 
-	exclude := make(map[*backend]bool, 2)
+	exclude := make(map[*backend]bool, maxAttempts)
 	var lastErr error
-	for attempt := 0; attempt < 2; attempt++ {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		b := g.pick(exclude)
 		if b == nil {
 			break
@@ -436,7 +452,7 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, class store.Clas
 		exclude[b] = true
 		att := root.StartChild("gateway.attempt")
 		att.SetAttr("backend", b.url)
-		res, err := g.forward(r, b, set, att)
+		res, err := g.forward(r, b, &set.out[attempt], set, att)
 		if err != nil {
 			att.SetOutcome("error")
 			att.End()
@@ -499,30 +515,32 @@ type proxyResult struct {
 
 // forward proxies one attempt to one backend under the per-attempt
 // deadline, sending set's request body and buffering and
-// length-verifying the response into set's resp buffer. An upstream
+// length-verifying the response into set's resp buffer. The outgoing
+// URL and header live in out, the attempt's own slot of set. An upstream
 // that delivers fewer bytes than it advertised is an error (the partial
 // response never reaches the client), as is one that out-sizes the
 // response cap. att, when non-nil, is stamped as the outgoing
 // traceparent parent — each attempt carries its own span id, so the
 // replica's server span hangs under the attempt that reached it.
-func (g *Gateway) forward(r *http.Request, b *backend, set *hopBuffers, att *trace.Span) (proxyResult, error) {
+func (g *Gateway) forward(r *http.Request, b *backend, out *outgoing, set *hopBuffers, att *trace.Span) (proxyResult, error) {
 	ctx, cancel := context.WithTimeout(r.Context(), g.cfg.AttemptTimeout)
 	defer cancel()
 	b.inflight.Add(1)
 	defer b.inflight.Add(-1)
 	b.requests.Inc()
 
-	req, err := http.NewRequestWithContext(ctx, r.Method, b.url+r.URL.RequestURI(), nil)
-	if err != nil {
-		return proxyResult{}, err
+	b.target(&out.url, r.URL)
+	if out.header == nil {
+		out.header = make(http.Header, len(r.Header)+1)
 	}
+	copyHeader(out.header, r.Header)
+	trace.Inject(att, out.header)
+	req := newRequest(ctx, r.Method, &out.url, out.header)
 	set.attach(req)
-	copyHeader(req.Header, r.Header)
-	req.Header.Del("Connection")
-	trace.Inject(att, req.Header)
 
 	resp, err := g.cfg.Transport.RoundTrip(req)
 	if err != nil {
+		set.spent = set.spent || req.Body == nil
 		return proxyResult{}, err
 	}
 	defer resp.Body.Close()
@@ -537,6 +555,47 @@ func (g *Gateway) forward(r *http.Request, b *backend, set *hopBuffers, att *tra
 		return proxyResult{}, fmt.Errorf("partial upstream body: %d of %d bytes", len(data), resp.ContentLength)
 	}
 	return proxyResult{status: resp.StatusCode, header: resp.Header, body: data}, nil
+}
+
+// statusPath is what a health probe asks a backend for.
+var statusPath = url.URL{Path: "/replica/status"}
+
+// target sets *u to what parsing b.url + ref.RequestURI() gives, as
+// http.NewRequest would, without the string or the parse: the base's
+// scheme, user and host, the base's path with ref's appended, and ref's
+// query. ref is a server request's URL (or statusPath): it has a path,
+// and it keeps an escaped form only where that differs from what
+// escaping its path gives, as the parse does. The base has neither
+// query nor fragment (replica.CheckEndpoints).
+func (b *backend) target(u, ref *url.URL) {
+	*u = b.base
+	u.Path = b.base.Path + ref.Path
+	switch {
+	case ref.RawPath != "" && ref.EscapedPath() == ref.RawPath:
+		u.RawPath = b.rawPath + ref.RawPath
+	case b.base.RawPath != "":
+		u.RawPath = b.rawPath + ref.EscapedPath()
+	}
+	// A server keeps a '#' in the query it read; the parse would take
+	// what follows it as a fragment, which is never sent.
+	query, _, cut := strings.Cut(ref.RawQuery, "#")
+	u.RawQuery = query
+	u.ForceQuery = ref.ForceQuery || cut && query == ""
+}
+
+// newRequest is the request http.NewRequestWithContext builds for u and
+// no body, over a URL and a header the caller provides instead of ones
+// it parses and allocates.
+func newRequest(ctx context.Context, method string, u *url.URL, h http.Header) *http.Request {
+	return (&http.Request{
+		Method:     method,
+		URL:        u,
+		Proto:      "HTTP/1.1",
+		ProtoMajor: 1,
+		ProtoMinor: 1,
+		Header:     h,
+		Host:       u.Host,
+	}).WithContext(ctx)
 }
 
 // hopHeaders are connection-scoped and must not be forwarded either way.

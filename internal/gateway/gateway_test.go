@@ -1,14 +1,18 @@
 package gateway
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"maps"
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -821,6 +825,141 @@ func TestRepeatedBackendIsAnError(t *testing.T) {
 	for _, backends := range [][]string{{"http://a", "http://a"}, {"http://a", ""}} {
 		if _, err := New(Config{Backends: backends}); err == nil {
 			t.Errorf("New(%q) = nil error, want one", backends)
+		}
+	}
+}
+
+// TestMalformedBackendIsAnError: a backend no request can be built on —
+// no scheme, another scheme, no host, or a query or fragment that a
+// request path would land in — is refused by New, not accepted and then
+// answered 503 on every request.
+func TestMalformedBackendIsAnError(t *testing.T) {
+	for _, backend := range []string{"10.0.0.7:8081", "ftp://10.0.0.7:8081", "http://", "http:///path", "http//a", "http://a?b=1", "http://a/#top", "http://a/?"} {
+		if _, err := New(Config{Backends: []string{"http://good", backend}}); err == nil {
+			t.Errorf("New with backend %q = nil error, want one", backend)
+		}
+	}
+}
+
+// TestTargetIsTheParsedConcatenation: the URL an attempt is sent to is
+// built from the backend's base, parsed once, and the client's request
+// URL. It must be what http.NewRequest makes of the base and the
+// request URI as one string: a base path prefix, escaped paths (in the
+// base and in the request), an empty port, userinfo, an empty query and
+// a '#' a server leaves in the query all come out as the parse has them
+// (the fragment aside, which is never sent).
+func TestTargetIsTheParsedConcatenation(t *testing.T) {
+	bases := []string{
+		"http://h:8081", "http://h:", "https://user:p%40ss@h", "http://h/",
+		"http://h/prefix", "http://h/pre%2Ffix", "http://h/a%20b/", "http://[::1]:80/x",
+	}
+	targets := []string{
+		"/predict?model=m", "/predict/batch?model=m&n=1", "/predict?", "/models",
+		"/models/a%2Fb/provenance", "/models/a%20b/provenance?x=%2F", "/models/a+b/provenance",
+		"/models/a{b/provenance", "/models/a;b/provenance?q=1;2", "/models/%7E/provenance",
+		"/features?model=m#frag", "/features?#frag", "/features?a=1#b#c", "/replica/status",
+	}
+	for _, base := range bases {
+		g, err := New(Config{Backends: []string{base}})
+		if err != nil {
+			t.Fatalf("New(%q): %v", base, err)
+		}
+		for _, target := range targets {
+			in, err := http.ReadRequest(bufio.NewReader(strings.NewReader("GET " + target + " HTTP/1.1\r\nHost: client\r\n\r\n")))
+			if err != nil {
+				t.Fatalf("reading %q: %v", target, err)
+			}
+			want, err := http.NewRequest(http.MethodGet, base+in.URL.RequestURI(), nil)
+			if err != nil {
+				t.Fatalf("%q + %q: %v", base, target, err)
+			}
+			want.URL.Fragment, want.URL.RawFragment = "", ""
+			var got url.URL
+			g.backends[0].target(&got, in.URL)
+			if !reflect.DeepEqual(&got, want.URL) || got.RequestURI() != want.URL.RequestURI() {
+				t.Errorf("%q + %q: built %#v (%s), the parse gives %#v (%s)",
+					base, target, got, got.RequestURI(), *want.URL, want.URL.RequestURI())
+			}
+		}
+	}
+}
+
+// TestForwardedRequestIsUnchanged pins what a replica receives for a
+// proxied request: method, escaped path under the backend's base path,
+// query, end-to-end headers (hop-by-hop ones dropped), Host and body.
+func TestForwardedRequestIsUnchanged(t *testing.T) {
+	type received struct {
+		method, uri, host string
+		header            http.Header
+		body              string
+	}
+	got := make(chan received, 1)
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			t.Errorf("backend reading the body: %v", err)
+		}
+		got <- received{r.Method, r.RequestURI, r.Host, r.Header, string(body)}
+		w.Write([]byte("{}"))
+	}))
+	defer backend.Close()
+	host := strings.TrimPrefix(backend.URL, "http://")
+	g, err := New(Config{Backends: []string{backend.URL + "/base%2Fpath"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := g.Handler()
+	for i, c := range []struct {
+		method, target, body string
+		want                 received
+	}{
+		{http.MethodPost, "/predict?model=m&n=%2F1", `{"features":[1,2]}`, received{
+			http.MethodPost, "/base%2Fpath/predict?model=m&n=%2F1", host, http.Header{"Content-Length": {"18"}}, `{"features":[1,2]}`}},
+		{http.MethodPost, "/predict/batch?model=m", `{"rows":[[1]]}`, received{
+			http.MethodPost, "/base%2Fpath/predict/batch?model=m", host, http.Header{"Content-Length": {"14"}}, `{"rows":[[1]]}`}},
+		{http.MethodGet, "/models/a%2Fb/provenance?v=2", "", received{
+			http.MethodGet, "/base%2Fpath/models/a%2Fb/provenance?v=2", host, http.Header{}, ""}},
+		{http.MethodGet, "/features?model=m&key=k#frag", "", received{
+			http.MethodGet, "/base%2Fpath/features?model=m&key=k", host, http.Header{}, ""}},
+		{http.MethodGet, "/models?", "", received{
+			http.MethodGet, "/base%2Fpath/models?", host, http.Header{}, ""}},
+	} {
+		req := httptest.NewRequest(c.method, "http://client.example"+c.target, strings.NewReader(c.body))
+		for k, vs := range map[string][]string{
+			"Content-Type":        {"application/json"},
+			"X-Multi":             {"a", "b"},
+			"User-Agent":          {"forward-test"},
+			"Accept-Encoding":     {"identity"},
+			"Connection":          {"keep-alive"},
+			"Keep-Alive":          {"timeout=5"},
+			"Te":                  {"trailers"},
+			"Proxy-Authorization": {"Basic eA=="},
+			"Upgrade":             {"h2c"},
+		} {
+			req.Header[k] = vs
+		}
+		// A header of this request's own: one left over from an earlier
+		// request in a reused set would show up beside it.
+		own := fmt.Sprintf("X-Case-%d", i)
+		req.Header[own] = []string{c.target}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s %s: %d %s", c.method, c.target, rec.Code, rec.Body.String())
+		}
+		r := <-got
+		want := c.want
+		for k, vs := range map[string][]string{
+			"Content-Type":    {"application/json"},
+			"X-Multi":         {"a", "b"},
+			"User-Agent":      {"forward-test"},
+			"Accept-Encoding": {"identity"},
+			own:               {c.target},
+		} {
+			want.header[k] = vs
+		}
+		if !reflect.DeepEqual(r, want) {
+			t.Errorf("%s %s: the backend received\n%+v\nwant\n%+v", c.method, c.target, r, want)
 		}
 	}
 }

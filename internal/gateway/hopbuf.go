@@ -1,7 +1,7 @@
 // hopbuf.go holds the pooled buffers a proxied request travels in: its
-// body, replayed to each attempt, and the upstream response the gateway
-// verifies before forwarding. doc.go's "Memory" section states the
-// lifetime rule.
+// body, replayed to each attempt, each attempt's outgoing URL and
+// header, and the upstream response the gateway verifies before
+// forwarding. doc.go's "Memory" section states the lifetime rule.
 package gateway
 
 import (
@@ -9,6 +9,7 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"net/url"
 	"sync"
 	"sync/atomic"
 )
@@ -21,23 +22,49 @@ import (
 // tenth of this.
 const maxPooledHopBytes = 4 << 20
 
+// maxPooledHeaders bounds the keys an attempt's outgoing header may
+// carry back into hopPool: clearing a map keeps the room it grew to, so
+// one request with thousands of header lines would otherwise pin that
+// room per P.
+const maxPooledHeaders = 64
+
+// maxAttempts is how many backends one proxied request tries: the first
+// pick and one failover to a different backend.
+const maxAttempts = 2
+
 // errHopReleased answers a replay asked for after the last user of the
 // request's buffers has gone.
 var errHopReleased = errors.New("gateway: request body replayed after its request finished")
 
-// hopBuffers is one proxied request's buffers: req holds its body and
-// resp the current attempt's upstream response. Its users are the
-// handler and each upstream attempt's request body, which the transport
-// may still be reading after RoundTrip has returned; the last of them
-// to finish returns the set to hopPool.
+// hopBuffers is one proxied request's buffers: req holds its body, out
+// each attempt's outgoing URL and header, and resp the current
+// attempt's upstream response. Its users are the handler and each
+// upstream attempt's request body, which the transport may still be
+// reading after RoundTrip has returned; the last of them to finish
+// returns the set to hopPool.
 type hopBuffers struct {
 	req, resp bytes.Buffer
+	// out has one slot per attempt: a failover never rewrites what the
+	// first attempt's transport may still be reading.
+	out [maxAttempts]outgoing
+	// spent marks a set one of whose attempts failed without a body:
+	// nothing tells when that transport is done reading the request,
+	// so the set is never pooled again.
+	spent bool
 	// state is the set's generation in the high 32 bits, counted up each
 	// time the pool hands the set out, and its live references in the
 	// low 32. A reference is only taken against the generation it was
 	// handed out as, so a reader that outlives its request can never
 	// pin, or read, a later request's bytes.
 	state atomic.Uint64
+}
+
+// outgoing is what one attempt's request points at instead of a URL
+// and a header of its own. header is empty whenever the set is handed
+// out.
+type outgoing struct {
+	url    url.URL
+	header http.Header
 }
 
 var hopPool = sync.Pool{New: func() any { return new(hopBuffers) }}
@@ -54,14 +81,24 @@ func getHop() *hopBuffers {
 }
 
 // unref drops one reference. The last one returns the set to hopPool
-// unless a buffer has grown past maxPooledHopBytes, in which case it is
-// left to the collector; it reports whether the set went back.
+// unless it is spent or a buffer has grown past maxPooledHopBytes, in
+// which case it is left to the collector; it reports whether the set
+// went back.
 func (h *hopBuffers) unref() bool {
 	if uint32(h.state.Add(^uint64(0))) != 0 {
 		return false
 	}
-	if h.req.Cap()+h.resp.Cap() > maxPooledHopBytes {
+	if h.spent || h.req.Cap()+h.resp.Cap() > maxPooledHopBytes {
 		return false
+	}
+	// Nothing in the pool keeps a finished request's strings reachable.
+	for i := range h.out {
+		o := &h.out[i]
+		o.url = url.URL{}
+		if len(o.header) > maxPooledHeaders {
+			o.header = nil
+		}
+		clear(o.header)
 	}
 	hopPool.Put(h)
 	return true

@@ -10,6 +10,8 @@ import (
 	"io"
 	"math/rand/v2"
 	"net/http"
+	"net/url"
+	"strings"
 	"sync"
 	"time"
 
@@ -42,6 +44,12 @@ import (
 // empty store and never refused therefore sends one POST /push per
 // replica per release and nothing else.
 //
+// One endpoint has at most one reconcile in flight. A caller that would
+// start another while one runs waits for it instead, within its own
+// context, and sends nothing if it brought the replica up to what the
+// caller was delivering; concurrent pushes to a lagging replica
+// therefore catch it up once, not once per caller.
+//
 // The per-replica, per-name watermark cache is what each replica last
 // said about itself — every push ack, gap reply and status report
 // overwrites it, up or down — and is a diagnostic only (Watermark, the
@@ -61,6 +69,17 @@ type Publisher struct {
 	mu         sync.Mutex
 	watermarks map[string]map[string]int // endpoint → name → applied versions, as last reported
 	flagged    map[string]bool           // endpoints due a reconcile
+	running    map[string]*reconcileRun  // endpoint → its reconcile in flight
+}
+
+// reconcileRun is one reconcile in flight, shared by every caller that
+// asks for one of its endpoint while it runs. covered, err and cut are
+// set before done is closed.
+type reconcileRun struct {
+	done    chan struct{}
+	covered map[string]int // name → versions the replica holds, once it succeeded
+	err     error
+	cut     bool // the runner's context ended: err is no waiter's
 }
 
 // gzipMin is the body size from which pushes are gzip-compressed
@@ -88,20 +107,30 @@ func WithAuth(tok string) Option {
 	return func(p *Publisher) { p.authToken = tok }
 }
 
-// CheckEndpoints returns an error for an empty or repeated replica base
-// URL. Every tier that talks to a list of replicas keys its state and
-// its metric series by URL, so a repeat would collide, and an empty
-// entry would name no replica at all.
+// CheckEndpoints returns an error for a replica base URL that is
+// repeated, or that is not an absolute http or https URL with a host
+// and without a query or fragment: the form every request is built on
+// by appending its path. Every tier that talks to a list of replicas
+// keys its state and its metric series by URL, so a repeat would
+// collide, and any other entry would name no replica at all — each
+// request to it would fail, for as long as it is listed.
 func CheckEndpoints(urls []string) error {
 	seen := make(map[string]bool, len(urls))
-	for _, u := range urls {
-		if u == "" {
-			return errors.New("empty replica endpoint")
+	for _, raw := range urls {
+		if seen[raw] {
+			return fmt.Errorf("replica endpoint %q is listed twice", raw)
 		}
-		if seen[u] {
-			return fmt.Errorf("replica endpoint %q is listed twice", u)
+		seen[raw] = true
+		u, err := url.Parse(raw)
+		if err != nil {
+			return fmt.Errorf("replica endpoint: %w", err)
 		}
-		seen[u] = true
+		if u.Scheme != "http" && u.Scheme != "https" || u.Host == "" {
+			return fmt.Errorf("replica endpoint %q is not an http(s) URL with a host", raw)
+		}
+		if strings.ContainsAny(raw, "?#") {
+			return fmt.Errorf("replica endpoint %q has a query or fragment", raw)
+		}
 	}
 	return nil
 }
@@ -119,6 +148,7 @@ func NewPublisher(src *store.Store, endpoints []string, opts ...Option) *Publish
 		backoff:    100 * time.Millisecond,
 		watermarks: make(map[string]map[string]int),
 		flagged:    make(map[string]bool),
+		running:    make(map[string]*reconcileRun),
 	}
 	for _, o := range opts {
 		o(p)
@@ -162,10 +192,13 @@ func (p *Publisher) setFlagged(endpoint string, due bool) {
 	p.flagged[endpoint] = due
 }
 
-func (p *Publisher) isFlagged(endpoint string) bool {
+// needsReconcile reports whether a push to the endpoint starts with a
+// reconcile: it is flagged, or a reconcile is in flight, which the push
+// then waits for rather than racing it with a plain push.
+func (p *Publisher) needsReconcile(endpoint string) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.flagged[endpoint]
+	return p.flagged[endpoint] || p.running[endpoint] != nil
 }
 
 // Publish publishes the bundle into the authoritative store (assigning
@@ -269,17 +302,17 @@ func (p *Publisher) Sync(ctx context.Context) error {
 
 // converge is the attempt loop Push and Sync share for one endpoint.
 // The first attempt is the plain push of body, unless there is none
-// (Sync) or the endpoint is flagged: then it is a reconcile. Every later
+// (Sync) or the endpoint needs a reconcile: then it is one. Every later
 // attempt is a reconcile, after a backoff that doubles from the
 // configured one (full jitter, see sleepBackoff), up to the retry
 // budget; a permanent error or the context ends the loop early. An
 // endpoint left unconverged is flagged.
 func (p *Publisher) converge(ctx context.Context, endpoint string, body *pushBody) error {
 	var err error
-	if body != nil && !p.isFlagged(endpoint) {
+	if body != nil && !p.needsReconcile(endpoint) {
 		err = p.pushOnce(ctx, endpoint, *body)
 	} else {
-		err = p.reconcile(ctx, endpoint)
+		err = p.reconcile(ctx, endpoint, body)
 	}
 	backoff := p.backoff
 	for retry := 0; retry < p.retries && err != nil && !isPermanent(err); retry++ {
@@ -290,7 +323,7 @@ func (p *Publisher) converge(ctx context.Context, endpoint string, body *pushBod
 			break
 		}
 		backoff *= 2
-		err = p.reconcile(ctx, endpoint)
+		err = p.reconcile(ctx, endpoint, body)
 	}
 	if err != nil {
 		p.setFlagged(endpoint, true)
@@ -298,33 +331,86 @@ func (p *Publisher) converge(ctx context.Context, endpoint string, body *pushBod
 	return err
 }
 
-// reconcile asks the replica which versions it holds and delivers, in
-// order, every release of every name past that, each once: converge
-// owns the retrying. It trusts only what the replica reports. The flag
-// is cleared first, so a push that fails while a reconcile runs, and
-// flags the endpoint, is never forgotten.
-func (p *Publisher) reconcile(ctx context.Context, endpoint string) error {
+// reconcile is one reconcile attempt on behalf of a caller delivering
+// want (nil: everything the source holds). If the endpoint has none in
+// flight, the caller runs one; otherwise it waits for the one in flight
+// and is done if that one succeeded and covered want. If it failed, its
+// error is this attempt's, unless it failed because its runner's
+// context ended; if it missed want (a release made after it read the
+// source), or was cut short, the caller goes again.
+func (p *Publisher) reconcile(ctx context.Context, endpoint string, want *pushBody) error {
+	for {
+		p.mu.Lock()
+		run := p.running[endpoint]
+		if run == nil {
+			run = &reconcileRun{done: make(chan struct{})}
+			p.running[endpoint] = run
+			p.mu.Unlock()
+			run.covered, run.err = p.runReconcile(ctx, endpoint)
+			run.cut = ctx.Err() != nil
+			p.mu.Lock()
+			delete(p.running, endpoint)
+			p.mu.Unlock()
+			close(run.done)
+			return run.err
+		}
+		p.mu.Unlock()
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-run.done:
+		}
+		if run.err != nil && !run.cut || run.err == nil && p.covers(run.covered, want) {
+			return run.err
+		}
+	}
+}
+
+// covers reports whether a replica holding the covered versions has
+// want, or, for a nil want, every release the source holds now.
+func (p *Publisher) covers(covered map[string]int, want *pushBody) bool {
+	if want != nil {
+		return covered[want.name] >= want.version
+	}
+	for name, n := range p.src.Watermarks() {
+		if covered[name] < n {
+			return false
+		}
+	}
+	return true
+}
+
+// runReconcile asks the replica which versions it holds and delivers,
+// in order, every release of every name past that, each once: converge
+// owns the retrying. It trusts only what the replica reports, and
+// returns, per name, the versions the replica holds once it is done.
+// The flag is cleared first, so a push that fails while a reconcile
+// runs, and flags the endpoint, is never forgotten.
+func (p *Publisher) runReconcile(ctx context.Context, endpoint string) (map[string]int, error) {
 	p.setFlagged(endpoint, false)
 	applied, err := p.fetchStatus(ctx, endpoint)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	names := p.src.List()
 	for _, name := range names {
 		p.setWatermark(endpoint, name, applied[name])
 	}
+	covered := make(map[string]int, len(names))
 	for _, name := range names {
-		for v := applied[name] + 1; v <= p.src.VersionCount(name); v++ {
+		v := applied[name] + 1
+		for ; v <= p.src.VersionCount(name); v++ {
 			bundle, ok := p.src.Get(name, v)
 			if !ok {
-				return fmt.Errorf("replica: reconcile %s@v%d: not in source store", name, v)
+				return nil, fmt.Errorf("replica: reconcile %s@v%d: not in source store", name, v)
 			}
 			if err := p.pushOnce(ctx, endpoint, encodePush(bundle)); err != nil {
-				return err
+				return nil, err
 			}
 		}
+		covered[name] = v - 1
 	}
-	return nil
+	return covered, nil
 }
 
 // fetchStatus reads a replica's applied-version watermarks.

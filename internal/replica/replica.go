@@ -44,8 +44,10 @@
 // doubt an endpoint (built over a store that already holds releases,
 // or one left unconverged when its retries ran out — see Publisher),
 // and reconciles all of them when asked to (Publisher.Sync, which the
-// daemon calls at start and at drain). The watermarks a publisher caches are what each replica last
-// said, never an input to a decision.
+// daemon calls at start and at drain). An endpoint has one reconcile in
+// flight at a time; a caller that needs one while it runs waits for it.
+// The watermarks a publisher caches are what each replica last said,
+// never an input to a decision.
 //
 // # On the wire
 //
