@@ -45,9 +45,10 @@
 // daemon's.
 //
 // With -push, every accepted bundle is additionally pushed to the given
-// replica endpoints (versioned idempotent push with retry/backoff, gzip
-// bodies, optional -push-token bearer auth, and one catch-up path for a
-// replica that fell behind; see internal/replica). Replicas are started with `sagectl replica`: they
+// replica endpoints (versioned idempotent push of the release's
+// canonical bytes with retry/backoff, optional -push-token bearer auth,
+// and one catch-up path for a replica that fell behind; see
+// internal/replica). Replicas are started with `sagectl replica`: they
 // serve the identical read API plus
 //
 //	POST /push              receive one release's canonical bytes (publisher-only)

@@ -148,11 +148,11 @@
 //
 // The push path is hardened for deployment across trust boundaries:
 // POST /push can be gated behind a shared-secret bearer token (checked
-// in constant time; the read API stays open), bodies of a kilobyte and
-// up are gzip-compressed when that makes them smaller (Content-Encoding:
-// gzip, a ~100× wire reduction on wide released feature tables; the
-// replica caps the decoded size against zip bombs and answers 413 past
-// it), and a publisher has one catch-up path: a reconcile asks a
+// in constant time; the read API stays open), a push body is the
+// release's canonical bytes, never re-encoded (the replica answers a
+// body with any Content-Encoding but identity 415 without reading it,
+// and one past the 64 MiB budget 413), and a publisher has one
+// catch-up path: a reconcile asks a
 // replica which versions it holds and delivers what is missing. It is
 // every retry of a push, the first attempt for an endpoint the
 // publisher has reason to doubt — all of them when it is built over a

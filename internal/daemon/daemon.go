@@ -26,7 +26,7 @@
 //     block numbers do not, so every release draws fresh noise;
 //  3. publishes an accepted model+features bundle into the durable
 //     store and pushes it to the replica tier (versioned idempotent
-//     push with gzip bodies and optional bearer-token auth);
+//     push of its canonical bytes, with optional bearer-token auth);
 //  4. retires blocks that fall out of the retention window (forced
 //     retirement journaled, raw data deleted via the retention hook);
 //  5. periodically compacts both write-ahead logs (snapshot+truncate)

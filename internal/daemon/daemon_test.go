@@ -267,11 +267,12 @@ func TestRepeatedPushEndpointIsAnError(t *testing.T) {
 }
 
 // TestMalformedPushEndpointIsAnError: an endpoint no push can be built
-// on — no scheme, another scheme, no host, or a query or fragment that
-// the push path would land in — is refused by New before the WAL
-// directory is opened, not accepted and then flagged on every push.
+// on — no scheme, another scheme, no host, a query or fragment that the
+// push path would land in, or a trailing '/' that would double it — is
+// refused by New before the WAL directory is opened, not accepted and
+// then flagged on every push.
 func TestMalformedPushEndpointIsAnError(t *testing.T) {
-	for _, ep := range []string{"10.0.0.7:8081", "ftp://10.0.0.7:8081", "http://", "http//127.0.0.1:1", "http://127.0.0.1:1?b=1", "http://127.0.0.1:1/#top"} {
+	for _, ep := range []string{"10.0.0.7:8081", "ftp://10.0.0.7:8081", "http://", "http//127.0.0.1:1", "http://127.0.0.1:1?b=1", "http://127.0.0.1:1/#top", "http://h/", "http://h/a%20b/"} {
 		cfg := fastConfig(filepath.Join(t.TempDir(), "wal"))
 		cfg.PushEndpoints = []string{"http://127.0.0.1:1", ep}
 		if d, _, err := New(cfg); err == nil {

@@ -67,6 +67,18 @@ func LedgerStatus(ac *core.AccessControl) []BlockStatus {
 	return out
 }
 
+// countRetired counts a ledger report's retired rows. The ledger is the
+// only record of retirement, so the count survives a restart whenever
+// the last compaction ran.
+func countRetired(blocks []BlockStatus) (n int) {
+	for _, b := range blocks {
+		if b.Retired {
+			n++
+		}
+	}
+	return n
+}
+
 // Status reports the daemon's current state.
 func (d *Daemon) Status() Status {
 	d.mu.Lock()
@@ -83,14 +95,7 @@ func (d *Daemon) Status() Status {
 	}
 	d.mu.Unlock()
 	st.Blocks = LedgerStatus(d.plat.AC)
-	// The ledger is the only record of retirement — journaled,
-	// snapshotted and recovered like every other block state — so the
-	// count survives a restart whenever the last compaction ran.
-	for _, b := range st.Blocks {
-		if b.Retired {
-			st.RetiredBlocks++
-		}
-	}
+	st.RetiredBlocks = countRetired(st.Blocks)
 	loss := d.plat.AC.StreamLoss()
 	st.StreamLossEps, st.StreamLossDelta = loss.Epsilon, loss.Delta
 	st.StoreVersions = d.plat.Store.Watermarks()
@@ -164,7 +169,7 @@ func (d *Daemon) instrument() {
 	counter("sage_daemon_blocked_ticks", "Ticks where no pipeline could afford to train.", &d.blocked)
 	counter("sage_daemon_train_iterations", "Pipeline runs (one training run is a search of one or more).", &d.trainIterations)
 	d.reg.GaugeFunc("sage_daemon_retired_blocks", "Blocks retired by the DP-retention policy.",
-		func() float64 { return float64(d.Status().RetiredBlocks) })
+		func() float64 { return float64(countRetired(LedgerStatus(d.plat.AC))) })
 	counter("sage_daemon_compactions", "WAL compaction passes that ran.", &d.compactions)
 }
 

@@ -565,8 +565,8 @@ var statusPath = url.URL{Path: "/replica/status"}
 // scheme, user and host, the base's path with ref's appended, and ref's
 // query. ref is a server request's URL (or statusPath): it has a path,
 // and it keeps an escaped form only where that differs from what
-// escaping its path gives, as the parse does. The base has neither
-// query nor fragment (replica.CheckEndpoints).
+// escaping its path gives, as the parse does. The base has no query, no
+// fragment and no trailing '/' (replica.CheckEndpoints).
 func (b *backend) target(u, ref *url.URL) {
 	*u = b.base
 	u.Path = b.base.Path + ref.Path

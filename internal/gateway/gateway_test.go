@@ -830,14 +830,18 @@ func TestRepeatedBackendIsAnError(t *testing.T) {
 }
 
 // TestMalformedBackendIsAnError: a backend no request can be built on —
-// no scheme, another scheme, no host, or a query or fragment that a
-// request path would land in — is refused by New, not accepted and then
-// answered 503 on every request.
+// no scheme, another scheme, no host, a query or fragment that a
+// request path would land in, or a trailing '/' that would double the
+// path's — is refused by New, not accepted and then answered 503 (or
+// the replica's redirect) on every request.
 func TestMalformedBackendIsAnError(t *testing.T) {
-	for _, backend := range []string{"10.0.0.7:8081", "ftp://10.0.0.7:8081", "http://", "http:///path", "http//a", "http://a?b=1", "http://a/#top", "http://a/?"} {
+	for _, backend := range []string{"10.0.0.7:8081", "ftp://10.0.0.7:8081", "http://", "http:///path", "http//a", "http://a?b=1", "http://a/#top", "http://a/?", "http://h/", "http://h/a%20b/"} {
 		if _, err := New(Config{Backends: []string{"http://good", backend}}); err == nil {
 			t.Errorf("New with backend %q = nil error, want one", backend)
 		}
+	}
+	if _, err := New(Config{Backends: []string{"http://h:8081/"}}); err == nil || !strings.Contains(err.Error(), `as "http://h:8081"`) {
+		t.Errorf("New with a trailing '/': %v, want an error naming the base without it", err)
 	}
 }
 
@@ -850,8 +854,8 @@ func TestMalformedBackendIsAnError(t *testing.T) {
 // (the fragment aside, which is never sent).
 func TestTargetIsTheParsedConcatenation(t *testing.T) {
 	bases := []string{
-		"http://h:8081", "http://h:", "https://user:p%40ss@h", "http://h/",
-		"http://h/prefix", "http://h/pre%2Ffix", "http://h/a%20b/", "http://[::1]:80/x",
+		"http://h:8081", "http://h:", "https://user:p%40ss@h",
+		"http://h/prefix", "http://h/pre%2Ffix", "http://h/a%20b", "http://[::1]:80/x",
 	}
 	targets := []string{
 		"/predict?model=m", "/predict/batch?model=m&n=1", "/predict?", "/models",

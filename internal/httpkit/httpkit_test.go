@@ -191,7 +191,8 @@ func (spaces) Read(p []byte) (int, error) {
 //
 // What is not declared is not served (the unknown path above). Bodies
 // carry Content-Encoding: gzip, which the serving API ignores and which
-// makes POST /push stop at the gzip header instead of reading 64 MiB.
+// POST /push answers 415 before reading the body, instead of reading
+// 64 MiB.
 func TestEveryTierServesItsDeclaredRows(t *testing.T) {
 	const muxNotFound = "404 page not found\n"
 	for name, build := range tiers {

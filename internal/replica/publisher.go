@@ -2,7 +2,6 @@ package replica
 
 import (
 	"bytes"
-	"compress/gzip"
 	"context"
 	"encoding/json"
 	"errors"
@@ -82,11 +81,6 @@ type reconcileRun struct {
 	cut     bool // the runner's context ended: err is no waiter's
 }
 
-// gzipMin is the body size from which pushes are gzip-compressed
-// (Content-Encoding: gzip): wide released feature tables are highly
-// redundant, so compression cuts fan-out bandwidth by integer factors.
-const gzipMin = 1 << 10
-
 // Option configures a Publisher.
 type Option func(*Publisher)
 
@@ -109,11 +103,12 @@ func WithAuth(tok string) Option {
 
 // CheckEndpoints returns an error for a replica base URL that is
 // repeated, or that is not an absolute http or https URL with a host
-// and without a query or fragment: the form every request is built on
-// by appending its path. Every tier that talks to a list of replicas
-// keys its state and its metric series by URL, so a repeat would
-// collide, and any other entry would name no replica at all — each
-// request to it would fail, for as long as it is listed.
+// and without a query, a fragment or a trailing '/': the form every
+// request is built on by appending its path. Every tier that talks to a
+// list of replicas keys its state and its metric series by URL, so a
+// repeat would collide, and any other entry would name no replica at
+// all — each request to it would fail (a doubled '/' is redirected, and
+// a redirected push arrives as a GET), for as long as it is listed.
 func CheckEndpoints(urls []string) error {
 	seen := make(map[string]bool, len(urls))
 	for _, raw := range urls {
@@ -130,6 +125,9 @@ func CheckEndpoints(urls []string) error {
 		}
 		if strings.ContainsAny(raw, "?#") {
 			return fmt.Errorf("replica endpoint %q has a query or fragment", raw)
+		}
+		if strings.HasSuffix(raw, "/") {
+			return fmt.Errorf("replica endpoint %q ends in '/': list it as %q", raw, strings.TrimRight(raw, "/"))
 		}
 	}
 	return nil
@@ -235,29 +233,12 @@ func sleepBackoff(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// pushBody is one release ready for the wire: its canonical bytes, or
-// their gzip form when that is smaller, and the name and version its
-// errors report.
+// pushBody is one release ready for the wire: its canonical bytes,
+// sent as they are, and the name and version its errors report.
 type pushBody struct {
 	name    string
 	version int
 	payload []byte
-	gzipped bool
-}
-
-// encodePush serializes a bundle and, for bodies of gzipMin bytes and
-// up, compresses it. The compressed form is only used when it is
-// actually smaller, so incompressible bundles ship identity-encoded.
-func encodePush(b *store.Bundle) pushBody {
-	body := pushBody{name: b.Name, version: b.Version, payload: b.CanonicalBytes()}
-	if len(body.payload) >= gzipMin {
-		var buf bytes.Buffer
-		zw := gzip.NewWriter(&buf)
-		if _, err := zw.Write(body.payload); err == nil && zw.Close() == nil && buf.Len() < len(body.payload) {
-			body.payload, body.gzipped = buf.Bytes(), true
-		}
-	}
-	return body
 }
 
 // eachEndpoint runs do against every replica concurrently — each
@@ -287,7 +268,7 @@ func (p *Publisher) Push(ctx context.Context, name string, version int) error {
 	if !ok {
 		return fmt.Errorf("replica: push %s@v%d: not in source store", name, version)
 	}
-	body := encodePush(bundle)
+	body := pushBody{name: bundle.Name, version: bundle.Version, payload: bundle.CanonicalBytes()}
 	return p.eachEndpoint(func(ep string) error { return p.converge(ctx, ep, &body) })
 }
 
@@ -404,7 +385,8 @@ func (p *Publisher) runReconcile(ctx context.Context, endpoint string) (map[stri
 			if !ok {
 				return nil, fmt.Errorf("replica: reconcile %s@v%d: not in source store", name, v)
 			}
-			if err := p.pushOnce(ctx, endpoint, encodePush(bundle)); err != nil {
+			body := pushBody{name: bundle.Name, version: bundle.Version, payload: bundle.CanonicalBytes()}
+			if err := p.pushOnce(ctx, endpoint, body); err != nil {
 				return nil, err
 			}
 		}
@@ -465,9 +447,6 @@ func (p *Publisher) pushOnce(ctx context.Context, endpoint string, body pushBody
 	// replica's server span, as fetchStatus does; untraced, there is no
 	// span to inject.
 	trace.Inject(trace.FromContext(ctx), req.Header)
-	if body.gzipped {
-		req.Header.Set("Content-Encoding", "gzip")
-	}
 	if p.authToken != "" {
 		req.Header.Set("Authorization", "Bearer "+p.authToken)
 	}

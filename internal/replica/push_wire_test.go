@@ -2,7 +2,6 @@ package replica
 
 import (
 	"bytes"
-	"compress/gzip"
 	"crypto/sha256"
 	"io"
 	"net/http"
@@ -11,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/data"
 	"repro/internal/durable"
 	"repro/internal/privacy"
 	"repro/internal/store"
@@ -18,11 +18,12 @@ import (
 )
 
 // TestPushBodyIsWALRecord pins the one-format claim end to end: what a
-// replica reads off POST /push (after gunzip, when the publisher
-// compressed) is byte for byte the payload the primary's store WAL
-// journaled for that release, and it hashes to the release's digest.
-// One bundle is small enough to ship identity-encoded, one wide enough
-// to ship gzip'd.
+// replica reads off POST /push is byte for byte the payload the
+// primary's store WAL journaled for that release, it hashes to the
+// release's digest, and no push declares a Content-Encoding. One
+// release is a taxi-width model with the hour_speed table; the other
+// adds a 48-block provenance (a full retention window), which takes it
+// past 1 KiB.
 func TestPushBodyIsWALRecord(t *testing.T) {
 	dir := t.TempDir()
 	plat, _, err := durable.Open(dir, core.Policy{Global: privacy.MustBudget(1, 1e-6)}, durable.Options{NoSync: true})
@@ -32,7 +33,6 @@ func TestPushBodyIsWALRecord(t *testing.T) {
 
 	rep := NewServer()
 	var received [][]byte
-	var encodings []string
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/push" {
 			wire, err := io.ReadAll(r.Body)
@@ -40,24 +40,22 @@ func TestPushBodyIsWALRecord(t *testing.T) {
 				t.Error(err)
 			}
 			r.Body = io.NopCloser(bytes.NewReader(wire))
-			body := wire
-			if r.Header.Get("Content-Encoding") == "gzip" {
-				zr, err := gzip.NewReader(bytes.NewReader(wire))
-				if err != nil {
-					t.Error(err)
-				} else if body, err = io.ReadAll(zr); err != nil {
-					t.Error(err)
-				}
+			if ce := r.Header.Values("Content-Encoding"); len(ce) != 0 {
+				t.Errorf("push declares Content-Encoding %q", ce)
 			}
-			received = append(received, body)
-			encodings = append(encodings, r.Header.Get("Content-Encoding"))
+			received = append(received, wire)
 		}
 		rep.Handler().ServeHTTP(w, r)
 	}))
 	defer srv.Close()
 
+	retained := benchBundle(2)
+	retained.Name = "retained"
+	for id := range 48 {
+		retained.Provenance.Blocks = append(retained.Provenance.Blocks, data.BlockID(1000+id))
+	}
 	pub := NewPublisher(plat.Store, []string{srv.URL})
-	for _, bundle := range []store.Bundle{benchBundle(1), wideBundle(0)} {
+	for _, bundle := range []store.Bundle{benchBundle(1), retained} {
 		if _, err := pub.Publish(bundle); err != nil {
 			t.Fatal(err)
 		}
@@ -74,10 +72,10 @@ func TestPushBodyIsWALRecord(t *testing.T) {
 	if len(records) != 2 || len(received) != 2 {
 		t.Fatalf("%d WAL records, %d pushes; want 2 and 2", len(records), len(received))
 	}
-	if encodings[0] != "" || encodings[1] != "gzip" {
-		t.Fatalf("push encodings %q; want the small bundle identity and the wide one gzip", encodings)
+	if n := len(received[1]); n <= 1<<10 {
+		t.Fatalf("the 48-block release is %d bytes on the wire; want over 1 KiB", n)
 	}
-	for i, name := range []string{"bench", "wide"} {
+	for i, name := range []string{"bench", "retained"} {
 		if !bytes.Equal(received[i], records[i].Payload) {
 			t.Errorf("%s: pushed body (%d bytes) differs from the store WAL record (%d bytes)", name, len(received[i]), len(records[i].Payload))
 		}
@@ -89,5 +87,61 @@ func TestPushBodyIsWALRecord(t *testing.T) {
 		if !ok || applied.Digest() != released.Digest() {
 			t.Errorf("%s: replica's applied release diverges from the primary's", name)
 		}
+	}
+}
+
+// unreadBody is a request body that fails the test if it is read.
+type unreadBody struct{ t *testing.T }
+
+func (b unreadBody) Read([]byte) (int, error) {
+	b.t.Error("the push body was read")
+	return 0, io.ErrUnexpectedEOF
+}
+
+// TestPushRefusesContentEncoding: a push body is a release's canonical
+// bytes and nothing else. A push that declares any Content-Encoding but
+// identity is answered 415 without its body being read, applies
+// nothing and counts as a bad body; an unauthenticated one is still
+// 401 first. A declared identity coding is the plain body.
+func TestPushRefusesContentEncoding(t *testing.T) {
+	rep := NewServer(WithAuthToken("tok"))
+	h := rep.Handler()
+	push := func(body io.Reader, n int64, auth string, codings ...string) int {
+		req := httptest.NewRequest(http.MethodPost, "/push", body)
+		req.ContentLength = n
+		if auth != "" {
+			req.Header.Set("Authorization", "Bearer "+auth)
+		}
+		for _, c := range codings {
+			req.Header.Add("Content-Encoding", c)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec.Code
+	}
+	for _, codings := range [][]string{{"gzip"}, {"deflate"}, {"br"}, {"identity, gzip"}, {"identity", "gzip"}} {
+		before := rep.pushBadBody.Value()
+		if code := push(unreadBody{t}, 1<<10, "tok", codings...); code != http.StatusUnsupportedMediaType {
+			t.Errorf("Content-Encoding %q: %d, want 415", codings, code)
+		}
+		if got := rep.pushBadBody.Value(); got != before+1 {
+			t.Errorf("Content-Encoding %q: bad_body %d → %d, want +1", codings, before, got)
+		}
+	}
+	if code := push(unreadBody{t}, 1<<10, "", "gzip"); code != http.StatusUnauthorized {
+		t.Errorf("unauthenticated gzip push: %d, want 401", code)
+	}
+	if wm := rep.Store().Watermarks(); len(wm) != 0 || rep.Store().Generation() != 0 {
+		t.Fatalf("refused pushes changed the store: watermarks %v, generation %d", wm, rep.Store().Generation())
+	}
+
+	b := benchBundle(1)
+	b.Version = 1
+	raw := b.CanonicalBytes()
+	if code := push(bytes.NewReader(raw), int64(len(raw)), "tok", "Identity"); code != http.StatusOK {
+		t.Fatalf("identity-coded push: %d, want 200", code)
+	}
+	if rep.Store().VersionCount("bench") != 1 {
+		t.Fatal("identity-coded push was not applied")
 	}
 }

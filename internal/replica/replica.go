@@ -54,19 +54,18 @@
 // /push can be gated behind a shared-secret bearer token (WithAuthToken
 // on the server, WithAuth on the Publisher): the mutating endpoint then
 // rejects unauthenticated bodies with 401 before reading them, while
-// the read API stays open. Push bodies of a kilobyte and up are
-// gzip-compressed when that makes them smaller (Content-Encoding: gzip)
-// — wide released feature tables are highly redundant, so compression
-// cuts fan-out bandwidth by integer factors; the replica decompresses
-// transparently and enforces the same decoded-size cap as for identity
-// bodies: 413 past it, which the publisher does not retry.
+// the read API stays open. A push body is the release's canonical
+// bytes, never re-encoded: the replica answers a push that declares any
+// Content-Encoding but identity 415 without reading its body, so it
+// runs no decoder but DecodeCanonicalBundle, and one past the push
+// row's budget 413, which the publisher does not retry.
 package replica
 
 import (
-	"compress/gzip"
 	"crypto/subtle"
 	"io"
 	"net/http"
+	"strings"
 	"time"
 
 	"repro/internal/httpkit"
@@ -222,11 +221,10 @@ func (s *Server) Routes() []httpkit.Route {
 			rt.Serve(w, r)
 		}
 	}
-	// 64 MiB bounds a bundle on the wire and after gzip: paper-scale
-	// models are a few KB, the rest is room for wide released aggregates.
-	push := httpkit.Route{Pattern: "POST /push", Body: 64 << 20}
-	push.Serve = func(w http.ResponseWriter, r *http.Request) { s.handlePush(w, r, push.Body) }
-	return append(routes, push, httpkit.Route{Pattern: "GET /replica/status", Serve: s.handleStatus})
+	// 64 MiB bounds a bundle's canonical bytes: paper-scale models are a
+	// few KB, the rest is room for wide released aggregates.
+	return append(routes, httpkit.Route{Pattern: "POST /push", Body: 64 << 20, Serve: s.handlePush},
+		httpkit.Route{Pattern: "GET /replica/status", Serve: s.handleStatus})
 }
 
 // Handler serves Routes with httpkit's shared surface (/metrics, /debug/*).
@@ -242,9 +240,9 @@ func (s *Server) authorized(r *http.Request) bool {
 	return subtle.ConstantTimeCompare([]byte(got), []byte(want)) == 1
 }
 
-// handlePush applies one pushed release; limit is its row's body budget,
-// which httpkit enforces on the wire and this handler after gzip.
-func (s *Server) handlePush(w http.ResponseWriter, r *http.Request, limit int64) {
+// handlePush applies one pushed release: a body of its canonical bytes,
+// read under the push row's budget. A declared coding is refused unread.
+func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 	defer s.pushSec.ObserveSinceExemplar(time.Now(), trace.CtxTraceID(r.Context()))
 	if !s.authorized(r) {
 		s.pushUnauthorized.Inc()
@@ -252,30 +250,17 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request, limit int64)
 		httpkit.WriteJSON(w, http.StatusUnauthorized, map[string]string{"error": "push requires a valid bearer token"})
 		return
 	}
-	// The byte cap applies to the *decoded* bundle: httpkit bounds what
-	// is read off the wire, and for gzip bodies a LimitReader bounds what
-	// decompression may expand to, so a compression bomb cannot pin
-	// unbounded memory.
-	body := io.Reader(r.Body)
-	if r.Header.Get("Content-Encoding") == "gzip" {
-		gz, err := gzip.NewReader(body)
-		if err != nil {
+	for _, coding := range r.Header.Values("Content-Encoding") {
+		if coding != "" && !strings.EqualFold(coding, "identity") {
 			s.pushBadBody.Inc()
-			httpkit.BodyError(w, "bad gzip body", err)
+			httpkit.WriteJSON(w, http.StatusUnsupportedMediaType, map[string]string{"error": "a push body carries no Content-Encoding"})
 			return
 		}
-		defer gz.Close()
-		body = io.LimitReader(gz, limit+1)
 	}
-	raw, err := io.ReadAll(body)
+	raw, err := io.ReadAll(r.Body)
 	if err != nil {
 		s.pushBadBody.Inc()
 		httpkit.BodyError(w, "reading bundle", err)
-		return
-	}
-	if int64(len(raw)) > limit {
-		s.pushBadBody.Inc()
-		httpkit.BodyError(w, "", &http.MaxBytesError{Limit: limit})
 		return
 	}
 	b, err := store.DecodeCanonicalBundle(raw)

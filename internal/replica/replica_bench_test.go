@@ -181,38 +181,3 @@ func BenchmarkReplicaProvenance(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
 }
-
-// BenchmarkBundlePushWide pushes a wide-feature-table bundle (80K table
-// entries) and reports the wire bytes per push. It doubles as the
-// compression size-reduction gate: it fails outright if the gzip body is
-// not at least 2x smaller than the bundle's canonical bytes, which is
-// what an identity body carries.
-func BenchmarkBundlePushWide(b *testing.B) {
-	var wireBytes int64
-	rep := NewServer()
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/push" {
-			wireBytes = r.ContentLength
-		}
-		rep.Handler().ServeHTTP(w, r)
-	}))
-	defer srv.Close()
-	src := store.New()
-	src.Publish(wideBundle(0))
-	pub := NewPublisher(src, []string{srv.URL}, WithClient(srv.Client()), WithRetry(1, time.Millisecond))
-	if err := pub.Push(context.Background(), "wide", 1); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := pub.Push(context.Background(), "wide", 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(wireBytes), "wire_bytes/op")
-	bundle, _ := src.Get("wide", 1)
-	if raw := bundle.CanonicalBytes(); wireBytes > int64(len(raw))/2 {
-		b.Fatalf("gzip wire bytes %d not < half of encoded %d — compression regressed", wireBytes, len(raw))
-	}
-}
