@@ -78,13 +78,10 @@
 // bad row fails neither the batch nor, at the gateway, a replica's
 // breaker; and GET /features serves the bundle's released aggregate
 // tables (Listing 1's per-hour speed join; &index= for single-value
-// serving-time joins). Models implement a
-// ml.BatchPredictor fast path; scratch-sharing models (the MLP,
-// ml.SerialPredictor) are served from a pool of prediction clones
-// (ml.ScratchCloner: shared read-only parameters, private scratch), so
-// concurrent connections predict in parallel instead of serializing
-// behind one lock — models that cannot clone fall back to a
-// per-instance lock taken once per batch. `sagectl serve` runs the
+// serving-time joins). Every ml.Model is safe for concurrent Predict
+// and PredictBatch (the MLP takes its activation buffers per call from
+// a pool of its own), so the server caches the model it instantiated
+// and every connection predicts on it in parallel. `sagectl serve` runs the
 // whole loop — stream → DP aggregate → pipelines → publish → serve —
 // as a demo preset over the daemon below, not a loop of its own;
 // BENCH_serving.json records HTTP-level throughput (batched at 256

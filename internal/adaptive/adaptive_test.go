@@ -323,6 +323,12 @@ type constModel float64
 
 func (m constModel) Predict([]float64) float64 { return float64(m) }
 
+func (m constModel) PredictBatch(rows [][]float64, out []float64) {
+	for i := range rows {
+		out[i] = float64(m)
+	}
+}
+
 // constTrainer is a non-DP trainer that fits nothing.
 type constTrainer struct{}
 

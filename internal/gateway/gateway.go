@@ -94,7 +94,8 @@ type backend struct {
 	// inflight is this gateway's requests currently proxied to the
 	// backend — the least-loaded routing key.
 	inflight atomic.Int64
-	// down: the last health probe could not reach the backend.
+	// down: the last health probe could not reach the backend (false,
+	// so routable, until a probe says otherwise).
 	down atomic.Bool
 	// draining: reachable but its watermarks trail the fleet (stale
 	// reads would violate the canonical-bytes invariant).
@@ -102,9 +103,6 @@ type backend struct {
 	// applied is the backend's total applied-version watermark from the
 	// last successful probe.
 	applied atomic.Int64
-	// probed: at least one health probe has completed (until then the
-	// backend is assumed routable).
-	probed atomic.Bool
 	// requests/failures live in the gateway's metric registry (labeled
 	// by backend); the status report reads the same series.
 	requests *metrics.Counter
@@ -320,11 +318,9 @@ func (g *Gateway) probe(ctx context.Context, b *backend) {
 	if b.down.Swap(false) {
 		trace.Eventf(g.cfg.Logf, "gateway: event=replica_up backend=%s", b.url)
 	}
-	b.probed.Store(true)
 }
 
 func (g *Gateway) markDown(b *backend, err error) {
-	b.probed.Store(true)
 	if !b.down.Swap(true) {
 		trace.Eventf(g.cfg.Logf, "gateway: event=replica_down backend=%s err=%v", b.url, err)
 	}

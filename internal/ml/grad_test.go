@@ -40,7 +40,7 @@ func (m *SGDLinearRegression) Grad(x []float64, y float64, out []float64) {
 // output delta is (prediction − label): squared loss (halved) with
 // identity output and log loss with sigmoid output share this form.
 func (m *MLP) Grad(x []float64, y float64, out []float64) {
-	z := m.forward(x)
+	z := m.forward(&m.activations, x)
 	pred := z
 	if m.kind == BinaryClassification {
 		pred = Sigmoid(z)

@@ -23,7 +23,7 @@ func (m *LinearModel) Predict(x []float64) float64 {
 	return linalg.Dot(m.Weights, x) + m.Bias
 }
 
-// PredictBatch implements BatchPredictor: the weight slice and bias are
+// PredictBatch implements Model: the weight slice and bias are
 // loaded once for the whole batch instead of per interface call.
 func (m *LinearModel) PredictBatch(rows [][]float64, out []float64) {
 	w, b := m.Weights, m.Bias

@@ -25,7 +25,7 @@ func (m *LogisticRegression) Predict(x []float64) float64 {
 	return Sigmoid(linalg.Dot(m.params[:m.dim], x) + m.params[m.dim])
 }
 
-// PredictBatch implements BatchPredictor: weights and bias are sliced
+// PredictBatch implements Model: weights and bias are sliced
 // out of the parameter vector once per batch.
 func (m *LogisticRegression) PredictBatch(rows [][]float64, out []float64) {
 	w, b := m.params[:m.dim], m.params[m.dim]
@@ -65,7 +65,7 @@ func (m *SGDLinearRegression) Predict(x []float64) float64 {
 	return linalg.Dot(m.params[:m.dim], x) + m.params[m.dim]
 }
 
-// PredictBatch implements BatchPredictor.
+// PredictBatch implements Model.
 func (m *SGDLinearRegression) PredictBatch(rows [][]float64, out []float64) {
 	w, b := m.params[:m.dim], m.params[m.dim]
 	for i, x := range rows {

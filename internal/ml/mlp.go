@@ -3,6 +3,7 @@ package ml
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/rng"
 )
@@ -23,18 +24,38 @@ const (
 // activations, the paper's "NN" pipelines (Table 1: ReLU, 2 hidden
 // layers). Parameters are stored flat, each layer's W then b, and
 // addGrad adds a per-example gradient to a sum of that layout without
-// forming it.
+// forming it. Predict and PredictBatch write only buffers of their own
+// call, so one MLP serves concurrent predictions; training
+// (addGrad) is single-goroutine and owns the embedded buffers.
 type MLP struct {
 	kind   OutputKind
 	sizes  []int // layer widths: input, hidden..., 1
 	params []float64
 	// offsets[l] is the start of layer l's W then b in params.
 	offsets []int
-	// scratch buffers reused across calls (single-goroutine use).
-	acts []([]float64) // activations per layer
-	zs   []([]float64) // pre-activations per layer
-	errs []([]float64) // back-propagated deltas
-	nz   []([]int32)   // indices of each layer's non-zero activations
+	// addGrad's forward pass, back-propagated deltas and the indices of
+	// each layer's non-zero activations.
+	activations
+	errs [][]float64
+	nz   [][]int32
+	// passes hands each Predict or PredictBatch call its own
+	// *activations. It holds only floats, so it pins no caller's rows.
+	passes sync.Pool
+}
+
+// activations is one forward pass's buffers, per layer.
+type activations struct {
+	acts [][]float64 // outputs
+	zs   [][]float64 // pre-activations
+}
+
+func newActivations(sizes []int) *activations {
+	b := &activations{acts: make([][]float64, len(sizes)), zs: make([][]float64, len(sizes))}
+	for i, s := range sizes {
+		b.acts[i] = make([]float64, s)
+		b.zs[i] = make([]float64, s)
+	}
+	return b
 }
 
 // NewMLP returns an MLP with the given input dimension and hidden layer
@@ -61,16 +82,14 @@ func NewMLP(kind OutputKind, inputDim int, hidden []int, r *rng.RNG) *MLP {
 		}
 	}
 	m := &MLP{kind: kind, sizes: sizes, params: params, offsets: offsets}
-	m.acts = make([][]float64, len(sizes))
-	m.zs = make([][]float64, len(sizes))
+	m.activations = *newActivations(sizes)
 	m.errs = make([][]float64, len(sizes))
 	m.nz = make([][]int32, len(sizes))
 	for i, s := range sizes {
-		m.acts[i] = make([]float64, s)
-		m.zs[i] = make([]float64, s)
 		m.errs[i] = make([]float64, s)
 		m.nz[i] = make([]int32, 0, s)
 	}
+	m.passes.New = func() any { return newActivations(sizes) }
 	return m
 }
 
@@ -96,85 +115,63 @@ func (m *MLP) layer(l int) (w, b []float64) {
 	return m.params[start : start+in*out], m.params[start+in*out : start+in*out+out]
 }
 
-// forward runs the network, filling the activation buffers, and returns
+// forward runs the network on x, filling the buffers of b, and returns
 // the raw output (pre-head). A row that is not InputDim wide panics: a
 // short one would otherwise keep the previous row's tail.
-func (m *MLP) forward(x []float64) float64 {
+func (m *MLP) forward(b *activations, x []float64) float64 {
 	if len(x) != m.sizes[0] {
 		panic(fmt.Sprintf("ml: MLP row has %d features, the model takes %d", len(x), m.sizes[0]))
 	}
-	copy(m.acts[0], x)
+	copy(b.acts[0], x)
 	layers := len(m.sizes) - 1
 	for l := 0; l < layers; l++ {
 		in, out := m.sizes[l], m.sizes[l+1]
-		w, b := m.layer(l)
-		src := m.acts[l]
+		w, bias := m.layer(l)
+		src := b.acts[l]
 		for j := 0; j < out; j++ {
-			sum := b[j]
+			sum := bias[j]
 			row := w[j*in : (j+1)*in]
 			for i := 0; i < in; i++ {
 				sum += row[i] * src[i]
 			}
-			m.zs[l+1][j] = sum
+			b.zs[l+1][j] = sum
 			if l < layers-1 {
 				if sum < 0 {
 					sum = 0 // ReLU
 				}
 			}
-			m.acts[l+1][j] = sum
+			b.acts[l+1][j] = sum
 		}
 	}
-	return m.zs[layers][0]
+	return b.zs[layers][0]
 }
 
 // Predict implements Model: the regression head returns the raw output,
 // the classification head a sigmoid probability.
 func (m *MLP) Predict(x []float64) float64 {
-	z := m.forward(x)
+	b := m.passes.Get().(*activations)
+	z := m.forward(b, x)
+	m.passes.Put(b)
 	if m.kind == BinaryClassification {
 		return Sigmoid(z)
 	}
 	return z
 }
 
-// PredictBatch implements BatchPredictor, reusing the network's scratch
-// buffers across the whole batch; the kind branch is hoisted out of the
-// per-row loop.
+// PredictBatch implements Model with one set of buffers for the whole
+// batch; the kind branch is hoisted out of the per-row loop.
 func (m *MLP) PredictBatch(rows [][]float64, out []float64) {
+	b := m.passes.Get().(*activations)
+	defer m.passes.Put(b)
 	if m.kind == BinaryClassification {
 		for i, x := range rows {
-			out[i] = Sigmoid(m.forward(x))
+			out[i] = Sigmoid(m.forward(b, x))
 		}
 		return
 	}
 	for i, x := range rows {
-		out[i] = m.forward(x)
+		out[i] = m.forward(b, x)
 	}
-}
-
-// predictUsesSharedScratch implements SerialPredictor: forward passes
-// write the shared activation buffers, so one MLP instance must not be
-// predicted from multiple goroutines at once.
-func (m *MLP) predictUsesSharedScratch() {}
-
-// CloneForServing implements ScratchCloner: the clone aliases the
-// original's parameters (never written on the predict path) and
-// allocates only fresh activation buffers, so a serving tier can keep a
-// pool of clones and run MLP predictions concurrently. The error and
-// index buffers are shared too — they are only written by addGrad,
-// which serving never calls.
-func (m *MLP) CloneForServing() Model {
-	c := &MLP{
-		kind: m.kind, sizes: m.sizes, params: m.params,
-		offsets: m.offsets, errs: m.errs, nz: m.nz,
-	}
-	c.acts = make([][]float64, len(m.sizes))
-	c.zs = make([][]float64, len(m.sizes))
-	for i, s := range m.sizes {
-		c.acts[i] = make([]float64, s)
-		c.zs[i] = make([]float64, s)
-	}
-	return c
 }
 
 // addGrad implements GradModel via backpropagation. For both heads the
@@ -190,7 +187,7 @@ func (m *MLP) CloneForServing() Model {
 // The exception is a non-finite δ: the dense Inf·0 or NaN·0 is NaN,
 // where the entries of inputs with a_i = 0 are left untouched here.
 func (m *MLP) addGrad(sum, x []float64, y, clip float64) {
-	z := m.forward(x)
+	z := m.forward(&m.activations, x)
 	pred := z
 	if m.kind == BinaryClassification {
 		pred = Sigmoid(z)

@@ -2,6 +2,7 @@ package ml
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/data"
@@ -181,5 +182,47 @@ func TestMLPDeterministicInit(t *testing.T) {
 		if a.Params()[i] != b.Params()[i] {
 			t.Fatal("same-seed MLP init differs")
 		}
+	}
+}
+
+// TestMLPPredictsConcurrently shares one MLP per head between goroutines
+// with nothing around it: every Predict and PredictBatch must match the
+// serial results bit for bit (and, under -race, touch no buffer another
+// call writes).
+func TestMLPPredictsConcurrently(t *testing.T) {
+	r := rng.New(14)
+	rows := make([][]float64, 16)
+	for i := range rows {
+		rows[i] = make([]float64, 5)
+		for j := range rows[i] {
+			rows[i][j] = r.Normal(0, 1)
+		}
+	}
+	for _, kind := range []OutputKind{Regression, BinaryClassification} {
+		m := NewMLP(kind, 5, []int{7, 3}, rng.New(13))
+		want := make([]float64, len(rows))
+		for i, x := range rows {
+			want[i] = m.Predict(x)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				out := make([]float64, len(rows))
+				for round := 0; round < 200; round++ {
+					m.PredictBatch(rows, out)
+					for i, x := range rows {
+						single := m.Predict(x)
+						if math.Float64bits(single) != math.Float64bits(want[i]) ||
+							math.Float64bits(out[i]) != math.Float64bits(want[i]) {
+							t.Errorf("kind %d row %d: Predict %v, PredictBatch %v, serial %v", kind, i, single, out[i], want[i])
+							return
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }

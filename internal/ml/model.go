@@ -14,9 +14,14 @@ import (
 
 // Model produces a scalar prediction from a feature vector. For
 // regression the prediction is the value; for binary classification it is
-// the probability of the positive class.
+// the probability of the positive class. PredictBatch writes one
+// prediction per row into out (len(out) == len(rows)), bit-identical to
+// Predict on each row, with per-call set-up hoisted out of the row loop.
+// Every Model is safe for concurrent Predict and PredictBatch calls, so
+// one instance serves any number of goroutines.
 type Model interface {
 	Predict(features []float64) float64
+	PredictBatch(rows [][]float64, out []float64)
 }
 
 // GradModel is a parametric model the SGD trainer can train. Params
@@ -32,56 +37,13 @@ type GradModel interface {
 	addGrad(sum, x []float64, y, clip float64)
 }
 
-// BatchPredictor is implemented by models with a batched prediction fast
-// path: PredictBatch writes one prediction per row into out
-// (len(out) == len(rows)), hoisting per-call overhead (interface
-// dispatch, parameter-slice re-derivation, scratch setup) out of the
-// per-row loop. The serving layer's /predict/batch endpoint routes
-// through it.
-type BatchPredictor interface {
-	Model
-	PredictBatch(rows [][]float64, out []float64)
-}
-
-// PredictBatch evaluates the model on every row, using the model's
-// batched fast path when it has one and falling back to a Predict loop
-// otherwise. out must have len(rows) entries.
+// PredictBatch evaluates m on every row; out must have len(rows)
+// entries.
 func PredictBatch(m Model, rows [][]float64, out []float64) {
 	if len(out) != len(rows) {
 		panic("ml: PredictBatch output length mismatch")
 	}
-	if bp, ok := m.(BatchPredictor); ok {
-		bp.PredictBatch(rows, out)
-		return
-	}
-	for i, x := range rows {
-		out[i] = m.Predict(x)
-	}
-}
-
-// SerialPredictor marks models whose Predict (and PredictBatch) mutate
-// shared internal scratch and must therefore be serialized by callers
-// sharing one instance across goroutines — the MLP reuses its
-// activation buffers. Stateless predictors (linear, logistic, constant)
-// do not implement it and may be called concurrently.
-type SerialPredictor interface {
-	predictUsesSharedScratch()
-}
-
-// ScratchCloner is the serving escape hatch from SerialPredictor: a
-// model that can produce cheap prediction clones sharing its read-only
-// parameters while owning private scratch. A server holding one such
-// model can hand each connection its own clone (pooled — a clone costs
-// only the scratch buffers, not a parameter copy) and run predictions
-// concurrently instead of serializing every request behind one lock.
-// Clones are for prediction only: training a clone would write through
-// the shared parameter slice.
-type ScratchCloner interface {
-	SerialPredictor
-	// CloneForServing returns a prediction-only clone: shared
-	// parameters, private scratch. Clones predict bit-identically to
-	// the original.
-	CloneForServing() Model
+	m.PredictBatch(rows, out)
 }
 
 // MSE returns the mean squared error of the model on the dataset
@@ -126,7 +88,7 @@ type ConstantModel struct{ Value float64 }
 // Predict implements Model.
 func (c ConstantModel) Predict([]float64) float64 { return c.Value }
 
-// PredictBatch implements BatchPredictor.
+// PredictBatch implements Model.
 func (c ConstantModel) PredictBatch(rows [][]float64, out []float64) {
 	for i := range rows {
 		out[i] = c.Value

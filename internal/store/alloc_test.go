@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/ml"
+	"repro/internal/rng"
 	"repro/internal/safety"
 	"repro/internal/taxi"
 	"repro/internal/trace"
@@ -30,21 +31,44 @@ const (
 	// body + hand-written decode into pooled rows + positional predict +
 	// append-encode into a pooled buffer measures 22 allocs/op on random
 	// and one-hot rows alike (27 under a live tracer, the server span's
-	// plumbing), all of it per-request HTTP plumbing; 26 and 31 before
-	// the query was read in place and the Content-Type value shared.
-	// It was 296 with encoding/json decoding each row by reflection and
-	// 2182 without the pool, so the budget fails either coming back.
+	// plumbing, for the linear model and the MLP alike), all of it
+	// per-request HTTP plumbing; 26 and 31 before the query was read in
+	// place and the Content-Type value shared. It was 296 with
+	// encoding/json decoding each row by reflection and 2182 without the
+	// pool, so the budget fails either coming back, and so does an MLP
+	// whose rows allocate their activations (2588).
 	batchWarmBudget = 60
 
 	// One warm single-row /predict through the mux, traced: the query
 	// read in place, the row decoded into a pooled request, the shared
-	// Content-Type value. It measures 34 allocs/op, mostly httptest's
-	// request and recorder, the json.Decoder and the server span; it
-	// was 46 with url.Values built per request, Features grown from
-	// nothing and a fresh header value per reply, so the budget fails if
-	// most of that comes back.
+	// Content-Type value. It measures 34 allocs/op for the linear model
+	// and the MLP alike, mostly httptest's request and recorder, the
+	// json.Decoder and the server span; it was 46 with url.Values built
+	// per request, Features grown from nothing and a fresh header value
+	// per reply, so the budget fails if most of that comes back, or if
+	// the MLP allocates its activations per call (44 at 64/32).
 	predictWarmBudget = 40
 )
+
+// publishServingModels publishes the alloc tests' two models at taxi
+// width: "bench", a linear model, and "nn", the Taxi NN shape (hidden
+// 64/32).
+func publishServingModels(t *testing.T, s *Store) {
+	weights := make([]float64, taxi.FeatureDim)
+	for i := range weights {
+		weights[i] = float64(i%7) * 0.1
+	}
+	for name, m := range map[string]ml.Model{
+		"bench": &ml.LinearModel{Weights: weights, Bias: 0.5},
+		"nn":    ml.NewMLP(ml.Regression, taxi.FeatureDim, []int{64, 32}, rng.New(5)),
+	} {
+		spec, err := Serialize(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Publish(Bundle{Name: name, Model: spec})
+	}
+}
 
 // TestPreEncodedHitAllocs pins the immutable-read fast path: once a
 // response body is in the encode cache, serving it again must not
@@ -84,31 +108,25 @@ func TestPreEncodedHitAllocs(t *testing.T) {
 // per-request HTTP plumbing whatever the batch size or the rows' shape.
 func TestPredictBatchWarmAllocs(t *testing.T) {
 	s := New()
-	weights := make([]float64, taxi.FeatureDim)
-	for i := range weights {
-		weights[i] = float64(i%7) * 0.1
-	}
-	spec, err := Serialize(&ml.LinearModel{Weights: weights, Bias: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Publish(Bundle{Name: "bench", Model: spec})
+	publishServingModels(t, s)
 	srv := NewServer(s)
 	srv.Instrument(metrics.New()) // budgets hold with instrumentation live
 
 	for _, tc := range []struct {
 		name   string
+		model  string
 		rows   [][]float64
 		tracer *trace.Tracer
 	}{
 		// A disabled (nil) tracer's Middleware returns the handler
 		// unchanged, so the budget also pins that tracing-compiled-in
 		// but switched-off serving costs exactly nothing.
-		{"random", benchRows(256), nil},
-		{"onehot", onehotRows(256), nil},
+		{"random", "bench", benchRows(256), nil},
+		{"onehot", "bench", onehotRows(256), nil},
 		// A live one adds the server span's plumbing; the handler's
 		// pooled stage spans add nothing.
-		{"onehot/traced", onehotRows(256), trace.New(trace.Config{Service: "store"})},
+		{"onehot/traced", "bench", onehotRows(256), trace.New(trace.Config{Service: "store"})},
+		{"mlp/onehot/traced", "nn", onehotRows(256), trace.New(trace.Config{Service: "store"})},
 	} {
 		h := tc.tracer.Middleware(srv.Handler())
 		payload, err := json.Marshal(batchRequest{Rows: tc.rows})
@@ -116,7 +134,7 @@ func TestPredictBatchWarmAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		serve := func() {
-			req := httptest.NewRequest(http.MethodPost, "/predict/batch?model=bench", bytes.NewReader(payload))
+			req := httptest.NewRequest(http.MethodPost, "/predict/batch?model="+tc.model, bytes.NewReader(payload))
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, req)
 			if rec.Code != http.StatusOK {
@@ -173,11 +191,7 @@ func TestPredictBatchStageSpans(t *testing.T) {
 // shared Content-Type value.
 func TestPredictSingleWarmAllocs(t *testing.T) {
 	s := New()
-	spec, err := Serialize(&ml.LinearModel{Weights: make([]float64, taxi.FeatureDim), Bias: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Publish(Bundle{Name: "bench", Model: spec})
+	publishServingModels(t, s)
 	srv := NewServer(s)
 	srv.Instrument(metrics.New())
 	h := trace.New(trace.Config{Service: "store"}).Middleware(srv.Handler())
@@ -185,14 +199,16 @@ func TestPredictSingleWarmAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serve := func() {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/predict?model=bench", bytes.NewReader(payload)))
-		if rec.Code != http.StatusOK {
-			t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+	for _, model := range []string{"bench", "nn"} {
+		serve := func() {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/predict?model="+model, bytes.NewReader(payload)))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s: status %d: %s", model, rec.Code, rec.Body.String())
+			}
 		}
+		serve()
+		got := safety.MaxAllocs(t, 200, predictWarmBudget, serve)
+		t.Logf("warm single /predict on %s: %.1f allocs/op (budget %d)", model, got, predictWarmBudget)
 	}
-	serve()
-	got := safety.MaxAllocs(t, 200, predictWarmBudget, serve)
-	t.Logf("warm single /predict: %.1f allocs/op (budget %d)", got, predictWarmBudget)
 }

@@ -98,7 +98,7 @@ var API = []Route{
 type Server struct {
 	store *Store
 	mu    sync.Mutex
-	cache map[modelKey]*cachedModel
+	cache map[modelKey]ml.Model
 	enc   encodedCache
 	// met carries the optional serving-path instrumentation. The zero
 	// value (all-nil handles) is fully functional: every metric method
@@ -205,51 +205,9 @@ type modelKey struct {
 	version int
 }
 
-// cachedModel is one live model. Scratch-sharing models
-// (ml.SerialPredictor) get one of two concurrency strategies: models
-// that can clone their scratch (ml.ScratchCloner, the MLP) carry a pool
-// of serving clones so concurrent connections predict in parallel on
-// shared parameters; the rest fall back to a per-instance lock.
-// Stateless models carry neither and run concurrently as-is.
-type cachedModel struct {
-	model     ml.Model
-	predictMu *sync.Mutex
-	clones    *sync.Pool
-}
-
-// acquire returns a model safe to predict with on this goroutine and a
-// release function (both nil-safe no-ops for stateless models).
-func (c *cachedModel) acquire() (ml.Model, func()) {
-	if c.clones != nil {
-		m := c.clones.Get().(ml.Model)
-		return m, func() { c.clones.Put(m) }
-	}
-	if c.predictMu != nil {
-		c.predictMu.Lock()
-		return c.model, c.predictMu.Unlock
-	}
-	return c.model, func() {}
-}
-
-// predict evaluates one row.
-func (c *cachedModel) predict(x []float64) float64 {
-	m, release := c.acquire()
-	defer release()
-	return m.Predict(x)
-}
-
-// predictBatch evaluates all rows through the model's batched fast
-// path, acquiring the clone (or the serialization lock) once for the
-// whole batch — this is the amortization /predict/batch exists for.
-func (c *cachedModel) predictBatch(rows [][]float64, out []float64) {
-	m, release := c.acquire()
-	defer release()
-	ml.PredictBatch(m, rows, out)
-}
-
 // NewServer returns a server over the store.
 func NewServer(s *Store) *Server {
-	return &Server{store: s, cache: make(map[modelKey]*cachedModel)}
+	return &Server{store: s, cache: make(map[modelKey]ml.Model)}
 }
 
 // Routes binds API to s, for a tier to mount beside its own rows.
@@ -438,7 +396,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	// JSON has no number for ±Inf or NaN, which finite weights give on
 	// features that overflow them: a 400, which no gateway breaker counts.
-	p := model.predict(req.Features)
+	p := model.Predict(req.Features)
 	if !finite(p) {
 		httpError(w, http.StatusBadRequest, nonFinite(p))
 		return
@@ -574,7 +532,7 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	stage = span.StartChild("store.predict")
 	sc.out = grow(sc.out, len(sc.valid))
-	model.predictBatch(sc.valid, sc.out)
+	model.PredictBatch(sc.valid, sc.out)
 	// A prediction JSON cannot carry is that row's error, not the batch's:
 	// a 5xx would count against the replica's breaker at the gateway, and
 	// every replica answers the same. Errors are listed in row order.
@@ -678,7 +636,7 @@ func (s *Server) handleFeatures(w http.ResponseWriter, r *http.Request) {
 // serves Latest, so once a newer version is live its predecessors can
 // never be requested again and keeping them would leak a model per
 // publish.
-func (s *Server) model(b *Bundle) (*cachedModel, error) {
+func (s *Server) model(b *Bundle) (ml.Model, error) {
 	key := modelKey{name: b.Name, version: b.Version}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -689,18 +647,12 @@ func (s *Server) model(b *Bundle) (*cachedModel, error) {
 	if err != nil {
 		return nil, err
 	}
-	cm := &cachedModel{model: m}
-	if cloner, ok := m.(ml.ScratchCloner); ok {
-		cm.clones = &sync.Pool{New: func() any { return cloner.CloneForServing() }}
-	} else if _, serial := m.(ml.SerialPredictor); serial {
-		cm.predictMu = &sync.Mutex{}
-	}
 	// A request that read Latest before a concurrent publish may arrive
 	// here with a superseded bundle; serve it without caching so the
 	// one-live-model-per-name bound survives publish/predict races.
 	for k := range s.cache {
 		if k.name == b.Name && k.version > b.Version {
-			return cm, nil
+			return m, nil
 		}
 	}
 	for k := range s.cache {
@@ -708,8 +660,8 @@ func (s *Server) model(b *Bundle) (*cachedModel, error) {
 			delete(s.cache, k)
 		}
 	}
-	s.cache[key] = cm
-	return cm, nil
+	s.cache[key] = m
+	return m, nil
 }
 
 func httpError(w http.ResponseWriter, code int, msg string) {

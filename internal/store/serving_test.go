@@ -212,8 +212,8 @@ func TestPredictBatchRequestValidation(t *testing.T) {
 }
 
 func TestPredictBatchMLPMatchesSingle(t *testing.T) {
-	// The MLP shares scratch buffers; the batch path must serialize
-	// through them and agree with singleton predictions.
+	// The batch path runs the MLP's PredictBatch, one set of activation
+	// buffers for all rows; it must agree with singleton predictions.
 	s := New()
 	mlp := ml.NewMLP(ml.Regression, 3, []int{8, 4}, rng.New(42))
 	spec, err := Serialize(mlp)
@@ -391,9 +391,9 @@ func TestProvenanceEndpoint(t *testing.T) {
 }
 
 // TestConcurrentPublishWhilePredicting hammers every endpoint while
-// pipelines publish new versions of both a stateless (linear) and a
-// scratch-sharing (MLP) model. Run under -race it pins down the cache's
-// eviction races and the MLP's predict serialization.
+// pipelines publish new versions of a linear model and an MLP. Run under
+// -race it pins down the cache's eviction races and that concurrent
+// requests share one cached MLP with nothing around it.
 func TestConcurrentPublishWhilePredicting(t *testing.T) {
 	s := New()
 	publishAll := func(v int) {

@@ -391,7 +391,7 @@ func TestServingStaleVersionNotReCached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m1.predict([]float64{1}); got != 1 {
+	if got := m1.Predict([]float64{1}); got != 1 {
 		t.Errorf("stale bundle served wrong model: predict = %v, want 1", got)
 	}
 	server.mu.Lock()
