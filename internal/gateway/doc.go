@@ -98,9 +98,11 @@
 // maxPooledHeaders keys is dropped from the set. Pooling changes no
 // bound: each admitted request still buffers at most its row's budget,
 // so worst-case in-flight request bytes at default Limits stay 128 ×
-// 1 MiB + 16 × 32 MiB = 640 MiB. What a forwarded body still allocates
-// is net/http's own 32 KiB copy buffer when the transport writes it to
-// the connection; the transport is the caller's, so that one stays.
+// 1 MiB + 16 × 32 MiB = 640 MiB. A body past 32 KiB goes upstream
+// chunked, one chunk from the set's buffer, not through the fresh
+// 32 KiB copy buffer net/http makes to send a declared length; a
+// smaller one keeps its length, as there that buffer is body-sized and
+// a chunk costs more writes.
 //
 // # What the gateway refuses
 //

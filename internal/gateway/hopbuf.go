@@ -104,44 +104,66 @@ func (h *hopBuffers) unref() bool {
 	return true
 }
 
-// attach makes the set's request body req's: an explicit ContentLength,
-// a Body holding its own reference until the transport closes it, and
-// a GetBody that replays the same bytes, so net/http can resend the
-// body on a fresh connection. An empty body stays NewRequest's nil. The
-// caller holds a reference, which keeps the generation live.
+// maxSizedBody is the largest request body attach declares by its
+// length. net/http sends a declared length from a reader it does not
+// know to be in memory (isKnownInMemoryReader) through a fresh
+// min(32 KiB, length) copy buffer per request; a larger body goes
+// chunked, as one chunk hopBody.WriteTo writes from the set's buffer.
+// A smaller one keeps its length: its buffer is body-sized, and a chunk
+// costs more writes (5 against 2 at 13 kB).
+const maxSizedBody = 32 << 10
+
+// attach makes the set's request body req's: its ContentLength (-1
+// past maxSizedBody), a Body holding its own reference until the
+// transport closes it, and a GetBody that replays the same bytes, so
+// net/http can resend the body on a fresh connection. An empty body
+// stays NewRequest's nil. The caller holds a reference, which keeps the
+// generation live.
 func (h *hopBuffers) attach(req *http.Request) {
 	if h.req.Len() == 0 {
 		return
 	}
-	gen := h.state.Load() >> 32
+	gen := uint32(h.state.Load() >> 32)
 	req.Body, _ = h.body(gen)
 	req.ContentLength = int64(h.req.Len())
+	if req.ContentLength > maxSizedBody {
+		req.ContentLength = -1
+	}
 	req.GetBody = func() (io.ReadCloser, error) { return h.body(gen) }
+}
+
+// ref takes a reference to generation gen of the set, or reports false
+// once that generation's last user has gone.
+func (h *hopBuffers) ref(gen uint32) bool {
+	for {
+		s := h.state.Load()
+		if uint32(s>>32) != gen || uint32(s) == 0 {
+			return false
+		}
+		if h.state.CompareAndSwap(s, s+1) {
+			return true
+		}
+	}
 }
 
 // body returns a reader over the request body that holds a reference
 // to generation gen of the set, or errHopReleased once that
 // generation's last user has gone.
-func (h *hopBuffers) body(gen uint64) (io.ReadCloser, error) {
-	for {
-		s := h.state.Load()
-		if s>>32 != gen || uint32(s) == 0 {
-			return nil, errHopReleased
-		}
-		if h.state.CompareAndSwap(s, s+1) {
-			break
-		}
+func (h *hopBuffers) body(gen uint32) (io.ReadCloser, error) {
+	if !h.ref(gen) {
+		return nil, errHopReleased
 	}
-	b := &hopBody{set: h, open: true}
+	b := &hopBody{set: h, gen: gen, open: true}
 	b.r.Reset(h.req.Bytes())
 	return b, nil
 }
 
-// hopBody is one upstream request body. Read and Close exclude each
-// other, so no read runs on bytes Close has handed back.
+// hopBody is one upstream request body. Read, WriteTo and Close exclude
+// each other, so no read runs on bytes Close has handed back.
 type hopBody struct {
 	set  *hopBuffers
 	mu   sync.Mutex
+	gen  uint32
 	open bool
 	r    bytes.Reader
 }
@@ -153,6 +175,22 @@ func (b *hopBody) Read(p []byte) (int, error) {
 		return 0, http.ErrBodyReadAfterClose
 	}
 	return b.r.Read(p)
+}
+
+// WriteTo sends the rest of the body in one w.Write from the set's
+// buffer, holding a reference of its own for it, not b.mu: the bytes
+// stay this request's, and a Close never waits on the upstream.
+func (b *hopBody) WriteTo(w io.Writer) (int64, error) {
+	b.mu.Lock()
+	r := b.r
+	b.r.Reset(nil)
+	held := b.open && b.set.ref(b.gen)
+	b.mu.Unlock()
+	if !held {
+		return 0, http.ErrBodyReadAfterClose
+	}
+	defer b.set.unref()
+	return r.WriteTo(w)
 }
 
 // Close drops the body's reference; the transport may call it more

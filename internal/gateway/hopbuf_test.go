@@ -14,7 +14,9 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/ml"
 	"repro/internal/replica"
@@ -345,6 +347,85 @@ func TestHopBuffersRelease(t *testing.T) {
 	}
 }
 
+// blockedWriter is an upstream connection that takes a write and holds
+// it until release is closed, then reports what the written bytes read
+// at that moment.
+type blockedWriter struct {
+	started chan struct{}
+	release chan struct{}
+	saw     []byte
+}
+
+func (w *blockedWriter) Write(p []byte) (int, error) {
+	close(w.started)
+	<-w.release
+	w.saw = bytes.Clone(p)
+	return len(p), nil
+}
+
+// TestHopBodyWriteToOutlivesClose: a transport sending a chunked body
+// hands it to WriteTo and may close the body from another goroutine
+// while the write is blocked on the upstream (a cancelled attempt).
+// Close returns without waiting; the bytes being written stay this
+// request's until the write returns, even once the handler's reference
+// has gone and later requests take sets from the pool; and the set goes
+// back to hopPool only after both have finished.
+func TestHopBodyWriteToOutlivesClose(t *testing.T) {
+	want := bytes.Repeat([]byte("0123456789abcdef"), (maxSizedBody>>4)+1)
+	set := getHop()
+	set.req.Write(want)
+	body, err := set.body(uint32(set.state.Load() >> 32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &blockedWriter{started: make(chan struct{}), release: make(chan struct{})}
+	wrote := make(chan error)
+	go func() {
+		n, err := body.(io.WriterTo).WriteTo(w)
+		if err == nil && n != int64(len(want)) {
+			err = fmt.Errorf("wrote %d of %d bytes", n, len(want))
+		}
+		wrote <- err
+	}()
+	<-w.started
+
+	closed := make(chan struct{})
+	go func() {
+		body.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close waited on a write blocked upstream")
+	}
+	if set.unref() {
+		t.Error("the handler's unref returned the set to the pool while WriteTo still writes from it")
+	}
+	for range 8 { // later requests, which would be handed the set if it were pooled
+		other := getHop()
+		other.req.WriteString("a later request's body")
+		other.unref()
+	}
+	if refs := uint32(set.state.Load()); refs != 1 {
+		t.Errorf("%d references during the write, want WriteTo's own", refs)
+	}
+
+	close(w.release)
+	if err := <-wrote; err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(w.saw, want) {
+		t.Errorf("the write carried %d bytes that are not the request's: %.40q", len(w.saw), w.saw)
+	}
+	if refs := uint32(set.state.Load()); refs != 0 {
+		t.Errorf("%d references after the write and Close finished, want none", refs)
+	}
+	if _, err := body.(io.WriterTo).WriteTo(w); !errors.Is(err, http.ErrBodyReadAfterClose) {
+		t.Errorf("WriteTo after Close: %v, want %v", err, http.ErrBodyReadAfterClose)
+	}
+}
+
 // inProcess serves upstream requests with a handler in the calling
 // goroutine: no sockets, so a request's allocations are the gateway's,
 // the replica's and this shim's.
@@ -359,25 +440,34 @@ func (p inProcess) RoundTrip(r *http.Request) (*http.Response, error) {
 	return rec.Result(), nil
 }
 
-// TestGatewayProxyBytesPerRequest pins what a warm request costs to
-// proxy, in bytes and allocations per request through the gateway and
-// the replica behind it (and httptest on both sides), for requests that
-// carry the headers net/http's client sends. A 256-row taxi-width batch
-// stays under a quarter of its body: the gateway's request and response
-// buffers come from hopPool, so a per-request copy of the body (the
-// body alone is one whole body size) fails here; its bytes are not
-// pinned closer: a run in which a collection empties hopPool re-grows
-// the set's buffers, and its mean has read up to ≈ 25 kB. A
-// single-value feature join reads ≈ 8.3 kB in 41 allocations, a
-// taxi-width single predict ≈ 10.8 kB in 54 and the batch 47
-// allocations. An attempt's outgoing URL and header come from its
-// slot in the set: re-parsing the URL per attempt reads ≈ 8.5 kB in 44,
-// ≈ 11.0 kB in 57 and 50, a fresh header map per attempt ≈ 8.7 kB in
-// 43, ≈ 11.2 kB in 56 and 49, past every budget.
-func TestGatewayProxyBytesPerRequest(t *testing.T) {
-	if safety.RaceEnabled {
-		t.Skip("allocation counts are not stable under the race detector")
+// perRequest warms serve and returns the heap bytes and allocations
+// one call of it costs. It measures on one P, as testing.AllocsPerRun
+// measures the count: on more, a call that moves P between getHop and
+// unref can miss hopPool's per-P cache and re-grow a set inside the
+// window. The P count is set before the warm-up, since a change of it
+// empties every sync.Pool.
+func perRequest(serve func()) (perReq, allocs float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	// A collection inside the window would empty hopPool and count the
+	// sets re-grown after it; one just before leaves the window, well
+	// under a megabyte, none to run.
+	runtime.GC()
+	for i := 0; i < 5; i++ {
+		serve() // warm: the pools, the model cache, the encode buffers
 	}
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		serve()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / runs, testing.AllocsPerRun(runs, serve)
+}
+
+// wideFleet is one replica that serves "wide", a taxi-width linear
+// model, beside the fleet's "m".
+func wideFleet(t *testing.T) *fleet {
 	f := newFleet(t, 1, 1)
 	spec, err := store.Serialize(&ml.LinearModel{Weights: make([]float64, taxi.FeatureDim)})
 	if err != nil {
@@ -387,70 +477,157 @@ func TestGatewayProxyBytesPerRequest(t *testing.T) {
 	if err := replica.NewPublisher(f.src, f.urls).Sync(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	g := f.gw(t, func(c *Config) { c.Transport = inProcess{f.reps[0].Handler()} })
-	h := g.Handler()
+	return f
+}
 
+// wideBody is the JSON of key over n random taxi-width rows: a
+// /predict/batch body for "rows", and a /predict one of rows[0] for
+// "features".
+func wideBody(t *testing.T, key string, n int) []byte {
 	r := rand.New(rand.NewPCG(3, 4))
-	rows := make([][]float64, 256)
+	rows := make([][]float64, n)
 	for i := range rows {
 		rows[i] = make([]float64, taxi.FeatureDim)
 		for j := range rows[i] {
 			rows[i][j] = r.Float64()
 		}
 	}
-	batch, err := json.Marshal(map[string]any{"rows": rows})
+	var v any = rows
+	if key == "features" {
+		v = rows[0]
+	}
+	body, err := json.Marshal(map[string]any{key: v})
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := json.Marshal(map[string]any{"features": rows[0]})
-	if err != nil {
-		t.Fatal(err)
+	return body
+}
+
+// clientRequest serves one request to h with the headers net/http's
+// client sends, as the benchmark's does, and fails t unless it is
+// answered 200. header is shared across requests, so the call itself
+// allocates only httptest's request and recorder.
+func clientRequest(t *testing.T, h http.Handler, method, path string, body []byte) func() {
+	header := http.Header{"User-Agent": {"Go-http-client/1.1"}, "Accept-Encoding": {"gzip"}}
+	if body != nil {
+		header["Content-Type"] = []string{"application/json"}
 	}
+	return func() {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(method, path, bytes.NewReader(body))
+		req.Header = header
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s %s through the gateway: %d %.200s", method, path, rec.Code, rec.Body.String())
+		}
+	}
+}
+
+// TestGatewayProxyBytesPerRequest pins what a warm request costs to
+// proxy, in bytes and allocations per request through the gateway and
+// the replica behind it (and httptest on both sides), for requests that
+// carry the headers net/http's client sends. A 256-row taxi-width batch
+// stays under a quarter of its body: the gateway's request and response
+// buffers come from hopPool, so a per-request copy of the body (the
+// body alone is one whole body size) fails here. A single-value feature
+// join reads ≈ 8.3 kB in 41 allocations, a taxi-width single predict
+// ≈ 10.8 kB in 54 and the batch ≈ 9.4 kB in 47. An attempt's outgoing
+// URL and header come from its slot in the set: re-parsing the URL per
+// attempt reads ≈ 8.5 kB in 44, ≈ 11.0 kB in 57 and 50, a fresh header
+// map per attempt ≈ 8.7 kB in 43, ≈ 11.2 kB in 56 and 49, past every
+// budget. The transport here is in-process, so no copy buffer shows;
+// TestGatewayLoopbackBytesPerRequest pins the socket write.
+func TestGatewayProxyBytesPerRequest(t *testing.T) {
+	if safety.RaceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	f := wideFleet(t)
+	g := f.gw(t, func(c *Config) { c.Transport = inProcess{f.reps[0].Handler()} })
+	h := g.Handler()
 	for _, c := range []struct {
 		name, method, path string
 		body               []byte
 		bytes, allocs      float64
 	}{
-		{"256-row batch", http.MethodPost, "/predict/batch?model=wide", batch, 9600, 48},
+		{"256-row batch", http.MethodPost, "/predict/batch?model=wide", wideBody(t, "rows", 256), 9600, 48},
 		{"feature join", http.MethodGet, "/features?model=m&key=hour_speed&index=3", nil, 8450, 42},
-		{"single predict", http.MethodPost, "/predict?model=wide", single, 11000, 55},
+		{"single predict", http.MethodPost, "/predict?model=wide", wideBody(t, "features", 1), 11000, 55},
 	} {
-		// The headers net/http's client sends, as the benchmark's does;
-		// shared across requests, so the test itself allocates none.
-		header := http.Header{"User-Agent": {"Go-http-client/1.1"}, "Accept-Encoding": {"gzip"}}
-		if c.body != nil {
-			header["Content-Type"] = []string{"application/json"}
-		}
-		serve := func() {
-			rec := httptest.NewRecorder()
-			req := httptest.NewRequest(c.method, c.path, bytes.NewReader(c.body))
-			req.Header = header
-			h.ServeHTTP(rec, req)
-			if rec.Code != http.StatusOK {
-				t.Fatalf("%s through the gateway: %d %.200s", c.name, rec.Code, rec.Body.String())
-			}
-		}
-		// A collection inside the window would empty hopPool and count
-		// the sets re-grown after it; one just before leaves the window,
-		// well under a megabyte, none to run.
-		runtime.GC()
-		for i := 0; i < 5; i++ {
-			serve() // warm: the pools, the model cache, the encode buffers
-		}
-		const runs = 50
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
-			serve()
-		}
-		runtime.ReadMemStats(&after)
-		perReq := float64(after.TotalAlloc-before.TotalAlloc) / runs
-		allocs := testing.AllocsPerRun(runs, serve)
+		perReq, allocs := perRequest(clientRequest(t, h, c.method, c.path, c.body))
 		t.Logf("%s: %.0f bytes in %.0f allocations per request for a %d-byte body (budgets %.0f, %.0f)",
 			c.name, perReq, allocs, len(c.body), c.bytes, c.allocs)
 		if perReq > c.bytes || allocs > c.allocs {
 			t.Errorf("%s: %.0f bytes in %.0f allocations per proxied request, budgets %.0f and %.0f: has a hop buffer, an attempt's URL or header slot, the /predict request or the shared header values stopped being reused?",
 				c.name, perReq, allocs, c.bytes, c.allocs)
+		}
+	}
+}
+
+// TestGatewayLoopbackBytesPerRequest pins what a warm request costs to
+// proxy to a replica over a real loopback http.Transport, as the
+// benchmark's fleet does, in heap bytes per request through the
+// gateway, the transport and the replica's server. A body past
+// maxSizedBody goes upstream chunked, as one chunk from the pooled set
+// (≈ 13.4 kB for a 256-row batch, ≈ 13.1 kB one byte past the bound);
+// sent by its length it went through the connection's ReadFrom, whose
+// fresh 32 KiB copy buffer per request read 46–49 kB and fails here. A
+// body at or under the bound keeps its Content-Length, and its copy
+// buffer is body-sized: one of exactly maxSizedBody bytes still pays
+// it (≈ 45.7 kB), a taxi-width single predict (≈ 16.4 kB) hardly
+// notices. The
+// replica checks each request's framing, so the size selection is
+// pinned from both sides.
+func TestGatewayLoopbackBytesPerRequest(t *testing.T) {
+	if safety.RaceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	f := wideFleet(t)
+	var declared atomic.Int64 // the ContentLength the replica last read
+	rh := f.reps[0].Handler()
+	rep := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		declared.Store(r.ContentLength)
+		rh.ServeHTTP(w, r)
+	}))
+	defer rep.Close()
+	upstream := http.DefaultTransport.(*http.Transport).Clone()
+	defer upstream.CloseIdleConnections()
+	g, err := New(Config{Backends: []string{rep.URL}, Transport: upstream})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := g.Handler()
+
+	// padded is a 32-row batch (≈ 29.6 kB) padded with JSON whitespace
+	// to exactly n bytes.
+	padded := func(n int) []byte {
+		body := wideBody(t, "rows", 32)
+		if len(body) > n {
+			t.Fatalf("a 32-row batch is %d bytes, past %d", len(body), n)
+		}
+		return append(body[:len(body)-1], append(bytes.Repeat([]byte(" "), n-len(body)), '}')...)
+	}
+	for _, c := range []struct {
+		name    string
+		path    string
+		body    []byte
+		chunked bool
+		bytes   float64
+	}{
+		{"256-row batch", "/predict/batch?model=wide", wideBody(t, "rows", 256), true, 16000},
+		{"batch one byte past the bound", "/predict/batch?model=wide", padded(maxSizedBody + 1), true, 16000},
+		{"batch at the bound", "/predict/batch?model=wide", padded(maxSizedBody), false, 16000 + maxSizedBody},
+		{"single predict", "/predict?model=wide", wideBody(t, "features", 1), false, 17500},
+	} {
+		perReq, allocs := perRequest(clientRequest(t, h, http.MethodPost, c.path, c.body))
+		t.Logf("%s: %.0f bytes in %.0f allocations per request for a %d-byte body (budget %.0f bytes)",
+			c.name, perReq, allocs, len(c.body), c.bytes)
+		if got := declared.Load(); c.chunked != (got == -1) {
+			t.Errorf("%s: the replica read a declared length of %d for a %d-byte body; a body past %d bytes goes chunked (-1), any other by its length",
+				c.name, got, len(c.body), maxSizedBody)
+		}
+		if perReq > c.bytes {
+			t.Errorf("%s: %.0f bytes per proxied request, budget %.0f: is the transport copying the body through a buffer of its own?",
+				c.name, perReq, c.bytes)
 		}
 	}
 }

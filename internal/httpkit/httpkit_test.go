@@ -33,9 +33,9 @@ type tier interface {
 // tiers declares every HTTP tier in the tree, each as a constructor
 // taking the tier's tracer (nil = the -debug surface off). The tests
 // below walk the declarations; a tier assembled without httpkit fails
-// them on the first shared route it forgot. The gateway fronts a
-// replica holding model "m", so a body the gateway forwards is read to
-// its end upstream.
+// them on the first shared route it forgot. The replica and the
+// gateway, which fronts one, serve model "m", so a serving body is read
+// to its end upstream.
 var tiers = map[string]func(t *testing.T, tracer *trace.Tracer) tier{
 	"daemon": func(t *testing.T, tracer *trace.Tracer) tier {
 		d, _, err := daemon.New(daemon.Config{
@@ -48,21 +48,10 @@ var tiers = map[string]func(t *testing.T, tracer *trace.Tracer) tier{
 		return d
 	},
 	"replica": func(t *testing.T, tracer *trace.Tracer) tier {
-		return replica.NewServer(replica.WithTracer(tracer))
+		return replicaOfM(t, replica.WithTracer(tracer))
 	},
 	"gateway": func(t *testing.T, tracer *trace.Tracer) tier {
-		src := store.New()
-		spec, err := store.Serialize(&ml.LinearModel{Weights: []float64{1}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		src.Publish(store.Bundle{Name: "m", Model: spec})
-		b, _ := src.Get("m", 1)
-		rep := replica.NewServer()
-		if _, err := rep.Store().Apply(*b); err != nil {
-			t.Fatal(err)
-		}
-		backend := httptest.NewServer(rep.Handler())
+		backend := httptest.NewServer(replicaOfM(t).Handler())
 		t.Cleanup(backend.Close)
 		g, err := gateway.New(gateway.Config{Backends: []string{backend.URL}, Tracer: tracer})
 		if err != nil {
@@ -70,6 +59,28 @@ var tiers = map[string]func(t *testing.T, tracer *trace.Tracer) tier{
 		}
 		return g
 	},
+}
+
+// modelM is a one-feature linear model named "m", as a source store
+// publishes it.
+func modelM(t *testing.T) store.Bundle {
+	spec, err := store.Serialize(&ml.LinearModel{Weights: []float64{1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := store.New()
+	src.Publish(store.Bundle{Name: "m", Model: spec})
+	b, _ := src.Get("m", 1)
+	return *b
+}
+
+// replicaOfM is a replica that has applied modelM.
+func replicaOfM(t *testing.T, opts ...replica.ServerOption) *replica.Server {
+	rep := replica.NewServer(opts...)
+	if _, err := rep.Store().Apply(modelM(t)); err != nil {
+		t.Fatal(err)
+	}
+	return rep
 }
 
 func get(h http.Handler, method, path string) (int, string) {
@@ -186,23 +197,34 @@ func (spaces) Read(p []byte) (int, error) {
 //     row's handler, not the mux's 404 or 405;
 //   - a declared path asked with another method answers 405;
 //   - a row's Body budget is exact: a body of Body bytes reaches the
-//     handler and one of Body+1 is 413 — on the gateway too, where the
-//     body is buffered and forwarded to a replica that reads it whole.
+//     handler and one of Body+1 is 413, whether it declares its length
+//     or not (a chunked client body, or a large one the gateway
+//     forwards) — on the gateway too, where the body is buffered and
+//     forwarded to a replica that reads it whole.
 //
-// What is not declared is not served (the unknown path above). Bodies
-// carry Content-Encoding: gzip, which the serving API ignores and which
-// POST /push answers 415 before reading the body, instead of reading
-// 64 MiB.
+// What is not declared is not served (the unknown path above). A body
+// that declares its length carries Content-Encoding: gzip, which the
+// serving API ignores and which POST /push answers 415 before reading
+// the body, instead of reading 64 MiB; one of unknown length carries
+// none, since only a read can find it past the budget.
 func TestEveryTierServesItsDeclaredRows(t *testing.T) {
 	const muxNotFound = "404 page not found\n"
 	for name, build := range tiers {
 		t.Run(name, func(t *testing.T) {
 			tr := build(t, nil)
+			if d, ok := tr.(*daemon.Daemon); ok {
+				// Serve "m" on the daemon too, so every tier reads a
+				// serving body to its end.
+				d.Platform().Store.Publish(modelM(t))
+			}
 			h := tr.Handler()
-			serve := func(method, path string, n int64) (int, string) {
+			serve := func(method, path string, n int64, declared bool) (int, string) {
 				req := httptest.NewRequest(method, path+"?model=m", io.LimitReader(spaces{}, n))
-				req.ContentLength = n
-				req.Header.Set("Content-Encoding", "gzip")
+				req.ContentLength = -1
+				if declared {
+					req.ContentLength = n
+					req.Header.Set("Content-Encoding", "gzip")
+				}
 				rec := httptest.NewRecorder()
 				h.ServeHTTP(rec, req)
 				return rec.Code, rec.Body.String()
@@ -213,7 +235,7 @@ func TestEveryTierServesItsDeclaredRows(t *testing.T) {
 					method, path = http.MethodPost, rt.Pattern
 				}
 				path = strings.ReplaceAll(path, "{name}", "m")
-				if code, body := serve(method, path, 0); code == http.StatusMethodNotAllowed || body == muxNotFound {
+				if code, body := serve(method, path, 0, true); code == http.StatusMethodNotAllowed || body == muxNotFound {
 					t.Errorf("%s: %s %s is not served: %d %q", rt.Pattern, method, path, code, body)
 				}
 				if ok {
@@ -221,18 +243,21 @@ func TestEveryTierServesItsDeclaredRows(t *testing.T) {
 					if method == http.MethodPost {
 						other = http.MethodGet
 					}
-					if code, _ := serve(other, path, 0); code != http.StatusMethodNotAllowed {
+					if code, _ := serve(other, path, 0, true); code != http.StatusMethodNotAllowed {
 						t.Errorf("%s: %s %s answered %d, want 405", rt.Pattern, other, path, code)
 					}
 				}
 				if rt.Body == 0 {
 					continue
 				}
-				if code, body := serve(method, path, rt.Body); code == http.StatusRequestEntityTooLarge || body == muxNotFound {
-					t.Errorf("%s: a %d-byte body (the budget) did not reach the handler: %d %q", rt.Pattern, rt.Body, code, body)
-				}
-				if code, body := serve(method, path, rt.Body+1); code != http.StatusRequestEntityTooLarge {
-					t.Errorf("%s: a %d-byte body (budget+1) answered %d %q, want 413", rt.Pattern, rt.Body+1, code, body)
+				for _, declared := range []bool{true, false} {
+					length := map[bool]string{true: "declared", false: "undeclared"}[declared]
+					if code, body := serve(method, path, rt.Body, declared); code == http.StatusRequestEntityTooLarge || body == muxNotFound {
+						t.Errorf("%s: a %d-byte body (the budget, %s) did not reach the handler: %d %q", rt.Pattern, rt.Body, length, code, body)
+					}
+					if code, body := serve(method, path, rt.Body+1, declared); code != http.StatusRequestEntityTooLarge {
+						t.Errorf("%s: a %d-byte body (budget+1, %s) answered %d %q, want 413", rt.Pattern, rt.Body+1, length, code, body)
+					}
 				}
 			}
 		})

@@ -127,7 +127,7 @@ func (m *MLP) forward(b *activations, x []float64) float64 {
 	for l := 0; l < layers; l++ {
 		in, out := m.sizes[l], m.sizes[l+1]
 		w, bias := m.layer(l)
-		src := b.acts[l]
+		src := b.acts[l][:in]
 		for j := 0; j < out; j++ {
 			sum := bias[j]
 			row := w[j*in : (j+1)*in]
