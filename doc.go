@@ -72,16 +72,20 @@
 // HTTP: GET /models lists releases, GET /models/{name}/provenance
 // exposes the audit view (blocks read, budget spent, validator
 // decision), POST /predict answers one row, POST /predict/batch runs N
-// rows through one cached model instantiation with per-row errors — a
+// rows through the release's model in one call with per-row errors — a
 // wrong width, or a prediction JSON cannot carry (features that overflow
 // the model; a 400 on /predict) — reported positionally, so a client's
 // bad row fails neither the batch nor, at the gateway, a replica's
 // breaker; and GET /features serves the bundle's released aggregate
 // tables (Listing 1's per-hour speed join; &index= for single-value
-// serving-time joins). Every ml.Model is safe for concurrent Predict
-// and PredictBatch (the MLP takes its activation buffers per call from
-// a pool of its own), so the server caches the model it instantiated
-// and every connection predicts on it in parallel. `sagectl serve` runs the
+// serving-time joins). A release's model is built once, as the release
+// enters the store (Publish, or Apply for WAL replay and replica
+// pushes), and a release whose model does not build never enters it:
+// every stored release carries the model it serves, whichever version a
+// request pins. Every ml.Model is safe for concurrent Predict and
+// PredictBatch (the MLP takes its activation buffers per call from a
+// pool of its own), so every connection predicts on that one model in
+// parallel, and the server keeps no model state. `sagectl serve` runs the
 // whole loop — stream → DP aggregate → pipelines → publish → serve —
 // as a demo preset over the daemon below, not a loop of its own;
 // BENCH_serving.json records HTTP-level throughput (batched at 256

@@ -31,19 +31,19 @@ func (l *Limits) applyDefaults() {
 }
 
 // admission is the gateway's load-shedding front door: a bounded
-// in-flight semaphore per route class, plus a global bound with a soft
-// threshold that sheds batch work early. Admission never queues — a
+// in-flight semaphore per route class, plus a soft threshold on the
+// total in flight that sheds batch work early. Admission never queues — a
 // request either gets a slot now or is refused now (fast 503 +
 // Retry-After), so offered load beyond capacity cannot build an
 // unbounded queue whose latency collapses every class at once.
 type admission struct {
 	sems [numClasses]chan struct{}
-	// global counts all admitted in-flight requests; globalLimit is the
-	// sum of the class limits, batchSoft the fraction of it above which
-	// batch requests are shed even if their own class has room.
-	global      atomic.Int64
-	globalLimit int64
-	batchSoft   int64
+	// global counts all admitted in-flight requests; batchSoft is the
+	// fraction of the class limits' sum above which batch requests are
+	// shed even if their own class has room. The sum itself needs no
+	// check: global reaches it only when every class is full.
+	global    atomic.Int64
+	batchSoft int64
 	// shed counters live in the gateway's metric registry — the status
 	// report reads the same series /metrics exposes, so the two can
 	// never drift. Handles are pre-resolved per class; admit never does
@@ -65,11 +65,11 @@ func newAdmission(l Limits, reg *metrics.Registry) *admission {
 	reg.GaugeFunc("sage_gateway_inflight_requests",
 		"Admitted requests currently in flight (all classes).",
 		func() float64 { return float64(a.global.Load()) })
-	a.globalLimit = int64(l.Read + l.Predict + l.Batch)
+	globalLimit := int64(l.Read + l.Predict + l.Batch)
 	// Shed-before-collapse ordering: once the gateway as a whole is ¾
 	// full, new batch work is refused so the remaining capacity keeps
 	// serving cheap reads and single predictions.
-	a.batchSoft = a.globalLimit * 3 / 4
+	a.batchSoft = globalLimit * 3 / 4
 	return a
 }
 
@@ -77,8 +77,7 @@ func newAdmission(l Limits, reg *metrics.Registry) *admission {
 // success the caller owns the slot and gives it back with exactly one
 // release(class); on refusal admit returns false and counts the shed.
 func (a *admission) admit(class store.Class) bool {
-	if a.global.Load() >= a.globalLimit ||
-		(class == store.ClassBatch && a.global.Load() >= a.batchSoft) {
+	if class == store.ClassBatch && a.global.Load() >= a.batchSoft {
 		a.shed[class].Inc()
 		return false
 	}

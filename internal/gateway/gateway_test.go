@@ -303,10 +303,22 @@ func TestAdmissionShedOrdering(t *testing.T) {
 	if a.global.Load() != 0 {
 		t.Fatalf("global in-flight after all releases = %d, want 0", a.global.Load())
 	}
+	held = nil
 	// Capacity fully restored: batch admits again.
-	if !a.admit(store.ClassBatch) {
-		t.Fatal("batch refused on an idle gateway after releases")
+	acquire(store.ClassBatch, true)
+
+	// Fill every class, then take one read slot back the way release
+	// does before it decrements global: for that window global still
+	// counts every slot, yet the read class has room, and a read must get
+	// it.
+	acquire(store.ClassBatch, true)
+	for i := 0; i < 6; i++ {
+		acquire(store.ClassRead, true)
 	}
+	acquire(store.ClassPredict, true)
+	acquire(store.ClassPredict, true)
+	<-a.sems[store.ClassRead]
+	acquire(store.ClassRead, true)
 }
 
 // TestProxyByteIdentical pins the canonical-bytes invariant on the happy

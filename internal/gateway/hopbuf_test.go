@@ -453,7 +453,7 @@ func perRequest(serve func()) (perReq, allocs float64) {
 	// under a megabyte, none to run.
 	runtime.GC()
 	for i := 0; i < 5; i++ {
-		serve() // warm: the pools, the model cache, the encode buffers
+		serve() // warm: the pools, the encode buffers
 	}
 	const runs = 50
 	var before, after runtime.MemStats

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -143,5 +144,48 @@ func TestPushRefusesContentEncoding(t *testing.T) {
 	}
 	if rep.Store().VersionCount("bench") != 1 {
 		t.Fatal("identity-coded push was not applied")
+	}
+}
+
+// unservableSpecs decode like any release's, but their models do not
+// build: a kind no replica serves, and a logistic model short of its
+// Dim+1 params.
+var unservableSpecs = map[string]store.ModelSpec{
+	"unknown kind":    {Kind: "nope"},
+	"logistic params": {Kind: "logistic", Dim: 2, Params: []float64{0.5, -0.5}},
+}
+
+// TestPushRefusesUnservableRelease: a replica stores only releases it
+// can serve. A push whose body decodes but whose model does not build is
+// answered 409 and counted rejected, like any refused release, and the
+// replica's watermarks and generation stay where they were.
+func TestPushRefusesUnservableRelease(t *testing.T) {
+	rep := NewServer()
+	h := rep.Handler()
+	push := func(b store.Bundle) int {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/push", bytes.NewReader(b.CanonicalBytes())))
+		return rec.Code
+	}
+	b := benchBundle(1)
+	b.Version = 1
+	if code := push(b); code != http.StatusOK {
+		t.Fatalf("servable push: %d, want 200", code)
+	}
+	wms, gen := rep.Store().Watermarks(), rep.Store().Generation()
+	for name, spec := range unservableSpecs {
+		b := benchBundle(2)
+		b.Version, b.Model = 2, spec
+		before := rep.pushRejected.Value()
+		if code := push(b); code != http.StatusConflict {
+			t.Errorf("%s: push %d, want 409", name, code)
+		}
+		if got := rep.pushRejected.Value(); got != before+1 {
+			t.Errorf("%s: rejected %v → %v, want +1", name, before, got)
+		}
+	}
+	if got := rep.Store().Watermarks(); !maps.Equal(got, wms) || rep.Store().Generation() != gen {
+		t.Errorf("refused pushes changed the replica: watermarks %v → %v, generation %d → %d",
+			wms, got, gen, rep.Store().Generation())
 	}
 }

@@ -27,6 +27,11 @@
 //     behind, and the publisher's next attempt reconciles it (see
 //     Catching up).
 //
+// Every stored release carries the model it serves, built as the
+// release is applied, so a release whose model does not build is
+// refused like a divergent one: 409, counted rejected, the replica's
+// watermarks untouched, and the publisher does not retry it.
+//
 // Replica stores are read-only from the network's point of view: only
 // /push mutates them, and application happens under the store's write
 // lock, so a concurrent /predict sees either the old set of releases or
@@ -278,7 +283,8 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 			})
 			return
 		}
-		// Digest mismatch (divergent release) or unversioned bundle.
+		// Digest mismatch (divergent release), an unversioned bundle or
+		// one whose model does not build.
 		s.pushRejected.Inc()
 		httpkit.WriteJSON(w, http.StatusConflict, map[string]string{"error": err.Error()})
 		return

@@ -260,8 +260,9 @@ func TestPushGapTriggersBackfill(t *testing.T) {
 
 // TestPushRetriesTransientErrors pins the retry/backoff path: a replica
 // that fails with 503 twice before recovering must still converge, and
-// a divergent release (409 digest mismatch) or one past the replica's
-// size cap (413) must fail at once with no retries.
+// a divergent release (409 digest mismatch), one the replica cannot
+// build (409 rejected) or one past the replica's size cap (413) must
+// fail at once with no retries.
 func TestPushRetriesTransientErrors(t *testing.T) {
 	rep := NewServer()
 	inner := rep.Handler()
@@ -325,6 +326,35 @@ func TestPushRetriesTransientErrors(t *testing.T) {
 	}
 	if divergeCalls.Load() != 1 {
 		t.Errorf("divergent push attempted %d times, want 1 (permanent errors must not retry)", divergeCalls.Load())
+	}
+
+	// A replica that serves no model kind, as one running older code
+	// than its publisher may not serve a new one: every release pushed
+	// to it is one it cannot build.
+	var unservableCalls atomic.Int32
+	unservableRep := NewServer()
+	unservable := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/push" {
+			unservableCalls.Add(1)
+			raw, _ := io.ReadAll(r.Body)
+			if b, err := store.DecodeCanonicalBundle(raw); err == nil {
+				b.Model = store.ModelSpec{Kind: "nope"}
+				raw = b.CanonicalBytes()
+			}
+			r.Body, r.ContentLength = io.NopCloser(bytes.NewReader(raw)), int64(len(raw))
+		}
+		unservableRep.Handler().ServeHTTP(w, r)
+	}))
+	defer unservable.Close()
+	srcUnservable := store.New()
+	pubUnservable := NewPublisher(srcUnservable, []string{unservable.URL}, WithRetry(3, time.Millisecond))
+	srcUnservable.Publish(store.Bundle{Name: "m", Model: spec})
+	if err := pubUnservable.Push(context.Background(), "m", 1); err == nil {
+		t.Fatal("push of a release the replica cannot build reported success")
+	}
+	if unservableCalls.Load() != 1 || unservableRep.pushRejected.Value() != 1 {
+		t.Errorf("unservable push attempted %d times, %v rejected; want 1 and 1 (permanent errors must not retry)",
+			unservableCalls.Load(), unservableRep.pushRejected.Value())
 	}
 
 	var tooLargeCalls atomic.Int32

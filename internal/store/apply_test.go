@@ -85,6 +85,48 @@ func TestApplyRejectsDivergentRelease(t *testing.T) {
 	}
 }
 
+// unservableSpecs decode and encode like any release, but their models
+// do not build: a kind no code serves, and a logistic model short of
+// its Dim+1 params.
+var unservableSpecs = map[string]ModelSpec{
+	"unknown kind":    {Kind: "nope"},
+	"logistic params": {Kind: "logistic", Dim: 2, Params: []float64{0.5, -0.5}},
+}
+
+// TestUnservableReleaseCannotEnterTheStore: every stored release carries
+// the model it serves, so a release whose model does not build is
+// refused by Apply and panics Publish, and either way the store and its
+// journal are untouched.
+func TestUnservableReleaseCannotEnterTheStore(t *testing.T) {
+	for name, spec := range unservableSpecs {
+		s := New()
+		if _, err := s.Apply(applyBundle("m", 1, 1)); err != nil {
+			t.Fatal(err)
+		}
+		journaled := 0
+		s.SetJournal(func([]byte) error { journaled++; return nil })
+		gen := s.Generation()
+
+		b := applyBundle("m", 2, 2)
+		b.Model = spec
+		if applied, err := s.Apply(b); err == nil || applied {
+			t.Errorf("%s: Apply = %v, %v; want a refusal", name, applied, err)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Publish did not panic", name)
+				}
+			}()
+			s.Publish(b)
+		}()
+		if s.VersionCount("m") != 1 || s.Generation() != gen || journaled != 0 {
+			t.Errorf("%s: store after refusals: %d version(s), generation %d → %d, %d journaled; want it untouched",
+				name, s.VersionCount("m"), gen, s.Generation(), journaled)
+		}
+	}
+}
+
 func TestBundleDigestCanonical(t *testing.T) {
 	mk := func() *Bundle {
 		b := applyBundle("m", 1, 1)

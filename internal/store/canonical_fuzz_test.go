@@ -7,10 +7,11 @@ import (
 )
 
 // fuzzSeeds is the fuzz target's seed corpus: canonical_test.go's golden
-// bundle plus one well-formed release per model layout, so mutation
-// starts from inputs that reach every Instantiate branch.
+// bundle plus one well-formed release per model layout and the
+// unservable ones, so mutation starts from inputs that reach every
+// Instantiate branch.
 func fuzzSeeds() []Bundle {
-	return []Bundle{
+	seeds := []Bundle{
 		canonicalTestBundle(),
 		{Name: "m", Version: 1, Model: ModelSpec{Kind: "linear", Weights: []float64{1, 2}, Bias: 0.5}},
 		{Name: "c", Version: 2, Model: ModelSpec{Kind: "constant", Bias: 7}},
@@ -19,6 +20,10 @@ func fuzzSeeds() []Bundle {
 		{Name: "nn", Version: 4, Model: ModelSpec{Kind: "mlp-clf", Dim: 2, Hidden: []int{3},
 			Params: []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}}},
 	}
+	for _, name := range []string{"unknown kind", "logistic params"} {
+		seeds = append(seeds, Bundle{Name: "u", Version: 1, Model: unservableSpecs[name]})
+	}
+	return seeds
 }
 
 // TestDecodeCanonicalBundleIntegerRange: the decoder faces the network
@@ -81,10 +86,12 @@ func TestDecodeCanonicalBundleRejectsNonCanonical(t *testing.T) {
 }
 
 // FuzzDecodeCanonicalBundle feeds the decoder arbitrary bytes: it must
-// never panic, anything it accepts must re-encode to exactly the input
-// (a body is its own digest preimage and WAL record), and the decoded
-// model must instantiate or refuse without panicking or allocating
-// beyond its payload.
+// never panic, and anything it accepts must re-encode to exactly the
+// input (a body is its own digest preimage and WAL record). What it
+// accepts then goes where a pushed body goes, into a store: Apply either
+// refuses it, leaving the store empty, or stores it with a model that
+// predicts a zero row of its width — without panicking or allocating
+// beyond its payload either way.
 func FuzzDecodeCanonicalBundle(f *testing.F) {
 	for _, b := range fuzzSeeds() {
 		raw := b.CanonicalBytes()
@@ -99,8 +106,20 @@ func FuzzDecodeCanonicalBundle(f *testing.F) {
 		if !bytes.Equal(b.CanonicalBytes(), raw) {
 			t.Fatalf("accepted input does not re-encode to itself:\n in  %x\n out %x", raw, b.CanonicalBytes())
 		}
-		if m, err := b.Model.Instantiate(); err == nil && m == nil {
-			t.Fatal("Instantiate returned neither a model nor an error")
+		// An empty store takes version 1 only; a later one would just be
+		// refused as a gap, before its model is looked at.
+		b.Version = min(b.Version, 1)
+		s := New()
+		if _, err := s.Apply(*b); err != nil {
+			if len(s.List()) != 0 || s.Generation() != 0 {
+				t.Fatalf("refused release (%v) changed the store", err)
+			}
+			return
 		}
+		stored, ok := s.Get(b.Name, b.Version)
+		if !ok {
+			t.Fatalf("applied %s@v%d is not in the store", b.Name, b.Version)
+		}
+		stored.model.Predict(make([]float64, stored.Model.InputDim()))
 	})
 }

@@ -31,6 +31,14 @@ func canonicalTestBundle() Bundle {
 	}
 }
 
+// servableTestBundle is canonicalTestBundle with a model that builds,
+// which the codec tests do not need and a store requires.
+func servableTestBundle() Bundle {
+	b := canonicalTestBundle()
+	b.Model = ModelSpec{Kind: "linear", Weights: []float64{0.5, -1.25, 3e-9, 0}}
+	return b
+}
+
 func TestCanonicalBundleRoundTrip(t *testing.T) {
 	cases := map[string]Bundle{
 		"full": canonicalTestBundle(),
@@ -105,7 +113,7 @@ func TestStoreJournal(t *testing.T) {
 		return nil
 	})
 
-	b := canonicalTestBundle()
+	b := servableTestBundle()
 	b.Version = 0
 	v1 := src.Publish(b)
 	b2 := b
@@ -191,7 +199,7 @@ func TestStoreJournal(t *testing.T) {
 func TestSnapshotBundlesCoversEverything(t *testing.T) {
 	src := New()
 	for i := 0; i < 3; i++ {
-		b := canonicalTestBundle()
+		b := servableTestBundle()
 		b.Version = 0
 		src.Publish(b)
 	}

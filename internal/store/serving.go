@@ -14,7 +14,6 @@ import (
 	"repro/internal/data"
 	"repro/internal/httpkit"
 	"repro/internal/metrics"
-	"repro/internal/ml"
 	"repro/internal/trace"
 )
 
@@ -76,12 +75,11 @@ var API = []Route{
 	{"GET /features", 0, ClassRead, (*Server).handleFeatures},
 }
 
-// Server is the Serving Infrastructure of Fig. 1: it loads bundles from
-// the store and answers prediction requests over HTTP. It caches the
-// instantiated model per (name, version) — bundles are immutable — and
-// evicts a name's superseded versions when a newer one is instantiated,
-// so a long-running server's cache stays bounded at one live model per
-// name however many versions the pipelines publish.
+// Server is the Serving Infrastructure of Fig. 1: it looks releases up
+// in the store and answers prediction requests over HTTP. Every stored
+// release carries the model it serves, built once as it entered the
+// store, so a request predicts with its release's model whichever
+// version it names, and the server keeps no model state of its own.
 //
 // Its endpoints are the rows of API:
 //
@@ -97,8 +95,6 @@ var API = []Route{
 // httpkit does, at its row's budget.
 type Server struct {
 	store *Store
-	mu    sync.Mutex
-	cache map[modelKey]ml.Model
 	enc   encodedCache
 	// met carries the optional serving-path instrumentation. The zero
 	// value (all-nil handles) is fully functional: every metric method
@@ -199,15 +195,9 @@ func (s *Server) writePreEncoded(w http.ResponseWriter, key string, build func()
 	httpkit.WriteEncodedJSON(w, http.StatusOK, raw)
 }
 
-// modelKey identifies one cached model instantiation.
-type modelKey struct {
-	name    string
-	version int
-}
-
 // NewServer returns a server over the store.
 func NewServer(s *Store) *Server {
-	return &Server{store: s, cache: make(map[modelKey]ml.Model)}
+	return &Server{store: s}
 }
 
 // Routes binds API to s, for a tier to mount beside its own rows.
@@ -389,14 +379,9 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			"model %q expects %d features, got %d", bundle.Name, want, len(req.Features)))
 		return
 	}
-	model, err := s.model(bundle)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
 	// JSON has no number for ±Inf or NaN, which finite weights give on
 	// features that overflow them: a 400, which no gateway breaker counts.
-	p := model.Predict(req.Features)
+	p := bundle.model.Predict(req.Features)
 	if !finite(p) {
 		httpError(w, http.StatusBadRequest, nonFinite(p))
 		return
@@ -459,10 +444,10 @@ type rowError struct {
 	Error string `json:"error"`
 }
 
-// handlePredictBatch runs N rows through one cached model instantiation:
-// one store lookup, one cache lookup, and (for scratch-sharing models)
-// one lock acquisition are amortized over the whole batch, against N of
-// each for N singleton /predict calls. Malformed rows, and rows whose
+// handlePredictBatch runs N rows through the release's model in one
+// PredictBatch call: one store lookup (and, for an MLP, one set of
+// activation buffers from its pool) is amortized over the whole batch,
+// against N for N singleton /predict calls. Malformed rows, and rows whose
 // prediction is not finite, do not fail the batch — they are reported
 // positionally so the caller can join predictions back to its inputs by
 // index.
@@ -507,11 +492,6 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.met.batchRows.Observe(float64(len(rows)))
-	model, err := s.model(bundle)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
 
 	// Split valid from malformed rows, keeping each valid row's original
 	// position so predictions land back where the caller expects them.
@@ -532,7 +512,7 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	stage = span.StartChild("store.predict")
 	sc.out = grow(sc.out, len(sc.valid))
-	model.PredictBatch(sc.valid, sc.out)
+	bundle.model.PredictBatch(sc.valid, sc.out)
 	// A prediction JSON cannot carry is that row's error, not the batch's:
 	// a 5xx would count against the replica's breaker at the gateway, and
 	// every replica answers the same. Errors are listed in row order.
@@ -629,39 +609,6 @@ func (s *Server) handleFeatures(w http.ResponseWriter, r *http.Request) {
 	resp.Index = &idx
 	resp.Value = &table[idx]
 	httpkit.WriteJSON(w, http.StatusOK, resp)
-}
-
-// model returns the cached instantiation of a bundle, evicting the
-// name's older versions on a fresh instantiation: prediction always
-// serves Latest, so once a newer version is live its predecessors can
-// never be requested again and keeping them would leak a model per
-// publish.
-func (s *Server) model(b *Bundle) (ml.Model, error) {
-	key := modelKey{name: b.Name, version: b.Version}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if m, ok := s.cache[key]; ok {
-		return m, nil
-	}
-	m, err := b.Model.Instantiate()
-	if err != nil {
-		return nil, err
-	}
-	// A request that read Latest before a concurrent publish may arrive
-	// here with a superseded bundle; serve it without caching so the
-	// one-live-model-per-name bound survives publish/predict races.
-	for k := range s.cache {
-		if k.name == b.Name && k.version > b.Version {
-			return m, nil
-		}
-	}
-	for k := range s.cache {
-		if k.name == b.Name && k.version < b.Version {
-			delete(s.cache, k)
-		}
-	}
-	s.cache[key] = m
-	return m, nil
 }
 
 func httpError(w http.ResponseWriter, code int, msg string) {

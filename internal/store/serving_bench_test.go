@@ -100,7 +100,7 @@ func BenchmarkServePredictBatch(b *testing.B) {
 				b.Fatal(err)
 			}
 			url := srv.URL + "/predict/batch?model=bench"
-			post(b, client, url, payload) // warm the model cache
+			post(b, client, url, payload) // warm the pools and the connection
 			b.SetBytes(int64(len(payload)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -392,8 +392,9 @@ func TestProvenanceEndpoint(t *testing.T) {
 
 // TestConcurrentPublishWhilePredicting hammers every endpoint while
 // pipelines publish new versions of a linear model and an MLP. Run under
-// -race it pins down the cache's eviction races and that concurrent
-// requests share one cached MLP with nothing around it.
+// -race it pins down that a release's model, built as the release
+// enters the store, reaches the requests that read the release safely,
+// and that concurrent requests share one MLP with nothing around it.
 func TestConcurrentPublishWhilePredicting(t *testing.T) {
 	s := New()
 	publishAll := func(v int) {
@@ -478,24 +479,19 @@ func TestConcurrentPublishWhilePredicting(t *testing.T) {
 	default:
 	}
 
-	// After the dust settles the cache is bounded at one live model per
-	// name, and predictions reflect the final version.
-	var resp batchResponse
-	if code := postJSON(t, srv.URL+"/predict/batch?model=lin", `{"rows":[[2]]}`, &resp); code != http.StatusOK {
-		t.Fatalf("final predict code = %d", code)
-	}
-	if resp.Version != 40 || resp.Predictions[0] == nil || *resp.Predictions[0] != 80 {
-		t.Errorf("final batch = v%d %v, want v40 → 80", resp.Version, resp.Predictions[0])
-	}
-	server.mu.Lock()
-	perName := map[string]int{}
-	for k := range server.cache {
-		perName[k.name]++
-	}
-	server.mu.Unlock()
-	for name, n := range perName {
-		if n > 1 {
-			t.Errorf("cache holds %d live models for %q, want ≤ 1", n, name)
+	// After the dust settles predictions reflect the final version, and
+	// the first version still predicts with its own model.
+	for _, c := range []struct {
+		pin     string
+		version int
+		want    float64
+	}{{"", 40, 80}, {"&version=1", 1, 2}} {
+		var resp batchResponse
+		if code := postJSON(t, srv.URL+"/predict/batch?model=lin"+c.pin, `{"rows":[[2]]}`, &resp); code != http.StatusOK {
+			t.Fatalf("final predict%s: code %d", c.pin, code)
+		}
+		if resp.Version != c.version || resp.Predictions[0] == nil || *resp.Predictions[0] != c.want {
+			t.Errorf("final batch%s = v%d %v, want v%d → %v", c.pin, resp.Version, resp.Predictions[0], c.version, c.want)
 		}
 	}
 }

@@ -184,6 +184,10 @@ type Bundle struct {
 	// Listing 1's per-hour speed table.
 	Features   map[string][]float64
 	Provenance Provenance
+	// model is the release's model, built once as the release enters a
+	// store (Publish, Apply) and predicted with by every request that
+	// serves it. A bundle the store did not hand out carries none.
+	model ml.Model
 }
 
 // CanonicalBytes returns the bundle's canonical serialization
@@ -361,10 +365,12 @@ func New() *Store {
 	return &Store{bundles: make(map[string][]*Bundle)}
 }
 
-// deepCopy returns a bundle sharing no mutable memory with b: the
-// feature map and its value slices, the model's parameter slices, and
-// the provenance block list are all copied.
-func (b Bundle) deepCopy() *Bundle {
+// stored returns the release a store keeps for b: a copy sharing no
+// mutable memory with b (the feature map and its value slices, the
+// model's parameter slices and the provenance block list are all
+// copied), carrying its built model. A release whose model does not
+// build is an error: it could never be served.
+func (b Bundle) stored() (*Bundle, error) {
 	c := b
 	c.Model.Weights = append([]float64(nil), b.Model.Weights...)
 	c.Model.Hidden = append([]int(nil), b.Model.Hidden...)
@@ -376,7 +382,12 @@ func (b Bundle) deepCopy() *Bundle {
 			c.Features[k] = append([]float64(nil), v...)
 		}
 	}
-	return &c
+	m, err := c.Model.Instantiate()
+	if err != nil {
+		return nil, err
+	}
+	c.model = m
+	return &c, nil
 }
 
 // Publish adds a bundle under its name and assigns the next version
@@ -384,14 +395,20 @@ func (b Bundle) deepCopy() *Bundle {
 // deep copy: a published bundle is a *release* — immutable by the threat
 // model (§2.2) — so later mutation of the caller's feature map or
 // parameter slices must not rewrite what auditors and servers see.
-// With a journal installed the release is journaled (canonical bytes,
-// version included) before it becomes visible; a journal failure
-// panics, since Publish cannot report it and must not acknowledge an
-// unjournaled release.
+// Every stored release carries the model it serves, built here, once,
+// outside the lock; a bundle whose model does not build panics before
+// anything is journaled (Serialize's output always builds). With a
+// journal installed the release is journaled (canonical bytes, version
+// included) before it becomes visible; a journal failure panics, since
+// Publish cannot report it and must not acknowledge an unjournaled
+// release.
 //
 //sage:journaled
 func (s *Store) Publish(b Bundle) int {
-	stored := b.deepCopy()
+	stored, err := b.stored()
+	if err != nil {
+		panic(fmt.Errorf("store: publish %s: %w", b.Name, err))
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	versions := s.bundles[b.Name]
@@ -451,12 +468,18 @@ func (e *VersionGapError) Error() string {
 //     so that "watermark = n" always means versions 1..n are present.
 //
 // A version of 0 (a bundle that never went through Publish) is
-// rejected.
+// rejected, and so is a bundle whose model does not build: every stored
+// release carries the model it serves, built before the lock is taken,
+// and a refused bundle leaves the store untouched.
 //
 //sage:journaled
 func (s *Store) Apply(b Bundle) (applied bool, err error) {
 	if b.Version < 1 {
 		return false, fmt.Errorf("store: apply %s: bundle has no version (got %d)", b.Name, b.Version)
+	}
+	stored, err := b.stored()
+	if err != nil {
+		return false, fmt.Errorf("store: apply %s@v%d: %w", b.Name, b.Version, err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -469,7 +492,6 @@ func (s *Store) Apply(b Bundle) (applied bool, err error) {
 		}
 		return false, nil
 	case b.Version == len(versions)+1:
-		stored := b.deepCopy()
 		if s.journal != nil {
 			if err := s.journal(stored.CanonicalBytes()); err != nil {
 				return false, fmt.Errorf("store: journal apply %s@v%d: %w", stored.Name, stored.Version, err)

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -321,101 +322,30 @@ func TestServingRejectsWrongFeatureDimension(t *testing.T) {
 	}
 }
 
-func TestServingEvictsSupersededVersions(t *testing.T) {
+// TestServingPinnedVersionPredictsWithItsOwnModel: every stored release
+// carries the model it serves, so a request pinned to a superseded
+// version predicts with that version's model on both predict routes,
+// before and after requests for newer versions.
+func TestServingPinnedVersionPredictsWithItsOwnModel(t *testing.T) {
 	s := New()
-	server := NewServer(s)
-	srv := httptest.NewServer(server.Handler())
+	srv := httptest.NewServer(NewServer(s).Handler())
 	defer srv.Close()
-
-	predict := func() {
-		resp, err := http.Post(srv.URL+"/predict?model=m", "application/json",
-			bytes.NewBufferString(`{"features":[1]}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("predict code %d", resp.StatusCode)
-		}
-	}
-	cached := func() []modelKey {
-		server.mu.Lock()
-		defer server.mu.Unlock()
-		keys := make([]modelKey, 0, len(server.cache))
-		for k := range server.cache {
-			keys = append(keys, k)
-		}
-		return keys
-	}
-
 	for v := 1; v <= 25; v++ {
 		spec, _ := Serialize(&ml.LinearModel{Weights: []float64{float64(v)}, Bias: 0})
 		s.Publish(Bundle{Name: "m", Model: spec})
-		predict()
 	}
-	keys := cached()
-	if len(keys) != 1 || keys[0] != (modelKey{name: "m", version: 25}) {
-		t.Errorf("cache after 25 versions = %v, want only m@25", keys)
-	}
-
-	// Other names are untouched by eviction.
-	spec, _ := Serialize(ml.ConstantModel{Value: 1})
-	s.Publish(Bundle{Name: "other", Model: spec})
-	resp, err := http.Post(srv.URL+"/predict?model=other", "application/json",
-		bytes.NewBufferString(`{"features":[]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if got := cached(); len(got) != 2 {
-		t.Errorf("cache with two names = %v, want m@25 and other@1", got)
-	}
-}
-
-func TestServingStaleVersionNotReCached(t *testing.T) {
-	// A request that loaded Latest just before a publish may instantiate
-	// the superseded bundle after the newer one is already cached; it
-	// must be served without re-entering the cache.
-	s := New()
-	server := NewServer(s)
-	for v := 1; v <= 2; v++ {
-		spec, _ := Serialize(&ml.LinearModel{Weights: []float64{float64(v)}, Bias: 0})
-		s.Publish(Bundle{Name: "m", Model: spec})
-	}
-	v1, _ := s.Get("m", 1)
-	v2, _ := s.Get("m", 2)
-	if _, err := server.model(v2); err != nil {
-		t.Fatal(err)
-	}
-	m1, err := server.model(v1) // stale request arrives after v2 is live
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := m1.Predict([]float64{1}); got != 1 {
-		t.Errorf("stale bundle served wrong model: predict = %v, want 1", got)
-	}
-	server.mu.Lock()
-	_, v1cached := server.cache[modelKey{name: "m", version: 1}]
-	_, v2cached := server.cache[modelKey{name: "m", version: 2}]
-	n := len(server.cache)
-	server.mu.Unlock()
-	if v1cached || !v2cached || n != 1 {
-		t.Errorf("cache holds v1=%v v2=%v (n=%d), want only the live v2", v1cached, v2cached, n)
-	}
-}
-
-func TestServingCachesModels(t *testing.T) {
-	s := New()
-	spec, _ := Serialize(&ml.LinearModel{Weights: []float64{1}, Bias: 0})
-	s.Publish(Bundle{Name: "m", Model: spec})
-	server := NewServer(s)
-	b, _ := s.Latest("m")
-	m1, err := server.model(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, _ := server.model(b)
-	if m1 != m2 {
-		t.Error("second lookup should hit the cache")
+	// Version v's weight is v, so feature 1 predicts v.
+	for _, v := range []int{25, 1, 13, 1, 25} {
+		q := fmt.Sprintf("?model=m&version=%d", v)
+		var single predictResponse
+		if code := postJSON(t, srv.URL+"/predict"+q, `{"features":[1]}`, &single); code != http.StatusOK ||
+			single.Version != v || single.Prediction != float64(v) {
+			t.Errorf("/predict%s: %d v%d → %v, want 200 v%d → %d", q, code, single.Version, single.Prediction, v, v)
+		}
+		var batch batchResponse
+		if code := postJSON(t, srv.URL+"/predict/batch"+q, `{"rows":[[1],[2]]}`, &batch); code != http.StatusOK ||
+			batch.Version != v || len(batch.Predictions) != 2 || batch.Predictions[1] == nil || *batch.Predictions[1] != float64(2*v) {
+			t.Errorf("/predict/batch%s: %d %+v, want 200 v%d → [%d %d]", q, code, batch, v, v, 2*v)
+		}
 	}
 }
