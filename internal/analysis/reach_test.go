@@ -202,9 +202,10 @@ func methodShape(fn *types.Func) string {
 	return fn.Name() + types.TypeString(types.NewSignatureType(nil, nil, nil, unnamed(sig.Params()), unnamed(sig.Results()), sig.Variadic()), nil)
 }
 
-// interfaceMethods returns the shape of every method of error and of
+// interfaceMethods returns the shape of every method of error, of
 // every interface type declared at package level in the loaded
-// packages or in anything they import, the standard library included.
+// packages or in anything they import, the standard library included,
+// and of the one method the context package looks for unexported.
 func interfaceMethods(pkgs []*Package) map[string]bool {
 	shapes := make(map[string]bool)
 	addIface := func(typ types.Type) {
@@ -215,6 +216,12 @@ func interfaceMethods(pkgs []*Package) map[string]bool {
 		}
 	}
 	addIface(types.Universe.Lookup("error").Type())
+	// context's afterFuncer is unexported, so no export data shows it,
+	// but the context package calls the method by its shape: "If ctx
+	// has a "AfterFunc(func()) func() bool" method, AfterFunc will use
+	// it to schedule the call" (context.AfterFunc), and a context
+	// derived from ctx registers with it the same way.
+	shapes["AfterFunc"+"func(func()) func() bool"] = true
 	seen := make(map[string]bool)
 	var walk func(*types.Package)
 	walk = func(tp *types.Package) {

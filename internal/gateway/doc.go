@@ -72,15 +72,16 @@
 // # Memory
 //
 // A proxied request's body, its buffered upstream response and each
-// attempt's outgoing URL and header live in one hopBuffers set from a
-// sync.Pool (hopbuf.go), not in buffers allocated per request. The set
-// has one URL-and-header slot per attempt, so a failover never rewrites
-// what the first attempt's transport may still be reading. Each
-// backend's base URL is parsed once, by New, and an attempt's URL is
-// built from it by value, so the outgoing request is the one allocation
-// WithContext makes. The per-attempt deadline context stays: it is what
-// bounds each attempt by AttemptTimeout, and the common path makes only
-// one.
+// attempt's outgoing URL, header and context live in one hopBuffers set
+// from a sync.Pool (hopbuf.go), not in buffers allocated per request.
+// The set has one slot per attempt, so a failover never rewrites what
+// the first attempt's transport may still be reading. Each backend's
+// base URL is parsed once, by New, and an attempt's URL is built from
+// it by value, so the outgoing request is the one allocation
+// WithContext makes. An attempt's context is its slot's attemptContext:
+// the slot's one timer bounds the attempt by AttemptTimeout, one
+// context.AfterFunc carries the client's cancellation, and the context
+// net/http derives per request registers through its AfterFunc method.
 //
 // The set's users are the handler, until its w.Write returns, and each
 // attempt's request body, until the transport closes it: the
@@ -91,11 +92,16 @@
 // no reference of its own: the contract lets a caller reuse it once the
 // response body is closed, which forward does before it returns; if its
 // RoundTrip fails, nothing tells when the transport is done with it, so
-// the set is spent and goes to the collector. Nobody waits — the handler
-// drops its reference and leaves, so a slow upstream write never holds
-// an admission slot. A set whose buffers grew past maxPooledHopBytes
-// (4 MiB) is left to the collector instead, and a slot's header map past
-// maxPooledHeaders keys is dropped from the set. Pooling changes no
+// the set is spent and goes to the collector. A slot's context serves a
+// later attempt only once its set comes back from the pool; a callback
+// the earlier attempt left under way — its timer's, its client's, or
+// the stop net/http's read loop calls after the response — cancels only
+// past the later attempt's own deadline or with its own client gone,
+// and a stop unregisters only its own registration. Nobody waits — the
+// handler drops its reference and leaves, so a slow upstream write
+// never holds an admission slot. A set whose buffers grew past
+// maxPooledHopBytes (4 MiB) is left to the collector instead, and a
+// slot's header map past maxPooledHeaders keys is dropped from the set. Pooling changes no
 // bound: each admitted request still buffers at most its row's budget,
 // so worst-case in-flight request bytes at default Limits stay 128 ×
 // 1 MiB + 16 × 32 MiB = 640 MiB. A body past 32 KiB goes upstream

@@ -432,7 +432,7 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, class store.Clas
 	set := getHop()
 	defer set.unref()
 	if r.ContentLength != 0 { // -1: unknown until read
-		if err := fill(&set.req, r.Body, r.ContentLength, budget); err != nil {
+		if err := set.fill(&set.req, r.Body, r.ContentLength, budget); err != nil {
 			httpkit.BodyError(w, "reading request body", err)
 			return
 		}
@@ -512,15 +512,15 @@ type proxyResult struct {
 // forward proxies one attempt to one backend under the per-attempt
 // deadline, sending set's request body and buffering and
 // length-verifying the response into set's resp buffer. The outgoing
-// URL and header live in out, the attempt's own slot of set. An upstream
-// that delivers fewer bytes than it advertised is an error (the partial
-// response never reaches the client), as is one that out-sizes the
-// response cap. att, when non-nil, is stamped as the outgoing
+// URL, header and context live in out, the attempt's own slot of set.
+// An upstream that delivers fewer bytes than it advertised is an error
+// (the partial response never reaches the client), as is one that
+// out-sizes the response cap. att, when non-nil, is stamped as the outgoing
 // traceparent parent — each attempt carries its own span id, so the
 // replica's server span hangs under the attempt that reached it.
 func (g *Gateway) forward(r *http.Request, b *backend, out *outgoing, set *hopBuffers, att *trace.Span) (proxyResult, error) {
-	ctx, cancel := context.WithTimeout(r.Context(), g.cfg.AttemptTimeout)
-	defer cancel()
+	out.ctx.begin(r.Context(), g.cfg.AttemptTimeout)
+	defer out.ctx.end()
 	b.inflight.Add(1)
 	defer b.inflight.Add(-1)
 	b.requests.Inc()
@@ -531,7 +531,7 @@ func (g *Gateway) forward(r *http.Request, b *backend, out *outgoing, set *hopBu
 	}
 	copyHeader(out.header, r.Header)
 	trace.Inject(att, out.header)
-	req := newRequest(ctx, r.Method, &out.url, out.header)
+	req := newRequest(&out.ctx, r.Method, &out.url, out.header)
 	set.attach(req)
 
 	resp, err := g.cfg.Transport.RoundTrip(req)
@@ -540,7 +540,7 @@ func (g *Gateway) forward(r *http.Request, b *backend, out *outgoing, set *hopBu
 		return proxyResult{}, err
 	}
 	defer resp.Body.Close()
-	if err := fill(&set.resp, resp.Body, resp.ContentLength, maxResponseBytes); err != nil {
+	if err := set.fill(&set.resp, resp.Body, resp.ContentLength, maxResponseBytes); err != nil {
 		return proxyResult{}, fmt.Errorf("reading upstream body: %w", err)
 	}
 	data := set.resp.Bytes()

@@ -398,8 +398,9 @@ func TestPartialUpstreamBodyFailsOver(t *testing.T) {
 }
 
 // TestStalledBackendBoundedByAttemptDeadline: a hanging backend costs at
-// most one AttemptTimeout before failover; the client's own context
-// cancellation also cuts through.
+// most one AttemptTimeout before failover, and the backend's last error
+// says its deadline ended it; the client's own context cancellation
+// also cuts through.
 func TestStalledBackendBoundedByAttemptDeadline(t *testing.T) {
 	f := newFleet(t, 2, 1)
 	f.injs[0].Set(faulty.Rule{Mode: faulty.Hang})
@@ -408,16 +409,23 @@ func TestStalledBackendBoundedByAttemptDeadline(t *testing.T) {
 	defer gsrv.Close()
 
 	want := f.canon(t, http.MethodGet, "/models", "")
-	start := time.Now()
-	code, got, err := doReq(t, gsrv.Client(), http.MethodGet, gsrv.URL+"/models", "")
-	elapsed := time.Since(start)
-	if err != nil || code != http.StatusOK || !bytes.Equal(got, want) {
-		t.Fatalf("request through stalled backend: %d %v", code, err)
+	// Routing alternates between the idle backends, so within two
+	// requests one tries the stalled backend first.
+	for i := 0; i < 2 && g.Status().Backends[0].Failures == 0; i++ {
+		start := time.Now()
+		code, got, err := doReq(t, gsrv.Client(), http.MethodGet, gsrv.URL+"/models", "")
+		elapsed := time.Since(start)
+		if err != nil || code != http.StatusOK || !bytes.Equal(got, want) {
+			t.Fatalf("request through stalled backend: %d %v", code, err)
+		}
+		// One stalled attempt (300ms) plus a fast failover; generous
+		// bound for CI noise, but far below an unbounded hang.
+		if elapsed > 3*time.Second {
+			t.Fatalf("request took %v — the stall was not bounded by the attempt deadline", elapsed)
+		}
 	}
-	// One stalled attempt (≤150ms) plus a fast failover; generous bound
-	// for CI noise, but far below an unbounded hang.
-	if elapsed > 3*time.Second {
-		t.Fatalf("request took %v — the stall was not bounded by the attempt deadline", elapsed)
+	if st := g.Status().Backends[0]; st.Failures != 1 || !strings.Contains(st.LastError, "context deadline exceeded") {
+		t.Fatalf("stalled backend: %d failures, last error %q; want one, a deadline", st.Failures, st.LastError)
 	}
 
 	// Client cancellation propagates: with every backend stalled, a
@@ -427,13 +435,49 @@ func TestStalledBackendBoundedByAttemptDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, gsrv.URL+"/models", nil)
-	start = time.Now()
+	start := time.Now()
 	_, cerr := gsrv.Client().Do(req)
 	if cerr == nil {
 		t.Fatal("want an error when every backend hangs and the client cancels")
 	}
 	if d := time.Since(start); d > 3*time.Second {
 		t.Fatalf("client cancellation took %v to propagate", d)
+	}
+}
+
+// TestClientCancellationReachesReplica: a client that gives up ends the
+// attempt made for it, so the replica serving that attempt sees its own
+// request context done, long before AttemptTimeout would end it.
+func TestClientCancellationReachesReplica(t *testing.T) {
+	served := make(chan context.Context, 1)
+	release := make(chan struct{})
+	rep := httptest.NewServer(http.HandlerFunc(func(_ http.ResponseWriter, r *http.Request) {
+		served <- r.Context()
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
+	}))
+	defer rep.Close()
+	defer close(release)
+	g, err := New(Config{Backends: []string{rep.URL}, AttemptTimeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gsrv := httptest.NewServer(g.Handler())
+	defer gsrv.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, gsrv.URL+"/models", nil)
+	if _, err := gsrv.Client().Do(req); err == nil {
+		t.Fatal("want an error when the backend hangs and the client gives up")
+	}
+	replicaCtx := <-served
+	select {
+	case <-replicaCtx.Done():
+	case <-time.After(time.Second):
+		t.Fatal("the replica's request context was still live 1s after the client gave up")
 	}
 }
 

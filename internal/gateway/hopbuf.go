@@ -1,17 +1,20 @@
 // hopbuf.go holds the pooled buffers a proxied request travels in: its
-// body, replayed to each attempt, each attempt's outgoing URL and
-// header, and the upstream response the gateway verifies before
+// body, replayed to each attempt, each attempt's outgoing URL, header
+// and context, and the upstream response the gateway verifies before
 // forwarding. doc.go's "Memory" section states the lifetime rule.
 package gateway
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // maxPooledHopBytes bounds what one hopBuffers set may carry back into
@@ -37,7 +40,7 @@ const maxAttempts = 2
 var errHopReleased = errors.New("gateway: request body replayed after its request finished")
 
 // hopBuffers is one proxied request's buffers: req holds its body, out
-// each attempt's outgoing URL and header, and resp the current
+// each attempt's outgoing URL, header and context, and resp the current
 // attempt's upstream response. Its users are the handler and each
 // upstream attempt's request body, which the transport may still be
 // reading after RoundTrip has returned; the last of them to finish
@@ -47,6 +50,7 @@ type hopBuffers struct {
 	// out has one slot per attempt: a failover never rewrites what the
 	// first attempt's transport may still be reading.
 	out [maxAttempts]outgoing
+	lim io.LimitedReader // what fill reads a body through
 	// spent marks a set one of whose attempts failed without a body:
 	// nothing tells when that transport is done reading the request,
 	// so the set is never pooled again.
@@ -59,12 +63,13 @@ type hopBuffers struct {
 	state atomic.Uint64
 }
 
-// outgoing is what one attempt's request points at instead of a URL
-// and a header of its own. header is empty whenever the set is handed
-// out.
+// outgoing is what one attempt's request points at instead of a URL,
+// a header and a context of its own. header is empty whenever the set
+// is handed out.
 type outgoing struct {
 	url    url.URL
 	header http.Header
+	ctx    attemptContext
 }
 
 var hopPool = sync.Pool{New: func() any { return new(hopBuffers) }}
@@ -207,15 +212,135 @@ func (b *hopBody) Close() error {
 }
 
 // fill reads a body of the declared length (-1: unknown) into buf, up
-// to limit+1 bytes, so the caller can tell a body over the limit from
-// one at it. buf is grown from length first, so a pooled buffer that
-// has seen a body this size reads without allocating, and a fresh one
-// allocates once where ReadFrom's 512-byte start would re-grow and copy
-// a batch body about ten times; a length that lies costs at most the
-// limit.
-func fill(buf *bytes.Buffer, r io.Reader, length, limit int64) error {
+// to limit+1 bytes, through the set's own LimitedReader, so the caller
+// can tell a body over the limit from one at it. buf is grown from
+// length first, so a pooled buffer that has seen a body this size reads
+// without allocating, and a fresh one allocates once where ReadFrom's
+// 512-byte start would re-grow and copy a batch body about ten times; a
+// length that lies costs at most the limit.
+func (h *hopBuffers) fill(buf *bytes.Buffer, r io.Reader, length, limit int64) error {
 	buf.Reset()
 	buf.Grow(int(min(max(length, 0), limit)) + bytes.MinRead)
-	_, err := buf.ReadFrom(io.LimitReader(r, limit+1))
+	h.lim = io.LimitedReader{R: r, N: limit + 1}
+	_, err := buf.ReadFrom(&h.lim)
+	h.lim.R = nil
 	return err
+}
+
+// attemptContext is one proxied attempt's context: done once
+// AttemptTimeout has passed since begin or its parent, the client's, is
+// (doc.go, "Memory"). begin sets deadline and done before the request
+// exists, so its users read them unlocked; cancelIfDue only closes done.
+type attemptContext struct {
+	timer      *time.Timer
+	settle     func()      // a.cancelIfDue, bound once with the timer
+	stopParent func() bool // ends this attempt's watch on its parent
+	mu         sync.Mutex
+	parent     context.Context // nil between attempts
+	deadline   time.Time
+	err        error
+	done       chan struct{}  // closed when err is set
+	funcs      []afterFunc    // AfterFunc registrations, dropped per attempt
+	lastID     uint64         // ids never repeat, so a stale stop finds none
+	late       sync.WaitGroup // AfterFunc's goroutines, which read err
+}
+
+type afterFunc struct {
+	id uint64
+	f  func()
+}
+
+func (a *attemptContext) begin(parent context.Context, timeout time.Duration) {
+	a.late.Wait()
+	a.mu.Lock()
+	if a.done == nil || a.err != nil {
+		a.done, a.err = make(chan struct{}), nil
+	}
+	a.parent, a.deadline = parent, time.Now().Add(timeout)
+	a.mu.Unlock()
+	if a.timer == nil {
+		a.settle = a.cancelIfDue
+		a.timer = time.AfterFunc(timeout, a.settle)
+	} else {
+		a.timer.Reset(timeout)
+	}
+	a.stopParent = context.AfterFunc(parent, a.settle)
+}
+
+// end disarms a once its attempt has returned, dropping what registered
+// with it: cancelling would cost the next attempt a Done channel.
+func (a *attemptContext) end() {
+	a.stopParent()
+	a.timer.Stop()
+	a.mu.Lock()
+	a.parent, a.stopParent = nil, nil
+	clear(a.funcs)
+	a.funcs = a.funcs[:0]
+	a.mu.Unlock()
+}
+
+// cancelIfDue cancels the attempt once its parent is done or its deadline
+// has passed; no timer fires early, so a callback finding neither is stale.
+func (a *attemptContext) cancelIfDue() {
+	a.mu.Lock()
+	var funcs []afterFunc
+	if a.parent != nil && a.err == nil {
+		if a.err = a.parent.Err(); a.err == nil && !time.Now().Before(a.deadline) {
+			a.err = context.DeadlineExceeded
+		}
+		if a.err != nil {
+			close(a.done)
+			funcs, a.funcs = a.funcs, nil
+		}
+	}
+	a.mu.Unlock()
+	for _, r := range funcs {
+		r.f()
+	}
+}
+
+// AfterFunc is the method context.AfterFunc's documentation names, with
+// which a context derived from a registers. f runs on the cancelling
+// goroutine, or on its own if a is done; stop unregisters only f.
+func (a *attemptContext) AfterFunc(f func()) (stop func() bool) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.err != nil {
+		a.late.Add(1)
+		go func() { defer a.late.Done(); f() }()
+	}
+	if a.err != nil || a.parent == nil {
+		return func() bool { return false }
+	}
+	a.lastID++
+	id := a.lastID
+	a.funcs = append(a.funcs, afterFunc{id, f})
+	return func() bool {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		i := slices.IndexFunc(a.funcs, func(r afterFunc) bool { return r.id == id })
+		if i >= 0 {
+			a.funcs = slices.Delete(a.funcs, i, i+1)
+		}
+		return i >= 0
+	}
+}
+
+func (a *attemptContext) Deadline() (time.Time, bool) { return a.deadline, true }
+func (a *attemptContext) Done() <-chan struct{}       { return a.done }
+
+func (a *attemptContext) Err() error {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.err
+}
+
+func (a *attemptContext) Value(key any) any {
+	a.mu.Lock()
+	parent := a.parent
+	a.mu.Unlock()
+	if parent == nil {
+		return nil
+	}
+	return parent.Value(key)
 }

@@ -568,15 +568,16 @@ func TestGatewayProxyBytesPerRequest(t *testing.T) {
 // benchmark's fleet does, in heap bytes per request through the
 // gateway, the transport and the replica's server. A body past
 // maxSizedBody goes upstream chunked, as one chunk from the pooled set
-// (≈ 13.4 kB for a 256-row batch, ≈ 13.1 kB one byte past the bound);
+// (≈ 13.0 kB for a 256-row batch, ≈ 12.5 kB one byte past the bound);
 // sent by its length it went through the connection's ReadFrom, whose
 // fresh 32 KiB copy buffer per request read 46–49 kB and fails here. A
 // body at or under the bound keeps its Content-Length, and its copy
 // buffer is body-sized: one of exactly maxSizedBody bytes still pays
-// it (≈ 45.7 kB), a taxi-width single predict (≈ 16.4 kB) hardly
-// notices. The
-// replica checks each request's framing, so the size selection is
-// pinned from both sides.
+// it (≈ 45.2 kB), a taxi-width single predict (≈ 15.9 kB) hardly
+// notices. The replica checks each request's framing, so the size
+// selection is pinned from both sides. The batch and single-predict
+// budgets also pin the attempt context: a context.WithTimeout per
+// attempt (≈ 13.4 and ≈ 16.4 kB) fails them.
 func TestGatewayLoopbackBytesPerRequest(t *testing.T) {
 	if safety.RaceEnabled {
 		t.Skip("allocation counts are not stable under the race detector")
@@ -613,10 +614,10 @@ func TestGatewayLoopbackBytesPerRequest(t *testing.T) {
 		chunked bool
 		bytes   float64
 	}{
-		{"256-row batch", "/predict/batch?model=wide", wideBody(t, "rows", 256), true, 16000},
+		{"256-row batch", "/predict/batch?model=wide", wideBody(t, "rows", 256), true, 13300},
 		{"batch one byte past the bound", "/predict/batch?model=wide", padded(maxSizedBody + 1), true, 16000},
 		{"batch at the bound", "/predict/batch?model=wide", padded(maxSizedBody), false, 16000 + maxSizedBody},
-		{"single predict", "/predict?model=wide", wideBody(t, "features", 1), false, 17500},
+		{"single predict", "/predict?model=wide", wideBody(t, "features", 1), false, 16200},
 	} {
 		perReq, allocs := perRequest(clientRequest(t, h, http.MethodPost, c.path, c.body))
 		t.Logf("%s: %.0f bytes in %.0f allocations per request for a %d-byte body (budget %.0f bytes)",
@@ -629,5 +630,164 @@ func TestGatewayLoopbackBytesPerRequest(t *testing.T) {
 			t.Errorf("%s: %.0f bytes per proxied request, budget %.0f: is the transport copying the body through a buffer of its own?",
 				c.name, perReq, c.bytes)
 		}
+	}
+}
+
+// TestAttemptSlotReuse: one set's first slot carries timed-out,
+// client-cancelled and successful attempts back to back through a real
+// loopback transport, as a pooled set carries one request after
+// another. An earlier attempt can leave work running into a later one:
+// its timer's callback, its parent's, and the stop that net/http's
+// readLoop calls on the context it derived once it has read the
+// response. Some attempts end at their deadline with the client giving
+// up at the same moment, so those callbacks race the next attempt's
+// start. None of them may cancel or unregister a later attempt: a
+// successful attempt must succeed, and a stalled one must end at its
+// own deadline, not sooner, and not hang, which is what an attempt
+// whose derived context was unregistered would do.
+func TestAttemptSlotReuse(t *testing.T) {
+	const timeout = 20 * time.Millisecond
+	release := make(chan struct{})
+	rep := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if d, err := time.ParseDuration(r.URL.Query().Get("delay")); err == nil {
+			time.Sleep(d)
+		}
+		if r.URL.Query().Has("stall") {
+			select {
+			case <-r.Context().Done():
+			case <-release:
+			case <-time.After(5 * time.Second):
+			}
+			return
+		}
+		w.Write([]byte("ok"))
+	}))
+	defer rep.Close()
+	defer close(release)
+	upstream := http.DefaultTransport.(*http.Transport).Clone()
+	defer upstream.CloseIdleConnections()
+	g, err := New(Config{Backends: []string{rep.URL}, Transport: upstream, AttemptTimeout: timeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := newHop()
+	defer set.unref()
+
+	rnd := rand.New(rand.NewPCG(11, 12))
+	for i := range 60 {
+		parent, cancel := context.WithCancel(context.Background())
+		path := "/models"
+		mode := []string{"ok", "stall", "client", "edge"}[rnd.IntN(4)]
+		switch mode {
+		case "stall":
+			path += "?stall"
+		case "client": // the client gives up mid-attempt
+			path += "?stall"
+			time.AfterFunc(time.Duration(rnd.IntN(int(timeout/2))), cancel)
+		case "edge": // the answer, the deadline and the client's leaving all at once
+			path += "?delay=" + (timeout - time.Millisecond + time.Duration(rnd.IntN(2000))*time.Microsecond).String()
+			time.AfterFunc(timeout, cancel)
+		}
+		r := httptest.NewRequest(http.MethodGet, path, nil).WithContext(parent)
+		start := time.Now()
+		res, err := g.forward(r, g.backends[0], &set.out[0], set, nil)
+		took := time.Since(start)
+		switch mode {
+		case "ok":
+			if err != nil || res.status != http.StatusOK || string(res.body) != "ok" {
+				t.Fatalf("attempt %d (%s): %v, %d %q; an earlier attempt cancelled it", i, mode, err, res.status, res.body)
+			}
+		case "stall":
+			if !errors.Is(err, context.DeadlineExceeded) || took < timeout || took > time.Second {
+				t.Fatalf("attempt %d (%s): %v after %v; want its own deadline, %v", i, mode, err, took, timeout)
+			}
+		case "client":
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("attempt %d (%s): %v after %v; want the client's cancellation", i, mode, err, took)
+			}
+		}
+		if err := set.out[0].ctx.Err(); err != nil && mode == "ok" {
+			t.Fatalf("attempt %d (%s): its context reads %v after a success", i, mode, err)
+		}
+		cancel()
+	}
+}
+
+// TestAttemptContextIgnoresAnEarlierAttempt delivers, by hand, what an
+// earlier attempt on the same slot can leave behind for a later one:
+// its timer's callback, its parent's callback after the parent is done,
+// and the stop of a context derived from it. The later attempt stays
+// live, and its own parent still cancels it and what was derived from
+// it. A cancelled attempt's context is reset for the next attempt, but
+// not before a registration that came after its cancellation has run. A
+// derived context registers through AfterFunc, so the context package
+// starts no goroutine for it.
+func TestAttemptContextIgnoresAnEarlierAttempt(t *testing.T) {
+	var a attemptContext
+	first, cancelFirst := context.WithCancel(context.Background())
+	a.begin(first, time.Hour)
+	_, stopEarlier := context.WithCancel(&a)
+	ran := false
+	stopFunc := a.AfterFunc(func() { ran = true })
+	a.end()
+	cancelFirst()
+
+	second, cancelSecond := context.WithCancel(context.Background())
+	a.begin(second, time.Hour)
+	derived, stopDerived := context.WithCancel(&a)
+	defer stopDerived()
+	a.mu.Lock()
+	registered := len(a.funcs)
+	a.mu.Unlock()
+	if registered != 1 {
+		t.Fatalf("deriving a context made %d registrations with the attempt's AfterFunc, want 1: without it the context package watches the attempt from a goroutine per derived context", registered)
+	}
+	a.cancelIfDue() // the earlier attempt's timer, or its parent's callback
+	if stopFunc() {
+		t.Error("an earlier attempt's stop unregistered a registration of the later one")
+	}
+	stopEarlier()
+	if err := a.Err(); err != nil {
+		t.Fatalf("the later attempt was cancelled by what the earlier one left: %v", err)
+	}
+	if d, ok := a.Deadline(); !ok || time.Until(d) < 59*time.Minute {
+		t.Errorf("deadline %v, %v; want the later attempt's", d, ok)
+	}
+	cancelSecond()
+	select {
+	case <-derived.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("the later attempt's parent did not cancel what was derived from it")
+	}
+	if !errors.Is(a.Err(), context.Canceled) || !errors.Is(derived.Err(), context.Canceled) {
+		t.Errorf("after the parent's cancellation: %v and %v, want %v", a.Err(), derived.Err(), context.Canceled)
+	}
+	if ran {
+		t.Error("a registration dropped when its attempt ended ran on a later cancellation")
+	}
+	// A context derived as the attempt is cancelled can register after
+	// the fact; its cancellation then runs on a goroutine of its own,
+	// reads the attempt's error, and must find it set however late it
+	// runs.
+	sawErr := make(chan error, 1)
+	a.AfterFunc(func() {
+		time.Sleep(10 * time.Millisecond)
+		sawErr <- a.Err()
+	})
+	a.end()
+
+	third := context.Background()
+	a.begin(third, time.Hour)
+	defer a.end()
+	if err := <-sawErr; err == nil {
+		t.Error("a registration made on a cancelled attempt ran after the next attempt began, and read no error")
+	}
+	select {
+	case <-a.Done():
+		t.Fatal("a cancelled attempt's Done channel serves the next attempt")
+	default:
+	}
+	if err := a.Err(); err != nil {
+		t.Fatalf("the next attempt starts cancelled: %v", err)
 	}
 }

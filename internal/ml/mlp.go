@@ -62,6 +62,21 @@ func newActivations(sizes []int) *activations {
 // widths, e.g. NewMLP(Regression, 61, []int{64, 32}, r). Weights use He
 // initialization; biases start at zero.
 func NewMLP(kind OutputKind, inputDim int, hidden []int, r *rng.RNG) *MLP {
+	m := MLPFromParams(kind, inputDim, hidden, nil)
+	for l := 0; l < len(m.sizes)-1; l++ {
+		std := math.Sqrt(2 / float64(m.sizes[l]))
+		w, _ := m.layer(l)
+		for i := range w {
+			w[i] = r.Normal(0, std)
+		}
+	}
+	return m
+}
+
+// MLPFromParams returns the MLP of the given widths over params, in
+// Params' layout, kept rather than copied and drawing nothing. Nil
+// params start at zero; any other length than the widths take panics.
+func MLPFromParams(kind OutputKind, inputDim int, hidden []int, params []float64) *MLP {
 	if inputDim <= 0 {
 		panic("ml: MLP requires inputDim > 0")
 	}
@@ -73,13 +88,10 @@ func NewMLP(kind OutputKind, inputDim int, hidden []int, r *rng.RNG) *MLP {
 		offsets[l] = total
 		total += sizes[l]*sizes[l+1] + sizes[l+1]
 	}
-	params := make([]float64, total)
-	for l := 0; l < len(sizes)-1; l++ {
-		std := math.Sqrt(2 / float64(sizes[l]))
-		w := params[offsets[l] : offsets[l]+sizes[l]*sizes[l+1]]
-		for i := range w {
-			w[i] = r.Normal(0, std)
-		}
+	if params == nil {
+		params = make([]float64, total)
+	} else if len(params) != total {
+		panic(fmt.Sprintf("ml: MLP of widths %v takes %d params, got %d", sizes, total, len(params)))
 	}
 	m := &MLP{kind: kind, sizes: sizes, params: params, offsets: offsets}
 	m.activations = *newActivations(sizes)

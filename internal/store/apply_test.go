@@ -6,12 +6,15 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 
 	"repro/internal/data"
 	"repro/internal/ml"
 	"repro/internal/privacy"
 	"repro/internal/rng"
+	"repro/internal/safety"
+	"repro/internal/taxi"
 )
 
 func applyBundle(name string, version int, weight float64) Bundle {
@@ -305,5 +308,52 @@ func TestBundleRoundTripMLPBatchMatchesSingle(t *testing.T) {
 		if math.Float64bits(out[i]) != math.Float64bits(mlp.Predict(row)) {
 			t.Errorf("row %d: decoded batch %v != original single %v", i, out[i], mlp.Predict(row))
 		}
+	}
+}
+
+// heapBytesPer returns the heap bytes one call of f allocates, averaged
+// over runs calls.
+func heapBytesPer(runs int, f func()) float64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestStoringAnMLPReleaseBytes pins what a taxi-width MLP release
+// (48→64→32→1: 5 249 params, 42 kB of them) costs to store. Publish
+// copies the params once and builds the model over that copy without
+// drawing an initial weight: ≈ 54 kB, where a model drawn and then
+// overwritten with a second copy read ≈ 103 kB. A duplicate Apply of
+// the stored release settles on its digest and copies and builds
+// nothing: ≈ 423 kB, the two canonical encodings it hashes, each grown
+// by append; copying and building it first as well reads ≈ 477 kB
+// (≈ 527 kB with the model built over a second copy).
+func TestStoringAnMLPReleaseBytes(t *testing.T) {
+	if safety.RaceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	spec, err := Serialize(ml.NewMLP(ml.Regression, taxi.FeatureDim, []int{64, 32}, rng.New(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New()
+	publish := heapBytesPer(50, func() { s.Publish(Bundle{Name: "nn", Model: spec}) })
+	stored, _ := s.Get("nn", 1)
+	again := *stored
+	duplicate := heapBytesPer(50, func() {
+		if applied, err := s.Apply(again); applied || err != nil {
+			t.Fatalf("a duplicate Apply: %v, %v; want false, nil", applied, err)
+		}
+	})
+	t.Logf("Publish %.0f bytes, a duplicate Apply %.0f bytes, for %d params", publish, duplicate, len(spec.Params))
+	if publish > 61_000 {
+		t.Errorf("Publish of a taxi-width MLP: %.0f bytes, budget 61000: does building the model copy or draw its params again?", publish)
+	}
+	if duplicate > 450_000 {
+		t.Errorf("a duplicate Apply of a taxi-width MLP: %.0f bytes, budget 450000: does it copy and build the release before it looks at the version?", duplicate)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -22,7 +23,6 @@ import (
 	"repro/internal/data"
 	"repro/internal/ml"
 	"repro/internal/privacy"
-	"repro/internal/rng"
 )
 
 // Provenance records where a bundle came from.
@@ -106,14 +106,18 @@ func (s ModelSpec) InputDim() int {
 // dimensions do not account for exactly its parameters is an error, and
 // is found before anything is sized from those dimensions: specs arrive
 // over the network (replica push), and a model must never be allocated
-// from numbers its payload cannot back.
+// from numbers its payload cannot back, nor share memory with the spec.
 func (s ModelSpec) Instantiate() (ml.Model, error) {
+	s.Weights, s.Params = slices.Clone(s.Weights), slices.Clone(s.Params)
+	return s.build()
+}
+
+// build is Instantiate over the spec's own slices, which a linear model
+// or an MLP keeps: the store builds a release over its immutable copy.
+func (s ModelSpec) build() (ml.Model, error) {
 	switch s.Kind {
 	case "linear":
-		return &ml.LinearModel{
-			Weights: append([]float64{}, s.Weights...),
-			Bias:    s.Bias,
-		}, nil
+		return &ml.LinearModel{Weights: s.Weights, Bias: s.Bias}, nil
 	case "constant":
 		return ml.ConstantModel{Value: s.Bias}, nil
 	case "logistic", "linear-sgd":
@@ -139,9 +143,7 @@ func (s ModelSpec) Instantiate() (ml.Model, error) {
 		if s.Kind == "mlp-clf" {
 			kind = ml.BinaryClassification
 		}
-		m := ml.NewMLP(kind, s.Dim, s.Hidden, rng.New(0))
-		copy(m.Params(), s.Params)
-		return m, nil
+		return ml.MLPFromParams(kind, s.Dim, s.Hidden, s.Params), nil
 	default:
 		return nil, fmt.Errorf("store: unknown model kind %q", s.Kind)
 	}
@@ -368,8 +370,8 @@ func New() *Store {
 // stored returns the release a store keeps for b: a copy sharing no
 // mutable memory with b (the feature map and its value slices, the
 // model's parameter slices and the provenance block list are all
-// copied), carrying its built model. A release whose model does not
-// build is an error: it could never be served.
+// copied), carrying its model, built over those copies. A release whose
+// model does not build is an error: it could never be served.
 func (b Bundle) stored() (*Bundle, error) {
 	c := b
 	c.Model.Weights = append([]float64(nil), b.Model.Weights...)
@@ -382,7 +384,7 @@ func (b Bundle) stored() (*Bundle, error) {
 			c.Features[k] = append([]float64(nil), v...)
 		}
 	}
-	m, err := c.Model.Instantiate()
+	m, err := c.Model.build()
 	if err != nil {
 		return nil, err
 	}
@@ -469,13 +471,20 @@ func (e *VersionGapError) Error() string {
 //
 // A version of 0 (a bundle that never went through Publish) is
 // rejected, and so is a bundle whose model does not build: every stored
-// release carries the model it serves, built before the lock is taken,
-// and a refused bundle leaves the store untouched.
+// release carries the model it serves, built before the write lock is
+// taken, and a refused bundle leaves the store untouched. Only a bundle
+// at the next version is copied and built, and checked again once locked.
 //
 //sage:journaled
 func (s *Store) Apply(b Bundle) (applied bool, err error) {
 	if b.Version < 1 {
 		return false, fmt.Errorf("store: apply %s: bundle has no version (got %d)", b.Name, b.Version)
+	}
+	s.mu.RLock()
+	next, err := s.isNext(&b)
+	s.mu.RUnlock()
+	if !next {
+		return false, err
 	}
 	stored, err := b.stored()
 	if err != nil {
@@ -483,26 +492,33 @@ func (s *Store) Apply(b Bundle) (applied bool, err error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if next, err := s.isNext(&b); !next {
+		return false, err
+	}
+	if s.journal != nil {
+		if err := s.journal(stored.CanonicalBytes()); err != nil {
+			return false, fmt.Errorf("store: journal apply %s@v%d: %w", stored.Name, stored.Version, err)
+		}
+	}
+	s.bundles[b.Name] = append(s.bundles[b.Name], stored)
+	s.gen++
+	return true, nil
+}
+
+// isNext reports whether b is its name's next version, or else why not:
+// nil for a re-push, a digest mismatch, or a *VersionGapError.
+func (s *Store) isNext(b *Bundle) (bool, error) {
 	versions := s.bundles[b.Name]
 	switch {
 	case b.Version <= len(versions):
-		existing := versions[b.Version-1]
-		if existing.Digest() != b.Digest() {
+		if versions[b.Version-1].Digest() != b.Digest() {
 			return false, fmt.Errorf("store: apply %s@v%d: digest mismatch with already-applied release", b.Name, b.Version)
 		}
 		return false, nil
-	case b.Version == len(versions)+1:
-		if s.journal != nil {
-			if err := s.journal(stored.CanonicalBytes()); err != nil {
-				return false, fmt.Errorf("store: journal apply %s@v%d: %w", stored.Name, stored.Version, err)
-			}
-		}
-		s.bundles[b.Name] = append(versions, stored)
-		s.gen++
-		return true, nil
-	default:
+	case b.Version > len(versions)+1:
 		return false, &VersionGapError{Name: b.Name, Version: b.Version, Watermark: len(versions)}
 	}
+	return true, nil
 }
 
 // Watermarks returns every name's applied version count, sorted by
