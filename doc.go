@@ -158,10 +158,8 @@
 // every retry of a push, the first attempt for an endpoint the
 // publisher has reason to doubt — all of them when it is built over a
 // store that already holds releases (a restart), one whose retries ran
-// out — and every attempt of Sync. An endpoint has one reconcile in
-// flight at a time: concurrent pushes that need one share it. A
-// publisher restart or a replica that lost its disk converges with no
-// operator action.
+// out — and every attempt of Sync. A publisher restart or a replica
+// that lost its disk converges with no operator action.
 //
 // # Durable platform core
 //

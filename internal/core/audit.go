@@ -6,9 +6,10 @@ package core
 // record that reconciles a published model against the stream's privacy
 // ledger. When bundles are pushed to serving replicas, every copy must
 // carry provably the same record, so a release is identified by a
-// digest over a *canonical* byte serialization defined here, and that
-// serialization is also the only one: the bytes the store journals and
-// the publisher pushes are the digest's preimage. The form is
+// digest over a *canonical* byte serialization built from the
+// primitives here (store.Bundle.CanonicalBytes lays out the fields),
+// and that serialization is also the only one: the bytes the store
+// journals and the publisher pushes are the digest's preimage. The form is
 // deterministic by construction (maps never decide byte order):
 // length-prefixed strings, IEEE-754 bit patterns for floats, and
 // fixed-width big-endian integers, in a fixed field order.
@@ -19,7 +20,6 @@ import (
 	"math"
 
 	"repro/internal/data"
-	"repro/internal/privacy"
 )
 
 // AppendString appends a length-prefixed UTF-8 string.
@@ -47,19 +47,6 @@ func AppendFloats(dst []byte, fs []float64) []byte {
 		dst = AppendFloat(dst, f)
 	}
 	return dst
-}
-
-// AppendProvenance appends the canonical serialization of one release's
-// provenance fields: pipeline, spent (ε, δ), the block list in ledger
-// order, decision, and quality. Block order is preserved as recorded —
-// the order blocks were read is itself part of the audit trail.
-func AppendProvenance(dst []byte, pipeline string, spent privacy.Budget, blocks []data.BlockID, decision string, quality float64) []byte {
-	dst = AppendString(dst, pipeline)
-	dst = AppendFloat(dst, spent.Epsilon)
-	dst = AppendFloat(dst, spent.Delta)
-	dst = AppendBlockIDs(dst, blocks)
-	dst = AppendString(dst, decision)
-	return AppendFloat(dst, quality)
 }
 
 // AppendBlockIDs appends a length-prefixed block-ID list.

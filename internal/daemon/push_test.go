@@ -226,3 +226,110 @@ func TestPushContinuesTheTickTrace(t *testing.T) {
 		}
 	}
 }
+
+// countingReplica is a replica behind a handler that counts the
+// publisher's requests to it, POST /push and GET /replica/status, and
+// records the most it ever had in flight at once. While refuse is
+// positive, each push is answered 503 and counts it down.
+type countingReplica struct {
+	url         string
+	rep         *replica.Server
+	posts, gets atomic.Int32
+	inflight    atomic.Int32
+	most        atomic.Int32
+	refuse      atomic.Int32
+}
+
+func newCountingReplica(t *testing.T) *countingReplica {
+	t.Helper()
+	c := &countingReplica{rep: replica.NewServer()}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.Method + " " + r.URL.Path {
+		case "POST /push":
+			c.posts.Add(1)
+		case "GET /replica/status":
+			c.gets.Add(1)
+		default:
+			c.rep.Handler().ServeHTTP(w, r)
+			return
+		}
+		n := c.inflight.Add(1)
+		defer c.inflight.Add(-1)
+		for m := c.most.Load(); n > m && !c.most.CompareAndSwap(m, n); m = c.most.Load() {
+		}
+		// Each request is held a little, so that one overlapping it is
+		// seen in flight.
+		time.Sleep(time.Millisecond)
+		if r.URL.Path == "/push" && c.refuse.Load() > 0 {
+			c.refuse.Add(-1)
+			http.Error(w, "refusing pushes", http.StatusServiceUnavailable)
+			return
+		}
+		c.rep.Handler().ServeHTTP(w, r)
+	}))
+	c.url = srv.URL
+	t.Cleanup(srv.Close)
+	return c
+}
+
+// TestDaemonSendsOneRequestAtATimePerReplica pins the traffic the
+// publisher relies on for having no per-endpoint lock: the daemon
+// pushes and syncs from its loop goroutine, one converge per replica at
+// a time, so no replica ever has two of its requests in flight. The
+// life covers every caller: the startup sync, plain pushes, retries
+// that reconcile (one replica refuses six pushes: a release's push and
+// its three retries, then the next release's reconcile and its first
+// retry), the drain sync, and the startup sync of a daemon reopened on
+// the same directory, over releases.
+func TestDaemonSendsOneRequestAtATimePerReplica(t *testing.T) {
+	a, b := newCountingReplica(t), newCountingReplica(t)
+	cfg := fastConfig(t.TempDir())
+	cfg.PushEndpoints = []string{a.url, b.url}
+	stepUntilVersions := func(d *Daemon, n int) {
+		t.Helper()
+		for i := 0; countVersions(d.plat.Store) < n; i++ {
+			if i == 64 {
+				t.Fatalf("no release %d in 64 ticks: %v", n, d.Status().StoreVersions)
+			}
+			if err := d.step(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	d, _, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stepUntilVersions(d, 2)
+	gets := b.gets.Load()
+	b.refuse.Store(6)
+	stepUntilVersions(d, 4)
+	if left := b.refuse.Load(); left != 0 {
+		t.Fatalf("%d of the six refusals left after two releases", left)
+	}
+	if n := b.gets.Load() - gets; n < 5 {
+		t.Errorf("%d reconciles behind six refused pushes, want one per retry (at least 5)", n)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	d2, _, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stepUntilVersions(d2, 5)
+	want := d2.plat.Store.Watermarks()
+	if err := d2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []*countingReplica{a, b} {
+		if n := c.most.Load(); n > 1 {
+			t.Errorf("%s had %d requests in flight at once, want at most 1", c.url, n)
+		}
+		if got := c.rep.Store().Watermarks(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s holds %v, want %v", c.url, got, want)
+		}
+		t.Logf("%s: %d POST /push, %d GET /replica/status", c.url, c.posts.Load(), c.gets.Load())
+	}
+}

@@ -6,8 +6,10 @@
 //
 // # Design
 //
-// Hot paths are lock-free: Counter and Gauge are single atomics,
-// Histogram.Observe is a bounds scan plus two atomic updates. Metric
+// Hot paths are lock-free: a Counter is a single atomic,
+// Histogram.Observe is a bounds scan plus two atomic updates. A gauge
+// is a GaugeFunc, read at exposition time from state its owner already
+// keeps, so there is no second copy of it to keep in step. Metric
 // handles are resolved once at construction (Registry.Counter etc.
 // panic on misuse, which is a programming error, not runtime input)
 // and then incremented directly — there are no map lookups or label

@@ -42,36 +42,6 @@ func (c *Counter) Value() uint64 {
 	return c.v.Load()
 }
 
-// Gauge is an instantaneous integer value that can go up and down.
-// All methods are safe on a nil receiver.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the value.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(v)
-}
-
-// Add adds d (which may be negative).
-func (g *Gauge) Add(d int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(d)
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
-
 // Histogram counts observations into fixed cumulative buckets.
 // Observe is lock-free: a linear scan over the (small, sorted) bounds
 // slice, one bucket increment, and a CAS loop folding the observation
@@ -216,7 +186,6 @@ type series struct {
 	sig    string // canonical label signature, for dedup + sorting
 
 	counter *Counter
-	gauge   *Gauge
 	gaugeFn func() float64
 	hist    *Histogram
 }
@@ -232,7 +201,7 @@ type family struct {
 }
 
 // Registry holds metric families and renders them. Construction
-// methods (Counter, Gauge, GaugeFunc, Histogram) panic on conflicting
+// methods (Counter, GaugeFunc, Histogram) panic on conflicting
 // re-registration — a duplicate name+labels, or a name reused with a
 // different type or help — because that is a wiring bug, not runtime
 // input. A nil *Registry is a valid no-op sink: every constructor
@@ -257,16 +226,6 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	c := &Counter{}
 	r.add(name, help, typeCounter, labels, &series{counter: c})
 	return c
-}
-
-// Gauge registers a gauge series and returns its handle.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	if r == nil {
-		return nil
-	}
-	g := &Gauge{}
-	r.add(name, help, typeGauge, labels, &series{gauge: g})
-	return g
 }
 
 // GaugeFunc registers a gauge series whose value is computed by fn at
@@ -375,8 +334,6 @@ func (r *Registry) TextExpose(w io.Writer) error {
 			switch {
 			case s.counter != nil:
 				writeSample(&b, fam.name, s.labels, nil, strconv.FormatUint(s.counter.Value(), 10))
-			case s.gauge != nil:
-				writeSample(&b, fam.name, s.labels, nil, strconv.FormatInt(s.gauge.Value(), 10))
 			case s.gaugeFn != nil:
 				writeSample(&b, fam.name, s.labels, nil, formatFloat(s.gaugeFn()))
 			case s.hist != nil:

@@ -65,8 +65,7 @@ func TestExpositionGolden(t *testing.T) {
 	c := r.Counter("sage_test_requests_total", "Requests served.", Label{"class", "read"})
 	c.Add(3)
 	r.Counter("sage_test_requests_total", "Requests served.", Label{"class", "batch"}).Inc()
-	g := r.Gauge("sage_test_inflight", "In-flight requests.")
-	g.Set(2)
+	r.GaugeFunc("sage_test_inflight", "In-flight requests.", func() float64 { return 2 })
 	r.GaugeFunc("sage_test_eps_spent", "Privacy spend.", func() float64 { return 0.25 }, Label{"shard", "0"})
 	h := r.Histogram("sage_test_latency_seconds", "Request latency.", []float64{0.25, 0.5})
 	h.Observe(0.25)
@@ -161,15 +160,12 @@ func TestConcurrentIncrementExpose(t *testing.T) {
 func TestNilSafety(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x_total", "x")
-	g := r.Gauge("x", "x")
 	h := r.Histogram("x_seconds", "x", []float64{1})
 	r.GaugeFunc("y", "y", func() float64 { return 1 })
 	c.Inc()
 	c.Add(2)
-	g.Set(3)
-	g.Add(-1)
 	h.Observe(0.5)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
+	if c.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Error("nil metrics must read as zero")
 	}
 	if err := r.TextExpose(&strings.Builder{}); err != nil {
@@ -181,7 +177,7 @@ func TestNilSafety(t *testing.T) {
 func TestRegistryMisusePanics(t *testing.T) {
 	cases := map[string]func(r *Registry){
 		"duplicate series":   func(r *Registry) { r.Counter("a_total", "a"); r.Counter("a_total", "a") },
-		"type conflict":      func(r *Registry) { r.Counter("a_total", "a"); r.Gauge("a_total", "a") },
+		"type conflict":      func(r *Registry) { r.Counter("a_total", "a"); r.GaugeFunc("a_total", "a", func() float64 { return 0 }) },
 		"help conflict":      func(r *Registry) { r.Counter("a_total", "a"); r.Counter("a_total", "b", Label{"l", "v"}) },
 		"bad metric name":    func(r *Registry) { r.Counter("1bad", "x") },
 		"bad label name":     func(r *Registry) { r.Counter("a_total", "a", Label{"1bad", "v"}) },
@@ -247,7 +243,7 @@ func TestParseRejects(t *testing.T) {
 func TestLabelEscaping(t *testing.T) {
 	r := New()
 	ugly := "a\"b\\c\nd"
-	r.Gauge("g", "g", Label{"l", ugly}).Set(7)
+	r.GaugeFunc("g", "g", func() float64 { return 7 }, Label{"l", ugly})
 	var b strings.Builder
 	if err := r.TextExpose(&b); err != nil {
 		t.Fatal(err)
@@ -267,14 +263,12 @@ func TestLabelEscaping(t *testing.T) {
 func TestHotPathAllocs(t *testing.T) {
 	r := New()
 	c := r.Counter("c_total", "c")
-	g := r.Gauge("g", "g")
 	h := r.Histogram("h_seconds", "h", LatencyBuckets())
 	got := safety.MaxAllocs(t, 1000, 0, func() {
 		c.Inc()
-		g.Set(3)
 		h.Observe(0.00042)
 	})
-	t.Logf("counter+gauge+histogram hot path: %.1f allocs/op (budget 0)", got)
+	t.Logf("counter+histogram hot path: %.1f allocs/op (budget 0)", got)
 }
 
 // TestExemplars pins the histogram→trace bridge: the most recent

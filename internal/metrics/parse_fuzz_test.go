@@ -65,7 +65,7 @@ func FuzzMetricsParse(f *testing.F) {
 
 		r := New()
 		r.Counter("sage_fuzz_events_total", text, src).Add(n)
-		r.Gauge("sage_fuzz_depth", text).Set(int64(n))
+		r.GaugeFunc("sage_fuzz_depth", text, func() float64 { return float64(int64(n)) })
 		r.GaugeFunc("sage_fuzz_level", text, func() float64 { return level }, src)
 		h := r.Histogram("sage_fuzz_latency_seconds", text, []float64{0.5, 1, 2}, src)
 		for _, b := range raw {

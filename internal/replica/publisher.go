@@ -43,11 +43,10 @@ import (
 // empty store and never refused therefore sends one POST /push per
 // replica per release and nothing else.
 //
-// One endpoint has at most one reconcile in flight. A caller that would
-// start another while one runs waits for it instead, within its own
-// context, and sends nothing if it brought the replica up to what the
-// caller was delivering; concurrent pushes to a lagging replica
-// therefore catch it up once, not once per caller.
+// Each caller's attempts are its own: concurrent pushes to a lagging
+// replica may each reconcile it, and the duplicates they send are acked
+// as no-ops. The program's callers never do — the daemon pushes and
+// syncs from its loop goroutine, one converge per endpoint at a time.
 //
 // The per-replica, per-name watermark cache is what each replica last
 // said about itself — every push ack, gap reply and status report
@@ -68,17 +67,6 @@ type Publisher struct {
 	mu         sync.Mutex
 	watermarks map[string]map[string]int // endpoint → name → applied versions, as last reported
 	flagged    map[string]bool           // endpoints due a reconcile
-	running    map[string]*reconcileRun  // endpoint → its reconcile in flight
-}
-
-// reconcileRun is one reconcile in flight, shared by every caller that
-// asks for one of its endpoint while it runs. covered, err and cut are
-// set before done is closed.
-type reconcileRun struct {
-	done    chan struct{}
-	covered map[string]int // name → versions the replica holds, once it succeeded
-	err     error
-	cut     bool // the runner's context ended: err is no waiter's
 }
 
 // Option configures a Publisher.
@@ -146,7 +134,6 @@ func NewPublisher(src *store.Store, endpoints []string, opts ...Option) *Publish
 		backoff:    100 * time.Millisecond,
 		watermarks: make(map[string]map[string]int),
 		flagged:    make(map[string]bool),
-		running:    make(map[string]*reconcileRun),
 	}
 	for _, o := range opts {
 		o(p)
@@ -191,12 +178,11 @@ func (p *Publisher) setFlagged(endpoint string, due bool) {
 }
 
 // needsReconcile reports whether a push to the endpoint starts with a
-// reconcile: it is flagged, or a reconcile is in flight, which the push
-// then waits for rather than racing it with a plain push.
+// reconcile: it is flagged.
 func (p *Publisher) needsReconcile(endpoint string) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.flagged[endpoint] || p.running[endpoint] != nil
+	return p.flagged[endpoint]
 }
 
 // Publish publishes the bundle into the authoritative store (assigning
@@ -293,7 +279,7 @@ func (p *Publisher) converge(ctx context.Context, endpoint string, body *pushBod
 	if body != nil && !p.needsReconcile(endpoint) {
 		err = p.pushOnce(ctx, endpoint, *body)
 	} else {
-		err = p.reconcile(ctx, endpoint, body)
+		err = p.reconcile(ctx, endpoint)
 	}
 	backoff := p.backoff
 	for retry := 0; retry < p.retries && err != nil && !isPermanent(err); retry++ {
@@ -304,7 +290,7 @@ func (p *Publisher) converge(ctx context.Context, endpoint string, body *pushBod
 			break
 		}
 		backoff *= 2
-		err = p.reconcile(ctx, endpoint, body)
+		err = p.reconcile(ctx, endpoint)
 	}
 	if err != nil {
 		p.setFlagged(endpoint, true)
@@ -312,87 +298,34 @@ func (p *Publisher) converge(ctx context.Context, endpoint string, body *pushBod
 	return err
 }
 
-// reconcile is one reconcile attempt on behalf of a caller delivering
-// want (nil: everything the source holds). If the endpoint has none in
-// flight, the caller runs one; otherwise it waits for the one in flight
-// and is done if that one succeeded and covered want. If it failed, its
-// error is this attempt's, unless it failed because its runner's
-// context ended; if it missed want (a release made after it read the
-// source), or was cut short, the caller goes again.
-func (p *Publisher) reconcile(ctx context.Context, endpoint string, want *pushBody) error {
-	for {
-		p.mu.Lock()
-		run := p.running[endpoint]
-		if run == nil {
-			run = &reconcileRun{done: make(chan struct{})}
-			p.running[endpoint] = run
-			p.mu.Unlock()
-			run.covered, run.err = p.runReconcile(ctx, endpoint)
-			run.cut = ctx.Err() != nil
-			p.mu.Lock()
-			delete(p.running, endpoint)
-			p.mu.Unlock()
-			close(run.done)
-			return run.err
-		}
-		p.mu.Unlock()
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-run.done:
-		}
-		if run.err != nil && !run.cut || run.err == nil && p.covers(run.covered, want) {
-			return run.err
-		}
-	}
-}
-
-// covers reports whether a replica holding the covered versions has
-// want, or, for a nil want, every release the source holds now.
-func (p *Publisher) covers(covered map[string]int, want *pushBody) bool {
-	if want != nil {
-		return covered[want.name] >= want.version
-	}
-	for name, n := range p.src.Watermarks() {
-		if covered[name] < n {
-			return false
-		}
-	}
-	return true
-}
-
-// runReconcile asks the replica which versions it holds and delivers,
-// in order, every release of every name past that, each once: converge
-// owns the retrying. It trusts only what the replica reports, and
-// returns, per name, the versions the replica holds once it is done.
-// The flag is cleared first, so a push that fails while a reconcile
-// runs, and flags the endpoint, is never forgotten.
-func (p *Publisher) runReconcile(ctx context.Context, endpoint string) (map[string]int, error) {
+// reconcile asks the replica which versions it holds and delivers, in
+// order, every release of every name past that, each once: converge
+// owns the retrying. It trusts only what the replica reports. The flag
+// is cleared first, so a push that fails while a reconcile runs, and
+// flags the endpoint, is never forgotten.
+func (p *Publisher) reconcile(ctx context.Context, endpoint string) error {
 	p.setFlagged(endpoint, false)
 	applied, err := p.fetchStatus(ctx, endpoint)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	names := p.src.List()
 	for _, name := range names {
 		p.setWatermark(endpoint, name, applied[name])
 	}
-	covered := make(map[string]int, len(names))
 	for _, name := range names {
-		v := applied[name] + 1
-		for ; v <= p.src.VersionCount(name); v++ {
+		for v := applied[name] + 1; v <= p.src.VersionCount(name); v++ {
 			bundle, ok := p.src.Get(name, v)
 			if !ok {
-				return nil, fmt.Errorf("replica: reconcile %s@v%d: not in source store", name, v)
+				return fmt.Errorf("replica: reconcile %s@v%d: not in source store", name, v)
 			}
 			body := pushBody{name: bundle.Name, version: bundle.Version, payload: bundle.CanonicalBytes()}
 			if err := p.pushOnce(ctx, endpoint, body); err != nil {
-				return nil, err
+				return err
 			}
 		}
-		covered[name] = v - 1
 	}
-	return covered, nil
+	return nil
 }
 
 // fetchStatus reads a replica's applied-version watermarks.

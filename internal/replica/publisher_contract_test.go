@@ -396,123 +396,6 @@ func TestSelfHealingConcurrentPushes(t *testing.T) {
 	}
 }
 
-// waitedCtx closes waited the first time anything asks for its Done
-// channel: the caller holding it has reached a point where it waits —
-// on a reply, or on another caller's reconcile.
-type waitedCtx struct {
-	context.Context
-	once   sync.Once
-	waited chan struct{}
-}
-
-func (c *waitedCtx) Done() <-chan struct{} {
-	c.once.Do(func() { close(c.waited) })
-	return c.Context.Done()
-}
-
-// TestConcurrentPushesShareOneReconcile: four pushes of v5 to a flagged
-// replica that holds nothing, all started while the first reconcile's
-// status read is held, catch it up once: one GET /replica/status and
-// one POST /push per release, in every round.
-func TestConcurrentPushesShareOneReconcile(t *testing.T) {
-	const rounds, pushers, versions = 20, 4, 5
-	for round := range rounds {
-		src := store.New()
-		for range versions {
-			release(src, "m")
-		}
-		rep := NewServer()
-		var posts, gets atomic.Int32
-		hold := make(chan struct{})
-		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			switch r.Method + " " + r.URL.Path {
-			case "POST /push":
-				posts.Add(1)
-			case "GET /replica/status":
-				gets.Add(1)
-				<-hold
-			}
-			rep.Handler().ServeHTTP(w, r)
-		}))
-		pub := NewPublisher(src, []string{srv.URL}) // over releases: flagged
-		var wg sync.WaitGroup
-		ctxs := make([]*waitedCtx, pushers)
-		for i := range ctxs {
-			ctxs[i] = &waitedCtx{Context: context.Background(), waited: make(chan struct{})}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if err := pub.Push(ctxs[i], "m", versions); err != nil {
-					t.Errorf("round %d: push %d: %v", round, i, err)
-				}
-			}()
-		}
-		started := time.After(10 * time.Second)
-		for i, c := range ctxs {
-			select {
-			case <-c.waited:
-			case <-started:
-				t.Errorf("round %d: push %d never waited", round, i)
-			}
-		}
-		close(hold)
-		wg.Wait()
-		srv.Close()
-		if p, g := posts.Load(), gets.Load(); p != versions || g != 1 {
-			t.Errorf("round %d: %d POST /push and %d GET /replica/status, want %d and 1", round, p, g, versions)
-		}
-		if n := rep.Store().VersionCount("m"); n != versions || pub.isFlagged(srv.URL) {
-			t.Errorf("round %d: the replica holds %d version(s), flagged %v; want %d, false", round, n, pub.isFlagged(srv.URL), versions)
-		}
-		if t.Failed() {
-			return
-		}
-	}
-}
-
-// TestReconcileWaiterOutlivesTheRunnersContext: a push that waits on
-// another caller's reconcile is not failed by that caller's context.
-// The runner's context ends while its status read is held; the waiter,
-// with no retries to spend, still converges the replica.
-func TestReconcileWaiterOutlivesTheRunnersContext(t *testing.T) {
-	src := store.New()
-	for range 3 {
-		release(src, "m")
-	}
-	rep := NewServer()
-	hold := make(chan struct{})
-	var gets atomic.Int32
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/replica/status" && gets.Add(1) == 1 {
-			<-hold
-		}
-		rep.Handler().ServeHTTP(w, r)
-	}))
-	defer srv.Close()
-	pub := NewPublisher(src, []string{srv.URL}, WithRetry(0, time.Millisecond)) // over releases: flagged
-
-	runCtx, cancel := context.WithCancel(context.Background())
-	runner := &waitedCtx{Context: runCtx, waited: make(chan struct{})}
-	ran := make(chan error, 1)
-	go func() { ran <- pub.Push(runner, "m", 3) }()
-	<-runner.waited
-	waiter := &waitedCtx{Context: context.Background(), waited: make(chan struct{})}
-	waited := make(chan error, 1)
-	go func() { waited <- pub.Push(waiter, "m", 3) }()
-	<-waiter.waited
-	cancel()
-	if err := <-ran; !errors.Is(err, context.Canceled) {
-		t.Errorf("the runner's push = %v, want its context's error", err)
-	}
-	close(hold)
-	if err := <-waited; err != nil {
-		t.Fatalf("the waiter's push = %v, want nil", err)
-	}
-	if n := rep.Store().VersionCount("m"); n != 3 || pub.isFlagged(srv.URL) {
-		t.Errorf("the replica holds %d version(s), flagged %v; want 3, false", n, pub.isFlagged(srv.URL))
-	}
-}
-
 // TestPublisherBoundsReplies: a replica that answers with an endless
 // JSON string costs the publisher httpkit.StatusReplyBytes of reading
 // and an error, not its heap — for a status reply (Sync) and for a push

@@ -49,9 +49,9 @@
 // doubt an endpoint (built over a store that already holds releases,
 // or one left unconverged when its retries ran out — see Publisher),
 // and reconciles all of them when asked to (Publisher.Sync, which the
-// daemon calls at start and at drain). An endpoint has one reconcile in
-// flight at a time; a caller that needs one while it runs waits for it.
-// The watermarks a publisher caches are what each replica last said,
+// daemon calls at start and at drain). Each reconcile is one attempt of
+// the caller that needs it; the daemon, which pushes from one goroutine,
+// never has two in flight to one replica. The watermarks a publisher caches are what each replica last said,
 // never an input to a decision.
 //
 // # On the wire
@@ -71,6 +71,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/httpkit"
@@ -131,8 +132,10 @@ type Server struct {
 	// single source of truth, there is no parallel bookkeeping.
 	reg *metrics.Registry
 	// inflight counts serving-API requests currently in progress
-	// (push, status, and metrics traffic excluded).
-	inflight *metrics.Gauge
+	// (push, status, and metrics traffic excluded); the
+	// sage_replica_inflight_requests gauge and GET /replica/status
+	// both read it.
+	inflight atomic.Int64
 	// Push outcome counters, pre-resolved per outcome so the push path
 	// does no registry lookups.
 	pushApplied      *metrics.Counter
@@ -174,8 +177,9 @@ func NewServer(opts ...ServerOption) *Server {
 	reg := metrics.New()
 	s := &Server{store: st, srv: store.NewServer(st), reg: reg}
 	s.srv.Instrument(reg)
-	s.inflight = reg.Gauge("sage_replica_inflight_requests",
-		"Serving-API requests currently in progress.")
+	reg.GaugeFunc("sage_replica_inflight_requests",
+		"Serving-API requests currently in progress.",
+		func() float64 { return float64(s.inflight.Load()) })
 	outcome := func(o string) *metrics.Counter {
 		return reg.Counter("sage_replica_pushes_total",
 			"Push deliveries by outcome.", metrics.Label{Name: "outcome", Value: o})
@@ -307,6 +311,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 		Watermarks: wms,
 		Generation: s.store.Generation(),
 		Models:     len(wms),
-		Inflight:   s.inflight.Value(),
+		Inflight:   s.inflight.Load(),
 	})
 }

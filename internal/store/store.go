@@ -220,8 +220,15 @@ func (b *Bundle) CanonicalBytes() []byte {
 		buf = core.AppendString(buf, k)
 		buf = core.AppendFloats(buf, b.Features[k])
 	}
+	// Provenance: the block list in ledger order, as recorded — the
+	// order blocks were read is itself part of the audit trail.
 	p := b.Provenance
-	return core.AppendProvenance(buf, p.Pipeline, p.Spent, p.Blocks, p.Decision, p.Quality)
+	buf = core.AppendString(buf, p.Pipeline)
+	buf = core.AppendFloat(buf, p.Spent.Epsilon)
+	buf = core.AppendFloat(buf, p.Spent.Delta)
+	buf = core.AppendBlockIDs(buf, p.Blocks)
+	buf = core.AppendString(buf, p.Decision)
+	return core.AppendFloat(buf, p.Quality)
 }
 
 // DecodeCanonicalBundle inverts CanonicalBytes. Its input is a journal

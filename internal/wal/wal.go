@@ -194,7 +194,6 @@ type instruments struct {
 	appendSec   *metrics.Histogram
 	syncSec     *metrics.Histogram
 	batchFrames *metrics.Histogram
-	poisoned    *metrics.Gauge
 }
 
 // commitBatch accumulates staged frames awaiting one shared commit.
@@ -282,9 +281,17 @@ func Open(path string, opts Options) (*Log, []Record, error) {
 				"Latency of the sync step alone (fdatasync, or the shared syncfs cohort ride).", metrics.LatencyBuckets(), lbl),
 			batchFrames: opts.Metrics.Histogram("sage_wal_commit_batch_frames",
 				"Frames carried by one committed batch (the fsync amortization factor).", metrics.SizeBuckets(), lbl),
-			poisoned: opts.Metrics.Gauge("sage_wal_poisoned",
-				"1 after a write/sync failure poisoned the log, else 0.", lbl),
 		}
+		opts.Metrics.GaugeFunc("sage_wal_poisoned",
+			"1 after a write/sync failure poisoned the log, else 0.",
+			func() float64 {
+				l.mu.Lock()
+				defer l.mu.Unlock()
+				if l.failed != nil {
+					return 1
+				}
+				return 0
+			}, lbl)
 		opts.Metrics.GaugeFunc("sage_wal_size_bytes",
 			"Current byte length of the log file.",
 			func() float64 { return float64(l.Size()) }, lbl)
@@ -642,14 +649,10 @@ func (l *Log) writeLocked(frames []byte, n int) error {
 	return nil
 }
 
-// poisonLocked records the first fatal write/sync error, flips the
-// poisoned gauge, and emits the structured transition log. Caller
-// holds mu.
+// poisonLocked records the first fatal write/sync error and emits the
+// structured transition log. Caller holds mu.
 func (l *Log) poisonLocked(err error) {
 	l.failed = err
-	if l.ins != nil {
-		l.ins.poisoned.Set(1)
-	}
 	trace.Eventf(l.logf, "wal: event=log_poisoned log=%s err=%v", filepath.Base(l.path), err)
 }
 
