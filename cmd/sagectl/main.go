@@ -217,7 +217,7 @@ func main() {
 		fs.Float64Var(&opt.eps0, "eps0", 0, "adaptive search starting ε (default εg/8)")
 		fs.Float64Var(&opt.epsCap, "eps-cap", 0, "adaptive search per-attempt ε cap (default εg/2)")
 		fs.BoolVar(&opt.noSync, "no-sync", false, "disable per-append fsync (tests only: crash durability drops to what the OS flushed)")
-		fs.DurationVar(&opt.drain, "drain", 30*time.Second, "bound on every replica sync the daemon waits on: the one at startup and the final one at graceful shutdown (0 = unbounded)")
+		fs.DurationVar(&opt.drain, "drain", 30*time.Second, "bound on every replica sync the daemon waits on: the one at startup and the final one at graceful shutdown (0 = the daemon's 30s default)")
 	case "trace":
 		fs.StringVar(&opt.from, "from", "", "base URL of a sagectl server running with -debug (required)")
 		fs.StringVar(&opt.traceID, "id", "", "show only the trace with this 32-hex-digit id")
@@ -306,7 +306,6 @@ func runServePreset(opt options, budget privacy.Budget) error {
 	opt.walDir, opt.noSync = dir, true
 	opt.tick, opt.maxTicks = time.Millisecond, opt.days
 	opt.rowsPerBlock, opt.sla = 8000, "0.04,0.042,0.041"
-	opt.drain = 30 * time.Second
 	opt.keepServing = true
 	return runDaemon(opt, budget)
 }

@@ -136,10 +136,10 @@
 // lock, so a racing /predict sees old or new but never half), acks
 // duplicates after verifying the release's digest, and answers
 // out-of-order pushes with a 409 carrying its applied-version
-// watermark. Every retry is a reconcile (below), so a gap reply, a
-// transport error and a 5xx are all followed, after an exponential
-// backoff, by the same catch-up; late joiners are just the degenerate
-// case: watermark 0, deliver everything (Publisher.Sync). A refused
+// watermark. Every delivery is a reconcile (below), and so is every
+// retry: a gap reply, a transport error and a 5xx are all followed,
+// after an exponential backoff, by the same catch-up; late joiners are
+// just the degenerate case: watermark 0, deliver everything. A refused
 // token, a malformed or oversized bundle and a divergent release (same
 // version, different digest) are permanent errors and never retried — a
 // release can be repeated, never replaced.
@@ -152,14 +152,15 @@
 // in constant time; the read API stays open), a push body is the
 // release's canonical bytes, never re-encoded (the replica answers a
 // body with any Content-Encoding but identity 415 without reading it,
-// and one past the 64 MiB budget 413), and a publisher has one
-// catch-up path: a reconcile asks a
-// replica which versions it holds and delivers what is missing. It is
-// every retry of a push, the first attempt for an endpoint the
-// publisher has reason to doubt — all of them when it is built over a
-// store that already holds releases (a restart), one whose retries ran
-// out — and every attempt of Sync. A publisher restart or a replica
-// that lost its disk converges with no operator action.
+// and one past the 64 MiB budget 413), and a publisher has one way to
+// deliver: a reconcile asks a replica which versions it holds and
+// delivers what is missing (Publisher.Converge; Sync runs one per
+// replica at once). The daemon runs it from one converger goroutine
+// per replica, which each release wakes and no tick waits on, so a hung
+// or refusing replica holds up neither the privacy loop nor the other
+// replicas, and no replica has two requests in flight. A publisher
+// restart or a replica that lost its disk converges with no operator
+// action.
 //
 // # Durable platform core
 //

@@ -35,8 +35,6 @@ var testOnly = map[string]string{
 	"privacy.LaplaceMechanism.Cost":                 "what a noise site's charge-equals-spend check reads (ROADMAP direction 10)",
 	"metrics.Families.Value":                        "reads one scraped sample back in the /metrics tests of the gateway, WAL, daemon and sagectl",
 	"metrics.Histogram.Count":                       "reads an observation count back in the metrics and gateway tests",
-	"trace.Span.TraceID":                            "the trace tests compare propagated ids",
-	"trace.Span.SpanID":                             "the trace tests compare propagated ids",
 	"data.Dataset.Clone":                            "the pipeline tests hand each Run a copy it may reorder",
 	"data.Dataset.Append":                           "builds test datasets row by row in the data, ml, pipeline, adaptive, taxi and criteo tests",
 	"ml.NaiveMeanModel":                             "the baseline model of the ml, pipeline and taxi tests",

@@ -1,7 +1,6 @@
 package daemon
 
 import (
-	"context"
 	"runtime"
 	"runtime/debug"
 	"sync/atomic"
@@ -41,7 +40,7 @@ func TestWarmTickAllocatesTheBlockItKeeps(t *testing.T) {
 	}
 	defer d.Close()
 	step := func() {
-		if err := d.step(context.Background()); err != nil {
+		if err := d.step(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -93,7 +92,7 @@ func TestRetentionIgnoresRetiredBlocks(t *testing.T) {
 		}
 		d.nextBlock = data.BlockID(retired)
 		for range 2 * cfg.Retention {
-			if err := d.step(context.Background()); err != nil {
+			if err := d.step(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -130,7 +129,7 @@ func TestDaemonScratchPinsNoRows(t *testing.T) {
 	}
 	defer d.Close()
 	for range 2 * cfg.MinWindow {
-		if err := d.step(context.Background()); err != nil {
+		if err := d.step(); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -25,8 +25,10 @@
 //     block, pipeline): a restarted daemon's tick count starts over, its
 //     block numbers do not, so every release draws fresh noise;
 //  3. publishes an accepted model+features bundle into the durable
-//     store and pushes it to the replica tier (versioned idempotent
-//     push of its canonical bytes, with optional bearer-token auth);
+//     store and wakes the replica tier's convergers, one goroutine per
+//     replica, which reconcile it (versioned idempotent push of each
+//     missing release's canonical bytes, with optional bearer-token
+//     auth) while the loop moves on: no tick waits on a replica;
 //  4. retires blocks that fall out of the retention window (forced
 //     retirement journaled, raw data deleted via the retention hook);
 //  5. periodically compacts both write-ahead logs (snapshot+truncate)
@@ -147,14 +149,15 @@ type Config struct {
 	// NoSync disables per-append fsync (tests only).
 	NoSync bool
 	// DrainTimeout bounds every replica sync the daemon waits on: the
-	// startup sync in New and the final one in Close (0 = no bound). A
-	// start or a graceful shutdown should bring the tier current — push
-	// every straggler its missing releases — but an unreachable or hung
-	// replica must not park the daemon: past the deadline the sync is
-	// cut short, the replica stays flagged, and it converges at its next
-	// push or the next daemon start (its gateway keeps it drained until
-	// it catches up). Shutdown ordering stays sync-then-close so
-	// replicas are as current as possible the moment the WAL seals.
+	// startup sync in New and the final one in Close (default 30s;
+	// there is no unbounded sync). A start or a graceful shutdown
+	// should bring the tier current — push every straggler its missing
+	// releases — but an unreachable or hung replica must not park the
+	// daemon: past the deadline the sync is cut short, and the replica
+	// converges once its converger gets through to it, or at the next
+	// daemon start (its gateway keeps it drained until it catches up).
+	// Shutdown ordering stays sync-then-close so replicas are as current
+	// as possible the moment the WAL seals.
 	DrainTimeout time.Duration
 	// Logf receives progress lines (default: discard).
 	Logf func(format string, args ...any)
@@ -199,6 +202,9 @@ func (c *Config) applyDefaults() {
 	}
 	if c.CompactEvery <= 0 {
 		c.CompactEvery = 64
+	}
+	if c.DrainTimeout <= 0 {
+		c.DrainTimeout = 30 * time.Second
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -248,6 +254,12 @@ type Daemon struct {
 	// the headers into the block, and ingestBlock clears them, so it
 	// holds no row a retirement deletes.
 	ingestBuf []data.Example
+
+	// wakes[i] wakes the converger of PushEndpoints[i] (see converge);
+	// stopConverging cancels them all, and converging waits for them.
+	wakes          []chan wake
+	stopConverging context.CancelFunc
+	converging     sync.WaitGroup
 
 	closeOnce sync.Once
 	closeErr  error
@@ -336,29 +348,87 @@ func New(cfg Config) (*Daemon, durable.Stats, error) {
 			}, metrics.Label{Name: "endpoint", Value: ep})
 	}
 	// Replicas that missed releases while no publisher was up converge
-	// now, not at the next publish. An unreachable one stays flagged and
-	// is reconciled at its next push.
+	// now, not at the next publish. An unreachable one is left to its
+	// converger.
 	if err := d.syncReplicas(); err != nil {
 		cfg.Logf("daemon: startup replica sync (will retry on push): %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	d.stopConverging = cancel
+	for _, ep := range cfg.PushEndpoints {
+		wakes := make(chan wake, 1)
+		d.wakes = append(d.wakes, wakes)
+		d.converging.Add(1)
+		go d.converge(ctx, ep, wakes)
 	}
 	return d, stats, nil
 }
 
-// syncReplicas reconciles every replica within DrainTimeout.
+// syncReplicas converges every replica within DrainTimeout.
 func (d *Daemon) syncReplicas() error {
-	ctx := context.Background()
-	if d.cfg.DrainTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d.cfg.DrainTimeout)
-		defer cancel()
-	}
+	ctx, cancel := context.WithTimeout(context.Background(), d.cfg.DrainTimeout)
+	defer cancel()
 	return d.pub.Sync(ctx)
 }
 
+// retryAfter is how long a converger waits after a failed round before
+// it starts another of its own accord, so that a replica that answers
+// again converges with no further release.
+const retryAfter = time.Second
+
+// wake is what a converger is woken with: the trace and span id of the
+// daemon.train span that published, by value, because spans are pooled
+// and that one has ended by the time the push runs.
+type wake struct {
+	traceID trace.TraceID
+	spanID  trace.SpanID
+}
+
+// wakeConvergers hands every converger w in place of a wake it has not
+// taken yet (a round delivers all its replica lacks). The loop goroutine
+// is the only sender, so the emptied slot takes w and no tick waits.
+func (d *Daemon) wakeConvergers(w wake) {
+	for _, wakes := range d.wakes {
+		select {
+		case <-wakes:
+		default:
+		}
+		wakes <- w
+	}
+}
+
+// converge is one replica's converger, from New until Close: each wake
+// is a round — a Publisher.Converge under a daemon.push span that
+// continues the publishing tick's trace — and a failed round wakes it
+// again after retryAfter. It is the only sender to its replica while it
+// runs, so the replica has at most one request in flight.
+func (d *Daemon) converge(ctx context.Context, endpoint string, wakes <-chan wake) {
+	defer d.converging.Done()
+	var w wake
+	var retry <-chan time.Time
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case w = <-wakes:
+		case <-retry:
+		}
+		span := d.cfg.Tracer.StartRemote("daemon.push", w.traceID, w.spanID)
+		span.SetAttr("endpoint", endpoint)
+		retry = nil
+		if err := d.pub.Converge(trace.ContextWith(ctx, span), endpoint); err != nil && ctx.Err() == nil {
+			span.SetOutcome("error")
+			d.cfg.Logf("daemon: push to %s (retrying in %v): %v", endpoint, retryAfter, err)
+			retry = time.After(retryAfter)
+		}
+		span.End()
+	}
+}
+
 // Run executes the loop until the context is cancelled (graceful drain:
-// the in-flight iteration completes, its pushes cut short by the
-// cancellation, the replica tier gets a final sync, the WALs are
-// compacted and closed) or MaxTicks is reached. The first iteration
+// the in-flight iteration completes, the convergers stop, the replica
+// tier gets a final sync, the WALs are compacted and closed) or MaxTicks
+// is reached. The first iteration
 // runs one Tick after Run starts.
 func (d *Daemon) Run(ctx context.Context) error {
 	ticker := time.NewTicker(d.cfg.Tick)
@@ -369,7 +439,7 @@ func (d *Daemon) Run(ctx context.Context) error {
 			d.cfg.Logf("daemon: draining (signal received)")
 			return d.Close()
 		case <-ticker.C:
-			if err := d.step(ctx); err != nil {
+			if err := d.step(); err != nil {
 				d.Close()
 				return err
 			}
@@ -384,11 +454,13 @@ func (d *Daemon) Run(ctx context.Context) error {
 	}
 }
 
-// Close flushes the replica tier, compacts, and closes the WALs. Safe
-// to call more than once; after Close mutations fail their journal
-// writes, so the loop must not keep running.
+// Close stops the convergers, flushes the replica tier, compacts, and
+// closes the WALs. Safe to call more than once; after Close mutations
+// fail their journal writes, so the loop must not keep running.
 func (d *Daemon) Close() error {
 	d.closeOnce.Do(func() {
+		d.stopConverging()
+		d.converging.Wait()
 		if err := d.syncReplicas(); err != nil {
 			d.cfg.Logf("daemon: final replica sync: %v", err)
 		}
@@ -405,11 +477,10 @@ func (d *Daemon) Close() error {
 // observation per phase duration series. Only journal failures (the
 // platform can no longer make mutations durable) abort the daemon;
 // everything else — blocked pipelines, unreachable replicas — is
-// continuous-operation business as usual. A failed phase marks its span
-// and the root, so the deferred root.End tail-captures the trace. ctx
-// bounds the tick's pushes and carries the running phase's span, so a
-// push continues the tick's trace.
-func (d *Daemon) step(ctx context.Context) error {
+// continuous-operation business as usual — a tick never waits on a
+// replica. A failed phase marks its span and the root, so the deferred
+// root.End tail-captures the trace.
+func (d *Daemon) step() error {
 	d.mu.Lock()
 	t := tick{n: d.ticks, block: d.nextBlock}
 	d.ticks++
@@ -425,7 +496,6 @@ func (d *Daemon) step(ctx context.Context) error {
 	for i, ph := range phases {
 		start := time.Now()
 		t.span = root.StartChild("daemon." + ph.name)
-		t.ctx = trace.ContextWith(ctx, t.span)
 		err := ph.run(d, t)
 		if err != nil {
 			t.span.SetOutcome("error")

@@ -148,7 +148,7 @@ func TestDaemonCrashMidLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 7; i++ {
-		if err := d.step(context.Background()); err != nil {
+		if err := d.step(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -184,7 +184,7 @@ func TestDaemonLifeIsCoreCountFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		for n := 0; n < 12; n++ {
-			if err := d.step(context.Background()); err != nil {
+			if err := d.step(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -270,7 +270,7 @@ func TestRepeatedPushEndpointIsAnError(t *testing.T) {
 // on — no scheme, another scheme, no host, a query or fragment that the
 // push path would land in, or a trailing '/' that would double it — is
 // refused by New before the WAL directory is opened, not accepted and
-// then flagged on every push.
+// then failed on every delivery.
 func TestMalformedPushEndpointIsAnError(t *testing.T) {
 	for _, ep := range []string{"10.0.0.7:8081", "ftp://10.0.0.7:8081", "http://", "http//127.0.0.1:1", "http://127.0.0.1:1?b=1", "http://127.0.0.1:1/#top", "http://h/", "http://h/a%20b/"} {
 		cfg := fastConfig(filepath.Join(t.TempDir(), "wal"))
@@ -339,9 +339,9 @@ func TestDaemonPushesToReplicas(t *testing.T) {
 // /daemon/status "replicas" and sage_daemon_replica_lag_versions is what
 // the replica last said about itself, in both directions. A replica that
 // restarts empty between two ticks is shown as lagging from the moment
-// the publisher hears from it again — its gap reply to the next release —
-// until the missing versions have landed: the retry after the gap is a
-// reconcile, which delivers every name, not only the released one.
+// the publisher hears from it again — its status reply in the round the
+// next release wakes — until the missing versions have landed: the round
+// is a reconcile, which delivers every name, not only the released one.
 func TestDaemonReplicaLagFollowsTheReplica(t *testing.T) {
 	var (
 		d         *Daemon
@@ -375,18 +375,24 @@ func TestDaemonReplicaLagFollowsTheReplica(t *testing.T) {
 			if i == 64 {
 				t.Fatalf("no release %d in 64 ticks: %v", n, d.Status().StoreVersions)
 			}
-			if err := d.step(context.Background()); err != nil {
+			if err := d.step(); err != nil {
 				t.Fatal(err)
 			}
 		}
+	}
+	// settle waits for the replica to hold every release and for the
+	// gauge to read 0: the ack of the last push has been heard.
+	settle := func(what string) {
+		t.Helper()
+		eventually(t, what, func() bool {
+			return holds(current.Load().Store(), d.plat.Store) && replicaLag(t, d, srv.URL) == 0
+		})
 	}
 	stepUntilVersions(4)
 	if got := d.Status().StoreVersions; got["taxi-lr-0"] != 2 || got["taxi-lr-1"] != 2 {
 		t.Fatalf("want two releases of each pipeline before the restart, got %v", got)
 	}
-	if lag := replicaLag(t, d, srv.URL); lag != 0 {
-		t.Fatalf("lag %v with the replica current", lag)
-	}
+	settle("lag 0 with the replica current")
 
 	// Restart without a disk. Until the publisher hears from the replica
 	// it cannot know.
@@ -395,29 +401,24 @@ func TestDaemonReplicaLagFollowsTheReplica(t *testing.T) {
 	lagAtPush = nil
 	mu.Unlock()
 
-	// The next release, v3 of one pipeline, is answered with a gap at
-	// watermark 0. The retry reconciles: the status read reports nothing
-	// applied, which lowers the cache for both names, so when v1 arrives
-	// the gauge reads all five versions the replica lacks — not just the
-	// new one, as a cache that only ever rises would have it — and each
-	// delivery lowers it by one.
+	// The next release, v3 of one pipeline, wakes a round. Its status
+	// read reports nothing applied, which lowers the cache for both
+	// names, so when v1 arrives the gauge reads all five versions the
+	// replica lacks — not just the new one, as a cache that only ever
+	// rises would have it — and each delivery lowers it by one.
 	stepUntilVersions(5)
+	settle("lag 0 after the reconcile")
 	mu.Lock()
 	seen := append([]float64(nil), lagAtPush...)
 	mu.Unlock()
-	if !reflect.DeepEqual(seen, []float64{1, 5, 4, 3, 2, 1}) {
-		t.Fatalf("lag gauge at the gap push and the reconcile's pushes = %v, want [1 5 4 3 2 1]: v3 refused, then three versions of one name and two of the other", seen)
-	}
-	if lag := replicaLag(t, d, srv.URL); lag != 0 {
-		t.Fatalf("lag %v after the reconcile", lag)
+	if !reflect.DeepEqual(seen, []float64{5, 4, 3, 2, 1}) {
+		t.Fatalf("lag gauge at the reconcile's pushes = %v, want [5 4 3 2 1]: three versions of one name and two of the other", seen)
 	}
 
-	// The release after that is a plain push, and the daemon's view is
-	// the replica's own.
+	// The release after that is a round with one push, and the daemon's
+	// view is the replica's own.
 	stepUntilVersions(6)
-	if lag := replicaLag(t, d, srv.URL); lag != 0 {
-		t.Fatalf("lag %v after the next release", lag)
-	}
+	settle("lag 0 after the next release")
 	st := d.Status()
 	have := current.Load().Store().Watermarks()
 	if !reflect.DeepEqual(have, st.StoreVersions) || !reflect.DeepEqual(st.Replicas[srv.URL], have) {
@@ -621,7 +622,7 @@ func TestTrainingSeedsNeverRepeatAcrossLives(t *testing.T) {
 				}
 				seen[seed] = here
 			}
-			if err := d.step(context.Background()); err != nil {
+			if err := d.step(); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -2,7 +2,6 @@ package daemon
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"reflect"
 	"strings"
@@ -53,7 +52,7 @@ func TestDaemonKillPointMatrix(t *testing.T) {
 					t.Fatal(err)
 				}
 				for i := 0; i < k; i++ {
-					if err := d.step(context.Background()); err != nil {
+					if err := d.step(); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -125,7 +124,7 @@ func TestRetiredBlocksSurviveCompactedRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 7; i++ {
-		if err := d.step(context.Background()); err != nil {
+		if err := d.step(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -147,7 +146,7 @@ func TestRetiredBlocksSurviveCompactedRestart(t *testing.T) {
 		t.Fatalf("after a compacted restart: status says %d retired, metric %d, want %d", got, retiredGauge(t, d2), want)
 	}
 	// One more tick retires one more block; both views move together.
-	if err := d2.step(context.Background()); err != nil {
+	if err := d2.step(); err != nil {
 		t.Fatal(err)
 	}
 	if got := d2.Status().RetiredBlocks; got != want+1 || retiredGauge(t, d2) != want+1 {

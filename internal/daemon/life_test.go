@@ -1,7 +1,6 @@
 package daemon
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -39,7 +38,7 @@ func TestDaemonLifeGolden(t *testing.T) {
 	}
 	defer d.Close()
 	for n := 0; n < 60; n++ {
-		if err := d.step(context.Background()); err != nil {
+		if err := d.step(); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,7 +1,6 @@
 package daemon
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -37,9 +36,6 @@ type tick struct {
 	n     int          // iteration index, counted from this process's start
 	block data.BlockID // the stream block this iteration ingests
 	span  *trace.Span  // the running phase's span (nil when untraced)
-	// ctx is Run's context carrying span: it cuts the phase's replica
-	// pushes short on shutdown, and a push continues span's trace.
-	ctx context.Context
 }
 
 // ingest generates this tick's block and admits it to the ledger charged
@@ -183,14 +179,11 @@ func (d *Daemon) trainPipeline(t tick, idx int) (attempted bool, err error) {
 			Quality:  res.Quality,
 		},
 	}
-	// Publish → journal (store WAL) → push. A crash after the journal
-	// write re-pushes on restart: a publisher built over a store with
-	// releases reconciles every replica. A push cut short by shutdown
-	// leaves its replicas flagged for the final sync.
+	// Publish → journal (store WAL) → push. The push is the convergers'
+	// and the tick does not wait for it; a crash before it lands is
+	// healed by the next start's sync.
 	version := d.plat.Store.Publish(bundle)
-	if pushErr := d.pub.Push(t.ctx, name, version); pushErr != nil {
-		d.cfg.Logf("daemon: tick %d: push %s@v%d (will heal): %v", n, name, version, pushErr)
-	}
+	d.wakeConvergers(wake{t.span.TraceID(), t.span.SpanID()})
 	d.mu.Lock()
 	d.accepted++
 	d.mu.Unlock()

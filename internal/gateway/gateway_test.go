@@ -574,9 +574,6 @@ func TestOverflowingBatchesLeaveBreakersClosed(t *testing.T) {
 // once the publisher catches it up.
 func TestLaggingReplicaIsDrainedNotKilled(t *testing.T) {
 	f := newFleet(t, 2, 0) // start empty; versions pushed by hand below
-	// Built while the store is empty, so its push below is a plain one
-	// and not a reconcile of everything the replica is missing.
-	onlyV1 := replica.NewPublisher(f.src, f.urls[1:])
 	spec, _ := store.Serialize(&ml.LinearModel{Weights: []float64{1, 1}, Bias: 0})
 	for v := 1; v <= 4; v++ {
 		f.src.Publish(store.Bundle{
@@ -584,12 +581,15 @@ func TestLaggingReplicaIsDrainedNotKilled(t *testing.T) {
 			Features:   map[string][]float64{"hour_speed": hourSpeeds()},
 			Provenance: store.Provenance{Pipeline: "m", Decision: "accept", Quality: float64(v)},
 		})
+		// Replica 1 gets only v1 — 3 versions behind.
+		if v == 1 {
+			if err := replica.NewPublisher(f.src, f.urls[1:]).Sync(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	// Replica 0 gets everything; replica 1 only v1 — 3 versions behind.
+	// Replica 0 gets everything.
 	if err := replica.NewPublisher(f.src, f.urls[:1]).Sync(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if err := onlyV1.Push(context.Background(), "m", 1); err != nil {
 		t.Fatal(err)
 	}
 

@@ -20,10 +20,10 @@ func TestPushAuthRequired(t *testing.T) {
 
 	// No token: 401, permanent (no retry storm), nothing applied.
 	noAuth := NewPublisher(src, []string{srv.URL})
-	if err := noAuth.Push(context.Background(), "bench", 1); err == nil || !strings.Contains(err.Error(), "bearer token") {
+	if err := noAuth.Sync(context.Background()); err == nil || !strings.Contains(err.Error(), "bearer token") {
 		t.Fatalf("unauthenticated push: %v", err)
 	}
-	if !isPermanent(unwrapJoined(t, noAuth.Push(context.Background(), "bench", 1))) {
+	if !isPermanent(unwrapJoined(t, noAuth.Sync(context.Background()))) {
 		t.Fatal("401 should be a permanent error")
 	}
 	if rep.Store().VersionCount("bench") != 0 {
@@ -32,13 +32,13 @@ func TestPushAuthRequired(t *testing.T) {
 
 	// Wrong token: still 401.
 	badAuth := NewPublisher(src, []string{srv.URL}, WithAuth("wrong"))
-	if err := badAuth.Push(context.Background(), "bench", 1); err == nil {
+	if err := badAuth.Sync(context.Background()); err == nil {
 		t.Fatal("wrong-token push accepted")
 	}
 
 	// Right token: applied.
 	auth := NewPublisher(src, []string{srv.URL}, WithAuth("sekrit"))
-	if err := auth.Push(context.Background(), "bench", 1); err != nil {
+	if err := auth.Sync(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if rep.Store().VersionCount("bench") != 1 {
@@ -53,7 +53,7 @@ func TestPushAuthRequired(t *testing.T) {
 	resp.Body.Close()
 }
 
-// unwrapJoined digs the single underlying error out of Push's joined
+// unwrapJoined digs the single underlying error out of Sync's joined
 // per-endpoint errors.
 func unwrapJoined(t *testing.T, err error) error {
 	t.Helper()

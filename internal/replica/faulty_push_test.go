@@ -199,7 +199,7 @@ func TestPushCancellationInterruptsBackoff(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	err = pub.Push(ctx, "m", 1)
+	err = pub.Converge(ctx, srv.URL)
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("push to an always-failing replica returned nil")

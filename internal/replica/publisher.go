@@ -20,33 +20,19 @@ import (
 )
 
 // Publisher is the trainer-side half of the replication protocol: it
-// owns (a reference to) the authoritative store and pushes its releases
-// to a fixed set of replica endpoints. It does two things. A push
-// delivers one release, idempotently (safe to repeat after any
-// failure). A reconcile is the one catch-up path: ask the replica which
-// versions it holds (GET /replica/status) and deliver, in order, every
-// release of every name it is missing. Push and Sync share one attempt
-// loop per endpoint (converge): every attempt after a failed one — a
-// gap reply is a failure like any other — is a reconcile, run after an
-// exponential backoff and within the retry budget.
+// owns (a reference to) the authoritative store and delivers its
+// releases to a fixed set of replica endpoints. Every delivery is a
+// reconcile: ask the replica which versions it holds (GET
+// /replica/status) and deliver, in order, every release of every name
+// it is missing. Converge runs reconciles for one endpoint, each failed
+// one — a gap reply is a failure like any other — followed by another
+// after an exponential backoff and within the retry budget. Nothing is
+// remembered between calls: what a replica lacks is what it reports.
 //
-// Which endpoints need reconciling is worked out from what the
-// publisher observes, not configured. An endpoint is flagged, so that
-// its next push starts with a reconcile,
-//
-//   - when the publisher is built over a store that already holds
-//     releases — a restart: replicas may have missed anything;
-//   - when every attempt to bring it up to date failed — it may miss
-//     more before it is back.
-//
-// A successful reconcile clears the flag. A publisher built over an
-// empty store and never refused therefore sends one POST /push per
-// replica per release and nothing else.
-//
-// Each caller's attempts are its own: concurrent pushes to a lagging
-// replica may each reconcile it, and the duplicates they send are acked
-// as no-ops. The program's callers never do — the daemon pushes and
-// syncs from its loop goroutine, one converge per endpoint at a time.
+// The publisher takes no lock per endpoint. Concurrent converges of one
+// replica each reconcile it, and the duplicates they send are acked as
+// no-ops; the daemon never sends them, because it converges each
+// replica from one goroutine of its own.
 //
 // The per-replica, per-name watermark cache is what each replica last
 // said about itself — every push ack, gap reply and status report
@@ -66,18 +52,24 @@ type Publisher struct {
 
 	mu         sync.Mutex
 	watermarks map[string]map[string]int // endpoint → name → applied versions, as last reported
-	flagged    map[string]bool           // endpoints due a reconcile
 }
+
+// requestTimeout bounds each request of the default client: the replica
+// server's own read timeout (httpkit's, one minute) would cut a push
+// that takes longer short anyway, and a replica that accepts a request
+// and never answers costs one timeout, not the converge.
+const requestTimeout = time.Minute
 
 // Option configures a Publisher.
 type Option func(*Publisher)
 
-// WithClient sets the HTTP client used for pushes (default
-// http.DefaultClient; tests inject httptest clients).
+// WithClient sets the HTTP client used for pushes (default: one whose
+// requests time out after requestTimeout; tests inject httptest
+// clients).
 func WithClient(c *http.Client) Option { return func(p *Publisher) { p.client = c } }
 
-// WithRetry sets how many times a failed push or reconcile is retried
-// per endpoint and the initial backoff, which doubles per attempt. The
+// WithRetry sets how many times a failed reconcile is retried per
+// endpoint and the initial backoff, which doubles per attempt. The
 // defaults are 3 retries starting at 100ms.
 func WithRetry(retries int, backoff time.Duration) Option {
 	return func(p *Publisher) { p.retries, p.backoff = retries, backoff }
@@ -123,25 +115,18 @@ func CheckEndpoints(urls []string) error {
 
 // NewPublisher returns a publisher over the authoritative store,
 // pushing to the given replica base URLs (e.g. "http://10.0.0.7:8081");
-// none is a publisher that pushes nowhere. Over a store that already
-// holds releases every endpoint starts flagged (see Publisher).
+// none is a publisher that pushes nowhere.
 func NewPublisher(src *store.Store, endpoints []string, opts ...Option) *Publisher {
 	p := &Publisher{
 		src:        src,
 		endpoints:  append([]string(nil), endpoints...),
-		client:     http.DefaultClient,
+		client:     &http.Client{Timeout: requestTimeout},
 		retries:    3,
 		backoff:    100 * time.Millisecond,
 		watermarks: make(map[string]map[string]int),
-		flagged:    make(map[string]bool),
 	}
 	for _, o := range opts {
 		o(p)
-	}
-	if len(src.List()) > 0 {
-		for _, ep := range p.endpoints {
-			p.flagged[ep] = true
-		}
 	}
 	return p
 }
@@ -170,30 +155,15 @@ func (p *Publisher) setWatermark(endpoint, name string, version int) {
 	wm[name] = version
 }
 
-// setFlagged marks the endpoint as due, or no longer due, a reconcile.
-func (p *Publisher) setFlagged(endpoint string, due bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.flagged[endpoint] = due
-}
-
-// needsReconcile reports whether a push to the endpoint starts with a
-// reconcile: it is flagged.
-func (p *Publisher) needsReconcile(endpoint string) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.flagged[endpoint]
-}
-
 // Publish publishes the bundle into the authoritative store (assigning
-// the next version, exactly like store.Publish) and pushes it to every
+// the next version, exactly like store.Publish) and syncs every
 // replica. The release is durable in the source store even if every
-// push fails — serving replicas converge on the next Push or Sync. It is
-// for callers without a context: one that has one (the daemon's loop)
-// publishes to the store and calls Push with it.
+// delivery fails — serving replicas converge at the next Sync or
+// Converge. It is for callers without a context: the daemon publishes
+// to its store and wakes its convergers instead.
 func (p *Publisher) Publish(b store.Bundle) (int, error) {
 	version := p.src.Publish(b)
-	return version, p.Push(context.TODO(), b.Name, version)
+	return version, p.Sync(context.TODO())
 }
 
 // sleepBackoff waits out one retry delay with full jitter — a uniform
@@ -219,92 +189,54 @@ func sleepBackoff(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// pushBody is one release ready for the wire: its canonical bytes,
-// sent as they are, and the name and version its errors report.
-type pushBody struct {
-	name    string
-	version int
-	payload []byte
-}
-
 // eachEndpoint runs do against every replica concurrently — each
 // replica's failure is independent, and a stalled one holds up nobody
 // else — and joins the errors of those that did not converge.
-func (p *Publisher) eachEndpoint(do func(endpoint string) error) error {
+func (p *Publisher) eachEndpoint(ctx context.Context, do func(ctx context.Context, endpoint string) error) error {
 	errs := make([]error, len(p.endpoints))
 	var wg sync.WaitGroup
 	for i, ep := range p.endpoints {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[i] = do(ep)
+			errs[i] = do(ctx, ep)
 		}()
 	}
 	wg.Wait()
 	return errors.Join(errs...)
 }
 
-// Push ships name@version from the source store to every replica; a
-// flagged replica is reconciled instead, which delivers this release
-// among everything else it is missing. The context aborts in-flight
-// requests and interrupts retry backoff sleeps. A replica the push
-// fails for is flagged.
-func (p *Publisher) Push(ctx context.Context, name string, version int) error {
-	bundle, ok := p.src.Get(name, version)
-	if !ok {
-		return fmt.Errorf("replica: push %s@v%d: not in source store", name, version)
-	}
-	body := pushBody{name: bundle.Name, version: bundle.Version, payload: bundle.CanonicalBytes()}
-	return p.eachEndpoint(func(ep string) error { return p.converge(ctx, ep, &body) })
-}
+// Sync converges every replica at once — the way a publish, a late
+// joiner or a replica that lost its state is caught up on demand, and
+// the daemon's sweep at start and at drain. A replica that cannot be
+// reached is reported and costs the others nothing; the context bounds
+// the whole sweep.
+func (p *Publisher) Sync(ctx context.Context) error { return p.eachEndpoint(ctx, p.Converge) }
 
-// Sync reconciles every replica, flagged or not — the daemon's sweep at
-// start and at drain, and the way a late joiner or a replica that lost
-// its state without the publisher noticing is caught up on demand. A
-// replica that cannot be reached is reported, stays flagged, and costs
-// the others nothing; the context bounds the whole sweep.
-func (p *Publisher) Sync(ctx context.Context) error {
-	return p.eachEndpoint(func(ep string) error { return p.converge(ctx, ep, nil) })
-}
-
-// converge is the attempt loop Push and Sync share for one endpoint.
-// The first attempt is the plain push of body, unless there is none
-// (Sync) or the endpoint needs a reconcile: then it is one. Every later
-// attempt is a reconcile, after a backoff that doubles from the
-// configured one (full jitter, see sleepBackoff), up to the retry
-// budget; a permanent error or the context ends the loop early. An
-// endpoint left unconverged is flagged.
-func (p *Publisher) converge(ctx context.Context, endpoint string, body *pushBody) error {
-	var err error
-	if body != nil && !p.needsReconcile(endpoint) {
-		err = p.pushOnce(ctx, endpoint, *body)
-	} else {
-		err = p.reconcile(ctx, endpoint)
-	}
+// Converge brings one replica up to date: a reconcile, and after each
+// failed one another, after a backoff that doubles from the configured
+// one (full jitter, see sleepBackoff), up to the retry budget. A
+// permanent error or the context ends it early. The context aborts
+// in-flight requests, and a push continues the trace of its span.
+func (p *Publisher) Converge(ctx context.Context, endpoint string) error {
+	err := p.reconcile(ctx, endpoint)
 	backoff := p.backoff
 	for retry := 0; retry < p.retries && err != nil && !isPermanent(err); retry++ {
 		if serr := sleepBackoff(ctx, backoff); serr != nil {
 			// Cancelled mid-retry: surface both the cancellation and
 			// what we were retrying.
-			err = errors.Join(serr, err)
-			break
+			return errors.Join(serr, err)
 		}
 		backoff *= 2
 		err = p.reconcile(ctx, endpoint)
-	}
-	if err != nil {
-		p.setFlagged(endpoint, true)
 	}
 	return err
 }
 
 // reconcile asks the replica which versions it holds and delivers, in
-// order, every release of every name past that, each once: converge
-// owns the retrying. It trusts only what the replica reports. The flag
-// is cleared first, so a push that fails while a reconcile runs, and
-// flags the endpoint, is never forgotten.
+// order, every release of every name past that, each once: Converge
+// owns the retrying. It trusts only what the replica reports.
 func (p *Publisher) reconcile(ctx context.Context, endpoint string) error {
-	p.setFlagged(endpoint, false)
 	applied, err := p.fetchStatus(ctx, endpoint)
 	if err != nil {
 		return err
@@ -319,8 +251,7 @@ func (p *Publisher) reconcile(ctx context.Context, endpoint string) error {
 			if !ok {
 				return fmt.Errorf("replica: reconcile %s@v%d: not in source store", name, v)
 			}
-			body := pushBody{name: bundle.Name, version: bundle.Version, payload: bundle.CanonicalBytes()}
-			if err := p.pushOnce(ctx, endpoint, body); err != nil {
+			if err := p.pushOnce(ctx, endpoint, bundle); err != nil {
 				return err
 			}
 		}
@@ -361,24 +292,25 @@ func isPermanent(err error) bool {
 	return errors.As(err, &pe)
 }
 
-// pushOnce performs a single POST /push and records the watermark the
-// replica answers with, in its ack or in a gap reply. A gap is an
-// ordinary, retryable failure: the replica is behind, and the attempt
-// after it reconciles.
-func (p *Publisher) pushOnce(ctx context.Context, endpoint string, body pushBody) (err error) {
+// pushOnce performs a single POST /push of the release's canonical
+// bytes and records the watermark the replica answers with, in its ack
+// or in a gap reply. A gap is an ordinary, retryable failure: the
+// replica fell behind since it reported its status, and the attempt
+// after it reconciles again.
+func (p *Publisher) pushOnce(ctx context.Context, endpoint string, b *store.Bundle) (err error) {
 	defer func() {
 		if err != nil {
-			err = fmt.Errorf("replica: push %s@v%d to %s: %w", body.name, body.version, endpoint, err)
+			err = fmt.Errorf("replica: push %s@v%d to %s: %w", b.Name, b.Version, endpoint, err)
 		}
 	}()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, endpoint+"/push", bytes.NewReader(body.payload))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, endpoint+"/push", bytes.NewReader(b.CanonicalBytes()))
 	if err != nil {
 		return err
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
-	// The push continues the caller's trace (the daemon's tick) into the
-	// replica's server span, as fetchStatus does; untraced, there is no
-	// span to inject.
+	// The push continues the caller's trace (the daemon's push span) into
+	// the replica's server span, as fetchStatus does; untraced, there is
+	// no span to inject.
 	trace.Inject(trace.FromContext(ctx), req.Header)
 	if p.authToken != "" {
 		req.Header.Set("Authorization", "Bearer "+p.authToken)

@@ -3,6 +3,7 @@ package replica
 import (
 	"context"
 	"errors"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -16,23 +17,19 @@ import (
 	"repro/internal/store"
 )
 
-// isFlagged reports whether the endpoint is due a reconcile.
-func (p *Publisher) isFlagged(endpoint string) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.flagged[endpoint]
-}
-
 // rigReplica is one in-process replica behind a URL that outlives it:
 // the server can be swapped for an empty one (a restart without a disk),
 // faults are injected in front of it, and every request that arrives at
-// the URL is counted by kind, faulted or not.
+// the URL is counted by kind, faulted or not. While wipeAfterStatus is
+// set, the next status reply is followed by a restart before the
+// publisher reads it.
 type rigReplica struct {
-	url   string
-	srv   atomic.Pointer[Server]
-	inj   *faulty.Injector
-	posts atomic.Int32 // POST /push
-	gets  atomic.Int32 // GET /replica/status
+	url             string
+	srv             atomic.Pointer[Server]
+	inj             *faulty.Injector
+	posts           atomic.Int32 // POST /push
+	gets            atomic.Int32 // GET /replica/status
+	wipeAfterStatus atomic.Bool
 }
 
 func newRigReplica(t *testing.T, seed uint64) *rigReplica {
@@ -48,6 +45,12 @@ func newRigReplica(t *testing.T, seed uint64) *rigReplica {
 			r.posts.Add(1)
 		case "GET /replica/status":
 			r.gets.Add(1)
+			// The reply is flushed once the handler returns, after this.
+			defer func() {
+				if r.wipeAfterStatus.Swap(false) {
+					r.restart()
+				}
+			}()
 		}
 		inner.ServeHTTP(w, req)
 	}))
@@ -111,10 +114,10 @@ func urlsOf(reps []*rigReplica) []string {
 	return urls
 }
 
-// TestPublisherContract pins what a publisher sends and when an endpoint
-// is flagged. seeded is how many releases of "a" and of "b" the source
-// holds before the publisher is built over it; prefix[i] how many of
-// each replica i already applied.
+// TestPublisherContract pins what a publisher sends and which replicas
+// it leaves behind. seeded is how many releases of "a" and of "b" the
+// source holds before the publisher is built over it; prefix[i] how many
+// of each replica i already applied.
 func TestPublisherContract(t *testing.T) {
 	ctx := context.Background()
 	down := faulty.Rule{Mode: faulty.Error}
@@ -123,14 +126,15 @@ func TestPublisherContract(t *testing.T) {
 		seeded int
 		prefix []int
 		drive  func(t *testing.T, src *store.Store, pub *Publisher, reps []*rigReplica)
-		// wantFlagged[i] is replica i's flag once drive returns; a
-		// replica that is not flagged must have converged.
-		wantFlagged []bool
+		// wantBehind[i] says replica i lacks releases once drive returns;
+		// a replica that is not behind must have converged.
+		wantBehind []bool
 	}{
 		{
 			// (i) The benchmark fleets' traffic: over an empty store and
-			// never refused, a release is one POST per replica and nothing
-			// else — the first and every later one.
+			// never refused, a release is one reconcile per replica — one
+			// GET and one POST — and nothing else, the first and every
+			// later one.
 			name: "empty-store", prefix: []int{0, 0},
 			drive: func(t *testing.T, src *store.Store, pub *Publisher, reps []*rigReplica) {
 				for range 3 {
@@ -138,19 +142,19 @@ func TestPublisherContract(t *testing.T) {
 						t.Fatal(err)
 					}
 					for i, r := range reps {
-						if posts, gets := r.traffic(); posts != 1 || gets != 0 {
-							t.Fatalf("replica %d saw %d POST /push and %d GET /replica/status for one Publish, want 1 and 0", i, posts, gets)
+						if posts, gets := r.traffic(); posts != 1 || gets != 1 {
+							t.Fatalf("replica %d saw %d POST /push and %d GET /replica/status for one Publish, want 1 and 1", i, posts, gets)
 						}
 					}
 				}
 			},
-			wantFlagged: []bool{false, false},
+			wantBehind: []bool{false, false},
 		},
 		{
 			// (ii) A restart: the source holds releases the publisher never
 			// pushed. Sync reconciles a replica holding a prefix and an
-			// empty one; the one unreachable during Sync is reconciled by
-			// its first successful push, with no further Sync.
+			// empty one; the one unreachable during Sync gets everything it
+			// missed with the next release's reconcile.
 			name: "restart", seeded: 3, prefix: []int{1, 0, 0},
 			drive: func(t *testing.T, src *store.Store, pub *Publisher, reps []*rigReplica) {
 				reps[2].inj.Set(down)
@@ -160,27 +164,28 @@ func TestPublisherContract(t *testing.T) {
 				}
 				requireConverged(t, pub, src, reps[0])
 				requireConverged(t, pub, src, reps[1])
-				if !pub.isFlagged(reps[2].url) || pub.isFlagged(reps[0].url) || pub.isFlagged(reps[1].url) {
-					t.Fatal("after Sync only the unreachable replica may be flagged")
-				}
 				reps[2].inj.Clear()
-				if err := pub.Push(ctx, "a", release(src, "a")); err != nil {
-					t.Fatal(err)
-				}
-				// Reconciled means plain pushes from here on.
 				for _, r := range reps {
 					r.traffic()
 				}
-				if err := pub.Push(ctx, "b", release(src, "b")); err != nil {
+				if _, err := pub.Publish(nextBundle(src, "a")); err != nil {
+					t.Fatal(err)
+				}
+				for i, want := range []int{1, 1, 7} { // replica 2: v1–v4 of a, v1–v3 of b
+					if posts, gets := reps[i].traffic(); posts != want || gets != 1 {
+						t.Fatalf("replica %d saw %d POST and %d GET for one release, want %d and 1", i, posts, gets, want)
+					}
+				}
+				if _, err := pub.Publish(nextBundle(src, "b")); err != nil {
 					t.Fatal(err)
 				}
 				for i, r := range reps {
-					if posts, gets := r.traffic(); posts != 1 || gets != 0 {
-						t.Fatalf("reconciled replica %d saw %d POST and %d GET for one push, want 1 and 0", i, posts, gets)
+					if posts, gets := r.traffic(); posts != 1 || gets != 1 {
+						t.Fatalf("reconciled replica %d saw %d POST and %d GET for one release, want 1 and 1", i, posts, gets)
 					}
 				}
 			},
-			wantFlagged: []bool{false, false, false},
+			wantBehind: []bool{false, false, false},
 		},
 		{
 			// (iii) Sync with a replica that accepts connections and never
@@ -205,29 +210,27 @@ func TestPublisherContract(t *testing.T) {
 					}
 				}
 			},
-			wantFlagged: []bool{true, false, false},
+			wantBehind: []bool{true, false, false},
 		},
 		{
-			// (iv) A push that fails flags the endpoint, so what it missed
-			// while it was away — other names too — arrives with the next
-			// push that gets through.
+			// (iv) A delivery that fails leaves its replica behind, and what
+			// it missed while it was away — other names too — arrives with
+			// the next delivery that gets through.
 			name: "failed-push", prefix: []int{0, 0},
 			drive: func(t *testing.T, src *store.Store, pub *Publisher, reps []*rigReplica) {
 				reps[1].inj.Set(down)
-				err := pub.Push(ctx, "a", release(src, "a"))
-				if err == nil || !strings.Contains(err.Error(), reps[1].url) {
-					t.Fatalf("push with replica 1 down = %v, want its error", err)
+				_, err := pub.Publish(nextBundle(src, "a"))
+				if err == nil || !strings.Contains(err.Error(), reps[1].url) || strings.Contains(err.Error(), reps[0].url) {
+					t.Fatalf("publish with replica 1 down = %v, want its error alone", err)
 				}
-				if !pub.isFlagged(reps[1].url) || pub.isFlagged(reps[0].url) {
-					t.Fatal("only the replica the push failed for may be flagged")
-				}
-				_ = pub.Push(ctx, "b", release(src, "b"))
+				requireConverged(t, pub, src, reps[0])
+				_, _ = pub.Publish(nextBundle(src, "b"))
 				reps[1].inj.Clear()
-				if err := pub.Push(ctx, "a", release(src, "a")); err != nil {
+				if _, err := pub.Publish(nextBundle(src, "a")); err != nil {
 					t.Fatal(err)
 				}
 			},
-			wantFlagged: []bool{false, false},
+			wantBehind: []bool{false, false},
 		},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -251,11 +254,10 @@ func TestPublisherContract(t *testing.T) {
 			pub := NewPublisher(src, urlsOf(reps), WithRetry(1, time.Millisecond))
 			c.drive(t, src, pub, reps)
 			for i, r := range reps {
-				if got := pub.isFlagged(r.url); got != c.wantFlagged[i] {
-					t.Errorf("replica %d flagged = %v, want %v", i, got, c.wantFlagged[i])
-				}
-				if !c.wantFlagged[i] {
+				if !c.wantBehind[i] {
 					requireConverged(t, pub, src, r)
+				} else if maps.Equal(r.srv.Load().Store().Watermarks(), src.Watermarks()) {
+					t.Errorf("replica %d holds every release, want it behind", i)
 				}
 			}
 		})
@@ -264,17 +266,16 @@ func TestPublisherContract(t *testing.T) {
 
 // TestReplicaRestartMidRunConverges: a replica that comes back empty
 // while the publisher runs is not where the publisher thinks it is. The
-// gap reply to the next release says so; the retry after it is a
-// reconcile, so the name that got no new release converges too, and the
-// cache follows the replica down instead of reporting it current.
+// status read of the next release's reconcile says so, so the name that
+// got no new release converges too, and the cache follows the replica
+// down instead of reporting it current.
 func TestReplicaRestartMidRunConverges(t *testing.T) {
-	ctx := context.Background()
 	src := store.New()
 	rep := newRigReplica(t, 1)
 	pub := NewPublisher(src, []string{rep.url}, WithRetry(1, time.Millisecond))
 	for range 3 {
 		for _, name := range []string{"a", "b"} {
-			if err := pub.Push(ctx, name, release(src, name)); err != nil {
+			if _, err := pub.Publish(nextBundle(src, name)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -283,7 +284,7 @@ func TestReplicaRestartMidRunConverges(t *testing.T) {
 
 	rep.restart()
 	for range 2 {
-		if err := pub.Push(ctx, "a", release(src, "a")); err != nil {
+		if _, err := pub.Publish(nextBundle(src, "a")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -295,28 +296,25 @@ func TestReplicaRestartMidRunConverges(t *testing.T) {
 			}
 		}
 	}
-	if pub.isFlagged(rep.url) {
-		t.Error("reconciled replica still flagged")
-	}
 }
 
-// TestSyncHealsRestartedReplica: Sync asks every replica, flagged or
-// not, so one that restarted empty without the publisher having heard
-// from it since — the cache still says current — is backfilled from
-// what it reports.
+// TestSyncHealsRestartedReplica: Sync asks every replica, whatever the
+// cache says, so one that restarted empty without the publisher having
+// heard from it since — the cache still says current — is backfilled
+// from what it reports.
 func TestSyncHealsRestartedReplica(t *testing.T) {
 	ctx := context.Background()
 	src := store.New()
 	rep := newRigReplica(t, 1)
 	pub := NewPublisher(src, []string{rep.url}, WithRetry(1, time.Millisecond))
 	for range 2 {
-		if err := pub.Push(ctx, "a", release(src, "a")); err != nil {
+		if _, err := pub.Publish(nextBundle(src, "a")); err != nil {
 			t.Fatal(err)
 		}
 	}
 	rep.restart()
-	if wm := pub.Watermark(rep.url, "a"); wm != 2 || pub.isFlagged(rep.url) {
-		t.Fatalf("precondition: cached watermark %d (want 2), flagged %v (want false)", wm, pub.isFlagged(rep.url))
+	if wm := pub.Watermark(rep.url, "a"); wm != 2 {
+		t.Fatalf("precondition: cached watermark %d, want 2", wm)
 	}
 	if err := pub.Sync(ctx); err != nil {
 		t.Fatalf("sync after restart: %v", err)
@@ -324,27 +322,30 @@ func TestSyncHealsRestartedReplica(t *testing.T) {
 	requireConverged(t, pub, src, rep)
 }
 
-// TestHealRidesOutABlipDuringGapCatchUp: a replica two versions behind
-// answers the next release with a gap, and the catch-up after it meets
-// one failed POST /push. With retries left that costs one more
-// reconcile, not the push.
+// TestHealRidesOutABlipDuringGapCatchUp: a replica that holds v1 and v2
+// and loses them between its status reply and the push of v3 answers
+// with a gap, and the catch-up after it meets one failed POST /push.
+// With retries left that costs one more reconcile, not the delivery.
 func TestHealRidesOutABlipDuringGapCatchUp(t *testing.T) {
 	src := store.New()
 	rep := newRigReplica(t, 1)
 	pub := NewPublisher(src, []string{rep.url}, WithRetry(3, time.Millisecond))
-	release(src, "m")
-	release(src, "m")
+	for range 2 {
+		if _, err := pub.Publish(nextBundle(src, "m")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep.traffic()
+	rep.wipeAfterStatus.Store(true)
 	rep.blipSecondPush()
-	if err := pub.Push(context.Background(), "m", release(src, "m")); err != nil {
-		t.Fatalf("push with one blip and retries left: %v", err)
+	if _, err := pub.Publish(nextBundle(src, "m")); err != nil {
+		t.Fatalf("delivery with one blip and retries left: %v", err)
 	}
 	requireConverged(t, pub, src, rep)
-	if pub.isFlagged(rep.url) {
-		t.Error("converged replica still flagged")
-	}
-	// v3 (gap); a reconcile: v1 (the blip); a reconcile: v1, v2, v3.
-	if posts, gets := rep.traffic(); posts != 5 || gets != 2 {
-		t.Errorf("%d POST /push and %d GET /replica/status, want 5 and 2", posts, gets)
+	// A reconcile: v3 (gap); a reconcile: v1 (the blip); a reconcile:
+	// v1, v2, v3.
+	if posts, gets := rep.traffic(); posts != 5 || gets != 3 {
+		t.Errorf("%d POST /push and %d GET /replica/status, want 5 and 3", posts, gets)
 	}
 }
 
@@ -362,20 +363,18 @@ func TestHealRidesOutABlipDuringSync(t *testing.T) {
 		t.Fatalf("sync with one blip and retries left: %v", err)
 	}
 	requireConverged(t, pub, src, rep)
-	if pub.isFlagged(rep.url) {
-		t.Error("converged replica still flagged")
-	}
 	// A reconcile: v1, v2 (the blip); a reconcile: v2, v3.
 	if posts, gets := rep.traffic(); posts != 4 || gets != 2 {
 		t.Errorf("%d POST /push and %d GET /replica/status, want 4 and 2", posts, gets)
 	}
 }
 
-// TestSelfHealingConcurrentPushes: racing pushes to a flagged endpoint
+// TestSelfHealingConcurrentPushes: racing converges of one endpoint
 // reconcile it concurrently without corrupting the bookkeeping (run with
-// -race).
+// -race); the duplicates they send are acked as no-ops.
 func TestSelfHealingConcurrentPushes(t *testing.T) {
 	src := store.New()
+	release(src, "a")
 	release(src, "a")
 	rep := newRigReplica(t, 1)
 	pub := NewPublisher(src, []string{rep.url})
@@ -384,25 +383,27 @@ func TestSelfHealingConcurrentPushes(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := pub.Push(context.Background(), "a", 1); err != nil {
-				t.Errorf("concurrent push: %v", err)
+			if err := pub.Converge(context.Background(), rep.url); err != nil {
+				t.Errorf("concurrent converge: %v", err)
 			}
 		}()
 	}
 	wg.Wait()
 	requireConverged(t, pub, src, rep)
-	if pub.isFlagged(rep.url) {
-		t.Error("endpoint still flagged after four successful pushes")
-	}
 }
 
 // TestPublisherBoundsReplies: a replica that answers with an endless
 // JSON string costs the publisher httpkit.StatusReplyBytes of reading
-// and an error, not its heap — for a status reply (Sync) and for a push
-// ack (Push) alike.
+// and an error, not its heap — for a status reply and for a push ack
+// alike.
 func TestPublisherBoundsReplies(t *testing.T) {
+	var ackOnly atomic.Bool // status replies are well formed, push acks endless
 	endless := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
+		if ackOnly.Load() && r.URL.Path == "/replica/status" {
+			_, _ = w.Write([]byte(`{"watermarks":{}}`))
+			return
+		}
 		_, _ = w.Write([]byte(`{"name":"`))
 		chunk := []byte(strings.Repeat("a", 32<<10))
 		for r.Context().Err() == nil {
@@ -419,15 +420,13 @@ func TestPublisherBoundsReplies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := src.Publish(store.Bundle{Name: "m", Model: spec})
+	src.Publish(store.Bundle{Name: "m", Model: spec})
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	for name, call := range map[string]func() error{
-		"Push": func() error { return pub.Push(ctx, "m", v) }, // not flagged: a plain push
-		"Sync": func() error { return pub.Sync(ctx) },
-	} {
-		if err := call(); err == nil || !strings.Contains(err.Error(), "reply exceeds") {
-			t.Errorf("%s against an endless reply: %v, want the reply cap's error", name, err)
+	for _, reply := range []string{"status reply", "push ack"} {
+		ackOnly.Store(reply == "push ack")
+		if err := pub.Sync(ctx); err == nil || !strings.Contains(err.Error(), "reply exceeds") {
+			t.Errorf("Sync against an endless %s: %v, want the reply cap's error", reply, err)
 		}
 	}
 }

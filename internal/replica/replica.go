@@ -23,9 +23,9 @@
 //     digest of the pushed bytes against the applied release and acks
 //     without reapplying; a digest mismatch is a 409 — a release can
 //     never be silently replaced.
-//   - version > watermark+1 → 409 with the watermark. The replica is
-//     behind, and the publisher's next attempt reconciles it (see
-//     Catching up).
+//   - version > watermark+1 → 409 with the watermark. The replica fell
+//     behind since it reported its status, and the publisher's next
+//     attempt reconciles it again (see Catching up).
 //
 // Every stored release carries the model it serves, built as the
 // release is applied, so a release whose model does not build is
@@ -41,18 +41,16 @@
 //
 // A replica falls behind by joining late, by restarting without its
 // state, or by being unreachable while releases were made. There is one
-// way back: the publisher reconciles it — reads GET /replica/status and
-// pushes, in order, every release of every name past the watermarks the
-// replica reports. Nothing selects this. Every retry is a reconcile: a
-// push that fails, a gap reply included, is followed by one after a
-// backoff. The publisher starts with a reconcile where it has reason to
-// doubt an endpoint (built over a store that already holds releases,
-// or one left unconverged when its retries ran out — see Publisher),
-// and reconciles all of them when asked to (Publisher.Sync, which the
-// daemon calls at start and at drain). Each reconcile is one attempt of
-// the caller that needs it; the daemon, which pushes from one goroutine,
-// never has two in flight to one replica. The watermarks a publisher caches are what each replica last said,
-// never an input to a decision.
+// way to deliver, and it is also the way back: the publisher reconciles
+// the replica — reads GET /replica/status and pushes, in order, every
+// release of every name past the watermarks the replica reports.
+// Nothing selects this and nothing is remembered between deliveries:
+// every delivery is a reconcile (Publisher.Converge), and every retry
+// after a failed one, a gap reply included, is another after a backoff.
+// Publisher.Sync converges every replica at once. The daemon converges
+// each replica from one goroutine of its own, so no replica ever has two
+// of its requests in flight. The watermarks a publisher caches are what
+// each replica last said, never an input to a decision.
 //
 // # On the wire
 //

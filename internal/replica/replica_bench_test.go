@@ -37,9 +37,10 @@ func benchBundle(version int) store.Bundle {
 	return b
 }
 
-// BenchmarkBundlePush measures push latency end to end: canonical
-// encode, HTTP POST, replica-side decode, digest-checked apply (every odd
-// iteration re-pushes the same version, so both the apply and the
+// BenchmarkBundlePush measures one push end to end — the request a
+// reconcile sends per missing version: canonical encode, HTTP POST,
+// replica-side decode, digest-checked apply (every odd iteration
+// re-pushes the same version, so both the apply and the
 // idempotent-duplicate paths are on the clock, as they are in a real
 // anti-entropy sweep).
 func BenchmarkBundlePush(b *testing.B) {
@@ -50,18 +51,20 @@ func BenchmarkBundlePush(b *testing.B) {
 	pub := NewPublisher(src, []string{srv.URL}, WithClient(srv.Client()),
 		WithRetry(1, time.Millisecond))
 
-	version := src.Publish(benchBundle(1))
-	if err := pub.Push(context.Background(), "bench", version); err != nil {
-		b.Fatal(err)
+	push := func(version int) {
+		bundle, _ := src.Get("bench", version)
+		if err := pub.pushOnce(context.Background(), srv.URL, bundle); err != nil {
+			b.Fatal(err)
+		}
 	}
+	version := src.Publish(benchBundle(1))
+	push(version)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if i%2 == 0 {
 			version = src.Publish(benchBundle(i))
 		}
-		if err := pub.Push(context.Background(), "bench", version); err != nil {
-			b.Fatal(err)
-		}
+		push(version)
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pushes/s")
@@ -79,18 +82,22 @@ func BenchmarkBundlePushFanout3(b *testing.B) {
 		urls = append(urls, srv.URL)
 	}
 	pub := NewPublisher(src, urls, WithRetry(1, time.Millisecond))
-	version := src.Publish(benchBundle(1))
-	if err := pub.Push(context.Background(), "bench", version); err != nil {
-		b.Fatal(err)
+	push := func(version int) {
+		bundle, _ := src.Get("bench", version)
+		if err := pub.eachEndpoint(context.Background(), func(ctx context.Context, ep string) error {
+			return pub.pushOnce(ctx, ep, bundle)
+		}); err != nil {
+			b.Fatal(err)
+		}
 	}
+	version := src.Publish(benchBundle(1))
+	push(version)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if i%2 == 0 {
 			version = src.Publish(benchBundle(i))
 		}
-		if err := pub.Push(context.Background(), "bench", version); err != nil {
-			b.Fatal(err)
-		}
+		push(version)
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pushes/s")

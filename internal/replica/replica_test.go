@@ -16,6 +16,7 @@ import (
 	"repro/internal/adaptive"
 	"repro/internal/core"
 	"repro/internal/data"
+	"repro/internal/httpkit"
 	"repro/internal/ml"
 	"repro/internal/pipeline"
 	"repro/internal/privacy"
@@ -222,14 +223,12 @@ func TestReplicatedServingEndToEnd(t *testing.T) {
 }
 
 // TestPushGapTriggersBackfill covers the protocol's self-healing: a
-// publisher that pushes only the newest version to a behind replica
-// gets a 409 with the replica's watermark, and its retry — a reconcile —
-// must deliver the missing versions in order, transparently.
+// push of only the newest version to a behind replica gets a 409 with
+// the replica's watermark, a retryable error, and a converge after it —
+// a reconcile — delivers the missing versions in order.
 func TestPushGapTriggersBackfill(t *testing.T) {
 	src := store.New()
 	rep, srv := newReplica(t)
-	// Built over the empty store, so the endpoint is not flagged and the
-	// push below is a plain one.
 	pub := NewPublisher(src, []string{srv.URL}, WithRetry(1, time.Millisecond))
 	spec, _ := store.Serialize(&ml.LinearModel{Weights: []float64{1}, Bias: 0})
 	for i := 0; i < 3; i++ {
@@ -237,12 +236,17 @@ func TestPushGapTriggersBackfill(t *testing.T) {
 		b.Provenance.Quality = float64(i)
 		src.Publish(b)
 	}
-	// Push only v3: the replica (watermark 0) must end up with 1..3.
-	if err := pub.Push(context.Background(), "m", 3); err != nil {
-		t.Fatalf("push with gap: %v", err)
+	// Push only v3: the replica (watermark 0) refuses it with a gap.
+	v3, _ := src.Get("m", 3)
+	if err := pub.pushOnce(context.Background(), srv.URL, v3); err == nil || isPermanent(err) {
+		t.Fatalf("push of v3 to an empty replica = %v, want a retryable gap error", err)
 	}
-	if pub.isFlagged(srv.URL) {
-		t.Error("the reconcile after the gap succeeded: the replica must not stay flagged")
+	if wm := pub.Watermark(srv.URL, "m"); wm != 0 {
+		t.Errorf("publisher watermark after the gap reply = %d, want 0", wm)
+	}
+	// The replica must end up with 1..3.
+	if err := pub.Converge(context.Background(), srv.URL); err != nil {
+		t.Fatalf("converge after the gap: %v", err)
 	}
 	if got := rep.Store().VersionCount("m"); got != 3 {
 		t.Fatalf("replica has %d version(s), want 3 (backfilled)", got)
@@ -276,20 +280,18 @@ func TestPushRetriesTransientErrors(t *testing.T) {
 	}))
 	defer flaky.Close()
 
-	// This publisher is built before the release exists, so its endpoint
-	// is not flagged and its first attempt is a plain push.
 	src := store.New()
 	pub := NewPublisher(src, []string{flaky.URL}, WithRetry(3, time.Millisecond))
 	spec, _ := store.Serialize(&ml.LinearModel{Weights: []float64{2}, Bias: 1})
 	src.Publish(store.Bundle{Name: "m", Model: spec})
-	if err := pub.Push(context.Background(), "m", 1); err != nil {
+	if err := pub.Sync(context.Background()); err != nil {
 		t.Fatalf("push through flaky replica: %v", err)
 	}
 	if got := rep.Store().VersionCount("m"); got != 1 {
 		t.Fatalf("replica store has %d versions, want 1", got)
 	}
 	if calls.Load() != 4 {
-		t.Errorf("push took %d requests, want 4: a 503 to the push, a 503 to the retry's status read, then the status read and the push", calls.Load())
+		t.Errorf("delivery took %d requests, want 4: a 503 to the status read, a 503 to the retry's, then the status read and the push", calls.Load())
 	}
 
 	// Exhausted retries surface as an error.
@@ -298,15 +300,21 @@ func TestPushRetriesTransientErrors(t *testing.T) {
 	}))
 	defer dead.Close()
 	pubDead := NewPublisher(src, []string{dead.URL}, WithRetry(1, time.Millisecond))
-	if err := pubDead.Push(context.Background(), "m", 1); err == nil {
+	if err := pubDead.Sync(context.Background()); err == nil {
 		t.Error("push to permanently-down replica reported success")
 	}
 
 	// Divergence is permanent: same (name, version), different content
-	// must be rejected without retrying.
+	// must be rejected without retrying. A reconcile pushes only what a
+	// replica says it lacks, so this one's status reply understates what
+	// it holds.
 	var divergeCalls atomic.Int32
 	countingRep := NewServer()
 	counting := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/replica/status" {
+			httpkit.WriteJSON(w, http.StatusOK, Status{})
+			return
+		}
 		divergeCalls.Add(1)
 		countingRep.Handler().ServeHTTP(w, r)
 	}))
@@ -321,7 +329,7 @@ func TestPushRetriesTransientErrors(t *testing.T) {
 	srcDiv := store.New()
 	pubDiv := NewPublisher(srcDiv, []string{counting.URL}, WithRetry(5, time.Millisecond))
 	srcDiv.Publish(store.Bundle{Name: "m", Model: spec})
-	if err := pubDiv.Push(context.Background(), "m", 1); err == nil {
+	if err := pubDiv.Sync(context.Background()); err == nil {
 		t.Fatal("divergent push reported success")
 	}
 	if divergeCalls.Load() != 1 {
@@ -349,7 +357,7 @@ func TestPushRetriesTransientErrors(t *testing.T) {
 	srcUnservable := store.New()
 	pubUnservable := NewPublisher(srcUnservable, []string{unservable.URL}, WithRetry(3, time.Millisecond))
 	srcUnservable.Publish(store.Bundle{Name: "m", Model: spec})
-	if err := pubUnservable.Push(context.Background(), "m", 1); err == nil {
+	if err := pubUnservable.Sync(context.Background()); err == nil {
 		t.Fatal("push of a release the replica cannot build reported success")
 	}
 	if unservableCalls.Load() != 1 || unservableRep.pushRejected.Value() != 1 {
@@ -358,7 +366,12 @@ func TestPushRetriesTransientErrors(t *testing.T) {
 	}
 
 	var tooLargeCalls atomic.Int32
-	tooLarge := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+	tooLargeRep := NewServer()
+	tooLarge := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/push" {
+			tooLargeRep.Handler().ServeHTTP(w, r)
+			return
+		}
 		tooLargeCalls.Add(1)
 		http.Error(w, "too large", http.StatusRequestEntityTooLarge)
 	}))
@@ -366,7 +379,7 @@ func TestPushRetriesTransientErrors(t *testing.T) {
 	srcLarge := store.New()
 	pubLarge := NewPublisher(srcLarge, []string{tooLarge.URL}, WithRetry(3, time.Millisecond))
 	srcLarge.Publish(store.Bundle{Name: "m", Model: spec})
-	if err := pubLarge.Push(context.Background(), "m", 1); err == nil {
+	if err := pubLarge.Sync(context.Background()); err == nil {
 		t.Fatal("push answered 413 reported success")
 	}
 	if tooLargeCalls.Load() != 1 {
@@ -391,7 +404,7 @@ func TestPushRacesPredict(t *testing.T) {
 
 	rep, srv := newReplica(t)
 	pub := NewPublisher(src, []string{srv.URL}, WithRetry(2, time.Millisecond))
-	if err := pub.Push(context.Background(), "m", 1); err != nil {
+	if err := pub.Sync(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -445,7 +458,7 @@ func TestPushRacesPredict(t *testing.T) {
 	}
 	for v := 2; v <= versions; v++ {
 		src.Publish(store.Bundle{Name: "m", Model: mkSpec(v)})
-		if err := pub.Push(context.Background(), "m", v); err != nil {
+		if err := pub.Sync(context.Background()); err != nil {
 			t.Fatalf("push v%d during predicts: %v", v, err)
 		}
 	}

@@ -54,6 +54,9 @@ func TestCanonicalBundleRoundTrip(t *testing.T) {
 	for name, b := range cases {
 		t.Run(name, func(t *testing.T) {
 			raw := b.CanonicalBytes()
+			if len(raw) != cap(raw) {
+				t.Errorf("encoded %d bytes into a buffer sized %d: the up-front size is wrong", len(raw), cap(raw))
+			}
 			got, err := DecodeCanonicalBundle(raw)
 			if err != nil {
 				t.Fatal(err)

@@ -201,20 +201,27 @@ type Bundle struct {
 // push verifies, the payload the write-ahead log journals for each
 // publish (the WAL record's checksum therefore covers exactly the bytes
 // the digest covers), and the record replay decodes during crash
-// recovery.
+// recovery. The buffer is sized up front: one allocation per encoding.
 func (b *Bundle) CanonicalBytes() []byte {
-	buf := core.AppendString(nil, b.Name)
+	m, p := &b.Model, &b.Provenance
+	keys := b.FeatureKeys()
+	// 15 fixed words, then what the strings and slices hold.
+	n := 8*(15+len(m.Weights)+len(m.Hidden)+len(m.Params)+len(p.Blocks)) +
+		len(b.Name) + len(m.Kind) + len(p.Pipeline) + len(p.Decision)
+	for _, k := range keys {
+		n += 16 + len(k) + 8*len(b.Features[k])
+	}
+	buf := core.AppendString(make([]byte, 0, n), b.Name)
 	buf = core.AppendUint(buf, uint64(b.Version))
-	buf = core.AppendString(buf, b.Model.Kind)
-	buf = core.AppendFloats(buf, b.Model.Weights)
-	buf = core.AppendFloat(buf, b.Model.Bias)
-	buf = core.AppendUint(buf, uint64(b.Model.Dim))
-	buf = core.AppendUint(buf, uint64(len(b.Model.Hidden)))
-	for _, h := range b.Model.Hidden {
+	buf = core.AppendString(buf, m.Kind)
+	buf = core.AppendFloats(buf, m.Weights)
+	buf = core.AppendFloat(buf, m.Bias)
+	buf = core.AppendUint(buf, uint64(m.Dim))
+	buf = core.AppendUint(buf, uint64(len(m.Hidden)))
+	for _, h := range m.Hidden {
 		buf = core.AppendUint(buf, uint64(h))
 	}
-	buf = core.AppendFloats(buf, b.Model.Params)
-	keys := b.FeatureKeys()
+	buf = core.AppendFloats(buf, m.Params)
 	buf = core.AppendUint(buf, uint64(len(keys)))
 	for _, k := range keys {
 		buf = core.AppendString(buf, k)
@@ -222,7 +229,6 @@ func (b *Bundle) CanonicalBytes() []byte {
 	}
 	// Provenance: the block list in ledger order, as recorded — the
 	// order blocks were read is itself part of the audit trail.
-	p := b.Provenance
 	buf = core.AppendString(buf, p.Pipeline)
 	buf = core.AppendFloat(buf, p.Spent.Epsilon)
 	buf = core.AppendFloat(buf, p.Spent.Delta)
