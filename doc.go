@@ -137,12 +137,12 @@
 // duplicates after verifying the release's digest, and answers
 // out-of-order pushes with a 409 carrying its applied-version
 // watermark. Every delivery is a reconcile (below), and so is every
-// retry: a gap reply, a transport error and a 5xx are all followed,
-// after an exponential backoff, by the same catch-up; late joiners are
-// just the degenerate case: watermark 0, deliver everything. A refused
-// token, a malformed or oversized bundle and a divergent release (same
-// version, different digest) are permanent errors and never retried — a
-// release can be repeated, never replaced.
+// retry: after a gap reply, a transport error or a 5xx the daemon's
+// converger for that replica runs the same catch-up again retryAfter
+// later; late joiners are just the degenerate case: watermark 0. A
+// refused token, a malformed or oversized bundle and a divergent release
+// (same version, different digest) are permanent errors, not retried
+// before the next release — a release can be repeated, never replaced.
 // `sagectl replica` runs a replica; `sagectl serve -push <urls>` (or
 // `sagectl daemon -push`) publishes through the tier.
 // BENCH_replica.json records push latency and per-replica throughput.

@@ -25,7 +25,6 @@ var testOnly = map[string]string{
 	"faulty": "fault injection for the gateway and replica tests",
 	"safety": "the allocation-budget helpers the alloc tests assert with",
 
-	"replica.WithRetry":                             "test seam: the replica tests shorten the publisher's retry schedule",
 	"core.AccessControl.StreamLossWatermark":        "the race tests' lock-free probe of the ledger ceiling at every instant",
 	"privacy.StrongCompose":                         "the strong-composition ablation (BenchmarkAblationComposition)",
 	"privacy.AdaptiveStrongCompose":                 "the adaptive strong-composition ablation (BenchmarkAblationComposition)",

@@ -154,8 +154,8 @@ type Config struct {
 	// should bring the tier current — push every straggler its missing
 	// releases — but an unreachable or hung replica must not park the
 	// daemon: past the deadline the sync is cut short, and the replica
-	// converges once its converger gets through to it, or at the next
-	// daemon start (its gateway keeps it drained until it catches up).
+	// converges once its converger, retrying every retryAfter, gets
+	// through to it (its gateway keeps it drained until it catches up).
 	// Shutdown ordering stays sync-then-close so replicas are as current
 	// as possible the moment the WAL seals.
 	DrainTimeout time.Duration
@@ -348,15 +348,19 @@ func New(cfg Config) (*Daemon, durable.Stats, error) {
 			}, metrics.Label{Name: "endpoint", Value: ep})
 	}
 	// Replicas that missed releases while no publisher was up converge
-	// now, not at the next publish. An unreachable one is left to its
-	// converger.
-	if err := d.syncReplicas(); err != nil {
-		cfg.Logf("daemon: startup replica sync (will retry on push): %v", err)
+	// now, not at the next publish; if one could not be reached, every
+	// converger starts with a round of its own.
+	syncErr := d.syncReplicas()
+	if syncErr != nil {
+		cfg.Logf("daemon: startup replica sync (its converger retries): %v", syncErr)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	d.stopConverging = cancel
 	for _, ep := range cfg.PushEndpoints {
 		wakes := make(chan wake, 1)
+		if syncErr != nil {
+			wakes <- wake{}
+		}
 		d.wakes = append(d.wakes, wakes)
 		d.converging.Add(1)
 		go d.converge(ctx, ep, wakes)
@@ -372,13 +376,14 @@ func (d *Daemon) syncReplicas() error {
 }
 
 // retryAfter is how long a converger waits after a failed round before
-// it starts another of its own accord, so that a replica that answers
-// again converges with no further release.
+// it starts another of its own accord — a delivery's only retry — so
+// that a replica that answers again converges with no further release.
 const retryAfter = time.Second
 
 // wake is what a converger is woken with: the trace and span id of the
 // daemon.train span that published, by value, because spans are pooled
-// and that one has ended by the time the push runs.
+// and that one has ended by the time the push runs. New's wake after a
+// failed startup sync is the zero wake: no tick published.
 type wake struct {
 	traceID trace.TraceID
 	spanID  trace.SpanID
@@ -399,7 +404,8 @@ func (d *Daemon) wakeConvergers(w wake) {
 
 // converge is one replica's converger, from New until Close: each wake
 // is a round — a Publisher.Converge under a daemon.push span that
-// continues the publishing tick's trace — and a failed round wakes it
+// continues the publishing tick's trace (a trace of its own for the
+// zero wake) — and a round that failed but not permanently wakes it
 // again after retryAfter. It is the only sender to its replica while it
 // runs, so the replica has at most one request in flight.
 func (d *Daemon) converge(ctx context.Context, endpoint string, wakes <-chan wake) {
@@ -413,13 +419,22 @@ func (d *Daemon) converge(ctx context.Context, endpoint string, wakes <-chan wak
 		case w = <-wakes:
 		case <-retry:
 		}
-		span := d.cfg.Tracer.StartRemote("daemon.push", w.traceID, w.spanID)
+		var span *trace.Span
+		if w == (wake{}) {
+			span = d.cfg.Tracer.StartRoot("daemon.push")
+		} else {
+			span = d.cfg.Tracer.StartRemote("daemon.push", w.traceID, w.spanID)
+		}
 		span.SetAttr("endpoint", endpoint)
 		retry = nil
 		if err := d.pub.Converge(trace.ContextWith(ctx, span), endpoint); err != nil && ctx.Err() == nil {
 			span.SetOutcome("error")
-			d.cfg.Logf("daemon: push to %s (retrying in %v): %v", endpoint, retryAfter, err)
-			retry = time.After(retryAfter)
+			if replica.IsPermanent(err) {
+				d.cfg.Logf("daemon: push to %s (not retried): %v", endpoint, err)
+			} else {
+				d.cfg.Logf("daemon: push to %s (retrying in %v): %v", endpoint, retryAfter, err)
+				retry = time.After(retryAfter)
+			}
 		}
 		span.End()
 	}

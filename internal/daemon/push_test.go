@@ -66,6 +66,19 @@ func eventually(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// stepUntilVersions steps d until its store holds n releases.
+func stepUntilVersions(t *testing.T, d *Daemon, n int) {
+	t.Helper()
+	for i := 0; countVersions(d.plat.Store) < n; i++ {
+		if i == 64 {
+			t.Fatalf("no release %d in 64 ticks: %v", n, d.Status().StoreVersions)
+		}
+		if err := d.step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // holds reports whether rep holds every release of src.
 func holds(rep, src *store.Store) bool {
 	return reflect.DeepEqual(rep.Watermarks(), src.Watermarks())
@@ -130,7 +143,8 @@ func TestHungReplicaDoesNotHoldShutdown(t *testing.T) {
 // with one replica hung, returns from New once DrainTimeout has cut the
 // startup sync short. The other replica is brought current. Once the
 // hung one answers, its converger's next round reconciles it, so every
-// name arrives, not only the released one.
+// name arrives, not only the released one. Its requests parked until
+// then get replies the publisher cannot decode.
 func TestHungReplicaDoesNotHoldStartup(t *testing.T) {
 	cfg := fastConfig(t.TempDir())
 	d, _, err := New(cfg)
@@ -188,6 +202,7 @@ func TestHungReplicaDoesNotHoldStartup(t *testing.T) {
 
 	back := replica.NewServer()
 	stalled.serve.Store(back)
+	stalled.release()
 	before := countVersions(d2.plat.Store)
 	stepUntil(d2, func() bool { return countVersions(d2.plat.Store) > before })
 	eventually(t, "the hung replica, answering again, holds every release after the next one", func() bool {
@@ -224,14 +239,7 @@ func TestPushContinuesTheTickTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	for i := 0; countVersions(d.plat.Store) < 2; i++ {
-		if i == 64 {
-			t.Fatalf("no second release in 64 ticks: %v", d.Status().StoreVersions)
-		}
-		if err := d.step(); err != nil {
-			t.Fatal(err)
-		}
-	}
+	stepUntilVersions(t, d, 2)
 	eventually(t, "the replica holds both releases", func() bool { return holds(rep.Store(), d.plat.Store) })
 	// Close waits for the converger, so its daemon.push spans have ended.
 	if err := d.Close(); err != nil {
@@ -289,7 +297,7 @@ type countingReplica struct {
 }
 
 // refuseHold is how long a countingReplica holds a push it refuses.
-const refuseHold = 50 * time.Millisecond
+const refuseHold = 200 * time.Millisecond
 
 func newCountingReplica(t *testing.T) *countingReplica {
 	t.Helper()
@@ -336,28 +344,17 @@ func TestDaemonSendsOneRequestAtATimePerReplica(t *testing.T) {
 	a, b := newCountingReplica(t), newCountingReplica(t)
 	cfg := fastConfig(t.TempDir())
 	cfg.PushEndpoints = []string{a.url, b.url}
-	stepUntilVersions := func(d *Daemon, n int) {
-		t.Helper()
-		for i := 0; countVersions(d.plat.Store) < n; i++ {
-			if i == 64 {
-				t.Fatalf("no release %d in 64 ticks: %v", n, d.Status().StoreVersions)
-			}
-			if err := d.step(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
 	d, _, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stepUntilVersions(d, 2)
+	stepUntilVersions(t, d, 2)
 	eventually(t, "both replicas hold the first two releases", func() bool {
 		return holds(a.rep.Store(), d.plat.Store) && holds(b.rep.Store(), d.plat.Store)
 	})
 	gets := b.gets.Load()
 	b.refuse.Store(6)
-	stepUntilVersions(d, 4)
+	stepUntilVersions(t, d, 4)
 	eventually(t, "the refusing replica holds the next two releases", func() bool { return holds(b.rep.Store(), d.plat.Store) })
 	if left := b.refuse.Load(); left != 0 {
 		t.Fatalf("%d of the six refusals left after two releases", left)
@@ -373,7 +370,7 @@ func TestDaemonSendsOneRequestAtATimePerReplica(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stepUntilVersions(d2, 5)
+	stepUntilVersions(t, d2, 5)
 	want := d2.plat.Store.Watermarks()
 	if err := d2.Close(); err != nil {
 		t.Fatal(err)
@@ -443,9 +440,9 @@ func TestHungReplicaDoesNotStopTheLoop(t *testing.T) {
 }
 
 // TestRefusingReplicaDoesNotStretchTheTick: a replica that refuses six
-// pushes costs the tick that published nothing — the retries and their
-// backoff are its converger's. Each refusal is held refuseHold, so a
-// tick that waited for the four attempts of one round would take 200ms
+// pushes costs the tick that published nothing — the rounds and the
+// retries after them are its converger's. Each refusal is held
+// refuseHold, so a tick that waited for one round would take 200ms
 // longer than one that did not.
 func TestRefusingReplicaDoesNotStretchTheTick(t *testing.T) {
 	a, b := newCountingReplica(t), newCountingReplica(t)
@@ -485,9 +482,9 @@ func TestRefusingReplicaDoesNotStretchTheTick(t *testing.T) {
 }
 
 // TestHungReplicaConvergesWithNoFurtherRelease: a replica that hung on
-// a round and then failed every attempt of it is tried again by its
-// converger once retryAfter has passed, so when it answers again it
-// converges with no further release.
+// a round and then failed it is tried again by its converger once
+// retryAfter has passed, so when it answers again it converges with no
+// further release.
 func TestHungReplicaConvergesWithNoFurtherRelease(t *testing.T) {
 	stalled := newStalledReplica(t)
 	stalled.serve.Store(replica.NewServer()) // answers the startup sync
@@ -514,21 +511,14 @@ func TestHungReplicaConvergesWithNoFurtherRelease(t *testing.T) {
 		}
 		stepped <- nil
 	}()
-	// The round's first request hangs; released, it and the round's
-	// three retries get replies the publisher cannot decode.
+	// The round's first request hangs; released, it gets a reply the
+	// publisher cannot decode, and the round fails.
 	select {
 	case <-stalled.arrived:
 	case <-time.After(time.Minute):
 		t.Fatal("no request reached the replica within a minute")
 	}
 	stalled.release()
-	for range 3 {
-		select {
-		case <-stalled.arrived:
-		case <-time.After(time.Minute):
-			t.Fatal("a retry did not reach the replica within a minute")
-		}
-	}
 	select {
 	case err := <-stepped:
 		if err != nil {
@@ -542,4 +532,99 @@ func TestHungReplicaConvergesWithNoFurtherRelease(t *testing.T) {
 	start := time.Now()
 	eventually(t, "the replica, answering again, holds the release", func() bool { return holds(back.Store(), d.plat.Store) })
 	t.Logf("converged %v after the replica answered again", time.Since(start).Round(time.Millisecond))
+}
+
+// TestRefusedPushWaitsForTheNextRelease: a replica that refuses the
+// daemon's token gets at most one refused POST /push per release, and
+// none over an idle stretch of three retryAfter: a permanent failure is
+// not retried, it waits for the next release.
+func TestRefusedPushWaitsForTheNextRelease(t *testing.T) {
+	rep := replica.NewServer(replica.WithAuthToken("tok"))
+	var posts atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/push" {
+			posts.Add(1)
+		}
+		rep.Handler().ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	cfg := fastConfig(t.TempDir())
+	cfg.PushEndpoints = []string{srv.URL}
+	cfg.PushToken = "wrong"
+	d, _, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	stepUntilVersions(t, d, 2)
+	releases := int32(countVersions(d.plat.Store))
+	eventually(t, "a push reaches the replica", func() bool { return posts.Load() > 0 })
+	time.Sleep(3*retryAfter + retryAfter/2)
+	if n := posts.Load(); n > releases {
+		t.Fatalf("%d refused POST /push for %d releases and %v idle, want at most one per release", n, releases, 3*retryAfter+retryAfter/2)
+	} else {
+		t.Logf("%d refused POST /push for %d releases", n, releases)
+	}
+	if got := rep.Store().Watermarks(); len(got) != 0 {
+		t.Fatalf("the replica applied %v from a publisher with the wrong token", got)
+	}
+}
+
+// TestReplicaHungThroughStartupConvergesWithNoRelease: a replica hung
+// through New's startup sync, which answers again while no pipeline
+// publishes, is caught up by its converger within a few retryAfter.
+// Those rounds continue no tick's trace: each starts a trace of its own.
+func TestReplicaHungThroughStartupConvergesWithNoRelease(t *testing.T) {
+	cfg := fastConfig(t.TempDir())
+	d, _, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stepUntilVersions(t, d, 1)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	stalled := newStalledReplica(t)
+	cfg.PushEndpoints = []string{stalled.url}
+	cfg.DrainTimeout = 200 * time.Millisecond
+	cfg.Tracer = trace.New(trace.Config{Service: "daemon", RingSize: 1 << 10})
+	d2, _, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	select {
+	case <-stalled.arrived:
+	default:
+		t.Fatal("the startup sync sent the replica nothing")
+	}
+	back := replica.NewServer()
+	stalled.serve.Store(back)
+	stalled.release()
+	start := time.Now()
+	for !holds(back.Store(), d2.plat.Store) {
+		if time.Since(start) > 4*retryAfter {
+			t.Fatalf("the replica, answering again, holds %v, not %v, %v later", back.Store().Watermarks(), d2.plat.Store.Watermarks(), 4*retryAfter)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Logf("converged %v after the replica answered again", time.Since(start).Round(time.Millisecond))
+	// Close waits for the converger, so its daemon.push spans have ended.
+	if err := d2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rounds := 0
+	for _, sp := range cfg.Tracer.Snapshot().Recent {
+		if sp.Name != "daemon.push" {
+			continue
+		}
+		rounds++
+		if sp.TraceID == (trace.TraceID{}).String() || sp.ParentID != "" {
+			t.Errorf("a start-up round's daemon.push span is in trace %s under parent %q, want a trace of its own", sp.TraceID, sp.ParentID)
+		}
+	}
+	if rounds == 0 {
+		t.Error("no daemon.push span was recorded")
+	}
 }

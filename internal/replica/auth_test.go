@@ -23,7 +23,7 @@ func TestPushAuthRequired(t *testing.T) {
 	if err := noAuth.Sync(context.Background()); err == nil || !strings.Contains(err.Error(), "bearer token") {
 		t.Fatalf("unauthenticated push: %v", err)
 	}
-	if !isPermanent(unwrapJoined(t, noAuth.Sync(context.Background()))) {
+	if !IsPermanent(unwrapJoined(t, noAuth.Sync(context.Background()))) {
 		t.Fatal("401 should be a permanent error")
 	}
 	if rep.Store().VersionCount("bench") != 0 {

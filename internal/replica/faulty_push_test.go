@@ -71,9 +71,9 @@ func newPushAudit() *pushAudit {
 //
 //   - errors before the replica (500s) are retried until delivery;
 //   - an applied push whose ACK is lost in flight (truncated reply —
-//     the classic ambiguous outcome) is settled by the retry's status
-//     read, which reports it applied: it is neither re-delivered nor
-//     ever applied twice;
+//     the classic ambiguous outcome) is settled by the next reconcile's
+//     status read, which reports it applied: it is neither re-delivered
+//     nor ever applied twice;
 //   - the acked watermark never regresses;
 //   - the replica ends at the source store's frontier.
 func TestPublisherConvergesThroughFaults(t *testing.T) {
@@ -96,12 +96,12 @@ func TestPublisherConvergesThroughFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pub := NewPublisher(src, []string{srv.URL}, WithRetry(6, time.Millisecond))
+	pub := NewPublisher(src, []string{srv.URL})
 	const versions = 6
 	for v := 1; v <= versions; v++ {
-		b := store.Bundle{Name: "m", Model: spec, Provenance: store.Provenance{Pipeline: "m", Quality: float64(v)}}
-		if _, err := pub.Publish(b); err != nil {
-			t.Fatalf("publish v%d through faults: %v", v, err)
+		src.Publish(store.Bundle{Name: "m", Model: spec, Provenance: store.Provenance{Pipeline: "m", Quality: float64(v)}})
+		if err := retried(7, syncing(pub)); err != nil {
+			t.Fatalf("deliver v%d through faults: %v", v, err)
 		}
 	}
 
@@ -129,7 +129,7 @@ func TestPublisherConvergesThroughFaults(t *testing.T) {
 
 // TestPublisherConvergesThroughHangs: a replica that stalls (accepts
 // the push and never answers) costs the publisher one client timeout,
-// then the retry loop converges — and the duplicate-delivery safety
+// then the next reconcile converges — and the duplicate-delivery safety
 // holds when the hung delivery WAS applied server-side.
 func TestPublisherConvergesThroughHangs(t *testing.T) {
 	rep := NewServer()
@@ -145,13 +145,12 @@ func TestPublisherConvergesThroughHangs(t *testing.T) {
 		t.Fatal(err)
 	}
 	client := &http.Client{Timeout: 150 * time.Millisecond}
-	pub := NewPublisher(src, []string{srv.URL},
-		WithClient(client), WithRetry(4, time.Millisecond))
+	pub := NewPublisher(src, []string{srv.URL}, WithClient(client))
 	const versions = 4
 	for v := 1; v <= versions; v++ {
-		b := store.Bundle{Name: "m", Model: spec, Provenance: store.Provenance{Pipeline: "m", Quality: float64(v)}}
-		if _, err := pub.Publish(b); err != nil {
-			t.Fatalf("publish v%d through hangs: %v", v, err)
+		src.Publish(store.Bundle{Name: "m", Model: spec, Provenance: store.Provenance{Pipeline: "m", Quality: float64(v)}})
+		if err := retried(5, syncing(pub)); err != nil {
+			t.Fatalf("deliver v%d through hangs: %v", v, err)
 		}
 	}
 	// Release any handler still parked on the injector so the server can
@@ -174,14 +173,14 @@ func TestPublisherConvergesThroughHangs(t *testing.T) {
 	}
 }
 
-// TestPushCancellationInterruptsBackoff: a publisher parked in a retry
-// backoff must notice context cancellation promptly instead of sleeping
-// out the full schedule.
-func TestPushCancellationInterruptsBackoff(t *testing.T) {
-	// Always-503: retryable forever, so without cancellation the retry
-	// schedule below would sleep for minutes.
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.WriteHeader(http.StatusServiceUnavailable)
+// TestPushCancellationCutsTheRound: a converge waiting on a replica
+// that never answers must notice context cancellation promptly instead
+// of waiting out the client's timeout.
+func TestPushCancellationCutsTheRound(t *testing.T) {
+	// Never answers: without cancellation the round below would wait
+	// out requestTimeout, a minute.
+	srv := httptest.NewServer(http.HandlerFunc(func(_ http.ResponseWriter, r *http.Request) {
+		<-r.Context().Done()
 	}))
 	defer srv.Close()
 
@@ -192,7 +191,7 @@ func TestPushCancellationInterruptsBackoff(t *testing.T) {
 	}
 	src.Publish(store.Bundle{Name: "m", Model: spec, Provenance: store.Provenance{Pipeline: "m"}})
 
-	pub := NewPublisher(src, []string{srv.URL}, WithRetry(8, 30*time.Second))
+	pub := NewPublisher(src, []string{srv.URL})
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(50 * time.Millisecond)
@@ -202,13 +201,13 @@ func TestPushCancellationInterruptsBackoff(t *testing.T) {
 	err = pub.Converge(ctx, srv.URL)
 	elapsed := time.Since(start)
 	if err == nil {
-		t.Fatal("push to an always-failing replica returned nil")
+		t.Fatal("push to a replica that never answers returned nil")
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error does not carry the cancellation: %v", err)
 	}
 	if elapsed > 2*time.Second {
-		t.Fatalf("cancellation took %v to interrupt the backoff sleep", elapsed)
+		t.Fatalf("cancellation took %v to cut the round short", elapsed)
 	}
 
 	// Sync honors a pre-cancelled context the same way.

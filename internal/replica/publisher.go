@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand/v2"
 	"net/http"
 	"net/url"
 	"strings"
@@ -24,10 +23,11 @@ import (
 // releases to a fixed set of replica endpoints. Every delivery is a
 // reconcile: ask the replica which versions it holds (GET
 // /replica/status) and deliver, in order, every release of every name
-// it is missing. Converge runs reconciles for one endpoint, each failed
-// one — a gap reply is a failure like any other — followed by another
-// after an exponential backoff and within the retry budget. Nothing is
-// remembered between calls: what a replica lacks is what it reports.
+// it is missing. Converge is one reconcile of one endpoint, and a
+// failed one — a gap reply is a failure like any other — is the
+// caller's to repeat: the daemon's converger does, after retryAfter,
+// unless IsPermanent. Nothing is remembered between calls: what a
+// replica lacks is what it reports.
 //
 // The publisher takes no lock per endpoint. Concurrent converges of one
 // replica each reconcile it, and the duplicates they send are acked as
@@ -44,8 +44,6 @@ type Publisher struct {
 	src       *store.Store
 	endpoints []string
 	client    *http.Client
-	retries   int
-	backoff   time.Duration
 	// authToken, when non-empty, is sent as "Authorization: Bearer …"
 	// on every push (replicas started with WithAuthToken require it).
 	authToken string
@@ -67,13 +65,6 @@ type Option func(*Publisher)
 // requests time out after requestTimeout; tests inject httptest
 // clients).
 func WithClient(c *http.Client) Option { return func(p *Publisher) { p.client = c } }
-
-// WithRetry sets how many times a failed reconcile is retried per
-// endpoint and the initial backoff, which doubles per attempt. The
-// defaults are 3 retries starting at 100ms.
-func WithRetry(retries int, backoff time.Duration) Option {
-	return func(p *Publisher) { p.retries, p.backoff = retries, backoff }
-}
 
 // WithAuth sends the shared-secret bearer token with every push,
 // matching a replica started with the server-side WithAuthToken.
@@ -121,8 +112,6 @@ func NewPublisher(src *store.Store, endpoints []string, opts ...Option) *Publish
 		src:        src,
 		endpoints:  append([]string(nil), endpoints...),
 		client:     &http.Client{Timeout: requestTimeout},
-		retries:    3,
-		backoff:    100 * time.Millisecond,
 		watermarks: make(map[string]map[string]int),
 	}
 	for _, o := range opts {
@@ -166,29 +155,6 @@ func (p *Publisher) Publish(b store.Bundle) (int, error) {
 	return version, p.Sync(context.TODO())
 }
 
-// sleepBackoff waits out one retry delay with full jitter — a uniform
-// draw from (0, d] rather than d itself, so a fleet of publishers (or
-// one publisher's per-endpoint goroutines) that failed together does
-// not retry in lockstep against a recovering replica. It returns early
-// with the context's error on cancellation: a shutting-down caller is
-// never pinned inside a backoff sleep.
-func sleepBackoff(ctx context.Context, d time.Duration) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if d > 0 {
-		d = time.Duration(1 + rand.Int64N(int64(d)))
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}
-
 // eachEndpoint runs do against every replica concurrently — each
 // replica's failure is independent, and a stalled one holds up nobody
 // else — and joins the errors of those that did not converge.
@@ -206,37 +172,20 @@ func (p *Publisher) eachEndpoint(ctx context.Context, do func(ctx context.Contex
 	return errors.Join(errs...)
 }
 
-// Sync converges every replica at once — the way a publish, a late
-// joiner or a replica that lost its state is caught up on demand, and
-// the daemon's sweep at start and at drain. A replica that cannot be
-// reached is reported and costs the others nothing; the context bounds
-// the whole sweep.
+// Sync runs one Converge of every replica at once — the way a publish,
+// a late joiner or a replica that lost its state is caught up on
+// demand, and the daemon's sweep at start and at drain. A replica that
+// cannot be reached is reported and costs the others nothing; the
+// context bounds the whole sweep.
 func (p *Publisher) Sync(ctx context.Context) error { return p.eachEndpoint(ctx, p.Converge) }
 
-// Converge brings one replica up to date: a reconcile, and after each
-// failed one another, after a backoff that doubles from the configured
-// one (full jitter, see sleepBackoff), up to the retry budget. A
-// permanent error or the context ends it early. The context aborts
-// in-flight requests, and a push continues the trace of its span.
+// Converge is one reconcile of one replica: it asks the replica which
+// versions it holds and delivers, in order, every release of every
+// name past that, each once. It trusts only what the replica reports,
+// and its first failure ends it; retrying is the caller's. The context
+// aborts in-flight requests, and a push continues the trace of its
+// span.
 func (p *Publisher) Converge(ctx context.Context, endpoint string) error {
-	err := p.reconcile(ctx, endpoint)
-	backoff := p.backoff
-	for retry := 0; retry < p.retries && err != nil && !isPermanent(err); retry++ {
-		if serr := sleepBackoff(ctx, backoff); serr != nil {
-			// Cancelled mid-retry: surface both the cancellation and
-			// what we were retrying.
-			return errors.Join(serr, err)
-		}
-		backoff *= 2
-		err = p.reconcile(ctx, endpoint)
-	}
-	return err
-}
-
-// reconcile asks the replica which versions it holds and delivers, in
-// order, every release of every name past that, each once: Converge
-// owns the retrying. It trusts only what the replica reports.
-func (p *Publisher) reconcile(ctx context.Context, endpoint string) error {
 	applied, err := p.fetchStatus(ctx, endpoint)
 	if err != nil {
 		return err
@@ -287,7 +236,9 @@ type permanentError struct{ msg string }
 
 func (e *permanentError) Error() string { return e.msg }
 
-func isPermanent(err error) bool {
+// IsPermanent reports whether err holds a reply that retrying cannot
+// fix: the same release sent again would be refused again.
+func IsPermanent(err error) bool {
 	var pe *permanentError
 	return errors.As(err, &pe)
 }
@@ -295,8 +246,8 @@ func isPermanent(err error) bool {
 // pushOnce performs a single POST /push of the release's canonical
 // bytes and records the watermark the replica answers with, in its ack
 // or in a gap reply. A gap is an ordinary, retryable failure: the
-// replica fell behind since it reported its status, and the attempt
-// after it reconciles again.
+// replica fell behind since it reported its status, and the next
+// Converge reconciles again.
 func (p *Publisher) pushOnce(ctx context.Context, endpoint string, b *store.Bundle) (err error) {
 	defer func() {
 		if err != nil {

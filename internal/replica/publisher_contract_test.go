@@ -106,6 +106,24 @@ func (r *rigReplica) blipSecondPush() {
 	)
 }
 
+// retried runs round — a Sync or a Converge — until it returns nil or a
+// permanent error, at most calls times, and returns its last error: the
+// retrying a publisher leaves to its caller, as the daemon's converger
+// does it, without the wait between rounds.
+func retried(calls int, round func() error) (err error) {
+	for range calls {
+		if err = round(); err == nil || IsPermanent(err) {
+			return err
+		}
+	}
+	return err
+}
+
+// syncing is pub's Sync as a round for retried.
+func syncing(pub *Publisher) func() error {
+	return func() error { return pub.Sync(context.Background()) }
+}
+
 func urlsOf(reps []*rigReplica) []string {
 	urls := make([]string, len(reps))
 	for i, r := range reps {
@@ -251,7 +269,7 @@ func TestPublisherContract(t *testing.T) {
 					}
 				}
 			}
-			pub := NewPublisher(src, urlsOf(reps), WithRetry(1, time.Millisecond))
+			pub := NewPublisher(src, urlsOf(reps))
 			c.drive(t, src, pub, reps)
 			for i, r := range reps {
 				if !c.wantBehind[i] {
@@ -272,7 +290,7 @@ func TestPublisherContract(t *testing.T) {
 func TestReplicaRestartMidRunConverges(t *testing.T) {
 	src := store.New()
 	rep := newRigReplica(t, 1)
-	pub := NewPublisher(src, []string{rep.url}, WithRetry(1, time.Millisecond))
+	pub := NewPublisher(src, []string{rep.url})
 	for range 3 {
 		for _, name := range []string{"a", "b"} {
 			if _, err := pub.Publish(nextBundle(src, name)); err != nil {
@@ -306,7 +324,7 @@ func TestSyncHealsRestartedReplica(t *testing.T) {
 	ctx := context.Background()
 	src := store.New()
 	rep := newRigReplica(t, 1)
-	pub := NewPublisher(src, []string{rep.url}, WithRetry(1, time.Millisecond))
+	pub := NewPublisher(src, []string{rep.url})
 	for range 2 {
 		if _, err := pub.Publish(nextBundle(src, "a")); err != nil {
 			t.Fatal(err)
@@ -325,11 +343,11 @@ func TestSyncHealsRestartedReplica(t *testing.T) {
 // TestHealRidesOutABlipDuringGapCatchUp: a replica that holds v1 and v2
 // and loses them between its status reply and the push of v3 answers
 // with a gap, and the catch-up after it meets one failed POST /push.
-// With retries left that costs one more reconcile, not the delivery.
+// Each costs one more reconcile, not the delivery.
 func TestHealRidesOutABlipDuringGapCatchUp(t *testing.T) {
 	src := store.New()
 	rep := newRigReplica(t, 1)
-	pub := NewPublisher(src, []string{rep.url}, WithRetry(3, time.Millisecond))
+	pub := NewPublisher(src, []string{rep.url})
 	for range 2 {
 		if _, err := pub.Publish(nextBundle(src, "m")); err != nil {
 			t.Fatal(err)
@@ -338,8 +356,9 @@ func TestHealRidesOutABlipDuringGapCatchUp(t *testing.T) {
 	rep.traffic()
 	rep.wipeAfterStatus.Store(true)
 	rep.blipSecondPush()
-	if _, err := pub.Publish(nextBundle(src, "m")); err != nil {
-		t.Fatalf("delivery with one blip and retries left: %v", err)
+	release(src, "m")
+	if err := retried(4, syncing(pub)); err != nil {
+		t.Fatalf("delivery with one blip, in four reconciles: %v", err)
 	}
 	requireConverged(t, pub, src, rep)
 	// A reconcile: v3 (gap); a reconcile: v1 (the blip); a reconcile:
@@ -350,17 +369,17 @@ func TestHealRidesOutABlipDuringGapCatchUp(t *testing.T) {
 }
 
 // TestHealRidesOutABlipDuringSync: the same blip in the middle of a
-// Sync's catch-up is retried as a second reconcile.
+// Sync's catch-up costs one more reconcile.
 func TestHealRidesOutABlipDuringSync(t *testing.T) {
 	src := store.New()
 	for range 3 {
 		release(src, "m")
 	}
 	rep := newRigReplica(t, 1)
-	pub := NewPublisher(src, []string{rep.url}, WithRetry(3, time.Millisecond))
+	pub := NewPublisher(src, []string{rep.url})
 	rep.blipSecondPush()
-	if err := pub.Sync(context.Background()); err != nil {
-		t.Fatalf("sync with one blip and retries left: %v", err)
+	if err := retried(4, syncing(pub)); err != nil {
+		t.Fatalf("sync with one blip, in four reconciles: %v", err)
 	}
 	requireConverged(t, pub, src, rep)
 	// A reconcile: v1, v2 (the blip); a reconcile: v2, v3.
@@ -415,7 +434,7 @@ func TestPublisherBoundsReplies(t *testing.T) {
 	defer endless.Close()
 
 	src := store.New()
-	pub := NewPublisher(src, []string{endless.URL}, WithRetry(0, 0))
+	pub := NewPublisher(src, []string{endless.URL})
 	spec, err := store.Serialize(&ml.LinearModel{Weights: []float64{1}})
 	if err != nil {
 		t.Fatal(err)

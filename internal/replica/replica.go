@@ -25,12 +25,12 @@
 //     never be silently replaced.
 //   - version > watermark+1 → 409 with the watermark. The replica fell
 //     behind since it reported its status, and the publisher's next
-//     attempt reconciles it again (see Catching up).
+//     reconcile catches it up (see Catching up).
 //
 // Every stored release carries the model it serves, built as the
 // release is applied, so a release whose model does not build is
 // refused like a divergent one: 409, counted rejected, the replica's
-// watermarks untouched, and the publisher does not retry it.
+// watermarks untouched, and it is a permanent error (IsPermanent).
 //
 // Replica stores are read-only from the network's point of view: only
 // /push mutates them, and application happens under the store's write
@@ -45,12 +45,12 @@
 // the replica — reads GET /replica/status and pushes, in order, every
 // release of every name past the watermarks the replica reports.
 // Nothing selects this and nothing is remembered between deliveries:
-// every delivery is a reconcile (Publisher.Converge), and every retry
-// after a failed one, a gap reply included, is another after a backoff.
-// Publisher.Sync converges every replica at once. The daemon converges
-// each replica from one goroutine of its own, so no replica ever has two
-// of its requests in flight. The watermarks a publisher caches are what
-// each replica last said, never an input to a decision.
+// every delivery is one reconcile (Publisher.Converge), and Publisher.Sync
+// runs one of every replica at once. Retrying is the caller's: the
+// daemon converges each replica from one goroutine of its own, which
+// runs another reconcile a while after a failed one unless IsPermanent,
+// so no replica ever has two of its requests in flight. The watermarks a
+// publisher caches are what each replica last said, never an input.
 //
 // # On the wire
 //
@@ -61,7 +61,7 @@
 // bytes, never re-encoded: the replica answers a push that declares any
 // Content-Encoding but identity 415 without reading its body, so it
 // runs no decoder but DecodeCanonicalBundle, and one past the push
-// row's budget 413, which the publisher does not retry.
+// row's budget 413, a permanent error too.
 package replica
 
 import (

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"repro/internal/ml"
 	"repro/internal/rng"
@@ -48,8 +47,7 @@ func BenchmarkBundlePush(b *testing.B) {
 	rep := NewServer()
 	srv := httptest.NewServer(rep.Handler())
 	defer srv.Close()
-	pub := NewPublisher(src, []string{srv.URL}, WithClient(srv.Client()),
-		WithRetry(1, time.Millisecond))
+	pub := NewPublisher(src, []string{srv.URL}, WithClient(srv.Client()))
 
 	push := func(version int) {
 		bundle, _ := src.Get("bench", version)
@@ -81,7 +79,7 @@ func BenchmarkBundlePushFanout3(b *testing.B) {
 		b.Cleanup(srv.Close)
 		urls = append(urls, srv.URL)
 	}
-	pub := NewPublisher(src, urls, WithRetry(1, time.Millisecond))
+	pub := NewPublisher(src, urls)
 	push := func(version int) {
 		bundle, _ := src.Get("bench", version)
 		if err := pub.eachEndpoint(context.Background(), func(ctx context.Context, ep string) error {
@@ -112,8 +110,7 @@ func BenchmarkReplicaPredictBatch(b *testing.B) {
 	rep := NewServer()
 	srv := httptest.NewServer(rep.Handler())
 	defer srv.Close()
-	pub := NewPublisher(src, []string{srv.URL}, WithClient(srv.Client()),
-		WithRetry(1, time.Millisecond))
+	pub := NewPublisher(src, []string{srv.URL}, WithClient(srv.Client()))
 	if _, err := pub.Publish(benchBundle(1)); err != nil {
 		b.Fatal(err)
 	}
@@ -162,8 +159,7 @@ func BenchmarkReplicaProvenance(b *testing.B) {
 	rep := NewServer()
 	srv := httptest.NewServer(rep.Handler())
 	defer srv.Close()
-	pub := NewPublisher(src, []string{srv.URL}, WithClient(srv.Client()),
-		WithRetry(1, time.Millisecond))
+	pub := NewPublisher(src, []string{srv.URL}, WithClient(srv.Client()))
 	if _, err := pub.Publish(benchBundle(1)); err != nil {
 		b.Fatal(err)
 	}

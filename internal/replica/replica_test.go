@@ -11,7 +11,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/adaptive"
 	"repro/internal/core"
@@ -133,7 +132,7 @@ func TestReplicatedServingEndToEnd(t *testing.T) {
 		_, srv := newReplica(t)
 		urls = append(urls, srv.URL)
 	}
-	pub := NewPublisher(src, urls, WithRetry(2, 5*time.Millisecond))
+	pub := NewPublisher(src, urls)
 
 	// Publish v1 (the trained release) and a v2 of the same line — the
 	// push protocol must keep per-name version sequences, not just one.
@@ -196,7 +195,7 @@ func TestReplicatedServingEndToEnd(t *testing.T) {
 	// a publisher of its own over the same store, and must catch up to
 	// the current versions through Sync.
 	late, lateSrv := newReplica(t)
-	pub = NewPublisher(src, []string{lateSrv.URL}, WithRetry(2, 5*time.Millisecond))
+	pub = NewPublisher(src, []string{lateSrv.URL})
 	if err := pub.Sync(context.Background()); err != nil {
 		t.Fatalf("late-join sync: %v", err)
 	}
@@ -229,7 +228,7 @@ func TestReplicatedServingEndToEnd(t *testing.T) {
 func TestPushGapTriggersBackfill(t *testing.T) {
 	src := store.New()
 	rep, srv := newReplica(t)
-	pub := NewPublisher(src, []string{srv.URL}, WithRetry(1, time.Millisecond))
+	pub := NewPublisher(src, []string{srv.URL})
 	spec, _ := store.Serialize(&ml.LinearModel{Weights: []float64{1}, Bias: 0})
 	for i := 0; i < 3; i++ {
 		b := store.Bundle{Name: "m", Model: spec}
@@ -238,7 +237,7 @@ func TestPushGapTriggersBackfill(t *testing.T) {
 	}
 	// Push only v3: the replica (watermark 0) refuses it with a gap.
 	v3, _ := src.Get("m", 3)
-	if err := pub.pushOnce(context.Background(), srv.URL, v3); err == nil || isPermanent(err) {
+	if err := pub.pushOnce(context.Background(), srv.URL, v3); err == nil || IsPermanent(err) {
 		t.Fatalf("push of v3 to an empty replica = %v, want a retryable gap error", err)
 	}
 	if wm := pub.Watermark(srv.URL, "m"); wm != 0 {
@@ -262,11 +261,11 @@ func TestPushGapTriggersBackfill(t *testing.T) {
 	}
 }
 
-// TestPushRetriesTransientErrors pins the retry/backoff path: a replica
-// that fails with 503 twice before recovering must still converge, and
-// a divergent release (409 digest mismatch), one the replica cannot
-// build (409 rejected) or one past the replica's size cap (413) must
-// fail at once with no retries.
+// TestPushRetriesTransientErrors pins which failures a caller retries:
+// a replica that fails with 503 twice before recovering converges at the
+// third Sync, and a divergent release (409 digest mismatch), one the
+// replica cannot build (409 rejected) or one past the replica's size cap
+// (413) is a permanent error, so it is sent once.
 func TestPushRetriesTransientErrors(t *testing.T) {
 	rep := NewServer()
 	inner := rep.Handler()
@@ -281,10 +280,10 @@ func TestPushRetriesTransientErrors(t *testing.T) {
 	defer flaky.Close()
 
 	src := store.New()
-	pub := NewPublisher(src, []string{flaky.URL}, WithRetry(3, time.Millisecond))
+	pub := NewPublisher(src, []string{flaky.URL})
 	spec, _ := store.Serialize(&ml.LinearModel{Weights: []float64{2}, Bias: 1})
 	src.Publish(store.Bundle{Name: "m", Model: spec})
-	if err := pub.Sync(context.Background()); err != nil {
+	if err := retried(4, syncing(pub)); err != nil {
 		t.Fatalf("push through flaky replica: %v", err)
 	}
 	if got := rep.Store().VersionCount("m"); got != 1 {
@@ -299,8 +298,8 @@ func TestPushRetriesTransientErrors(t *testing.T) {
 		http.Error(w, "down", http.StatusServiceUnavailable)
 	}))
 	defer dead.Close()
-	pubDead := NewPublisher(src, []string{dead.URL}, WithRetry(1, time.Millisecond))
-	if err := pubDead.Sync(context.Background()); err == nil {
+	pubDead := NewPublisher(src, []string{dead.URL})
+	if err := retried(2, syncing(pubDead)); err == nil {
 		t.Error("push to permanently-down replica reported success")
 	}
 
@@ -327,9 +326,9 @@ func TestPushRetriesTransientErrors(t *testing.T) {
 	}
 	divergeCalls.Store(0)
 	srcDiv := store.New()
-	pubDiv := NewPublisher(srcDiv, []string{counting.URL}, WithRetry(5, time.Millisecond))
+	pubDiv := NewPublisher(srcDiv, []string{counting.URL})
 	srcDiv.Publish(store.Bundle{Name: "m", Model: spec})
-	if err := pubDiv.Sync(context.Background()); err == nil {
+	if err := retried(6, syncing(pubDiv)); err == nil {
 		t.Fatal("divergent push reported success")
 	}
 	if divergeCalls.Load() != 1 {
@@ -355,9 +354,9 @@ func TestPushRetriesTransientErrors(t *testing.T) {
 	}))
 	defer unservable.Close()
 	srcUnservable := store.New()
-	pubUnservable := NewPublisher(srcUnservable, []string{unservable.URL}, WithRetry(3, time.Millisecond))
+	pubUnservable := NewPublisher(srcUnservable, []string{unservable.URL})
 	srcUnservable.Publish(store.Bundle{Name: "m", Model: spec})
-	if err := pubUnservable.Sync(context.Background()); err == nil {
+	if err := retried(4, syncing(pubUnservable)); err == nil {
 		t.Fatal("push of a release the replica cannot build reported success")
 	}
 	if unservableCalls.Load() != 1 || unservableRep.pushRejected.Value() != 1 {
@@ -377,9 +376,9 @@ func TestPushRetriesTransientErrors(t *testing.T) {
 	}))
 	defer tooLarge.Close()
 	srcLarge := store.New()
-	pubLarge := NewPublisher(srcLarge, []string{tooLarge.URL}, WithRetry(3, time.Millisecond))
+	pubLarge := NewPublisher(srcLarge, []string{tooLarge.URL})
 	srcLarge.Publish(store.Bundle{Name: "m", Model: spec})
-	if err := pubLarge.Sync(context.Background()); err == nil {
+	if err := retried(4, syncing(pubLarge)); err == nil {
 		t.Fatal("push answered 413 reported success")
 	}
 	if tooLargeCalls.Load() != 1 {
@@ -403,7 +402,7 @@ func TestPushRacesPredict(t *testing.T) {
 	src.Publish(store.Bundle{Name: "m", Model: mkSpec(1)})
 
 	rep, srv := newReplica(t)
-	pub := NewPublisher(src, []string{srv.URL}, WithRetry(2, time.Millisecond))
+	pub := NewPublisher(src, []string{srv.URL})
 	if err := pub.Sync(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +483,7 @@ func TestReplicaStatusEndpoint(t *testing.T) {
 	src.Publish(store.Bundle{Name: "b", Model: spec})
 
 	_, srv := newReplica(t)
-	pub := NewPublisher(src, []string{srv.URL}, WithRetry(1, time.Millisecond))
+	pub := NewPublisher(src, []string{srv.URL})
 	if err := pub.Sync(context.Background()); err != nil {
 		t.Fatal(err)
 	}
