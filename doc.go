@@ -126,7 +126,7 @@
 // A release has exactly one serialization: store.Bundle.CanonicalBytes
 // (internal/core's audit encoding — fixed field order, sorted feature
 // keys, IEEE-754 bit patterns). The push body is byte for byte the
-// store's WAL record and the digest's preimage, and
+// store's WAL record and what a re-push is compared with, and
 // store.DecodeCanonicalBundle, the one decoder (fuzzed), accepts
 // nothing that would re-encode differently.
 //
@@ -134,14 +134,14 @@
 // once by the publisher's store and travel inside the bundle; a replica
 // accepts version watermark+1 (atomically, under its store's write
 // lock, so a racing /predict sees old or new but never half), acks
-// duplicates after verifying the release's digest, and answers
+// duplicates whose bytes equal the applied release's, and answers
 // out-of-order pushes with a 409 carrying its applied-version
 // watermark. Every delivery is a reconcile (below), and so is every
 // retry: after a gap reply, a transport error or a 5xx the daemon's
 // converger for that replica runs the same catch-up again retryAfter
 // later; late joiners are just the degenerate case: watermark 0. A
 // refused token, a malformed or oversized bundle and a divergent release
-// (same version, different digest) are permanent errors, not retried
+// (same version, different bytes) are permanent errors, not retried
 // before the next release — a release can be repeated, never replaced.
 // `sagectl replica` runs a replica; `sagectl serve -push <urls>` (or
 // `sagectl daemon -push`) publishes through the tier.
@@ -177,8 +177,8 @@
 // journals one register/request/refund/retire record per mutation per
 // shard (a register record carries the block's admission charge) and
 // replays them through its own Apply; store.Store journals every
-// release's canonical bytes — the same bytes the replica push digest
-// covers, so the WAL certifies exactly what replicas verified.
+// release's canonical bytes — the same bytes a replica push carries,
+// so the WAL certifies exactly what replicas hold.
 //
 // The crash-consistency rule is journal-before-acknowledge: a request's
 // spend record reaches the log after admission checks pass but before

@@ -5,11 +5,11 @@ package core
 // the validator's verdict, and the DP quality estimate — is the audit
 // record that reconciles a published model against the stream's privacy
 // ledger. When bundles are pushed to serving replicas, every copy must
-// carry provably the same record, so a release is identified by a
-// digest over a *canonical* byte serialization built from the
-// primitives here (store.Bundle.CanonicalBytes lays out the fields),
-// and that serialization is also the only one: the bytes the store
-// journals and the publisher pushes are the digest's preimage. The form is
+// carry provably the same record, so a release is identified by its
+// *canonical* byte serialization built from the primitives here
+// (store.Bundle.CanonicalBytes lays out the fields), and that
+// serialization is also the only one: the bytes the store journals are
+// the bytes the publisher pushes and a replica compares. The form is
 // deterministic by construction (maps never decide byte order):
 // length-prefixed strings, IEEE-754 bit patterns for floats, and
 // fixed-width big-endian integers, in a fixed field order.
@@ -64,8 +64,8 @@ func AppendBlockIDs(dst []byte, blocks []data.BlockID) []byte {
 // reports what went wrong — callers decode a whole record and check
 // once. The write-ahead log's recovery path and the replica's push
 // handler are the consumers: WAL payloads and push bodies are canonical
-// bytes, so the same encoding that digests a release also replays and
-// ships it.
+// bytes, so the same encoding that identifies a release also replays
+// and ships it.
 type Cursor struct {
 	buf []byte
 	err error

@@ -73,7 +73,7 @@ func (op LedgerOp) String() string {
 
 // LedgerRecord is one journaled ledger mutation, encoded canonically
 // (audit.go helpers) so the journal doubles as an audit trail: the same
-// fixed-order, bit-exact serialization that digests releases.
+// fixed-order, bit-exact serialization that identifies releases.
 type LedgerRecord struct {
 	Op     LedgerOp
 	Blocks []data.BlockID

@@ -20,8 +20,8 @@
 //	             plus snapshot records written by Compact.
 //	store.wal  — one record per release, the bundle's canonical bytes
 //	             (store.Bundle.CanonicalBytes). The record is the push
-//	             digest's preimage, so what the WAL certifies is exactly
-//	             what replicas verified.
+//	             body, so what the WAL certifies is exactly what
+//	             replicas hold.
 //
 // With Options.LedgerShards = N > 1 the ledger is striped: shard k of
 // the sharded core.AccessControl journals into its own segment

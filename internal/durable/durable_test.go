@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -87,7 +88,7 @@ func TestReopenReconstructsExactState(t *testing.T) {
 	p.Store.Publish(testBundle("m", 0.02))
 	want := viewOf(p.AC)
 	wantWM := p.Store.Watermarks()
-	wantDigest, _ := p.Store.Get("m", 2)
+	wantRelease, _ := p.Store.Get("m", 2)
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -101,8 +102,8 @@ func TestReopenReconstructsExactState(t *testing.T) {
 		t.Fatalf("store watermarks differ: %v vs %v", got, wantWM)
 	}
 	got, ok := p2.Store.Get("m", 2)
-	if !ok || got.Digest() != wantDigest.Digest() {
-		t.Fatal("recovered release digest diverges")
+	if !ok || !bytes.Equal(got.CanonicalBytes(), wantRelease.CanonicalBytes()) {
+		t.Fatal("recovered release diverges")
 	}
 	// The recovered platform keeps journaling: mutate, reopen again.
 	if err := p2.AC.Request([]data.BlockID{0}, privacy.MustBudget(0.1, 0)); err != nil {
@@ -336,16 +337,16 @@ func TestLedgerFaultInjectionMatrix(t *testing.T) {
 
 // TestStoreFaultInjection cuts the store log at every record boundary:
 // the recovered store must hold exactly the prefix of releases, each
-// digest-identical to the original — so a healed replica tier converges
+// byte-identical to the original — so a healed replica tier converges
 // back to the same releases.
 func TestStoreFaultInjection(t *testing.T) {
 	srcDir := t.TempDir()
 	p := mustOpen(t, srcDir, Options{})
-	var digests [][32]byte
+	var releases [][]byte
 	for i := 0; i < 4; i++ {
 		v := p.Store.Publish(testBundle("m", float64(i)/100))
 		b, _ := p.Store.Get("m", v)
-		digests = append(digests, b.Digest())
+		releases = append(releases, b.CanonicalBytes())
 	}
 	p.Close()
 	storePath := filepath.Join(srcDir, StoreLogName)
@@ -368,8 +369,8 @@ func TestStoreFaultInjection(t *testing.T) {
 		}
 		for v := 1; v <= k; v++ {
 			b, ok := p2.Store.Get("m", v)
-			if !ok || b.Digest() != digests[v-1] {
-				t.Fatalf("prefix %d: version %d digest diverges", k, v)
+			if !ok || !bytes.Equal(b.CanonicalBytes(), releases[v-1]) {
+				t.Fatalf("prefix %d: version %d diverges", k, v)
 			}
 		}
 		p2.Close()

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -178,7 +179,7 @@ func TestPublisherConvergesThroughHangs(t *testing.T) {
 // of waiting out the client's timeout.
 func TestPushCancellationCutsTheRound(t *testing.T) {
 	// Never answers: without cancellation the round below would wait
-	// out requestTimeout, a minute.
+	// out replyTimeout, 10 s.
 	srv := httptest.NewServer(http.HandlerFunc(func(_ http.ResponseWriter, r *http.Request) {
 		<-r.Context().Done()
 	}))
@@ -215,5 +216,68 @@ func TestPushCancellationCutsTheRound(t *testing.T) {
 	ccancel()
 	if err := pub.Sync(cctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Sync with cancelled context = %v, want context.Canceled", err)
+	}
+}
+
+// TestDefaultClientBoundsTheReply: a publisher built without WithClient
+// shares one client that waits at most replyTimeout for a reply to
+// start, well inside requestTimeout.
+func TestDefaultClientBoundsTheReply(t *testing.T) {
+	c := NewPublisher(store.New(), nil).client
+	tr, ok := c.Transport.(*http.Transport)
+	if c != defaultClient || !ok || tr.ResponseHeaderTimeout != replyTimeout || c.Timeout != requestTimeout {
+		t.Fatalf("default client %+v does not bound replies at %v within %v", c, replyTimeout, requestTimeout)
+	}
+	if replyTimeout >= requestTimeout {
+		t.Fatalf("replyTimeout %v does not cut a request before requestTimeout %v", replyTimeout, requestTimeout)
+	}
+}
+
+// TestParkedRoundFailsAtTheReplyTimeout: a replica that accepts the
+// first request of a round and never answers it fails that round within
+// the client's reply bound, as a transient error, and the next round
+// converges. Without the bound the first round waits out requestTimeout.
+func TestParkedRoundFailsAtTheReplyTimeout(t *testing.T) {
+	rep := NewServer()
+	var parked atomic.Bool
+	release := make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if parked.CompareAndSwap(false, true) {
+			select {
+			case <-r.Context().Done():
+			case <-release:
+			}
+			return
+		}
+		rep.Handler().ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	defer close(release)
+
+	src := store.New()
+	spec, err := store.Serialize(&ml.LinearModel{Weights: []float64{1}, Bias: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.Publish(store.Bundle{Name: "m", Model: spec, Provenance: store.Provenance{Pipeline: "m"}})
+	pub := NewPublisher(src, []string{srv.URL}, WithClient(newClient(100*time.Millisecond)))
+
+	start := time.Now()
+	done := make(chan error, 1)
+	go func() { done <- pub.Converge(context.Background(), srv.URL) }()
+	select {
+	case err := <-done:
+		if err == nil || IsPermanent(err) {
+			t.Fatalf("round parked on the replica = %v, want a transient error", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("round parked on the replica still waits after 5s")
+	}
+	t.Logf("parked round failed after %v", time.Since(start))
+	if err := pub.Converge(context.Background(), srv.URL); err != nil {
+		t.Fatalf("next round: %v", err)
+	}
+	if got := rep.Store().VersionCount("m"); got != 1 {
+		t.Fatalf("replica holds %d versions after the next round, want 1", got)
 	}
 }

@@ -54,16 +54,32 @@ type Publisher struct {
 
 // requestTimeout bounds each request of the default client: the replica
 // server's own read timeout (httpkit's, one minute) would cut a push
-// that takes longer short anyway, and a replica that accepts a request
-// and never answers costs one timeout, not the converge.
+// that takes longer short anyway.
 const requestTimeout = time.Minute
+
+// replyTimeout bounds the default client's wait for a reply to start,
+// as the gateway bounds an attempt: a round parked on a replica that
+// never answers fails as transient, and the converger soon starts
+// another instead of waiting out requestTimeout.
+const replyTimeout = 10 * time.Second
+
+// defaultClient, and so its connection pool, is shared by every
+// publisher built without WithClient.
+var defaultClient = newClient(replyTimeout)
+
+// newClient returns a client whose requests time out after
+// requestTimeout and whose replies must start within reply.
+func newClient(reply time.Duration) *http.Client {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.ResponseHeaderTimeout = reply
+	return &http.Client{Timeout: requestTimeout, Transport: t}
+}
 
 // Option configures a Publisher.
 type Option func(*Publisher)
 
-// WithClient sets the HTTP client used for pushes (default: one whose
-// requests time out after requestTimeout; tests inject httptest
-// clients).
+// WithClient sets the HTTP client used for pushes (default:
+// defaultClient; tests inject httptest clients).
 func WithClient(c *http.Client) Option { return func(p *Publisher) { p.client = c } }
 
 // WithAuth sends the shared-secret bearer token with every push,
@@ -111,7 +127,7 @@ func NewPublisher(src *store.Store, endpoints []string, opts ...Option) *Publish
 	p := &Publisher{
 		src:        src,
 		endpoints:  append([]string(nil), endpoints...),
-		client:     &http.Client{Timeout: requestTimeout},
+		client:     defaultClient,
 		watermarks: make(map[string]map[string]int),
 	}
 	for _, o := range opts {
@@ -231,7 +247,7 @@ func (p *Publisher) fetchStatus(ctx context.Context, endpoint string) (map[strin
 }
 
 // permanentError marks replies that retrying cannot fix (refused
-// token, divergent digest, malformed or oversized bundle).
+// token, divergent release, malformed or oversized bundle).
 type permanentError struct{ msg string }
 
 func (e *permanentError) Error() string { return e.msg }

@@ -2,7 +2,6 @@ package replica
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"io"
 	"maps"
 	"net/http"
@@ -20,8 +19,8 @@ import (
 
 // TestPushBodyIsWALRecord pins the one-format claim end to end: what a
 // replica reads off POST /push is byte for byte the payload the
-// primary's store WAL journaled for that release, it hashes to the
-// release's digest, and no push declares a Content-Encoding. One
+// primary's store WAL journaled for that release, it is the release's
+// canonical bytes, and no push declares a Content-Encoding. One
 // release is a taxi-width model with the hour_speed table; the other
 // adds a 48-block provenance (a full retention window), which takes it
 // past 1 KiB.
@@ -81,11 +80,11 @@ func TestPushBodyIsWALRecord(t *testing.T) {
 			t.Errorf("%s: pushed body (%d bytes) differs from the store WAL record (%d bytes)", name, len(received[i]), len(records[i].Payload))
 		}
 		released, _ := plat.Store.Get(name, 1)
-		if sha256.Sum256(received[i]) != released.Digest() {
-			t.Errorf("%s: pushed body does not hash to the release's digest", name)
+		if !bytes.Equal(received[i], released.CanonicalBytes()) {
+			t.Errorf("%s: pushed body is not the release's canonical bytes", name)
 		}
 		applied, ok := rep.Store().Get(name, 1)
-		if !ok || applied.Digest() != released.Digest() {
+		if !ok || !bytes.Equal(applied.CanonicalBytes(), released.CanonicalBytes()) {
 			t.Errorf("%s: replica's applied release diverges from the primary's", name)
 		}
 	}

@@ -12,17 +12,17 @@
 // Versions are assigned once, by the publisher's store, and carried
 // inside the bundle. A push is POST /push with the bundle's canonical
 // bytes (store.Bundle.CanonicalBytes) as the body — the same bytes the
-// publisher's store journaled for the release and the preimage of its
-// digest; a release has no other serialization. The replica's reply
+// publisher's store journaled for the release; a release has no other
+// serialization. The replica's reply
 // reports its *applied-version watermark* for that model name —
 // watermark = n always means versions 1..n are applied, because the
 // replica refuses gaps. The protocol is idempotent:
 //
 //   - version == watermark+1 → applied, watermark advances.
-//   - version <= watermark → duplicate. The replica verifies the
-//     digest of the pushed bytes against the applied release and acks
-//     without reapplying; a digest mismatch is a 409 — a release can
-//     never be silently replaced.
+//   - version <= watermark → duplicate. The replica compares the
+//     pushed bytes with the applied release's and acks without
+//     reapplying; a difference is a 409 — a release can never be
+//     silently replaced.
 //   - version > watermark+1 → 409 with the watermark. The replica fell
 //     behind since it reported its status, and the publisher's next
 //     reconcile catches it up (see Catching up).
@@ -285,7 +285,7 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 			})
 			return
 		}
-		// Digest mismatch (divergent release), an unversioned bundle or
+		// A divergent release, an unversioned bundle or
 		// one whose model does not build.
 		s.pushRejected.Inc()
 		httpkit.WriteJSON(w, http.StatusConflict, map[string]string{"error": err.Error()})

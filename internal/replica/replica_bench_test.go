@@ -38,7 +38,7 @@ func benchBundle(version int) store.Bundle {
 
 // BenchmarkBundlePush measures one push end to end — the request a
 // reconcile sends per missing version: canonical encode, HTTP POST,
-// replica-side decode, digest-checked apply (every odd iteration
+// replica-side decode, byte-checked apply (every odd iteration
 // re-pushes the same version, so both the apply and the
 // idempotent-duplicate paths are on the clock, as they are in a real
 // anti-entropy sweep).

@@ -263,7 +263,7 @@ func TestPushGapTriggersBackfill(t *testing.T) {
 
 // TestPushRetriesTransientErrors pins which failures a caller retries:
 // a replica that fails with 503 twice before recovering converges at the
-// third Sync, and a divergent release (409 digest mismatch), one the
+// third Sync, and a divergent release (409, its bytes differ), one the
 // replica cannot build (409 rejected) or one past the replica's size cap
 // (413) is a permanent error, so it is sent once.
 func TestPushRetriesTransientErrors(t *testing.T) {

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"math"
@@ -78,7 +79,7 @@ func TestApplyRejectsDivergentRelease(t *testing.T) {
 	// Same (name, version), different weights: a re-push may repeat a
 	// release but can never replace one.
 	if _, err := s.Apply(applyBundle("m", 1, 99)); err == nil {
-		t.Fatal("divergent re-apply succeeded; want digest-mismatch error")
+		t.Fatal("divergent re-apply succeeded; want an error for a differing release")
 	}
 	if b, _ := s.Get("m", 1); b.Model.Weights[0] != 1 {
 		t.Errorf("divergent apply mutated the release: weights %v", b.Model.Weights)
@@ -137,11 +138,11 @@ func TestBundleDigestCanonical(t *testing.T) {
 		return &b
 	}
 	// Gob encoding of the same bundle varies (map order); the canonical
-	// digest must not.
+	// bytes must not.
 	a, b := mk(), mk()
 	for i := 0; i < 20; i++ {
-		if a.Digest() != b.Digest() {
-			t.Fatal("digest differs between identical bundles")
+		if !bytes.Equal(a.CanonicalBytes(), b.CanonicalBytes()) {
+			t.Fatal("canonical bytes differ between identical bundles")
 		}
 	}
 	// Every field participates.
@@ -157,8 +158,8 @@ func TestBundleDigestCanonical(t *testing.T) {
 	} {
 		m := mk()
 		mutate(m)
-		if m.Digest() == a.Digest() {
-			t.Errorf("mutating %s did not change the digest", name)
+		if bytes.Equal(m.CanonicalBytes(), a.CanonicalBytes()) {
+			t.Errorf("mutating %s did not change the canonical bytes", name)
 		}
 	}
 }
@@ -267,8 +268,8 @@ func TestBundleRoundTripPredictsIdentically(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if back.Digest() != bundle.Digest() {
-				t.Error("round trip changed the canonical digest")
+			if !bytes.Equal(back.CanonicalBytes(), bundle.CanonicalBytes()) {
+				t.Error("round trip changed the canonical bytes")
 			}
 			decoded, err := back.Model.Instantiate()
 			if err != nil {
@@ -328,8 +329,8 @@ func heapBytesPer(runs int, f func()) float64 {
 // copies the params once and builds the model over that copy without
 // drawing an initial weight: ≈ 54 kB, where a model drawn and then
 // overwritten with a second copy read ≈ 103 kB. A duplicate Apply of
-// the stored release settles on its digest and copies and builds
-// nothing: ≈ 98 kB, the two canonical encodings it hashes, each into a
+// the stored release settles on its canonical bytes and copies and
+// builds nothing: ≈ 98 kB, the two canonical encodings it compares, each into a
 // buffer sized up front (≈ 423 kB when each grew by append); copying
 // and building it first as well reads ≈ 477 kB with appended encodings
 // (≈ 527 kB with the model built over a second copy).

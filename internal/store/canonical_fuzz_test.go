@@ -66,8 +66,8 @@ func TestDecodeCanonicalBundleIntegerRange(t *testing.T) {
 }
 
 // TestDecodeCanonicalBundleRejectsNonCanonical: the decoder accepts only
-// what CanonicalBytes emits, so a pushed body is its own digest
-// preimage. Feature keys out of order (or repeated) are the one way to
+// what CanonicalBytes emits, so a pushed body is the canonical bytes of
+// the release it decodes to. Feature keys out of order (or repeated) are the one way to
 // spell a bundle twice.
 func TestDecodeCanonicalBundleRejectsNonCanonical(t *testing.T) {
 	b := canonicalTestBundle()
@@ -87,7 +87,7 @@ func TestDecodeCanonicalBundleRejectsNonCanonical(t *testing.T) {
 
 // FuzzDecodeCanonicalBundle feeds the decoder arbitrary bytes: it must
 // never panic, and anything it accepts must re-encode to exactly the
-// input (a body is its own digest preimage and WAL record). What it
+// input (a body is its release's canonical bytes and WAL record). What it
 // accepts then goes where a pushed body goes, into a store: Apply either
 // refuses it, leaving the store empty, or stores it with a model that
 // predicts a zero row of its width — without panicking or allocating

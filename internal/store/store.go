@@ -12,7 +12,7 @@
 package store
 
 import (
-	"crypto/sha256"
+	"bytes"
 	"fmt"
 	"math"
 	"slices"
@@ -197,11 +197,11 @@ type Bundle struct {
 // keys, IEEE-754 bit patterns) — the one format a release has. Two
 // bundles are the same release iff their canonical bytes are equal, and
 // the serialization is invertible (DecodeCanonicalBundle), so the same
-// bytes are the body of a replica push, the preimage of the digest that
-// push verifies, the payload the write-ahead log journals for each
-// publish (the WAL record's checksum therefore covers exactly the bytes
-// the digest covers), and the record replay decodes during crash
-// recovery. The buffer is sized up front: one allocation per encoding.
+// bytes are the body of a replica push, what a re-push is compared
+// with, the payload the write-ahead log journals for each publish (the
+// WAL record's checksum therefore covers exactly the release), and the
+// record replay decodes during crash recovery. The buffer is sized up
+// front: one allocation per encoding.
 func (b *Bundle) CanonicalBytes() []byte {
 	m, p := &b.Model, &b.Provenance
 	keys := b.FeatureKeys()
@@ -242,7 +242,7 @@ func (b *Bundle) CanonicalBytes() []byte {
 // exactly what CanonicalBytes can emit for a real release: integers a
 // Go int holds on every platform, feature keys strictly ascending, no
 // trailing bytes. Whatever it accepts therefore re-encodes to the same
-// bytes, and a pushed body is its own digest preimage.
+// bytes, and a pushed body is the release's canonical bytes.
 func DecodeCanonicalBundle(raw []byte) (*Bundle, error) {
 	c := core.NewCursor(raw)
 	// count reads a version, dimension or layer width. No release has
@@ -310,16 +310,6 @@ func DecodeCanonicalBundle(raw []byte) (*Bundle, error) {
 		return nil, fmt.Errorf("store: canonical bundle: %d trailing bytes", c.Remaining())
 	}
 	return &b, nil
-}
-
-// Digest returns a content digest over the bundle's canonical
-// serialization. Replica push uses it for idempotency: a re-push of an
-// already-applied (name, version) is accepted iff the digests match, so
-// a divergent bundle can never silently overwrite a release. Because
-// the WAL journals and the publisher pushes exactly CanonicalBytes, a
-// journaled release's digest is the digest replicas verified.
-func (b *Bundle) Digest() [sha256.Size]byte {
-	return sha256.Sum256(b.CanonicalBytes())
 }
 
 // Store is the in-memory wide-access model & feature store. It is safe
@@ -475,9 +465,9 @@ func (e *VersionGapError) Error() string {
 //
 //   - Version == watermark+1: the bundle is appended (deep-copied, like
 //     Publish) and Apply reports applied=true.
-//   - Version <= watermark: idempotent re-push. Apply verifies the
-//     offered bundle's digest against the applied one and reports
-//     applied=false; a digest mismatch is an error — a release can
+//   - Version <= watermark: idempotent re-push. Apply compares the
+//     offered bundle's canonical bytes with the applied one's and
+//     reports applied=false; a difference is an error — a release can
 //     never be silently replaced.
 //   - Version > watermark+1: *VersionGapError. The store refuses holes
 //     so that "watermark = n" always means versions 1..n are present.
@@ -519,13 +509,14 @@ func (s *Store) Apply(b Bundle) (applied bool, err error) {
 }
 
 // isNext reports whether b is its name's next version, or else why not:
-// nil for a re-push, a digest mismatch, or a *VersionGapError.
+// nil for a re-push, an error for a release that differs from the
+// applied one, or a *VersionGapError.
 func (s *Store) isNext(b *Bundle) (bool, error) {
 	versions := s.bundles[b.Name]
 	switch {
 	case b.Version <= len(versions):
-		if versions[b.Version-1].Digest() != b.Digest() {
-			return false, fmt.Errorf("store: apply %s@v%d: digest mismatch with already-applied release", b.Name, b.Version)
+		if !bytes.Equal(versions[b.Version-1].CanonicalBytes(), b.CanonicalBytes()) {
+			return false, fmt.Errorf("store: apply %s@v%d: differs from the already-applied release", b.Name, b.Version)
 		}
 		return false, nil
 	case b.Version > len(versions)+1:

@@ -1,9 +1,6 @@
 package validation
 
-import (
-	"repro/internal/privacy"
-	"repro/internal/rng"
-)
+import "repro/internal/rng"
 
 // AccuracyValidator is the SLAed validator for classification accuracy
 // (Appendix B.2). Accuracy is a binomial proportion, so the confidence
@@ -21,17 +18,10 @@ type AccuracyValidator struct {
 // ACCEPT requires the lower confidence bound on accuracy to reach Target.
 func (v AccuracyValidator) Accept(correct, n int, r *rng.RNG) bool {
 	v.Config.validate()
-	k, total := float64(correct), float64(n)
-	if v.Mode.isDP() {
-		mech := privacy.LaplaceMechanism{Sensitivity: 1, Epsilon: v.Epsilon / 2}
-		k = mech.Release(k, r)
-		total = mech.Release(total, r)
-		if v.Mode.corrects() {
-			// Worst case: noise inflated k and deflated total.
-			k -= mech.TailBound(v.Eta / 3)
-			total += mech.TailBound(v.Eta / 3)
-		}
-	}
+	share := v.Eta / 3
+	// Worst case for a lower bound: noise inflated k and deflated total.
+	k := v.release(float64(correct), 1, share, -1, r)
+	total := v.release(float64(n), 1, share, +1, r)
 	if total <= 1 {
 		return false
 	}
@@ -44,7 +34,7 @@ func (v AccuracyValidator) Accept(correct, n int, r *rng.RNG) bool {
 	if v.Mode == ModeNoSLA {
 		return k/total >= v.Target
 	}
-	return BinomialLower(k, total, v.Eta/3) >= v.Target
+	return BinomialLower(k, total, share) >= v.Target
 }
 
 // Reject runs the REJECT test given the training-set accuracy of the
@@ -60,18 +50,10 @@ func (v AccuracyValidator) Reject(bestCorrect, nTrain int, r *rng.RNG) bool {
 	if v.Mode == ModeNoSLA {
 		return false
 	}
-	k, total := float64(bestCorrect), float64(nTrain)
-	if v.Mode.isDP() {
-		mech := privacy.LaplaceMechanism{Sensitivity: 1, Epsilon: v.Epsilon / 2}
-		k = mech.Release(k, r)
-		total = mech.Release(total, r)
-		if v.Mode.corrects() {
-			// Worst case for an upper bound: noise deflated k and
-			// inflated total.
-			k += mech.TailBound(v.Eta / 3)
-			total -= mech.TailBound(v.Eta / 3)
-		}
-	}
+	share := v.Eta / 3
+	// Worst case for an upper bound: noise deflated k and inflated total.
+	k := v.release(float64(bestCorrect), 1, share, +1, r)
+	total := v.release(float64(nTrain), 1, share, -1, r)
 	if total <= 1 {
 		return false
 	}
@@ -81,5 +63,5 @@ func (v AccuracyValidator) Reject(bestCorrect, nTrain int, r *rng.RNG) bool {
 	if k > total {
 		k = total
 	}
-	return BinomialUpper(k, total, v.Eta/3) < v.Target
+	return BinomialUpper(k, total, share) < v.Target
 }

@@ -32,29 +32,22 @@ func (v ErrorValidator) Accept(n int, r *rng.RNG) bool {
 	if v.B <= 0 {
 		panic("validation: ErrorValidator requires B > 0")
 	}
-	total := float64(n)
+	share := v.Eta / 2
+	total := v.release(float64(n), 1, share, -1, r)
+	if total <= 1 {
+		return false
+	}
 	noiseErr := 0.0
 	if v.Mode.isDP() {
-		countMech := privacy.LaplaceMechanism{Sensitivity: 1, Epsilon: v.Epsilon / 2}
-		total = countMech.Release(total, r)
-		if v.Mode.corrects() {
-			total -= countMech.TailBound(v.Eta / 2)
-		}
-		if total <= 1 {
-			return false
-		}
 		// Worst-case impact of the Laplace(2B/ε) noise on the
 		// statistic, divided by n since the statistic is a mean.
 		statMech := privacy.LaplaceMechanism{Sensitivity: v.B, Epsilon: v.Epsilon / 2}
-		noiseErr = statMech.TailBound(v.Eta/2) / total
-	}
-	if total <= 1 {
-		return false
+		noiseErr = statMech.TailBound(share) / total
 	}
 	if v.Mode == ModeNoSLA {
 		// Vanilla check ignores sampling error entirely.
 		return noiseErr <= v.Target
 	}
-	sampling := HoeffdingDeviation(total, v.Eta/2, v.B)
+	sampling := HoeffdingDeviation(total, share, v.B)
 	return noiseErr+sampling <= v.Target
 }

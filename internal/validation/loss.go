@@ -1,9 +1,6 @@
 package validation
 
-import (
-	"repro/internal/privacy"
-	"repro/internal/rng"
-)
+import "repro/internal/rng"
 
 // LossValidator is the SLAed validator for loss metrics (MSE, log loss,
 // negative log likelihood) of §3.3 / Appendix B.1. ACCEPT guarantees,
@@ -43,23 +40,13 @@ func (v LossValidator) Accept(testLosses []float64, r *rng.RNG) bool {
 	if v.B <= 0 {
 		panic("validation: LossValidator requires B > 0")
 	}
-	eta := v.Eta / 2 // half the failure budget for ACCEPT, half for REJECT
+	// η/2 for ACCEPT, η/2 for REJECT, a third of it for each event: the
+	// count's and the sum's noise tails and the confidence bound.
+	share := v.Eta / 2 / 3
 	sum, n := v.lossStats(testLosses)
-
-	if v.Mode.isDP() {
-		countMech := privacy.LaplaceMechanism{Sensitivity: 1, Epsilon: v.Epsilon / 2}
-		sumMech := privacy.LaplaceMechanism{Sensitivity: v.B, Epsilon: v.Epsilon / 2}
-		n = countMech.Release(n, r)
-		sum = sumMech.Release(sum, r)
-		if v.Mode.corrects() {
-			// Worst-case noise impact at confidence 1−η/3 each:
-			// push n down and the loss sum up (Listing 2 lines
-			// 12-18 use ln(3/(2η)) for the two-sided Laplace tail
-			// at level 2η/3... we use the per-estimate η/3 tail).
-			n -= countMech.TailBound(eta / 3)
-			sum += sumMech.TailBound(eta / 3)
-		}
-	}
+	// Worst case for an upper bound: noise inflated n and deflated the sum.
+	n = v.release(n, 1, share, -1, r)
+	sum = v.release(sum, v.B, share, +1, r)
 	if n <= 1 {
 		return false
 	}
@@ -72,7 +59,7 @@ func (v LossValidator) Accept(testLosses []float64, r *rng.RNG) bool {
 		// Vanilla TFX: point comparison, no confidence bound.
 		return mean <= v.Target
 	}
-	ub := BernsteinUpperBound(mean, n, eta/3, v.B)
+	ub := BernsteinUpperBound(mean, n, share, v.B)
 	return ub <= v.Target
 }
 
@@ -89,23 +76,14 @@ func (v LossValidator) Reject(bestTrainLosses []float64, r *rng.RNG) bool {
 	if v.Mode == ModeNoSLA {
 		return false // vanilla validation never proves impossibility
 	}
-	eta := v.Eta / 2
+	share := v.Eta / 2 / 3
 	sum, n := v.lossStats(bestTrainLosses)
-
-	if v.Mode.isDP() {
-		countMech := privacy.LaplaceMechanism{Sensitivity: 1, Epsilon: v.Epsilon / 2}
-		sumMech := privacy.LaplaceMechanism{Sensitivity: v.B, Epsilon: v.Epsilon / 2}
-		n = countMech.Release(n, r)
-		sum = sumMech.Release(sum, r)
-		if v.Mode.corrects() {
-			// Lower-bound the best loss: push the sum down and n up.
-			n += countMech.TailBound(eta / 3)
-			sum -= sumMech.TailBound(eta / 3)
-		}
-	}
+	// Lower-bound the best loss: noise deflated n and inflated the sum.
+	n = v.release(n, 1, share, +1, r)
+	sum = v.release(sum, v.B, share, -1, r)
 	if n <= 1 {
 		return false
 	}
-	lower := sum/n - HoeffdingDeviation(n, eta/3, v.B)
+	lower := sum/n - HoeffdingDeviation(n, share, v.B)
 	return lower > v.Target
 }

@@ -2,6 +2,7 @@ package validation
 
 import (
 	"repro/internal/privacy"
+	"repro/internal/rng"
 )
 
 // Decision is the outcome of an SLAed validation (Fig. 2): ACCEPT pushes
@@ -75,9 +76,11 @@ func (m Mode) corrects() bool { return m == ModeSage }
 type Config struct {
 	// Mode selects the validation discipline (default ModeSage).
 	Mode Mode
-	// Eta is the total failure probability of the test (1−confidence;
-	// the paper splits it η/2 per ACCEPT/REJECT test and η/3 per DP
-	// estimate inside a test).
+	// Eta is the failure probability (1−confidence) the paper splits η/2
+	// per ACCEPT/REJECT test and η/3 per event inside a test, as
+	// LossValidator does (η/6 per event). AccuracyValidator spends η/3
+	// per event (η per test, 2η over both), ErrorValidator η/2 (1.5η);
+	// ROADMAP direction 17(b) brings those two to the split.
 	Eta float64
 	// Epsilon is the (ε, 0)-DP budget the validation may spend.
 	Epsilon float64
@@ -90,6 +93,22 @@ func (c Config) Cost() privacy.Budget {
 		return privacy.Budget{Epsilon: c.Epsilon}
 	}
 	return privacy.Zero
+}
+
+// release returns one test statistic x of sensitivity s as the test
+// sees it: x itself in the non-private mode, else a Laplace release at
+// ε/2, which ModeSage moves by its tail at failure probability share
+// toward the test's worst case (dir −1 down, +1 up; Listing 2).
+func (c Config) release(x, s, share, dir float64, r *rng.RNG) float64 {
+	if !c.Mode.isDP() {
+		return x
+	}
+	mech := privacy.LaplaceMechanism{Sensitivity: s, Epsilon: c.Epsilon / 2}
+	x = mech.Release(x, r)
+	if c.Mode.corrects() {
+		x += dir * mech.TailBound(share)
+	}
+	return x
 }
 
 // validate panics on out-of-range parameters.

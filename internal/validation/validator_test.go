@@ -354,3 +354,58 @@ func TestUncorrectedDPViolatesMoreOften(t *testing.T) {
 		t.Skip("uncorrected mode produced no false accepts at this configuration")
 	}
 }
+
+// TestCoverageAtTheTarget runs the ACCEPT tests at their adversarial
+// point: the true quality exactly at the target (Bernoulli losses with
+// mean Target, accuracy equal to Target), on few test points with a
+// small ε, where DP noise can fake a pass. Over seeded trials the 99 %
+// upper Clopper–Pearson bound on ModeSage's ACCEPT rate must stay
+// within η. The other modes' rates are logged: their gap is the
+// ablation of Fig. 5 and Table 2. Without its DP correction ModeSage
+// would be ModeUncorrectedDP, which ACCEPTs here in about a fifth of the
+// loss trials and two fifths of the accuracy trials.
+func TestCoverageAtTheTarget(t *testing.T) {
+	const (
+		eta     = 0.05
+		target  = 0.5
+		n       = 200
+		epsilon = 0.05
+		trials  = 1000
+	)
+	for _, mode := range []Mode{ModeNoSLA, ModeNPSLA, ModeUncorrectedDP, ModeSage} {
+		cfg := Config{Mode: mode, Eta: eta, Epsilon: epsilon}
+		loss := LossValidator{Config: cfg, Target: target, B: 1}
+		acc := AccuracyValidator{Config: cfg, Target: target}
+		r := rng.New(54)
+		losses := make([]float64, n)
+		var lossAccepts, accAccepts float64
+		for range trials {
+			correct := 0
+			for i := range losses {
+				losses[i] = 0
+				if r.Bool(target) {
+					losses[i] = 1
+				}
+				if r.Bool(target) {
+					correct++
+				}
+			}
+			if loss.Accept(losses, r) {
+				lossAccepts++
+			}
+			if acc.Accept(correct, n, r) {
+				accAccepts++
+			}
+		}
+		for _, c := range []struct {
+			validator string
+			accepts   float64
+		}{{"loss", lossAccepts}, {"accuracy", accAccepts}} {
+			upper := BinomialUpper(c.accepts, trials, 0.01)
+			t.Logf("%-9s %-8s ACCEPT rate %.3f, 99%% upper bound %.4f", mode, c.validator, c.accepts/trials, upper)
+			if mode == ModeSage && upper > eta {
+				t.Errorf("%s validator ACCEPTs at its target at rate %.3f: 99%% upper bound %.4f > η = %v", c.validator, c.accepts/trials, upper, eta)
+			}
+		}
+	}
+}
