@@ -174,7 +174,7 @@ func BenchmarkDPSGDEpoch(b *testing.B) {
 	ds := taxi.Pipeline(5000, 0, 24*7, 0, 0, 11)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m := ml.NewSGDLinearRegression(taxi.FeatureDim)
+		m := ml.NewGLM(ml.Regression, taxi.FeatureDim)
 		ml.TrainSGD(m, ds, ml.SGDConfig{
 			LearningRate: 0.05, Epochs: 1, BatchSize: 256,
 			DP: true, ClipNorm: 1, Budget: privacy.MustBudget(1, 1e-6),
@@ -190,7 +190,7 @@ func BenchmarkDPSGDEpochLogistic(b *testing.B) {
 	ds := criteo.Pipeline(20000, 0, 24*14, 11)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m := ml.NewLogisticRegression(criteo.FeatureDim)
+		m := ml.NewGLM(ml.BinaryClassification, criteo.FeatureDim)
 		ml.TrainSGD(m, ds, ml.SGDConfig{
 			LearningRate: 0.1, Epochs: 1, BatchSize: 512,
 			DP: true, ClipNorm: 1, Budget: privacy.MustBudget(1, 1e-6),

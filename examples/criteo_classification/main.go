@@ -34,7 +34,7 @@ func main() {
 	pipe := &pipeline.Pipeline{
 		Name: "criteo-lg",
 		Trainer: pipeline.SGDTrainer{
-			Kind: pipeline.KindLogistic, Dim: criteo.FeatureDim,
+			Kind: ml.BinaryClassification, Dim: criteo.FeatureDim,
 			LearningRate: 0.1, Epochs: 3, BatchSize: 512,
 			DP: true, ClipNorm: 1, InitSeed: 4,
 		},

@@ -151,7 +151,7 @@ func TestCriteoEndToEnd(t *testing.T) {
 	pipe := &pipeline.Pipeline{
 		Name: "criteo-lg",
 		Trainer: pipeline.SGDTrainer{
-			Kind: pipeline.KindLogistic, Dim: criteo.FeatureDim,
+			Kind: ml.BinaryClassification, Dim: criteo.FeatureDim,
 			LearningRate: 0.3, Epochs: 3, BatchSize: 512,
 			DP: true, ClipNorm: 1, InitSeed: 73,
 		},

@@ -37,7 +37,7 @@ func TestSharedGroundTruthAcrossSeeds(t *testing.T) {
 	// trained on seed A must transfer to data from seed B.
 	train := Pipeline(60000, 0, 24, 10)
 	test := Pipeline(20000, 0, 24, 11)
-	m := ml.NewLogisticRegression(FeatureDim)
+	m := ml.NewGLM(ml.BinaryClassification, FeatureDim)
 	ml.TrainSGD(m, train, ml.SGDConfig{LearningRate: 0.1, Epochs: 3, BatchSize: 256}, rng.New(12))
 	acc := ml.Accuracy(m, test)
 	naive := ml.Accuracy(ml.NaiveMajorityModel(train), test)
@@ -126,7 +126,7 @@ func TestCalibrationAnchors(t *testing.T) {
 	if math.Abs(naive-0.743) > 0.03 {
 		t.Errorf("naive accuracy = %v, want ≈ 0.743 (paper)", naive)
 	}
-	m := ml.NewLogisticRegression(FeatureDim)
+	m := ml.NewGLM(ml.BinaryClassification, FeatureDim)
 	ml.TrainSGD(m, train, ml.SGDConfig{LearningRate: 0.1, Epochs: 3, BatchSize: 512}, rng.New(22))
 	acc := ml.Accuracy(m, test)
 	if acc < naive+0.02 {

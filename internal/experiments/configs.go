@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/criteo"
 	"repro/internal/data"
+	"repro/internal/ml"
 	"repro/internal/pipeline"
 	"repro/internal/taxi"
 	"repro/internal/validation"
@@ -94,7 +95,7 @@ func Configs() []ModelConfig {
 				return &pipeline.Pipeline{
 					Name: "taxi-nn", Mode: mode,
 					Trainer: pipeline.SGDTrainer{
-						Kind: pipeline.KindMLPRegression, Dim: taxi.FeatureDim,
+						Kind: ml.Regression, Dim: taxi.FeatureDim,
 						Hidden: taxiHidden, LearningRate: 0.01, Momentum: 0.9,
 						Epochs: 3, BatchSize: 1024,
 						DP: dp, ClipNorm: 1, InitSeed: 11,
@@ -112,7 +113,7 @@ func Configs() []ModelConfig {
 				return &pipeline.Pipeline{
 					Name: "criteo-lg", Mode: mode,
 					Trainer: pipeline.SGDTrainer{
-						Kind: pipeline.KindLogistic, Dim: criteo.FeatureDim,
+						Kind: ml.BinaryClassification, Dim: criteo.FeatureDim,
 						LearningRate: 0.3, Epochs: 3, BatchSize: 512,
 						DP: dp, ClipNorm: 1, InitSeed: 12,
 					},
@@ -128,7 +129,7 @@ func Configs() []ModelConfig {
 				return &pipeline.Pipeline{
 					Name: "criteo-nn", Mode: mode,
 					Trainer: pipeline.SGDTrainer{
-						Kind: pipeline.KindMLPClassification, Dim: criteo.FeatureDim,
+						Kind: ml.BinaryClassification, Dim: criteo.FeatureDim,
 						Hidden: criteoHidden, LearningRate: 0.05, Momentum: 0.9,
 						Epochs: 5, BatchSize: 1024,
 						DP: dp, ClipNorm: 1, InitSeed: 13,

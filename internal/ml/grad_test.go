@@ -17,19 +17,13 @@ type denseGradModel interface {
 	Grad(features []float64, label float64, out []float64)
 }
 
-// Grad implements denseGradModel: ∂logloss/∂w = (p − y)·x, ∂/∂b = (p − y).
-func (m *LogisticRegression) Grad(x []float64, y float64, out []float64) {
-	p := m.Predict(x)
-	diff := p - y
-	for i := 0; i < m.dim; i++ {
-		out[i] = diff * x[i]
-	}
-	out[m.dim] = diff
-}
-
-// Grad implements denseGradModel: ∂(pred−y)²/∂w = 2(pred−y)·x.
-func (m *SGDLinearRegression) Grad(x []float64, y float64, out []float64) {
+// Grad implements denseGradModel: ∂logloss/∂w = (p − y)·x, ∂/∂b = (p − y)
+// under the sigmoid head, ∂(pred−y)²/∂w = 2(pred−y)·x under the identity.
+func (m *GLM) Grad(x []float64, y float64, out []float64) {
 	diff := 2 * (m.Predict(x) - y)
+	if m.kind == BinaryClassification {
+		diff = m.Predict(x) - y
+	}
 	for i := 0; i < m.dim; i++ {
 		out[i] = diff * x[i]
 	}

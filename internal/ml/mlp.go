@@ -8,9 +8,9 @@ import (
 	"repro/internal/rng"
 )
 
-// OutputKind selects the MLP's head: identity + squared loss for
-// regression (Taxi NN) or sigmoid + log loss for classification
-// (Criteo NN).
+// OutputKind selects a model's head, the GLM's or the MLP's: identity
+// + squared loss for regression (Taxi NN) or sigmoid + log loss for
+// classification (Criteo LG and NN).
 type OutputKind int
 
 const (
@@ -19,6 +19,15 @@ const (
 	// BinaryClassification uses a sigmoid output and log loss.
 	BinaryClassification
 )
+
+// head maps the model's output z to its prediction: z itself, or the
+// positive-class probability σ(z).
+func (k OutputKind) head(z float64) float64 {
+	if k == BinaryClassification {
+		return Sigmoid(z)
+	}
+	return z
+}
 
 // MLP is a fully connected multi-layer perceptron with ReLU hidden
 // activations, the paper's "NN" pipelines (Table 1: ReLU, 2 hidden
@@ -164,10 +173,7 @@ func (m *MLP) Predict(x []float64) float64 {
 	b := m.passes.Get().(*activations)
 	z := m.forward(b, x)
 	m.passes.Put(b)
-	if m.kind == BinaryClassification {
-		return Sigmoid(z)
-	}
-	return z
+	return m.kind.head(z)
 }
 
 // PredictBatch implements Model with one set of buffers for the whole
@@ -199,11 +205,7 @@ func (m *MLP) PredictBatch(rows [][]float64, out []float64) {
 // The exception is a non-finite δ: the dense Inf·0 or NaN·0 is NaN,
 // where the entries of inputs with a_i = 0 are left untouched here.
 func (m *MLP) addGrad(sum, x []float64, y, clip float64) {
-	z := m.forward(&m.activations, x)
-	pred := z
-	if m.kind == BinaryClassification {
-		pred = Sigmoid(z)
-	}
+	pred := m.kind.head(m.forward(&m.activations, x))
 	layers := len(m.sizes) - 1
 	m.errs[layers][0] = pred - y
 	// Backpropagate deltas through ReLU layers, reading W by rows: each

@@ -150,8 +150,8 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 		}
 		rows[i] = x
 	}
-	logit := NewLogisticRegression(4)
-	sgdlin := NewSGDLinearRegression(4)
+	logit := NewGLM(BinaryClassification, 4)
+	sgdlin := NewGLM(Regression, 4)
 	for i := range logit.Params() {
 		logit.Params()[i] = r.Normal(0, 1)
 		sgdlin.Params()[i] = r.Normal(0, 1)

@@ -16,7 +16,7 @@ func TestSGDLinearRegressionConverges(t *testing.T) {
 	r := rng.New(1)
 	w := []float64{0.6, -0.4}
 	ds := synthLinear(20000, 2, w, 0.2, 0.02, r)
-	m := NewSGDLinearRegression(2)
+	m := NewGLM(Regression, 2)
 	TrainSGD(m, ds, SGDConfig{LearningRate: 0.05, Momentum: 0.9, Epochs: 5, BatchSize: 128}, rng.New(2))
 	holdout := synthLinear(2000, 2, w, 0.2, 0.02, r)
 	if mse := MSE(m, holdout); mse > 0.001 {
@@ -28,7 +28,7 @@ func TestLogisticRegressionLearns(t *testing.T) {
 	r := rng.New(3)
 	w := []float64{3, -2}
 	ds := synthLogistic(20000, 2, w, 0.5, r)
-	m := NewLogisticRegression(2)
+	m := NewGLM(BinaryClassification, 2)
 	TrainSGD(m, ds, SGDConfig{LearningRate: 0.2, Epochs: 5, BatchSize: 128}, rng.New(4))
 	holdout := synthLogistic(5000, 2, w, 0.5, r)
 	acc := Accuracy(m, holdout)
@@ -48,10 +48,10 @@ func TestDPSGDLargeEpsilonMatchesNonPrivate(t *testing.T) {
 	ds := synthLinear(20000, 2, w, 0.1, 0.02, r)
 	holdout := synthLinear(2000, 2, w, 0.1, 0.02, r)
 
-	np := NewSGDLinearRegression(2)
+	np := NewGLM(Regression, 2)
 	TrainSGD(np, ds, SGDConfig{LearningRate: 0.05, Epochs: 3, BatchSize: 256}, rng.New(6))
 
-	dp := NewSGDLinearRegression(2)
+	dp := NewGLM(Regression, 2)
 	TrainSGD(dp, ds, SGDConfig{
 		LearningRate: 0.05, Epochs: 3, BatchSize: 256,
 		DP: true, ClipNorm: 2, Budget: privacy.MustBudget(50, 1e-6),
@@ -69,7 +69,7 @@ func TestDPSGDSmallEpsilonWorse(t *testing.T) {
 	ds := synthLinear(5000, 2, w, 0.1, 0.02, r)
 	holdout := synthLinear(2000, 2, w, 0.1, 0.02, r)
 	run := func(eps float64, seed uint64) float64 {
-		m := NewSGDLinearRegression(2)
+		m := NewGLM(Regression, 2)
 		TrainSGD(m, ds, SGDConfig{
 			LearningRate: 0.05, Epochs: 3, BatchSize: 256,
 			DP: true, ClipNorm: 2, Budget: privacy.MustBudget(eps, 1e-6),
@@ -105,13 +105,13 @@ func TestSGDConfigValidation(t *testing.T) {
 					t.Errorf("config %d should panic", i)
 				}
 			}()
-			TrainSGD(NewSGDLinearRegression(1), ds, cfg, rng.New(0))
+			TrainSGD(NewGLM(Regression, 1), ds, cfg, rng.New(0))
 		}()
 	}
 }
 
 func TestSGDEmptyDataset(t *testing.T) {
-	m := NewSGDLinearRegression(2)
+	m := NewGLM(Regression, 2)
 	before := append([]float64{}, m.Params()...)
 	TrainSGD(m, &data.Dataset{}, SGDConfig{LearningRate: 0.1, Epochs: 1, BatchSize: 4}, rng.New(1))
 	for i := range before {
@@ -125,7 +125,7 @@ func TestSGDDeterminism(t *testing.T) {
 	r := rng.New(20)
 	ds := synthLinear(1000, 2, []float64{1, -1}, 0, 0.05, r)
 	train := func(seed uint64) []float64 {
-		m := NewSGDLinearRegression(2)
+		m := NewGLM(Regression, 2)
 		TrainSGD(m, ds, SGDConfig{
 			LearningRate: 0.05, Epochs: 2, BatchSize: 64,
 			DP: true, ClipNorm: 1, Budget: privacy.MustBudget(1, 1e-6),
@@ -250,8 +250,8 @@ func referenceTrainSGD(model denseGradModel, ds *data.Dataset, cfg SGDConfig, r 
 // sgdModels builds the three GradModel kinds at one width, each fresh.
 func sgdModels(dim int) map[string]func() denseGradModel {
 	return map[string]func() denseGradModel{
-		"logistic": func() denseGradModel { return NewLogisticRegression(dim) },
-		"linear":   func() denseGradModel { return NewSGDLinearRegression(dim) },
+		"logistic": func() denseGradModel { return NewGLM(BinaryClassification, dim) },
+		"linear":   func() denseGradModel { return NewGLM(Regression, dim) },
 		"mlp":      func() denseGradModel { return NewMLP(BinaryClassification, dim, []int{8}, rng.New(77)) },
 	}
 }
@@ -402,7 +402,7 @@ func TestDPSGDStepAllocs(t *testing.T) {
 		ds    *data.Dataset
 		model GradModel
 	}{
-		{"logistic", synthLogistic(4000, 20, make([]float64, 20), 0, rng.New(41)), NewLogisticRegression(20)},
+		{"logistic", synthLogistic(4000, 20, make([]float64, 20), 0, rng.New(41)), NewGLM(BinaryClassification, 20)},
 		{"taxi-nn", taxi.Pipeline(4000, 0, 24*7, 0, 0, 41), NewMLP(Regression, taxi.FeatureDim, []int{64, 32}, rng.New(41))},
 	}
 	for _, c := range cases {

@@ -169,25 +169,36 @@ func TestSGDTrainerKinds(t *testing.T) {
 		}
 		ds.Append(data.Example{Features: x, Label: y})
 	}
-	for _, kind := range []ModelKind{KindLogistic, KindLinear, KindMLPRegression, KindMLPClassification} {
+	for _, c := range []struct {
+		kind   ml.OutputKind
+		hidden []int
+	}{
+		{ml.BinaryClassification, nil},
+		{ml.Regression, nil},
+		{ml.Regression, []int{4}},
+		{ml.BinaryClassification, []int{4}},
+	} {
 		tr := SGDTrainer{
-			Kind: kind, Dim: 2, Hidden: []int{4},
+			Kind: c.kind, Dim: 2, Hidden: c.hidden,
 			LearningRate: 0.1, Epochs: 1, BatchSize: 32, InitSeed: 1,
 		}
 		m := tr.Train(ds, privacy.Zero, rng.New(10))
 		if m == nil {
-			t.Fatalf("kind %d returned nil model", kind)
+			t.Fatalf("kind %d, hidden %v returned nil model", c.kind, c.hidden)
+		}
+		if _, mlp := m.(*ml.MLP); mlp != (len(c.hidden) > 0) {
+			t.Errorf("kind %d, hidden %v built a %T", c.kind, c.hidden, m)
 		}
 		out := m.Predict([]float64{0.5, 0.5})
 		if math.IsNaN(out) || math.IsInf(out, 0) {
-			t.Errorf("kind %d predicts %v", kind, out)
+			t.Errorf("kind %d, hidden %v predicts %v", c.kind, c.hidden, out)
 		}
 		if tr.IsDP() {
-			t.Errorf("kind %d should not be DP", kind)
+			t.Errorf("kind %d, hidden %v should not be DP", c.kind, c.hidden)
 		}
 	}
 	dp := SGDTrainer{
-		Kind: KindLogistic, Dim: 2,
+		Kind: ml.BinaryClassification, Dim: 2,
 		LearningRate: 0.1, Epochs: 1, BatchSize: 32,
 		DP: true, ClipNorm: 1, InitSeed: 1,
 	}
@@ -200,7 +211,7 @@ func TestSGDTrainerKinds(t *testing.T) {
 }
 
 func TestTrainerOnEmptyDataset(t *testing.T) {
-	tr := SGDTrainer{Kind: KindLogistic, Dim: 3, LearningRate: 0.1, Epochs: 1, BatchSize: 8, InitSeed: 1}
+	tr := SGDTrainer{Kind: ml.BinaryClassification, Dim: 3, LearningRate: 0.1, Epochs: 1, BatchSize: 8, InitSeed: 1}
 	m := tr.Train(&data.Dataset{}, privacy.Zero, rng.New(12))
 	if m == nil {
 		t.Fatal("empty-data training should still return a model")
@@ -222,7 +233,7 @@ func TestAccuracyValidatorDecision(t *testing.T) {
 	p := &Pipeline{
 		Name: "sep",
 		Trainer: SGDTrainer{
-			Kind: KindLogistic, Dim: 1,
+			Kind: ml.BinaryClassification, Dim: 1,
 			LearningRate: 1, Epochs: 5, BatchSize: 64, InitSeed: 2,
 		},
 		Validator: AccuracyValidator{Target: 0.8},

@@ -43,26 +43,14 @@ func (t RidgeTrainer) Train(ds *data.Dataset, _ privacy.Budget, _ *rng.RNG) ml.M
 // IsDP implements Trainer.
 func (RidgeTrainer) IsDP() bool { return false }
 
-// ModelKind selects the architecture an SGDTrainer builds.
-type ModelKind int
-
-const (
-	// KindLogistic is logistic regression (Criteo LG).
-	KindLogistic ModelKind = iota
-	// KindLinear is an SGD-trained linear regressor.
-	KindLinear
-	// KindMLPRegression is an MLP with a regression head (Taxi NN).
-	KindMLPRegression
-	// KindMLPClassification is an MLP with a sigmoid head (Criteo NN).
-	KindMLPClassification
-)
-
 // SGDTrainer trains SGD-based models, with or without DP (Table 1's
 // DP SGD pipelines: Taxi NN, Criteo LG, Criteo NN).
 type SGDTrainer struct {
-	Kind   ModelKind
-	Dim    int   // feature dimensionality
-	Hidden []int // hidden layer widths for MLP kinds
+	Kind ml.OutputKind // the model's head
+	Dim  int           // feature dimensionality
+	// Hidden picks the shape: no widths is the GLM, any widths the MLP
+	// with those hidden layers.
+	Hidden []int
 
 	LearningRate float64
 	Momentum     float64
@@ -77,16 +65,10 @@ type SGDTrainer struct {
 
 // build constructs the zero/He-initialized model.
 func (t SGDTrainer) build() ml.GradModel {
-	switch t.Kind {
-	case KindLogistic:
-		return ml.NewLogisticRegression(t.Dim)
-	case KindLinear:
-		return ml.NewSGDLinearRegression(t.Dim)
-	case KindMLPRegression:
-		return ml.NewMLP(ml.Regression, t.Dim, t.Hidden, rng.New(t.InitSeed))
-	default:
-		return ml.NewMLP(ml.BinaryClassification, t.Dim, t.Hidden, rng.New(t.InitSeed))
+	if len(t.Hidden) == 0 {
+		return ml.NewGLM(t.Kind, t.Dim)
 	}
+	return ml.NewMLP(t.Kind, t.Dim, t.Hidden, rng.New(t.InitSeed))
 }
 
 // Train implements Trainer.

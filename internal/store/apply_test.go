@@ -251,8 +251,8 @@ func TestBundleRoundTripPredictsIdentically(t *testing.T) {
 	models := map[string]ml.Model{
 		"linear":   &ml.LinearModel{Weights: w, Bias: 0.25},
 		"constant": ml.ConstantModel{Value: 1.5},
-		"logistic": ml.NewLogisticRegression(6),
-		"sgd":      ml.NewSGDLinearRegression(6),
+		"logistic": ml.NewGLM(ml.BinaryClassification, 6),
+		"sgd":      ml.NewGLM(ml.Regression, 6),
 		"mlp-reg":  ml.NewMLP(ml.Regression, 6, []int{8, 4}, rng.New(9)),
 		"mlp-clf":  ml.NewMLP(ml.BinaryClassification, 6, []int{5}, rng.New(10)),
 	}

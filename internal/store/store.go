@@ -42,7 +42,7 @@ type Provenance struct {
 // ModelSpec is a serializable description of a trained model. Exactly
 // one Kind is valid.
 type ModelSpec struct {
-	Kind string // "linear", "logistic", "linear-sgd", "mlp-reg", "mlp-clf"
+	Kind string // "linear", "logistic", "linear-sgd", "mlp-reg", "mlp-clf", "constant"
 	// Linear models.
 	Weights []float64
 	Bias    float64
@@ -62,14 +62,13 @@ func Serialize(m ml.Model) (ModelSpec, error) {
 			Weights: append([]float64{}, v.Weights...),
 			Bias:    v.Bias,
 		}, nil
-	case *ml.LogisticRegression:
+	case *ml.GLM:
+		kind := "linear-sgd"
+		if v.Kind() == ml.BinaryClassification {
+			kind = "logistic"
+		}
 		return ModelSpec{
-			Kind: "logistic", Dim: v.Dim(),
-			Params: append([]float64{}, v.Params()...),
-		}, nil
-	case *ml.SGDLinearRegression:
-		return ModelSpec{
-			Kind: "linear-sgd", Dim: v.Dim(),
+			Kind: kind, Dim: v.Dim(),
 			Params: append([]float64{}, v.Params()...),
 		}, nil
 	case *ml.MLP:
@@ -124,12 +123,11 @@ func (s ModelSpec) build() (ml.Model, error) {
 		if err := s.checkParams(nil); err != nil {
 			return nil, err
 		}
+		kind := ml.Regression
 		if s.Kind == "logistic" {
-			m := ml.NewLogisticRegression(s.Dim)
-			copy(m.Params(), s.Params)
-			return m, nil
+			kind = ml.BinaryClassification
 		}
-		m := ml.NewSGDLinearRegression(s.Dim)
+		m := ml.NewGLM(kind, s.Dim)
 		copy(m.Params(), s.Params)
 		return m, nil
 	case "mlp-reg", "mlp-clf":

@@ -23,14 +23,14 @@ func TestSerializeRoundTrip(t *testing.T) {
 		&ml.LinearModel{Weights: []float64{1, 2, 3}, Bias: 0.5},
 		ml.ConstantModel{Value: 0.25},
 		func() ml.Model {
-			m := ml.NewLogisticRegression(3)
+			m := ml.NewGLM(ml.BinaryClassification, 3)
 			for i := range m.Params() {
 				m.Params()[i] = float64(i) * 0.1
 			}
 			return m
 		}(),
 		func() ml.Model {
-			m := ml.NewSGDLinearRegression(3)
+			m := ml.NewGLM(ml.Regression, 3)
 			m.Params()[0] = 2
 			return m
 		}(),
@@ -274,7 +274,7 @@ func TestServingRejectsWrongFeatureDimension(t *testing.T) {
 	s := New()
 	linSpec, _ := Serialize(&ml.LinearModel{Weights: []float64{1, 2}, Bias: 0})
 	s.Publish(Bundle{Name: "lin", Model: linSpec})
-	logSpec, _ := Serialize(ml.NewLogisticRegression(3))
+	logSpec, _ := Serialize(ml.NewGLM(ml.BinaryClassification, 3))
 	s.Publish(Bundle{Name: "log", Model: logSpec})
 	srv := httptest.NewServer(NewServer(s).Handler())
 	defer srv.Close()
