@@ -38,7 +38,8 @@ func walGroundTruth(t *testing.T, cfg Config) Status {
 // daemon without Close. A daemon started on the directory must report
 // exactly what the write-ahead logs hold — recovery adds nothing,
 // repairs nothing — and every block the logs know carries its admission
-// charge. The ticks are chosen so the interrupted one retires blocks
+// charge, and the restarted daemon's two logs agree block by block
+// (auditBlockComposition). The ticks are chosen so the interrupted one retires blocks
 // (Retention 3, from tick 3 on), publishes, and compacts (tick 4).
 func TestDaemonKillPointMatrix(t *testing.T) {
 	for _, k := range []int{0, 2, 4, 6} {
@@ -81,6 +82,7 @@ func TestDaemonKillPointMatrix(t *testing.T) {
 				if got := durableFields(d2.Status()); !reflect.DeepEqual(got, want) {
 					t.Fatalf("restarted daemon differs from its write-ahead logs:\n got %+v\nwant %+v", got, want)
 				}
+				auditBlockComposition(t, d2)
 			})
 		}
 	}

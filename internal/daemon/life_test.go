@@ -16,7 +16,8 @@ import (
 // snapshot. Every tick's ingest, the StreamTrainer's Read and Split of
 // each attempt, training, publish and retention are under it, so a
 // change that claims to leave models and the ledger alone must leave
-// these digests alone. Model weights are floats, so the digests pin
+// these digests alone. At its end the two logs must agree block by
+// block (auditBlockComposition). Model weights are floats, so the digests pin
 // amd64's arithmetic (see the experiments goldens) and skip elsewhere.
 func TestDaemonLifeGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
@@ -56,4 +57,5 @@ func TestDaemonLifeGolden(t *testing.T) {
 	if got != string(want) {
 		t.Errorf("daemon life digests differ from testdata/daemon_life.golden:\n got:\n%s\nwant:\n%s", got, want)
 	}
+	t.Logf("%d releases name %d blocks, each covered by the ledger", st.Published, auditBlockComposition(t, d))
 }
