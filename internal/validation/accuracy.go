@@ -18,7 +18,9 @@ type AccuracyValidator struct {
 // ACCEPT requires the lower confidence bound on accuracy to reach Target.
 func (v AccuracyValidator) Accept(correct, n int, r *rng.RNG) bool {
 	v.Config.validate()
-	share := v.Eta / 3
+	// η/2 for ACCEPT, η/2 for REJECT, a third of it for each event: the
+	// two counts' noise tails and the Clopper–Pearson bound.
+	share := v.Eta / 2 / 3
 	// Worst case for a lower bound: noise inflated k and deflated total.
 	k := v.release(float64(correct), 1, share, -1, r)
 	total := v.release(float64(n), 1, share, +1, r)
@@ -50,7 +52,7 @@ func (v AccuracyValidator) Reject(bestCorrect, nTrain int, r *rng.RNG) bool {
 	if v.Mode == ModeNoSLA {
 		return false
 	}
-	share := v.Eta / 3
+	share := v.Eta / 2 / 3 // as in Accept
 	// Worst case for an upper bound: noise deflated k and inflated total.
 	k := v.release(float64(bestCorrect), 1, share, +1, r)
 	total := v.release(float64(nTrain), 1, share, -1, r)

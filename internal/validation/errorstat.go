@@ -32,7 +32,10 @@ func (v ErrorValidator) Accept(n int, r *rng.RNG) bool {
 	if v.B <= 0 {
 		panic("validation: ErrorValidator requires B > 0")
 	}
-	share := v.Eta / 2
+	// There is no REJECT test, so ACCEPT has all of η, a third of it
+	// for each event: the count's and the statistic's noise tails and
+	// Hoeffding's bound.
+	share := v.Eta / 3
 	total := v.release(float64(n), 1, share, -1, r)
 	if total <= 1 {
 		return false

@@ -76,11 +76,11 @@ func (m Mode) corrects() bool { return m == ModeSage }
 type Config struct {
 	// Mode selects the validation discipline (default ModeSage).
 	Mode Mode
-	// Eta is the failure probability (1−confidence) the paper splits η/2
-	// per ACCEPT/REJECT test and η/3 per event inside a test, as
-	// LossValidator does (η/6 per event). AccuracyValidator spends η/3
-	// per event (η per test, 2η over both), ErrorValidator η/2 (1.5η);
-	// ROADMAP direction 17(b) brings those two to the split.
+	// Eta is the total failure probability (1−confidence) of a
+	// validation. It is split η/2 per ACCEPT/REJECT test and a third of
+	// that per event inside a test (η/6: two noise tails and one
+	// confidence bound), as the loss and accuracy validators do;
+	// ErrorValidator, which has no REJECT test, spends η/3 per event.
 	Eta float64
 	// Epsilon is the (ε, 0)-DP budget the validation may spend.
 	Epsilon float64

@@ -409,3 +409,31 @@ func TestCoverageAtTheTarget(t *testing.T) {
 		}
 	}
 }
+
+// TestEachTestSpendsItsShareOfEta pins the split of η without DP noise
+// (ModeNPSLA), where only the confidence bound decides: at η = 0.05 an
+// accuracy test's Clopper–Pearson bound on 800 of 1000 is taken at
+// η/6 (lower 0.7680, upper 0.8295), not at η/3 (0.7716, 0.8264), and
+// ErrorValidator's Hoeffding bound on 1000 points at η/3 (0.0452), not
+// at η/2 (0.0429). Each target sits between the two, so a test that
+// spends more than its share decides the other way.
+func TestEachTestSpendsItsShareOfEta(t *testing.T) {
+	cfg := Config{Mode: ModeNPSLA, Eta: 0.05}
+	r := rng.New(55)
+	for _, c := range []struct {
+		name string
+		got  bool
+		want bool
+	}{
+		{"accuracy ACCEPT at 0.766", AccuracyValidator{Config: cfg, Target: 0.766}.Accept(800, 1000, r), true},
+		{"accuracy ACCEPT at 0.770", AccuracyValidator{Config: cfg, Target: 0.770}.Accept(800, 1000, r), false},
+		{"accuracy REJECT at 0.830", AccuracyValidator{Config: cfg, Target: 0.830}.Reject(800, 1000, r), true},
+		{"accuracy REJECT at 0.828", AccuracyValidator{Config: cfg, Target: 0.828}.Reject(800, 1000, r), false},
+		{"error ACCEPT at 0.046", ErrorValidator{Config: cfg, Target: 0.046, B: 1}.Accept(1000, r), true},
+		{"error ACCEPT at 0.044", ErrorValidator{Config: cfg, Target: 0.044, B: 1}.Accept(1000, r), false},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %v, want %v", c.name, c.got, c.want)
+		}
+	}
+}
