@@ -181,10 +181,11 @@ func Tab2(o Tab2Options) []Tab2Row {
 // violates reports whether the model misses its target on the held-out
 // set (MSE above target for Taxi; accuracy below target for Criteo).
 func violates(task Task, m ml.Model, holdout *data.Dataset, target float64) bool {
+	q := quality(task, m, holdout)
 	if task == TaxiRegression {
-		return ml.MSE(m, holdout) > target
+		return q > target
 	}
-	return ml.Accuracy(m, holdout) < target
+	return q < target
 }
 
 // PrintTab2 renders the rows in the paper's Table 2 layout.

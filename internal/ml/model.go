@@ -66,6 +66,12 @@ func Accuracy(m Model, ds *data.Dataset) float64 {
 	if ds.Len() == 0 {
 		return 0
 	}
+	return float64(CountCorrect(m, ds)) / float64(ds.Len())
+}
+
+// CountCorrect returns the number of examples whose thresholded
+// prediction (p >= 0.5) matches the binary label.
+func CountCorrect(m Model, ds *data.Dataset) int {
 	correct := 0
 	for _, ex := range ds.Examples {
 		pred := 0.0
@@ -76,7 +82,7 @@ func Accuracy(m Model, ds *data.Dataset) float64 {
 			correct++
 		}
 	}
-	return float64(correct) / float64(ds.Len())
+	return correct
 }
 
 // ConstantModel predicts a fixed value regardless of features. The

@@ -85,31 +85,16 @@ type AccuracyValidator struct {
 // only once ACCEPT has failed.
 func (v AccuracyValidator) Validate(m ml.Model, test, train *data.Dataset, cfg validation.Config, r *rng.RNG) (validation.Decision, float64) {
 	av := validation.AccuracyValidator{Config: cfg, Target: v.Target}
-	correct := countCorrect(m, test)
+	correct := ml.CountCorrect(m, test)
 	accuracy := float64(correct) / float64(max(1, test.Len()))
 	if av.Accept(correct, test.Len(), r) {
 		return validation.Accept, accuracy
 	}
 	if v.ERMTrainer != nil && train != nil && train.Len() > 0 {
-		bestCorrect := countCorrect(v.ERMTrainer.Train(train, cfg.Cost(), r), train)
+		bestCorrect := ml.CountCorrect(v.ERMTrainer.Train(train, cfg.Cost(), r), train)
 		if av.Reject(bestCorrect, train.Len(), r) {
 			return validation.Reject, accuracy
 		}
 	}
 	return validation.Retry, accuracy
-}
-
-// countCorrect returns the number of correct thresholded predictions.
-func countCorrect(m ml.Model, ds *data.Dataset) int {
-	correct := 0
-	for _, ex := range ds.Examples {
-		pred := 0.0
-		if m.Predict(ex.Features) >= 0.5 {
-			pred = 1
-		}
-		if pred == ex.Label {
-			correct++
-		}
-	}
-	return correct
 }
