@@ -20,9 +20,9 @@ type denseGradModel interface {
 // Grad implements denseGradModel: ∂logloss/∂w = (p − y)·x, ∂/∂b = (p − y)
 // under the sigmoid head, ∂(pred−y)²/∂w = 2(pred−y)·x under the identity.
 func (m *GLM) Grad(x []float64, y float64, out []float64) {
-	diff := 2 * (m.Predict(x) - y)
-	if m.kind == BinaryClassification {
-		diff = m.Predict(x) - y
+	diff := m.Predict(x) - y
+	if m.kind == Regression {
+		diff *= 2
 	}
 	for i := 0; i < m.dim; i++ {
 		out[i] = diff * x[i]
